@@ -115,7 +115,7 @@ fn main() {
             let spec =
                 PipelineSpec::scan(shape.projection.clone(), shape.restrictions.clone(), config);
             let (groups, elapsed) = time_median(3, || {
-                let mut agg = ParallelHashAggregateOp::over_relation(
+                let mut agg = HashAggregateOp::over_relation(
                     lineitem,
                     spec.clone(),
                     shape.group_exprs.clone(),

@@ -4,10 +4,10 @@
 //!
 //! LLVM is not embedded; the JIT cost comes from the calibrated cost model plus the
 //! measured cost of actually generating one specialised scan path per layout (see
-//! exec::jit and DESIGN.md).
+//! `db_bench::jit` and DESIGN.md).
 
+use db_bench::jit::{specialize_scan_paths, synthetic_layouts, JitCostModel, ScanCodegen};
 use db_bench::{fmt_duration, print_table_header, print_table_row};
-use exec::jit::{specialize_scan_paths, synthetic_layouts, JitCostModel, ScanCodegen};
 
 fn main() {
     let attrs = 8;

@@ -2,10 +2,9 @@
 //! (`crates/workloads/queries/*.json`) and check them against the golden files
 //! in `crates/workloads/queries/plans/`.
 //!
-//! Plans are compiled at threads = 1 (serial lowering) and threads = 4
-//! (morsel-parallel lowering where the planner allows it); explicit thread
-//! counts pass through [`exec::morsel::effective_threads`] verbatim, so the
-//! rendered plans do not depend on the machine running the check.
+//! Each plan is rendered once, at the default `ScanConfig`: a plan's tree is a
+//! function of its IR alone (the thread count is only the worker count in the
+//! header line), so the goldens do not depend on the machine running the check.
 //!
 //! The SQL texts in `crates/workloads/queries/sql/*.sql` are pinned to the
 //! same goldens: each must lower (via `query::parse_sql`) to exactly the
@@ -16,16 +15,13 @@
 //!   plan_dump --check    diff against the golden files, exit 1 on any mismatch
 //!   plan_dump --update   rewrite the golden files (plans + IR JSON from SQL)
 
-use std::fmt::Write as _;
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-use exec::prelude::*;
 use query::Connect;
 use workloads::tpch::{query_ir, query_sql, TpchDb};
 
 const QUERIES: &[&str] = &["Q1", "Q6", "Q3", "Q12", "Q14"];
-const THREADS: &[usize] = &[1, 4];
 
 fn queries_dir() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../workloads/queries")
@@ -43,23 +39,15 @@ fn lowered_ir(db: &TpchDb, name: &str) -> String {
     ir.to_pretty()
 }
 
-/// Render one query's plans at every pinned thread count. Only the relation
-/// schemas matter for planning, so the database is generated at a tiny scale
-/// and never scanned.
+/// Render one query's plan. Only the relation schemas matter for planning, so
+/// the database is generated at a tiny scale and never scanned.
 fn render(db: &TpchDb, name: &str) -> String {
-    let mut out = String::new();
-    for &threads in THREADS {
-        let config = ScanConfig::default().with_threads(threads);
-        let plan = db
-            .db
-            .connect()
-            .with_config(config)
-            .compile_ir(query_ir(name))
-            .unwrap_or_else(|err| panic!("planning {name}: {err}"));
-        writeln!(out, "-- {name} threads={threads}").unwrap();
-        writeln!(out, "{plan}").unwrap();
-    }
-    out
+    let plan = db
+        .db
+        .connect()
+        .compile_ir(query_ir(name))
+        .unwrap_or_else(|err| panic!("planning {name}: {err}"));
+    format!("-- {name}\n{plan}\n")
 }
 
 fn main() -> ExitCode {

@@ -4,8 +4,9 @@
 //! `src/bin/` (see DESIGN.md for the experiment index); micro-benchmarks for the
 //! SIMD kernels live in `benches/` as hand-rolled `harness = false` binaries (the
 //! build environment is offline, so Criterion is unavailable). This library holds
-//! the shared plumbing: timing, cycle conversion, geometric means and table
-//! formatting.
+//! the shared plumbing — timing, cycle conversion, geometric means and table
+//! formatting — and the Figure 5 compile-time cost model ([`jit`]), which models the
+//! engine the paper compares against and is no part of this one.
 //!
 //! All binaries honour two environment variables:
 //!
@@ -14,6 +15,8 @@
 //!   per binary).
 
 #![warn(missing_docs)]
+
+pub mod jit;
 
 use std::time::{Duration, Instant};
 

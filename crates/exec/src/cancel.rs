@@ -9,11 +9,11 @@
 //! * streaming parallel scans ([`crate::morsel::drive_streaming`]) check the
 //!   token between morsel claims and at every channel push, and the consumer
 //!   side cancels-and-joins the workers before surfacing;
-//! * pipeline drivers ([`crate::morsel::drive_pipeline`] — parallel aggregates
-//!   and parallel join builds) check it at every morsel claim, join all
-//!   workers, and then surface;
-//! * serial scans ([`crate::scan::RelationScanner`]) check it once per pulled
-//!   batch.
+//! * pipeline workers ([`crate::morsel::drive_pipeline`] — aggregates fused
+//!   with their scan) check it at every morsel claim — the same claim loop the
+//!   streaming workers run — join all workers, and then surface;
+//! * [`crate::scan::RelationScanner`] checks it once per pulled batch, whatever
+//!   its worker count.
 //!
 //! The operator tree has no error channel (see [`crate::ops`]): a cancelled
 //! execution path **panics** with [`CANCEL_MESSAGE`] after its workers are

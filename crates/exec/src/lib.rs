@@ -2,10 +2,8 @@
 //!
 //! This crate implements the query-processing half of the paper: an **interpreted
 //! vectorized scan subsystem** that works over both hot uncompressed chunks and cold
-//! compressed Data Blocks behind a single interface (Figure 6), the **relational
-//! operators** consuming those batches, and a **compile-time model** quantifying why
-//! a tuple-at-a-time JIT engine cannot simply unroll one code path per storage-layout
-//! combination (Figure 5).
+//! compressed Data Blocks behind a single interface (Figure 6), and the **relational
+//! operators** consuming those batches, morsel-driven ([`morsel`]).
 //!
 //! ```
 //! use exec::prelude::*;
@@ -48,7 +46,6 @@
 pub mod batch;
 pub mod cancel;
 pub mod expr;
-pub mod jit;
 pub mod morsel;
 pub mod ops;
 pub mod scan;
@@ -56,15 +53,13 @@ pub mod scan;
 pub use batch::Batch;
 pub use cancel::CancelToken;
 pub use expr::{arith, ArithOp, Expr};
-pub use jit::{JitCostModel, ScanCodegen};
 pub use morsel::{
-    drive_batches, drive_pipeline, drive_streaming, merge_partitionwise, scan_relation_parallel,
-    Morsel, MorselSink, PipelineSpec, PipelineStep, ScanStream, RADIX_BITS, RADIX_PARTITIONS,
+    drive_batches, drive_pipeline, drive_streaming, merge_partitionwise, Morsel, MorselSink,
+    PipelineSpec, PipelineStep, ScanStream, RADIX_BITS, RADIX_PARTITIONS,
 };
 pub use ops::{
     collect_operator, radix_partition, AggFunc, AggSpec, BoxedOperator, FilterOp, HashAggregateOp,
-    HashJoinOp, JoinType, Operator, ParallelHashAggregateOp, ProjectOp, ScanOp, SortKey, SortOp,
-    ValuesOp,
+    HashJoinOp, JoinType, Operator, ProjectOp, ScanOp, SortKey, SortOp, ValuesOp,
 };
 pub use scan::{RelationScanner, ScanConfig, ScanMode, ScanStats, DEFAULT_MORSEL_ROWS};
 
@@ -75,8 +70,8 @@ pub mod prelude {
     pub use crate::morsel::{MorselSink, PipelineSpec, PipelineStep};
     pub use crate::ops::{
         collect_operator, radix_partition, AggFunc, AggSpec, BoxedOperator, FilterOp,
-        HashAggregateOp, HashJoinOp, JoinType, Operator, ParallelHashAggregateOp, ProjectOp,
-        ScanOp, SortKey, SortOp, ValuesOp,
+        HashAggregateOp, HashJoinOp, JoinType, Operator, ProjectOp, ScanOp, SortKey, SortOp,
+        ValuesOp,
     };
     pub use crate::scan::{RelationScanner, ScanConfig, ScanMode, ScanStats};
     pub use datablocks::scan::Restriction;

@@ -1,12 +1,13 @@
-//! Morsel-driven parallel execution (the paper's evaluation setting: 64-thread scans
-//! of compressed Data Blocks, after Leis et al., "Morsel-Driven Parallelism") — both
-//! the parallel *scan* ([`scan_relation_parallel`]) and the generic parallel
-//! *pipeline driver* ([`drive_pipeline`]) that runs scan→filter→project→build chains
-//! inside the workers and feeds radix-partitioned pipeline-breaker state.
+//! Morsel-driven execution (the paper's evaluation setting: 64-thread scans of
+//! compressed Data Blocks, after Leis et al., "Morsel-Driven Parallelism"). This
+//! module is the **only** way a scan's work is split up and the only way a pipeline
+//! breaker is fed: a thread count is a number of workers running the code below,
+//! never a choice between this code and some serial other — one worker is the same
+//! loop run inline on the calling thread.
 //!
 //! # The morsel protocol
 //!
-//! A relation scan decomposes into an ordered list of [`Morsel`]s:
+//! A relation scan decomposes ([`decompose`]) into an ordered list of [`Morsel`]s:
 //!
 //! * one morsel per **frozen Data Block** — blocks are immutable, carry their own
 //!   SMAs/PSMAs and are the natural unit of SMA skipping, so they are never split;
@@ -14,127 +15,109 @@
 //!   [`ScanConfig::morsel_rows`] records each.
 //!
 //! Work distribution is a single `fetch_add` on an [`AtomicUsize`] cursor over that
-//! list: each worker claims the next unclaimed morsel index, scans it to completion,
-//! and claims again until the list is exhausted. There are no locks anywhere on the
-//! scan path — frozen blocks and hot chunks are only ever read (`&`-borrowed), the
-//! cursor is the only shared mutable state, and every worker owns its output
-//! buffers. Workers keep one [`RelationScanner`] for their whole lifetime, so the
-//! match-position vector and its growth are paid once per worker, not once per morsel
-//! or per vector (the "allocation-free hot path" the paper's throughput numbers
-//! assume).
+//! list. A worker's life is one private loop, written once and run by every
+//! worker there is — check for cancellation or a failed sibling, claim the next
+//! unclaimed morsel, queue the cold read-ahead behind it, scan it to completion
+//! through the non-breaking [`PipelineStep`]s, report the outcome (an unreadable
+//! cold block stops everyone) — so the rules for cancellation, read-ahead and cold
+//! read errors live in one place. There are no locks on the scan path — frozen
+//! blocks and hot chunks are only ever read, the cursor is the only shared mutable
+//! state, and every worker owns its output. A worker keeps one [`RelationScanner`]
+//! for its whole life, so the match-position vector and its growth are paid once
+//! per worker, not once per morsel or per vector.
 //!
-//! # The bounded streaming pipeline
+//! What differs between the two drivers is only where a worker's batches go.
 //!
-//! A parallel scan does **not** materialise its result. [`drive_streaming`] runs
-//! the workers on plain (non-scoped) threads over an owned
-//! [`storage::ScanSnapshot`] and connects them to the consumer through a
-//! capacity-bounded **reorder channel** (std-only: a `Mutex<VecDeque>` per morsel
-//! plus two `Condvar`s):
+//! # Streaming: [`drive_streaming`]
+//!
+//! A multi-worker scan does **not** materialise its result. The workers run on
+//! plain (non-scoped) threads over an owned [`storage::ScanSnapshot`] and feed the
+//! consumer through a capacity-bounded **reorder channel** (std-only: a
+//! `Mutex<VecDeque>` per morsel plus two `Condvar`s):
 //!
 //! * **Backpressure.** A worker that finishes a batch while the channel holds
-//!   [`ScanConfig::channel_cap`] batches *suspends* on a condition variable instead
-//!   of buffering — a stalled consumer stops the workers, it does not grow the
-//!   resident set. Peak buffering is `O(channel_cap × batch)` plus the single batch
-//!   each worker is currently producing, instead of `O(relation)`.
-//! * **Ordering.** The reorder stage releases batches to the consumer in
-//!   (morsel index, emission order) — exactly the order a serial scan visits them —
-//!   so the stream is **byte-identical to the serial scan** for every thread count,
-//!   morsel size and channel capacity.
+//!   [`ScanConfig::channel_cap`] batches *suspends* instead of buffering — a stalled
+//!   consumer stops the workers, it does not grow the resident set. Peak buffering
+//!   is `O(channel_cap × batch)` plus the batch each worker is producing.
+//! * **Ordering.** Batches are released in (morsel index, emission order) — the
+//!   order one worker visits them — so the stream is **byte-identical for every
+//!   thread count, morsel size and channel capacity**.
 //! * **Deadlock freedom.** One channel slot is reserved for the *head-of-line*
 //!   morsel (the one the consumer must receive next): its owner may push one batch
-//!   past the shared budget whenever the consumer is starved, so the consumer can
-//!   always be fed no matter how the other workers filled the channel. The
-//!   in-flight count still never exceeds `channel_cap`
-//!   ([`ScanStream::max_in_flight`] exposes the high-water mark, and the
-//!   backpressure tests assert the bound).
-//! * **Pin lifetime.** A worker resolves a cold block via
-//!   [`storage::ScanSource::cold_block`] when it claims the morsel and drops the
-//!   returned [`storage::BlockRef`] (the pin guard) as soon as the morsel's last
-//!   batch has been handed to the channel — so at most one pin per worker is live,
-//!   even while a worker is suspended on backpressure.
+//!   past the shared budget whenever the consumer is starved. The in-flight count
+//!   still never exceeds `channel_cap` ([`ScanStream::max_in_flight`]).
+//! * **Pin lifetime.** A worker resolves a cold block when it claims the morsel and
+//!   drops the [`storage::BlockRef`] (the pin guard) as soon as the morsel's last
+//!   batch has been handed over — at most one pin per worker is live, even while a
+//!   worker is suspended on backpressure.
 //!
-//! [`RelationScanner`] pulls from this stream when `config.threads != 1`;
-//! [`scan_relation_parallel`] drains it for callers that do want the materialised
-//! result.
+//! [`RelationScanner`] is the stream's one consumer. It starts the stream when the
+//! resolved worker count is above one; at one worker it walks the same morsel list
+//! itself, because a pull iterator needs no thread and no channel to hand batches to
+//! its own caller. `tests/parallel_scan.rs` pins both against each other.
 //!
-//! # Determinism guarantee
+//! # Pipeline breakers: [`drive_pipeline`], [`drive_batches`], [`merge_partitionwise`]
 //!
-//! Batches reach the consumer in (morsel index, emission order) — which is exactly
-//! the order a serial scan visits them. A parallel scan therefore produces
-//! **byte-identical output to the serial scan** for every thread count and morsel
-//! size; only wall-clock time changes. The differential test
-//! `tests/parallel_scan.rs` (and `parallel_scan_agrees_with_serial_in_every_mode` in
-//! `scan.rs`) pin this property down.
+//! Pipeline breakers (hash aggregation, the hash-join build) have one
+//! implementation each, a [`MorselSink`]: every worker runs the whole non-breaking
+//! operator chain of a [`PipelineSpec`] over its morsels and accumulates into a
+//! private [`RADIX_PARTITIONS`]-way partitioned sink. At the barrier the per-worker
+//! partitions are combined **partition-wise** by [`merge_partitionwise`] —
+//! partition `p` of every worker merges into one final partition `p`,
+//! independently of all others, so the merge itself spreads over the workers. The
+//! partition of a key is a pure function of its value (leading bits of its hash,
+//! see [`crate::ops::radix_partition`]), never of the thread count or the morsel
+//! schedule. The probe/emit tail then runs single-threaded on the merged state.
+//! [`drive_batches`] is the same for an input that is an operator's output rather
+//! than a relation: each batch is one morsel.
 //!
-//! # Pipeline breakers
+//! Built on them: [`crate::ops::HashAggregateOp`] (output sorted by group key) and
+//! the [`crate::ops::HashJoinOp`] build (build rows are tagged with their position
+//! in the build stream and re-sorted per key at the merge).
 //!
-//! Pipeline breakers (hash aggregation, the hash-join build) parallelise with the
-//! same cursor protocol: each worker runs the whole non-breaking operator chain of a
-//! [`PipelineSpec`] over its morsels and accumulates into a private
-//! [`RADIX_PARTITIONS`]-way partitioned [`MorselSink`]. At the pipeline barrier the
-//! per-worker partitions are combined **partition-wise** by
-//! [`merge_partitionwise`] — partition `p` of every worker merges into one final
-//! partition `p`, independently of all other partitions, so the merge itself runs in
-//! parallel. The partition of a key is a pure function of its value (leading bits of
-//! its hash, see [`crate::ops::radix_partition`]), never of the thread count or the
-//! morsel schedule. Distinct partitions hold disjoint key sets, so the
-//! [`RADIX_PARTITIONS`] merges are independent and are themselves spread over the
-//! workers — this is what keeps the merge phase from re-serialising the pipeline on
-//! many-core machines. The probe/emit tail then runs single-threaded on the merged
-//! state.
+//! # Determinism
 //!
-//! Built on the driver:
+//! The contract, stated once: **`threads = 1` is a pure function of the input** —
+//! rows are folded in scan order, so even sums over doubles repeat bit for bit —
+//! **and `threads = N` equals `threads = 1`** — scans, join output, group keys,
+//! counts, min/max and integer sums byte for byte — **except sums over doubles**,
+//! which become a parallel floating-point reduction and are equal up to
+//! reassociation.
 //!
-//! * [`crate::ops::ParallelHashAggregateOp`] — partitioned parallel hash aggregation
-//!   (`over_relation` for pipelines, `over_batches` for intermediates). Output is
-//!   sorted by group key, like the serial operator. Counts, min/max and integer sums
-//!   are byte-identical to serial for every thread count; double sums are a parallel
-//!   FP reduction (equal up to reassociation).
-//! * [`crate::ops::HashJoinOp::with_parallel_build`] — parallel partitioned join
-//!   build. Build rows are tagged with their global stream position and re-sorted
-//!   per key at the merge, so join output is **byte-identical** to the serial build
-//!   for every thread count.
-//!
-//! # Adding a parallel operator
-//!
-//! A new pipeline breaker needs three pieces:
+//! # Adding a pipeline breaker
 //!
 //! 1. **A sink** implementing [`MorselSink`] — own the per-worker state, keep it
 //!    partitioned by [`crate::ops::radix_partition`] of whatever key the operator
 //!    groups on, and fold each incoming batch in `consume(morsel_idx, &batch)`. If
-//!    the operator's result depends on input *order* (like join build rows), tag
-//!    entries with `(morsel_idx, position)` so the merge can restore serial order;
-//!    if it is order-insensitive (like aggregation), ignore `morsel_idx`.
+//!    the result depends on input *order* (like join build rows), tag entries with
+//!    `(morsel_idx, position)` so the merge can restore it; if not (like
+//!    aggregation), ignore `morsel_idx`.
 //! 2. **A merge** — a function folding one partition from every worker (worker
-//!    order is deterministic) into the final partition, passed to
-//!    [`merge_partitionwise`].
-//! 3. **A serial tail** — emit from the merged partitions in a deterministic order
-//!    (sort by key, or preserve restored stream order).
+//!    order is deterministic) into the final partition, for [`merge_partitionwise`].
+//! 3. **A tail** — emit from the merged partitions in a deterministic order.
 //!
 //! Then drive it: `let (sinks, stats) = drive_pipeline(relation, &spec, make_sink)?`
-//! followed by `merge_partitionwise(sinks, threads, merge)`. Differential tests
-//! against the serial operator for threads ∈ {1, 2, 4, 8} — including skewed keys,
-//! NULL keys and inputs that leave partitions empty — are the contract
+//! followed by `merge_partitionwise(sinks, threads, merge)`. There is no second
+//! implementation to differential-test against: test one worker against a fold
+//! over the rows in scan order written in the test, and 2, 4 and 8 workers against
+//! one — on skewed keys, NULL keys and inputs that leave partitions empty
 //! (`tests/parallel_agg.rs` is the template).
 //!
 //! # Invariants to keep
 //!
 //! * Pipeline workers only ever share `&Relation` and the atomic cursor; streaming
-//!   scan workers share one `Arc` holding the owned snapshot, the cursor and the
-//!   reorder channel — in both cases all per-worker state lives in the sink or the
-//!   worker's scanner (the compile-time `Send + Sync` assertions below enforce the
-//!   sharing part). Spilled blocks add one more shared object — the block store —
-//!   whose cache index is internally synchronised; a worker holds one pin per
-//!   *claimed* cold morsel (released when the morsel's batches are handed off), so
-//!   a block never vanishes mid-scan and pins never accumulate across a scan.
+//!   workers share one `Arc` holding the owned snapshot, the cursor and the reorder
+//!   channel — all per-worker state lives in the sink or the worker's scanner (the
+//!   compile-time `Send + Sync` assertions below enforce the sharing part). Spilled
+//!   blocks add one more shared object — the block store — whose cache index is
+//!   internally synchronised; a worker holds one pin per *claimed* cold morsel.
 //! * The reorder channel's in-flight batch count never exceeds
 //!   [`ScanConfig::channel_cap`]; a worker that cannot push suspends (it must not
 //!   buffer locally), and the head-of-line morsel's owner must always be admitted
 //!   when the consumer is starved — that pair of rules is what makes the bound
 //!   safe *and* deadlock-free.
-//! * `threads == 1` must take the same code path and produce the same bytes as the
-//!   dedicated serial operator — thread count may change wall-clock time and
-//!   double-sum ulps only.
+//! * A worker count never selects code: whatever one worker does inline, N do on
+//!   threads.
 //! * Operators resolve `output_types()` once at construction;
 //!   [`crate::ops::collect_operator`] debug-asserts every emitted batch against the
 //!   declaration.
@@ -267,31 +250,6 @@ pub fn effective_threads(requested: usize) -> usize {
     }
 }
 
-/// Scan `relation` with `config.threads` workers and return all result batches in
-/// deterministic (serial-scan) order, plus the merged scan statistics.
-///
-/// A convenience wrapper draining [`drive_streaming`] — for callers that want the
-/// fully materialised result rather than the bounded stream [`RelationScanner`]
-/// pulls from.
-pub fn scan_relation_parallel(
-    relation: &Relation,
-    projection: &[usize],
-    restrictions: &[Restriction],
-    config: ScanConfig,
-) -> (Vec<Batch>, ScanStats) {
-    let mut stream = drive_streaming(
-        relation.scan_snapshot(),
-        projection.to_vec(),
-        restrictions.to_vec(),
-        config,
-    );
-    let mut batches = Vec::new();
-    while let Some(batch) = stream.next_batch() {
-        batches.push(batch);
-    }
-    (batches, stream.stats())
-}
-
 // ----------------------------------------------------------- streaming pipeline
 
 /// Everything the streaming workers and the consumer share. Workers hold it through
@@ -300,9 +258,8 @@ pub fn scan_relation_parallel(
 struct StreamShared {
     snapshot: ScanSnapshot,
     morsels: Vec<Morsel>,
-    projection: Vec<usize>,
-    restrictions: Vec<Restriction>,
-    config: ScanConfig,
+    /// The scan every worker runs (no in-worker steps: batches stream out as scanned).
+    spec: PipelineSpec,
     /// The morsel cursor: each worker claims the next unclaimed index.
     cursor: AtomicUsize,
     /// Channel capacity in batches (≥ 1). One slot is implicitly reserved for the
@@ -492,55 +449,81 @@ impl Drop for WorkerGuard {
     }
 }
 
-/// One streaming worker's life: claim morsels off the shared cursor and stream each
-/// one's batches into the reorder channel with a single reused scanner.
-fn stream_worker(shared: &StreamShared) -> ScanStats {
-    let mut scanner = RelationScanner::for_worker(
-        &shared.snapshot,
-        &shared.projection,
-        &shared.restrictions,
-        shared.config,
-    );
-    loop {
-        // `push` observes cancellation too, but a run of morsels that emit no
-        // batches (pruned or match-free blocks) would never call it — this check
-        // keeps a dropped stream from scanning (and paging in) the whole tail.
-        if shared.is_cancelled() {
-            break;
-        }
-        let morsel_idx = shared.cursor.fetch_add(1, Ordering::Relaxed);
-        let Some(&morsel) = shared.morsels.get(morsel_idx) else {
+/// One morsel worker's life — the only copy of the claim loop, run by the streaming
+/// workers ([`drive_streaming`]) and the pipeline workers ([`drive_pipeline`]) alike.
+/// Until `stop()` reports a cancelled or failed run, or the cursor runs off the
+/// list: claim the next morsel, queue the cold read-ahead behind it (the cache is
+/// shared, so prefetching a morsel another worker scans is exactly as useful), scan
+/// it with the worker's one reused scanner, pass every batch through the steps of
+/// `spec` to `emit(morsel_idx, batch)`, and hand the morsel's outcome — `Ok(false)`
+/// if `emit` asked to stop, `Err` for an unreadable cold block — to
+/// `done(morsel_idx, outcome)`, which says whether to claim again.
+///
+/// `stop` is checked between claims because a run of morsels that emit nothing
+/// (pruned or match-free blocks) never reaches `emit` — it is what keeps a dropped
+/// stream or a cancelled query from scanning, and paging in, the rest of the
+/// relation.
+fn run_worker<S: ScanSource>(
+    source: &S,
+    morsels: &[Morsel],
+    cursor: &AtomicUsize,
+    spec: &PipelineSpec,
+    stop: impl Fn() -> bool,
+    mut emit: impl FnMut(usize, Batch) -> bool,
+    mut done: impl FnMut(usize, Result<bool, ColdReadError>) -> bool,
+) -> ScanStats {
+    let mut scanner =
+        RelationScanner::for_worker(source, &spec.projection, &spec.restrictions, spec.config);
+    while !stop() {
+        let morsel_idx = cursor.fetch_add(1, Ordering::Relaxed);
+        let Some(&morsel) = morsels.get(morsel_idx) else {
             break;
         };
         if matches!(morsel, Morsel::ColdBlock(_)) {
-            // Read-ahead: stage the cold blocks after this one for whichever
-            // worker claims them (the cache is shared, so prefetching a morsel
-            // another worker scans is exactly as useful).
             prefetch_lookahead(
-                &shared.snapshot,
-                &shared.morsels,
+                source,
+                morsels,
                 morsel_idx,
-                &shared.restrictions,
-                &shared.config,
+                &spec.restrictions,
+                &spec.config,
             );
         }
-        let keep_going =
-            match scanner.stream_morsel(morsel, &mut |batch| shared.push(morsel_idx, batch)) {
-                Ok(keep_going) => keep_going,
-                Err(err) => {
-                    // An unreadable cold block: hand the typed error to the
-                    // stream (which cancels the other workers) and exit cleanly
-                    // — the consumer joins us and returns the error.
-                    shared.fail(err);
-                    false
-                }
-            };
-        shared.finish_morsel(morsel_idx);
-        if !keep_going {
-            break; // cancelled or failed
+        // Batches flow scan → steps → `emit` one at a time — a cold morsel is never
+        // materialised, and its pin is released when the last batch left the scanner.
+        let outcome = scanner.stream_morsel(morsel, &mut |batch| {
+            let batch = spec.apply_steps(batch);
+            batch.is_empty() || emit(morsel_idx, batch)
+        });
+        if !done(morsel_idx, outcome) {
+            break;
         }
     }
     scanner.stats()
+}
+
+/// Run `body` once per element of `inputs` — one worker each — and return the
+/// results in input order. A single worker runs inline on the calling thread (no
+/// thread is spawned); more run on scoped threads that are all joined before this
+/// returns, and a worker's panic resumes on the caller with its original payload.
+fn run_workers<I: Send, T: Send>(inputs: Vec<I>, body: impl Fn(I) -> T + Sync) -> Vec<T> {
+    if inputs.len() <= 1 {
+        return inputs.into_iter().map(body).collect();
+    }
+    std::thread::scope(|scope| {
+        let body = &body;
+        let handles: Vec<_> = inputs
+            .into_iter()
+            .map(|input| scope.spawn(move || body(input)))
+            .collect();
+        handles
+            .into_iter()
+            .map(|handle| {
+                handle
+                    .join()
+                    .unwrap_or_else(|payload| std::panic::resume_unwind(payload))
+            })
+            .collect()
+    })
 }
 
 /// A bounded, in-order stream of scan batches produced by morsel workers (see the
@@ -666,9 +649,7 @@ pub fn drive_streaming(
     let shared = Arc::new(StreamShared {
         snapshot,
         morsels,
-        projection,
-        restrictions,
-        config,
+        spec: PipelineSpec::scan(projection, restrictions, config),
         cursor: AtomicUsize::new(0),
         cap,
         cancel_token: cancel::current(),
@@ -694,7 +675,26 @@ pub fn drive_streaming(
                     shared,
                     armed: true,
                 };
-                let stats = stream_worker(&guard.shared);
+                let shared = &*guard.shared;
+                let stats = run_worker(
+                    &shared.snapshot,
+                    &shared.morsels,
+                    &shared.cursor,
+                    &shared.spec,
+                    || shared.is_cancelled(),
+                    |morsel_idx, batch| shared.push(morsel_idx, batch),
+                    |morsel_idx, outcome| {
+                        // The error is recorded (and the stream cancelled) before
+                        // the morsel is marked finished, so the consumer can never
+                        // advance past a failed morsel and report exhaustion.
+                        let keep_going = outcome.unwrap_or_else(|err| {
+                            shared.fail(err);
+                            false
+                        });
+                        shared.finish_morsel(morsel_idx);
+                        keep_going
+                    },
+                );
                 guard.armed = false;
                 guard.shared.worker_exit(stats);
             })
@@ -833,7 +833,8 @@ pub trait MorselSink: Send {
     fn consume(&mut self, morsel_idx: usize, batch: &Batch);
 }
 
-/// Run a morsel-parallel pipeline over `relation`: every worker claims morsels off a
+/// Run a morsel pipeline over `relation` with `spec.config.threads` workers (one
+/// worker runs inline on the calling thread): every worker claims morsels off a
 /// shared cursor, runs the scan and the non-breaking steps of `spec` locally, and
 /// feeds its private sink (built by `make_sink`). Returns the per-worker sinks in
 /// worker order plus the merged scan statistics — merging the sinks partition-wise
@@ -859,152 +860,101 @@ where
     let cursor = AtomicUsize::new(0);
     let abort = AtomicBool::new(false);
     let cancel_token = cancel::current();
-    let run = |sink: &mut S| -> Result<ScanStats, ColdReadError> {
-        let mut scanner = RelationScanner::for_worker(
+    let cancelled = || cancel_token.as_ref().is_some_and(CancelToken::is_cancelled);
+    let sinks: Vec<S> = (0..workers).map(|_| make_sink()).collect();
+    let results = run_workers(sinks, |mut sink| {
+        let mut error = None;
+        let stats = run_worker(
             relation,
-            &spec.projection,
-            &spec.restrictions,
-            spec.config,
-        );
-        loop {
-            if abort.load(Ordering::Relaxed) {
-                break; // another worker hit an unreadable block
-            }
-            if let Some(token) = &cancel_token {
-                if token.is_cancelled() {
-                    break; // the consumer cancelled the query
-                }
-            }
-            let morsel_idx = cursor.fetch_add(1, Ordering::Relaxed);
-            let Some(&morsel) = morsels.get(morsel_idx) else {
-                break;
-            };
-            if matches!(morsel, Morsel::ColdBlock(_)) {
-                prefetch_lookahead(
-                    relation,
-                    &morsels,
-                    morsel_idx,
-                    &spec.restrictions,
-                    &spec.config,
-                );
-            }
-            // Batches flow scan → steps → sink inside the worker, one at a time —
-            // a cold morsel is never materialised, and its pin is released when
-            // the last batch left the scanner.
-            let result = scanner.stream_morsel(morsel, &mut |batch| {
-                let batch = spec.apply_steps(batch);
-                if !batch.is_empty() {
-                    sink.consume(morsel_idx, &batch);
-                }
+            &morsels,
+            &cursor,
+            spec,
+            || abort.load(Ordering::Relaxed) || cancelled(),
+            |morsel_idx, batch| {
+                sink.consume(morsel_idx, &batch);
                 true
-            });
-            if let Err(err) = result {
-                abort.store(true, Ordering::Relaxed);
-                return Err(err);
-            }
-        }
-        Ok(scanner.stats())
-    };
-
-    let results: Vec<(S, Result<ScanStats, ColdReadError>)> = if workers == 1 {
-        let mut sink = make_sink();
-        let stats = run(&mut sink);
-        vec![(sink, stats)]
-    } else {
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..workers)
-                .map(|_| {
-                    scope.spawn(|| {
-                        let mut sink = make_sink();
-                        let stats = run(&mut sink);
-                        (sink, stats)
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|handle| handle.join().expect("pipeline worker panicked"))
-                .collect()
-        })
-    };
-
-    let mut stats = ScanStats::default();
-    let mut sinks = Vec::with_capacity(results.len());
-    let mut first_err = None;
-    for (sink, worker_result) in results {
-        match worker_result {
-            Ok(worker_stats) => stats.merge(&worker_stats),
-            Err(err) if first_err.is_none() => first_err = Some(err),
-            Err(_) => {}
-        }
-        sinks.push(sink);
-    }
+            },
+            |_, outcome| match outcome {
+                Ok(keep_going) => keep_going,
+                Err(err) => {
+                    abort.store(true, Ordering::Relaxed);
+                    error = Some(err);
+                    false
+                }
+            },
+        );
+        (sink, stats, error)
+    });
     // Every worker is joined at this point. A raised cancel token surfaces
     // like an unreadable block does on this path: as a panic the session
     // boundary turns back into a typed error (`query::Error::Cancelled`).
-    if cancel_token
-        .map(|token| token.is_cancelled())
-        .unwrap_or(false)
-    {
+    if cancelled() {
         panic!("{}", cancel::CANCEL_MESSAGE);
     }
-    match first_err {
-        Some(err) => Err(err),
-        None => Ok((sinks, stats)),
+    let mut stats = ScanStats::default();
+    let mut sinks = Vec::with_capacity(results.len());
+    for (sink, worker_stats, error) in results {
+        if let Some(err) = error {
+            return Err(err);
+        }
+        stats.merge(&worker_stats);
+        sinks.push(sink);
     }
+    Ok((sinks, stats))
 }
 
-/// Run a parallel build over already-materialised batches: each batch is one morsel
-/// (its index is the `morsel_idx` passed to the sink). This is how pipeline breakers
-/// parallelise over *intermediate* results — e.g. a join whose build side is itself
-/// the output of another operator.
-pub fn drive_batches<S, F>(batches: &[Batch], threads: usize, make_sink: F) -> Vec<S>
+/// Run a build over a stream of batches with `threads` workers: each batch is one
+/// morsel (its position in the stream is the `morsel_idx` passed to the sink). This
+/// is how pipeline breakers consume *intermediate* results — e.g. a join whose
+/// build side is itself the output of another operator. A single worker consumes
+/// the stream as it arrives, on the calling thread, so the input is never held in
+/// full; several workers have to share it, so it is drained first.
+pub fn drive_batches<S, F>(
+    batches: impl Iterator<Item = Batch>,
+    threads: usize,
+    make_sink: F,
+) -> Vec<S>
 where
     S: MorselSink,
     F: Fn() -> S + Sync,
 {
-    let workers = effective_threads(threads).min(batches.len()).max(1);
-    let cursor = AtomicUsize::new(0);
-    let run = |sink: &mut S| loop {
-        let idx = cursor.fetch_add(1, Ordering::Relaxed);
-        let Some(batch) = batches.get(idx) else {
-            break;
-        };
+    let feed = |sink: &mut S, idx: usize, batch: &Batch| {
         if !batch.is_empty() {
             sink.consume(idx, batch);
         }
     };
-    if workers == 1 {
+    let threads = effective_threads(threads);
+    if threads == 1 {
         let mut sink = make_sink();
-        run(&mut sink);
-        vec![sink]
-    } else {
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..workers)
-                .map(|_| {
-                    scope.spawn(|| {
-                        let mut sink = make_sink();
-                        run(&mut sink);
-                        sink
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|handle| handle.join().expect("build worker panicked"))
-                .collect()
-        })
+        for (idx, batch) in batches.enumerate() {
+            feed(&mut sink, idx, &batch);
+        }
+        return vec![sink];
     }
+    let batches: Vec<Batch> = batches.collect();
+    let workers = threads.min(batches.len()).max(1);
+    let cursor = AtomicUsize::new(0);
+    let sinks: Vec<S> = (0..workers).map(|_| make_sink()).collect();
+    run_workers(sinks, |mut sink| {
+        loop {
+            let idx = cursor.fetch_add(1, Ordering::Relaxed);
+            let Some(batch) = batches.get(idx) else {
+                break;
+            };
+            feed(&mut sink, idx, batch);
+        }
+        sink
+    })
 }
 
-/// The barrier phase of a parallel pipeline breaker: combine the partitioned state
-/// of every worker **partition-wise**. `per_worker[w]` is worker `w`'s partition
-/// vector (all workers must agree on the partition count); `merge` receives, for one
-/// partition index, that partition from every worker *in worker order* and folds
-/// them into the final partition. Distinct partitions hold disjoint key sets, so
-/// they merge independently — the work is spread over `threads` workers with a
-/// static stride (partition `i` is merged by worker `i % workers`), and the result
-/// vector is in partition order whatever the parallelism.
+/// The barrier phase of a pipeline breaker: combine the partitioned state of every
+/// worker **partition-wise**. `per_worker[w]` is worker `w`'s partition vector (all
+/// workers must agree on the partition count); `merge` receives, for one partition
+/// index, that partition from every worker *in worker order* and folds them into
+/// the final partition. Distinct partitions hold disjoint key sets, so they merge
+/// independently — the work is spread over `threads` workers with a static stride
+/// (partition `i` is merged by worker `i % workers`), and the result vector is in
+/// partition order whatever the parallelism.
 pub fn merge_partitionwise<P, T, F>(per_worker: Vec<Vec<P>>, threads: usize, merge: F) -> Vec<T>
 where
     P: Send,
@@ -1026,43 +976,27 @@ where
         }
     }
     let workers = effective_threads(threads).min(parts).max(1);
-    if workers == 1 {
-        return by_partition
-            .into_iter()
-            .enumerate()
-            .map(|(idx, parts)| merge(idx, parts))
-            .collect();
-    }
     let mut buckets: Vec<Vec<(usize, Vec<P>)>> = (0..workers).map(|_| Vec::new()).collect();
     for (idx, part) in by_partition.into_iter().enumerate() {
         buckets[idx % workers].push((idx, part));
     }
-    let merged: Vec<Vec<(usize, T)>> = std::thread::scope(|scope| {
-        let merge = &merge;
-        let handles: Vec<_> = buckets
+    let merge_bucket = |bucket: Vec<(usize, Vec<P>)>| -> Vec<T> {
+        bucket
             .into_iter()
-            .map(|bucket| {
-                scope.spawn(move || {
-                    bucket
-                        .into_iter()
-                        .map(|(idx, parts)| (idx, merge(idx, parts)))
-                        .collect::<Vec<_>>()
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|handle| handle.join().expect("merge worker panicked"))
+            .map(|(idx, parts)| merge(idx, parts))
             .collect()
-    });
-    let mut out: Vec<Option<T>> = (0..parts).map(|_| None).collect();
-    for chunk in merged {
-        for (idx, value) in chunk {
-            out[idx] = Some(value);
-        }
-    }
-    out.into_iter()
-        .map(|value| value.expect("every partition merged exactly once"))
+    };
+    // Bucket `w` merged partitions `w, w + workers, …` in that order: undo the stride.
+    let mut merged: Vec<_> = run_workers(buckets, merge_bucket)
+        .into_iter()
+        .map(Vec::into_iter)
+        .collect();
+    (0..parts)
+        .map(|idx| {
+            merged[idx % workers]
+                .next()
+                .expect("every partition merged exactly once")
+        })
         .collect()
 }
 
@@ -1136,8 +1070,17 @@ mod tests {
         assert_eq!(effective_threads(3), 3);
     }
 
+    /// Drain a streaming scan into one batch plus its final statistics.
+    fn drain(mut stream: ScanStream, types: &[DataType]) -> (Batch, ScanStats) {
+        let mut merged = Batch::new(types);
+        while let Some(batch) = stream.next_batch() {
+            merged.append(&batch);
+        }
+        (merged, stream.stats())
+    }
+
     #[test]
-    fn parallel_matches_serial_on_mixed_storage() {
+    fn streamed_scan_matches_calling_thread_scan_on_mixed_storage() {
         let rel = relation(3_210, 1000, true);
         let restrictions = vec![Restriction::between(1, 2i64, 4i64)];
         let serial = RelationScanner::new(
@@ -1147,15 +1090,17 @@ mod tests {
             ScanConfig::default(),
         )
         .collect_all();
-        for threads in [2usize, 5] {
+        for threads in [1usize, 2, 5] {
             let config = ScanConfig::default()
                 .with_threads(threads)
                 .with_morsel_rows(100);
-            let (batches, stats) = scan_relation_parallel(&rel, &[0, 1], &restrictions, config);
-            let mut merged = Batch::new(&[DataType::Int, DataType::Int]);
-            for batch in &batches {
-                merged.append(batch);
-            }
+            let stream = drive_streaming(
+                rel.scan_snapshot(),
+                vec![0, 1],
+                restrictions.clone(),
+                config,
+            );
+            let (merged, stats) = drain(stream, &[DataType::Int, DataType::Int]);
             assert_eq!(merged.len(), serial.len());
             for row in 0..serial.len() {
                 assert_eq!(
@@ -1216,9 +1161,10 @@ mod tests {
     #[test]
     fn empty_relation_yields_no_batches() {
         let rel = relation(0, 100, false);
-        let (batches, stats) =
-            scan_relation_parallel(&rel, &[0], &[], ScanConfig::default().with_threads(4));
-        assert!(batches.is_empty());
+        let config = ScanConfig::default().with_threads(4);
+        let stream = drive_streaming(rel.scan_snapshot(), vec![0], vec![], config);
+        let (merged, stats) = drain(stream, &[DataType::Int]);
+        assert!(merged.is_empty());
         assert_eq!(stats.rows_matched, 0);
     }
 
@@ -1292,7 +1238,7 @@ mod tests {
             .collect();
         let expected_rows: usize = batches.iter().map(|b| b.len()).sum();
         for threads in [1usize, 4] {
-            let sinks = drive_batches(&batches, threads, || CountSink {
+            let sinks = drive_batches(batches.iter().cloned(), threads, || CountSink {
                 rows: 0,
                 morsels: Vec::new(),
             });

@@ -1,6 +1,5 @@
 //! Relational operators above the scan: filter, project, hash join, hash aggregation,
-//! sort and limit — plus their morsel-parallel variants
-//! ([`ParallelHashAggregateOp`], [`HashJoinOp::with_parallel_build`]).
+//! sort and limit.
 //!
 //! HyPer fuses the operators of a pipeline into generated machine code; this
 //! reproduction keeps the same *pipeline structure* (scans feed non-materialising
@@ -9,11 +8,14 @@
 //! evaluates — how scan flavour, compression, SMAs and PSMAs change query runtime —
 //! is dominated by the scan work that happens below this module.
 //!
-//! The parallel pipeline breakers follow the morsel-driven design of the paper's
-//! execution engine: every worker accumulates a [`crate::morsel::RADIX_PARTITIONS`]-way
-//! radix-partitioned hash table over its morsels, and the barrier merges the workers'
-//! tables partition-wise (each partition independently, in parallel) before the
-//! single-threaded probe/output tail runs. See [`crate::morsel`] for the driver.
+//! The hash pipeline breakers ([`HashAggregateOp`], the [`HashJoinOp`] build) follow
+//! the morsel-driven design of the paper's execution engine, and have no other
+//! implementation: every worker accumulates a
+//! [`crate::morsel::RADIX_PARTITIONS`]-way radix-partitioned hash table over its
+//! morsels, and the barrier merges the workers' tables partition-wise (each
+//! partition independently) before the single-threaded probe/output tail runs. The
+//! worker count only says how many threads share that work — one worker runs it
+//! inline on the calling thread. See [`crate::morsel`] for the driver.
 //!
 //! # Planner contract
 //!
@@ -27,9 +29,10 @@
 //!   the plan goldens).
 //! * **Thread-count semantics** — `threads` parameters pass through
 //!   [`crate::morsel::effective_threads`] (`0` = auto-detect, anything else
-//!   verbatim); the parallel join build is byte-identical to the serial build
-//!   at every thread count, and parallel aggregation is byte-identical except
-//!   for floating-point sums, which are equal up to reassociation.
+//!   verbatim) and choose a worker count, never an implementation: the join
+//!   build is byte-identical at every worker count, and aggregation is
+//!   byte-identical except for floating-point sums, which are equal up to
+//!   reassociation.
 //! * **Output schemas** — [`Operator::output_types`] is fixed at construction;
 //!   the planner mirrors these shapes (inner join = build ++ probe columns,
 //!   semi join = probe columns, aggregate = groups ++ aggregates) when it
@@ -458,90 +461,22 @@ fn emit_groups(
     out
 }
 
-/// Hash aggregation (a pipeline breaker): consumes its whole input, then emits one
-/// tuple per group: the group-key expressions followed by the aggregates.
-pub struct HashAggregateOp<'a> {
-    input: BoxedOperator<'a>,
-    group_exprs: Vec<Expr>,
-    aggregates: Vec<AggSpec>,
-    output_types: Vec<DataType>,
-    done: bool,
-}
-
-impl<'a> HashAggregateOp<'a> {
-    /// Create a hash aggregation. `group_types` declares the types of the group-key
-    /// output columns (one per group expression).
-    pub fn new(
-        input: BoxedOperator<'a>,
-        group_exprs: Vec<Expr>,
-        group_types: Vec<DataType>,
-        aggregates: Vec<AggSpec>,
-    ) -> Self {
-        assert_eq!(group_exprs.len(), group_types.len());
-        let output_types = agg_output_types(&group_types, &aggregates);
-        HashAggregateOp {
-            input,
-            group_exprs,
-            aggregates,
-            output_types,
-            done: false,
-        }
-    }
-}
-
-impl<'a> Operator for HashAggregateOp<'a> {
-    fn next_batch(&mut self) -> Option<Batch> {
-        if self.done {
-            return None;
-        }
-        self.done = true;
-        let mut groups: HashMap<GroupKey, Vec<AggState>> = HashMap::new();
-        while let Some(batch) = self.input.next_batch() {
-            for row in 0..batch.len() {
-                let key = GroupKey(
-                    self.group_exprs
-                        .iter()
-                        .map(|e| e.eval(&batch, row))
-                        .collect(),
-                );
-                let states = groups
-                    .entry(key)
-                    .or_insert_with(|| vec![AggState::new(); self.aggregates.len()]);
-                update_states(states, &self.aggregates, &batch, row);
-            }
-        }
-        Some(emit_groups(
-            groups.into_iter().collect(),
-            &self.aggregates,
-            &self.output_types,
-        ))
-    }
-
-    fn output_types(&self) -> Vec<DataType> {
-        self.output_types.clone()
-    }
-}
-
-// -------------------------------------------------------------- parallel aggregate
-
 /// One radix partition of per-worker aggregation state.
 type AggPartition = HashMap<HashedKey, Vec<AggState>>;
 
-/// The input of a [`ParallelHashAggregateOp`]: either a morsel-parallel pipeline
-/// over a relation, or already-materialised batches (each treated as one morsel).
-enum AggSource<'a> {
-    Scan {
+/// Where a [`HashAggregateOp`] gets its rows from.
+enum AggInput<'a> {
+    /// Any operator, pulled on the calling thread into one sink.
+    Operator(BoxedOperator<'a>),
+    /// A scan pipeline run by `spec.config.threads` morsel workers, one sink each.
+    Pipeline {
         relation: &'a Relation,
         spec: PipelineSpec,
     },
-    Batches {
-        batches: Vec<Batch>,
-        threads: usize,
-    },
 }
 
-/// Per-worker sink of the parallel aggregation build phase: a radix-partitioned
-/// group hash table.
+/// Per-worker sink of the aggregation build phase: a radix-partitioned group hash
+/// table.
 struct AggBuildSink<'x> {
     group_exprs: &'x [Expr],
     aggregates: &'x [AggSpec],
@@ -589,22 +524,21 @@ fn merge_agg_partition(parts: Vec<AggPartition>) -> AggPartition {
     acc
 }
 
-/// Morsel-parallel hash aggregation: workers run the scan→filter→project chain of a
-/// [`PipelineSpec`] locally and aggregate into per-worker radix-partitioned hash
-/// tables; the barrier merges partitions across workers partition-wise (in
-/// parallel), then emits groups in sorted key order — the same deterministic output
-/// order as the serial [`HashAggregateOp`].
+/// Hash aggregation (a pipeline breaker): consumes its whole input into
+/// radix-partitioned hash tables ([`crate::morsel::RADIX_PARTITIONS`] per worker),
+/// merges the workers' tables partition-wise, then emits one tuple per group — the
+/// group-key expressions followed by the aggregates — sorted by group key.
 ///
-/// Count, min, max and integer sums are **byte-identical** to the serial operator
-/// for every thread count (they are order-insensitive); sums over doubles are
-/// subject to floating-point reassociation like any parallel reduction and may
-/// differ in the last ulps.
-///
-/// This is the query planner's lowering for aggregates fed by a pure scan
-/// pipeline when the effective thread count is ≠ 1; join-fed aggregates (and
-/// single-threaded plans) lower to [`HashAggregateOp`].
-pub struct ParallelHashAggregateOp<'a> {
-    source: AggSource<'a>,
+/// [`HashAggregateOp::new`] aggregates any operator's output with one worker, the
+/// calling thread. [`HashAggregateOp::over_relation`] aggregates a scan pipeline
+/// with `spec.config.threads` morsel workers — the query planner's lowering for an
+/// aggregate fed by a pure scan chain. One worker folds the rows in scan order, so
+/// its result is a pure function of the input; more workers change nothing but
+/// sums over doubles, which are then a parallel floating-point reduction (equal up
+/// to reassociation). Counts, min/max and integer sums are order-insensitive and
+/// byte-identical for every worker count.
+pub struct HashAggregateOp<'a> {
+    input: AggInput<'a>,
     group_exprs: Vec<Expr>,
     aggregates: Vec<AggSpec>,
     output_types: Vec<DataType>,
@@ -612,9 +546,27 @@ pub struct ParallelHashAggregateOp<'a> {
     done: bool,
 }
 
-impl<'a> ParallelHashAggregateOp<'a> {
-    /// Aggregate the morsel-parallel pipeline `spec` over `relation`
-    /// (`spec.config.threads` controls build and merge parallelism).
+impl<'a> HashAggregateOp<'a> {
+    /// Aggregate the output of `input`. `group_types` declares the types of the
+    /// group-key output columns (one per group expression).
+    pub fn new(
+        input: BoxedOperator<'a>,
+        group_exprs: Vec<Expr>,
+        group_types: Vec<DataType>,
+        aggregates: Vec<AggSpec>,
+    ) -> Self {
+        Self::with_input(
+            AggInput::Operator(input),
+            group_exprs,
+            group_types,
+            aggregates,
+        )
+    }
+
+    /// Aggregate the morsel pipeline `spec` over `relation`: the workers run the
+    /// scan→filter→project chain locally and aggregate into private tables
+    /// (`spec.config.threads` sets build and merge parallelism; one worker runs on
+    /// the calling thread).
     pub fn over_relation(
         relation: &'a Relation,
         spec: PipelineSpec,
@@ -622,32 +574,24 @@ impl<'a> ParallelHashAggregateOp<'a> {
         group_types: Vec<DataType>,
         aggregates: Vec<AggSpec>,
     ) -> Self {
-        assert_eq!(group_exprs.len(), group_types.len());
-        let output_types = agg_output_types(&group_types, &aggregates);
-        ParallelHashAggregateOp {
-            source: AggSource::Scan { relation, spec },
+        Self::with_input(
+            AggInput::Pipeline { relation, spec },
             group_exprs,
+            group_types,
             aggregates,
-            output_types,
-            scan_stats: ScanStats::default(),
-            done: false,
-        }
+        )
     }
 
-    /// Aggregate already-materialised batches with `threads` workers, each batch
-    /// being one morsel (used when the input is an intermediate result rather than
-    /// a base-table scan).
-    pub fn over_batches(
-        batches: Vec<Batch>,
-        threads: usize,
+    fn with_input(
+        input: AggInput<'a>,
         group_exprs: Vec<Expr>,
         group_types: Vec<DataType>,
         aggregates: Vec<AggSpec>,
-    ) -> ParallelHashAggregateOp<'static> {
+    ) -> Self {
         assert_eq!(group_exprs.len(), group_types.len());
         let output_types = agg_output_types(&group_types, &aggregates);
-        ParallelHashAggregateOp {
-            source: AggSource::Batches { batches, threads },
+        HashAggregateOp {
+            input,
             group_exprs,
             aggregates,
             output_types,
@@ -656,44 +600,40 @@ impl<'a> ParallelHashAggregateOp<'a> {
         }
     }
 
-    /// Statistics of the driving scan (complete once the operator has produced its
-    /// output; zero for the batch-fed variant).
+    /// Statistics of the driving scan of [`HashAggregateOp::over_relation`]
+    /// (complete once the operator has produced its output; zero for
+    /// [`HashAggregateOp::new`], whose input keeps its own).
     pub fn scan_stats(&self) -> ScanStats {
         self.scan_stats
     }
-
-    fn threads(&self) -> usize {
-        match &self.source {
-            AggSource::Scan { spec, .. } => spec.config.threads,
-            AggSource::Batches { threads, .. } => *threads,
-        }
-    }
 }
 
-impl Operator for ParallelHashAggregateOp<'_> {
+impl Operator for HashAggregateOp<'_> {
     fn next_batch(&mut self) -> Option<Batch> {
         if self.done {
             return None;
         }
         self.done = true;
-        let threads = self.threads();
         let make_sink = || AggBuildSink {
             group_exprs: &self.group_exprs,
             aggregates: &self.aggregates,
             partitions: (0..RADIX_PARTITIONS).map(|_| AggPartition::new()).collect(),
         };
-        let (sinks, stats) = match &self.source {
+        let (sinks, threads) = match &mut self.input {
+            AggInput::Operator(input) => {
+                let batches = std::iter::from_fn(|| input.next_batch());
+                (morsel::drive_batches(batches, 1, make_sink), 1)
+            }
             // `Operator::next_batch` has no error channel; an unreadable cold
             // block still joins every pipeline worker first, then surfaces here
-            // with its full on-disk position.
-            AggSource::Scan { relation, spec } => morsel::drive_pipeline(relation, spec, make_sink)
-                .unwrap_or_else(|err| panic!("parallel aggregate scan failed: {err}")),
-            AggSource::Batches { batches, threads } => (
-                morsel::drive_batches(batches, *threads, make_sink),
-                ScanStats::default(),
-            ),
+            // with its full on-disk position — the panic a scan operator raises.
+            AggInput::Pipeline { relation, spec } => {
+                let (sinks, stats) = morsel::drive_pipeline(relation, spec, make_sink)
+                    .unwrap_or_else(|err| panic!("{err}"));
+                self.scan_stats = stats;
+                (sinks, spec.config.threads)
+            }
         };
-        self.scan_stats = stats;
         let per_worker: Vec<Vec<AggPartition>> =
             sinks.into_iter().map(|sink| sink.partitions).collect();
         let merged =
@@ -723,25 +663,20 @@ pub enum JoinType {
     ProbeSemi,
 }
 
-/// One merged radix partition of the parallel join build (flattened into the
-/// single probe table once every partition is merged).
-type JoinPartition = HashMap<HashedKey, Vec<Vec<Value>>>;
-
-/// One radix partition of a worker's build state: rows tagged with their global
-/// `(morsel, row)` position so the merge phase can restore serial insertion order.
-type TaggedPartition = HashMap<HashedKey, Vec<(u64, Vec<Value>)>>;
+/// One radix partition of join build state: each key's build rows, tagged with their
+/// global position in the build stream so the merge can restore stream order.
+type JoinPartition = HashMap<HashedKey, Vec<(u64, Vec<Value>)>>;
 
 /// Hash equi-join. The build side is materialised into a hash table (the pipeline
-/// breaker); the probe side streams through. The build can run morsel-parallel
-/// ([`HashJoinOp::with_parallel_build`]): workers build private radix-partitioned
-/// tables over the drained build batches and the barrier merges them
-/// partition-wise, restoring serial insertion order per key so results are
-/// byte-identical to the serial build. The merged partitions are flattened into one
-/// table before probing — partitioning only earns its keep during the parallel
-/// build/merge, while the (usually much larger) probe stream wants a single-lookup
-/// hot path. Optionally an *early-probe* filter — a compact tag bitmap derived from
-/// the key hashes, standing in for the tagged hash-table pointers of Appendix E —
-/// rejects probe tuples before the full hash lookup.
+/// breaker); the probe side streams through. The build runs on
+/// [`HashJoinOp::with_parallel_build`] morsel workers (one by default): each builds
+/// a private radix-partitioned table over the build side's batches and the barrier
+/// merges them partition-wise, restoring stream order per key — so join output is
+/// byte-identical for every worker count. The probe looks a key up in the one
+/// merged partition its hash selects, so a key's values — build or probe — are
+/// hashed exactly once. Optionally an *early-probe* filter — a compact tag bitmap derived
+/// from the key hashes, standing in for the tagged hash-table pointers of
+/// Appendix E — rejects probe tuples before the hash lookup.
 pub struct HashJoinOp<'a> {
     build: BoxedOperator<'a>,
     probe: BoxedOperator<'a>,
@@ -750,7 +685,8 @@ pub struct HashJoinOp<'a> {
     join_type: JoinType,
     early_probe: bool,
     build_threads: usize,
-    table: Option<HashMap<GroupKey, Vec<Vec<Value>>>>,
+    /// The merged build partitions, indexed by [`HashedKey::partition`].
+    table: Option<Vec<JoinPartition>>,
     tags: Vec<u64>,
     output_types: Vec<DataType>,
 }
@@ -795,11 +731,11 @@ impl<'a> HashJoinOp<'a> {
     }
 
     /// Build the hash table with `threads` morsel workers (same contract as
-    /// [`crate::ScanConfig::threads`]: `1` builds serially on the calling thread,
-    /// `0` uses every hardware thread). The probe/output tail stays streaming and
-    /// single-threaded; results are byte-identical to the serial build for every
-    /// thread count. The query planner applies this to every join it lowers, at
-    /// the session's configured thread count.
+    /// [`crate::ScanConfig::threads`]: `1`, the default, builds on the calling
+    /// thread, `0` uses every hardware thread). The probe/output tail stays
+    /// streaming and single-threaded; results are byte-identical for every worker
+    /// count. The query planner applies this to every join it lowers, at the
+    /// session's configured thread count.
     pub fn with_parallel_build(mut self, threads: usize) -> Self {
         self.build_threads = threads;
         self
@@ -809,56 +745,26 @@ impl<'a> HashJoinOp<'a> {
         if self.table.is_some() {
             return;
         }
-        let table: HashMap<GroupKey, Vec<Vec<Value>>> =
-            if morsel::effective_threads(self.build_threads) == 1 {
-                let mut serial: HashMap<GroupKey, Vec<Vec<Value>>> = HashMap::new();
-                while let Some(batch) = self.build.next_batch() {
-                    for row in 0..batch.len() {
-                        let key = GroupKey(
-                            self.build_keys
-                                .iter()
-                                .map(|&k| batch.value(row, k))
-                                .collect(),
-                        );
-                        serial.entry(key).or_default().push(batch.row(row));
-                    }
-                }
-                serial
-            } else {
-                // Drain the build side (the upstream scan parallelises itself through
-                // its own ScanConfig), then partition-build over the batches.
-                let mut batches = Vec::new();
-                while let Some(batch) = self.build.next_batch() {
-                    if !batch.is_empty() {
-                        batches.push(batch);
-                    }
-                }
-                let build_keys = &self.build_keys;
-                let sinks = morsel::drive_batches(&batches, self.build_threads, || JoinBuildSink {
-                    keys: build_keys,
-                    partitions: (0..RADIX_PARTITIONS)
-                        .map(|_| TaggedPartition::new())
-                        .collect(),
-                });
-                let per_worker: Vec<Vec<TaggedPartition>> =
-                    sinks.into_iter().map(|sink| sink.partitions).collect();
-                let merged =
-                    morsel::merge_partitionwise(per_worker, self.build_threads, |_, parts| {
-                        merge_join_partition(parts)
-                    });
-                // Flatten the merged partitions (disjoint key sets) into one table so
-                // the probe loop pays a single hash lookup per row.
-                merged
-                    .into_iter()
-                    .flatten()
-                    .map(|(hashed, rows)| (hashed.key, rows))
-                    .collect()
-            };
+        // Partition-build over the build side's batches (an upstream scan
+        // parallelises itself through its own ScanConfig).
+        let build = &mut self.build;
+        let build_keys = &self.build_keys;
+        let batches = std::iter::from_fn(|| build.next_batch());
+        let sinks = morsel::drive_batches(batches, self.build_threads, || JoinBuildSink {
+            keys: build_keys,
+            partitions: (0..RADIX_PARTITIONS)
+                .map(|_| JoinPartition::new())
+                .collect(),
+        });
+        let per_worker: Vec<Vec<JoinPartition>> =
+            sinks.into_iter().map(|sink| sink.partitions).collect();
+        let table = morsel::merge_partitionwise(per_worker, self.build_threads, |_, parts| {
+            merge_join_partition(parts)
+        });
         // 16 KiB of tag bits (2^17 bits): small enough for L1/L2, large enough to be
-        // selective for the build sizes used here. One bit per distinct key gives the
-        // same bitmap as the serial one-bit-per-row construction.
+        // selective for the build sizes used here. One bit per distinct key.
         let mut tags = vec![0u64; 2048];
-        for key in table.keys() {
+        for key in table.iter().flat_map(HashMap::keys) {
             let slot = tag_slot(key, tags.len());
             tags[slot.0] |= 1 << slot.1;
         }
@@ -867,14 +773,13 @@ impl<'a> HashJoinOp<'a> {
     }
 }
 
-/// Per-worker sink of the parallel join build. Only fed by
-/// [`morsel::drive_batches`], where each morsel is exactly one batch — so the
-/// `(morsel_idx << 32) | row` tag is the row's unique global position in the
-/// drained build stream, and sorting a key's rows by tag restores serial insertion
-/// order.
+/// Per-worker sink of the join build. Only fed by [`morsel::drive_batches`], where
+/// each morsel is exactly one batch — so the `(morsel_idx << 32) | row` tag is the
+/// row's unique global position in the build stream, and sorting a key's rows by
+/// tag restores stream order.
 struct JoinBuildSink<'x> {
     keys: &'x [usize],
-    partitions: Vec<TaggedPartition>,
+    partitions: Vec<JoinPartition>,
 }
 
 impl MorselSink for JoinBuildSink<'_> {
@@ -893,26 +798,23 @@ impl MorselSink for JoinBuildSink<'_> {
 }
 
 /// Merge one radix partition of every build worker: concatenate each key's tagged
-/// rows, then sort by tag to restore the serial build order.
-fn merge_join_partition(parts: Vec<TaggedPartition>) -> JoinPartition {
-    let mut tagged = TaggedPartition::new();
-    for part in parts {
+/// rows, then sort by tag to restore the build stream's order.
+fn merge_join_partition(parts: Vec<JoinPartition>) -> JoinPartition {
+    let mut iter = parts.into_iter();
+    let mut acc = iter.next().unwrap_or_default();
+    for part in iter {
         for (key, mut rows) in part {
-            tagged.entry(key).or_default().append(&mut rows);
+            acc.entry(key).or_default().append(&mut rows);
         }
     }
-    tagged
-        .into_iter()
-        .map(|(key, mut rows)| {
-            rows.sort_unstable_by_key(|&(tag, _)| tag);
-            (key, rows.into_iter().map(|(_, row)| row).collect())
-        })
-        .collect()
+    for rows in acc.values_mut() {
+        rows.sort_unstable_by_key(|&(tag, _)| tag);
+    }
+    acc
 }
 
-fn tag_slot(key: &GroupKey, words: usize) -> (usize, u32) {
-    let h = key_hash(key);
-    ((h as usize) % words, (h >> 32) as u32 % 64)
+fn tag_slot(key: &HashedKey, words: usize) -> (usize, u32) {
+    ((key.hash as usize) % words, (key.hash >> 32) as u32 % 64)
 }
 
 impl<'a> Operator for HashJoinOp<'a> {
@@ -931,16 +833,17 @@ impl<'a> Operator for HashJoinOp<'a> {
             if key.0.iter().any(|v| v.is_null()) {
                 continue; // NULL keys never join
             }
+            let key = HashedKey::new(key);
             if self.early_probe {
                 let slot = tag_slot(&key, self.tags.len());
                 if self.tags[slot.0] & (1 << slot.1) == 0 {
                     continue;
                 }
             }
-            if let Some(build_rows) = table.get(&key) {
+            if let Some(build_rows) = table[key.partition()].get(&key) {
                 match self.join_type {
                     JoinType::Inner => {
-                        for build_row in build_rows {
+                        for (_, build_row) in build_rows {
                             let mut row_values = build_row.clone();
                             row_values.extend(batch.row(row));
                             out.push_row(row_values);
@@ -1312,125 +1215,304 @@ mod tests {
         assert!(op.next_batch().is_none());
     }
 
-    // ------------------------------------------------------- parallel pipeline breakers
+    // ------------------------------------------------- pipeline breakers on N workers
 
-    fn int_aggs() -> Vec<AggSpec> {
+    /// Emits pre-built batches one at a time: a multi-batch build/aggregate input.
+    struct BatchesOp(std::collections::VecDeque<Batch>);
+
+    impl Operator for BatchesOp {
+        fn next_batch(&mut self) -> Option<Batch> {
+            self.0.pop_front()
+        }
+
+        fn output_types(&self) -> Vec<DataType> {
+            TYPES.to_vec()
+        }
+    }
+
+    /// Column layout of [`rows`]: 0 int payload, 1 nullable int key, 2 string key,
+    /// 3 double payload.
+    const TYPES: [DataType; 4] = [
+        DataType::Int,
+        DataType::Int,
+        DataType::Str,
+        DataType::Double,
+    ];
+
+    /// `n` rows with a skewed, NULL-bearing int key, a 3-valued string key and a
+    /// double whose sum depends on the order of addition.
+    fn rows(n: i64) -> Vec<Vec<Value>> {
+        (0..n)
+            .map(|i| {
+                let key = match i % 11 {
+                    0 => Value::Null,
+                    1..=6 => Value::Int(1), // skew
+                    _ => Value::Int(i % 7),
+                };
+                vec![
+                    Value::Int(i * i % 1_000 - 300),
+                    key,
+                    Value::Str(format!("g{}", i % 3)),
+                    Value::Double(1.0 / (i + 1) as f64),
+                ]
+            })
+            .collect()
+    }
+
+    /// Split rows into batches of `size` (the last one shorter).
+    fn batches_of(rows: &[Vec<Value>], size: usize) -> Vec<Batch> {
+        rows.chunks(size)
+            .map(|chunk| Batch::from_rows(&TYPES, chunk))
+            .collect()
+    }
+
+    fn batches_op(batches: &[Batch]) -> BoxedOperator<'static> {
+        Box::new(BatchesOp(batches.iter().cloned().collect()))
+    }
+
+    /// A relation holding `rows` in order: frozen blocks of 64 rows plus a hot tail.
+    fn relation_of(rows: &[Vec<Value>]) -> Relation {
+        use storage::{ColumnDef, Schema};
+        let schema = Schema::new(vec![
+            ColumnDef::new("v", DataType::Int),
+            ColumnDef::nullable("k", DataType::Int),
+            ColumnDef::new("g", DataType::Str),
+            ColumnDef::new("d", DataType::Double),
+        ]);
+        let mut rel = Relation::with_chunk_capacity("r", schema, 64);
+        for row in rows {
+            rel.insert(row.clone());
+        }
+        rel.freeze_full_chunks();
+        rel
+    }
+
+    /// count(*), count/sum/min/max/avg of the int payload, sum of the double.
+    fn all_aggs() -> Vec<AggSpec> {
         vec![
             AggSpec::new(AggFunc::CountStar, Expr::lit(0i64), DataType::Int),
+            AggSpec::new(AggFunc::Count, Expr::col(0), DataType::Int),
             AggSpec::new(AggFunc::Sum, Expr::col(0), DataType::Int),
             AggSpec::new(AggFunc::Min, Expr::col(0), DataType::Int),
             AggSpec::new(AggFunc::Max, Expr::col(0), DataType::Int),
             AggSpec::new(AggFunc::Avg, Expr::col(0), DataType::Double),
+            AggSpec::new(AggFunc::Sum, Expr::col(3), DataType::Double),
         ]
     }
 
-    fn assert_batches_equal(a: &Batch, b: &Batch, context: &str) {
-        assert_eq!(a.len(), b.len(), "{context}");
-        for row in 0..a.len() {
-            assert_eq!(a.row(row), b.row(row), "{context} row {row}");
+    /// The reference for [`all_aggs`] grouped by `(column 2, column 1)`: a fold
+    /// over the rows in stream order, written without any of the operator's
+    /// machinery. One worker must reproduce it exactly, double sums included.
+    fn fold_in_row_order(rows: &[Vec<Value>]) -> Vec<Vec<Value>> {
+        struct Acc {
+            key: Vec<Value>,
+            rows: i64,
+            ints: Vec<i64>,
+            doubles: f64,
         }
+        let mut groups: Vec<Acc> = Vec::new();
+        for row in rows {
+            let key = vec![row[2].clone(), row[1].clone()];
+            let idx = groups.iter().position(|g| g.key == key).unwrap_or_else(|| {
+                groups.push(Acc {
+                    key,
+                    rows: 0,
+                    ints: Vec::new(),
+                    doubles: 0.0,
+                });
+                groups.len() - 1
+            });
+            let acc = &mut groups[idx];
+            acc.doubles = if acc.rows == 0 {
+                row[3].as_double().unwrap()
+            } else {
+                acc.doubles + row[3].as_double().unwrap()
+            };
+            acc.rows += 1;
+            acc.ints.extend(row[0].as_int());
+        }
+        groups.sort_by(|a, b| {
+            a.key[0]
+                .total_cmp(&b.key[0])
+                .then(a.key[1].total_cmp(&b.key[1]))
+        });
+        groups
+            .into_iter()
+            .map(|g| {
+                let (count, sum) = (g.ints.len() as i64, g.ints.iter().sum::<i64>());
+                let mut out = g.key;
+                out.extend([
+                    Value::Int(g.rows),
+                    Value::Int(count),
+                    Value::Int(sum),
+                    Value::Int(*g.ints.iter().min().unwrap()),
+                    Value::Int(*g.ints.iter().max().unwrap()),
+                    Value::Double(sum as f64 / count as f64),
+                    Value::Double(g.doubles),
+                ]);
+                out
+            })
+            .collect()
     }
 
-    #[test]
-    fn parallel_agg_over_batches_matches_serial() {
-        let serial = HashAggregateOp::new(
-            values_op(257),
-            vec![Expr::col(2)],
-            vec![DataType::Str],
-            int_aggs(),
+    fn group_by_g_and_k<'a>(input: BoxedOperator<'a>) -> HashAggregateOp<'a> {
+        HashAggregateOp::new(
+            input,
+            vec![Expr::col(2), Expr::col(1)],
+            vec![DataType::Str, DataType::Int],
+            all_aggs(),
         )
-        .collect_all();
-        // split the same input into many small batches
-        let full = numbers(257);
-        let batches: Vec<Batch> = (0..full.len())
-            .step_by(13)
-            .map(|from| {
-                let rows: Vec<usize> = (from..(from + 13).min(full.len())).collect();
-                full.take(&rows)
-            })
-            .collect();
-        for threads in [1usize, 2, 4, 8] {
-            let mut parallel = ParallelHashAggregateOp::over_batches(
-                batches.clone(),
-                threads,
-                vec![Expr::col(2)],
-                vec![DataType::Str],
-                int_aggs(),
+    }
+
+    fn group_by_g_and_k_over(rel: &Relation, config: crate::ScanConfig) -> HashAggregateOp<'_> {
+        HashAggregateOp::over_relation(
+            rel,
+            PipelineSpec::scan(vec![0, 1, 2, 3], vec![], config),
+            vec![Expr::col(2), Expr::col(1)],
+            vec![DataType::Str, DataType::Int],
+            all_aggs(),
+        )
+    }
+
+    /// Byte equality, doubles by bit pattern.
+    fn assert_rows_identical(got: &Batch, expected: &[Vec<Value>], context: &str) {
+        assert_eq!(got.len(), expected.len(), "{context}");
+        for (row, want) in expected.iter().enumerate() {
+            let have = got.row(row);
+            assert_eq!(&have, want, "{context} row {row}");
+            for (h, w) in have.iter().zip(want) {
+                if let (Value::Double(h), Value::Double(w)) = (h, w) {
+                    assert_eq!(h.to_bits(), w.to_bits(), "{context} row {row}");
+                }
+            }
+        }
+    }
+
+    /// Equality up to the reassociation of double sums (the last output column).
+    fn assert_rows_equal_up_to_double_sums(got: &Batch, expected: &Batch, context: &str) {
+        assert_eq!(got.len(), expected.len(), "{context}");
+        let last = expected.column_count() - 1;
+        for row in 0..expected.len() {
+            let (have, want) = (got.row(row), expected.row(row));
+            assert_eq!(have[..last], want[..last], "{context} row {row}");
+            let (a, b) = (
+                have[last].as_double().unwrap(),
+                want[last].as_double().unwrap(),
             );
-            let result = parallel.collect_all();
-            assert_batches_equal(&result, &serial, &format!("threads {threads}"));
+            assert!(
+                (a - b).abs() <= 1e-9 * b.abs(),
+                "{context} row {row}: {a} vs {b}"
+            );
         }
     }
 
     #[test]
-    fn parallel_agg_result_is_independent_of_batch_order() {
-        // "merging partitions in any order yields identical aggregate results":
-        // feeding the batches in reversed / rotated order changes which worker
-        // builds which partial state, yet the merged output is identical because
-        // the merged aggregates are order-insensitive.
-        let full = numbers(100);
-        let batches: Vec<Batch> = (0..full.len())
-            .step_by(9)
-            .map(|from| {
-                let rows: Vec<usize> = (from..(from + 9).min(full.len())).collect();
-                full.take(&rows)
-            })
-            .collect();
-        let mut reference = None;
-        let mut orders: Vec<Vec<Batch>> = vec![batches.clone()];
-        let mut reversed = batches.clone();
+    fn one_worker_aggregates_exactly_like_a_row_order_fold() {
+        let input = rows(257);
+        let expected = fold_in_row_order(&input);
+        assert!(
+            expected.len() > 10,
+            "NULL and skewed keys yield many groups"
+        );
+        // `new`: any operator, however its output is cut into batches …
+        for size in [13usize, 64, 257] {
+            let got = group_by_g_and_k(batches_op(&batches_of(&input, size))).collect_all();
+            assert_rows_identical(&got, &expected, &format!("new, batches of {size}"));
+        }
+        // … `over_relation`: one morsel worker, whatever the morsel size.
+        let rel = relation_of(&input);
+        for morsel_rows in [16usize, 1_000] {
+            let config = crate::ScanConfig::default().with_morsel_rows(morsel_rows);
+            let got = group_by_g_and_k_over(&rel, config).collect_all();
+            assert_rows_identical(&got, &expected, &format!("over_relation, {morsel_rows}"));
+        }
+    }
+
+    #[test]
+    fn more_workers_change_nothing_but_double_sum_association() {
+        let input = rows(257);
+        let rel = relation_of(&input);
+        let one = group_by_g_and_k_over(&rel, crate::ScanConfig::default()).collect_all();
+        for threads in [2usize, 4, 8] {
+            let config = crate::ScanConfig::default()
+                .with_threads(threads)
+                .with_morsel_rows(16);
+            let got = group_by_g_and_k_over(&rel, config).collect_all();
+            assert_rows_equal_up_to_double_sums(&got, &one, &format!("threads {threads}"));
+        }
+    }
+
+    #[test]
+    fn aggregate_is_independent_of_input_order() {
+        // Feeding the rows in reversed / rotated order changes which worker builds
+        // which partial state and in what order states merge, yet everything but
+        // the double sum is order-insensitive.
+        let input = rows(100);
+        let reference = group_by_g_and_k(batches_op(&batches_of(&input, 9))).collect_all();
+        let mut reversed = input.clone();
         reversed.reverse();
-        orders.push(reversed);
-        let mut rotated = batches.clone();
-        rotated.rotate_left(batches.len() / 2);
-        orders.push(rotated);
-        for (idx, order) in orders.into_iter().enumerate() {
+        let mut rotated = input.clone();
+        rotated.rotate_left(input.len() / 2);
+        for (name, order) in [("reversed", reversed), ("rotated", rotated)] {
+            let got = group_by_g_and_k(batches_op(&batches_of(&order, 9))).collect_all();
+            assert_rows_equal_up_to_double_sums(&got, &reference, &format!("new, {name}"));
+            let rel = relation_of(&order);
             for threads in [1usize, 3] {
-                let result = ParallelHashAggregateOp::over_batches(
-                    order.clone(),
-                    threads,
-                    vec![Expr::col(1)],
-                    vec![DataType::Int],
-                    int_aggs(),
-                )
-                .collect_all();
-                match &reference {
-                    None => reference = Some(result),
-                    Some(expected) => assert_batches_equal(
-                        &result,
-                        expected,
-                        &format!("order {idx} threads {threads}"),
-                    ),
-                }
+                let config = crate::ScanConfig::default()
+                    .with_threads(threads)
+                    .with_morsel_rows(16);
+                let got = group_by_g_and_k_over(&rel, config).collect_all();
+                assert_rows_equal_up_to_double_sums(
+                    &got,
+                    &reference,
+                    &format!("over_relation, {name}, threads {threads}"),
+                );
             }
         }
     }
 
     #[test]
     fn merging_agg_partitions_in_any_worker_order_is_identical() {
-        // Build three disjoint partial states for overlapping groups and merge the
-        // per-worker partitions in every permutation: integer aggregates must agree.
-        let full = numbers(60);
-        let thirds: Vec<Batch> = (0..3)
-            .map(|w| {
-                let rows: Vec<usize> = (0..full.len()).filter(|r| r % 3 == w).collect();
-                full.take(&rows)
-            })
-            .collect();
+        // Three workers' partial states for overlapping groups, merged in every
+        // permutation of the worker order: integer aggregates must agree.
+        let input = rows(60);
+        let group_exprs = [Expr::col(1)];
+        let aggregates = all_aggs();
         let build = |order: &[usize]| -> Batch {
-            let batches: Vec<Batch> = order.iter().map(|&w| thirds[w].clone()).collect();
-            ParallelHashAggregateOp::over_batches(
-                batches,
-                2,
-                vec![Expr::col(1)],
-                vec![DataType::Int],
-                int_aggs(),
+            let per_worker: Vec<Vec<AggPartition>> = order
+                .iter()
+                .map(|&w| {
+                    let third: Vec<Vec<Value>> = input.iter().skip(w).step_by(3).cloned().collect();
+                    let mut sink = AggBuildSink {
+                        group_exprs: &group_exprs,
+                        aggregates: &aggregates,
+                        partitions: (0..RADIX_PARTITIONS).map(|_| AggPartition::new()).collect(),
+                    };
+                    sink.consume(w, &Batch::from_rows(&TYPES, &third));
+                    sink.partitions
+                })
+                .collect();
+            let merged =
+                morsel::merge_partitionwise(per_worker, 2, |_, parts| merge_agg_partition(parts));
+            let entries = merged
+                .into_iter()
+                .flatten()
+                .map(|(hashed, states)| (hashed.key, states))
+                .collect();
+            emit_groups(
+                entries,
+                &aggregates,
+                &agg_output_types(&[DataType::Int], &aggregates),
             )
-            .collect_all()
         };
         let reference = build(&[0, 1, 2]);
+        assert!(reference.len() > 3);
         for order in [[0, 2, 1], [1, 0, 2], [1, 2, 0], [2, 0, 1], [2, 1, 0]] {
-            assert_batches_equal(&build(&order), &reference, &format!("order {order:?}"));
+            assert_rows_equal_up_to_double_sums(
+                &build(&order),
+                &reference,
+                &format!("order {order:?}"),
+            );
         }
     }
 
@@ -1455,88 +1537,73 @@ mod tests {
         assert!(hit.len() > 8, "only {} partitions hit", hit.len());
     }
 
+    /// The join's reference: a nested loop in probe-stream order, build rows of a
+    /// key in build-stream order — the per-key order the tagged merge restores.
+    fn nested_loop_join(
+        build: &[Vec<Value>],
+        probe: &Batch,
+        probe_key: usize,
+        join_type: JoinType,
+    ) -> Vec<Vec<Value>> {
+        let mut out = Vec::new();
+        for row in 0..probe.len() {
+            let key = probe.value(row, probe_key);
+            let matches = build.iter().filter(|b| !key.is_null() && b[1] == key);
+            match join_type {
+                JoinType::Inner => out.extend(matches.map(|b| {
+                    let mut joined = b.clone();
+                    joined.extend(probe.row(row));
+                    joined
+                })),
+                JoinType::ProbeSemi => out.extend(matches.take(1).map(|_| probe.row(row))),
+            }
+        }
+        out
+    }
+
     #[test]
-    fn parallel_join_build_matches_serial_build() {
-        // build: skewed duplicate keys plus NULL keys
-        let build_rows: Vec<Vec<Value>> = (0..200)
-            .map(|i| {
-                let key = if i % 11 == 0 {
-                    Value::Null
-                } else {
-                    Value::Int(i % 7)
-                };
-                vec![key, Value::Int(i)]
-            })
-            .collect();
-        let build_batch = Batch::from_rows(&[DataType::Int, DataType::Int], &build_rows);
-        let serial = HashJoinOp::new(
-            Box::new(ValuesOp::new(build_batch.clone())),
-            values_op(100),
-            vec![0],
-            vec![1],
-            JoinType::Inner,
-        )
-        .collect_all_helper();
-        for threads in [2usize, 4, 8] {
-            let parallel = HashJoinOp::new(
-                Box::new(ValuesOp::new(build_batch.clone())),
-                values_op(100),
-                vec![0],
-                vec![1],
-                JoinType::Inner,
-            )
-            .with_parallel_build(threads)
-            .collect_all_helper();
-            assert_batches_equal(&parallel, &serial, &format!("threads {threads}"));
+    fn join_build_keeps_stream_order_per_key_for_every_worker_count() {
+        // build: skewed duplicate keys plus NULL keys, cut into many batches so
+        // several build workers get work; probe: col1 of `numbers` in 0..10
+        let build_rows = rows(200);
+        let probe = numbers(100);
+        for join_type in [JoinType::Inner, JoinType::ProbeSemi] {
+            let expected = nested_loop_join(&build_rows, &probe, 1, join_type);
+            assert!(!expected.is_empty());
+            for threads in [1usize, 2, 4, 8] {
+                for early_probe in [false, true] {
+                    let got = HashJoinOp::new(
+                        batches_op(&batches_of(&build_rows, 7)),
+                        values_op(100),
+                        vec![1],
+                        vec![1],
+                        join_type,
+                    )
+                    .with_parallel_build(threads)
+                    .with_early_probe(early_probe)
+                    .collect_all_helper();
+                    assert_rows_identical(
+                        &got,
+                        &expected,
+                        &format!("{join_type:?} threads {threads} early_probe {early_probe}"),
+                    );
+                }
+            }
         }
     }
 
     #[test]
-    fn parallel_semi_join_and_early_probe_match_serial() {
-        let build = Batch::from_rows(
-            &[DataType::Int],
-            &(0..40).map(|i| vec![Value::Int(i % 5)]).collect::<Vec<_>>(),
+    fn aggregate_of_empty_input_is_empty_for_both_constructors() {
+        let empty = Batch::new(&TYPES);
+        assert_eq!(
+            group_by_g_and_k(batches_op(&[empty])).collect_all().len(),
+            0
         );
-        let serial = HashJoinOp::new(
-            Box::new(ValuesOp::new(build.clone())),
-            values_op(60),
-            vec![0],
-            vec![1],
-            JoinType::ProbeSemi,
-        )
-        .collect_all_helper();
-        let parallel = HashJoinOp::new(
-            Box::new(ValuesOp::new(build)),
-            values_op(60),
-            vec![0],
-            vec![1],
-            JoinType::ProbeSemi,
-        )
-        .with_parallel_build(4)
-        .with_early_probe(true)
-        .collect_all_helper();
-        assert_batches_equal(&parallel, &serial, "semi + early probe");
-    }
-
-    #[test]
-    fn parallel_agg_of_empty_input_matches_serial() {
-        let empty = Batch::new(&[DataType::Int, DataType::Int, DataType::Str]);
-        let serial = HashAggregateOp::new(
-            Box::new(ValuesOp::new(empty.clone())),
-            vec![Expr::col(2)],
-            vec![DataType::Str],
-            int_aggs(),
-        )
-        .collect_all();
-        let parallel = ParallelHashAggregateOp::over_batches(
-            vec![empty],
-            4,
-            vec![Expr::col(2)],
-            vec![DataType::Str],
-            int_aggs(),
-        )
-        .collect_all();
-        assert_eq!(serial.len(), 0);
-        assert_batches_equal(&parallel, &serial, "empty input");
+        assert_eq!(group_by_g_and_k(batches_op(&[])).collect_all().len(), 0);
+        let rel = relation_of(&[]);
+        for threads in [1usize, 4] {
+            let config = crate::ScanConfig::default().with_threads(threads);
+            assert_eq!(group_by_g_and_k_over(&rel, config).collect_all().len(), 0);
+        }
     }
 }

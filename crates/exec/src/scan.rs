@@ -5,7 +5,7 @@
 //!   are read one at a time and the scan restrictions are evaluated per tuple inside
 //!   the consuming loop (no match vectors, no SIMD). In the real HyPer this loop is
 //!   generated LLVM code; here it is the equivalent interpreted loop, and the code
-//!   *generation* cost is modelled separately by [`crate::jit`].
+//!   *generation* cost is modelled separately by the bench harness (`db_bench::jit`).
 //! * [`ScanMode::Vectorized { sarg: false }`] is the interpreted vectorized scan
 //!   without predicate push-down: the scan copies vectors of records into temporary
 //!   storage and the restrictions are evaluated tuple at a time afterwards.
@@ -19,15 +19,17 @@
 //! storage layout and to the scan flavour.
 //!
 //! Internally the scanner walks a list of [`Morsel`]s — one frozen block, or a row
-//! range of a hot chunk. A serial scan ([`ScanConfig::threads`] `== 1`) walks all of
-//! them on the calling thread; any other thread count starts the **bounded
-//! streaming morsel pipeline** of [`crate::morsel::drive_streaming`] and pulls its
-//! (deterministically ordered) batches off the reorder channel one at a time — peak
-//! buffering is the configured [`ScanConfig::channel_cap`], never the whole
-//! relation.
+//! range of a hot chunk. With one worker ([`ScanConfig::threads`] resolving to 1)
+//! the pull iterator walks them itself, on the calling thread — it needs neither a
+//! thread nor a channel to hand a batch to its own caller; any other count starts
+//! the **bounded streaming morsel pipeline** of [`crate::morsel::drive_streaming`]
+//! and pulls its (deterministically ordered) batches off the reorder channel one at
+//! a time — peak buffering is the configured [`ScanConfig::channel_cap`], never the
+//! whole relation. Either way a morsel goes through the same block and chunk scan
+//! routines below, and the batches are byte-identical.
 //!
 //! The scanner is generic over [`ScanSource`]: a borrowed [`Relation`] for the
-//! serial path and the scoped pipeline workers, or an owned
+//! calling-thread walk and the pipeline workers, or an owned
 //! [`storage::ScanSnapshot`] inside the streaming workers.
 //!
 //! Cold blocks may live on secondary storage (`storage::blockstore`). The scanner
@@ -73,9 +75,12 @@ pub struct ScanConfig {
     pub mode: ScanMode,
     /// Block-level options (ISA level, vector size, SMA/PSMA usage).
     pub options: ScanOptions,
-    /// Worker threads for the morsel-driven parallel scan: `1` scans serially on the
-    /// calling thread, `0` uses every hardware thread, any other value spawns exactly
-    /// that many workers.
+    /// How many morsel workers run whatever this configuration drives — a scan, an
+    /// aggregate's build, a join build: `1` (the default) is one worker inline on
+    /// the calling thread, `0` is one per hardware thread, any other value spawns
+    /// exactly that many. It is a worker count, never a code path: every count
+    /// runs the same morsel loop, sinks and merge ([`crate::morsel`]), and results
+    /// are equal across counts up to the reassociation of sums over doubles.
     pub threads: usize,
     /// Rows of a hot chunk per morsel (frozen blocks are always one morsel each;
     /// their size is fixed at freeze time). `0` falls back to the default.

@@ -6,16 +6,14 @@
 //! `crates/query/README.md`, and making the physical choices the hand-built
 //! workload queries make today:
 //!
-//! - **Serial vs. morsel-parallel aggregation** — an `aggregate` whose input is a
-//!   pure scan chain (`scan`, optionally followed by `filter`/`project`) runs as a
-//!   [`exec::ops::ParallelHashAggregateOp`] over a morsel
-//!   [`PipelineSpec`] whenever
-//!   [`exec::morsel::effective_threads`] resolves the configured thread count to
-//!   more than one worker; otherwise it runs as the serial
-//!   [`exec::ops::HashAggregateOp`].
-//! - **Parallel join build** — every hash join partitions its build side with
-//!   [`exec::ops::HashJoinOp::with_parallel_build`] using the configured thread
-//!   count (the operator itself falls back to a serial build for one worker).
+//! - **Aggregation inside the morsel workers** — an `aggregate` whose input is a
+//!   pure scan chain (`scan`, optionally followed by `filter`/`project`) fuses
+//!   with it: [`exec::ops::HashAggregateOp::over_relation`] runs the chain as a
+//!   morsel [`PipelineSpec`] inside the workers. Over any other input (a join
+//!   output, say) the same operator pulls batches on the calling thread
+//!   ([`exec::ops::HashAggregateOp::new`]). The choice reads the plan's shape
+//!   only — never the thread count, which is just the worker count the plan's
+//!   [`ScanConfig`] hands to scans, aggregates and join builds alike.
 //! - **SARGable push-down** — conjuncts of a `filter` directly above a `scan` of
 //!   the form `column <cmp> constant` (with exactly matching types) move into the
 //!   scan's [`Restriction`] list, where they are evaluated on compressed Data
@@ -31,10 +29,10 @@ use std::fmt;
 use datablocks::scan::Restriction;
 use datablocks::{DataType, Value};
 use dbsimd::CmpOp;
-use exec::morsel::{self, PipelineStep};
+use exec::morsel::PipelineStep;
 use exec::ops::{
-    AggFunc, AggSpec, BoxedOperator, FilterOp, HashAggregateOp, HashJoinOp, JoinType,
-    ParallelHashAggregateOp, ProjectOp, ScanOp, SortKey, SortOp,
+    AggFunc, AggSpec, BoxedOperator, FilterOp, HashAggregateOp, HashJoinOp, JoinType, ProjectOp,
+    ScanOp, SortKey, SortOp,
 };
 use exec::{collect_operator, Batch, Expr, PipelineSpec, RelationScanner, ScanConfig, ScanMode};
 use storage::Database;
@@ -209,7 +207,7 @@ enum PhysNode {
         exprs: Vec<Expr>,
         types: Vec<DataType>,
     },
-    /// Serial hash aggregation over an arbitrary input.
+    /// Hash aggregation pulling an arbitrary input on the calling thread.
     HashAggregate {
         input: Box<PhysNode>,
         groups: Vec<Expr>,
@@ -217,7 +215,7 @@ enum PhysNode {
         aggregates: Vec<AggSpec>,
         agg_labels: Vec<String>,
     },
-    /// Morsel-parallel aggregation over a scan pipeline (scan + in-worker steps).
+    /// Hash aggregation fused with a scan pipeline (scan + in-worker steps).
     MorselAggregate {
         scan: TableScan,
         steps: Vec<PipelineStep>,
@@ -242,7 +240,7 @@ enum PhysNode {
 }
 
 /// A fully resolved physical plan: the operator tree the planner chose, plus the
-/// [`ScanConfig`] its choices were made for.
+/// [`ScanConfig`] it executes with.
 ///
 /// The plan owns all its state (relation *names*, column indices, expressions),
 /// so it can be [`Display`](fmt::Display)ed for golden-file review and
@@ -260,7 +258,7 @@ impl PhysicalPlan {
         &self.output_types
     }
 
-    /// The scan configuration the plan was lowered for.
+    /// The scan configuration the plan executes with.
     pub fn config(&self) -> ScanConfig {
         self.config
     }
@@ -344,7 +342,7 @@ fn build_operator<'a>(node: &PhysNode, db: &'a Database, config: ScanConfig) -> 
             let mut spec =
                 PipelineSpec::scan(scan.projection.clone(), scan.restrictions.clone(), config);
             spec.steps = steps.clone();
-            Box::new(ParallelHashAggregateOp::over_relation(
+            Box::new(HashAggregateOp::over_relation(
                 relation,
                 spec,
                 groups.clone(),
@@ -388,8 +386,8 @@ pub struct Planner<'a> {
 }
 
 impl<'a> Planner<'a> {
-    /// A planner resolving names against `db` and choosing operators for
-    /// `config` (scan flavour, worker threads, morsel size).
+    /// A planner resolving names against `db`; its plans execute with `config`
+    /// (scan flavour, worker threads, morsel size).
     pub fn new(db: &'a Database, config: ScanConfig) -> Planner<'a> {
         Planner { db, config }
     }
@@ -702,35 +700,24 @@ impl<'a> Planner<'a> {
             specs.push(spec);
             output_types.push(agg.ty);
         }
-        let node = if morsel::effective_threads(self.config.threads) != 1 {
-            // A scan-chain input runs the whole build phase morsel-parallel, like
-            // the hand-built scan-dominated queries; anything else (e.g. a join
-            // output) aggregates serially over the streamed input.
-            match into_pipeline(phys) {
-                Ok((scan, steps)) => PhysNode::MorselAggregate {
-                    scan,
-                    steps,
-                    groups: group_exprs,
-                    group_types,
-                    aggregates: specs,
-                    agg_labels,
-                },
-                Err(phys) => PhysNode::HashAggregate {
-                    input: phys,
-                    groups: group_exprs,
-                    group_types,
-                    aggregates: specs,
-                    agg_labels,
-                },
-            }
-        } else {
-            PhysNode::HashAggregate {
-                input: Box::new(phys),
+        // A scan-chain input fuses into the morsel workers; anything else (e.g. a
+        // join output) is pulled on the calling thread.
+        let node = match into_pipeline(phys) {
+            Ok((scan, steps)) => PhysNode::MorselAggregate {
+                scan,
+                steps,
                 groups: group_exprs,
                 group_types,
                 aggregates: specs,
                 agg_labels,
-            }
+            },
+            Err(phys) => PhysNode::HashAggregate {
+                input: phys,
+                groups: group_exprs,
+                group_types,
+                aggregates: specs,
+                agg_labels,
+            },
         };
         Ok((node, output_types))
     }
@@ -1078,7 +1065,7 @@ struct DisplayNode {
     children: Vec<DisplayNode>,
 }
 
-fn display_tree(node: &PhysNode, threads: usize) -> DisplayNode {
+fn display_tree(node: &PhysNode) -> DisplayNode {
     match node {
         PhysNode::Scan(scan) => DisplayNode {
             label: scan_label(scan),
@@ -1086,7 +1073,7 @@ fn display_tree(node: &PhysNode, threads: usize) -> DisplayNode {
         },
         PhysNode::Filter { input, predicate } => DisplayNode {
             label: format!("filter {}", expr_str(predicate)),
-            children: vec![display_tree(input, threads)],
+            children: vec![display_tree(input)],
         },
         PhysNode::Project {
             input,
@@ -1097,7 +1084,7 @@ fn display_tree(node: &PhysNode, threads: usize) -> DisplayNode {
                 exprs: exprs.clone(),
                 types: types.clone(),
             }),
-            children: vec![display_tree(input, threads)],
+            children: vec![display_tree(input)],
         },
         PhysNode::HashAggregate {
             input,
@@ -1110,7 +1097,7 @@ fn display_tree(node: &PhysNode, threads: usize) -> DisplayNode {
                 exprs_label(groups),
                 agg_labels.join(", ")
             ),
-            children: vec![display_tree(input, threads)],
+            children: vec![display_tree(input)],
         },
         PhysNode::MorselAggregate {
             scan,
@@ -1131,7 +1118,7 @@ fn display_tree(node: &PhysNode, threads: usize) -> DisplayNode {
             }
             DisplayNode {
                 label: format!(
-                    "morsel-aggregate workers={threads} groups=[{}] aggs=[{}]",
+                    "morsel-aggregate groups=[{}] aggs=[{}]",
                     exprs_label(groups),
                     agg_labels.join(", ")
                 ),
@@ -1150,16 +1137,14 @@ fn display_tree(node: &PhysNode, threads: usize) -> DisplayNode {
                 JoinType::Inner => "inner",
                 JoinType::ProbeSemi => "semi",
             };
-            let mut label = format!(
-                "hash-join {kind} build_keys={build_keys:?} probe_keys={probe_keys:?} \
-                 parallel_build={threads}"
-            );
+            let mut label =
+                format!("hash-join {kind} build_keys={build_keys:?} probe_keys={probe_keys:?}");
             if *early_probe {
                 label.push_str(" early_probe");
             }
-            let mut build_child = display_tree(build, threads);
+            let mut build_child = display_tree(build);
             build_child.label = format!("build: {}", build_child.label);
-            let mut probe_child = display_tree(probe, threads);
+            let mut probe_child = display_tree(probe);
             probe_child.label = format!("probe: {}", probe_child.label);
             DisplayNode {
                 label,
@@ -1183,7 +1168,7 @@ fn display_tree(node: &PhysNode, threads: usize) -> DisplayNode {
             }
             DisplayNode {
                 label,
-                children: vec![display_tree(input, threads)],
+                children: vec![display_tree(input)],
             }
         }
     }
@@ -1205,9 +1190,10 @@ fn write_children(f: &mut fmt::Formatter<'_>, node: &DisplayNode, prefix: &str) 
 }
 
 impl fmt::Display for PhysicalPlan {
-    /// Renders the plan as an indented tree — the format the `plan_dump` golden
-    /// files pin in CI. Machine-independent for explicit thread counts
-    /// (`threads=0` resolves to the hardware only at execution time).
+    /// Renders the plan as a header line (the [`ScanConfig`] it executes with) and
+    /// an indented tree — the format the `plan_dump` golden files pin in CI. The
+    /// tree is a function of the IR alone; the thread count appears in the header
+    /// only (`threads=0` resolves to the hardware at execution time).
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let mode = match self.config.mode {
             ScanMode::Jit => "jit",
@@ -1219,7 +1205,7 @@ impl fmt::Display for PhysicalPlan {
             "physical plan (threads={}, mode={mode}, psma={})",
             self.config.threads, self.config.options.use_psma
         )?;
-        let tree = display_tree(&self.root, self.config.threads);
+        let tree = display_tree(&self.root);
         writeln!(f, "{}", tree.label)?;
         write_children(f, &tree, "")
     }
@@ -1294,19 +1280,30 @@ mod tests {
     }
 
     #[test]
-    fn parallel_config_lowers_scan_aggregate_to_morsel_pipeline() {
+    fn plan_shape_is_independent_of_thread_count() {
         let db = tiny_db();
-        let serial = plan_text(&db, ScanConfig::default(), COUNT_WHERE);
-        let parallel = plan_text(&db, ScanConfig::default().with_threads(4), COUNT_WHERE);
-        assert!(serial.to_string().contains("hash-aggregate"), "{serial}");
-        assert!(
-            parallel.to_string().contains("morsel-aggregate workers=4"),
-            "{parallel}"
-        );
-        assert_eq!(
-            serial.execute(&db).value(0, 0),
-            parallel.execute(&db).value(0, 0)
-        );
+        let render = |threads: usize| {
+            let plan = plan_text(
+                &db,
+                ScanConfig::default().with_threads(threads),
+                COUNT_WHERE,
+            );
+            let text = plan.to_string();
+            let (header, tree) = text.split_once('\n').expect("header line, then the tree");
+            assert!(header.contains(&format!("threads={threads},")), "{header}");
+            (plan, tree.to_string())
+        };
+        let (serial, tree) = render(1);
+        assert!(tree.starts_with("morsel-aggregate groups=[]"), "{tree}");
+        for threads in [2usize, 4, 0] {
+            assert_eq!(render(threads).1, tree, "threads {threads}");
+        }
+        let (parallel, _) = render(4);
+        let (one, four) = (serial.execute(&db), parallel.execute(&db));
+        assert_eq!(one.len(), four.len());
+        for row in 0..one.len() {
+            assert_eq!(one.row(row), four.row(row), "row {row}");
+        }
     }
 
     #[test]
@@ -1434,7 +1431,7 @@ mod tests {
         let plan = plan_text(&db, ScanConfig::default().with_threads(2), COUNT_WHERE);
         let expected = "\
 physical plan (threads=2, mode=vectorized+sarg, psma=true)
-morsel-aggregate workers=2 groups=[] aggs=[count(*):int]
+morsel-aggregate groups=[] aggs=[count(*):int]
 └─ filter #1 != #0
    └─ scan t cols=[qty, price] preds=[qty between 10 and 19 (pushed)]
 ";

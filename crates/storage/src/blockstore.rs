@@ -144,7 +144,7 @@ use std::ops::Deref;
 use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, OnceLock, Weak};
+use std::sync::{Arc, Condvar, Mutex, OnceLock};
 
 use datablocks::frame::{
     self, manifest_record_to_bytes, replay_manifest, ManifestRecord, FRAME_HEADER_LEN,
@@ -426,10 +426,9 @@ struct ManifestFile {
     pending: usize,
 }
 
-/// Queue shared with the read-ahead worker. Owned by an `Arc` on both sides so
-/// the worker can park on the condvar holding only a [`Weak`] to the store
-/// itself — the store's `Drop` is what shuts the worker down, so the worker
-/// must never keep the store alive.
+/// Queue shared with the read-ahead worker, which parks on its condvar. The
+/// worker owns this and the store's [`Core`] — never a handle to the store
+/// itself (see [`prefetch_worker`]).
 #[derive(Debug)]
 struct PrefetchShared {
     state: Mutex<PrefetchState>,
@@ -437,6 +436,16 @@ struct PrefetchShared {
     /// Signalled whenever the queue and in-flight set both drain (and on
     /// shutdown); [`BlockStore::quiesce_prefetch`] parks here.
     idle: Condvar,
+}
+
+impl PrefetchShared {
+    fn new() -> Arc<PrefetchShared> {
+        Arc::new(PrefetchShared {
+            state: Mutex::new(PrefetchState::default()),
+            work: Condvar::new(),
+            idle: Condvar::new(),
+        })
+    }
 }
 
 #[derive(Debug, Default)]
@@ -448,30 +457,41 @@ struct PrefetchState {
     worker: Option<std::thread::JoinHandle<()>>,
 }
 
-/// A file-backed store of frozen Data Blocks with a persisted manifest, an
-/// in-memory directory and a pinning block cache. See the module docs for the
-/// design.
+/// What paging a block in needs — the generation files, the directory and cache,
+/// the retry counter — and therefore all the read-ahead worker shares with the
+/// store. It sits behind its own `Arc` so the worker can hold *it* and never a
+/// [`BlockStore`] handle: the store's teardown (`Drop`: checkpoint, unlink,
+/// unregister) must run when the last caller-held handle goes, on that caller's
+/// thread, not whenever a worker lets go of a handle of its own.
 #[derive(Debug)]
-pub struct BlockStore {
+struct Core {
     /// Open generation files, keyed by generation number. [`StoreFile`] clones
     /// share the underlying handle, so a reader can clone one out and read
     /// without any store lock held — and a generation file unlinked by
     /// compaction stays readable for pins taken before the swap.
     files: Mutex<HashMap<u32, StoreFile>>,
-    path: PathBuf,
-    /// Key under which this store is registered live (absolute form of `path`).
-    registered: PathBuf,
-    delete_on_drop: bool,
-    capacity: usize,
-    /// Power-loss durability mode (fsync barrier placement); see [`Durability`].
-    durability: Durability,
-    /// Deterministic fault plan threaded through every I/O site, if attached.
-    faults: Option<Arc<FaultInjector>>,
+    inner: Mutex<Inner>,
     /// Transient I/O errors absorbed by the bounded retry (merged into
     /// [`IoStats::retries`] by [`BlockStore::stats`]); an atomic because retry
     /// sites deliberately hold no store lock across I/O.
     retries: AtomicU64,
-    inner: Mutex<Inner>,
+    capacity: usize,
+}
+
+/// A file-backed store of frozen Data Blocks with a persisted manifest, an
+/// in-memory directory and a pinning block cache. See the module docs for the
+/// design.
+#[derive(Debug)]
+pub struct BlockStore {
+    core: Arc<Core>,
+    path: PathBuf,
+    /// Key under which this store is registered live (absolute form of `path`).
+    registered: PathBuf,
+    delete_on_drop: bool,
+    /// Power-loss durability mode (fsync barrier placement); see [`Durability`].
+    durability: Durability,
+    /// Deterministic fault plan threaded through every I/O site, if attached.
+    faults: Option<Arc<FaultInjector>>,
     manifest: Mutex<ManifestFile>,
     /// Serialises block mutations ([`BlockStore::mutate`], [`BlockStore::rewrite`],
     /// [`BlockStore::compact`]) — never held while waiting on `inner` from a
@@ -589,6 +609,125 @@ fn remove_stale_siblings(base: &Path, keep: &HashSet<u32>) -> io::Result<()> {
     Ok(())
 }
 
+impl Core {
+    fn new(files: HashMap<u32, StoreFile>, inner: Inner, capacity: usize) -> Arc<Core> {
+        Arc::new(Core {
+            files: Mutex::new(files),
+            inner: Mutex::new(inner),
+            retries: AtomicU64::new(0),
+            capacity,
+        })
+    }
+
+    /// The open handle of generation `generation`'s data file. `None` when the
+    /// generation has been closed by a compaction that ran after the caller
+    /// snapshotted a directory entry — readers treat that exactly like a
+    /// repointed entry and retry against the fresh directory.
+    fn gen_file(&self, generation: u32) -> Option<StoreFile> {
+        self.files
+            .lock()
+            .expect("store files lock")
+            .get(&generation)
+            .cloned()
+    }
+
+    /// Run `op`, retrying up to [`MAX_IO_RETRIES`] times on transient error
+    /// kinds (`Interrupted`/`WouldBlock`/`TimedOut`). Every absorbed failure is
+    /// counted in [`IoStats::retries`]; a persistent fault still surfaces.
+    fn retry_io<T>(&self, mut op: impl FnMut() -> io::Result<T>) -> io::Result<T> {
+        let mut attempts = 0u32;
+        loop {
+            match op() {
+                Err(err) if attempts < MAX_IO_RETRIES && is_transient(&err) => {
+                    attempts += 1;
+                    self.retries.fetch_add(1, Ordering::Relaxed);
+                }
+                other => return other,
+            }
+        }
+    }
+
+    /// Load one prefetched block into the cache (the worker's body).
+    fn prefetch_load(&self, id: BlockId) -> Result<(), StoreError> {
+        let (generation, offset, len) = {
+            let mut inner = self.inner.lock().expect("store lock");
+            if inner.cache.contains_key(&id) {
+                return Ok(()); // a demand read beat us to it
+            }
+            let entry = &inner.directory[id];
+            let position = (entry.generation, entry.offset, entry.len as usize);
+            inner.stats.prefetch_reads += 1;
+            inner.stats.bytes_read += position.2 as u64;
+            position
+        };
+        // A prefetch is best-effort: a generation closed (or a frame moved) by
+        // a concurrent compaction just means the demand pin will do the work
+        // against the fresh directory — never an error, never a panic.
+        let Some(file) = self.gen_file(generation) else {
+            return Ok(());
+        };
+        let mut bytes = vec![0u8; len];
+        self.retry_io(|| file.read_exact_at(&mut bytes, offset, "prefetch.read"))?;
+        let block = Arc::new(frame::from_frame(&bytes)?);
+        let mut inner = self.inner.lock().expect("store lock");
+        if inner.cache.contains_key(&id) {
+            return Ok(());
+        }
+        let current = &inner.directory[id];
+        if current.offset != offset || current.generation != generation {
+            return Ok(()); // repointed mid-read: don't publish a stale frame
+        }
+        self.admit(&mut inner, id, block, 0);
+        Ok(())
+    }
+
+    fn admit(&self, inner: &mut Inner, id: BlockId, block: Arc<DataBlock>, pins: u32) {
+        let bytes = block.byte_size();
+        inner.cache.insert(
+            id,
+            CacheEntry {
+                block,
+                pins,
+                referenced: true,
+                bytes,
+            },
+        );
+        inner.clock.push(id);
+        inner.cached_bytes += bytes;
+        inner.cache_high_water = inner.cache_high_water.max(inner.cached_bytes);
+        self.evict_to_capacity(inner);
+    }
+
+    /// CLOCK sweep: evict unpinned, unreferenced blocks until the cache fits the
+    /// capacity. Pinned blocks are skipped; if everything left is pinned the cache
+    /// transiently overshoots (pins are short-lived — one morsel).
+    fn evict_to_capacity(&self, inner: &mut Inner) {
+        let mut wraps = 0u32;
+        while inner.cached_bytes > self.capacity && !inner.clock.is_empty() {
+            if inner.hand >= inner.clock.len() {
+                inner.hand = 0;
+                wraps += 1;
+                if wraps > 2 {
+                    break; // everything pinned: give up, pins drain soon
+                }
+            }
+            let id = inner.clock[inner.hand];
+            let entry = inner.cache.get_mut(&id).expect("clock entry is cached");
+            if entry.pins > 0 {
+                inner.hand += 1;
+            } else if entry.referenced {
+                entry.referenced = false;
+                inner.hand += 1;
+            } else {
+                let entry = inner.cache.remove(&id).expect("checked above");
+                inner.cached_bytes -= entry.bytes;
+                inner.stats.evictions += 1;
+                inner.clock.swap_remove(inner.hand);
+            }
+        }
+    }
+}
+
 impl BlockStore {
     /// Create a store over a fresh temporary file (deleted when the store drops).
     pub fn create_temp(capacity: usize) -> io::Result<Arc<BlockStore>> {
@@ -659,30 +798,21 @@ impl BlockStore {
                 .create(true)
                 .truncate(true)
                 .open(manifest_path(&path))?;
+            let files = HashMap::from([(0u32, StoreFile::new(file, faults.clone()))]);
             Ok::<_, io::Error>(Arc::new(BlockStore {
-                files: Mutex::new(HashMap::from([(
-                    0u32,
-                    StoreFile::new(file, faults.clone()),
-                )])),
+                core: Core::new(files, Inner::new(), capacity),
                 path,
                 registered: registered.clone(),
                 delete_on_drop,
-                capacity,
                 durability,
                 faults: faults.clone(),
-                retries: AtomicU64::new(0),
-                inner: Mutex::new(Inner::new()),
                 manifest: Mutex::new(ManifestFile {
                     file: StoreFile::new(manifest, faults.clone()),
                     len: 0,
                     pending: 0,
                 }),
                 mutation: Mutex::new(()),
-                prefetch: Arc::new(PrefetchShared {
-                    state: Mutex::new(PrefetchState::default()),
-                    work: Condvar::new(),
-                    idle: Condvar::new(),
-                }),
+                prefetch: PrefetchShared::new(),
             }))
         })();
         if result.is_err() {
@@ -810,22 +940,15 @@ impl BlockStore {
         inner.dead_bytes = on_disk.saturating_sub(live_bytes);
 
         let store = Arc::new(BlockStore {
-            files: Mutex::new(files),
+            core: Core::new(files, inner, capacity),
             path,
             registered,
             delete_on_drop: false,
-            capacity,
             durability,
             faults,
-            retries: AtomicU64::new(0),
-            inner: Mutex::new(inner),
             manifest: Mutex::new(manifest),
             mutation: Mutex::new(()),
-            prefetch: Arc::new(PrefetchShared {
-                state: Mutex::new(PrefetchState::default()),
-                work: Condvar::new(),
-                idle: Condvar::new(),
-            }),
+            prefetch: PrefetchShared::new(),
         });
         if fresh_checkpoint {
             store.checkpoint()?;
@@ -950,27 +1073,21 @@ impl BlockStore {
             inner.end_offset = end_offset;
             inner.live_bytes = live_bytes;
             inner.dead_bytes = end_offset.saturating_sub(live_bytes);
+            let files = HashMap::from([(0u32, StoreFile::new(file, None))]);
             let store = Arc::new(BlockStore {
-                files: Mutex::new(HashMap::from([(0u32, StoreFile::new(file, None))])),
+                core: Core::new(files, inner, capacity),
                 path,
                 registered: registered.clone(),
                 delete_on_drop: false,
-                capacity,
                 durability: Durability::Buffered,
                 faults: None,
-                retries: AtomicU64::new(0),
-                inner: Mutex::new(inner),
                 manifest: Mutex::new(ManifestFile {
                     file: StoreFile::new(manifest, None),
                     len: 0,
                     pending: 0,
                 }),
                 mutation: Mutex::new(()),
-                prefetch: Arc::new(PrefetchShared {
-                    state: Mutex::new(PrefetchState::default()),
-                    work: Condvar::new(),
-                    idle: Condvar::new(),
-                }),
+                prefetch: PrefetchShared::new(),
             });
             store.checkpoint()?;
             Ok::<_, StoreError>(store)
@@ -1001,17 +1118,17 @@ impl BlockStore {
 
     /// The configured cache byte budget.
     pub fn cache_capacity(&self) -> usize {
-        self.capacity
+        self.core.capacity
     }
 
     /// Number of blocks in the directory.
     pub fn block_count(&self) -> usize {
-        self.inner.lock().expect("store lock").directory.len()
+        self.core.inner.lock().expect("store lock").directory.len()
     }
 
     /// Bytes of decoded blocks currently resident in the cache.
     pub fn cached_bytes(&self) -> usize {
-        self.inner.lock().expect("store lock").cached_bytes
+        self.core.inner.lock().expect("store lock").cached_bytes
     }
 
     /// Largest cache residency, in bytes, the store has ever reached. Pinned
@@ -1020,37 +1137,41 @@ impl BlockStore {
     /// observable bound on that overshoot (the query service's budget tests
     /// assert against it).
     pub fn cache_high_water_bytes(&self) -> usize {
-        self.inner.lock().expect("store lock").cache_high_water
+        self.core.inner.lock().expect("store lock").cache_high_water
     }
 
     /// Bytes of frames the directory currently references.
     pub fn live_bytes(&self) -> u64 {
-        self.inner.lock().expect("store lock").live_bytes
+        self.core.inner.lock().expect("store lock").live_bytes
     }
 
     /// Bytes of superseded (dead) frames still occupying generation files.
     pub fn dead_bytes(&self) -> u64 {
-        self.inner.lock().expect("store lock").dead_bytes
+        self.core.inner.lock().expect("store lock").dead_bytes
     }
 
     /// Set the garbage ratio (dead ÷ total on-disk bytes) above which the next
     /// mutation triggers dead-frame compaction. `1.0` disables auto-compaction.
     pub fn set_garbage_threshold(&self, ratio: f64) {
-        self.inner.lock().expect("store lock").garbage_threshold = ratio.clamp(0.0, 1.0);
+        self.core
+            .inner
+            .lock()
+            .expect("store lock")
+            .garbage_threshold = ratio.clamp(0.0, 1.0);
     }
 
     /// Snapshot of the I/O and cache counters.
     pub fn stats(&self) -> IoStats {
-        let mut stats = self.inner.lock().expect("store lock").stats;
-        stats.retries = self.retries.load(Ordering::Relaxed);
+        let mut stats = self.core.inner.lock().expect("store lock").stats;
+        stats.retries = self.core.retries.load(Ordering::Relaxed);
         stats
     }
 
     /// Reset the I/O and cache counters (the bench harness isolates phases with
     /// this).
     pub fn reset_stats(&self) {
-        self.inner.lock().expect("store lock").stats = IoStats::default();
-        self.retries.store(0, Ordering::Relaxed);
+        self.core.inner.lock().expect("store lock").stats = IoStats::default();
+        self.core.retries.store(0, Ordering::Relaxed);
     }
 
     /// The store's power-loss durability mode.
@@ -1060,41 +1181,13 @@ impl BlockStore {
 
     /// Serialized size of block `id` on disk, in bytes.
     pub fn entry_len(&self, id: BlockId) -> usize {
-        self.inner.lock().expect("store lock").directory[id].len as usize
+        self.core.inner.lock().expect("store lock").directory[id].len as usize
     }
 
     /// Consult the hot, in-memory summary of block `id` without any I/O.
     pub fn with_summary<R>(&self, id: BlockId, f: impl FnOnce(&BlockSummary) -> R) -> R {
-        let inner = self.inner.lock().expect("store lock");
+        let inner = self.core.inner.lock().expect("store lock");
         f(&inner.directory[id].summary)
-    }
-
-    /// The open handle of generation `generation`'s data file. `None` when the
-    /// generation has been closed by a compaction that ran after the caller
-    /// snapshotted a directory entry — readers treat that exactly like a
-    /// repointed entry and retry against the fresh directory.
-    fn gen_file(&self, generation: u32) -> Option<StoreFile> {
-        self.files
-            .lock()
-            .expect("store files lock")
-            .get(&generation)
-            .cloned()
-    }
-
-    /// Run `op`, retrying up to [`MAX_IO_RETRIES`] times on transient error
-    /// kinds (`Interrupted`/`WouldBlock`/`TimedOut`). Every absorbed failure is
-    /// counted in [`IoStats::retries`]; a persistent fault still surfaces.
-    fn retry_io<T>(&self, mut op: impl FnMut() -> io::Result<T>) -> io::Result<T> {
-        let mut attempts = 0u32;
-        loop {
-            match op() {
-                Err(err) if attempts < MAX_IO_RETRIES && is_transient(&err) => {
-                    attempts += 1;
-                    self.retries.fetch_add(1, Ordering::Relaxed);
-                }
-                other => return other,
-            }
-        }
     }
 
     /// Is the store running with fsync barriers on?
@@ -1110,7 +1203,7 @@ impl BlockStore {
         let bytes = manifest_record_to_bytes(record);
         let mut manifest = self.manifest.lock().expect("manifest lock");
         let offset = manifest.len;
-        self.retry_io(|| {
+        self.core.retry_io(|| {
             manifest
                 .file
                 .write_all_at(&bytes, offset, "manifest.append")
@@ -1119,7 +1212,8 @@ impl BlockStore {
         if let Durability::Sync { group_commit } = self.durability {
             manifest.pending += 1;
             if manifest.pending >= group_commit.max(1) {
-                self.retry_io(|| manifest.file.sync_data("manifest.sync"))?;
+                self.core
+                    .retry_io(|| manifest.file.sync_data("manifest.sync"))?;
                 manifest.pending = 0;
             }
         }
@@ -1143,7 +1237,7 @@ impl BlockStore {
     /// cannot change between the snapshot below and the rename).
     fn checkpoint_locked(&self) -> io::Result<()> {
         let records = {
-            let inner = self.inner.lock().expect("store lock");
+            let inner = self.core.inner.lock().expect("store lock");
             let mut records = Vec::with_capacity(inner.directory.len() + 1);
             records.push(ManifestRecord::Snapshot {
                 generation: inner.current_gen,
@@ -1173,11 +1267,13 @@ impl BlockStore {
                 .truncate(true)
                 .open(&tmp)?;
             let tmp_file = StoreFile::new(file, self.faults.clone());
-            self.retry_io(|| tmp_file.write_all_at(&bytes, 0, "checkpoint.write"))?;
+            self.core
+                .retry_io(|| tmp_file.write_all_at(&bytes, 0, "checkpoint.write"))?;
             // Under Sync the rename below is a true commit point: the bytes it
             // publishes must already be on stable storage.
             if self.sync_mode() {
-                self.retry_io(|| tmp_file.sync_data("checkpoint.sync"))?;
+                self.core
+                    .retry_io(|| tmp_file.sync_data("checkpoint.sync"))?;
             }
         }
         // The mutation lock (held by the caller) already excludes concurrent
@@ -1191,7 +1287,7 @@ impl BlockStore {
             // a power cut can roll the whole swap back.
             if let Some(parent) = self.path.parent().filter(|p| !p.as_os_str().is_empty()) {
                 let dir = StoreFile::new(File::open(parent)?, self.faults.clone());
-                self.retry_io(|| dir.sync_all("checkpoint.dir_sync"))?;
+                self.core.retry_io(|| dir.sync_all("checkpoint.dir_sync"))?;
             }
         }
         manifest.file = StoreFile::new(
@@ -1229,7 +1325,7 @@ impl BlockStore {
         // unwritten bytes; callers treat a failed append as fatal and never
         // hand the id out.)
         let (generation, offset, id) = {
-            let mut inner = self.inner.lock().expect("store lock");
+            let mut inner = self.core.inner.lock().expect("store lock");
             let generation = inner.current_gen;
             let offset = inner.end_offset;
             inner.end_offset += bytes.len() as u64;
@@ -1244,14 +1340,16 @@ impl BlockStore {
             (generation, offset, id)
         };
         let gen_file = self
+            .core
             .gen_file(generation)
             .expect("current generation file is open");
-        self.retry_io(|| gen_file.write_all_at(&bytes, offset, "gen.append_write"))?;
+        self.core
+            .retry_io(|| gen_file.write_all_at(&bytes, offset, "gen.append_write"))?;
         // Sync barrier: the frame must be on stable storage *before* the
         // manifest Put that references it, or a power cut could replay a
         // directory pointing at bytes the disk never got.
         if self.sync_mode() {
-            self.retry_io(|| gen_file.sync_data("gen.sync"))?;
+            self.core.retry_io(|| gen_file.sync_data("gen.sync"))?;
         }
         self.append_manifest(&ManifestRecord::Put {
             block_id: id as u32,
@@ -1260,10 +1358,10 @@ impl BlockStore {
             len: bytes.len() as u32,
             summary,
         })?;
-        let mut inner = self.inner.lock().expect("store lock");
+        let mut inner = self.core.inner.lock().expect("store lock");
         inner.stats.block_writes += 1;
         inner.stats.bytes_written += bytes.len() as u64;
-        self.admit(&mut inner, id, block, 0);
+        self.core.admit(&mut inner, id, block, 0);
         Ok(id)
     }
 
@@ -1291,19 +1389,21 @@ impl BlockStore {
         // completes, so concurrent pins read the old, fully written version until
         // the rewrite commits — and `pin`'s position re-check catches the flip.
         let (generation, offset) = {
-            let mut inner = self.inner.lock().expect("store lock");
+            let mut inner = self.core.inner.lock().expect("store lock");
             let generation = inner.current_gen;
             let offset = inner.end_offset;
             inner.end_offset += bytes.len() as u64;
             (generation, offset)
         };
         let gen_file = self
+            .core
             .gen_file(generation)
             .expect("current generation file is open");
-        self.retry_io(|| gen_file.write_all_at(&bytes, offset, "gen.rewrite_write"))?;
+        self.core
+            .retry_io(|| gen_file.write_all_at(&bytes, offset, "gen.rewrite_write"))?;
         // Same barrier as `append`: frame durable before the Put referencing it.
         if self.sync_mode() {
-            self.retry_io(|| gen_file.sync_data("gen.sync"))?;
+            self.core.retry_io(|| gen_file.sync_data("gen.sync"))?;
         }
         self.append_manifest(&ManifestRecord::Put {
             block_id: id as u32,
@@ -1312,7 +1412,7 @@ impl BlockStore {
             len: bytes.len() as u32,
             summary: summary.clone(),
         })?;
-        let mut inner = self.inner.lock().expect("store lock");
+        let mut inner = self.core.inner.lock().expect("store lock");
         inner.stats.block_writes += 1;
         inner.stats.bytes_written += bytes.len() as u64;
         let old_len = inner.directory[id].len as u64;
@@ -1332,9 +1432,9 @@ impl BlockStore {
             entry.block = block;
             inner.cached_bytes = inner.cached_bytes - old_bytes + new_bytes;
             inner.cache_high_water = inner.cache_high_water.max(inner.cached_bytes);
-            self.evict_to_capacity(&mut inner);
+            self.core.evict_to_capacity(&mut inner);
         } else {
-            self.admit(&mut inner, id, block, 0);
+            self.core.admit(&mut inner, id, block, 0);
         }
         Ok(())
     }
@@ -1343,7 +1443,7 @@ impl BlockStore {
     /// mutation lock.
     fn maybe_compact_locked(&self) -> io::Result<()> {
         let over = {
-            let inner = self.inner.lock().expect("store lock");
+            let inner = self.core.inner.lock().expect("store lock");
             let total = inner.live_bytes + inner.dead_bytes;
             inner.dead_bytes > 0
                 && total > 0
@@ -1379,7 +1479,7 @@ impl BlockStore {
         // directory entry references them (open handles keep in-flight reads
         // alive even past the unlink).
         let (entries, pinned, old_gen) = {
-            let inner = self.inner.lock().expect("store lock");
+            let inner = self.core.inner.lock().expect("store lock");
             let pinned: HashSet<BlockId> = inner
                 .cache
                 .iter()
@@ -1413,10 +1513,13 @@ impl BlockStore {
             // The mutation lock (held here) excludes other compactions and all
             // directory mutations, so every referenced generation stays open.
             let src = self
+                .core
                 .gen_file(entry.generation)
                 .expect("referenced generation file is open during compaction");
-            self.retry_io(|| src.read_exact_at(&mut buf, entry.offset, "compact.read"))?;
-            self.retry_io(|| new_file.write_all_at(&buf, write_off, "compact.write"))?;
+            self.core
+                .retry_io(|| src.read_exact_at(&mut buf, entry.offset, "compact.read"))?;
+            self.core
+                .retry_io(|| new_file.write_all_at(&buf, write_off, "compact.write"))?;
             moves.push((id, write_off));
             write_off += entry.len as u64;
             moved_bytes += entry.len as u64;
@@ -1424,18 +1527,19 @@ impl BlockStore {
         // Sync barrier: the copied frames must be durable before the
         // checkpoint below publishes directory entries pointing at them.
         if self.sync_mode() {
-            self.retry_io(|| new_file.sync_data("compact.sync"))?;
+            self.core.retry_io(|| new_file.sync_data("compact.sync"))?;
         }
 
         // Publish the new generation file before repointing, so a pin that
         // observes a repointed entry always finds its file handle.
-        self.files
+        self.core
+            .files
             .lock()
             .expect("store files lock")
             .insert(new_gen, new_file);
 
         let referenced = {
-            let mut inner = self.inner.lock().expect("store lock");
+            let mut inner = self.core.inner.lock().expect("store lock");
             for &(id, offset) in &moves {
                 // The mutation lock bars rewrites, so the snapshot positions are
                 // still current; only repointing is left.
@@ -1474,7 +1578,7 @@ impl BlockStore {
         // callers (and `reopen`) look for on disk — so it is truncated to zero
         // bytes rather than unlinked.
         {
-            let mut files = self.files.lock().expect("store files lock");
+            let mut files = self.core.files.lock().expect("store files lock");
             let stale: Vec<u32> = files
                 .keys()
                 .filter(|g| !referenced.contains(g))
@@ -1497,7 +1601,7 @@ impl BlockStore {
         // (The files lock is released before taking `inner`: nothing in the
         // store may ever hold `files` while waiting on `inner`.)
         let on_disk = {
-            let files = self.files.lock().expect("store files lock");
+            let files = self.core.files.lock().expect("store files lock");
             let mut total = 0u64;
             for file in files.values() {
                 total += file.metadata()?.len();
@@ -1505,7 +1609,7 @@ impl BlockStore {
             total
         };
         {
-            let mut inner = self.inner.lock().expect("store lock");
+            let mut inner = self.core.inner.lock().expect("store lock");
             inner.dead_bytes = on_disk.saturating_sub(inner.live_bytes);
         }
         Ok(())
@@ -1517,7 +1621,7 @@ impl BlockStore {
     pub fn pin(self: &Arc<Self>, id: BlockId) -> Result<PinnedBlock, StoreError> {
         loop {
             let (generation, offset, len) = {
-                let mut inner = self.inner.lock().expect("store lock");
+                let mut inner = self.core.inner.lock().expect("store lock");
                 if let Some(entry) = inner.cache.get_mut(&id) {
                     entry.pins += 1;
                     entry.referenced = true;
@@ -1543,10 +1647,11 @@ impl BlockStore {
             // generation-0 file mid-read, or repointed the entry, all of which
             // surface as I/O or checksum errors here but simply mean "retry
             // against the fresh directory entry".
-            let loaded: Result<Arc<DataBlock>, StoreError> = match self.gen_file(generation) {
+            let loaded: Result<Arc<DataBlock>, StoreError> = match self.core.gen_file(generation) {
                 Some(file) => {
                     let mut bytes = vec![0u8; len];
-                    self.retry_io(|| file.read_exact_at(&mut bytes, offset, "pin.read"))
+                    self.core
+                        .retry_io(|| file.read_exact_at(&mut bytes, offset, "pin.read"))
                         .map_err(StoreError::from)
                         .and_then(|()| {
                             frame::from_frame(&bytes)
@@ -1560,7 +1665,7 @@ impl BlockStore {
                 ))),
             };
 
-            let mut inner = self.inner.lock().expect("store lock");
+            let mut inner = self.core.inner.lock().expect("store lock");
             if let Some(entry) = inner.cache.get_mut(&id) {
                 // Another worker published the block while we were reading. Any
                 // cached entry passed the directory check below (or came straight
@@ -1586,7 +1691,7 @@ impl BlockStore {
             }
             // Entry unmoved: a failure here is real (disk error, bit rot).
             let block = loaded?;
-            self.admit(&mut inner, id, Arc::clone(&block), 1);
+            self.core.admit(&mut inner, id, Arc::clone(&block), 1);
             return Ok(PinnedBlock {
                 store: Arc::clone(self),
                 id,
@@ -1604,7 +1709,7 @@ impl BlockStore {
             // `pin` fails only when the directory entry was *unmoved* across
             // the read, so the position it reports now is the one that failed.
             let (generation, offset) = {
-                let inner = self.inner.lock().expect("store lock");
+                let inner = self.core.inner.lock().expect("store lock");
                 inner
                     .directory
                     .get(id)
@@ -1668,48 +1773,14 @@ impl BlockStore {
             queued_any = true;
         }
         if queued_any && state.worker.is_none() {
-            let weak = Arc::downgrade(self);
+            let core = Arc::clone(&self.core);
             let shared = Arc::clone(&self.prefetch);
-            state.worker = Some(std::thread::spawn(move || prefetch_worker(weak, shared)));
+            state.worker = Some(std::thread::spawn(move || prefetch_worker(core, shared)));
         }
         drop(state);
         if queued_any {
             self.prefetch.work.notify_one();
         }
-    }
-
-    /// Load one prefetched block into the cache (the worker's body).
-    fn prefetch_load(self: &Arc<Self>, id: BlockId) -> Result<(), StoreError> {
-        let (generation, offset, len) = {
-            let mut inner = self.inner.lock().expect("store lock");
-            if inner.cache.contains_key(&id) {
-                return Ok(()); // a demand read beat us to it
-            }
-            let entry = &inner.directory[id];
-            let position = (entry.generation, entry.offset, entry.len as usize);
-            inner.stats.prefetch_reads += 1;
-            inner.stats.bytes_read += position.2 as u64;
-            position
-        };
-        // A prefetch is best-effort: a generation closed (or a frame moved) by
-        // a concurrent compaction just means the demand pin will do the work
-        // against the fresh directory — never an error, never a panic.
-        let Some(file) = self.gen_file(generation) else {
-            return Ok(());
-        };
-        let mut bytes = vec![0u8; len];
-        self.retry_io(|| file.read_exact_at(&mut bytes, offset, "prefetch.read"))?;
-        let block = Arc::new(frame::from_frame(&bytes)?);
-        let mut inner = self.inner.lock().expect("store lock");
-        if inner.cache.contains_key(&id) {
-            return Ok(());
-        }
-        let current = &inner.directory[id];
-        if current.offset != offset || current.generation != generation {
-            return Ok(()); // repointed mid-read: don't publish a stale frame
-        }
-        self.admit(&mut inner, id, block, 0);
-        Ok(())
     }
 
     /// Block until the read-ahead queue is empty and no prefetch load is in
@@ -1728,7 +1799,8 @@ impl BlockStore {
         }
     }
 
-    /// Stop the read-ahead worker (idempotent; runs from `Drop`).
+    /// Stop the read-ahead worker and wait until it is gone, in-flight load
+    /// included (idempotent; runs from `Drop`).
     fn shutdown_prefetch(&self) {
         let handle = {
             let mut state = self.prefetch.state.lock().expect("prefetch lock");
@@ -1740,19 +1812,14 @@ impl BlockStore {
         self.prefetch.work.notify_all();
         self.prefetch.idle.notify_all();
         if let Some(handle) = handle {
-            // If the worker's own upgraded Arc was the last one, this drop runs
-            // *on* the worker thread — joining ourselves would deadlock; the
-            // thread exits right after this returns.
-            if handle.thread().id() != std::thread::current().id() {
-                let _ = handle.join();
-            }
+            let _ = handle.join();
         }
     }
 
     /// Drop every unpinned cached block (the bench harness uses this to measure
     /// cold scans).
     pub fn clear_cache(&self) {
-        let inner = &mut *self.inner.lock().expect("store lock");
+        let inner = &mut *self.core.inner.lock().expect("store lock");
         let mut freed = 0;
         inner.cache.retain(|_, entry| {
             if entry.pins > 0 {
@@ -1772,7 +1839,8 @@ impl BlockStore {
     /// pin per in-flight cold morsel, so this never exceeds the worker count — the
     /// tests of the bounded streaming scan assert exactly that.
     pub fn pinned_count(&self) -> usize {
-        self.inner
+        self.core
+            .inner
             .lock()
             .expect("store lock")
             .cache
@@ -1783,7 +1851,8 @@ impl BlockStore {
 
     /// Is block `id` currently resident in the cache? (Test/bench introspection.)
     pub fn is_cached(&self, id: BlockId) -> bool {
-        self.inner
+        self.core
+            .inner
             .lock()
             .expect("store lock")
             .cache
@@ -1793,57 +1862,11 @@ impl BlockStore {
     /// Which generation file holds block `id`'s frame (test/bench introspection —
     /// compaction tests assert pinned frames stay put).
     pub fn entry_generation(&self, id: BlockId) -> u32 {
-        self.inner.lock().expect("store lock").directory[id].generation
-    }
-
-    fn admit(&self, inner: &mut Inner, id: BlockId, block: Arc<DataBlock>, pins: u32) {
-        let bytes = block.byte_size();
-        inner.cache.insert(
-            id,
-            CacheEntry {
-                block,
-                pins,
-                referenced: true,
-                bytes,
-            },
-        );
-        inner.clock.push(id);
-        inner.cached_bytes += bytes;
-        inner.cache_high_water = inner.cache_high_water.max(inner.cached_bytes);
-        self.evict_to_capacity(inner);
-    }
-
-    /// CLOCK sweep: evict unpinned, unreferenced blocks until the cache fits the
-    /// capacity. Pinned blocks are skipped; if everything left is pinned the cache
-    /// transiently overshoots (pins are short-lived — one morsel).
-    fn evict_to_capacity(&self, inner: &mut Inner) {
-        let mut wraps = 0u32;
-        while inner.cached_bytes > self.capacity && !inner.clock.is_empty() {
-            if inner.hand >= inner.clock.len() {
-                inner.hand = 0;
-                wraps += 1;
-                if wraps > 2 {
-                    break; // everything pinned: give up, pins drain soon
-                }
-            }
-            let id = inner.clock[inner.hand];
-            let entry = inner.cache.get_mut(&id).expect("clock entry is cached");
-            if entry.pins > 0 {
-                inner.hand += 1;
-            } else if entry.referenced {
-                entry.referenced = false;
-                inner.hand += 1;
-            } else {
-                let entry = inner.cache.remove(&id).expect("checked above");
-                inner.cached_bytes -= entry.bytes;
-                inner.stats.evictions += 1;
-                inner.clock.swap_remove(inner.hand);
-            }
-        }
+        self.core.inner.lock().expect("store lock").directory[id].generation
     }
 
     fn unpin(&self, id: BlockId) {
-        let mut inner = self.inner.lock().expect("store lock");
+        let mut inner = self.core.inner.lock().expect("store lock");
         if let Some(entry) = inner.cache.get_mut(&id) {
             debug_assert!(entry.pins > 0, "unpin without pin");
             entry.pins = entry.pins.saturating_sub(1);
@@ -1851,10 +1874,12 @@ impl BlockStore {
     }
 }
 
-/// The read-ahead worker: drain the queue, paging blocks into the cache. Holds
-/// only a [`Weak`] to the store while parked, so the store's `Drop` (which
-/// requests the shutdown) is never kept from running by its own worker.
-fn prefetch_worker(weak: Weak<BlockStore>, shared: Arc<PrefetchShared>) {
+/// The read-ahead worker: drain the queue, paging blocks into the cache. It owns
+/// the store's [`Core`], never the store: only callers keep a [`BlockStore`]
+/// alive, so its `Drop` runs on the thread that let the last handle go, and
+/// joins this worker before it touches a file — once that handle is gone, no
+/// thread reads or writes the store's files behind the caller's back.
+fn prefetch_worker(core: Arc<Core>, shared: Arc<PrefetchShared>) {
     loop {
         let id = {
             let mut state = shared.state.lock().expect("prefetch lock");
@@ -1871,31 +1896,18 @@ fn prefetch_worker(weak: Weak<BlockStore>, shared: Arc<PrefetchShared>) {
                     .unwrap_or_else(|poisoned| poisoned.into_inner());
             }
         };
-        let Some(store) = weak.upgrade() else {
-            return;
-        };
         // Resilience: a failed read-ahead must neither kill this thread nor the
         // scan it serves — the block simply stays cold and the demand pin pays
         // the read (reporting the real error, if it persists). Count it so the
         // counters tell the story.
-        if store.prefetch_load(id).is_err() {
-            store
-                .inner
-                .lock()
-                .expect("store lock")
-                .stats
-                .prefetch_errors += 1;
+        if core.prefetch_load(id).is_err() {
+            core.inner.lock().expect("store lock").stats.prefetch_errors += 1;
         }
-        {
-            let mut state = shared.state.lock().expect("prefetch lock");
-            state.queued.remove(&id);
-            if state.queue.is_empty() && state.queued.is_empty() {
-                shared.idle.notify_all();
-            }
+        let mut state = shared.state.lock().expect("prefetch lock");
+        state.queued.remove(&id);
+        if state.queue.is_empty() && state.queued.is_empty() {
+            shared.idle.notify_all();
         }
-        // `store` drops here; if it was the last Arc, `Drop` runs on this thread
-        // and `shutdown_prefetch` skips the self-join.
-        drop(store);
     }
 }
 
@@ -1904,6 +1916,7 @@ impl Drop for BlockStore {
         self.shutdown_prefetch();
         if self.delete_on_drop {
             let generations: Vec<u32> = self
+                .core
                 .files
                 .lock()
                 .expect("store files lock")
@@ -2527,7 +2540,7 @@ mod tests {
         store.clear_cache();
         // flip a payload byte on disk behind the store's back
         let len = store.entry_len(id) as u64;
-        let file = store.gen_file(0).expect("generation 0 open");
+        let file = store.core.gen_file(0).expect("generation 0 open");
         let mut byte = [0u8; 1];
         file.raw().read_exact_at(&mut byte, len - 1).unwrap();
         file.raw().write_all_at(&[byte[0] ^ 0xff], len - 1).unwrap();

@@ -416,10 +416,9 @@ pub struct QueryResult {
     pub scan_stats: ScanStats,
 }
 
-/// Run a single-table aggregation either serially (one worker) or morsel-parallel
-/// ([`ParallelHashAggregateOp`]: workers aggregate radix-partitioned state over
-/// their morsels, the merge phase combines partitions in parallel). The shared
-/// dispatch of the scan-dominated aggregation queries (Q1, Q6).
+/// Run a single-table aggregation inside the morsel workers of the scan
+/// (`config.threads` of them): the shared shape of the scan-dominated aggregation
+/// queries (Q1, Q6).
 fn scan_aggregation(
     relation: &Relation,
     projection: Vec<usize>,
@@ -429,40 +428,17 @@ fn scan_aggregation(
     group_types: Vec<DataType>,
     aggregates: Vec<AggSpec>,
 ) -> QueryResult {
-    if exec::morsel::effective_threads(config.threads) != 1 {
-        let spec = PipelineSpec::scan(projection, restrictions, config);
-        let mut agg = ParallelHashAggregateOp::over_relation(
-            relation,
-            spec,
-            group_exprs,
-            group_types,
-            aggregates,
-        );
-        let batch = agg.collect_all();
-        return QueryResult {
-            batch,
-            scan_stats: agg.scan_stats(),
-        };
-    }
-    let scanner = RelationScanner::new(relation, projection, restrictions, config);
-    let mut scan_op = ScanOp::new(scanner);
-    let mut agg = HashAggregateOp::new(
-        Box::new(TakeStats::new(&mut scan_op)),
-        group_exprs,
-        group_types,
-        aggregates,
-    );
+    let spec = PipelineSpec::scan(projection, restrictions, config);
+    let mut agg =
+        HashAggregateOp::over_relation(relation, spec, group_exprs, group_types, aggregates);
     let batch = agg.collect_all();
-    drop(agg);
     QueryResult {
         batch,
-        scan_stats: scan_op.stats(),
+        scan_stats: agg.scan_stats(),
     }
 }
 
-/// TPC-H Q1: scan-heavy aggregation over almost all of lineitem. With
-/// `config.threads != 1` the aggregation itself runs morsel-parallel
-/// ([`ParallelHashAggregateOp`]).
+/// TPC-H Q1: scan-heavy aggregation over almost all of lineitem.
 pub fn q1(db: &TpchDb, config: ScanConfig) -> QueryResult {
     let lineitem = db.relation("lineitem");
     let s = lineitem.schema();
@@ -558,7 +534,7 @@ pub fn q3(db: &TpchDb, config: ScanConfig) -> QueryResult {
         config,
     );
     // join customers with orders (semi: keep order columns); the build side
-    // partitions in parallel when the scan configuration asks for threads
+    // partitions over as many workers as the scan configuration asks for
     let cust_orders = HashJoinOp::new(
         Box::new(ScanOp::new(cust_scan)),
         Box::new(ScanOp::new(orders_scan)),

@@ -272,6 +272,42 @@ fn torn_write_at_every_write_site_reopens_old_or_new() {
     }
 }
 
+/// Teardown is deterministic: once the last caller-held handle is gone, the store
+/// is closed — no read-ahead worker keeps it registered live, or runs its
+/// drop-time checkpoint, behind the caller's back. Dropping a store with a
+/// prefetch in flight and reopening the path at once therefore always succeeds.
+/// (The crash matrices above reopen exactly like this; when the worker could
+/// still own the store, one full run in seven failed with "is live".)
+#[test]
+fn reopen_right_after_drop_with_a_prefetch_in_flight() {
+    let dir = unique_dir("inflight");
+    let path = dir.join("store.dbs");
+    let store = BlockStore::create(&path, usize::MAX).expect("create store");
+    // blocks big enough that paging one in takes the worker a while
+    let ids: Vec<_> = (0..4)
+        .map(|tag| {
+            let block = freeze(&[int_column((0..65_536).map(|i| tag + i * 7).collect())]);
+            store.append(Arc::new(block)).expect("append")
+        })
+        .collect();
+    drop(store);
+    for round in 0..50 {
+        let store = BlockStore::reopen(&path, usize::MAX)
+            .unwrap_or_else(|err| panic!("reopen in round {round}: {err}"));
+        // a reopened store's cache is cold, so every id is a real read on the
+        // worker; let go of the store as soon as the first one is under way
+        store.prefetch(&ids);
+        while store.stats().prefetch_reads == 0 {
+            std::thread::yield_now();
+        }
+        drop(store);
+    }
+    let store = BlockStore::reopen(&path, usize::MAX).expect("final reopen");
+    assert_eq!(store.block_count(), ids.len());
+    drop(store);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// A short transient burst (within the retry budget) is absorbed invisibly
 /// and counted; a burst one longer than the budget surfaces the error, after
 /// which the site heals and the next attempt succeeds.

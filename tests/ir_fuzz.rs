@@ -277,8 +277,6 @@ const CHECKED_IN_QUERIES: &[&str] = &["Q1", "Q6", "Q3", "Q12", "Q14"];
 #[test]
 fn checked_in_queries_round_trip_and_match_plan_goldens() {
     use data_blocks::workloads::tpch::query_ir;
-    use std::fmt::Write as _;
-
     // Only the relation schemas matter for planning.
     let db = TpchDb::generate_with_chunk(0.001, 1_024);
     let golden_dir =
@@ -296,23 +294,20 @@ fn checked_in_queries_round_trip_and_match_plan_goldens() {
             "{name}: to_pretty is not a serializer fixed point"
         );
 
-        // The rendered physical plan matches the golden byte-for-byte, and the
+        // The rendered physical plan matches the golden byte-for-byte (one
+        // rendering: the tree does not depend on the thread count), and the
         // re-serialized document plans identically.
-        let mut rendered = String::new();
-        for threads in [1usize, 4] {
-            let config = ScanConfig::default().with_threads(threads);
-            let plan = query::compile(&db.db, config, text)
-                .unwrap_or_else(|err| panic!("planning {name}: {err}"));
-            let roundtripped = query::compile(&db.db, config, &pretty)
-                .unwrap_or_else(|err| panic!("planning re-serialized {name}: {err}"));
-            assert_eq!(
-                plan.to_string(),
-                roundtripped.to_string(),
-                "{name} threads={threads}: re-serialized document lowers differently"
-            );
-            writeln!(rendered, "-- {name} threads={threads}").unwrap();
-            writeln!(rendered, "{plan}").unwrap();
-        }
+        let config = ScanConfig::default();
+        let plan = query::compile(&db.db, config, text)
+            .unwrap_or_else(|err| panic!("planning {name}: {err}"));
+        let roundtripped = query::compile(&db.db, config, &pretty)
+            .unwrap_or_else(|err| panic!("planning re-serialized {name}: {err}"));
+        assert_eq!(
+            plan.to_string(),
+            roundtripped.to_string(),
+            "{name}: re-serialized document lowers differently"
+        );
+        let rendered = format!("-- {name}\n{plan}\n");
         let golden_path = golden_dir.join(format!("{}.plan", name.to_lowercase()));
         let golden = std::fs::read_to_string(&golden_path)
             .unwrap_or_else(|err| panic!("reading {}: {err}", golden_path.display()));

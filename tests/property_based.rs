@@ -264,19 +264,23 @@ fn radix_partition_assignment_is_stable() {
 }
 
 /// Merging the per-worker aggregation partitions in any order yields identical
-/// results: feeding the same batches in random order, at different thread counts,
-/// produces byte-identical aggregates (for order-insensitive aggregate functions).
+/// results: aggregating the same batches of rows loaded in random order, at
+/// different thread counts, produces aggregates byte-identical to one worker over
+/// the original order (for order-insensitive aggregate functions).
 #[test]
-fn parallel_agg_invariant_under_merge_and_batch_order() {
+fn agg_invariant_under_merge_and_batch_order() {
     use data_blocks::datablocks::DataType;
-    use data_blocks::exec::{AggFunc, AggSpec, Batch, Expr, Operator, ParallelHashAggregateOp};
+    use data_blocks::exec::{
+        AggFunc, AggSpec, Batch, Expr, HashAggregateOp, Operator, PipelineSpec, ScanConfig,
+    };
+    use data_blocks::storage::{ColumnDef, Relation, Schema};
     for case in 0..16u64 {
         let mut rng = case_rng("agg_merge_order", case);
         let groups = rng.gen_range(1..40i64);
         let batch_count = rng.gen_range(1..12usize);
-        let batches: Vec<Batch> = (0..batch_count)
+        let batches: Vec<Vec<Vec<Value>>> = (0..batch_count)
             .map(|_| {
-                let rows: Vec<Vec<Value>> = (0..rng.gen_range(1..200usize))
+                (0..rng.gen_range(1..200usize))
                     .map(|_| {
                         let g = if rng.gen_bool(0.1) {
                             Value::Null
@@ -285,8 +289,7 @@ fn parallel_agg_invariant_under_merge_and_batch_order() {
                         };
                         vec![g, Value::Int(rng.gen_range(-500..500i64))]
                     })
-                    .collect();
-                Batch::from_rows(&[DataType::Int, DataType::Int], &rows)
+                    .collect()
             })
             .collect();
         let aggregates = vec![
@@ -295,16 +298,29 @@ fn parallel_agg_invariant_under_merge_and_batch_order() {
             AggSpec::new(AggFunc::Min, Expr::col(1), DataType::Int),
             AggSpec::new(AggFunc::Max, Expr::col(1), DataType::Int),
         ];
+        // Load the batches in `order` (cold blocks of 64 rows plus a hot tail) and
+        // aggregate with `threads` workers over 32-row hot morsels.
         let run = |order: &[usize], threads: usize| -> Batch {
-            let shuffled: Vec<Batch> = order.iter().map(|&i| batches[i].clone()).collect();
-            ParallelHashAggregateOp::over_batches(
-                shuffled,
-                threads,
+            let schema = Schema::new(vec![
+                ColumnDef::nullable("g", DataType::Int),
+                ColumnDef::new("v", DataType::Int),
+            ]);
+            let mut rel = Relation::with_chunk_capacity("shuffled", schema, 64);
+            for row in order.iter().flat_map(|&i| &batches[i]) {
+                rel.insert(row.clone());
+            }
+            rel.freeze_full_chunks();
+            let config = ScanConfig::default()
+                .with_threads(threads)
+                .with_morsel_rows(32);
+            let mut agg = HashAggregateOp::over_relation(
+                &rel,
+                PipelineSpec::scan(vec![0, 1], vec![], config),
                 vec![Expr::col(0)],
                 vec![DataType::Int],
                 aggregates.clone(),
-            )
-            .collect_all()
+            );
+            agg.collect_all()
         };
         let identity: Vec<usize> = (0..batch_count).collect();
         let reference = run(&identity, 1);

@@ -44,6 +44,43 @@ fn assert_batches_agree(label: &str, expected: &Batch, actual: &Batch, exact: bo
     }
 }
 
+/// A plan's shape is a function of the query alone: every checked-in SQL text
+/// renders the same tree at `threads` 1, 2, 4 and 0 (only the header line names
+/// the worker count), and the plans compiled at 1 and at 4 workers return the same
+/// batch. (`query::planner`'s unit tests pin the same for `COUNT_WHERE`.)
+#[test]
+fn plan_shape_is_independent_of_thread_count() {
+    let db = tpch();
+    for &name in QUERIES {
+        let compile = |threads: usize| {
+            let plan = db
+                .db
+                .connect()
+                .with_config(ScanConfig::default().with_threads(threads))
+                .compile_sql(query_sql(name))
+                .unwrap_or_else(|err| panic!("planning {name}: {err}"));
+            let text = plan.to_string();
+            let (header, tree) = text.split_once('\n').expect("header line, then the tree");
+            assert!(
+                header.contains(&format!("threads={threads},")),
+                "{name}: {header}"
+            );
+            (plan, tree.to_string())
+        };
+        let (one, tree) = compile(1);
+        for threads in [2usize, 4, 0] {
+            assert_eq!(compile(threads).1, tree, "{name} threads {threads}");
+        }
+        let (four, _) = compile(4);
+        assert_batches_agree(
+            &format!("{name} planned at 1 vs 4 workers"),
+            &one.execute(&db.db),
+            &four.execute(&db.db),
+            false,
+        );
+    }
+}
+
 /// SQL → IR byte goldens: lowering each checked-in SQL text reproduces the
 /// checked-in JSON document exactly (`plan_dump --update` regenerates both).
 #[test]
