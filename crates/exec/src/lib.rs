@@ -1,9 +1,12 @@
-//! # exec — vectorized scans feeding (simulated) JIT query pipelines
+//! # exec — vectorized scans feeding vectorized query pipelines
 //!
 //! This crate implements the query-processing half of the paper: an **interpreted
 //! vectorized scan subsystem** that works over both hot uncompressed chunks and cold
 //! compressed Data Blocks behind a single interface (Figure 6), and the **relational
-//! operators** consuming those batches, morsel-driven ([`morsel`]).
+//! operators** consuming those batches a column at a time ([`expr`], [`ops`]),
+//! morsel-driven ([`morsel`]). (The paper feeds its scans into JIT-compiled
+//! tuple-at-a-time pipelines; this engine has no code generator, so the pipelines
+//! above the scan are vectorized like the scan is.)
 //!
 //! ```
 //! use exec::prelude::*;
@@ -52,7 +55,7 @@ pub mod scan;
 
 pub use batch::Batch;
 pub use cancel::CancelToken;
-pub use expr::{arith, ArithOp, Expr};
+pub use expr::{ArithOp, Expr};
 pub use morsel::{
     drive_batches, drive_pipeline, drive_streaming, merge_partitionwise, Morsel, MorselSink,
     PipelineSpec, PipelineStep, ScanStream, RADIX_BITS, RADIX_PARTITIONS,

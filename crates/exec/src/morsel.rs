@@ -60,20 +60,24 @@
 //!
 //! Pipeline breakers (hash aggregation, the hash-join build) have one
 //! implementation each, a [`MorselSink`]: every worker runs the whole non-breaking
-//! operator chain of a [`PipelineSpec`] over its morsels and accumulates into a
-//! private [`RADIX_PARTITIONS`]-way partitioned sink. At the barrier the per-worker
-//! partitions are combined **partition-wise** by [`merge_partitionwise`] —
-//! partition `p` of every worker merges into one final partition `p`,
-//! independently of all others, so the merge itself spreads over the workers. The
-//! partition of a key is a pure function of its value (leading bits of its hash,
-//! see [`crate::ops::radix_partition`]), never of the thread count or the morsel
-//! schedule. The probe/emit tail then runs single-threaded on the merged state.
-//! [`drive_batches`] is the same for an input that is an operator's output rather
-//! than a relation: each batch is one morsel.
+//! operator chain of a [`PipelineSpec`] over its morsels and hands each batch —
+//! owned, columns and all — to its private sink. [`drive_batches`] is the same for
+//! an input that is an operator's output rather than a relation: each batch is one
+//! morsel. What happens at the barrier is the breaker's business:
 //!
-//! Built on them: [`crate::ops::HashAggregateOp`] (output sorted by group key) and
-//! the [`crate::ops::HashJoinOp`] build (build rows are tagged with their position
-//! in the build stream and re-sorted per key at the merge).
+//! * **Aggregation** splits every worker's group table into [`RADIX_PARTITIONS`]
+//!   radix partitions and combines them **partition-wise** with
+//!   [`merge_partitionwise`] — partition `p` of every worker merges into one final
+//!   partition `p`, independently of all others, so the merge itself spreads over
+//!   the workers. The partition of a key is a pure function of its value (leading
+//!   bits of its hash, see [`crate::ops::radix_partition`]), never of the thread
+//!   count or the morsel schedule. Output is sorted by group key.
+//! * **The join build** has the workers hash the build keys; the barrier puts the
+//!   build batches back into stream order (a batch's morsel index is its position)
+//!   and fills one table from key to build row numbers, so a key's rows are listed
+//!   in stream order whatever worker hashed them.
+//!
+//! The probe/emit tail then runs single-threaded on the merged state.
 //!
 //! # Determinism
 //!
@@ -86,18 +90,19 @@
 //!
 //! # Adding a pipeline breaker
 //!
-//! 1. **A sink** implementing [`MorselSink`] — own the per-worker state, keep it
-//!    partitioned by [`crate::ops::radix_partition`] of whatever key the operator
-//!    groups on, and fold each incoming batch in `consume(morsel_idx, &batch)`. If
-//!    the result depends on input *order* (like join build rows), tag entries with
-//!    `(morsel_idx, position)` so the merge can restore it; if not (like
-//!    aggregation), ignore `morsel_idx`.
-//! 2. **A merge** — a function folding one partition from every worker (worker
-//!    order is deterministic) into the final partition, for [`merge_partitionwise`].
-//! 3. **A tail** — emit from the merged partitions in a deterministic order.
+//! 1. **A sink** implementing [`MorselSink`] — own the per-worker state and fold
+//!    each incoming batch, column-wise, in `consume(morsel_idx, batch)`. If the
+//!    result depends on input *order* (like join build rows), keep `morsel_idx`
+//!    with what you store so the barrier can restore it; if not (like
+//!    aggregation), ignore it.
+//! 2. **A barrier** — either order the workers' pieces by morsel index, or split
+//!    the state by [`crate::ops::radix_partition`] of whatever key the operator
+//!    groups on and fold one partition from every worker (worker order is
+//!    deterministic) into the final partition with [`merge_partitionwise`].
+//! 3. **A tail** — emit from the merged state in a deterministic order.
 //!
 //! Then drive it: `let (sinks, stats) = drive_pipeline(relation, &spec, make_sink)?`
-//! followed by `merge_partitionwise(sinks, threads, merge)`. There is no second
+//! followed by the barrier. There is no second
 //! implementation to differential-test against: test one worker against a fold
 //! over the rows in scan order written in the test, and 2, 4 and 8 workers against
 //! one — on skewed keys, NULL keys and inputs that leave partitions empty
@@ -105,7 +110,9 @@
 //!
 //! # Invariants to keep
 //!
-//! * Pipeline workers only ever share `&Relation` and the atomic cursor; streaming
+//! * Pipeline workers only ever share `&Relation` and the atomic cursor
+//!   ([`drive_batches`] workers: a locked queue of the drained batches, which hands
+//!   each batch over with its position); streaming
 //!   workers share one `Arc` holding the owned snapshot, the cursor and the reorder
 //!   channel — all per-worker state lives in the sink or the worker's scanner (the
 //!   compile-time `Send + Sync` assertions below enforce the sharing part). Spilled
@@ -727,7 +734,7 @@ const _: () = assert!(1usize << RADIX_BITS == RADIX_PARTITIONS);
 pub enum PipelineStep {
     /// Keep only rows satisfying a residual (non-SARGable) predicate.
     Filter(Expr),
-    /// Row-wise projection to a new column set.
+    /// Projection to a new column set, one expression per output column.
     Project {
         /// Projected expressions.
         exprs: Vec<Expr>,
@@ -739,8 +746,8 @@ pub enum PipelineStep {
 impl PipelineStep {
     fn apply(&self, batch: Batch) -> Batch {
         match self {
-            PipelineStep::Filter(predicate) => filter_batch(&batch, predicate),
-            PipelineStep::Project { exprs, types } => project_batch(&batch, exprs, types),
+            PipelineStep::Filter(predicate) => filter_batch(batch, predicate),
+            PipelineStep::Project { exprs, types } => project_batch(batch, exprs, types),
         }
     }
 
@@ -824,13 +831,14 @@ impl PipelineSpec {
 /// Per-worker pipeline-breaker state fed by the morsel workers (a partitioned hash
 /// aggregate, a partitioned join build, ...). One sink is created per worker, lives
 /// on that worker's thread for the whole pipeline, and is handed back to the caller
-/// at the barrier for the partition-wise merge.
+/// at the barrier.
 pub trait MorselSink: Send {
-    /// Consume one batch produced by morsel `morsel_idx`. Batches of one morsel
-    /// arrive in order on a single worker; `morsel_idx` values are unique per
+    /// Consume one batch produced by morsel `morsel_idx` — the sink owns it from
+    /// here, so a sink that keeps rows keeps the columns, not copies. Batches of one
+    /// morsel arrive in order on a single worker; `morsel_idx` values are unique per
     /// pipeline run, so `(morsel_idx, arrival order)` reconstructs the serial scan
     /// order when a sink needs it.
-    fn consume(&mut self, morsel_idx: usize, batch: &Batch);
+    fn consume(&mut self, morsel_idx: usize, batch: Batch);
 }
 
 /// Run a morsel pipeline over `relation` with `spec.config.threads` workers (one
@@ -871,7 +879,7 @@ where
             spec,
             || abort.load(Ordering::Relaxed) || cancelled(),
             |morsel_idx, batch| {
-                sink.consume(morsel_idx, &batch);
+                sink.consume(morsel_idx, batch);
                 true
             },
             |_, outcome| match outcome {
@@ -918,7 +926,7 @@ where
     S: MorselSink,
     F: Fn() -> S + Sync,
 {
-    let feed = |sink: &mut S, idx: usize, batch: &Batch| {
+    let feed = |sink: &mut S, idx: usize, batch: Batch| {
         if !batch.is_empty() {
             sink.consume(idx, batch);
         }
@@ -927,18 +935,19 @@ where
     if threads == 1 {
         let mut sink = make_sink();
         for (idx, batch) in batches.enumerate() {
-            feed(&mut sink, idx, &batch);
+            feed(&mut sink, idx, batch);
         }
         return vec![sink];
     }
     let batches: Vec<Batch> = batches.collect();
     let workers = threads.min(batches.len()).max(1);
-    let cursor = AtomicUsize::new(0);
+    // The claim hands the batch itself over, so the queue is the cursor.
+    let queue = Mutex::new(batches.into_iter().enumerate());
     let sinks: Vec<S> = (0..workers).map(|_| make_sink()).collect();
     run_workers(sinks, |mut sink| {
         loop {
-            let idx = cursor.fetch_add(1, Ordering::Relaxed);
-            let Some(batch) = batches.get(idx) else {
+            let claimed = queue.lock().expect("a worker panicked mid-claim").next();
+            let Some((idx, batch)) = claimed else {
                 break;
             };
             feed(&mut sink, idx, batch);
@@ -1175,7 +1184,7 @@ mod tests {
     }
 
     impl MorselSink for CountSink {
-        fn consume(&mut self, morsel_idx: usize, batch: &Batch) {
+        fn consume(&mut self, morsel_idx: usize, batch: Batch) {
             self.rows += batch.len();
             self.morsels.push(morsel_idx);
         }

@@ -3,19 +3,44 @@
 //!
 //! HyPer fuses the operators of a pipeline into generated machine code; this
 //! reproduction keeps the same *pipeline structure* (scans feed non-materialising
-//! operators which feed pipeline breakers like hash tables and sorts) but executes it
-//! as an interpreted vector-at-a-time pull model. The relative behaviour the paper
-//! evaluates — how scan flavour, compression, SMAs and PSMAs change query runtime —
-//! is dominated by the scan work that happens below this module.
+//! operators which feed pipeline breakers like hash tables and sorts) and executes
+//! it **vectorized, a column at a time**, in a pull model: a batch is a set of typed
+//! columns, and no operator here takes one apart into rows.
+//!
+//! * **Filter** evaluates its predicate into a selection vector
+//!   ([`Expr::select`], narrowing it conjunct by conjunct) and gathers every column
+//!   once; a batch whose rows all pass moves through untouched.
+//! * **Project** evaluates each expression into a column ([`Expr::evaluate`]); a
+//!   bare column reference moves the input column.
+//! * **Hash aggregation** evaluates the group and aggregate-input expressions once
+//!   per batch, hashes the typed key columns row by row into a group id
+//!   (`Groups`: keys stored once per group, as columns), and folds each
+//!   aggregate's input column into typed per-group arrays.
+//! * **Hash join** keeps the build side as one columnar batch; the table maps a key
+//!   to build *row numbers*, and matches are emitted by gathering build and probe
+//!   columns.
+//! * **Sort** sorts a permutation of row numbers over the typed key columns and
+//!   gathers once.
 //!
 //! The hash pipeline breakers ([`HashAggregateOp`], the [`HashJoinOp`] build) follow
 //! the morsel-driven design of the paper's execution engine, and have no other
-//! implementation: every worker accumulates a
-//! [`crate::morsel::RADIX_PARTITIONS`]-way radix-partitioned hash table over its
-//! morsels, and the barrier merges the workers' tables partition-wise (each
-//! partition independently) before the single-threaded probe/output tail runs. The
-//! worker count only says how many threads share that work — one worker runs it
-//! inline on the calling thread. See [`crate::morsel`] for the driver.
+//! implementation: every worker accumulates private state over its morsels and the
+//! barrier combines it — the aggregate's group tables
+//! [`crate::morsel::RADIX_PARTITIONS`]-way radix-partitioned and merged
+//! partition-wise (each partition independently), the join's hashed build chunks
+//! concatenated back into stream order — before the single-threaded probe/output
+//! tail runs. The worker count only says how many threads share that work — one
+//! worker runs it inline on the calling thread. See [`crate::morsel`] for the driver.
+//!
+//! # Frozen semantics
+//!
+//! Besides the expression semantics of [`crate::expr`]: aggregates skip NULLs
+//! (`count(*)` counts rows); a sum is accumulated **in row order starting from the
+//! first value**, so one worker's sums over doubles are bit-identical to a fold over
+//! the rows in stream order; groups come out sorted by key (NULLs first); a join
+//! emits, per probe row in probe order, its build matches in build-stream order, and
+//! NULL keys never join; sort is stable. Group and join keys are equal when their
+//! types and bit patterns are (doubles by `to_bits()`).
 //!
 //! # Planner contract
 //!
@@ -37,16 +62,18 @@
 //!   the planner mirrors these shapes (inner join = build ++ probe columns,
 //!   semi join = probe columns, aggregate = groups ++ aggregates) when it
 //!   type-checks the IR, so reordering output columns is a breaking change.
+//!   Projections and aggregates produce columns of their *declared* types: an Int
+//!   result under a Double declaration widens, an all-NULL result takes any type,
+//!   anything else is a planning bug and panics.
 
-use std::collections::hash_map::{DefaultHasher, Entry};
-use std::collections::HashMap;
-use std::hash::{Hash, Hasher};
+use std::collections::hash_map::{DefaultHasher, RandomState};
+use std::hash::{BuildHasher, Hasher};
 
-use datablocks::{DataType, Value};
+use datablocks::{Column, ColumnData, DataType, Value};
 use storage::Relation;
 
-use crate::batch::Batch;
-use crate::expr::{arith, ArithOp, Expr};
+use crate::batch::{gather, pick, push_row_of, sorted_rows, zeroed, Batch};
+use crate::expr::Expr;
 use crate::morsel::{self, MorselSink, PipelineSpec, RADIX_BITS, RADIX_PARTITIONS};
 use crate::scan::{RelationScanner, ScanStats};
 
@@ -87,26 +114,73 @@ pub fn collect_operator(op: &mut dyn Operator) -> Batch {
             types,
             "operator emitted a batch that does not match its declared output types"
         );
-        out.append(&batch);
+        out.append_owned(batch);
     }
     out
 }
 
-/// Evaluate a residual predicate tuple at a time, keeping matching rows.
-pub(crate) fn filter_batch(batch: &Batch, predicate: &Expr) -> Batch {
-    let keep: Vec<usize> = (0..batch.len())
-        .filter(|&row| predicate.eval_bool(batch, row))
+/// Keep the rows satisfying a residual predicate: one selection, one gather per
+/// column (none when every row passes).
+pub(crate) fn filter_batch(batch: Batch, predicate: &Expr) -> Batch {
+    let keep = predicate.select(&batch, None);
+    if keep.len() == batch.len() {
+        batch
+    } else {
+        batch.take(&keep)
+    }
+}
+
+/// Evaluate projection expressions into a batch of the declared types. A bare
+/// column reference takes the input column itself (its last use moves it).
+pub(crate) fn project_batch(batch: Batch, exprs: &[Expr], types: &[DataType]) -> Batch {
+    let mut computed: Vec<Option<Column>> = exprs
+        .iter()
+        .map(|expr| match expr {
+            Expr::Col(_) => None,
+            expr => Some(expr.evaluate(&batch, None).into_owned()),
+        })
         .collect();
-    batch.take(&keep)
+    let mut input: Vec<Option<Column>> = batch.into_columns().into_iter().map(Some).collect();
+    let columns = (0..exprs.len())
+        .map(|slot| {
+            let column = match &exprs[slot] {
+                Expr::Col(idx) if exprs[slot + 1..].contains(&exprs[slot]) => {
+                    input[*idx].clone().expect("a later use keeps it in place")
+                }
+                Expr::Col(idx) => input[*idx].take().expect("moved by its last use only"),
+                _ => computed[slot].take().expect("computed above"),
+            };
+            coerce(column, types[slot])
+        })
+        .collect();
+    Batch::from_columns(columns)
 }
 
-/// Evaluate projection expressions row-wise into a batch of the declared types.
-pub(crate) fn project_batch(batch: &Batch, exprs: &[Expr], types: &[DataType]) -> Batch {
-    let mut out = Batch::new(types);
-    for row in 0..batch.len() {
-        out.push_row(exprs.iter().map(|e| e.eval(batch, row)).collect());
+/// `column` as a column of the declared type `ty`: Int widens to Double (`as f64`,
+/// what pushing an Int into a Double column always did), a column of NULLs only
+/// takes any type, anything else is a planning bug.
+fn coerce(column: Column, ty: DataType) -> Column {
+    if column.data_type() == ty {
+        return column;
     }
-    out
+    let all_null = column.null_count() == column.len();
+    let data = match column.data {
+        ColumnData::Int(values) if ty == DataType::Double => {
+            ColumnData::Double(values.into_iter().map(|v| v as f64).collect())
+        }
+        data => {
+            assert!(
+                all_null,
+                "type mismatch: a {} column where {ty} was declared",
+                data.data_type()
+            );
+            zeroed(ty, data.len())
+        }
+    };
+    Column {
+        data,
+        validity: column.validity,
+    }
 }
 
 // ----------------------------------------------------------------------------- scan
@@ -140,7 +214,8 @@ impl<'a> Operator for ScanOp<'a> {
 
 // --------------------------------------------------------------------------- filter
 
-/// Residual (non-SARGable) predicate evaluation, tuple at a time.
+/// Residual (non-SARGable) predicate evaluation: a selection vector per batch,
+/// then one gather.
 ///
 /// The query planner only emits this operator for conjuncts it could *not*
 /// push into the scan's restriction list — a fully sargable filter disappears
@@ -166,7 +241,7 @@ impl<'a> FilterOp<'a> {
 impl<'a> Operator for FilterOp<'a> {
     fn next_batch(&mut self) -> Option<Batch> {
         let batch = self.input.next_batch()?;
-        Some(filter_batch(&batch, &self.predicate))
+        Some(filter_batch(batch, &self.predicate))
     }
 
     fn output_types(&self) -> Vec<DataType> {
@@ -198,11 +273,217 @@ impl<'a> ProjectOp<'a> {
 impl<'a> Operator for ProjectOp<'a> {
     fn next_batch(&mut self) -> Option<Batch> {
         let batch = self.input.next_batch()?;
-        Some(project_batch(&batch, &self.exprs, &self.types))
+        Some(project_batch(batch, &self.exprs, &self.types))
     }
 
     fn output_types(&self) -> Vec<DataType> {
         self.types.clone()
+    }
+}
+
+// ------------------------------------------------------------------------- key hash
+
+/// One key value, borrowed from a [`Value`] or from a row of a column.
+enum Cell<'a> {
+    Null,
+    Int(i64),
+    Double(f64),
+    Str(&'a str),
+}
+
+impl Cell<'_> {
+    /// Append the value's key bytes: a type tag, then integers and doubles by bit
+    /// pattern and strings by their bytes plus a terminator (NULLs are equal to
+    /// each other, which is what grouping needs). These are the bytes `std`'s `Hash`
+    /// impls of `u8`, `i64`, `u64` and `str` write, so a key hashes as it always
+    /// did.
+    fn write_to(&self, key: &mut Vec<u8>) {
+        match self {
+            Cell::Null => key.push(0),
+            Cell::Int(v) => {
+                key.push(1);
+                key.extend_from_slice(&v.to_ne_bytes());
+            }
+            Cell::Double(v) => {
+                key.push(2);
+                key.extend_from_slice(&v.to_bits().to_ne_bytes());
+            }
+            Cell::Str(s) => {
+                key.push(3);
+                key.extend_from_slice(s.as_bytes());
+                key.push(0xff);
+            }
+        }
+    }
+}
+
+fn cell(column: &Column, row: usize) -> Cell<'_> {
+    if column.is_null(row) {
+        return Cell::Null;
+    }
+    match &column.data {
+        ColumnData::Int(v) => Cell::Int(v[row]),
+        ColumnData::Double(v) => Cell::Double(v[row]),
+        ColumnData::Str(v) => Cell::Str(&v[row]),
+    }
+}
+
+/// The hash of a group/join key: SipHash-1-3 under a fixed key over the key's
+/// bytes (`key` is scratch space for them), so it is a pure function of the key
+/// values — stable across runs, thread counts and morsel schedules. Its leading
+/// bits pick the radix partition, all of it feeds the group table.
+fn key_hash<'a>(cells: impl Iterator<Item = Cell<'a>>, key: &mut Vec<u8>) -> u64 {
+    key.clear();
+    cells.for_each(|cell| cell.write_to(key));
+    // One write of the whole key: the hasher's per-call overhead is paid once.
+    let mut hasher = DefaultHasher::new();
+    hasher.write(key);
+    hasher.finish()
+}
+
+/// [`key_hash`] of every row of the key columns.
+fn hash_rows(keys: &[&Column], rows: usize) -> Vec<u64> {
+    let mut key = Vec::new();
+    if keys.is_empty() {
+        return vec![key_hash(std::iter::empty(), &mut key); rows];
+    }
+    (0..rows)
+        .map(|row| key_hash(keys.iter().map(|column| cell(column, row)), &mut key))
+        .collect()
+}
+
+/// Radix partition of a key hash: its leading [`RADIX_BITS`] bits.
+fn partition_of(hash: u64) -> usize {
+    (hash >> (64 - RADIX_BITS)) as usize
+}
+
+/// The radix partition (`0..`[`RADIX_PARTITIONS`]) a group-by or join key is
+/// assigned to by the parallel pipeline breakers. A pure function of the key values
+/// — independent of thread count, morsel size and scan schedule — which is what
+/// makes the partition-wise merge of per-worker hash tables deterministic.
+pub fn radix_partition(values: &[Value]) -> usize {
+    let cells = values.iter().map(|value| match value {
+        Value::Null => Cell::Null,
+        Value::Int(v) => Cell::Int(*v),
+        Value::Double(v) => Cell::Double(*v),
+        Value::Str(s) => Cell::Str(s),
+    });
+    partition_of(key_hash(cells, &mut Vec::new()))
+}
+
+// ---------------------------------------------------------------------- group table
+
+/// Are row `i` of `a` and row `j` of `b` the same key value? NULL equals NULL,
+/// doubles compare by bit pattern, different types never match.
+fn same_cell(a: &Column, i: usize, b: &Column, j: usize) -> bool {
+    match (a.is_null(i), b.is_null(j)) {
+        (true, true) => true,
+        (false, false) => match (&a.data, &b.data) {
+            (ColumnData::Int(a), ColumnData::Int(b)) => a[i] == b[j],
+            (ColumnData::Double(a), ColumnData::Double(b)) => a[i].to_bits() == b[j].to_bits(),
+            (ColumnData::Str(a), ColumnData::Str(b)) => a[i] == b[j],
+            _ => false,
+        },
+        _ => false,
+    }
+}
+
+/// The distinct keys seen so far, numbered in order of first appearance: the hash
+/// table under both the aggregate (group id → accumulator slot) and the join (group
+/// id → build rows). Keys are stored once per group, as typed columns; the table
+/// itself is open addressing over group ids, indexed by the [`key_hash`] remixed
+/// under a per-table random seed — the job `std`'s `RandomState` did for the
+/// `HashMap` this replaces: a client who can choose keys knows the fixed-key hash
+/// but not which hashes share a slot here.
+struct Groups {
+    /// Key column `c`, row `g`: that part of group `g`'s key.
+    keys: Vec<Column>,
+    /// [`key_hash`] of every group's key.
+    hashes: Vec<u64>,
+    /// Group id + 1, or 0 for a free slot; a power of two, at most half full.
+    slots: Vec<u32>,
+    seed: u64,
+}
+
+impl Groups {
+    fn new(key_types: &[DataType]) -> Groups {
+        Groups {
+            keys: key_types.iter().map(|&ty| Column::new(ty)).collect(),
+            hashes: Vec::new(),
+            slots: vec![0; 16],
+            seed: RandomState::new().hash_one(0u8),
+        }
+    }
+
+    fn len(&self) -> usize {
+        self.hashes.len()
+    }
+
+    /// Where the probe sequence of `hash` starts.
+    fn home(&self, hash: u64) -> usize {
+        let mixed = (hash ^ self.seed).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        (mixed >> (64 - self.slots.len().trailing_zeros())) as usize
+    }
+
+    /// The group whose key is row `row` of `columns` (with that key's hash), or the
+    /// free slot its probe sequence ends in.
+    fn probe(&self, columns: &[&Column], row: usize, hash: u64) -> Result<u32, usize> {
+        let mut slot = self.home(hash);
+        loop {
+            let Some(group) = self.slots[slot].checked_sub(1) else {
+                return Err(slot);
+            };
+            if self.hashes[group as usize] == hash
+                && (self.keys.iter().zip(columns))
+                    .all(|(key, column)| same_cell(key, group as usize, column, row))
+            {
+                return Ok(group);
+            }
+            slot = (slot + 1) & (self.slots.len() - 1);
+        }
+    }
+
+    /// The group of the key in row `row` of `columns`, numbering it if it is new.
+    fn resolve(&mut self, columns: &[&Column], row: usize, hash: u64) -> u32 {
+        let slot = match self.probe(columns, row, hash) {
+            Ok(group) => return group,
+            Err(slot) => slot,
+        };
+        let group = self.len() as u32;
+        self.slots[slot] = group + 1;
+        self.hashes.push(hash);
+        for (key, column) in self.keys.iter_mut().zip(columns) {
+            push_row_of(key, column, row);
+        }
+        if self.len() * 2 > self.slots.len() {
+            self.reindex(self.slots.len() * 2);
+        }
+        group
+    }
+
+    /// Rebuild the slot array at `slots` slots from the stored hashes (keys are
+    /// distinct, so no comparison is needed).
+    fn reindex(&mut self, slots: usize) {
+        self.slots = vec![0; slots];
+        for group in 0..self.len() {
+            let mut slot = self.home(self.hashes[group]);
+            while self.slots[slot] != 0 {
+                slot = (slot + 1) & (slots - 1);
+            }
+            self.slots[slot] = group as u32 + 1;
+        }
+    }
+
+    /// The groups `rows` of this table, renumbered in that order.
+    fn take(&self, rows: &[u32]) -> Groups {
+        let mut taken = Groups {
+            keys: self.keys.iter().map(|key| gather(key, rows)).collect(),
+            hashes: pick(&self.hashes, rows),
+            slots: Vec::new(),
+            seed: self.seed,
+        };
+        taken.reindex((rows.len() * 2).next_power_of_two().max(16));
+        taken
     }
 }
 
@@ -244,195 +525,209 @@ impl AggSpec {
     }
 }
 
-/// Hashable wrapper for group-by keys (treats NULLs as equal to each other and hashes
-/// doubles by their bit pattern, which is what grouping semantics need).
-#[derive(Debug, Clone, PartialEq)]
-struct GroupKey(Vec<Value>);
-
-impl Eq for GroupKey {}
-
-impl Hash for GroupKey {
-    fn hash<H: Hasher>(&self, state: &mut H) {
-        for value in &self.0 {
-            match value {
-                Value::Null => 0u8.hash(state),
-                Value::Int(v) => {
-                    1u8.hash(state);
-                    v.hash(state);
-                }
-                Value::Double(v) => {
-                    2u8.hash(state);
-                    v.to_bits().hash(state);
-                }
-                Value::Str(s) => {
-                    3u8.hash(state);
-                    s.hash(state);
-                }
-            }
-        }
-    }
+/// The running value of one aggregate for every group: the sum, or the minimum or
+/// maximum so far, typed like the aggregate's input.
+#[derive(Debug)]
+enum Acc {
+    Int(Vec<i64>),
+    /// Starts at `-0.0`, the one double `x` with `x + v == v` bit for bit for every
+    /// `v` — so a sum "starts from its first value", and merging in a group no row
+    /// reached changes nothing.
+    Double(Vec<f64>),
+    Str(Vec<String>),
 }
 
-/// The hash of a group/join key (the same SipHash the table lookups use, seeded
-/// deterministically, so partition assignment is stable across runs, thread counts
-/// and morsel schedules).
-fn key_hash(key: &GroupKey) -> u64 {
-    let mut hasher = DefaultHasher::new();
-    key.hash(&mut hasher);
-    hasher.finish()
-}
-
-/// Radix partition of a key: the leading [`RADIX_BITS`] bits of its hash.
-fn partition_of(key: &GroupKey) -> usize {
-    (key_hash(key) >> (64 - RADIX_BITS)) as usize
-}
-
-/// A group/join key bundled with its precomputed hash. The partitioned build sinks
-/// hash every key exactly once — the same value picks the radix partition and feeds
-/// the hash map (whose hasher only re-mixes the 8 precomputed bytes) — instead of
-/// paying two full key hashes per input row.
-#[derive(Debug, Clone, PartialEq)]
-struct HashedKey {
-    hash: u64,
-    key: GroupKey,
-}
-
-impl Eq for HashedKey {}
-
-impl Hash for HashedKey {
-    fn hash<H: Hasher>(&self, state: &mut H) {
-        state.write_u64(self.hash);
-    }
-}
-
-impl HashedKey {
-    fn new(key: GroupKey) -> HashedKey {
-        let hash = key_hash(&key);
-        HashedKey { hash, key }
-    }
-
-    /// Radix partition: same leading-bits rule as [`partition_of`], off the cached
-    /// hash.
-    fn partition(&self) -> usize {
-        (self.hash >> (64 - RADIX_BITS)) as usize
-    }
-}
-
-/// The radix partition (`0..`[`RADIX_PARTITIONS`]) a group-by or join key is
-/// assigned to by the parallel pipeline breakers. A pure function of the key values
-/// — independent of thread count, morsel size and scan schedule — which is what
-/// makes the partition-wise merge of per-worker hash tables deterministic.
-pub fn radix_partition(values: &[Value]) -> usize {
-    partition_of(&GroupKey(values.to_vec()))
-}
-
-/// Deterministic output order of hash aggregation: groups sorted by key.
-fn cmp_group_keys(a: &GroupKey, b: &GroupKey) -> std::cmp::Ordering {
-    for (x, y) in a.0.iter().zip(&b.0) {
-        let ord = x.total_cmp(y);
-        if ord != std::cmp::Ordering::Equal {
-            return ord;
-        }
-    }
-    std::cmp::Ordering::Equal
-}
-
-#[derive(Debug, Clone)]
+/// One aggregate's state for every group of a table, as typed arrays indexed by
+/// group id.
+#[derive(Debug)]
 struct AggState {
-    sum: Value,
-    count: i64,
-    min: Value,
-    max: Value,
+    func: AggFunc,
+    /// Rows counted (`count(*)`) or non-NULL inputs folded in (everything else).
+    count: Vec<i64>,
+    acc: Acc,
+}
+
+/// Typed values to fold into an aggregate state: the payload of an input column, or
+/// the accumulators of another table's state.
+enum Values<'a> {
+    Int(&'a [i64]),
+    Double(&'a [f64]),
+    Str(&'a [String]),
+}
+
+/// Fold `values` into the groups `groups` names, value by value in order:
+/// `weight(r)` is how many inputs value `r` stands for (0 skips it), and
+/// `step(acc, value, first)` takes it into its group's accumulator.
+fn fold<T>(
+    count: &mut [i64],
+    acc: &mut [T],
+    values: &[T],
+    groups: &[u32],
+    weight: impl Fn(usize) -> i64,
+    step: impl Fn(&mut T, &T, bool),
+) {
+    for (row, value) in values.iter().enumerate() {
+        let (weight, group) = (weight(row), groups[row] as usize);
+        if weight != 0 {
+            step(&mut acc[group], value, count[group] == 0);
+            count[group] += weight;
+        }
+    }
+}
+
+/// [`fold`] for the aggregate function `func`; `add` is the type's addition.
+fn fold_as<T: PartialOrd + Clone>(
+    func: AggFunc,
+    count: &mut [i64],
+    acc: &mut [T],
+    values: &[T],
+    groups: &[u32],
+    weight: impl Fn(usize) -> i64,
+    add: impl Fn(&mut T, &T),
+) {
+    match func {
+        AggFunc::Count | AggFunc::CountStar => {
+            fold(count, acc, values, groups, weight, |_, _, _| {})
+        }
+        AggFunc::Sum | AggFunc::Avg => {
+            fold(count, acc, values, groups, weight, |acc, v, _| add(acc, v))
+        }
+        AggFunc::Min => fold(count, acc, values, groups, weight, |acc, v, first| {
+            if first || v < acc {
+                acc.clone_from(v);
+            }
+        }),
+        AggFunc::Max => fold(count, acc, values, groups, weight, |acc, v, first| {
+            if first || v > acc {
+                acc.clone_from(v);
+            }
+        }),
+    }
+}
+
+fn no_string_sums(_: &mut String, _: &String) {
+    panic!("sum and avg are not defined over strings");
 }
 
 impl AggState {
-    fn new() -> AggState {
+    /// The state of `func` over an input of type `input` (`None`: all NULL), with
+    /// no groups yet.
+    fn new(func: AggFunc, input: Option<DataType>) -> AggState {
         AggState {
-            sum: Value::Null,
-            count: 0,
-            min: Value::Null,
-            max: Value::Null,
+            func,
+            count: Vec::new(),
+            acc: match input.unwrap_or(DataType::Int) {
+                DataType::Int => Acc::Int(Vec::new()),
+                DataType::Double => Acc::Double(Vec::new()),
+                DataType::Str => Acc::Str(Vec::new()),
+            },
         }
     }
 
-    fn update(&mut self, value: &Value, count_star: bool) {
-        if count_star {
-            self.count += 1;
-            return;
-        }
-        if value.is_null() {
-            return;
-        }
-        self.count += 1;
-        self.sum = if self.sum.is_null() {
-            value.clone()
-        } else {
-            arith(ArithOp::Add, &self.sum, value)
-        };
-        if self.min.is_null() || matches!(value.sql_cmp(&self.min), Some(std::cmp::Ordering::Less))
-        {
-            self.min = value.clone();
-        }
-        if self.max.is_null()
-            || matches!(value.sql_cmp(&self.max), Some(std::cmp::Ordering::Greater))
-        {
-            self.max = value.clone();
+    /// Make room for `groups` groups.
+    fn resize(&mut self, groups: usize) {
+        self.count.resize(groups, 0);
+        match &mut self.acc {
+            Acc::Int(acc) => acc.resize(groups, 0),
+            Acc::Double(acc) => acc.resize(groups, -0.0),
+            Acc::Str(acc) => acc.resize(groups, String::new()),
         }
     }
 
-    /// Fold another partial state for the same group into this one (the merge phase
-    /// of parallel aggregation). Count/min/max and integer sums are exact whatever
-    /// the merge order; double sums can differ from the serial scan order in the
-    /// last ulps, exactly like any parallel floating-point reduction.
-    fn merge(&mut self, other: &AggState) {
-        self.count += other.count;
-        if self.sum.is_null() {
-            self.sum = other.sum.clone();
-        } else if !other.sum.is_null() {
-            self.sum = arith(ArithOp::Add, &self.sum, &other.sum);
-        }
-        if self.min.is_null()
-            || (!other.min.is_null()
-                && matches!(other.min.sql_cmp(&self.min), Some(std::cmp::Ordering::Less)))
-        {
-            self.min = other.min.clone();
-        }
-        if self.max.is_null()
-            || (!other.max.is_null()
-                && matches!(
-                    other.max.sql_cmp(&self.max),
-                    Some(std::cmp::Ordering::Greater)
-                ))
-        {
-            self.max = other.max.clone();
+    /// `count(*)`: every row counts.
+    fn count_rows(&mut self, groups: &[u32]) {
+        for &group in groups {
+            self.count[group as usize] += 1;
         }
     }
 
-    fn finish(&self, func: AggFunc) -> Value {
-        match func {
-            AggFunc::Sum => self.sum.clone(),
-            AggFunc::Count | AggFunc::CountStar => Value::Int(self.count),
-            AggFunc::Avg => {
-                if self.count == 0 {
-                    Value::Null
-                } else {
-                    arith(ArithOp::Div, &self.sum, &Value::Int(self.count))
-                }
+    /// Fold `values` in, value `r` standing for `weight(r)` inputs of group
+    /// `groups[r]`.
+    fn fold(&mut self, values: Values<'_>, groups: &[u32], weight: impl Fn(usize) -> i64) {
+        let (func, count) = (self.func, &mut self.count[..]);
+        match (&mut self.acc, values) {
+            (Acc::Int(acc), Values::Int(values)) => {
+                fold_as(func, count, acc, values, groups, weight, |a, v| *a += *v)
             }
-            AggFunc::Min => self.min.clone(),
-            AggFunc::Max => self.max.clone(),
+            (Acc::Double(acc), Values::Double(values)) => {
+                fold_as(func, count, acc, values, groups, weight, |a, v| *a += *v)
+            }
+            (Acc::Str(acc), Values::Str(values)) => {
+                fold_as(func, count, acc, values, groups, weight, no_string_sums)
+            }
+            _ => panic!("the input of an aggregate changed type"),
         }
     }
-}
 
-/// Advance every aggregate state of one group by one input row.
-fn update_states(states: &mut [AggState], specs: &[AggSpec], batch: &Batch, row: usize) {
-    for (state, spec) in states.iter_mut().zip(specs) {
-        if spec.func == AggFunc::CountStar {
-            state.update(&Value::Null, true);
-        } else {
-            state.update(&spec.expr.eval(batch, row), false);
+    /// Fold one batch's input column in, row `r` into group `groups[r]`, in row
+    /// order, skipping NULLs.
+    fn update(&mut self, input: &Column, groups: &[u32]) {
+        let values = match &input.data {
+            ColumnData::Int(values) => Values::Int(values),
+            ColumnData::Double(values) => Values::Double(values),
+            ColumnData::Str(values) => Values::Str(values),
+        };
+        match &input.validity {
+            None => self.fold(values, groups, |_| 1),
+            Some(valid) => self.fold(values, groups, |row| i64::from(valid[row])),
         }
+    }
+
+    /// Fold another table's state for the same aggregate in: its group `g` into
+    /// this table's group `groups[g]` (the merge phase of parallel aggregation) —
+    /// its accumulator is one value standing for as many inputs as it counted.
+    /// Count/min/max and integer sums are exact whatever the merge order; double
+    /// sums can differ from the serial scan order in the last ulps, exactly like any
+    /// parallel floating-point reduction.
+    fn merge(&mut self, other: &AggState, groups: &[u32]) {
+        let values = match &other.acc {
+            Acc::Int(acc) => Values::Int(acc),
+            Acc::Double(acc) => Values::Double(acc),
+            Acc::Str(acc) => Values::Str(acc),
+        };
+        self.fold(values, groups, |group| other.count[group]);
+    }
+
+    /// The state of the groups `rows`, renumbered in that order.
+    fn take(&self, rows: &[u32]) -> AggState {
+        AggState {
+            func: self.func,
+            count: pick(&self.count, rows),
+            acc: match &self.acc {
+                Acc::Int(acc) => Acc::Int(pick(acc, rows)),
+                Acc::Double(acc) => Acc::Double(pick(acc, rows)),
+                Acc::Str(acc) => Acc::Str(pick(acc, rows)),
+            },
+        }
+    }
+
+    /// The aggregate's value for every group; NULL where no value was folded in.
+    fn finish(self) -> Column {
+        let AggState { func, count, acc } = self;
+        let validity = count
+            .contains(&0)
+            .then(|| count.iter().map(|&n| n > 0).collect());
+        let data = match (func, acc) {
+            (AggFunc::Count | AggFunc::CountStar, _) => {
+                return Column::from_data(ColumnData::Int(count))
+            }
+            (AggFunc::Avg, Acc::Int(sum)) => ColumnData::Double(
+                sum.iter()
+                    .zip(&count)
+                    .map(|(&s, &n)| s as f64 / n as f64)
+                    .collect(),
+            ),
+            (AggFunc::Avg, Acc::Double(sum)) => ColumnData::Double(
+                sum.iter()
+                    .zip(&count)
+                    .map(|(&s, &n)| s / n as f64)
+                    .collect(),
+            ),
+            (_, Acc::Int(acc)) => ColumnData::Int(acc),
+            (_, Acc::Double(acc)) => ColumnData::Double(acc),
+            (_, Acc::Str(acc)) => ColumnData::Str(acc),
+        };
+        Column { data, validity }
     }
 }
 
@@ -443,26 +738,110 @@ fn agg_output_types(group_types: &[DataType], aggregates: &[AggSpec]) -> Vec<Dat
     types
 }
 
-/// Emit sorted `(key, states)` entries as the aggregation result batch.
-fn emit_groups(
-    mut entries: Vec<(GroupKey, Vec<AggState>)>,
-    aggregates: &[AggSpec],
-    output_types: &[DataType],
-) -> Batch {
-    entries.sort_by(|a, b| cmp_group_keys(&a.0, &b.0));
-    let mut out = Batch::new(output_types);
-    for (key, states) in entries {
-        let mut row = key.0;
-        for (state, spec) in states.iter().zip(aggregates) {
-            row.push(state.finish(spec.func));
-        }
-        out.push_row(row);
-    }
-    out
+/// A group table with the aggregate states of its groups: what a worker builds over
+/// its morsels, what one radix partition of it is, and what partitions merge into.
+struct AggTable {
+    groups: Groups,
+    states: Vec<AggState>,
 }
 
-/// One radix partition of per-worker aggregation state.
-type AggPartition = HashMap<HashedKey, Vec<AggState>>;
+impl AggTable {
+    /// An empty table for `group_exprs` and `aggregates` over an input of the
+    /// given column types.
+    fn new(group_exprs: &[Expr], aggregates: &[AggSpec], input: &[DataType]) -> AggTable {
+        let key_types: Vec<DataType> = group_exprs
+            .iter()
+            .map(|expr| expr.static_type(input).unwrap_or(DataType::Int))
+            .collect();
+        AggTable {
+            groups: Groups::new(&key_types),
+            states: aggregates
+                .iter()
+                .map(|spec| match spec.func {
+                    AggFunc::CountStar => AggState::new(spec.func, None),
+                    _ => AggState::new(spec.func, spec.expr.static_type(input)),
+                })
+                .collect(),
+        }
+    }
+
+    /// The groups `rows` with their states.
+    fn take(&self, rows: &[u32]) -> AggTable {
+        AggTable {
+            groups: self.groups.take(rows),
+            states: self.states.iter().map(|state| state.take(rows)).collect(),
+        }
+    }
+
+    /// Split into [`RADIX_PARTITIONS`] tables by the leading bits of the key hash.
+    fn into_partitions(self) -> Vec<AggTable> {
+        let mut rows: Vec<Vec<u32>> = vec![Vec::new(); RADIX_PARTITIONS];
+        for (group, &hash) in self.groups.hashes.iter().enumerate() {
+            rows[partition_of(hash)].push(group as u32);
+        }
+        rows.iter().map(|rows| self.take(rows)).collect()
+    }
+
+    /// Fold another table for the same aggregation in.
+    fn absorb(&mut self, other: &AggTable) {
+        let keys: Vec<&Column> = other.groups.keys.iter().collect();
+        let groups: Vec<u32> = (0..other.groups.len())
+            .map(|row| self.groups.resolve(&keys, row, other.groups.hashes[row]))
+            .collect();
+        for (state, other) in self.states.iter_mut().zip(&other.states) {
+            state.resize(self.groups.len());
+            state.merge(other, &groups);
+        }
+    }
+
+    /// One output row per group — key columns then aggregate values, of the
+    /// declared `types` — in group-id order.
+    fn into_batch(self, types: &[DataType]) -> Batch {
+        let columns = (self.groups.keys.into_iter())
+            .chain(self.states.into_iter().map(AggState::finish))
+            .zip(types)
+            .map(|(column, &ty)| coerce(column, ty))
+            .collect();
+        Batch::from_columns(columns)
+    }
+}
+
+/// Fold the same radix partition of every worker into one partition, in worker
+/// order. Partitions hold disjoint key sets, so this is the only cross-worker
+/// combination the merge phase needs.
+fn merge_agg_partition(parts: Vec<AggTable>) -> Option<AggTable> {
+    let mut parts = parts.into_iter();
+    let mut merged = parts.next()?;
+    for part in parts {
+        merged.absorb(&part);
+    }
+    Some(merged)
+}
+
+/// The barrier and the tail of an aggregation: split every worker's table into radix
+/// partitions, merge them partition-wise on `threads` workers, and emit one row per
+/// group — `group_keys` key columns then the aggregates, of the declared `types` —
+/// sorted by group key.
+fn merge_and_emit(
+    tables: Vec<AggTable>,
+    threads: usize,
+    group_keys: usize,
+    types: &[DataType],
+) -> Batch {
+    let per_worker: Vec<Vec<AggTable>> = (tables.into_iter())
+        .map(AggTable::into_partitions)
+        .collect();
+    let merged =
+        morsel::merge_partitionwise(per_worker, threads, |_, parts| merge_agg_partition(parts));
+    let mut out = Batch::new(types);
+    for table in merged.into_iter().flatten() {
+        out.append_owned(table.into_batch(types));
+    }
+    let keys: Vec<(&Column, bool)> = (0..group_keys)
+        .map(|key| (out.column(key), false))
+        .collect();
+    out.take(&sorted_rows(&keys, out.len(), None))
+}
 
 /// Where a [`HashAggregateOp`] gets its rows from.
 enum AggInput<'a> {
@@ -475,59 +854,42 @@ enum AggInput<'a> {
     },
 }
 
-/// Per-worker sink of the aggregation build phase: a radix-partitioned group hash
-/// table.
+/// Per-worker sink of the aggregation build phase: one group table over everything
+/// the worker scans.
 struct AggBuildSink<'x> {
     group_exprs: &'x [Expr],
     aggregates: &'x [AggSpec],
-    partitions: Vec<AggPartition>,
+    table: AggTable,
 }
 
 impl MorselSink for AggBuildSink<'_> {
-    fn consume(&mut self, _morsel_idx: usize, batch: &Batch) {
-        for row in 0..batch.len() {
-            let key = HashedKey::new(GroupKey(
-                self.group_exprs
-                    .iter()
-                    .map(|e| e.eval(batch, row))
-                    .collect(),
-            ));
-            let partition = &mut self.partitions[key.partition()];
-            let states = partition
-                .entry(key)
-                .or_insert_with(|| vec![AggState::new(); self.aggregates.len()]);
-            update_states(states, self.aggregates, batch, row);
-        }
-    }
-}
-
-/// Fold the same radix partition of every worker into one partition, in worker
-/// order. Partitions hold disjoint key sets, so this is the only cross-worker
-/// combination the merge phase needs.
-fn merge_agg_partition(parts: Vec<AggPartition>) -> AggPartition {
-    let mut iter = parts.into_iter();
-    let mut acc = iter.next().unwrap_or_default();
-    for part in iter {
-        for (key, states) in part {
-            match acc.entry(key) {
-                Entry::Occupied(mut entry) => {
-                    for (state, other) in entry.get_mut().iter_mut().zip(&states) {
-                        state.merge(other);
-                    }
-                }
-                Entry::Vacant(slot) => {
-                    slot.insert(states);
-                }
+    fn consume(&mut self, _morsel_idx: usize, batch: Batch) {
+        // Every expression is evaluated once, over the whole batch …
+        let keys: Vec<_> = (self.group_exprs.iter())
+            .map(|expr| expr.evaluate(&batch, None))
+            .collect();
+        let keys: Vec<&Column> = keys.iter().map(|key| &**key).collect();
+        // … every row resolved to its group id …
+        let hashes = hash_rows(&keys, batch.len());
+        let groups: Vec<u32> = (0..batch.len())
+            .map(|row| self.table.groups.resolve(&keys, row, hashes[row]))
+            .collect();
+        // … and every aggregate's input column folded into its typed arrays.
+        for (state, spec) in self.table.states.iter_mut().zip(self.aggregates) {
+            state.resize(self.table.groups.len());
+            match spec.func {
+                AggFunc::CountStar => state.count_rows(&groups),
+                _ => state.update(&spec.expr.evaluate(&batch, None), &groups),
             }
         }
     }
-    acc
 }
 
-/// Hash aggregation (a pipeline breaker): consumes its whole input into
-/// radix-partitioned hash tables ([`crate::morsel::RADIX_PARTITIONS`] per worker),
-/// merges the workers' tables partition-wise, then emits one tuple per group — the
-/// group-key expressions followed by the aggregates — sorted by group key.
+/// Hash aggregation (a pipeline breaker): every worker consumes its share of the
+/// input into a group table, the barrier splits the tables into
+/// [`crate::morsel::RADIX_PARTITIONS`] radix partitions and merges them
+/// partition-wise, then one tuple per group is emitted — the group-key expressions
+/// followed by the aggregates — sorted by group key.
 ///
 /// [`HashAggregateOp::new`] aggregates any operator's output with one worker, the
 /// calling thread. [`HashAggregateOp::over_relation`] aggregates a scan pipeline
@@ -614,10 +976,14 @@ impl Operator for HashAggregateOp<'_> {
             return None;
         }
         self.done = true;
+        let input_types = match &self.input {
+            AggInput::Operator(input) => input.output_types(),
+            AggInput::Pipeline { relation, spec } => spec.output_types(*relation),
+        };
         let make_sink = || AggBuildSink {
             group_exprs: &self.group_exprs,
             aggregates: &self.aggregates,
-            partitions: (0..RADIX_PARTITIONS).map(|_| AggPartition::new()).collect(),
+            table: AggTable::new(&self.group_exprs, &self.aggregates, &input_types),
         };
         let (sinks, threads) = match &mut self.input {
             AggInput::Operator(input) => {
@@ -634,16 +1000,9 @@ impl Operator for HashAggregateOp<'_> {
                 (sinks, spec.config.threads)
             }
         };
-        let per_worker: Vec<Vec<AggPartition>> =
-            sinks.into_iter().map(|sink| sink.partitions).collect();
-        let merged =
-            morsel::merge_partitionwise(per_worker, threads, |_, parts| merge_agg_partition(parts));
-        let entries: Vec<(GroupKey, Vec<AggState>)> = merged
-            .into_iter()
-            .flatten()
-            .map(|(hashed, states)| (hashed.key, states))
-            .collect();
-        Some(emit_groups(entries, &self.aggregates, &self.output_types))
+        let tables = sinks.into_iter().map(|sink| sink.table).collect();
+        let groups = self.group_exprs.len();
+        Some(merge_and_emit(tables, threads, groups, &self.output_types))
     }
 
     fn output_types(&self) -> Vec<DataType> {
@@ -663,17 +1022,26 @@ pub enum JoinType {
     ProbeSemi,
 }
 
-/// One radix partition of join build state: each key's build rows, tagged with their
-/// global position in the build stream so the merge can restore stream order.
-type JoinPartition = HashMap<HashedKey, Vec<(u64, Vec<Value>)>>;
+/// The built side of a join: the build rows as one columnar batch in build-stream
+/// order, and for every distinct non-NULL key the numbers of its rows.
+struct JoinTable {
+    rows: Batch,
+    keys: Groups,
+    /// Rows of key `g`: `matches[starts[g]..starts[g + 1]]`, ascending — so a key's
+    /// matches come out in stream order.
+    starts: Vec<u32>,
+    matches: Vec<u32>,
+    /// Early-probe tag bits, one per distinct key.
+    tags: Vec<u64>,
+}
 
-/// Hash equi-join. The build side is materialised into a hash table (the pipeline
-/// breaker); the probe side streams through. The build runs on
-/// [`HashJoinOp::with_parallel_build`] morsel workers (one by default): each builds
-/// a private radix-partitioned table over the build side's batches and the barrier
-/// merges them partition-wise, restoring stream order per key — so join output is
-/// byte-identical for every worker count. The probe looks a key up in the one
-/// merged partition its hash selects, so a key's values — build or probe — are
+/// Hash equi-join. The build side is materialised (the pipeline breaker) as one
+/// columnar batch plus a table from key to build row numbers; the probe side
+/// streams through and matches are emitted by gathering columns. The build runs on
+/// [`HashJoinOp::with_parallel_build`] morsel workers (one by default): each
+/// hashes the keys of the build batches it claims, and the barrier puts the batches
+/// back into stream order before the table is filled — so join output is
+/// byte-identical for every worker count. A key's values — build or probe — are
 /// hashed exactly once. Optionally an *early-probe* filter — a compact tag bitmap derived
 /// from the key hashes, standing in for the tagged hash-table pointers of
 /// Appendix E — rejects probe tuples before the hash lookup.
@@ -685,9 +1053,7 @@ pub struct HashJoinOp<'a> {
     join_type: JoinType,
     early_probe: bool,
     build_threads: usize,
-    /// The merged build partitions, indexed by [`HashedKey::partition`].
-    table: Option<Vec<JoinPartition>>,
-    tags: Vec<u64>,
+    table: Option<JoinTable>,
     output_types: Vec<DataType>,
 }
 
@@ -718,7 +1084,6 @@ impl<'a> HashJoinOp<'a> {
             early_probe: false,
             build_threads: 1,
             table: None,
-            tags: Vec::new(),
             output_types,
         }
     }
@@ -741,119 +1106,143 @@ impl<'a> HashJoinOp<'a> {
         self
     }
 
-    fn build_table(&mut self) {
-        if self.table.is_some() {
-            return;
-        }
-        // Partition-build over the build side's batches (an upstream scan
-        // parallelises itself through its own ScanConfig).
+    fn build_table(&mut self) -> JoinTable {
+        // The workers hash the build side's batches (an upstream scan parallelises
+        // itself through its own ScanConfig) …
         let build = &mut self.build;
         let build_keys = &self.build_keys;
         let batches = std::iter::from_fn(|| build.next_batch());
         let sinks = morsel::drive_batches(batches, self.build_threads, || JoinBuildSink {
             keys: build_keys,
-            partitions: (0..RADIX_PARTITIONS)
-                .map(|_| JoinPartition::new())
-                .collect(),
+            chunks: Vec::new(),
         });
-        let per_worker: Vec<Vec<JoinPartition>> =
-            sinks.into_iter().map(|sink| sink.partitions).collect();
-        let table = morsel::merge_partitionwise(per_worker, self.build_threads, |_, parts| {
-            merge_join_partition(parts)
-        });
+        // … and the barrier restores stream order: a chunk's morsel index is its
+        // batch's position in the build stream.
+        let mut chunks: Vec<BuildChunk> = sinks.into_iter().flat_map(|sink| sink.chunks).collect();
+        chunks.sort_unstable_by_key(|chunk| chunk.position);
+        let mut rows = Batch::new(&build.output_types());
+        let mut hashes = Vec::new();
+        for chunk in chunks {
+            rows.append_owned(chunk.batch);
+            hashes.extend(chunk.hashes);
+        }
+        // Number the distinct keys, then list every key's rows in row order
+        // (a counting sort by key number). NULL keys never join: they get no key.
+        let key_columns: Vec<&Column> = build_keys.iter().map(|&k| rows.column(k)).collect();
+        let key_types: Vec<DataType> = key_columns.iter().map(|c| c.data_type()).collect();
+        let mut keys = Groups::new(&key_types);
+        let key_of_row: Vec<Option<u32>> = (0..rows.len())
+            .map(|row| {
+                (key_columns.iter().all(|column| !column.is_null(row)))
+                    .then(|| keys.resolve(&key_columns, row, hashes[row]))
+            })
+            .collect();
+        let mut starts = vec![0u32; keys.len() + 1];
+        for key in key_of_row.iter().flatten() {
+            starts[*key as usize + 1] += 1;
+        }
+        for key in 0..keys.len() {
+            starts[key + 1] += starts[key];
+        }
+        let mut next = starts.clone();
+        let mut matches = vec![0u32; starts[keys.len()] as usize];
+        for (row, key) in key_of_row.iter().enumerate() {
+            if let Some(key) = key {
+                matches[next[*key as usize] as usize] = row as u32;
+                next[*key as usize] += 1;
+            }
+        }
         // 16 KiB of tag bits (2^17 bits): small enough for L1/L2, large enough to be
         // selective for the build sizes used here. One bit per distinct key.
         let mut tags = vec![0u64; 2048];
-        for key in table.iter().flat_map(HashMap::keys) {
-            let slot = tag_slot(key, tags.len());
-            tags[slot.0] |= 1 << slot.1;
+        for &hash in &keys.hashes {
+            let (word, bit) = tag_slot(hash, tags.len());
+            tags[word] |= 1 << bit;
         }
-        self.table = Some(table);
-        self.tags = tags;
+        JoinTable {
+            rows,
+            keys,
+            starts,
+            matches,
+            tags,
+        }
     }
+}
+
+/// One build batch with the hashes of its keys, and its position in the build
+/// stream.
+struct BuildChunk {
+    position: usize,
+    batch: Batch,
+    hashes: Vec<u64>,
 }
 
 /// Per-worker sink of the join build. Only fed by [`morsel::drive_batches`], where
-/// each morsel is exactly one batch — so the `(morsel_idx << 32) | row` tag is the
-/// row's unique global position in the build stream, and sorting a key's rows by
-/// tag restores stream order.
+/// each morsel is exactly one batch — so the morsel index is the batch's unique
+/// position in the build stream.
 struct JoinBuildSink<'x> {
     keys: &'x [usize],
-    partitions: Vec<JoinPartition>,
+    chunks: Vec<BuildChunk>,
 }
 
 impl MorselSink for JoinBuildSink<'_> {
-    fn consume(&mut self, morsel_idx: usize, batch: &Batch) {
-        for row in 0..batch.len() {
-            let key = HashedKey::new(GroupKey(
-                self.keys.iter().map(|&k| batch.value(row, k)).collect(),
-            ));
-            let tag = ((morsel_idx as u64) << 32) | row as u64;
-            self.partitions[key.partition()]
-                .entry(key)
-                .or_default()
-                .push((tag, batch.row(row)));
-        }
+    fn consume(&mut self, morsel_idx: usize, batch: Batch) {
+        let keys: Vec<&Column> = self.keys.iter().map(|&k| batch.column(k)).collect();
+        let hashes = hash_rows(&keys, batch.len());
+        self.chunks.push(BuildChunk {
+            position: morsel_idx,
+            batch,
+            hashes,
+        });
     }
 }
 
-/// Merge one radix partition of every build worker: concatenate each key's tagged
-/// rows, then sort by tag to restore the build stream's order.
-fn merge_join_partition(parts: Vec<JoinPartition>) -> JoinPartition {
-    let mut iter = parts.into_iter();
-    let mut acc = iter.next().unwrap_or_default();
-    for part in iter {
-        for (key, mut rows) in part {
-            acc.entry(key).or_default().append(&mut rows);
-        }
-    }
-    for rows in acc.values_mut() {
-        rows.sort_unstable_by_key(|&(tag, _)| tag);
-    }
-    acc
-}
-
-fn tag_slot(key: &HashedKey, words: usize) -> (usize, u32) {
-    ((key.hash as usize) % words, (key.hash >> 32) as u32 % 64)
+fn tag_slot(hash: u64, words: usize) -> (usize, u32) {
+    ((hash as usize) % words, (hash >> 32) as u32 % 64)
 }
 
 impl<'a> Operator for HashJoinOp<'a> {
     fn next_batch(&mut self) -> Option<Batch> {
-        self.build_table();
+        if self.table.is_none() {
+            self.table = Some(self.build_table());
+        }
         let table = self.table.as_ref().expect("built above");
         let batch = self.probe.next_batch()?;
-        let mut out = Batch::new(&self.output_types);
-        for row in 0..batch.len() {
-            let key = GroupKey(
-                self.probe_keys
-                    .iter()
-                    .map(|&k| batch.value(row, k))
-                    .collect(),
-            );
-            if key.0.iter().any(|v| v.is_null()) {
+        let keys: Vec<&Column> = self.probe_keys.iter().map(|&k| batch.column(k)).collect();
+        let hashes = hash_rows(&keys, batch.len());
+        // Matching (build row, probe row) pairs, in probe order.
+        let (mut build_rows, mut probe_rows) = (Vec::new(), Vec::new());
+        for (row, &hash) in hashes.iter().enumerate() {
+            if keys.iter().any(|column| column.is_null(row)) {
                 continue; // NULL keys never join
             }
-            let key = HashedKey::new(key);
             if self.early_probe {
-                let slot = tag_slot(&key, self.tags.len());
-                if self.tags[slot.0] & (1 << slot.1) == 0 {
+                let (word, bit) = tag_slot(hash, table.tags.len());
+                if table.tags[word] & (1 << bit) == 0 {
                     continue;
                 }
             }
-            if let Some(build_rows) = table[key.partition()].get(&key) {
-                match self.join_type {
-                    JoinType::Inner => {
-                        for (_, build_row) in build_rows {
-                            let mut row_values = build_row.clone();
-                            row_values.extend(batch.row(row));
-                            out.push_row(row_values);
-                        }
-                    }
-                    JoinType::ProbeSemi => out.push_row(batch.row(row)),
+            let Ok(key) = table.keys.probe(&keys, row, hash) else {
+                continue;
+            };
+            match self.join_type {
+                JoinType::Inner => {
+                    let (from, to) = (table.starts[key as usize], table.starts[key as usize + 1]);
+                    build_rows.extend_from_slice(&table.matches[from as usize..to as usize]);
+                    probe_rows.extend((from..to).map(|_| row as u32));
                 }
+                JoinType::ProbeSemi => probe_rows.push(row as u32),
             }
         }
-        Some(out)
+        Some(match self.join_type {
+            JoinType::Inner => {
+                let mut columns = table.rows.take(&build_rows).into_columns();
+                columns.extend(batch.take(&probe_rows).into_columns());
+                Batch::from_columns(columns)
+            }
+            JoinType::ProbeSemi if probe_rows.len() == batch.len() => batch,
+            JoinType::ProbeSemi => batch.take(&probe_rows),
+        })
     }
 
     fn output_types(&self) -> Vec<DataType> {
@@ -890,7 +1279,11 @@ impl SortKey {
     }
 }
 
-/// Sort (and optionally limit) the full input — a pipeline breaker.
+/// Sort (and optionally limit) the full input — a pipeline breaker. The input is
+/// concatenated column-wise, a permutation of its row numbers is sorted over the
+/// typed key columns (ties keep input order, as a stable sort would; with a limit
+/// the leading rows are selected before they are sorted), and the output is
+/// gathered once.
 pub struct SortOp<'a> {
     input: BoxedOperator<'a>,
     keys: Vec<SortKey>,
@@ -919,27 +1312,11 @@ impl<'a> Operator for SortOp<'a> {
             return None;
         }
         self.done = true;
-        let mut rows: Vec<Vec<Value>> = Vec::new();
-        let types = self.types.clone();
-        while let Some(batch) = self.input.next_batch() {
-            for row in 0..batch.len() {
-                rows.push(batch.row(row));
-            }
-        }
-        rows.sort_by(|a, b| {
-            for key in &self.keys {
-                let ord = a[key.column].total_cmp(&b[key.column]);
-                let ord = if key.descending { ord.reverse() } else { ord };
-                if ord != std::cmp::Ordering::Equal {
-                    return ord;
-                }
-            }
-            std::cmp::Ordering::Equal
-        });
-        if let Some(limit) = self.limit {
-            rows.truncate(limit);
-        }
-        Some(Batch::from_rows(&types, &rows))
+        let rows = collect_operator(self.input.as_mut());
+        let keys: Vec<(&Column, bool)> = (self.keys.iter())
+            .map(|key| (rows.column(key.column), key.descending))
+            .collect();
+        Some(rows.take(&sorted_rows(&keys, rows.len(), self.limit)))
     }
 
     fn output_types(&self) -> Vec<DataType> {
@@ -1205,6 +1582,141 @@ mod tests {
             Value::Int(10),
             "ties broken by descending col0"
         );
+    }
+
+    #[test]
+    fn sort_breaks_ties_by_input_position_for_every_limit() {
+        // Q3's shape: a limit over many rows with few distinct sort keys, fed in
+        // several batches. The reference is a stable sort of the rows.
+        let input = rows(120);
+        let mut expected = input.clone();
+        expected.sort_by(|a, b| a[2].total_cmp(&b[2]).reverse().then(a[1].total_cmp(&b[1])));
+        for limit in [
+            None,
+            Some(0),
+            Some(1),
+            Some(10),
+            Some(119),
+            Some(120),
+            Some(500),
+        ] {
+            let mut sort = SortOp::new(
+                batches_op(&batches_of(&input, 17)),
+                vec![SortKey::desc(2), SortKey::asc(1)],
+                limit,
+            );
+            let keep = limit.unwrap_or(usize::MAX).min(expected.len());
+            assert_rows_identical(
+                &sort.collect_all(),
+                &expected[..keep],
+                &format!("limit {limit:?}"),
+            );
+        }
+    }
+
+    #[test]
+    fn project_moves_copies_and_widens_columns() {
+        let mut project = ProjectOp::new(
+            values_op(4),
+            // a column used twice (one copy, one move), declared wider the second time
+            vec![
+                Expr::col(0),
+                Expr::col(2),
+                Expr::col(0),
+                Expr::Const(Value::Null),
+            ],
+            vec![
+                DataType::Int,
+                DataType::Str,
+                DataType::Double,
+                DataType::Str,
+            ],
+        );
+        let result = project.collect_all();
+        assert_eq!(
+            result.row(3),
+            vec![
+                Value::Int(3),
+                Value::Str("g0".into()),
+                Value::Double(3.0),
+                Value::Null
+            ]
+        );
+        assert_eq!(result.types(), project.output_types());
+    }
+
+    #[test]
+    #[should_panic(expected = "type mismatch")]
+    fn project_rejects_a_declaration_the_values_cannot_take() {
+        ProjectOp::new(values_op(4), vec![Expr::col(2)], vec![DataType::Int]).collect_all();
+    }
+
+    #[test]
+    fn aggregates_come_out_in_their_declared_types() {
+        let mut agg = HashAggregateOp::new(
+            values_op(10),
+            vec![Expr::Const(Value::Null)],
+            vec![DataType::Str],
+            vec![
+                AggSpec::new(AggFunc::Sum, Expr::col(0), DataType::Double),
+                AggSpec::new(AggFunc::Min, Expr::Const(Value::Null), DataType::Str),
+                AggSpec::new(AggFunc::Max, Expr::col(2), DataType::Str),
+                AggSpec::new(AggFunc::Count, Expr::Const(Value::Null), DataType::Int),
+            ],
+        );
+        let result = agg.collect_all();
+        assert_eq!(result.types(), agg.output_types());
+        assert_eq!(
+            result.row(0),
+            vec![
+                Value::Null,
+                Value::Double(45.0),
+                Value::Null,
+                Value::Str("g2".into()),
+                Value::Int(0)
+            ]
+        );
+    }
+
+    #[test]
+    fn sum_over_a_case_of_int_and_double_is_a_double_sum_from_the_first_row() {
+        // The row-at-a-time interpreter this replaced summed such a column as
+        // integers until the first double arrived; a column has one type, so the
+        // Int arm widens up front and the sum is over doubles from the start —
+        // the same bits while the integers (and their partial sums) stay below
+        // 2^53, which is the agreement pinned here.
+        let input = rows(64);
+        let mixed = Expr::Case(
+            Box::new(Expr::col(0).cmp(CmpOp::Lt, Expr::lit(0i64))),
+            Box::new(Expr::col(0)),
+            Box::new(Expr::col(3)),
+        );
+        let mut agg = HashAggregateOp::new(
+            batches_op(&batches_of(&input, 9)),
+            vec![],
+            vec![],
+            vec![AggSpec::new(AggFunc::Sum, mixed, DataType::Double)],
+        );
+        let (mut as_doubles, mut as_values) = (-0.0f64, None::<Value>);
+        for row in &input {
+            let (int, double) = (row[0].as_int().unwrap(), row[3].as_double().unwrap());
+            as_doubles += if int < 0 { int as f64 } else { double };
+            // the old accumulation: Int + Int exact, widening when a Double arrives
+            let term = if int < 0 {
+                row[0].clone()
+            } else {
+                row[3].clone()
+            };
+            as_values = Some(match (as_values, term) {
+                (None, term) => term,
+                (Some(Value::Int(a)), Value::Int(b)) => Value::Int(a + b),
+                (Some(a), b) => Value::Double(a.as_double().unwrap() + b.as_double().unwrap()),
+            });
+        }
+        let got = agg.collect_all().value(0, 0).as_double().unwrap();
+        assert_eq!(got.to_bits(), as_doubles.to_bits());
+        let old = as_values.unwrap().as_double().unwrap();
+        assert_eq!(got.to_bits(), old.to_bits(), "{got} vs {old}");
     }
 
     #[test]
@@ -1478,32 +1990,22 @@ mod tests {
         let input = rows(60);
         let group_exprs = [Expr::col(1)];
         let aggregates = all_aggs();
+        let types = agg_output_types(&[DataType::Int], &aggregates);
         let build = |order: &[usize]| -> Batch {
-            let per_worker: Vec<Vec<AggPartition>> = order
+            let tables: Vec<AggTable> = order
                 .iter()
                 .map(|&w| {
                     let third: Vec<Vec<Value>> = input.iter().skip(w).step_by(3).cloned().collect();
                     let mut sink = AggBuildSink {
                         group_exprs: &group_exprs,
                         aggregates: &aggregates,
-                        partitions: (0..RADIX_PARTITIONS).map(|_| AggPartition::new()).collect(),
+                        table: AggTable::new(&group_exprs, &aggregates, &TYPES),
                     };
-                    sink.consume(w, &Batch::from_rows(&TYPES, &third));
-                    sink.partitions
+                    sink.consume(w, Batch::from_rows(&TYPES, &third));
+                    sink.table
                 })
                 .collect();
-            let merged =
-                morsel::merge_partitionwise(per_worker, 2, |_, parts| merge_agg_partition(parts));
-            let entries = merged
-                .into_iter()
-                .flatten()
-                .map(|(hashed, states)| (hashed.key, states))
-                .collect();
-            emit_groups(
-                entries,
-                &aggregates,
-                &agg_output_types(&[DataType::Int], &aggregates),
-            )
+            merge_and_emit(tables, 2, group_exprs.len(), &types)
         };
         let reference = build(&[0, 1, 2]);
         assert!(reference.len() > 3);
@@ -1535,6 +2037,42 @@ mod tests {
             .map(|i| radix_partition(&[Value::Int(i)]))
             .collect();
         assert!(hit.len() > 8, "only {} partitions hit", hit.len());
+    }
+
+    #[test]
+    fn key_hash_is_std_hash_of_the_tagged_values() {
+        // The bytes `Cell::write_to` lays out are the ones `Hash::hash` writes for a
+        // tag byte followed by the value — the key hash this module always used —
+        // so partition assignment did not move when hashing went columnar.
+        use std::hash::Hash;
+        let keys = [
+            vec![Value::Int(-7), Value::Str("abc".into()), Value::Null],
+            vec![Value::Double(-0.0), Value::Str(String::new())],
+            vec![],
+        ];
+        for key in &keys {
+            let mut hasher = DefaultHasher::new();
+            for value in key {
+                match value {
+                    Value::Null => 0u8.hash(&mut hasher),
+                    Value::Int(v) => (1u8, *v).hash(&mut hasher),
+                    Value::Double(v) => (2u8, v.to_bits()).hash(&mut hasher),
+                    Value::Str(s) => (3u8, s.as_str()).hash(&mut hasher),
+                }
+            }
+            assert_eq!(
+                radix_partition(key),
+                partition_of(hasher.finish()),
+                "{key:?}"
+            );
+            // a column row hashes like the same values
+            let types: Vec<DataType> = (key.iter())
+                .map(|v| v.data_type().unwrap_or(DataType::Int))
+                .collect();
+            let batch = Batch::from_rows(&types, std::slice::from_ref(key));
+            let columns: Vec<&Column> = batch.columns().iter().collect();
+            assert_eq!(hash_rows(&columns, 1), [hasher.finish()], "{key:?}");
+        }
     }
 
     /// The join's reference: a nested loop in probe-stream order, build rows of a

@@ -178,6 +178,14 @@ pub fn reference_rows(case: &FuzzCase) -> Result<Vec<Vec<Value>>, String> {
     reference::execute(&case.catalog, &case.ir).map(|table| table.rows)
 }
 
+/// The value the reference interpreter gives `expr` on one input row: the
+/// row-at-a-time semantics the engine's column kernels are held to
+/// (`tests/property_based.rs` compares `exec::Expr::evaluate` against it on
+/// random expressions, batches and selection vectors).
+pub fn reference_eval(expr: &crate::ir::IrExpr, row: &[Value]) -> Result<Value, String> {
+    reference::eval_expr(expr, row)
+}
+
 /// Like [`check_case`], but executing `engine_ir` (when given) through the
 /// planner while the reference interpreter runs `case.ir`. Passing a mutated
 /// plan as `engine_ir` simulates a planner mis-compilation — the harness's

@@ -3,12 +3,15 @@
 //!
 //! The interpreter evaluates the IR directly over the catalog's in-memory row
 //! vectors: no planner, no compression, no morsels, no push-down, no hash
-//! tables beyond a plain `HashMap`. Value-level primitives are deliberately
-//! *shared* with the engine (`exec::arith`, `Value::sql_cmp`,
-//! `CmpOp::eval_ordering`, `Value::total_cmp`) so the two sides agree on SQL
-//! scalar semantics by construction and the differential isolates plan-level
-//! behaviour: push-down, morsel scheduling, compression, spilling, join and
-//! aggregation strategy.
+//! tables beyond a plain `HashMap`. It shares **no evaluation code** with the
+//! engine: expressions are walked per row over [`Value`]s with the scalar
+//! arithmetic written out below ([`arith`]), while the engine evaluates typed
+//! columns under selection vectors (`exec::expr`) — so the differential covers
+//! scalar semantics as well as plan-level behaviour (push-down, morsel
+//! scheduling, compression, spilling, join and aggregation strategy). What the
+//! two sides do share is the value model of `datablocks` (`Value::sql_cmp`,
+//! `Value::total_cmp`, `CmpOp::eval_ordering`), which the storage layer's own
+//! tests pin.
 //!
 //! Ordering contracts mirrored here (the engine guarantees them at every
 //! thread count):
@@ -26,7 +29,7 @@ use std::collections::HashMap;
 use datablocks::scan::CmpOpOrderingExt;
 use datablocks::{DataType, Value};
 use exec::ops::{AggFunc, JoinType};
-use exec::{arith, ArithOp};
+use exec::ArithOp;
 
 use crate::ir::{AggItem, ExprKind, IrExpr, Node, PredicateKind, QueryIr, TypedExpr};
 
@@ -193,6 +196,30 @@ fn predicate_matches(kind: &PredicateKind, value: &Value) -> bool {
     }
 }
 
+/// Scalar arithmetic, the oracle's own: NULL propagates; Int ∘ Int stays Int except
+/// for division, which is always Double; any Double operand widens the other; a
+/// zero divisor yields NULL; a string operand yields NULL.
+fn arith(op: ArithOp, lhs: &Value, rhs: &Value) -> Value {
+    if let (Value::Int(a), Value::Int(b)) = (lhs, rhs) {
+        match op {
+            ArithOp::Add => return Value::Int(a + b),
+            ArithOp::Sub => return Value::Int(a - b),
+            ArithOp::Mul => return Value::Int(a * b),
+            ArithOp::Div => {}
+        }
+    }
+    let (Some(a), Some(b)) = (lhs.as_double(), rhs.as_double()) else {
+        return Value::Null;
+    };
+    match op {
+        ArithOp::Add => Value::Double(a + b),
+        ArithOp::Sub => Value::Double(a - b),
+        ArithOp::Mul => Value::Double(a * b),
+        ArithOp::Div if b == 0.0 => Value::Null,
+        ArithOp::Div => Value::Double(a / b),
+    }
+}
+
 /// SQL-ish truthiness: NULL is unknown, zero and the empty string are false.
 fn truthy(value: &Value) -> Option<bool> {
     match value {
@@ -203,7 +230,7 @@ fn truthy(value: &Value) -> Option<bool> {
     }
 }
 
-fn eval_expr(expr: &IrExpr, row: &[Value]) -> Result<Value, String> {
+pub(super) fn eval_expr(expr: &IrExpr, row: &[Value]) -> Result<Value, String> {
     Ok(match &expr.kind {
         ExprKind::Col(idx) => row
             .get(*idx)

@@ -418,6 +418,14 @@ impl<'a> Planner<'a> {
                 let (phys, in_types) = self.plan_node(input)?;
                 let (out_exprs, out_types) =
                     self.check_typed_exprs(exprs, &in_types, "a projected expression")?;
+                // Every input column in place is the input itself: no operator.
+                // (A projection that permutes, drops or repeats columns stays, and
+                // executes as column moves.)
+                let identity = out_exprs.len() == in_types.len()
+                    && (out_exprs.iter().enumerate()).all(|(i, e)| *e == Expr::Col(i));
+                if identity {
+                    return Ok((phys, in_types));
+                }
                 Ok((
                     PhysNode::Project {
                         input: Box::new(phys),
@@ -1277,6 +1285,57 @@ mod tests {
         // minus rows where price == qty (price >= 100 > 49, never) → 400.
         let batch = plan.execute(&db);
         assert_eq!(batch.value(0, 0), Value::Int(400));
+    }
+
+    #[test]
+    fn identity_projection_is_elided() {
+        let db = tiny_db();
+        let plan_sql = |text: &str| {
+            let ir = crate::parse_sql(&db, text).unwrap();
+            Planner::new(&db, ScanConfig::default()).plan(&ir).unwrap()
+        };
+        // the shape of bench_layers' fetch: the scan already yields the select list
+        let fetch = plan_sql("SELECT id, qty, price FROM t WHERE qty BETWEEN 10 AND 14");
+        let text = fetch.to_string();
+        let tree = text.split_once('\n').expect("header line, then the tree").1;
+        assert_eq!(
+            tree, "scan t cols=[id, qty, price] preds=[qty between 10 and 14]\n",
+            "{text}"
+        );
+        assert_eq!(fetch.output_types(), [DataType::Int; 3]);
+        assert_eq!(fetch.execute(&db).len(), 200);
+        // a permutation and a repetition are real projections
+        for (exprs, head) in [
+            ("[1, 0]", "project [#1:int, #0:int]"),
+            ("[0, 0]", "project [#0:int, #0:int]"),
+            ("[0]", "project [#0:int]"),
+        ] {
+            let exprs: Vec<String> = (exprs.trim_matches(['[', ']']).split(", "))
+                .map(|col| format!(r#"{{"expr": {{"col": {col}}}, "type": "int"}}"#))
+                .collect();
+            let plan = plan_text(
+                &db,
+                ScanConfig::default(),
+                &format!(
+                    r#"{{"version": 1, "plan": {{
+                        "op": "project",
+                        "input": {{"op": "scan", "relation": "t", "columns": ["qty", "id"]}},
+                        "exprs": [{}]
+                    }}}}"#,
+                    exprs.join(", ")
+                ),
+            );
+            let text = plan.to_string();
+            assert!(text.contains(head), "{text}");
+            let batch = plan.execute(&db);
+            assert_eq!(batch.len(), 2_000, "{head}");
+            let last = batch.column_count() - 1;
+            assert_eq!(
+                batch.value(57, last),
+                Value::Int(7),
+                "{head}: qty of row 57"
+            );
+        }
     }
 
     #[test]

@@ -102,3 +102,85 @@ fn compression_shrinks_tpch_and_layouts_are_diverse() {
     assert!(total_ratio / tpch::RELATIONS.len() as f64 > 1.3);
     assert!(layouts >= tpch::RELATIONS.len());
 }
+
+// ------------------------------------------------------- cross-commit answer pin
+
+/// The rendering of `crates/workloads/queries/answers/*.txt`: a `types:` line, then
+/// one line per row, doubles as `to_bits()` hex.
+fn render(batch: &data_blocks::exec::Batch) -> String {
+    use data_blocks::datablocks::Value;
+    let types: Vec<String> = batch.types().iter().map(|t| t.to_string()).collect();
+    let mut out = format!("types: {}\n", types.join(" "));
+    for row in 0..batch.len() {
+        let cells: Vec<String> = batch
+            .row(row)
+            .iter()
+            .map(|value| match value {
+                Value::Null => "NULL".to_string(),
+                Value::Int(v) => format!("i:{v}"),
+                Value::Double(v) => format!("d:{:016x}", v.to_bits()),
+                Value::Str(s) => format!("s:{s:?}"),
+            })
+            .collect();
+        out.push_str(&cells.join(" "));
+        out.push('\n');
+    }
+    out
+}
+
+fn pinned_answer(query: &str) -> &'static str {
+    match query {
+        "Q1" => include_str!("../crates/workloads/queries/answers/q1.txt"),
+        "Q3" => include_str!("../crates/workloads/queries/answers/q3.txt"),
+        "Q6" => include_str!("../crates/workloads/queries/answers/q6.txt"),
+        "Q12" => include_str!("../crates/workloads/queries/answers/q12.txt"),
+        "Q14" => include_str!("../crates/workloads/queries/answers/q14.txt"),
+        other => panic!("no pinned answer for {other}"),
+    }
+}
+
+/// The answers under `queries/answers/` were written by the commit *before* the
+/// operators went column-at-a-time (PR 14), at SF 0.01, 4096-row blocks, one
+/// worker. The differentials elsewhere compare hand-built trees with planned SQL —
+/// both of which run on `exec::ops`, so a slip in a shared kernel passes them. This
+/// one cannot be satisfied by two paths agreeing with each other: one worker must
+/// reproduce the pinned bytes (double sums in row order, group and sort order,
+/// types), and more workers may only reassociate the double sums.
+#[test]
+fn answers_are_byte_identical_to_the_pinned_ones_at_one_worker() {
+    use data_blocks::datablocks::Value;
+    let mut db = TpchDb::generate_with_chunk(0.01, 4_096);
+    db.freeze();
+    for query in tpch::QUERY_SUBSET {
+        let pinned = pinned_answer(query);
+        let one = ScanConfig::default().with_threads(1);
+        let hand = tpch::run_query(&db, query, one).batch;
+        assert_eq!(render(&hand), pinned, "{query}, hand-built tree");
+        assert_eq!(
+            render(&tpch::run_query_ir(&db, query, one)),
+            pinned,
+            "{query}, IR"
+        );
+        assert_eq!(
+            render(&tpch::run_query_sql(&db, query, one)),
+            pinned,
+            "{query}, SQL"
+        );
+        for threads in [2usize, 4, 8] {
+            let got = tpch::run_query_sql(&db, query, ScanConfig::default().with_threads(threads));
+            assert_eq!(got.types(), hand.types(), "{query} threads {threads}");
+            assert_eq!(got.len(), hand.len(), "{query} threads {threads}");
+            for row in 0..hand.len() {
+                for (a, b) in got.row(row).iter().zip(hand.row(row)) {
+                    match (a, &b) {
+                        (Value::Double(x), Value::Double(y)) => assert!(
+                            (x - y).abs() <= 1e-9 * x.abs().max(y.abs()).max(1.0),
+                            "{query} threads {threads} row {row}: {x} vs {y}"
+                        ),
+                        _ => assert_eq!(a, &b, "{query} threads {threads} row {row}"),
+                    }
+                }
+            }
+        }
+    }
+}
