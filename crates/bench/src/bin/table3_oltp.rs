@@ -4,7 +4,7 @@
 //! (with and without PSMAs), for key-ordered and shuffled physical layouts.
 
 use datablocks::{ScanOptions, Value};
-use db_bench::{print_table_header, print_table_row, tpch_scale_factor};
+use db_bench::{env_knob, print_table_header, print_table_row, tpch_scale_factor};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use storage::Relation;
@@ -73,12 +73,7 @@ fn main() {
     let sf = tpch_scale_factor();
     let customers = workloads::tpch::cardinality("customer", sf) as i64;
     println!("customer relation: {customers} records (TPC-H sf {sf})");
-    let budget = std::time::Duration::from_millis(
-        std::env::var("OLTP_MS")
-            .ok()
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(300),
-    );
+    let budget = std::time::Duration::from_millis(env_knob("OLTP_MS", 300));
 
     // ordered and shuffled variants
     let base = TpchDb::generate(sf);

@@ -4,18 +4,12 @@
 //! into Data Blocks. Experiment 2: the read-only transactions (order-status,
 //! stock-level) over a completely hot vs completely frozen database.
 
-use db_bench::{print_table_header, print_table_row};
+use db_bench::{env_knob, print_table_header, print_table_row};
 use workloads::TpccDb;
 
 fn main() {
-    let warehouses: i64 = std::env::var("TPCC_WAREHOUSES")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(5);
-    let write_txns: usize = std::env::var("TPCC_TXNS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(20_000);
+    let warehouses: i64 = env_knob("TPCC_WAREHOUSES", 5);
+    let write_txns: usize = env_knob("TPCC_TXNS", 20_000);
     let widths = [44usize, 18];
 
     // Experiment 1: new-order throughput, hot vs old-neworders-frozen.

@@ -1,22 +1,22 @@
 //! # db-bench — harness regenerating every table and figure of the paper
 //!
-//! Each table and figure of the evaluation section has a dedicated binary in
-//! `src/bin/` (see DESIGN.md for the experiment index); micro-benchmarks for the
-//! SIMD kernels live in `benches/` as hand-rolled `harness = false` binaries (the
-//! build environment is offline, so Criterion is unavailable). This library holds
-//! the shared plumbing — timing, cycle conversion, geometric means and table
-//! formatting — and the Figure 5 compile-time cost model ([`jit`]), which models the
-//! engine the paper compares against and is no part of this one.
+//! Each table and figure of the evaluation section that this engine can reproduce
+//! has a dedicated binary in `src/bin/` (ARCHITECTURE.md, "Benchmarks", is the
+//! experiment index; Figure 5 is not among them — it needs a JIT compiler). The
+//! repository's *benchmark* is not here: that is `bench_layers/` + `BENCHMARK.json`.
+//! This library holds the bins' shared plumbing — timing, cycle conversion,
+//! geometric means, table formatting and the knobs.
 //!
-//! All binaries honour two environment variables:
-//!
-//! * `TPCH_SF` — TPC-H scale factor used by the query benchmarks (default 0.01).
+//! * `TPCH_SF` — TPC-H scale factor used by the query experiments (default 0.01).
 //! * `BENCH_ROWS` — row count used by the data-set size experiments (default varies
 //!   per binary).
+//! * `--threads N` / `THREADS` — scan workers, for the bins that take them.
+//! * `CPU_GHZ`, and per bin `TPCC_WAREHOUSES`, `TPCC_TXNS`, `OLTP_MS`.
+//!
+//! All of them go through [`env_knob`]: a knob that is set but does not parse exits
+//! 2; it never falls back to the default.
 
 #![warn(missing_docs)]
-
-pub mod jit;
 
 use std::time::{Duration, Instant};
 
@@ -24,11 +24,7 @@ use std::time::{Duration, Instant};
 /// way the paper reports micro-benchmark costs. Override with the `CPU_GHZ`
 /// environment variable if the host differs significantly.
 pub fn cpu_hz() -> f64 {
-    std::env::var("CPU_GHZ")
-        .ok()
-        .and_then(|v| v.parse::<f64>().ok())
-        .map(|ghz| ghz * 1e9)
-        .unwrap_or(2.3e9)
+    env_knob("CPU_GHZ", 2.3) * 1e9
 }
 
 /// Convert a measured duration over `items` processed elements into cycles/element.
@@ -37,13 +33,6 @@ pub fn cycles_per_element(elapsed: Duration, items: usize) -> f64 {
         return 0.0;
     }
     elapsed.as_secs_f64() * cpu_hz() / items as f64
-}
-
-/// Time a closure once.
-pub fn time_once<T>(f: impl FnOnce() -> T) -> (T, Duration) {
-    let start = Instant::now();
-    let out = f();
-    (out, start.elapsed())
 }
 
 /// Time a closure: one warm-up run, then the median of `runs` timed runs.
@@ -72,12 +61,40 @@ pub fn geometric_mean(durations: &[Duration]) -> Duration {
     Duration::from_secs_f64((log_sum / durations.len() as f64).exp())
 }
 
-/// Scale factor for TPC-H experiments (`TPCH_SF`, default 0.01).
+/// The parse step every knob shares: a supplied value that is missing or does not
+/// parse is an error naming the knob, never a silent fall-back to the default.
+fn parse_knob<T: std::str::FromStr>(knob: &str, value: Option<&str>) -> Result<T, String> {
+    value.and_then(|v| v.parse().ok()).ok_or_else(|| {
+        format!(
+            "{knob} requires a value of type {} (got {value:?})",
+            std::any::type_name::<T>()
+        )
+    })
+}
+
+/// [`parse_knob`], aborting the bin on an error: numbers recorded at a default the
+/// caller did not ask for (a misspelled thread count, scale factor or row count) are
+/// wrong numbers under the right label.
+fn parse_or_die<T: std::str::FromStr>(knob: &str, value: Option<&str>) -> T {
+    parse_knob(knob, value).unwrap_or_else(|message| {
+        eprintln!("error: {message}");
+        std::process::exit(2);
+    })
+}
+
+/// An environment knob, the one way a bin reads one: unset → `default`; set →
+/// parsed, or a message and exit 2.
+pub fn env_knob<T: std::str::FromStr>(name: &str, default: T) -> T {
+    match std::env::var(name) {
+        Ok(value) => parse_or_die(name, Some(&value)),
+        Err(_) => default,
+    }
+}
+
+/// Scale factor for TPC-H experiments (`TPCH_SF`, default 0.01). A set but
+/// unparsable value aborts the benchmark (exit 2).
 pub fn tpch_scale_factor() -> f64 {
-    std::env::var("TPCH_SF")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(0.01)
+    env_knob("TPCH_SF", 0.01)
 }
 
 /// Scan worker threads for the parallel-scan benchmarks: the `--threads N` (or
@@ -85,40 +102,23 @@ pub fn tpch_scale_factor() -> f64 {
 /// variable, defaulting to 1 (serial). `0` means "all hardware threads".
 ///
 /// An explicitly supplied `--threads` flag or `THREADS` variable with a missing or
-/// unparsable value aborts the benchmark: recording serial numbers under a misspelled
-/// thread count would poison the perf trajectory silently.
+/// unparsable value aborts the benchmark (exit 2).
 pub fn threads_arg() -> usize {
-    fn parse_or_die(value: Option<String>) -> usize {
-        match value.as_deref().map(str::parse) {
-            Some(Ok(n)) => n,
-            _ => {
-                eprintln!(
-                    "error: --threads / THREADS requires a non-negative integer (got {value:?})"
-                );
-                std::process::exit(2);
-            }
-        }
-    }
     let mut args = std::env::args();
     while let Some(arg) = args.next() {
         if arg == "--threads" {
-            return parse_or_die(args.next());
+            return parse_or_die("--threads", args.next().as_deref());
         } else if let Some(value) = arg.strip_prefix("--threads=") {
-            return parse_or_die(Some(value.to_string()));
+            return parse_or_die("--threads", Some(value));
         }
     }
-    match std::env::var("THREADS") {
-        Ok(value) => parse_or_die(Some(value)),
-        Err(_) => 1,
-    }
+    env_knob("THREADS", 1)
 }
 
-/// Row count for data-set experiments (`BENCH_ROWS`, with a per-binary default).
+/// Row count for data-set experiments (`BENCH_ROWS`, with a per-binary default). A set
+/// but unparsable value aborts the benchmark (exit 2).
 pub fn bench_rows(default: usize) -> usize {
-    std::env::var("BENCH_ROWS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
+    env_knob("BENCH_ROWS", default)
 }
 
 /// Format a duration in the most readable unit.
@@ -143,139 +143,6 @@ pub fn fmt_bytes(bytes: usize) -> String {
         unit += 1;
     }
     format!("{value:.2} {}", UNITS[unit])
-}
-
-/// Every trajectory benchmark and the JSON file its binary emits, in the order the
-/// CI job runs them. `bench_trajectory` folds these into `BENCH_trajectory.jsonl`;
-/// `bench_gate` compares them against the last trajectory entry.
-pub const BENCHMARK_FILES: &[(&str, &str)] = &[
-    ("scan", "BENCH_scan.json"),
-    ("agg", "BENCH_agg.json"),
-    ("io", "BENCH_io.json"),
-    ("join", "BENCH_join.json"),
-    ("oltp", "BENCH_oltp.json"),
-    ("service", "BENCH_service.json"),
-    ("wire", "BENCH_wire.json"),
-];
-
-/// Fold raw `(shape, threads, rows_per_s)` measurements down to the best rows/s
-/// per shape, in first-seen (emission) order. This is THE folding both
-/// `bench_trajectory` (when recording points) and `bench_gate` (when comparing
-/// against them) apply, so the gate always compares like against like.
-pub fn fold_best_per_shape(entries: Vec<(String, usize, f64)>) -> Vec<(String, usize, f64)> {
-    let mut shapes: Vec<(String, usize, f64)> = Vec::new();
-    for (shape, threads, rows_per_s) in entries {
-        match shapes.iter_mut().find(|(s, _, _)| *s == shape) {
-            Some(best) if best.2 >= rows_per_s => {}
-            Some(best) => *best = (shape, threads, rows_per_s),
-            None => shapes.push((shape, threads, rows_per_s)),
-        }
-    }
-    shapes
-}
-
-/// Unicode-block sparkline of a series, one glyph per value, scaled min→max
-/// (`▁` for the minimum, `█` for the maximum; a flat series renders mid-height).
-/// This is what the CI trajectory report embeds next to each benchmark shape.
-pub fn sparkline(values: &[f64]) -> String {
-    const LEVELS: [char; 8] = ['▁', '▂', '▃', '▄', '▅', '▆', '▇', '█'];
-    let (mut min, mut max) = (f64::INFINITY, f64::NEG_INFINITY);
-    for &v in values {
-        min = min.min(v);
-        max = max.max(v);
-    }
-    values
-        .iter()
-        .map(|&v| {
-            if !min.is_finite() || !max.is_finite() || max <= min {
-                LEVELS[3] // flat (or degenerate) series: mid-height bar
-            } else {
-                let t = (v - min) / (max - min);
-                LEVELS[((t * 7.0).round() as usize).min(7)]
-            }
-        })
-        .collect()
-}
-
-/// The gate's baseline: the **best** rows/s among the last `k` trajectory
-/// entries for `(benchmark, shape)` that were recorded at `threads` — comparing
-/// against a small window's peak instead of just the previous push keeps one
-/// noisy run from raising (or burying) a warning. Entries at other thread
-/// counts are skipped (different hardware parallelism is not comparable);
-/// `None` means nothing comparable in the window.
-pub fn best_of_recent(
-    history: &[(String, String, usize, f64)],
-    benchmark: &str,
-    shape: &str,
-    threads: usize,
-    k: usize,
-) -> Option<f64> {
-    history
-        .iter()
-        .filter(|(b, s, _, _)| b == benchmark && s == shape)
-        .rev()
-        .take(k)
-        .filter(|(_, _, t, _)| *t == threads)
-        .map(|(_, _, _, rows_per_s)| *rows_per_s)
-        .fold(None, |best, v| Some(best.map_or(v, |b: f64| b.max(v))))
-}
-
-/// One parsed `BENCH_trajectory.jsonl` entry:
-/// `(benchmark, shape, threads, rows_per_s)`. Returns `None` for lines that are
-/// not trajectory points (blank lines, corrupt cache entries).
-pub fn parse_trajectory_line(line: &str) -> Option<(String, String, usize, f64)> {
-    let benchmark = json_string_value(line, "\"benchmark\":")?;
-    let shape = json_string_value(line, "\"shape\":")?;
-    let threads = json_number(line, "\"threads\":")? as usize;
-    let rows_per_s = json_number(line, "\"rows_per_s\":")?;
-    Some((benchmark, shape, threads, rows_per_s))
-}
-
-/// `(shape, threads, rows_per_s)` measurements extracted from a benchmark JSON
-/// file. The shape is the value of the line's first string-valued field (the bench
-/// binaries label each result object that way: `"scan": "tpch_q6"`,
-/// `"agg": "q1_groups"`), so distinct benchmark shapes stay distinguishable in the
-/// trajectory log instead of being folded into one number.
-///
-/// The bench binaries emit their JSON by hand (the build environment is offline, so
-/// serde is unavailable) with one result object per line; this parser is the
-/// matching dependency-free reader used by the `bench_trajectory` binary to fold
-/// `BENCH_scan.json` / `BENCH_agg.json` into the per-commit trajectory log.
-pub fn parse_bench_results(json: &str) -> Vec<(String, usize, f64)> {
-    json.lines()
-        .filter_map(|line| {
-            let threads = json_number(line, "\"threads\":")?;
-            let rows_per_s = json_number(line, "\"rows_per_s\":")?;
-            let shape = json_first_string_value(line).unwrap_or_else(|| "default".to_string());
-            Some((shape, threads as usize, rows_per_s))
-        })
-        .collect()
-}
-
-/// Extract the numeric value following `key` in a single JSON line.
-fn json_number(line: &str, key: &str) -> Option<f64> {
-    let start = line.find(key)? + key.len();
-    let rest = line[start..].trim_start();
-    let end = rest
-        .find(|c: char| c != '-' && c != '.' && c != 'e' && c != 'E' && !c.is_ascii_digit())
-        .unwrap_or(rest.len());
-    rest[..end].parse().ok()
-}
-
-/// Extract the first `"key": "value"` string value of a single JSON line.
-fn json_first_string_value(line: &str) -> Option<String> {
-    let start = line.find(": \"")? + 3;
-    let end = line[start..].find('"')?;
-    Some(line[start..start + end].to_string())
-}
-
-/// Extract the string value following `key` in a single JSON line.
-fn json_string_value(line: &str, key: &str) -> Option<String> {
-    let start = line.find(key)? + key.len();
-    let rest = line[start..].trim_start();
-    let rest = rest.strip_prefix('"')?;
-    let end = rest.find('"')?;
-    Some(rest[..end].to_string())
 }
 
 /// Print a header row followed by a separator, for the fixed-width tables the
@@ -328,9 +195,6 @@ mod tests {
 
     #[test]
     fn timing_helpers_return_results() {
-        let (v, d) = time_once(|| 41 + 1);
-        assert_eq!(v, 42);
-        assert!(d >= Duration::ZERO);
         let (v, d) = time_median(3, || (0..1000).sum::<u64>());
         assert_eq!(v, 499_500);
         assert!(d > Duration::ZERO);
@@ -346,98 +210,18 @@ mod tests {
     }
 
     #[test]
-    fn parse_bench_results_reads_handwritten_json() {
-        let json = "{\n  \"benchmark\": \"parallel_scan\",\n  \"results\": [\n    \
-                    {\"scan\": \"q6\", \"threads\": 1, \"rows_per_s\": 1200000, \"x\": 1},\n    \
-                    {\"agg\": \"q1_groups\", \"threads\": 4, \"rows_per_s\": 3500000.5},\n    \
-                    {\"threads\": 2, \"rows_per_s\": 7}\n  ]\n}\n";
-        let entries = parse_bench_results(json);
-        assert_eq!(
-            entries,
-            vec![
-                ("q6".to_string(), 1, 1_200_000.0),
-                ("q1_groups".to_string(), 4, 3_500_000.5),
-                ("default".to_string(), 2, 7.0),
-            ]
-        );
-        assert!(parse_bench_results("not json at all").is_empty());
-    }
-
-    #[test]
-    fn fold_best_per_shape_keeps_peak_and_order() {
-        let folded = fold_best_per_shape(vec![
-            ("q6".into(), 1, 100.0),
-            ("agg".into(), 1, 50.0),
-            ("q6".into(), 4, 400.0),
-            ("q6".into(), 8, 300.0),
-        ]);
-        assert_eq!(
-            folded,
-            vec![("q6".to_string(), 4, 400.0), ("agg".to_string(), 1, 50.0)]
-        );
-        assert!(fold_best_per_shape(Vec::new()).is_empty());
-    }
-
-    #[test]
-    fn parse_trajectory_line_roundtrip() {
-        let line = "{\"commit\": \"abc\", \"date\": \"2026-07-28\", \"benchmark\": \"join\", \
-                    \"shape\": \"orders_lineitem\", \"threads\": 4, \"rows_per_s\": 1500000}";
-        assert_eq!(
-            parse_trajectory_line(line),
-            Some((
-                "join".to_string(),
-                "orders_lineitem".to_string(),
-                4,
-                1_500_000.0
-            ))
-        );
-        assert_eq!(parse_trajectory_line(""), None);
-        assert_eq!(parse_trajectory_line("{\"benchmark\": \"scan\"}"), None);
-    }
-
-    #[test]
-    fn sparkline_scales_min_to_max() {
-        assert_eq!(sparkline(&[1.0, 2.0, 3.0]), "▁▅█");
-        assert_eq!(sparkline(&[3.0, 1.0]), "█▁");
-        // flat and degenerate series stay readable
-        assert_eq!(sparkline(&[5.0, 5.0, 5.0]), "▄▄▄");
-        assert_eq!(sparkline(&[]), "");
-        assert_eq!(sparkline(&[42.0]), "▄");
-    }
-
-    #[test]
-    fn best_of_recent_takes_window_peak_at_matching_threads() {
-        let history: Vec<(String, String, usize, f64)> = vec![
-            ("scan".into(), "q6".into(), 4, 900.0), // outside the window of 5
-            ("scan".into(), "q6".into(), 4, 100.0),
-            ("scan".into(), "q6".into(), 4, 300.0),
-            ("scan".into(), "q6".into(), 8, 999.0), // thread mismatch: skipped
-            ("scan".into(), "q6".into(), 4, 200.0),
-            ("scan".into(), "other".into(), 4, 777.0), // different shape
-            ("scan".into(), "q6".into(), 4, 250.0),
-        ];
-        assert_eq!(best_of_recent(&history, "scan", "q6", 4, 5), Some(300.0));
-        // a window of 1 degenerates to "previous entry only"
-        assert_eq!(best_of_recent(&history, "scan", "q6", 4, 1), Some(250.0));
-        // nothing comparable: wrong threads everywhere in the window
-        assert_eq!(best_of_recent(&history, "scan", "q6", 2, 5), None);
-        assert_eq!(best_of_recent(&history, "agg", "q6", 4, 5), None);
-    }
-
-    #[test]
-    fn benchmark_files_are_unique() {
-        let mut names: Vec<&str> = BENCHMARK_FILES.iter().map(|(n, _)| *n).collect();
-        names.sort_unstable();
-        names.dedup();
-        assert_eq!(names.len(), BENCHMARK_FILES.len());
-    }
-
-    #[test]
     fn env_defaults() {
         assert!(tpch_scale_factor() > 0.0);
         assert_eq!(bench_rows(123), 123);
-        // threads_arg() is deliberately not asserted here: it reads the ambient
-        // THREADS variable (and aborts the process on an unparsable value), so an
-        // in-process check would make the suite environment-sensitive.
+        // threads_arg() is deliberately not asserted here: it reads the process
+        // arguments and the ambient THREADS variable. What all three knobs share is
+        // the parse step, which is a `Result` before it is an `exit(2)`:
+        assert_eq!(parse_knob::<usize>("THREADS", Some("4")), Ok(4));
+        assert_eq!(parse_knob::<f64>("TPCH_SF", Some("0.2")), Ok(0.2));
+        let err = parse_knob::<f64>("TPCH_SF", Some("0,2")).unwrap_err();
+        assert!(err.contains("TPCH_SF") && err.contains("0,2"), "{err}");
+        assert!(parse_knob::<usize>("BENCH_ROWS", Some("20k")).is_err());
+        assert!(parse_knob::<usize>("BENCH_ROWS", Some("")).is_err());
+        assert!(parse_knob::<usize>("--threads", None).is_err());
     }
 }

@@ -324,8 +324,7 @@ impl ColumnCompression {
         ColumnCompression::Double(data.to_vec())
     }
 
-    /// The scheme identifier (used for layout-combination accounting and the JIT
-    /// compile-time model).
+    /// The scheme identifier (used for layout-combination accounting).
     pub fn kind(&self) -> SchemeKind {
         match self {
             ColumnCompression::SingleValue(_) => SchemeKind::SingleValue,
@@ -339,18 +338,6 @@ impl ColumnCompression {
                 SchemeKind::DictStr(codes.byte_width() as u8)
             }
             ColumnCompression::Double(_) => SchemeKind::Double,
-        }
-    }
-
-    /// Number of rows stored (0 for single-value columns, which store no per-row
-    /// data; the block knows the tuple count).
-    pub fn stored_rows(&self) -> usize {
-        match self {
-            ColumnCompression::SingleValue(_) => 0,
-            ColumnCompression::Truncated { codes, .. } => codes.len(),
-            ColumnCompression::DictInt { codes, .. } => codes.len(),
-            ColumnCompression::DictStr { codes, .. } => codes.len(),
-            ColumnCompression::Double(v) => v.len(),
         }
     }
 
@@ -464,14 +451,6 @@ impl ColumnCompression {
                 .binary_search_by(|d| d.as_str().cmp(value))
                 .ok()
                 .map(|c| c as u64),
-            _ => None,
-        }
-    }
-
-    /// Borrow the ordered string dictionary (if this is a string-dictionary column).
-    pub fn str_dict(&self) -> Option<&[String]> {
-        match self {
-            ColumnCompression::DictStr { dict, .. } => Some(dict),
             _ => None,
         }
     }

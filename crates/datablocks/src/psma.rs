@@ -144,11 +144,6 @@ impl Psma {
         self.max
     }
 
-    /// Number of slots in the lookup table.
-    pub fn slot_count(&self) -> usize {
-        self.slots.len()
-    }
-
     /// Size of the lookup table in bytes (each slot is a `[begin, end)` pair of
     /// 4-byte unsigned integers).
     pub fn byte_size(&self) -> usize {

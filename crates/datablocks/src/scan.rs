@@ -218,11 +218,6 @@ impl ScanPlan {
             self.range
         }
     }
-
-    /// Number of evaluation steps that remain to be applied per vector.
-    pub fn step_count(&self) -> usize {
-        self.steps.len()
-    }
 }
 
 /// Translate restrictions against a block: apply SMA skipping, translate constants to

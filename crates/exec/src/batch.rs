@@ -76,12 +76,6 @@ impl Batch {
         &self.columns
     }
 
-    /// Mutably borrow all columns (used by the scan when unpacking directly into the
-    /// batch).
-    pub fn columns_mut(&mut self) -> &mut [Column] {
-        &mut self.columns
-    }
-
     /// Read a single value.
     pub fn value(&self, row: usize, col: usize) -> Value {
         self.columns[col].get(row)

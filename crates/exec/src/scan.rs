@@ -4,8 +4,8 @@
 //! * [`ScanMode::Jit`] models the original JIT-compiled tuple-at-a-time scan: records
 //!   are read one at a time and the scan restrictions are evaluated per tuple inside
 //!   the consuming loop (no match vectors, no SIMD). In the real HyPer this loop is
-//!   generated LLVM code; here it is the equivalent interpreted loop, and the code
-//!   *generation* cost is modelled separately by the bench harness (`db_bench::jit`).
+//!   generated LLVM code; here it is the equivalent interpreted loop (the cost of
+//!   *generating* it, the paper's Figure 5, is not reproduced).
 //! * [`ScanMode::Vectorized { sarg: false }`] is the interpreted vectorized scan
 //!   without predicate push-down: the scan copies vectors of records into temporary
 //!   storage and the restrictions are evaluated tuple at a time afterwards.

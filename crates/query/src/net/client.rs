@@ -310,11 +310,6 @@ impl RemoteStream<'_> {
         &self.types
     }
 
-    /// Rows received so far.
-    pub fn rows_received(&self) -> u64 {
-        self.rows
-    }
-
     /// Pull the next batch. `Ok(None)` once the query completed (the server's
     /// `RESULT_DONE` totals are verified against what was received); an `Err`
     /// is terminal. Server-side failures — including cancellation — arrive as

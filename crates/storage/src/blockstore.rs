@@ -1989,12 +1989,6 @@ impl BlockRef {
             inner: BlockRefInner::Pinned(block),
         }
     }
-
-    /// Does this reference hold a block-cache pin (i.e. the block was paged in from
-    /// a spill store)? Heap-resident blocks need no pin.
-    pub fn is_pinned(&self) -> bool {
-        matches!(self.inner, BlockRefInner::Pinned(_))
-    }
 }
 
 impl Deref for BlockRef {

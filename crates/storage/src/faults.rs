@@ -21,9 +21,10 @@
 //! path with a fresh store (and no injector, or a fresh one) is the simulated
 //! reboot.
 //!
-//! The injector records the ordered set of distinct sites it has seen, so the
-//! crash-point matrix test (`tests/fault_injection.rs`) can *discover* every
-//! failpoint from a passive run and then enumerate a crash at each one. All
+//! The injector records the ordered set of distinct sites it has seen, with a
+//! hit count each, so the crash-point matrix test (`tests/fault_injection.rs`)
+//! can *discover* every failpoint from a passive run and then enumerate a crash
+//! at each one, and a test can count the `fsync`s a durability mode issues. All
 //! injection decisions are deterministic; the seed only drives the helper RNG
 //! ([`FaultInjector::next_u64`]) tests use to derive torn-write cut points and
 //! fuzz corruptions.
@@ -79,7 +80,7 @@ pub struct FaultInjector {
     rng: Mutex<u64>,
     crashed: AtomicBool,
     plans: Mutex<HashMap<&'static str, FaultAction>>,
-    sites: Mutex<Vec<&'static str>>,
+    sites: Mutex<Vec<(&'static str, u64)>>,
 }
 
 impl FaultInjector {
@@ -110,7 +111,18 @@ impl FaultInjector {
     /// Ordered distinct failpoint sites this injector has seen so far — the
     /// crash-point matrix test discovers the failpoint inventory from this.
     pub fn sites_hit(&self) -> Vec<&'static str> {
-        self.sites.lock().expect("fault site lock poisoned").clone()
+        let sites = self.sites.lock().expect("fault site lock poisoned");
+        sites.iter().map(|(site, _)| *site).collect()
+    }
+
+    /// How many times `site` has been reached so far (faulted hits and the
+    /// retries they cause included).
+    pub fn hits(&self, site: &str) -> u64 {
+        let sites = self.sites.lock().expect("fault site lock poisoned");
+        sites
+            .iter()
+            .find(|(seen, _)| *seen == site)
+            .map_or(0, |(_, hits)| *hits)
     }
 
     /// Deterministic xorshift64* step — the only use of the seed. Tests use it
@@ -133,8 +145,9 @@ impl FaultInjector {
     fn check(&self, site: &'static str) -> Check {
         {
             let mut sites = self.sites.lock().expect("fault site lock poisoned");
-            if !sites.contains(&site) {
-                sites.push(site);
+            match sites.iter_mut().find(|(seen, _)| *seen == site) {
+                Some((_, hits)) => *hits += 1,
+                None => sites.push((site, 1)),
             }
         }
         if self.crashed() {

@@ -10,7 +10,7 @@
 //!
 //! The scale factor is continuous: `sf = 1.0` corresponds to 6 M lineitem rows. The
 //! evaluation of the paper uses SF 100; this reproduction defaults to much smaller
-//! factors and reports relative behaviour (see EXPERIMENTS.md).
+//! factors and reports relative behaviour (`TPCH_SF`; ARCHITECTURE.md, "Benchmarks").
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};

@@ -339,6 +339,30 @@ fn transient_errors_are_retried_and_counted() {
     assert!(!injector.crashed(), "transient faults never crash-stop");
 }
 
+/// Group commit really groups: 64 appends write 64 manifest records in every
+/// durability mode, and `fsync` the manifest never (`Buffered`), once per record
+/// (`group_commit: 1`) or once per eight (`group_commit: 8`). Every other test
+/// here would still pass if `Sync` synced each record whatever the group size.
+#[test]
+fn group_commit_syncs_the_manifest_once_per_group() {
+    const APPENDS: u64 = 64;
+    for (durability, syncs) in [
+        (Durability::Buffered, 0),
+        (Durability::Sync { group_commit: 1 }, APPENDS),
+        (Durability::Sync { group_commit: 8 }, APPENDS / 8),
+    ] {
+        let injector = FaultInjector::new(1);
+        let store =
+            BlockStore::create_temp_opts(usize::MAX, durability, Some(Arc::clone(&injector)))
+                .expect("create store");
+        for tag in 0..APPENDS as i64 {
+            store.append(test_block(tag)).expect("append");
+        }
+        assert_eq!(injector.hits("manifest.append"), APPENDS, "{durability:?}");
+        assert_eq!(injector.hits("manifest.sync"), syncs, "{durability:?}");
+    }
+}
+
 /// A failing prefetch neither kills the read-ahead worker nor the scan: the
 /// error is counted in `prefetch_errors`, the block simply stays cold, the
 /// demand pin pays the read — and a later prefetch still lands blocks.
