@@ -66,7 +66,7 @@ fn q3_like(db: &TpchDb, early_probe: bool) -> usize {
 
 struct TakeBatches<'a, 'b>(&'b mut HashJoinOp<'a>);
 impl<'a, 'b> Operator for TakeBatches<'a, 'b> {
-    fn next_batch(&mut self) -> Option<Batch> {
+    fn next_batch(&mut self) -> Result<Option<Batch>, exec::Error> {
         self.0.next_batch()
     }
     fn output_types(&self) -> Vec<DataType> {

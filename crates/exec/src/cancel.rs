@@ -2,24 +2,21 @@
 //!
 //! A [`CancelToken`] is a shared flag a consumer (a session, a network
 //! connection's cancel frame, a dropped result stream) raises to stop a
-//! running query. The execution paths observe it **at morsel boundaries** —
-//! the same points where the existing early-drop and cold-read-abort paths
-//! already stop workers — so cancellation is prompt without per-tuple checks:
+//! running query. The execution paths observe it **at morsel boundaries**, and
+//! a raised token ends a run exactly the way an unreadable cold block does —
+//! as a value, [`crate::Error::Cancelled`], returned after every worker is
+//! joined:
 //!
-//! * streaming parallel scans ([`crate::morsel::drive_streaming`]) check the
-//!   token between morsel claims and at every channel push, and the consumer
-//!   side cancels-and-joins the workers before surfacing;
-//! * pipeline workers ([`crate::morsel::drive_pipeline`] — aggregates fused
-//!   with their scan) check it at every morsel claim — the same claim loop the
-//!   streaming workers run — join all workers, and then surface;
-//! * [`crate::scan::RelationScanner`] checks it once per pulled batch, whatever
-//!   its worker count.
-//!
-//! The operator tree has no error channel (see [`crate::ops`]): a cancelled
-//! execution path **panics** with [`CANCEL_MESSAGE`] after its workers are
-//! joined, exactly like an unreadable cold block does, and the session
-//! boundary (`query::QueryStream`) catches the panic and classifies it back
-//! into a typed error. No worker thread outlives the panic.
+//! * morsel workers — the streaming scan's ([`crate::morsel::drive_streaming`])
+//!   and a fused aggregate's ([`crate::morsel::drive_pipeline`]) run one claim
+//!   loop — check the token at every morsel claim; streaming workers also at
+//!   every channel push, and their consumer at every pull. Whoever sees it
+//!   first records `Cancelled` as the run's outcome, which stops the others and
+//!   wakes a consumer parked on the channel;
+//! * a one-worker [`crate::scan::RelationScanner`] checks it before each morsel
+//!   it scans, and [`crate::ScanOp`] reports a scan the token stopped as
+//!   `Err(Cancelled)`;
+//! * every operator above passes the error up with `?`.
 //!
 //! The token travels implicitly: the driving thread wraps each pull in
 //! [`scoped`], which installs the token in a thread-local slot for the
@@ -31,11 +28,6 @@
 use std::cell::RefCell;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-
-/// The panic payload of a cancelled execution path. The session boundary
-/// recognises this exact text when classifying caught panics, so it is part
-/// of the crate's stable contract (like the cold-read panic texts).
-pub const CANCEL_MESSAGE: &str = "query cancelled";
 
 /// A shared cancellation flag: cloned freely, raised once, observed
 /// cooperatively at morsel boundaries. Raising it is idempotent and

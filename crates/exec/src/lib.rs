@@ -66,6 +66,35 @@ pub use ops::{
 };
 pub use scan::{RelationScanner, ScanConfig, ScanMode, ScanStats, DEFAULT_MORSEL_ROWS};
 
+/// Why an execution path stopped before its input was exhausted: the one error
+/// every [`Operator::next_batch`] and morsel driver returns. Producers are the
+/// morsel workers ([`morsel`]) and the scan leaf ([`ScanOp`]); every operator in
+/// between passes it up with `?`, after its workers are joined.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum Error {
+    /// The driving thread's [`CancelToken`] was raised (see [`cancel`]).
+    Cancelled,
+    /// A spilled block could not be paged in; names its on-disk position.
+    ColdRead(storage::ColdReadError),
+}
+
+impl std::fmt::Display for Error {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            Error::Cancelled => f.write_str("query cancelled"),
+            Error::ColdRead(err) => err.fmt(f),
+        }
+    }
+}
+
+impl std::error::Error for Error {}
+
+impl From<storage::ColdReadError> for Error {
+    fn from(err: storage::ColdReadError) -> Error {
+        Error::ColdRead(err)
+    }
+}
+
 /// Commonly used items for building queries by hand.
 pub mod prelude {
     pub use crate::batch::Batch;

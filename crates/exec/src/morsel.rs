@@ -18,9 +18,12 @@
 //! list. A worker's life is one private loop, written once and run by every
 //! worker there is — check for cancellation or a failed sibling, claim the next
 //! unclaimed morsel, queue the cold read-ahead behind it, scan it to completion
-//! through the non-breaking [`PipelineStep`]s, report the outcome (an unreadable
-//! cold block stops everyone) — so the rules for cancellation, read-ahead and cold
-//! read errors live in one place. There are no locks on the scan path — frozen
+//! through the non-breaking [`PipelineStep`]s, report the outcome — so the rules
+//! for cancellation, read-ahead and cold read errors live in one place, and a run
+//! ends early in one way: the first worker to meet an unreadable cold block or a
+//! raised [`CancelToken`] records that [`Error`] as the run's outcome, every worker
+//! stops at its next claim or push, all of them are joined, and the driver returns
+//! the error. There are no locks on the scan path — frozen
 //! blocks and hot chunks are only ever read, the cursor is the only shared mutable
 //! state, and every worker owns its output. A worker keeps one [`RelationScanner`]
 //! for its whole life, so the match-position vector and its growth are paid once
@@ -52,9 +55,10 @@
 //!   worker is suspended on backpressure.
 //!
 //! [`RelationScanner`] is the stream's one consumer. It starts the stream when the
-//! resolved worker count is above one; at one worker it walks the same morsel list
-//! itself, because a pull iterator needs no thread and no channel to hand batches to
-//! its own caller. `tests/parallel_scan.rs` pins both against each other.
+//! resolved worker count is above one; at one worker it scans the same morsel list
+//! itself, a morsel per pull, because a pull iterator needs no thread and no channel
+//! to hand batches to its own caller. `tests/parallel_scan.rs` pins both against
+//! each other.
 //!
 //! # Pipeline breakers: [`drive_pipeline`], [`drive_batches`], [`merge_partitionwise`]
 //!
@@ -102,7 +106,8 @@
 //! 3. **A tail** — emit from the merged state in a deterministic order.
 //!
 //! Then drive it: `let (sinks, stats) = drive_pipeline(relation, &spec, make_sink)?`
-//! followed by the barrier. There is no second
+//! followed by the barrier — the `?` is all the error handling a breaker needs, the
+//! driver has joined its workers before it returns an [`Error`]. There is no second
 //! implementation to differential-test against: test one worker against a fold
 //! over the rows in scan order written in the test, and 2, 4 and 8 workers against
 //! one — on skewed keys, NULL keys and inputs that leave partitions empty
@@ -142,6 +147,7 @@ use crate::cancel::{self, CancelToken};
 use crate::expr::Expr;
 use crate::ops::{filter_batch, project_batch};
 use crate::scan::{RelationScanner, ScanConfig, ScanStats};
+use crate::Error;
 
 /// One unit of scan work handed out by the morsel cursor.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -212,8 +218,8 @@ pub fn decompose<S: ScanSource>(source: &S, morsel_rows: usize) -> Vec<Morsel> {
 /// prefetch worker ([`storage::ScanSource::prefetch_cold_blocks`]). Pruning is
 /// only consulted in the SARG-pushdown mode, mirroring
 /// `RelationScanner::prune_cold_block`: the other modes scan every block, so
-/// they prefetch every block. A no-op when read-ahead is off or the source has
-/// no spill store.
+/// they prefetch every block. A no-op when read-ahead is off, the morsel is
+/// hot (every morsel behind it is too) or the source has no spill store.
 pub(crate) fn prefetch_lookahead<S: ScanSource>(
     source: &S,
     morsels: &[Morsel],
@@ -221,7 +227,7 @@ pub(crate) fn prefetch_lookahead<S: ScanSource>(
     restrictions: &[Restriction],
     config: &ScanConfig,
 ) {
-    if config.readahead == 0 {
+    if config.readahead == 0 || !matches!(morsels[current], Morsel::ColdBlock(_)) {
         return;
     }
     let prune = matches!(
@@ -276,9 +282,9 @@ struct StreamShared {
     /// never exceeds `cap`.
     cap: usize,
     /// The consumer's cooperative cancel token, captured from the driving
-    /// thread when the stream started (see [`crate::cancel`]). Raising it has
-    /// the same effect as dropping the stream: workers stop at their next
-    /// push or claim.
+    /// thread when the stream started (see [`crate::cancel`]). Whoever sees it
+    /// raised first — a worker at a push or claim, the consumer at a pull —
+    /// ends the stream with [`Error::Cancelled`].
     cancel_token: Option<CancelToken>,
     state: Mutex<StreamState>,
     /// Workers wait here for channel space (or for their morsel to become the
@@ -300,14 +306,14 @@ struct StreamState {
     in_flight: usize,
     /// High-water mark of `in_flight` (asserted ≤ `cap` by the backpressure tests).
     max_in_flight: usize,
-    /// Consumer gone: workers drop their output and exit.
+    /// Consumer gone or `error` set: workers drop their output and exit.
     cancelled: bool,
     /// A worker panicked: the consumer must not wait for its morsels.
     failed: bool,
-    /// A worker hit an unreadable cold block: the typed error it carried out
-    /// (first one wins — the stream is cancelled the moment it is set, so later
+    /// Why the stream ended early — an unreadable cold block or a raised token
+    /// (first one wins: the stream is cancelled the moment it is set, so later
     /// workers stop instead of stacking errors).
-    error: Option<ColdReadError>,
+    error: Option<Error>,
     /// Scan statistics merged in by exiting workers.
     stats: ScanStats,
 }
@@ -328,7 +334,7 @@ impl StreamShared {
     fn push(&self, morsel_idx: usize, batch: Batch) -> bool {
         let mut state = self.lock_state();
         loop {
-            if state.cancelled || self.token_cancelled() {
+            if self.stopped(&mut state) {
                 return false;
             }
             // The consumer is starved on exactly this morsel: it must be fed even
@@ -358,20 +364,18 @@ impl StreamShared {
         self.ready.notify_one();
     }
 
-    /// Has the consumer cancelled the stream? Workers that emit nothing for long
-    /// stretches (SMA-pruned or zero-match morsels) check this between morsel
-    /// claims, so a dropped stream never keeps scanning — and paging in — the
-    /// rest of the relation.
-    fn is_cancelled(&self) -> bool {
-        self.token_cancelled() || self.lock_state().cancelled
-    }
-
-    /// Has the consumer's cooperative [`CancelToken`] been raised?
-    fn token_cancelled(&self) -> bool {
-        self.cancel_token
-            .as_ref()
-            .map(CancelToken::is_cancelled)
-            .unwrap_or(false)
+    /// Must the workers stop? Checked at every push, and between morsel claims —
+    /// workers that emit nothing for long stretches (SMA-pruned or zero-match
+    /// morsels) never reach a push, and a dropped or cancelled stream must not keep
+    /// scanning, and paging in, the rest of the relation. A raised token is
+    /// recorded as the stream's outcome here, so whoever observes it first also
+    /// wakes everyone who is parked.
+    fn stopped(&self, state: &mut StreamState) -> bool {
+        let token_raised = (self.cancel_token.as_ref()).is_some_and(CancelToken::is_cancelled);
+        if token_raised && !state.cancelled {
+            self.fail(state, Error::Cancelled);
+        }
+        state.cancelled
     }
 
     /// A worker is exiting (normally): fold its statistics in.
@@ -382,27 +386,25 @@ impl StreamShared {
         self.ready.notify_all();
     }
 
-    /// A worker hit an unreadable cold block: record the typed error (first one
-    /// wins) and cancel the stream so every other worker stops at its next push
-    /// or claim instead of scanning on towards the same bad disk.
-    fn fail(&self, err: ColdReadError) {
-        let mut state = self.lock_state();
-        if state.error.is_none() {
-            state.error = Some(err);
-        }
+    /// End the stream early with `err` as its outcome (first one wins): every
+    /// worker stops at its next push or claim instead of scanning on — towards the
+    /// same bad disk, or for a consumer that has given up — and a parked consumer
+    /// wakes to the error instead of waiting for a morsel nobody will finish.
+    fn fail(&self, state: &mut StreamState, err: Error) {
+        state.error.get_or_insert(err);
         state.cancelled = true;
-        drop(state);
         self.ready.notify_all();
         self.space.notify_all();
     }
 
     /// The consumer side: the next batch in (morsel, emission) order, `Ok(None)`
-    /// when every morsel is finished and drained, or the first [`ColdReadError`]
-    /// a worker carried out.
-    fn pop(&self) -> Result<Option<Batch>, ColdReadError> {
+    /// when every morsel is finished and drained, or the [`Error`] that ended the
+    /// stream early — on every call from then on.
+    fn pop(&self) -> Result<Option<Batch>, Error> {
         let total = self.morsels.len();
         let mut state = self.lock_state();
         loop {
+            self.stopped(&mut state);
             if let Some(err) = &state.error {
                 return Err(err.clone());
             }
@@ -486,15 +488,13 @@ fn run_worker<S: ScanSource>(
         let Some(&morsel) = morsels.get(morsel_idx) else {
             break;
         };
-        if matches!(morsel, Morsel::ColdBlock(_)) {
-            prefetch_lookahead(
-                source,
-                morsels,
-                morsel_idx,
-                &spec.restrictions,
-                &spec.config,
-            );
-        }
+        prefetch_lookahead(
+            source,
+            morsels,
+            morsel_idx,
+            &spec.restrictions,
+            &spec.config,
+        );
         // Batches flow scan → steps → `emit` one at a time — a cold morsel is never
         // materialised, and its pin is released when the last batch left the scanner.
         let outcome = scanner.stream_morsel(morsel, &mut |batch| {
@@ -548,45 +548,23 @@ pub struct ScanStream {
 }
 
 impl ScanStream {
-    /// The next batch in serial-scan order, or `None` once the scan is exhausted
-    /// (at which point the workers have been joined and [`ScanStream::stats`] is
-    /// final).
-    ///
-    /// # Panics
-    ///
-    /// Panics if a scan worker panicked, or if one carried out a
-    /// [`ColdReadError`] (an unreadable cold block) — fault-aware consumers use
-    /// [`ScanStream::try_next_batch`].
-    pub fn next_batch(&mut self) -> Option<Batch> {
-        self.try_next_batch().unwrap_or_else(|err| panic!("{err}"))
+    /// The next batch in serial-scan order, `Ok(None)` once the scan is exhausted,
+    /// or the [`Error`] that ended it early: an unreadable cold block, or the token
+    /// installed on the thread that started the stream being raised. Whenever this
+    /// returns anything but a batch, **every worker has been joined** — no worker
+    /// outlives the end of its stream — and [`ScanStream::stats`] is final; an
+    /// error is reported again by every later call.
+    pub fn try_next_batch(&mut self) -> Result<Option<Batch>, Error> {
+        let next = self.shared.pop();
+        if !matches!(next, Ok(Some(_))) {
+            self.finish();
+        }
+        next
     }
 
-    /// Fallible variant of [`ScanStream::next_batch`]: an unreadable cold block
-    /// surfaces as the typed [`ColdReadError`] the failing worker carried out.
-    /// Before the error is returned the stream is cancelled and **every worker
-    /// joined** — no worker outlives the failure, and a subsequent call reports
-    /// the stream exhausted.
-    pub fn try_next_batch(&mut self) -> Result<Option<Batch>, ColdReadError> {
-        if self.done {
-            return Ok(None);
-        }
-        match self.shared.pop() {
-            Ok(Some(batch)) => Ok(Some(batch)),
-            Ok(None) => {
-                self.finish();
-                Ok(None)
-            }
-            Err(err) => {
-                // `fail` already cancelled the stream; join the workers so the
-                // error comes back to a caller with no threads left running.
-                self.finish();
-                Err(err)
-            }
-        }
-    }
-
-    /// Merged scan statistics — complete once [`ScanStream::next_batch`] returned
-    /// `None`; a snapshot of the workers' progress before that.
+    /// Merged scan statistics — complete once [`ScanStream::try_next_batch`]
+    /// returned anything but a batch; a snapshot of the workers' progress before
+    /// that.
     pub fn stats(&self) -> ScanStats {
         if self.done {
             self.stats
@@ -688,14 +666,14 @@ pub fn drive_streaming(
                     &shared.morsels,
                     &shared.cursor,
                     &shared.spec,
-                    || shared.is_cancelled(),
+                    || shared.stopped(&mut shared.lock_state()),
                     |morsel_idx, batch| shared.push(morsel_idx, batch),
                     |morsel_idx, outcome| {
                         // The error is recorded (and the stream cancelled) before
                         // the morsel is marked finished, so the consumer can never
                         // advance past a failed morsel and report exhaustion.
                         let keep_going = outcome.unwrap_or_else(|err| {
-                            shared.fail(err);
+                            shared.fail(&mut shared.lock_state(), err.into());
                             false
                         });
                         shared.finish_morsel(morsel_idx);
@@ -848,15 +826,15 @@ pub trait MorselSink: Send {
 /// worker order plus the merged scan statistics — merging the sinks partition-wise
 /// (see [`merge_partitionwise`]) is the caller's barrier phase.
 ///
-/// An unreadable cold block surfaces as a [`ColdReadError`]: the failing worker
-/// raises a shared abort flag, every other worker stops at its next morsel
-/// claim, all of them are joined, and the first error is returned — no worker
-/// outlives the failure.
+/// An unreadable cold block or a raised cancel token (the calling thread's, see
+/// [`crate::cancel`]) ends the run early: every worker stops at its next morsel
+/// claim, all of them are joined, and the [`Error`] is returned — no worker
+/// outlives the failure, and the half-fed sinks are dropped.
 pub fn drive_pipeline<S, F>(
     relation: &Relation,
     spec: &PipelineSpec,
     make_sink: F,
-) -> Result<(Vec<S>, ScanStats), ColdReadError>
+) -> Result<(Vec<S>, ScanStats), Error>
 where
     S: MorselSink,
     F: Fn() -> S + Sync,
@@ -893,17 +871,15 @@ where
         );
         (sink, stats, error)
     });
-    // Every worker is joined at this point. A raised cancel token surfaces
-    // like an unreadable block does on this path: as a panic the session
-    // boundary turns back into a typed error (`query::Error::Cancelled`).
+    // Every worker is joined at this point.
     if cancelled() {
-        panic!("{}", cancel::CANCEL_MESSAGE);
+        return Err(Error::Cancelled);
     }
     let mut stats = ScanStats::default();
     let mut sinks = Vec::with_capacity(results.len());
     for (sink, worker_stats, error) in results {
         if let Some(err) = error {
-            return Err(err);
+            return Err(err.into());
         }
         stats.merge(&worker_stats);
         sinks.push(sink);
@@ -916,12 +892,13 @@ where
 /// is how pipeline breakers consume *intermediate* results — e.g. a join whose
 /// build side is itself the output of another operator. A single worker consumes
 /// the stream as it arrives, on the calling thread, so the input is never held in
-/// full; several workers have to share it, so it is drained first.
+/// full; several workers have to share it, so it is drained first. The first `Err`
+/// of the input ends the run and is returned.
 pub fn drive_batches<S, F>(
-    batches: impl Iterator<Item = Batch>,
+    batches: impl Iterator<Item = Result<Batch, Error>>,
     threads: usize,
     make_sink: F,
-) -> Vec<S>
+) -> Result<Vec<S>, Error>
 where
     S: MorselSink,
     F: Fn() -> S + Sync,
@@ -935,16 +912,16 @@ where
     if threads == 1 {
         let mut sink = make_sink();
         for (idx, batch) in batches.enumerate() {
-            feed(&mut sink, idx, batch);
+            feed(&mut sink, idx, batch?);
         }
-        return vec![sink];
+        return Ok(vec![sink]);
     }
-    let batches: Vec<Batch> = batches.collect();
+    let batches: Vec<Batch> = batches.collect::<Result<_, _>>()?;
     let workers = threads.min(batches.len()).max(1);
     // The claim hands the batch itself over, so the queue is the cursor.
     let queue = Mutex::new(batches.into_iter().enumerate());
     let sinks: Vec<S> = (0..workers).map(|_| make_sink()).collect();
-    run_workers(sinks, |mut sink| {
+    Ok(run_workers(sinks, |mut sink| {
         loop {
             let claimed = queue.lock().expect("a worker panicked mid-claim").next();
             let Some((idx, batch)) = claimed else {
@@ -953,7 +930,7 @@ where
             feed(&mut sink, idx, batch);
         }
         sink
-    })
+    }))
 }
 
 /// The barrier phase of a pipeline breaker: combine the partitioned state of every
@@ -1082,7 +1059,7 @@ mod tests {
     /// Drain a streaming scan into one batch plus its final statistics.
     fn drain(mut stream: ScanStream, types: &[DataType]) -> (Batch, ScanStats) {
         let mut merged = Batch::new(types);
-        while let Some(batch) = stream.next_batch() {
+        while let Some(batch) = stream.try_next_batch().unwrap() {
             merged.append(&batch);
         }
         (merged, stream.stats())
@@ -1137,7 +1114,7 @@ mod tests {
                 .with_channel_cap(1);
             let mut stream = drive_streaming(rel.scan_snapshot(), vec![0, 1], vec![], config);
             let mut merged = Batch::new(&[DataType::Int, DataType::Int]);
-            while let Some(batch) = stream.next_batch() {
+            while let Some(batch) = stream.try_next_batch().unwrap() {
                 merged.append(&batch);
             }
             assert_eq!(merged.len(), serial.len(), "threads {threads}");
@@ -1157,14 +1134,14 @@ mod tests {
         // Partial stats are a snapshot (just don't panic); final stats are exact.
         let _ = stream.stats();
         let mut rows = 0usize;
-        while let Some(batch) = stream.next_batch() {
+        while let Some(batch) = stream.try_next_batch().unwrap() {
             rows += batch.len();
         }
         assert_eq!(rows, 2_000);
         assert_eq!(stream.stats().rows_matched, 2_000);
         assert_eq!(stream.stats().blocks_total, 4);
         // Exhausted stream keeps answering None.
-        assert!(stream.next_batch().is_none());
+        assert!(stream.try_next_batch().unwrap().is_none());
     }
 
     #[test]
@@ -1247,10 +1224,11 @@ mod tests {
             .collect();
         let expected_rows: usize = batches.iter().map(|b| b.len()).sum();
         for threads in [1usize, 4] {
-            let sinks = drive_batches(batches.iter().cloned(), threads, || CountSink {
+            let sinks = drive_batches(batches.iter().cloned().map(Ok), threads, || CountSink {
                 rows: 0,
                 morsels: Vec::new(),
-            });
+            })
+            .expect("no input batch is an error");
             let total: usize = sinks.iter().map(|s| s.rows).sum();
             assert_eq!(total, expected_rows);
             let mut all: Vec<usize> = sinks.iter().flat_map(|s| s.morsels.clone()).collect();

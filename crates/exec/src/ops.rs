@@ -32,6 +32,17 @@
 //! tail runs. The worker count only says how many threads share that work — one
 //! worker runs it inline on the calling thread. See [`crate::morsel`] for the driver.
 //!
+//! # Errors
+//!
+//! [`Operator::next_batch`] returns `Result<Option<Batch>, `[`Error`]`>`, and that
+//! is the only way a query stops early. Two places produce an `Err`: [`ScanOp`]
+//! (its scanner met an unreadable cold block, or stopped for a raised cancel token)
+//! and the morsel drivers under [`HashAggregateOp::over_relation`] (the same two
+//! causes, reported after every worker is joined). Every other operator passes its
+//! input's error up with `?` and holds no state that outlives it: an operator that
+//! returned `Err` is finished. [`collect_operator`] and [`Operator::collect_all`]
+//! are the drains for callers with nothing to recover — they `expect` success.
+//!
 //! # Frozen semantics
 //!
 //! Besides the expression semantics of [`crate::expr`]: aggregates skip NULLs
@@ -76,11 +87,13 @@ use crate::batch::{gather, pick, push_row_of, sorted_rows, zeroed, Batch};
 use crate::expr::Expr;
 use crate::morsel::{self, MorselSink, PipelineSpec, RADIX_BITS, RADIX_PARTITIONS};
 use crate::scan::{RelationScanner, ScanStats};
+use crate::{cancel, Error};
 
 /// A pull-based operator producing batches of tuples.
 pub trait Operator {
-    /// Produce the next non-empty batch, or `None` when exhausted.
-    fn next_batch(&mut self) -> Option<Batch>;
+    /// Produce the next batch, `Ok(None)` when exhausted, or the [`Error`] that
+    /// stopped execution (see the module docs); an `Err` is final.
+    fn next_batch(&mut self) -> Result<Option<Batch>, Error>;
 
     /// The column types of produced batches. Fixed for the operator's lifetime —
     /// implementations resolve it once at construction rather than re-deriving it
@@ -101,14 +114,22 @@ pub trait Operator {
 /// Boxed operator used to compose plans dynamically.
 pub type BoxedOperator<'a> = Box<dyn Operator + 'a>;
 
-/// Drain a boxed operator into a single batch. The operator's declared
+/// Drain a boxed operator into a single batch, for callers with nothing to recover:
+/// an [`Error`] from the tree (an unreadable spilled block, a cancel token raised on
+/// this thread) fails an `expect`. The operator's declared
 /// [`Operator::output_types`] are resolved once up front; in debug builds every
 /// emitted batch is asserted against them, so a producer whose batches drift from
 /// its declaration fails loudly instead of corrupting the collected result.
 pub fn collect_operator(op: &mut dyn Operator) -> Batch {
+    drain(op).expect("the operator tree failed (pull `next_batch` to handle this)")
+}
+
+/// [`collect_operator`] with the error returned: what a pipeline breaker that
+/// needs its whole input (the sort) calls.
+fn drain(op: &mut dyn Operator) -> Result<Batch, Error> {
     let types = op.output_types();
     let mut out = Batch::new(&types);
-    while let Some(batch) = op.next_batch() {
+    while let Some(batch) = op.next_batch()? {
         debug_assert_eq!(
             batch.types(),
             types,
@@ -116,7 +137,7 @@ pub fn collect_operator(op: &mut dyn Operator) -> Batch {
         );
         out.append_owned(batch);
     }
-    out
+    Ok(out)
 }
 
 /// Keep the rows satisfying a residual predicate: one selection, one gather per
@@ -185,7 +206,8 @@ fn coerce(column: Column, ty: DataType) -> Column {
 
 // ----------------------------------------------------------------------------- scan
 
-/// Leaf operator: a relation scan (see [`crate::scan`]).
+/// Leaf operator: a relation scan (see [`crate::scan`]), and where a scan's two ways
+/// of stopping early enter the operator tree's error channel.
 pub struct ScanOp<'a> {
     scanner: RelationScanner<'a>,
 }
@@ -203,8 +225,13 @@ impl<'a> ScanOp<'a> {
 }
 
 impl<'a> Operator for ScanOp<'a> {
-    fn next_batch(&mut self) -> Option<Batch> {
-        self.scanner.next_batch()
+    fn next_batch(&mut self) -> Result<Option<Batch>, Error> {
+        match self.scanner.try_next_batch()? {
+            // The scanner ends quietly when the token stops it; here that end is
+            // told apart from exhaustion.
+            None if cancel::current_is_cancelled() => Err(Error::Cancelled),
+            next => Ok(next),
+        }
     }
 
     fn output_types(&self) -> Vec<DataType> {
@@ -239,9 +266,9 @@ impl<'a> FilterOp<'a> {
 }
 
 impl<'a> Operator for FilterOp<'a> {
-    fn next_batch(&mut self) -> Option<Batch> {
+    fn next_batch(&mut self) -> Result<Option<Batch>, Error> {
         let batch = self.input.next_batch()?;
-        Some(filter_batch(batch, &self.predicate))
+        Ok(batch.map(|batch| filter_batch(batch, &self.predicate)))
     }
 
     fn output_types(&self) -> Vec<DataType> {
@@ -271,9 +298,9 @@ impl<'a> ProjectOp<'a> {
 }
 
 impl<'a> Operator for ProjectOp<'a> {
-    fn next_batch(&mut self) -> Option<Batch> {
+    fn next_batch(&mut self) -> Result<Option<Batch>, Error> {
         let batch = self.input.next_batch()?;
-        Some(project_batch(batch, &self.exprs, &self.types))
+        Ok(batch.map(|batch| project_batch(batch, &self.exprs, &self.types)))
     }
 
     fn output_types(&self) -> Vec<DataType> {
@@ -971,9 +998,9 @@ impl<'a> HashAggregateOp<'a> {
 }
 
 impl Operator for HashAggregateOp<'_> {
-    fn next_batch(&mut self) -> Option<Batch> {
+    fn next_batch(&mut self) -> Result<Option<Batch>, Error> {
         if self.done {
-            return None;
+            return Ok(None);
         }
         self.done = true;
         let input_types = match &self.input {
@@ -987,22 +1014,23 @@ impl Operator for HashAggregateOp<'_> {
         };
         let (sinks, threads) = match &mut self.input {
             AggInput::Operator(input) => {
-                let batches = std::iter::from_fn(|| input.next_batch());
-                (morsel::drive_batches(batches, 1, make_sink), 1)
+                let batches = std::iter::from_fn(|| input.next_batch().transpose());
+                (morsel::drive_batches(batches, 1, make_sink)?, 1)
             }
-            // `Operator::next_batch` has no error channel; an unreadable cold
-            // block still joins every pipeline worker first, then surfaces here
-            // with its full on-disk position — the panic a scan operator raises.
             AggInput::Pipeline { relation, spec } => {
-                let (sinks, stats) = morsel::drive_pipeline(relation, spec, make_sink)
-                    .unwrap_or_else(|err| panic!("{err}"));
+                let (sinks, stats) = morsel::drive_pipeline(relation, spec, make_sink)?;
                 self.scan_stats = stats;
                 (sinks, spec.config.threads)
             }
         };
         let tables = sinks.into_iter().map(|sink| sink.table).collect();
         let groups = self.group_exprs.len();
-        Some(merge_and_emit(tables, threads, groups, &self.output_types))
+        Ok(Some(merge_and_emit(
+            tables,
+            threads,
+            groups,
+            &self.output_types,
+        )))
     }
 
     fn output_types(&self) -> Vec<DataType> {
@@ -1106,16 +1134,16 @@ impl<'a> HashJoinOp<'a> {
         self
     }
 
-    fn build_table(&mut self) -> JoinTable {
+    fn build_table(&mut self) -> Result<JoinTable, Error> {
         // The workers hash the build side's batches (an upstream scan parallelises
         // itself through its own ScanConfig) …
         let build = &mut self.build;
         let build_keys = &self.build_keys;
-        let batches = std::iter::from_fn(|| build.next_batch());
+        let batches = std::iter::from_fn(|| build.next_batch().transpose());
         let sinks = morsel::drive_batches(batches, self.build_threads, || JoinBuildSink {
             keys: build_keys,
             chunks: Vec::new(),
-        });
+        })?;
         // … and the barrier restores stream order: a chunk's morsel index is its
         // batch's position in the build stream.
         let mut chunks: Vec<BuildChunk> = sinks.into_iter().flat_map(|sink| sink.chunks).collect();
@@ -1159,13 +1187,13 @@ impl<'a> HashJoinOp<'a> {
             let (word, bit) = tag_slot(hash, tags.len());
             tags[word] |= 1 << bit;
         }
-        JoinTable {
+        Ok(JoinTable {
             rows,
             keys,
             starts,
             matches,
             tags,
-        }
+        })
     }
 }
 
@@ -1202,12 +1230,14 @@ fn tag_slot(hash: u64, words: usize) -> (usize, u32) {
 }
 
 impl<'a> Operator for HashJoinOp<'a> {
-    fn next_batch(&mut self) -> Option<Batch> {
+    fn next_batch(&mut self) -> Result<Option<Batch>, Error> {
         if self.table.is_none() {
-            self.table = Some(self.build_table());
+            self.table = Some(self.build_table()?);
         }
         let table = self.table.as_ref().expect("built above");
-        let batch = self.probe.next_batch()?;
+        let Some(batch) = self.probe.next_batch()? else {
+            return Ok(None);
+        };
         let keys: Vec<&Column> = self.probe_keys.iter().map(|&k| batch.column(k)).collect();
         let hashes = hash_rows(&keys, batch.len());
         // Matching (build row, probe row) pairs, in probe order.
@@ -1234,7 +1264,7 @@ impl<'a> Operator for HashJoinOp<'a> {
                 JoinType::ProbeSemi => probe_rows.push(row as u32),
             }
         }
-        Some(match self.join_type {
+        Ok(Some(match self.join_type {
             JoinType::Inner => {
                 let mut columns = table.rows.take(&build_rows).into_columns();
                 columns.extend(batch.take(&probe_rows).into_columns());
@@ -1242,7 +1272,7 @@ impl<'a> Operator for HashJoinOp<'a> {
             }
             JoinType::ProbeSemi if probe_rows.len() == batch.len() => batch,
             JoinType::ProbeSemi => batch.take(&probe_rows),
-        })
+        }))
     }
 
     fn output_types(&self) -> Vec<DataType> {
@@ -1307,16 +1337,16 @@ impl<'a> SortOp<'a> {
 }
 
 impl<'a> Operator for SortOp<'a> {
-    fn next_batch(&mut self) -> Option<Batch> {
+    fn next_batch(&mut self) -> Result<Option<Batch>, Error> {
         if self.done {
-            return None;
+            return Ok(None);
         }
         self.done = true;
-        let rows = collect_operator(self.input.as_mut());
+        let rows = drain(self.input.as_mut())?;
         let keys: Vec<(&Column, bool)> = (self.keys.iter())
             .map(|key| (rows.column(key.column), key.descending))
             .collect();
-        Some(rows.take(&sorted_rows(&keys, rows.len(), self.limit)))
+        Ok(Some(rows.take(&sorted_rows(&keys, rows.len(), self.limit))))
     }
 
     fn output_types(&self) -> Vec<DataType> {
@@ -1343,8 +1373,8 @@ impl ValuesOp {
 }
 
 impl Operator for ValuesOp {
-    fn next_batch(&mut self) -> Option<Batch> {
-        self.batch.take()
+    fn next_batch(&mut self) -> Result<Option<Batch>, Error> {
+        Ok(self.batch.take())
     }
 
     fn output_types(&self) -> Vec<DataType> {
@@ -1723,8 +1753,8 @@ mod tests {
     fn values_op_emits_once() {
         let mut op = ValuesOp::new(numbers(3));
         assert_eq!(op.output_types().len(), 3);
-        assert!(op.next_batch().is_some());
-        assert!(op.next_batch().is_none());
+        assert!(op.next_batch().unwrap().is_some());
+        assert!(op.next_batch().unwrap().is_none());
     }
 
     // ------------------------------------------------- pipeline breakers on N workers
@@ -1733,8 +1763,8 @@ mod tests {
     struct BatchesOp(std::collections::VecDeque<Batch>);
 
     impl Operator for BatchesOp {
-        fn next_batch(&mut self) -> Option<Batch> {
-            self.0.pop_front()
+        fn next_batch(&mut self) -> Result<Option<Batch>, Error> {
+            Ok(self.0.pop_front())
         }
 
         fn output_types(&self) -> Vec<DataType> {

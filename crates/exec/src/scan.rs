@@ -19,14 +19,25 @@
 //! storage layout and to the scan flavour.
 //!
 //! Internally the scanner walks a list of [`Morsel`]s — one frozen block, or a row
-//! range of a hot chunk. With one worker ([`ScanConfig::threads`] resolving to 1)
-//! the pull iterator walks them itself, on the calling thread — it needs neither a
-//! thread nor a channel to hand a batch to its own caller; any other count starts
-//! the **bounded streaming morsel pipeline** of [`crate::morsel::drive_streaming`]
-//! and pulls its (deterministically ordered) batches off the reorder channel one at
-//! a time — peak buffering is the configured [`ScanConfig::channel_cap`], never the
-//! whole relation. Either way a morsel goes through the same block and chunk scan
-//! routines below, and the batches are byte-identical.
+//! range of a hot chunk — and every morsel is scanned by the one routine the morsel
+//! workers run, `RelationScanner::stream_morsel`. With one worker
+//! ([`ScanConfig::threads`] resolving to 1) the pull is an adapter over it on the
+//! calling thread — the next morsel's batches go into a queue the pull pops, so it
+//! needs neither a thread nor a channel and buffers at most one morsel; any other
+//! count starts the **bounded streaming morsel pipeline** of
+//! [`crate::morsel::drive_streaming`] and pulls its (deterministically ordered)
+//! batches off the reorder channel one at a time — peak buffering is the configured
+//! [`ScanConfig::channel_cap`], never the whole relation. The batches are
+//! byte-identical either way.
+//!
+//! # Failure and cancellation
+//!
+//! A spilled block that cannot be paged in is a typed [`ColdReadError`] from
+//! [`RelationScanner::try_next_batch`]. A raised [`crate::CancelToken`] (see
+//! [`crate::cancel`]) stops the scan at the next morsel boundary; the scanner's pull
+//! is typed for cold reads only, so it reports the end of the scan, and
+//! [`crate::ScanOp`] — the scanner as an operator — gives that end its name,
+//! [`crate::Error::Cancelled`].
 //!
 //! The scanner is generic over [`ScanSource`]: a borrowed [`Relation`] for the
 //! calling-thread walk and the pipeline workers, or an owned
@@ -52,6 +63,7 @@ use storage::{ColdReadError, HotChunk, Relation, ScanSource};
 
 use crate::batch::Batch;
 use crate::morsel::{self, Morsel, ScanStream};
+use crate::Error;
 
 /// How the scan executes (see module docs).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -88,8 +100,8 @@ pub struct ScanConfig {
     /// Capacity, in batches, of the streaming scan's reorder channel (the bound on
     /// batches buffered between the morsel workers and the consumer). One slot is
     /// reserved for the head-of-line morsel so the reorder stage can never
-    /// deadlock; `0` picks a default of `2 × workers + 2`. Ignored by serial
-    /// scans, which buffer at most one cold morsel's output.
+    /// deadlock; `0` picks a default of `2 × workers + 2`. Ignored by one-worker
+    /// scans, which buffer at most one morsel's output.
     pub channel_cap: usize,
     /// Cold-scan read-ahead: when a scan enters a cold morsel, the next
     /// `readahead` cold blocks it will visit (skipping SMA-pruned ones) are
@@ -192,9 +204,6 @@ impl ScanStats {
     }
 }
 
-/// Sentinel for "the scanner has not entered its current morsel yet".
-const CURSOR_UNSET: usize = usize::MAX;
-
 /// Resolve a projection to its output column types once, at scanner construction.
 fn projection_types<S: ScanSource>(source: &S, projection: &[usize]) -> Vec<DataType> {
     projection
@@ -217,14 +226,10 @@ pub struct RelationScanner<'a, S: ScanSource = Relation> {
     /// The units of work this scanner walks, in emission order.
     morsels: Vec<Morsel>,
     morsel_idx: usize,
-    row_cursor: usize,
-    /// Batches of the current cold morsel on the serial path, produced while the
-    /// block was pinned and streamed out afterwards (see
-    /// [`Self::enter_cold_morsel`]). The streaming workers bypass this buffer and
-    /// emit into the bounded channel while the pin is held.
-    cold_pending: VecDeque<Batch>,
-    /// Has the current cold morsel been processed into `cold_pending` yet?
-    cold_entered: bool,
+    /// Batches of the morsel the one-worker pull scanned last, not yet handed out
+    /// (a cold block's pin is released before they are). The morsel workers bypass
+    /// this queue and emit into their sink or the bounded channel directly.
+    pending: VecDeque<Batch>,
     match_buf: Vec<u32>,
     /// The bounded streaming pipeline, started on the first `next_batch` call when
     /// `config.threads != 1`. Owns its workers; joined when the stream ends (or on
@@ -296,9 +301,7 @@ impl<'a, S: ScanSource> RelationScanner<'a, S> {
             stats: ScanStats::default(),
             morsels,
             morsel_idx: 0,
-            row_cursor: CURSOR_UNSET,
-            cold_pending: VecDeque::new(),
-            cold_entered: false,
+            pending: VecDeque::new(),
             match_buf: Vec::new(),
             stream: None,
         }
@@ -319,75 +322,55 @@ impl<'a, S: ScanSource> RelationScanner<'a, S> {
         self.output_types.clone()
     }
 
-    /// Produce the next non-empty batch, or `None` when the relation is exhausted.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a cold block cannot be paged in (I/O error or corrupt frame) —
-    /// fault-aware callers use [`RelationScanner::try_next_batch`], which carries
-    /// the typed [`ColdReadError`] out instead.
+    /// [`RelationScanner::try_next_batch`] without the `Result`, for callers whose
+    /// relation has no spilled block (or who treat an unreadable one as fatal): the
+    /// error fails an `expect`.
     pub fn next_batch(&mut self) -> Option<Batch> {
-        self.try_next_batch().unwrap_or_else(|err| panic!("{err}"))
+        self.try_next_batch()
+            .expect("a cold block could not be paged in (try_next_batch returns this)")
     }
 
-    /// Fallible variant of [`RelationScanner::next_batch`]: a spilled block that
-    /// cannot be paged in surfaces as a [`ColdReadError`] naming the block's
-    /// on-disk position. On the parallel path the error cancels the stream and
-    /// joins every worker before it is returned, so no worker outlives the
-    /// failure.
-    ///
-    /// # Panics
-    ///
-    /// Panics with [`crate::cancel::CANCEL_MESSAGE`] when the calling thread's
-    /// [`crate::cancel::CancelToken`] is raised — after cancelling and joining
-    /// the streaming workers, so a cancelled scan leaves no thread behind. The
-    /// session boundary turns the panic back into a typed error.
+    /// Produce the next non-empty batch, or `None` at the end of the scan. A
+    /// spilled block that cannot be paged in surfaces as a [`ColdReadError`] naming
+    /// the block's on-disk position; with several workers the error has cancelled
+    /// the stream and joined every worker before it is returned. A raised cancel
+    /// token ends the scan at the next morsel boundary (see the module docs).
     pub fn try_next_batch(&mut self) -> Result<Option<Batch>, ColdReadError> {
-        if crate::cancel::current_is_cancelled() {
-            self.stream = None; // drop = cancel + join the streaming workers
-            panic!("{}", crate::cancel::CANCEL_MESSAGE);
-        }
         if self.config.threads != 1 {
             return self.next_streamed_batch();
         }
+        // One worker: the claim loop of `morsel::run_worker`, a morsel per pull.
         loop {
+            if let Some(batch) = self.pending.pop_front() {
+                return Ok(Some(batch));
+            }
+            if crate::cancel::current_is_cancelled() {
+                return Ok(None);
+            }
             let Some(&morsel) = self.morsels.get(self.morsel_idx) else {
                 return Ok(None);
             };
-            let batch = match morsel {
-                Morsel::ColdBlock(block_idx) => {
-                    if !self.cold_entered {
-                        self.cold_entered = true;
-                        self.enter_cold_morsel(block_idx)?;
-                    }
-                    self.cold_pending.pop_front()
-                }
-                Morsel::HotRange { chunk, from, to } => {
-                    let source = self.source;
-                    let chunk = &source.hot_chunks()[chunk];
-                    self.next_from_hot(chunk, from, to)
-                }
-            };
-            match batch {
-                Some(batch) if !batch.is_empty() => {
-                    self.stats.rows_matched += batch.len();
-                    return Ok(Some(batch));
-                }
-                Some(_) => continue, // empty vector, keep scanning
-                None => {
-                    // morsel exhausted, move on
-                    self.morsel_idx += 1;
-                    self.row_cursor = CURSOR_UNSET;
-                    self.cold_entered = false;
-                }
-            }
+            morsel::prefetch_lookahead(
+                self.source,
+                &self.morsels,
+                self.morsel_idx,
+                &self.restrictions,
+                &self.config,
+            );
+            self.morsel_idx += 1;
+            let mut pending = std::mem::take(&mut self.pending);
+            let scanned = self.stream_morsel(morsel, &mut |batch| {
+                pending.push_back(batch);
+                true
+            });
+            self.pending = pending;
+            scanned?;
         }
     }
 
     /// Start the bounded streaming pipeline on first use, then pull one batch per
-    /// call off its reorder channel. Workers are joined (and the final statistics
-    /// captured) when the stream reports exhaustion — or when a worker carries a
-    /// [`ColdReadError`] out, in which case the joined error is returned.
+    /// call off its reorder channel. The stream has joined its workers (and its
+    /// statistics are final) whenever it reports anything but a batch.
     fn next_streamed_batch(&mut self) -> Result<Option<Batch>, ColdReadError> {
         if self.stream.is_none() {
             self.stream = Some(morsel::drive_streaming(
@@ -398,12 +381,13 @@ impl<'a, S: ScanSource> RelationScanner<'a, S> {
             ));
         }
         let stream = self.stream.as_mut().expect("started above");
-        match stream.try_next_batch()? {
-            Some(batch) => Ok(Some(batch)),
-            None => {
+        match stream.try_next_batch() {
+            Ok(Some(batch)) => Ok(Some(batch)),
+            Ok(None) | Err(Error::Cancelled) => {
                 self.stats = stream.stats();
                 Ok(None)
             }
+            Err(Error::ColdRead(err)) => Err(err),
         }
     }
 
@@ -413,11 +397,11 @@ impl<'a, S: ScanSource> RelationScanner<'a, S> {
     /// calls and released as soon as the last batch has been handed off, so a
     /// backpressured worker holds at most one pin while it waits. Returns
     /// `Ok(false)` if `emit` asked to stop (a cancelled stream), and a
-    /// [`ColdReadError`] when a cold block cannot be paged in — the worker
-    /// carries it to the stream instead of panicking.
+    /// [`ColdReadError`] when a cold block cannot be paged in.
     ///
-    /// This is the workers' entry point — [`crate::morsel::drive_streaming`] and
-    /// [`crate::morsel::drive_pipeline`] both feed their sinks through it.
+    /// This is the only way a morsel is scanned: [`crate::morsel::drive_streaming`],
+    /// [`crate::morsel::drive_pipeline`] and the one-worker pull all go through it,
+    /// so the block counters below are bumped in one place.
     pub(crate) fn stream_morsel(
         &mut self,
         morsel: Morsel,
@@ -447,22 +431,22 @@ impl<'a, S: ScanSource> RelationScanner<'a, S> {
             Morsel::HotRange { chunk, from, to } => {
                 let source = self.source;
                 let chunk = &source.hot_chunks()[chunk];
-                self.row_cursor = CURSOR_UNSET;
-                loop {
-                    match self.next_from_hot(chunk, from, to) {
-                        None => {
-                            self.row_cursor = CURSOR_UNSET;
-                            return Ok(true);
-                        }
-                        Some(batch) if batch.is_empty() => continue,
-                        Some(batch) => {
-                            self.stats.rows_matched += batch.len();
-                            if !emit(batch) {
-                                return Ok(false);
-                            }
+                let to = to.min(chunk.len());
+                self.stats.rows_scanned += to.saturating_sub(from);
+                let vector_size = self.config.options.vector_size;
+                let mut cursor = from;
+                while cursor < to {
+                    let end = (cursor + vector_size).min(to);
+                    let batch = self.scan_hot_rows(chunk, cursor, end);
+                    cursor = end;
+                    if !batch.is_empty() {
+                        self.stats.rows_matched += batch.len();
+                        if !emit(batch) {
+                            return Ok(false);
                         }
                     }
                 }
+                Ok(true)
             }
         }
     }
@@ -490,43 +474,6 @@ impl<'a, S: ScanSource> RelationScanner<'a, S> {
                 &self.restrictions,
                 &self.config.options,
             )
-    }
-
-    /// Process one whole cold-block morsel into [`Self::cold_pending`] (the serial
-    /// path's per-morsel buffer).
-    ///
-    /// The block reference (a pin, when the block is spilled) is acquired after
-    /// summary pruning and held exactly for the duration of this call — the morsel's
-    /// batches are fully materialised before the pin is released, so eviction can
-    /// never interleave with the scan of a block. The buffered batches are bounded
-    /// by one block's matching output (the block size is fixed at freeze time); the
-    /// streaming workers avoid even that by emitting into the bounded channel while
-    /// the pin is held ([`Self::stream_morsel`]).
-    fn enter_cold_morsel(&mut self, block_idx: usize) -> Result<(), ColdReadError> {
-        self.stats.blocks_total += 1;
-        // SMA pruning against the in-memory block directory, before any I/O.
-        if self.prune_cold_block(block_idx) {
-            self.stats.blocks_skipped += 1;
-            return Ok(());
-        }
-        // Read-ahead: stage the next cold blocks of the scan order before the
-        // demand pin below blocks on this one's disk read.
-        morsel::prefetch_lookahead(
-            self.source,
-            &self.morsels,
-            self.morsel_idx,
-            &self.restrictions,
-            &self.config,
-        );
-        let block = self.source.cold_block(block_idx)?;
-        let mut pending = std::mem::take(&mut self.cold_pending);
-        self.scan_cold_block(&block, &mut |batch| {
-            pending.push_back(batch);
-            true
-        });
-        self.cold_pending = pending;
-        Ok(())
-        // `block` dropped here: the pin is released once the morsel is materialised.
     }
 
     /// Scan one (non-pruned) cold block in the configured mode, handing each
@@ -643,20 +590,8 @@ impl<'a, S: ScanSource> RelationScanner<'a, S> {
 
     // -------------------------------------------------------------- hot segments
 
-    fn next_from_hot(&mut self, chunk: &'a HotChunk, from: usize, to: usize) -> Option<Batch> {
-        let to = to.min(chunk.len());
-        if self.row_cursor == CURSOR_UNSET {
-            self.row_cursor = from;
-            self.stats.rows_scanned += to.saturating_sub(from);
-        }
-        if self.row_cursor >= to {
-            return None;
-        }
-        let vector_size = self.config.options.vector_size;
-        let from = self.row_cursor;
-        let to = (from + vector_size).min(to);
-        self.row_cursor = to;
-
+    /// The qualifying records among rows `[from, to)` of a hot chunk (one vector).
+    fn scan_hot_rows(&mut self, chunk: &HotChunk, from: usize, to: usize) -> Batch {
         match self.config.mode {
             ScanMode::Jit => {
                 let mut columns: Vec<Column> =
@@ -675,7 +610,7 @@ impl<'a, S: ScanSource> RelationScanner<'a, S> {
                         }
                     }
                 }
-                Some(Batch::from_columns(columns))
+                Batch::from_columns(columns)
             }
             ScanMode::Vectorized { sarg } => {
                 self.match_buf.clear();
@@ -701,7 +636,7 @@ impl<'a, S: ScanSource> RelationScanner<'a, S> {
                         }
                     }
                 }
-                Some(Batch::from_columns(columns))
+                Batch::from_columns(columns)
             }
         }
     }

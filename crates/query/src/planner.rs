@@ -272,13 +272,16 @@ impl PhysicalPlan {
         self
     }
 
-    /// Build the operator tree and drain it to a single output batch.
+    /// Build the operator tree and drain it to a single output batch — for
+    /// callers with nothing to recover ([`exec::collect_operator`]); a query
+    /// that may meet an unreadable spilled block or be cancelled runs through
+    /// [`crate::Session::execute_plan`], whose stream returns the error.
     ///
     /// # Panics
     ///
     /// Panics if `db` lacks a relation the plan scans — plans are validated
     /// against the catalog they were planned with, so execute against the same
-    /// database (or one with the same schema).
+    /// database (or one with the same schema) — and if execution fails.
     pub fn execute(&self, db: &Database) -> Batch {
         let mut op = build_operator(&self.root, db, self.config);
         collect_operator(op.as_mut())

@@ -25,16 +25,16 @@
 //!   [`derive_spill_policy`].
 //!
 //! Every failure surfaces as the unified [`Error`] with a stable `Display`
-//! rendering — parse/plan errors keep their 1-based line/column positions,
-//! cold-read failures inside operators are caught at the session boundary
-//! (the operator tree itself has no error channel and panics), and admission
-//! rejections name both the requested and the available budget.
+//! rendering — parse/plan errors keep their 1-based line/column positions, an
+//! [`exec::Error`] returned by the operator tree keeps its variant (a cold-read
+//! failure its block's on-disk position), and admission rejections name both
+//! the requested and the available budget.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex, Weak};
 
 use exec::{morsel, CancelToken, ScanConfig};
-use storage::{blockstore::SpillPolicy, Database};
+use storage::{blockstore::SpillPolicy, ColdReadError, Database};
 
 use crate::error::IrError;
 use crate::planner::{PhysicalPlan, Planner};
@@ -56,8 +56,9 @@ pub enum Error {
     /// underlying [`IrError`], e.g. `syntax error at line 1, column 8: ...`).
     Query(IrError),
     /// A cold block could not be read back from the spill store during
-    /// execution. Renders as `cold read error: <store detail>`.
-    ColdRead(String),
+    /// execution; carries the block's id, generation and byte offset. Renders
+    /// as `cold read error: <the ColdReadError>`.
+    ColdRead(ColdReadError),
     /// Admission rejected the query because its budget can never be granted.
     /// Renders as `admission error: query budget N bytes exceeds the service
     /// budget M bytes`.
@@ -72,7 +73,8 @@ pub enum Error {
     /// [closed](Session::close)) and the morsel workers stopped at their next
     /// boundary. Renders as `query cancelled`.
     Cancelled,
-    /// Any other I/O-flavoured failure. Renders as `i/o error: <detail>`.
+    /// Any other failure, I/O-flavoured or a panic the stream's fault barrier
+    /// caught. Renders as `i/o error: <detail>`.
     Io(String),
 }
 
@@ -80,7 +82,7 @@ impl std::fmt::Display for Error {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             Error::Query(err) => err.fmt(f),
-            Error::ColdRead(detail) => write!(f, "cold read error: {detail}"),
+            Error::ColdRead(err) => write!(f, "cold read error: {err}"),
             Error::OverBudget {
                 requested_bytes,
                 total_bytes,
@@ -98,6 +100,7 @@ impl std::error::Error for Error {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
             Error::Query(err) => Some(err),
+            Error::ColdRead(err) => Some(err),
             _ => None,
         }
     }
@@ -106,6 +109,15 @@ impl std::error::Error for Error {
 impl From<IrError> for Error {
     fn from(err: IrError) -> Error {
         Error::Query(err)
+    }
+}
+
+impl From<exec::Error> for Error {
+    fn from(err: exec::Error) -> Error {
+        match err {
+            exec::Error::Cancelled => Error::Cancelled,
+            exec::Error::ColdRead(err) => Error::ColdRead(err),
+        }
     }
 }
 
@@ -301,7 +313,7 @@ impl<'db> Session<'db> {
 
     /// Start a plan under admission control (waits for a grant when the
     /// session belongs to a service) and hand it to a pull-based
-    /// [`QueryStream`]. Execution panics surface from the stream's pulls, not
+    /// [`QueryStream`]. Execution errors surface from the stream's pulls, not
     /// from here.
     fn start(&self, plan: &PhysicalPlan) -> Result<QueryStream<'_>, Error> {
         if self.is_closed() {
@@ -607,10 +619,17 @@ mod tests {
             "admission error: query budget 10 bytes exceeds the service budget 5 bytes"
         );
         assert_eq!(Error::Cancelled.to_string(), "query cancelled");
+        let cold = ColdReadError {
+            block_id: 7,
+            generation: 2,
+            offset: 4096,
+            detail: "boom".into(),
+        };
         assert_eq!(
-            Error::ColdRead("boom".into()).to_string(),
-            "cold read error: boom"
+            Error::from(exec::Error::ColdRead(cold)).to_string(),
+            "cold read error: cold block 7 unreadable (generation 2, offset 4096): boom"
         );
+        assert_eq!(Error::from(exec::Error::Cancelled), Error::Cancelled);
         assert_eq!(Error::Io("boom".into()).to_string(), "i/o error: boom");
     }
 

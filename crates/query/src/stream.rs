@@ -18,12 +18,15 @@
 //!   so a [`Session::close`](crate::Session::close) force-release may race a
 //!   drop without double-counting).
 //!
-//! The operator tree has no error channel (it panics — see [`exec::ops`]);
-//! every pull runs under `catch_unwind`, and the panic payload is classified
-//! back into the typed [`Error`] taxonomy at this boundary: the cancel
-//! message becomes [`Error::Cancelled`], cold-read panics become
-//! [`Error::ColdRead`], anything else [`Error::Io`]. Errors are terminal: a
-//! stream that reported one is exhausted.
+//! A pull is [`exec::Operator::next_batch`] on the tree's root, and the tree's
+//! [`exec::Error`] converts variant for variant into [`Error`]
+//! ([`Error::Cancelled`], [`Error::ColdRead`] with the block's position). Around
+//! that pull sits one unwind barrier, a fault barrier and nothing more: a plan
+//! can still reach a panic (a hand-built [`crate::PhysicalPlan`] whose declared
+//! types do not fit its values, integer overflow in a debug build), one query
+//! doing so must not take down a server thread with its budget granted, and
+//! whatever is caught is reported as [`Error::Io`] carrying the panic's message.
+//! Errors are terminal: a stream that reported one is exhausted.
 
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::Arc;
@@ -98,23 +101,20 @@ impl<'db> QueryStream<'db> {
                 return Err(Error::Cancelled);
             }
             let cancel = &self.cancel;
-            match panic::catch_unwind(AssertUnwindSafe(|| {
+            let pulled = panic::catch_unwind(AssertUnwindSafe(|| {
                 cancel::scoped(cancel, || op.next_batch())
-            })) {
+            }))
+            .map(|pulled| pulled.map_err(Error::from))
+            .unwrap_or_else(|payload| Err(Error::Io(panic_message(payload))));
+            match pulled {
+                Ok(Some(batch)) if batch.is_empty() => continue,
                 Ok(Some(batch)) => {
-                    if batch.is_empty() {
-                        continue;
-                    }
                     self.rows += batch.len() as u64;
                     return Ok(Some(batch));
                 }
-                Ok(None) => {
+                end => {
                     self.finish();
-                    return Ok(None);
-                }
-                Err(payload) => {
-                    self.finish();
-                    return Err(classify_panic(payload));
+                    return end;
                 }
             }
         }
@@ -161,24 +161,14 @@ impl Iterator for QueryStream<'_> {
     }
 }
 
-/// Turn a caught execution panic back into the typed error taxonomy. The
-/// operator tree's panic payloads are part of the execution contract: the
-/// cancel path panics with [`cancel::CANCEL_MESSAGE`], unreadable spilled
-/// blocks with a message naming the cold block.
-fn classify_panic(payload: Box<dyn std::any::Any + Send>) -> Error {
-    let detail = payload
+/// The message of a panic the fault barrier caught.
+fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
+    payload
         .downcast_ref::<String>()
         .map(String::as_str)
         .or_else(|| payload.downcast_ref::<&str>().copied())
         .unwrap_or("query execution panicked")
-        .to_string();
-    if detail.contains(cancel::CANCEL_MESSAGE) {
-        Error::Cancelled
-    } else if detail.contains("cold block") {
-        Error::ColdRead(detail)
-    } else {
-        Error::Io(detail)
-    }
+        .to_string()
 }
 
 #[cfg(test)]

@@ -109,7 +109,7 @@ pub fn sfo_delay_query(flights: &Relation, config: ScanConfig) -> (Batch, ScanSt
 struct PassThrough<'a, 'b>(&'b mut ScanOp<'a>);
 
 impl<'a, 'b> Operator for PassThrough<'a, 'b> {
-    fn next_batch(&mut self) -> Option<Batch> {
+    fn next_batch(&mut self) -> Result<Option<Batch>, exec::Error> {
         self.0.next_batch()
     }
     fn output_types(&self) -> Vec<DataType> {

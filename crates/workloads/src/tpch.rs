@@ -816,7 +816,7 @@ impl<'a, 'b> TakeStats<'a, 'b> {
 }
 
 impl<'a, 'b> Operator for TakeStats<'a, 'b> {
-    fn next_batch(&mut self) -> Option<Batch> {
+    fn next_batch(&mut self) -> Result<Option<Batch>, exec::Error> {
         self.inner.next_batch()
     }
     fn output_types(&self) -> Vec<DataType> {

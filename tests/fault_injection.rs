@@ -21,6 +21,8 @@
 //! discovery test below pins the workload to it so a new failpoint cannot be
 //! added without extending this matrix.
 
+mod common;
+
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -447,21 +449,7 @@ fn corrupt_frame_surfaces_structured_scan_error() {
 
     // flip one byte in the middle of block 2's frame, behind the store's back
     let target = 2;
-    let offset: u64 = (0..target).map(|id| store.entry_len(id) as u64).sum();
-    let poke = offset + store.entry_len(target) as u64 / 2;
-    {
-        use std::os::unix::fs::FileExt as _;
-        let file = std::fs::OpenOptions::new()
-            .read(true)
-            .write(true)
-            .open(&path)
-            .expect("open spill file raw");
-        let mut byte = [0u8];
-        file.read_exact_at(&mut byte, poke).expect("read byte");
-        byte[0] ^= 0xFF;
-        file.write_all_at(&byte, poke).expect("flip byte");
-    }
-    store.clear_cache();
+    let offset = common::corrupt_frame(&store, target);
 
     // the typed pin path names the exact on-disk position
     let err = store

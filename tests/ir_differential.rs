@@ -11,11 +11,13 @@
 //! restrictions, and the parser/planner rejecting malformed IR with positioned
 //! errors (satellite of the query-surface PR).
 
-use data_blocks::datablocks::Value;
-use data_blocks::exec::{Batch, ScanConfig};
-use data_blocks::query::{self, parse_ir, IrErrorKind};
+mod common;
+
+use common::assert_batches_agree;
+use data_blocks::exec::ScanConfig;
+use data_blocks::query::{self, parse_ir, Connect, IrErrorKind};
 use data_blocks::storage::SpillPolicy;
-use data_blocks::workloads::tpch::{run_query, run_query_ir, TpchDb};
+use data_blocks::workloads::tpch::{query_sql, run_query, run_query_ir, TpchDb};
 
 const THREAD_COUNTS: &[usize] = &[1, 2, 4, 8];
 const QUERIES: &[&str] = &["Q1", "Q6", "Q3", "Q12", "Q14"];
@@ -26,29 +28,6 @@ fn tpch() -> TpchDb {
     let mut db = TpchDb::generate_with_chunk(0.02, 2_048);
     db.freeze();
     db
-}
-
-/// Compare two result batches. `exact` demands byte-identity for every value;
-/// otherwise doubles are compared up to reassociation (relative 1e-9) because
-/// the dynamic morsel→worker schedule reassociates parallel floating-point sums.
-fn assert_batches_agree(label: &str, expected: &Batch, actual: &Batch, exact: bool) {
-    assert_eq!(expected.len(), actual.len(), "{label}: row count");
-    for row in 0..expected.len() {
-        let (e, a) = (expected.row(row), actual.row(row));
-        assert_eq!(e.len(), a.len(), "{label} row {row}: column count");
-        for (col, (ev, av)) in e.iter().zip(&a).enumerate() {
-            match (ev, av) {
-                (Value::Double(x), Value::Double(y)) if !exact => {
-                    let scale = x.abs().max(y.abs()).max(1.0);
-                    assert!(
-                        (x - y).abs() / scale < 1e-9,
-                        "{label} row {row} col {col}: {x} vs {y}"
-                    );
-                }
-                _ => assert_eq!(ev, av, "{label} row {row} col {col}"),
-            }
-        }
-    }
 }
 
 #[test]
@@ -94,6 +73,22 @@ fn ir_queries_match_across_cache_regimes() {
                     &format!("{name} cache {regime} threads {threads}"),
                     &expected,
                     &actual,
+                    threads == 1,
+                );
+                if regime != "thrash" {
+                    continue;
+                }
+                // Plan once, execute many: a plan compiled from the SQL text and
+                // run through `execute_plan` agrees with the one-shot path.
+                let session = spilled.db.connect().with_config(config);
+                let reused = session
+                    .compile_sql(query_sql(name))
+                    .and_then(|plan| session.execute_plan(&plan)?.collect())
+                    .unwrap_or_else(|err| panic!("re-running {name}: {err}"));
+                assert_batches_agree(
+                    &format!("{name} cache {regime} threads {threads} (plan reuse)"),
+                    &actual,
+                    &reused,
                     threads == 1,
                 );
             }

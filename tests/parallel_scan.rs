@@ -222,7 +222,7 @@ fn streaming_scan_matches_serial_under_tight_channel_caps() {
                 let mut stream =
                     drive_streaming(rel.scan_snapshot(), vec![0], restrictions.clone(), config);
                 let mut got = Vec::new();
-                while let Some(batch) = stream.next_batch() {
+                while let Some(batch) = stream.try_next_batch().unwrap() {
                     for row in 0..batch.len() {
                         got.push(batch.value(row, 0).as_int().unwrap());
                     }

@@ -134,7 +134,7 @@ fn streaming_scan_byte_identical_across_cache_configs_with_exact_reads() {
             config,
         );
         let mut rows = Vec::new();
-        while let Some(batch) = stream.next_batch() {
+        while let Some(batch) = stream.try_next_batch().unwrap() {
             for row in 0..batch.len() {
                 rows.push(batch.row(row));
             }
@@ -164,7 +164,7 @@ fn streaming_scan_byte_identical_across_cache_configs_with_exact_reads() {
                 config,
             );
             let mut rows = Vec::new();
-            while let Some(batch) = stream.next_batch() {
+            while let Some(batch) = stream.try_next_batch().unwrap() {
                 for row in 0..batch.len() {
                     rows.push(batch.row(row));
                 }

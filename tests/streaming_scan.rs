@@ -2,14 +2,23 @@
 //! a deliberately slow consumer must cap in-flight batches at the channel bound and
 //! must not deadlock for any thread count; output stays byte-identical to the
 //! serial scan; cold-morsel pins are acquired and released incrementally (never
-//! more than one per worker); and dropping the stream early cancels the workers
-//! instead of hanging or leaking them.
+//! more than one per worker); dropping the stream early cancels the workers
+//! instead of hanging or leaking them; and a cancel token raised while the consumer
+//! is parked on the channel ends the scan with `Error::Cancelled`, in process and
+//! over the wire.
 
+mod common;
+
+use std::sync::Arc;
 use std::time::Duration;
 
 use data_blocks::datablocks::{DataType, Restriction, Value};
-use data_blocks::exec::{drive_streaming, RelationScanner, ScanConfig};
-use data_blocks::storage::{ColumnDef, Relation, Schema, SpillPolicy};
+use data_blocks::exec::{
+    cancel, drive_streaming, CancelToken, Error, Operator, RelationScanner, ScanConfig, ScanOp,
+};
+use data_blocks::query::net::{ClientError, ErrorCode};
+use data_blocks::query::{QueryService, ServiceConfig};
+use data_blocks::storage::{BlockStore, ColumnDef, Database, Relation, Schema, SpillPolicy};
 
 const THREAD_COUNTS: &[usize] = &[1, 2, 4, 8];
 
@@ -91,7 +100,7 @@ fn slow_consumer_is_backpressured_within_the_channel_bound() {
                 );
                 let mut rows = Vec::new();
                 let mut batches = 0usize;
-                while let Some(batch) = stream.next_batch() {
+                while let Some(batch) = stream.try_next_batch().unwrap() {
                     batches += 1;
                     // Stall every few batches: workers must suspend, not buffer.
                     if batches.is_multiple_of(4) {
@@ -135,7 +144,7 @@ fn streaming_scan_never_buffers_more_than_the_channel_cap() {
             let mut stream = drive_streaming(rel.scan_snapshot(), vec![0], Vec::new(), config);
             let mut total_batches = 0usize;
             let mut total_rows = 0usize;
-            while let Some(batch) = stream.next_batch() {
+            while let Some(batch) = stream.try_next_batch().unwrap() {
                 total_batches += 1;
                 total_rows += batch.len();
             }
@@ -176,7 +185,7 @@ fn streaming_scan_holds_at_most_one_pin_per_worker() {
                 .with_channel_cap(2);
             let mut stream = drive_streaming(rel.scan_snapshot(), vec![0], Vec::new(), config);
             let mut rows = 0usize;
-            while let Some(batch) = stream.next_batch() {
+            while let Some(batch) = stream.try_next_batch().unwrap() {
                 rows += batch.len();
                 assert!(
                     store.pinned_count() <= threads,
@@ -208,7 +217,7 @@ fn dropping_the_stream_early_cancels_the_workers() {
                 .with_morsel_rows(200)
                 .with_channel_cap(1);
             let mut stream = drive_streaming(rel.scan_snapshot(), vec![0], Vec::new(), config);
-            let first = stream.next_batch();
+            let first = stream.try_next_batch().unwrap();
             assert!(first.is_some(), "threads {threads}");
             drop(stream); // must join the (suspended) workers promptly
         }
@@ -238,7 +247,7 @@ fn empty_and_fully_pruned_streams_terminate() {
             Vec::new(),
             ScanConfig::default().with_threads(4),
         );
-        assert!(stream.next_batch().is_none());
+        assert!(stream.try_next_batch().unwrap().is_none());
         assert_eq!(stream.stats().rows_matched, 0);
 
         // Every block ruled out by its SMA: the stream yields nothing but still
@@ -252,10 +261,188 @@ fn empty_and_fully_pruned_streams_terminate() {
             restrictions,
             ScanConfig::default().with_threads(2),
         );
-        assert!(stream.next_batch().is_none());
+        assert!(stream.try_next_batch().unwrap().is_none());
         let stats = stream.stats();
         assert_eq!(stats.blocks_total, 4);
         assert_eq!(stats.blocks_skipped, 4);
         assert_eq!(rel.spill_store().unwrap().stats().block_reads, 0);
+    });
+}
+
+/// 400 frozen blocks of 8 192 rows `(id, val = (id % 97) * 2)`. A scan of
+/// `val = 51` cannot prune a block from its summary (51 is inside every block's
+/// SMA range) and matches no row (`val` is even): behind a one-byte block cache it
+/// pages every block in — 400 reads for a full scan — and never produces a batch,
+/// so its workers never reach a push and its consumer parks on the reorder channel.
+fn match_free_relation() -> Relation {
+    let schema = Schema::new(vec![
+        ColumnDef::new("id", DataType::Int),
+        ColumnDef::new("val", DataType::Int),
+    ]);
+    let mut rel = Relation::with_chunk_capacity("even", schema, 8_192);
+    for i in 0..400 * 8_192i64 {
+        rel.insert(vec![Value::Int(i), Value::Int((i % 97) * 2)]);
+    }
+    rel.freeze_all();
+    rel
+}
+
+const MATCH_FREE_BLOCKS: u64 = 400;
+
+/// Spawn the second thread of the cancel tests: it reports in (so its start-up is
+/// not part of the race), then runs `cancel` once the scan under test has
+/// demonstrably started paging blocks in, and returns the store's read count right
+/// after — every read past that count happened under a raised token.
+fn cancel_after_three_reads(
+    store: Arc<BlockStore>,
+    cancel: impl FnOnce() + Send + 'static,
+) -> std::thread::JoinHandle<u64> {
+    let (ready, wait_ready) = std::sync::mpsc::channel();
+    let canceller = std::thread::spawn(move || {
+        ready.send(()).expect("the test waits for this");
+        while store.stats().block_reads < 3 {
+            std::hint::spin_loop();
+        }
+        cancel();
+        store.stats().block_reads
+    });
+    wait_ready.recv().expect("canceller started");
+    canceller
+}
+
+/// Both tests race a ~50 ms scan (release build) against a second thread, which the
+/// scheduler may keep off the CPU for longer than that: an attempt whose cancel
+/// landed in the second half of the scan shows nothing and is repeated.
+const ATTEMPTS: usize = 8;
+
+/// The regression test of the cancel hang: the token is raised while the consumer
+/// of the match-free scan is parked on the channel (several workers) or deep inside
+/// one pull (one worker). The pull must return `Err(Cancelled)` — not park forever,
+/// not scan on to the end and report exhaustion — after at most one more block per
+/// worker, with every worker joined and no pin left.
+#[test]
+fn a_token_raised_mid_scan_ends_a_match_free_scan_with_cancelled() {
+    with_timeout(120, || {
+        let mut rel = match_free_relation();
+        rel.enable_spill(&SpillPolicy::with_cache_capacity(1))
+            .expect("enable spill");
+        let store = rel.spill_store().expect("store attached").clone();
+        let idle_handles = Arc::strong_count(&store);
+
+        for threads in [1usize, 2, 4] {
+            let landed_early = (0..ATTEMPTS).any(|_| {
+                store.clear_cache();
+                store.reset_stats();
+                let token = CancelToken::new();
+                let mut scan = ScanOp::new(RelationScanner::new(
+                    &rel,
+                    vec![0],
+                    vec![Restriction::eq(1, 51i64)],
+                    ScanConfig::default().with_threads(threads),
+                ));
+                let canceller = cancel_after_three_reads(store.clone(), {
+                    let token = token.clone();
+                    move || token.cancel()
+                });
+                let pulled = cancel::scoped(&token, || scan.next_batch());
+                let reads = store.stats().block_reads;
+                let reads_at_cancel = canceller.join().expect("canceller");
+                drop(scan);
+                assert_eq!(
+                    store.stats().block_reads,
+                    reads,
+                    "threads {threads}: a worker was still reading after the pull returned"
+                );
+                assert_eq!(store.pinned_count(), 0, "threads {threads}");
+                assert_eq!(
+                    Arc::strong_count(&store),
+                    idle_handles,
+                    "threads {threads}: a worker still holds the snapshot"
+                );
+                if reads_at_cancel >= MATCH_FREE_BLOCKS / 2 {
+                    return false;
+                }
+                assert!(
+                    matches!(pulled, Err(Error::Cancelled)),
+                    "threads {threads}: {pulled:?} after {reads} block reads, \
+                     token raised at {reads_at_cancel}"
+                );
+                // A worker that passed its check just before the token went up
+                // reads one more block; nobody reads two.
+                assert!(
+                    reads <= reads_at_cancel + threads as u64,
+                    "threads {threads}: token raised at {reads_at_cancel} reads, \
+                     scan went on to {reads}"
+                );
+                true
+            });
+            assert!(
+                landed_early,
+                "threads {threads}: no cancel landed in the first half of the scan"
+            );
+        }
+    });
+}
+
+/// The same scenario end to end: two scan workers under a `QueryService`, the
+/// cancel arriving as a wire frame while the server's pull is parked. The client
+/// gets the typed error, the grant returns to the pool, the connection serves the
+/// next query, and the server shuts down (its connection thread is not wedged).
+#[test]
+fn a_wire_cancel_ends_a_match_free_scan_and_the_connection_survives() {
+    with_timeout(120, || {
+        let mut db = Database::new();
+        db.add_relation(match_free_relation());
+        db.enable_spill(SpillPolicy::with_cache_capacity(1))
+            .expect("enable spill");
+        let store = db.relation("even").spill_store().expect("store").clone();
+        let service = Arc::new(QueryService::new(
+            Arc::new(db),
+            ScanConfig::default().with_threads(2),
+            ServiceConfig::default(),
+        ));
+        let (server, mut client) = common::loopback(&service);
+
+        let landed_early = (0..ATTEMPTS).any(|_| {
+            store.clear_cache();
+            store.reset_stats();
+            let canceller = client.canceller();
+            let watcher = cancel_after_three_reads(store.clone(), move || canceller.cancel());
+            let mut stream = client
+                .query_sql("SELECT id FROM even WHERE val = 51")
+                .expect("query");
+            let outcome = stream.next_batch();
+            drop(stream);
+            let reads_at_cancel = watcher.join().expect("watcher");
+            assert_eq!(store.pinned_count(), 0);
+            assert_eq!(service.stats().granted_bytes, 0);
+            assert_eq!(service.stats().running, 0);
+            if reads_at_cancel >= MATCH_FREE_BLOCKS / 2 {
+                return false;
+            }
+            match outcome {
+                Err(ClientError::Remote { code, message }) => {
+                    assert_eq!(code, ErrorCode::Cancelled);
+                    assert_eq!(message, "query cancelled");
+                }
+                other => panic!(
+                    "expected the remote cancellation, got {other:?} \
+                     (cancel sent at {reads_at_cancel} block reads)"
+                ),
+            }
+            true
+        });
+        assert!(
+            landed_early,
+            "no cancel was sent in the first half of the scan"
+        );
+
+        let batch = client
+            .query_sql("SELECT count(*) FROM even WHERE id < 10")
+            .and_then(|stream| stream.collect())
+            .expect("query after cancel");
+        assert_eq!(batch.value(0, 0), Value::Int(10));
+        drop(client);
+        server.shutdown();
     });
 }

@@ -24,11 +24,13 @@
 //!   runs under a watchdog so a protocol deadlock fails loudly instead of
 //!   hanging CI.
 
+mod common;
+
 use std::sync::{mpsc, Arc};
 use std::time::{Duration, Instant};
 
-use data_blocks::datablocks::Value;
-use data_blocks::exec::{Batch, ScanConfig};
+use common::assert_batches_agree;
+use data_blocks::exec::ScanConfig;
 use data_blocks::query::net::frame::{encode_query, write_frame, FrameType, QueryKind, WIRE_MAGIC};
 use data_blocks::query::net::{
     ClientConfig, ClientError, ErrorCode, WireClient, WireConfig, WireServer,
@@ -94,29 +96,6 @@ fn serve_tpch(threads: usize, thrash: bool) -> (Arc<QueryService>, WireServer) {
     let server = WireServer::serve(Arc::clone(&service), "127.0.0.1:0", server_config())
         .expect("bind wire server");
     (service, server)
-}
-
-/// Same comparison contract as `ir_differential` / `sql_frontend`:
-/// byte-identity when `exact` (serial plans are fully deterministic), doubles
-/// equal up to parallel-merge reassociation (relative 1e-9) otherwise.
-fn assert_batches_agree(label: &str, expected: &Batch, actual: &Batch, exact: bool) {
-    assert_eq!(expected.len(), actual.len(), "{label}: row count");
-    assert_eq!(expected.types(), actual.types(), "{label}: schema");
-    for row in 0..expected.len() {
-        let (e, a) = (expected.row(row), actual.row(row));
-        for (col, (ev, av)) in e.iter().zip(&a).enumerate() {
-            match (ev, av) {
-                (Value::Double(x), Value::Double(y)) if !exact => {
-                    let scale = x.abs().max(y.abs()).max(1.0);
-                    assert!(
-                        (x - y).abs() / scale < 1e-9,
-                        "{label} row {row} col {col}: {x} vs {y}"
-                    );
-                }
-                _ => assert_eq!(ev, av, "{label} row {row} col {col}"),
-            }
-        }
-    }
 }
 
 /// The tentpole fidelity pin: all five reproduced TPC-H queries over the wire
