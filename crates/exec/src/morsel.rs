@@ -17,17 +17,17 @@
 //! Work distribution is a single `fetch_add` on an [`AtomicUsize`] cursor over that
 //! list. A worker's life is one private loop, written once and run by every
 //! worker there is — check for cancellation or a failed sibling, claim the next
-//! unclaimed morsel, queue the cold read-ahead behind it, scan it to completion
-//! through the non-breaking [`PipelineStep`]s, report the outcome — so the rules
-//! for cancellation, read-ahead and cold read errors live in one place, and a run
-//! ends early in one way: the first worker to meet an unreadable cold block or a
-//! raised [`CancelToken`] records that [`Error`] as the run's outcome, every worker
-//! stops at its next claim or push, all of them are joined, and the driver returns
-//! the error. There are no locks on the scan path — frozen
-//! blocks and hot chunks are only ever read, the cursor is the only shared mutable
-//! state, and every worker owns its output. A worker keeps one [`RelationScanner`]
-//! for its whole life, so the match-position vector and its growth are paid once
-//! per worker, not once per morsel or per vector.
+//! unclaimed morsel, scan it to completion through the non-breaking
+//! [`PipelineStep`]s (a cold morsel pins its block when it is claimed, never
+//! ahead), report the outcome — so the rules for cancellation and cold read
+//! errors live in one place, and a run ends early in one way: the first worker to
+//! meet an unreadable cold block or a raised [`CancelToken`] records that
+//! [`Error`] as the run's outcome, every worker stops at its next claim or push,
+//! all of them are joined, and the driver returns the error. There are no locks on
+//! the scan path — frozen blocks and hot chunks are only ever read, the cursor is
+//! the only shared mutable state, and every worker owns its output. A worker keeps
+//! one [`RelationScanner`] for its whole life, so the match-position vector and its
+//! growth are paid once per worker, not once per morsel or per vector.
 //!
 //! What differs between the two drivers is only where a worker's batches go.
 //!
@@ -210,45 +210,6 @@ pub fn decompose<S: ScanSource>(source: &S, morsel_rows: usize) -> Vec<Morsel> {
         }
     }
     morsels
-}
-
-/// Issue the cold-scan read-ahead for the morsel at `current`: queue the next
-/// [`ScanConfig::readahead`] cold blocks of the scan order — skipping blocks the
-/// SMA gate would prune, exactly as the scan itself will — for the source's
-/// prefetch worker ([`storage::ScanSource::prefetch_cold_blocks`]). Pruning is
-/// only consulted in the SARG-pushdown mode, mirroring
-/// `RelationScanner::prune_cold_block`: the other modes scan every block, so
-/// they prefetch every block. A no-op when read-ahead is off, the morsel is
-/// hot (every morsel behind it is too) or the source has no spill store.
-pub(crate) fn prefetch_lookahead<S: ScanSource>(
-    source: &S,
-    morsels: &[Morsel],
-    current: usize,
-    restrictions: &[Restriction],
-    config: &ScanConfig,
-) {
-    if config.readahead == 0 || !matches!(morsels[current], Morsel::ColdBlock(_)) {
-        return;
-    }
-    let prune = matches!(
-        config.mode,
-        crate::scan::ScanMode::Vectorized { sarg: true }
-    );
-    let mut ahead = Vec::with_capacity(config.readahead);
-    for morsel in morsels.iter().skip(current + 1) {
-        if ahead.len() == config.readahead {
-            break;
-        }
-        if let Morsel::ColdBlock(block_idx) = morsel {
-            if prune && !source.cold_block_may_match(*block_idx, restrictions, &config.options) {
-                continue;
-            }
-            ahead.push(*block_idx);
-        }
-    }
-    if !ahead.is_empty() {
-        source.prefetch_cold_blocks(&ahead);
-    }
 }
 
 /// Resolve a [`ScanConfig::threads`] request to an actual worker count: `0` means
@@ -461,12 +422,12 @@ impl Drop for WorkerGuard {
 /// One morsel worker's life — the only copy of the claim loop, run by the streaming
 /// workers ([`drive_streaming`]) and the pipeline workers ([`drive_pipeline`]) alike.
 /// Until `stop()` reports a cancelled or failed run, or the cursor runs off the
-/// list: claim the next morsel, queue the cold read-ahead behind it (the cache is
-/// shared, so prefetching a morsel another worker scans is exactly as useful), scan
-/// it with the worker's one reused scanner, pass every batch through the steps of
-/// `spec` to `emit(morsel_idx, batch)`, and hand the morsel's outcome — `Ok(false)`
-/// if `emit` asked to stop, `Err` for an unreadable cold block — to
-/// `done(morsel_idx, outcome)`, which says whether to claim again.
+/// list: claim the next morsel, scan it with the worker's one reused scanner (a
+/// cold morsel is paged in by its own pin when it is claimed, not before), pass
+/// every batch through the steps of `spec` to `emit(morsel_idx, batch)`, and hand
+/// the morsel's outcome — `Ok(false)` if `emit` asked to stop, `Err` for an
+/// unreadable cold block — to `done(morsel_idx, outcome)`, which says whether to
+/// claim again.
 ///
 /// `stop` is checked between claims because a run of morsels that emit nothing
 /// (pruned or match-free blocks) never reaches `emit` — it is what keeps a dropped
@@ -488,13 +449,6 @@ fn run_worker<S: ScanSource>(
         let Some(&morsel) = morsels.get(morsel_idx) else {
             break;
         };
-        prefetch_lookahead(
-            source,
-            morsels,
-            morsel_idx,
-            &spec.restrictions,
-            &spec.config,
-        );
         // Batches flow scan → steps → `emit` one at a time — a cold morsel is never
         // materialised, and its pin is released when the last batch left the scanner.
         let outcome = scanner.stream_morsel(morsel, &mut |batch| {

@@ -103,14 +103,6 @@ pub struct ScanConfig {
     /// deadlock; `0` picks a default of `2 × workers + 2`. Ignored by one-worker
     /// scans, which buffer at most one morsel's output.
     pub channel_cap: usize,
-    /// Cold-scan read-ahead: when a scan enters a cold morsel, the next
-    /// `readahead` cold blocks it will visit (skipping SMA-pruned ones) are
-    /// queued for the spill store's prefetch thread, so a sequential cold scan
-    /// finds them cached by the time it pins them. `0` (the default) disables
-    /// read-ahead. Purely a hint: results are byte-identical either way, and the
-    /// store's counters split the I/O into demand `block_reads` vs
-    /// `prefetch_reads`. No effect on relations without a spill store.
-    pub readahead: usize,
 }
 
 /// Default number of hot-chunk rows handed out per morsel (matches the Data Block
@@ -125,7 +117,6 @@ impl Default for ScanConfig {
             threads: 1,
             morsel_rows: DEFAULT_MORSEL_ROWS,
             channel_cap: 0,
-            readahead: 0,
         }
     }
 }
@@ -169,13 +160,6 @@ impl ScanConfig {
     /// [`ScanConfig::channel_cap`]).
     pub fn with_channel_cap(mut self, channel_cap: usize) -> ScanConfig {
         self.channel_cap = channel_cap;
-        self
-    }
-
-    /// The same configuration with an `n`-block cold-scan read-ahead (see
-    /// [`ScanConfig::readahead`]).
-    pub fn with_readahead(mut self, readahead: usize) -> ScanConfig {
-        self.readahead = readahead;
         self
     }
 }
@@ -350,13 +334,6 @@ impl<'a, S: ScanSource> RelationScanner<'a, S> {
             let Some(&morsel) = self.morsels.get(self.morsel_idx) else {
                 return Ok(None);
             };
-            morsel::prefetch_lookahead(
-                self.source,
-                &self.morsels,
-                self.morsel_idx,
-                &self.restrictions,
-                &self.config,
-            );
             self.morsel_idx += 1;
             let mut pending = std::mem::take(&mut self.pending);
             let scanned = self.stream_morsel(morsel, &mut |batch| {

@@ -19,10 +19,9 @@
 //!   admitted, so queueing it would deadlock the queue head.
 //! * the granted budget derives the query's back-pressure: the scan's
 //!   reorder-channel capacity is `clamp(budget / 1 MiB, 1, 2 × workers + 2)`
-//!   batches (and cold-scan read-ahead is capped to it), so a small budget
-//!   bounds how much decompressed data a parallel scan keeps in flight. The
-//!   block-cache half of the budget is derived once per database with
-//!   [`derive_spill_policy`].
+//!   batches, so a small budget bounds how much decompressed data a parallel
+//!   scan keeps in flight. The block-cache half of the budget is derived once
+//!   per database with [`derive_spill_policy`].
 //!
 //! Every failure surfaces as the unified [`Error`] with a stable `Display`
 //! rendering — parse/plan errors keep their 1-based line/column positions, an
@@ -220,9 +219,6 @@ impl<'db> Session<'db> {
             let default_cap = 2 * workers + 2;
             let slots = (service.budget_bytes / CHANNEL_SLOT_BYTES).max(1);
             config.channel_cap = slots.min(default_cap);
-            if config.readahead > 0 {
-                config.readahead = config.readahead.min(config.channel_cap);
-            }
         }
         config
     }

@@ -1,6 +1,6 @@
 //! The file-backed block store: cold Data Blocks on secondary storage behind a
-//! pinning, capacity-bounded block cache — with a persisted directory manifest,
-//! dead-frame compaction and sequential read-ahead.
+//! pinning, capacity-bounded block cache — with a persisted directory manifest
+//! and dead-frame compaction.
 //!
 //! Data Blocks are self-contained and byte-addressable precisely so cold data can
 //! leave main memory (Lang et al., Section 2); this module is the subsystem that
@@ -74,7 +74,6 @@
 //! | `manifest.append`    | manifest record write                               |
 //! | `manifest.sync`      | group-commit `fsync` of the manifest (Sync mode)    |
 //! | `pin.read`           | demand frame read of a cache miss                   |
-//! | `prefetch.read`      | frame read on the read-ahead worker                 |
 //! | `compact.read`       | live-frame read during compaction                   |
 //! | `compact.write`      | live-frame copy into the new generation             |
 //! | `compact.sync`       | new generation `sync_data` before the checkpoint    |
@@ -105,21 +104,12 @@
 //! entry references it. [`IoStats`] counts compactions, frames/bytes moved and
 //! pinned frames skipped so tests can pin the behaviour down.
 //!
-//! # Read-ahead
-//!
-//! [`BlockStore::prefetch`] queues block ids for a lazily-spawned helper thread
-//! that pages them into the cache (plain positional `read_at`, no extra
-//! dependencies) so a sequential cold scan can run ahead of the pinning morsel.
-//! Prefetch reads are counted in [`IoStats::prefetch_reads`], *not* in
-//! [`IoStats::block_reads`] — the counters distinguish demand I/O from
-//! read-ahead. A prefetched block enters the cache unpinned; the later demand
-//! pin is then a cache hit. Races are benign: if a demand read and the prefetch
-//! worker both load a block, one copy wins the cache and both reads are counted
-//! under their respective counters.
-//!
 //! # Concurrency
 //!
-//! All I/O is positional (`read_at`/`write_at` via [`std::os::unix::fs::FileExt`]),
+//! The store starts no thread of its own: every read and write runs on the
+//! calling thread, and [`BlockStore::pin`] is the one path that pages a block
+//! into the cache — a scan reads a spilled block when it claims that morsel,
+//! never ahead of it. All I/O is positional (`read_at`/`write_at` via [`std::os::unix::fs::FileExt`]),
 //! so concurrent scan workers loading different blocks never contend on a shared
 //! file cursor. The cache index is behind one [`Mutex`], but the lock is **not**
 //! held across disk reads or frame decoding: a miss records the directory entry
@@ -137,14 +127,14 @@
 //! [`std::io::ErrorKind::AlreadyExists`]) — reopening a live store would hand
 //! two caches the same file and corrupt it on the first rewrite.
 
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::{HashMap, HashSet};
 use std::fs::{File, OpenOptions};
 use std::io;
 use std::ops::Deref;
 use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, OnceLock};
+use std::sync::{Arc, Mutex, OnceLock};
 
 use datablocks::frame::{
     self, manifest_record_to_bytes, replay_manifest, ManifestRecord, FRAME_HEADER_LEN,
@@ -316,10 +306,9 @@ impl From<ColdReadError> for io::Error {
 /// what the scan-skipping assertions in the differential tests pin down.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct IoStats {
-    /// Block payloads read from disk **on demand** (cache misses on a pin).
-    /// Read-ahead I/O is counted separately in [`IoStats::prefetch_reads`].
+    /// Block payloads read from disk (cache misses on a pin).
     pub block_reads: u64,
-    /// Bytes read from disk (demand and prefetch).
+    /// Bytes read from disk by those block reads.
     pub bytes_read: u64,
     /// Block frames written to disk (appends and rewrites; compaction copies are
     /// counted in [`IoStats::compacted_frames`] instead).
@@ -332,7 +321,9 @@ pub struct IoStats {
     pub cache_misses: u64,
     /// Cached blocks evicted to stay within capacity.
     pub evictions: u64,
-    /// Block payloads read from disk by the read-ahead worker.
+    /// Always 0: the store has no read-ahead, [`BlockStore::pin`] is its only
+    /// page-in path. Kept only because the frozen `bench_layers` harness still
+    /// reads it (`w_scan.rs`); it goes with that harness edit (ROADMAP item 6).
     pub prefetch_reads: u64,
     /// Dead-frame compaction passes completed.
     pub compactions: u64,
@@ -346,10 +337,6 @@ pub struct IoStats {
     /// Transient I/O errors (`Interrupted`/`WouldBlock`/`TimedOut`) absorbed by
     /// the store's bounded retry instead of surfacing to the caller.
     pub retries: u64,
-    /// Read-ahead loads that failed. A prefetch error never kills the worker or
-    /// the scan — the block simply stays cold and the later demand pin pays the
-    /// read (or reports the real error).
-    pub prefetch_errors: u64,
 }
 
 /// One directory entry: which generation file holds the block's frame, where,
@@ -426,45 +413,11 @@ struct ManifestFile {
     pending: usize,
 }
 
-/// Queue shared with the read-ahead worker, which parks on its condvar. The
-/// worker owns this and the store's [`Core`] — never a handle to the store
-/// itself (see [`prefetch_worker`]).
+/// A file-backed store of frozen Data Blocks with a persisted manifest, an
+/// in-memory directory and a pinning block cache. See the module docs for the
+/// design.
 #[derive(Debug)]
-struct PrefetchShared {
-    state: Mutex<PrefetchState>,
-    work: Condvar,
-    /// Signalled whenever the queue and in-flight set both drain (and on
-    /// shutdown); [`BlockStore::quiesce_prefetch`] parks here.
-    idle: Condvar,
-}
-
-impl PrefetchShared {
-    fn new() -> Arc<PrefetchShared> {
-        Arc::new(PrefetchShared {
-            state: Mutex::new(PrefetchState::default()),
-            work: Condvar::new(),
-            idle: Condvar::new(),
-        })
-    }
-}
-
-#[derive(Debug, Default)]
-struct PrefetchState {
-    queue: VecDeque<BlockId>,
-    /// Ids queued or currently being loaded (dedup across prefetch calls).
-    queued: HashSet<BlockId>,
-    shutdown: bool,
-    worker: Option<std::thread::JoinHandle<()>>,
-}
-
-/// What paging a block in needs — the generation files, the directory and cache,
-/// the retry counter — and therefore all the read-ahead worker shares with the
-/// store. It sits behind its own `Arc` so the worker can hold *it* and never a
-/// [`BlockStore`] handle: the store's teardown (`Drop`: checkpoint, unlink,
-/// unregister) must run when the last caller-held handle goes, on that caller's
-/// thread, not whenever a worker lets go of a handle of its own.
-#[derive(Debug)]
-struct Core {
+pub struct BlockStore {
     /// Open generation files, keyed by generation number. [`StoreFile`] clones
     /// share the underlying handle, so a reader can clone one out and read
     /// without any store lock held — and a generation file unlinked by
@@ -476,14 +429,6 @@ struct Core {
     /// sites deliberately hold no store lock across I/O.
     retries: AtomicU64,
     capacity: usize,
-}
-
-/// A file-backed store of frozen Data Blocks with a persisted manifest, an
-/// in-memory directory and a pinning block cache. See the module docs for the
-/// design.
-#[derive(Debug)]
-pub struct BlockStore {
-    core: Arc<Core>,
     path: PathBuf,
     /// Key under which this store is registered live (absolute form of `path`).
     registered: PathBuf,
@@ -498,7 +443,6 @@ pub struct BlockStore {
     /// non-mutation path, so ordinary pins proceed concurrently with a mutation's
     /// I/O.
     mutation: Mutex<()>,
-    prefetch: Arc<PrefetchShared>,
 }
 
 /// Monotonic counter distinguishing temp files of one process.
@@ -609,125 +553,6 @@ fn remove_stale_siblings(base: &Path, keep: &HashSet<u32>) -> io::Result<()> {
     Ok(())
 }
 
-impl Core {
-    fn new(files: HashMap<u32, StoreFile>, inner: Inner, capacity: usize) -> Arc<Core> {
-        Arc::new(Core {
-            files: Mutex::new(files),
-            inner: Mutex::new(inner),
-            retries: AtomicU64::new(0),
-            capacity,
-        })
-    }
-
-    /// The open handle of generation `generation`'s data file. `None` when the
-    /// generation has been closed by a compaction that ran after the caller
-    /// snapshotted a directory entry — readers treat that exactly like a
-    /// repointed entry and retry against the fresh directory.
-    fn gen_file(&self, generation: u32) -> Option<StoreFile> {
-        self.files
-            .lock()
-            .expect("store files lock")
-            .get(&generation)
-            .cloned()
-    }
-
-    /// Run `op`, retrying up to [`MAX_IO_RETRIES`] times on transient error
-    /// kinds (`Interrupted`/`WouldBlock`/`TimedOut`). Every absorbed failure is
-    /// counted in [`IoStats::retries`]; a persistent fault still surfaces.
-    fn retry_io<T>(&self, mut op: impl FnMut() -> io::Result<T>) -> io::Result<T> {
-        let mut attempts = 0u32;
-        loop {
-            match op() {
-                Err(err) if attempts < MAX_IO_RETRIES && is_transient(&err) => {
-                    attempts += 1;
-                    self.retries.fetch_add(1, Ordering::Relaxed);
-                }
-                other => return other,
-            }
-        }
-    }
-
-    /// Load one prefetched block into the cache (the worker's body).
-    fn prefetch_load(&self, id: BlockId) -> Result<(), StoreError> {
-        let (generation, offset, len) = {
-            let mut inner = self.inner.lock().expect("store lock");
-            if inner.cache.contains_key(&id) {
-                return Ok(()); // a demand read beat us to it
-            }
-            let entry = &inner.directory[id];
-            let position = (entry.generation, entry.offset, entry.len as usize);
-            inner.stats.prefetch_reads += 1;
-            inner.stats.bytes_read += position.2 as u64;
-            position
-        };
-        // A prefetch is best-effort: a generation closed (or a frame moved) by
-        // a concurrent compaction just means the demand pin will do the work
-        // against the fresh directory — never an error, never a panic.
-        let Some(file) = self.gen_file(generation) else {
-            return Ok(());
-        };
-        let mut bytes = vec![0u8; len];
-        self.retry_io(|| file.read_exact_at(&mut bytes, offset, "prefetch.read"))?;
-        let block = Arc::new(frame::from_frame(&bytes)?);
-        let mut inner = self.inner.lock().expect("store lock");
-        if inner.cache.contains_key(&id) {
-            return Ok(());
-        }
-        let current = &inner.directory[id];
-        if current.offset != offset || current.generation != generation {
-            return Ok(()); // repointed mid-read: don't publish a stale frame
-        }
-        self.admit(&mut inner, id, block, 0);
-        Ok(())
-    }
-
-    fn admit(&self, inner: &mut Inner, id: BlockId, block: Arc<DataBlock>, pins: u32) {
-        let bytes = block.byte_size();
-        inner.cache.insert(
-            id,
-            CacheEntry {
-                block,
-                pins,
-                referenced: true,
-                bytes,
-            },
-        );
-        inner.clock.push(id);
-        inner.cached_bytes += bytes;
-        inner.cache_high_water = inner.cache_high_water.max(inner.cached_bytes);
-        self.evict_to_capacity(inner);
-    }
-
-    /// CLOCK sweep: evict unpinned, unreferenced blocks until the cache fits the
-    /// capacity. Pinned blocks are skipped; if everything left is pinned the cache
-    /// transiently overshoots (pins are short-lived — one morsel).
-    fn evict_to_capacity(&self, inner: &mut Inner) {
-        let mut wraps = 0u32;
-        while inner.cached_bytes > self.capacity && !inner.clock.is_empty() {
-            if inner.hand >= inner.clock.len() {
-                inner.hand = 0;
-                wraps += 1;
-                if wraps > 2 {
-                    break; // everything pinned: give up, pins drain soon
-                }
-            }
-            let id = inner.clock[inner.hand];
-            let entry = inner.cache.get_mut(&id).expect("clock entry is cached");
-            if entry.pins > 0 {
-                inner.hand += 1;
-            } else if entry.referenced {
-                entry.referenced = false;
-                inner.hand += 1;
-            } else {
-                let entry = inner.cache.remove(&id).expect("checked above");
-                inner.cached_bytes -= entry.bytes;
-                inner.stats.evictions += 1;
-                inner.clock.swap_remove(inner.hand);
-            }
-        }
-    }
-}
-
 impl BlockStore {
     /// Create a store over a fresh temporary file (deleted when the store drops).
     pub fn create_temp(capacity: usize) -> io::Result<Arc<BlockStore>> {
@@ -800,7 +625,10 @@ impl BlockStore {
                 .open(manifest_path(&path))?;
             let files = HashMap::from([(0u32, StoreFile::new(file, faults.clone()))]);
             Ok::<_, io::Error>(Arc::new(BlockStore {
-                core: Core::new(files, Inner::new(), capacity),
+                files: Mutex::new(files),
+                inner: Mutex::new(Inner::new()),
+                retries: AtomicU64::new(0),
+                capacity,
                 path,
                 registered: registered.clone(),
                 delete_on_drop,
@@ -812,7 +640,6 @@ impl BlockStore {
                     pending: 0,
                 }),
                 mutation: Mutex::new(()),
-                prefetch: PrefetchShared::new(),
             }))
         })();
         if result.is_err() {
@@ -940,7 +767,10 @@ impl BlockStore {
         inner.dead_bytes = on_disk.saturating_sub(live_bytes);
 
         let store = Arc::new(BlockStore {
-            core: Core::new(files, inner, capacity),
+            files: Mutex::new(files),
+            inner: Mutex::new(inner),
+            retries: AtomicU64::new(0),
+            capacity,
             path,
             registered,
             delete_on_drop: false,
@@ -948,7 +778,6 @@ impl BlockStore {
             faults,
             manifest: Mutex::new(manifest),
             mutation: Mutex::new(()),
-            prefetch: PrefetchShared::new(),
         });
         if fresh_checkpoint {
             store.checkpoint()?;
@@ -1075,7 +904,10 @@ impl BlockStore {
             inner.dead_bytes = end_offset.saturating_sub(live_bytes);
             let files = HashMap::from([(0u32, StoreFile::new(file, None))]);
             let store = Arc::new(BlockStore {
-                core: Core::new(files, inner, capacity),
+                files: Mutex::new(files),
+                inner: Mutex::new(inner),
+                retries: AtomicU64::new(0),
+                capacity,
                 path,
                 registered: registered.clone(),
                 delete_on_drop: false,
@@ -1087,7 +919,6 @@ impl BlockStore {
                     pending: 0,
                 }),
                 mutation: Mutex::new(()),
-                prefetch: PrefetchShared::new(),
             });
             store.checkpoint()?;
             Ok::<_, StoreError>(store)
@@ -1118,17 +949,17 @@ impl BlockStore {
 
     /// The configured cache byte budget.
     pub fn cache_capacity(&self) -> usize {
-        self.core.capacity
+        self.capacity
     }
 
     /// Number of blocks in the directory.
     pub fn block_count(&self) -> usize {
-        self.core.inner.lock().expect("store lock").directory.len()
+        self.inner.lock().expect("store lock").directory.len()
     }
 
     /// Bytes of decoded blocks currently resident in the cache.
     pub fn cached_bytes(&self) -> usize {
-        self.core.inner.lock().expect("store lock").cached_bytes
+        self.inner.lock().expect("store lock").cached_bytes
     }
 
     /// Largest cache residency, in bytes, the store has ever reached. Pinned
@@ -1137,41 +968,37 @@ impl BlockStore {
     /// observable bound on that overshoot (the query service's budget tests
     /// assert against it).
     pub fn cache_high_water_bytes(&self) -> usize {
-        self.core.inner.lock().expect("store lock").cache_high_water
+        self.inner.lock().expect("store lock").cache_high_water
     }
 
     /// Bytes of frames the directory currently references.
     pub fn live_bytes(&self) -> u64 {
-        self.core.inner.lock().expect("store lock").live_bytes
+        self.inner.lock().expect("store lock").live_bytes
     }
 
     /// Bytes of superseded (dead) frames still occupying generation files.
     pub fn dead_bytes(&self) -> u64 {
-        self.core.inner.lock().expect("store lock").dead_bytes
+        self.inner.lock().expect("store lock").dead_bytes
     }
 
     /// Set the garbage ratio (dead ÷ total on-disk bytes) above which the next
     /// mutation triggers dead-frame compaction. `1.0` disables auto-compaction.
     pub fn set_garbage_threshold(&self, ratio: f64) {
-        self.core
-            .inner
-            .lock()
-            .expect("store lock")
-            .garbage_threshold = ratio.clamp(0.0, 1.0);
+        self.inner.lock().expect("store lock").garbage_threshold = ratio.clamp(0.0, 1.0);
     }
 
     /// Snapshot of the I/O and cache counters.
     pub fn stats(&self) -> IoStats {
-        let mut stats = self.core.inner.lock().expect("store lock").stats;
-        stats.retries = self.core.retries.load(Ordering::Relaxed);
+        let mut stats = self.inner.lock().expect("store lock").stats;
+        stats.retries = self.retries.load(Ordering::Relaxed);
         stats
     }
 
     /// Reset the I/O and cache counters (the bench harness isolates phases with
     /// this).
     pub fn reset_stats(&self) {
-        self.core.inner.lock().expect("store lock").stats = IoStats::default();
-        self.core.retries.store(0, Ordering::Relaxed);
+        self.inner.lock().expect("store lock").stats = IoStats::default();
+        self.retries.store(0, Ordering::Relaxed);
     }
 
     /// The store's power-loss durability mode.
@@ -1181,12 +1008,12 @@ impl BlockStore {
 
     /// Serialized size of block `id` on disk, in bytes.
     pub fn entry_len(&self, id: BlockId) -> usize {
-        self.core.inner.lock().expect("store lock").directory[id].len as usize
+        self.inner.lock().expect("store lock").directory[id].len as usize
     }
 
     /// Consult the hot, in-memory summary of block `id` without any I/O.
     pub fn with_summary<R>(&self, id: BlockId, f: impl FnOnce(&BlockSummary) -> R) -> R {
-        let inner = self.core.inner.lock().expect("store lock");
+        let inner = self.inner.lock().expect("store lock");
         f(&inner.directory[id].summary)
     }
 
@@ -1203,7 +1030,7 @@ impl BlockStore {
         let bytes = manifest_record_to_bytes(record);
         let mut manifest = self.manifest.lock().expect("manifest lock");
         let offset = manifest.len;
-        self.core.retry_io(|| {
+        self.retry_io(|| {
             manifest
                 .file
                 .write_all_at(&bytes, offset, "manifest.append")
@@ -1212,8 +1039,7 @@ impl BlockStore {
         if let Durability::Sync { group_commit } = self.durability {
             manifest.pending += 1;
             if manifest.pending >= group_commit.max(1) {
-                self.core
-                    .retry_io(|| manifest.file.sync_data("manifest.sync"))?;
+                self.retry_io(|| manifest.file.sync_data("manifest.sync"))?;
                 manifest.pending = 0;
             }
         }
@@ -1237,7 +1063,7 @@ impl BlockStore {
     /// cannot change between the snapshot below and the rename).
     fn checkpoint_locked(&self) -> io::Result<()> {
         let records = {
-            let inner = self.core.inner.lock().expect("store lock");
+            let inner = self.inner.lock().expect("store lock");
             let mut records = Vec::with_capacity(inner.directory.len() + 1);
             records.push(ManifestRecord::Snapshot {
                 generation: inner.current_gen,
@@ -1267,13 +1093,11 @@ impl BlockStore {
                 .truncate(true)
                 .open(&tmp)?;
             let tmp_file = StoreFile::new(file, self.faults.clone());
-            self.core
-                .retry_io(|| tmp_file.write_all_at(&bytes, 0, "checkpoint.write"))?;
+            self.retry_io(|| tmp_file.write_all_at(&bytes, 0, "checkpoint.write"))?;
             // Under Sync the rename below is a true commit point: the bytes it
             // publishes must already be on stable storage.
             if self.sync_mode() {
-                self.core
-                    .retry_io(|| tmp_file.sync_data("checkpoint.sync"))?;
+                self.retry_io(|| tmp_file.sync_data("checkpoint.sync"))?;
             }
         }
         // The mutation lock (held by the caller) already excludes concurrent
@@ -1287,7 +1111,7 @@ impl BlockStore {
             // a power cut can roll the whole swap back.
             if let Some(parent) = self.path.parent().filter(|p| !p.as_os_str().is_empty()) {
                 let dir = StoreFile::new(File::open(parent)?, self.faults.clone());
-                self.core.retry_io(|| dir.sync_all("checkpoint.dir_sync"))?;
+                self.retry_io(|| dir.sync_all("checkpoint.dir_sync"))?;
             }
         }
         manifest.file = StoreFile::new(
@@ -1325,7 +1149,7 @@ impl BlockStore {
         // unwritten bytes; callers treat a failed append as fatal and never
         // hand the id out.)
         let (generation, offset, id) = {
-            let mut inner = self.core.inner.lock().expect("store lock");
+            let mut inner = self.inner.lock().expect("store lock");
             let generation = inner.current_gen;
             let offset = inner.end_offset;
             inner.end_offset += bytes.len() as u64;
@@ -1340,16 +1164,14 @@ impl BlockStore {
             (generation, offset, id)
         };
         let gen_file = self
-            .core
             .gen_file(generation)
             .expect("current generation file is open");
-        self.core
-            .retry_io(|| gen_file.write_all_at(&bytes, offset, "gen.append_write"))?;
+        self.retry_io(|| gen_file.write_all_at(&bytes, offset, "gen.append_write"))?;
         // Sync barrier: the frame must be on stable storage *before* the
         // manifest Put that references it, or a power cut could replay a
         // directory pointing at bytes the disk never got.
         if self.sync_mode() {
-            self.core.retry_io(|| gen_file.sync_data("gen.sync"))?;
+            self.retry_io(|| gen_file.sync_data("gen.sync"))?;
         }
         self.append_manifest(&ManifestRecord::Put {
             block_id: id as u32,
@@ -1358,10 +1180,10 @@ impl BlockStore {
             len: bytes.len() as u32,
             summary,
         })?;
-        let mut inner = self.core.inner.lock().expect("store lock");
+        let mut inner = self.inner.lock().expect("store lock");
         inner.stats.block_writes += 1;
         inner.stats.bytes_written += bytes.len() as u64;
-        self.core.admit(&mut inner, id, block, 0);
+        self.admit(&mut inner, id, block, 0);
         Ok(id)
     }
 
@@ -1389,21 +1211,19 @@ impl BlockStore {
         // completes, so concurrent pins read the old, fully written version until
         // the rewrite commits — and `pin`'s position re-check catches the flip.
         let (generation, offset) = {
-            let mut inner = self.core.inner.lock().expect("store lock");
+            let mut inner = self.inner.lock().expect("store lock");
             let generation = inner.current_gen;
             let offset = inner.end_offset;
             inner.end_offset += bytes.len() as u64;
             (generation, offset)
         };
         let gen_file = self
-            .core
             .gen_file(generation)
             .expect("current generation file is open");
-        self.core
-            .retry_io(|| gen_file.write_all_at(&bytes, offset, "gen.rewrite_write"))?;
+        self.retry_io(|| gen_file.write_all_at(&bytes, offset, "gen.rewrite_write"))?;
         // Same barrier as `append`: frame durable before the Put referencing it.
         if self.sync_mode() {
-            self.core.retry_io(|| gen_file.sync_data("gen.sync"))?;
+            self.retry_io(|| gen_file.sync_data("gen.sync"))?;
         }
         self.append_manifest(&ManifestRecord::Put {
             block_id: id as u32,
@@ -1412,7 +1232,7 @@ impl BlockStore {
             len: bytes.len() as u32,
             summary: summary.clone(),
         })?;
-        let mut inner = self.core.inner.lock().expect("store lock");
+        let mut inner = self.inner.lock().expect("store lock");
         inner.stats.block_writes += 1;
         inner.stats.bytes_written += bytes.len() as u64;
         let old_len = inner.directory[id].len as u64;
@@ -1432,9 +1252,9 @@ impl BlockStore {
             entry.block = block;
             inner.cached_bytes = inner.cached_bytes - old_bytes + new_bytes;
             inner.cache_high_water = inner.cache_high_water.max(inner.cached_bytes);
-            self.core.evict_to_capacity(&mut inner);
+            self.evict_to_capacity(&mut inner);
         } else {
-            self.core.admit(&mut inner, id, block, 0);
+            self.admit(&mut inner, id, block, 0);
         }
         Ok(())
     }
@@ -1443,7 +1263,7 @@ impl BlockStore {
     /// mutation lock.
     fn maybe_compact_locked(&self) -> io::Result<()> {
         let over = {
-            let inner = self.core.inner.lock().expect("store lock");
+            let inner = self.inner.lock().expect("store lock");
             let total = inner.live_bytes + inner.dead_bytes;
             inner.dead_bytes > 0
                 && total > 0
@@ -1479,7 +1299,7 @@ impl BlockStore {
         // directory entry references them (open handles keep in-flight reads
         // alive even past the unlink).
         let (entries, pinned, old_gen) = {
-            let inner = self.core.inner.lock().expect("store lock");
+            let inner = self.inner.lock().expect("store lock");
             let pinned: HashSet<BlockId> = inner
                 .cache
                 .iter()
@@ -1513,13 +1333,10 @@ impl BlockStore {
             // The mutation lock (held here) excludes other compactions and all
             // directory mutations, so every referenced generation stays open.
             let src = self
-                .core
                 .gen_file(entry.generation)
                 .expect("referenced generation file is open during compaction");
-            self.core
-                .retry_io(|| src.read_exact_at(&mut buf, entry.offset, "compact.read"))?;
-            self.core
-                .retry_io(|| new_file.write_all_at(&buf, write_off, "compact.write"))?;
+            self.retry_io(|| src.read_exact_at(&mut buf, entry.offset, "compact.read"))?;
+            self.retry_io(|| new_file.write_all_at(&buf, write_off, "compact.write"))?;
             moves.push((id, write_off));
             write_off += entry.len as u64;
             moved_bytes += entry.len as u64;
@@ -1527,19 +1344,18 @@ impl BlockStore {
         // Sync barrier: the copied frames must be durable before the
         // checkpoint below publishes directory entries pointing at them.
         if self.sync_mode() {
-            self.core.retry_io(|| new_file.sync_data("compact.sync"))?;
+            self.retry_io(|| new_file.sync_data("compact.sync"))?;
         }
 
         // Publish the new generation file before repointing, so a pin that
         // observes a repointed entry always finds its file handle.
-        self.core
-            .files
+        self.files
             .lock()
             .expect("store files lock")
             .insert(new_gen, new_file);
 
         let referenced = {
-            let mut inner = self.core.inner.lock().expect("store lock");
+            let mut inner = self.inner.lock().expect("store lock");
             for &(id, offset) in &moves {
                 // The mutation lock bars rewrites, so the snapshot positions are
                 // still current; only repointing is left.
@@ -1578,7 +1394,7 @@ impl BlockStore {
         // callers (and `reopen`) look for on disk — so it is truncated to zero
         // bytes rather than unlinked.
         {
-            let mut files = self.core.files.lock().expect("store files lock");
+            let mut files = self.files.lock().expect("store files lock");
             let stale: Vec<u32> = files
                 .keys()
                 .filter(|g| !referenced.contains(g))
@@ -1601,7 +1417,7 @@ impl BlockStore {
         // (The files lock is released before taking `inner`: nothing in the
         // store may ever hold `files` while waiting on `inner`.)
         let on_disk = {
-            let files = self.core.files.lock().expect("store files lock");
+            let files = self.files.lock().expect("store files lock");
             let mut total = 0u64;
             for file in files.values() {
                 total += file.metadata()?.len();
@@ -1609,10 +1425,84 @@ impl BlockStore {
             total
         };
         {
-            let mut inner = self.core.inner.lock().expect("store lock");
+            let mut inner = self.inner.lock().expect("store lock");
             inner.dead_bytes = on_disk.saturating_sub(inner.live_bytes);
         }
         Ok(())
+    }
+
+    /// The open handle of generation `generation`'s data file. `None` when the
+    /// generation has been closed by a compaction that ran after the caller
+    /// snapshotted a directory entry — readers treat that exactly like a
+    /// repointed entry and retry against the fresh directory.
+    fn gen_file(&self, generation: u32) -> Option<StoreFile> {
+        self.files
+            .lock()
+            .expect("store files lock")
+            .get(&generation)
+            .cloned()
+    }
+
+    /// Run `op`, retrying up to [`MAX_IO_RETRIES`] times on transient error
+    /// kinds (`Interrupted`/`WouldBlock`/`TimedOut`). Every absorbed failure is
+    /// counted in [`IoStats::retries`]; a persistent fault still surfaces.
+    fn retry_io<T>(&self, mut op: impl FnMut() -> io::Result<T>) -> io::Result<T> {
+        let mut attempts = 0u32;
+        loop {
+            match op() {
+                Err(err) if attempts < MAX_IO_RETRIES && is_transient(&err) => {
+                    attempts += 1;
+                    self.retries.fetch_add(1, Ordering::Relaxed);
+                }
+                other => return other,
+            }
+        }
+    }
+
+    fn admit(&self, inner: &mut Inner, id: BlockId, block: Arc<DataBlock>, pins: u32) {
+        let bytes = block.byte_size();
+        inner.cache.insert(
+            id,
+            CacheEntry {
+                block,
+                pins,
+                referenced: true,
+                bytes,
+            },
+        );
+        inner.clock.push(id);
+        inner.cached_bytes += bytes;
+        inner.cache_high_water = inner.cache_high_water.max(inner.cached_bytes);
+        self.evict_to_capacity(inner);
+    }
+
+    /// CLOCK sweep: evict unpinned, unreferenced blocks until the cache fits the
+    /// capacity. Pinned blocks are skipped; if everything left is pinned the cache
+    /// transiently overshoots (pins are short-lived — one morsel).
+    fn evict_to_capacity(&self, inner: &mut Inner) {
+        let mut wraps = 0u32;
+        while inner.cached_bytes > self.capacity && !inner.clock.is_empty() {
+            if inner.hand >= inner.clock.len() {
+                inner.hand = 0;
+                wraps += 1;
+                if wraps > 2 {
+                    break; // everything pinned: give up, pins drain soon
+                }
+            }
+            let id = inner.clock[inner.hand];
+            let entry = inner.cache.get_mut(&id).expect("clock entry is cached");
+            if entry.pins > 0 {
+                inner.hand += 1;
+            } else if entry.referenced {
+                entry.referenced = false;
+                inner.hand += 1;
+            } else {
+                let entry = inner.cache.remove(&id).expect("checked above");
+                inner.cached_bytes -= entry.bytes;
+                inner.stats.evictions += 1;
+                inner.clock.swap_remove(inner.hand);
+            }
+        }
     }
 
     /// Pin block `id` into memory and return a guard that keeps it cached (and the
@@ -1621,7 +1511,7 @@ impl BlockStore {
     pub fn pin(self: &Arc<Self>, id: BlockId) -> Result<PinnedBlock, StoreError> {
         loop {
             let (generation, offset, len) = {
-                let mut inner = self.core.inner.lock().expect("store lock");
+                let mut inner = self.inner.lock().expect("store lock");
                 if let Some(entry) = inner.cache.get_mut(&id) {
                     entry.pins += 1;
                     entry.referenced = true;
@@ -1647,11 +1537,10 @@ impl BlockStore {
             // generation-0 file mid-read, or repointed the entry, all of which
             // surface as I/O or checksum errors here but simply mean "retry
             // against the fresh directory entry".
-            let loaded: Result<Arc<DataBlock>, StoreError> = match self.core.gen_file(generation) {
+            let loaded: Result<Arc<DataBlock>, StoreError> = match self.gen_file(generation) {
                 Some(file) => {
                     let mut bytes = vec![0u8; len];
-                    self.core
-                        .retry_io(|| file.read_exact_at(&mut bytes, offset, "pin.read"))
+                    self.retry_io(|| file.read_exact_at(&mut bytes, offset, "pin.read"))
                         .map_err(StoreError::from)
                         .and_then(|()| {
                             frame::from_frame(&bytes)
@@ -1665,7 +1554,7 @@ impl BlockStore {
                 ))),
             };
 
-            let mut inner = self.core.inner.lock().expect("store lock");
+            let mut inner = self.inner.lock().expect("store lock");
             if let Some(entry) = inner.cache.get_mut(&id) {
                 // Another worker published the block while we were reading. Any
                 // cached entry passed the directory check below (or came straight
@@ -1691,7 +1580,7 @@ impl BlockStore {
             }
             // Entry unmoved: a failure here is real (disk error, bit rot).
             let block = loaded?;
-            self.core.admit(&mut inner, id, Arc::clone(&block), 1);
+            self.admit(&mut inner, id, Arc::clone(&block), 1);
             return Ok(PinnedBlock {
                 store: Arc::clone(self),
                 id,
@@ -1709,7 +1598,7 @@ impl BlockStore {
             // `pin` fails only when the directory entry was *unmoved* across
             // the read, so the position it reports now is the one that failed.
             let (generation, offset) = {
-                let inner = self.core.inner.lock().expect("store lock");
+                let inner = self.inner.lock().expect("store lock");
                 inner
                     .directory
                     .get(id)
@@ -1747,79 +1636,10 @@ impl BlockStore {
         Ok(result)
     }
 
-    // ------------------------------------------------------------------ read-ahead
-
-    /// Queue blocks for the read-ahead worker: each id not already cached (or
-    /// queued) is paged into the cache from a helper thread, unpinned, counted
-    /// under [`IoStats::prefetch_reads`]. Sequential cold scans call this for the
-    /// next few cold morsels ahead of the one they are pinning, so the demand pin
-    /// finds the block already resident. Errors during a prefetch are swallowed —
-    /// the demand read surfaces them.
-    pub fn prefetch(self: &Arc<Self>, ids: &[BlockId]) {
-        if ids.is_empty() {
-            return;
-        }
-        let mut state = self.prefetch.state.lock().expect("prefetch lock");
-        if state.shutdown {
-            return;
-        }
-        let mut queued_any = false;
-        for &id in ids {
-            if state.queued.contains(&id) || self.is_cached(id) {
-                continue;
-            }
-            state.queued.insert(id);
-            state.queue.push_back(id);
-            queued_any = true;
-        }
-        if queued_any && state.worker.is_none() {
-            let core = Arc::clone(&self.core);
-            let shared = Arc::clone(&self.prefetch);
-            state.worker = Some(std::thread::spawn(move || prefetch_worker(core, shared)));
-        }
-        drop(state);
-        if queued_any {
-            self.prefetch.work.notify_one();
-        }
-    }
-
-    /// Block until the read-ahead queue is empty and no prefetch load is in
-    /// flight. Benches and differential tests call this before
-    /// [`clear_cache`](BlockStore::clear_cache)/[`reset_stats`](BlockStore::reset_stats)
-    /// so a straggling prefetch from a previous scan can neither warm blocks
-    /// into the next measurement nor leak reads out of it.
-    pub fn quiesce_prefetch(&self) {
-        let mut state = self.prefetch.state.lock().expect("prefetch lock");
-        while !(state.shutdown || state.queue.is_empty() && state.queued.is_empty()) {
-            state = self
-                .prefetch
-                .idle
-                .wait(state)
-                .unwrap_or_else(|poisoned| poisoned.into_inner());
-        }
-    }
-
-    /// Stop the read-ahead worker and wait until it is gone, in-flight load
-    /// included (idempotent; runs from `Drop`).
-    fn shutdown_prefetch(&self) {
-        let handle = {
-            let mut state = self.prefetch.state.lock().expect("prefetch lock");
-            state.shutdown = true;
-            state.queue.clear();
-            state.queued.clear();
-            state.worker.take()
-        };
-        self.prefetch.work.notify_all();
-        self.prefetch.idle.notify_all();
-        if let Some(handle) = handle {
-            let _ = handle.join();
-        }
-    }
-
     /// Drop every unpinned cached block (the bench harness uses this to measure
     /// cold scans).
     pub fn clear_cache(&self) {
-        let inner = &mut *self.core.inner.lock().expect("store lock");
+        let inner = &mut *self.inner.lock().expect("store lock");
         let mut freed = 0;
         inner.cache.retain(|_, entry| {
             if entry.pins > 0 {
@@ -1839,8 +1659,7 @@ impl BlockStore {
     /// pin per in-flight cold morsel, so this never exceeds the worker count — the
     /// tests of the bounded streaming scan assert exactly that.
     pub fn pinned_count(&self) -> usize {
-        self.core
-            .inner
+        self.inner
             .lock()
             .expect("store lock")
             .cache
@@ -1851,8 +1670,7 @@ impl BlockStore {
 
     /// Is block `id` currently resident in the cache? (Test/bench introspection.)
     pub fn is_cached(&self, id: BlockId) -> bool {
-        self.core
-            .inner
+        self.inner
             .lock()
             .expect("store lock")
             .cache
@@ -1862,11 +1680,11 @@ impl BlockStore {
     /// Which generation file holds block `id`'s frame (test/bench introspection —
     /// compaction tests assert pinned frames stay put).
     pub fn entry_generation(&self, id: BlockId) -> u32 {
-        self.core.inner.lock().expect("store lock").directory[id].generation
+        self.inner.lock().expect("store lock").directory[id].generation
     }
 
     fn unpin(&self, id: BlockId) {
-        let mut inner = self.core.inner.lock().expect("store lock");
+        let mut inner = self.inner.lock().expect("store lock");
         if let Some(entry) = inner.cache.get_mut(&id) {
             debug_assert!(entry.pins > 0, "unpin without pin");
             entry.pins = entry.pins.saturating_sub(1);
@@ -1874,49 +1692,10 @@ impl BlockStore {
     }
 }
 
-/// The read-ahead worker: drain the queue, paging blocks into the cache. It owns
-/// the store's [`Core`], never the store: only callers keep a [`BlockStore`]
-/// alive, so its `Drop` runs on the thread that let the last handle go, and
-/// joins this worker before it touches a file — once that handle is gone, no
-/// thread reads or writes the store's files behind the caller's back.
-fn prefetch_worker(core: Arc<Core>, shared: Arc<PrefetchShared>) {
-    loop {
-        let id = {
-            let mut state = shared.state.lock().expect("prefetch lock");
-            loop {
-                if state.shutdown {
-                    return;
-                }
-                if let Some(id) = state.queue.pop_front() {
-                    break id;
-                }
-                state = shared
-                    .work
-                    .wait(state)
-                    .unwrap_or_else(|poisoned| poisoned.into_inner());
-            }
-        };
-        // Resilience: a failed read-ahead must neither kill this thread nor the
-        // scan it serves — the block simply stays cold and the demand pin pays
-        // the read (reporting the real error, if it persists). Count it so the
-        // counters tell the story.
-        if core.prefetch_load(id).is_err() {
-            core.inner.lock().expect("store lock").stats.prefetch_errors += 1;
-        }
-        let mut state = shared.state.lock().expect("prefetch lock");
-        state.queued.remove(&id);
-        if state.queue.is_empty() && state.queued.is_empty() {
-            shared.idle.notify_all();
-        }
-    }
-}
-
 impl Drop for BlockStore {
     fn drop(&mut self) {
-        self.shutdown_prefetch();
         if self.delete_on_drop {
             let generations: Vec<u32> = self
-                .core
                 .files
                 .lock()
                 .expect("store files lock")
@@ -2500,41 +2279,13 @@ mod tests {
     }
 
     #[test]
-    fn prefetch_pages_blocks_in_without_demand_reads() {
-        let store = BlockStore::create_temp(usize::MAX).unwrap();
-        let id0 = store.append(block(0, 500)).unwrap();
-        let id1 = store.append(block(1, 500)).unwrap();
-        store.clear_cache();
-        store.reset_stats();
-        store.prefetch(&[id0, id1]);
-        // the helper thread pages them in; wait (bounded) for residency
-        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
-        while !(store.is_cached(id0) && store.is_cached(id1)) {
-            assert!(std::time::Instant::now() < deadline, "prefetch stalled");
-            std::thread::yield_now();
-        }
-        let stats = store.stats();
-        assert_eq!(stats.prefetch_reads, 2, "both reads were read-ahead");
-        assert_eq!(stats.block_reads, 0, "no demand reads yet");
-        // the demand pin is now a pure cache hit
-        let pinned = store.pin(id1).unwrap();
-        assert_eq!(pinned.get(0, 0), Value::Int(10_000));
-        let stats = store.stats();
-        assert_eq!(stats.cache_hits, 1);
-        assert_eq!(stats.block_reads, 0);
-        // prefetching cached/queued ids again is a no-op
-        store.prefetch(&[id0, id1]);
-        assert_eq!(store.stats().prefetch_reads, 2);
-    }
-
-    #[test]
     fn corrupted_file_is_reported_not_decoded() {
         let store = BlockStore::create_temp(usize::MAX).unwrap();
         let id = store.append(block(0, 300)).unwrap();
         store.clear_cache();
         // flip a payload byte on disk behind the store's back
         let len = store.entry_len(id) as u64;
-        let file = store.core.gen_file(0).expect("generation 0 open");
+        let file = store.gen_file(0).expect("generation 0 open");
         let mut byte = [0u8; 1];
         file.raw().read_exact_at(&mut byte, len - 1).unwrap();
         file.raw().write_all_at(&[byte[0] ^ 0xff], len - 1).unwrap();

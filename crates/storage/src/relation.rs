@@ -119,22 +119,6 @@ fn resolve_cold_slot(
     }
 }
 
-/// Queue spilled blocks among `idxs` for the store's read-ahead worker. Resident
-/// blocks (and stores without spill) need no prefetch.
-fn prefetch_cold_slots(slots: &[ColdSlot], store: Option<&Arc<BlockStore>>, idxs: &[usize]) {
-    let Some(store) = store else {
-        return;
-    };
-    let ids: Vec<BlockId> = idxs
-        .iter()
-        .filter_map(|&idx| match slots.get(idx) {
-            Some(ColdSlot::Spilled(block_id)) => Some(*block_id),
-            _ => None,
-        })
-        .collect();
-    store.prefetch(&ids);
-}
-
 /// SMA gate for one cold slot: answered from the store's in-memory directory for
 /// spilled blocks (zero I/O), always `true` for heap-resident blocks (the scan
 /// planner decides with the full block at hand).
@@ -169,9 +153,11 @@ pub trait ScanSource: Send + Sync {
     /// Number of frozen Data Blocks.
     fn cold_block_count(&self) -> usize;
 
-    /// Borrow cold block `idx`, pinning it when it lives on secondary storage. The
-    /// returned [`BlockRef`] *is* the per-morsel pin guard: holding it keeps a
-    /// spilled block cached, dropping it releases the pin — so a streaming scan
+    /// Borrow cold block `idx`, pinning it when it lives on secondary storage
+    /// ([`BlockStore::pin`], the store's only page-in path: a scan reads a
+    /// spilled block when it reaches it, never ahead). The returned
+    /// [`BlockRef`] *is* the per-morsel pin guard: holding it keeps a spilled
+    /// block cached, dropping it releases the pin — so a streaming scan
     /// acquires and releases pins one morsel at a time.
     ///
     /// A spilled block that cannot be paged in surfaces as a [`ColdReadError`]
@@ -188,15 +174,6 @@ pub trait ScanSource: Send + Sync {
         restrictions: &[Restriction],
         options: &ScanOptions,
     ) -> bool;
-
-    /// Hint that cold blocks `idxs` will be scanned soon: spilled blocks are
-    /// queued for the store's read-ahead worker so the later demand pin finds
-    /// them cached (see [`BlockStore::prefetch`]). A no-op for heap-resident
-    /// blocks and for sources without a spill store — purely an optimisation
-    /// hint, never required for correctness.
-    fn prefetch_cold_blocks(&self, idxs: &[usize]) {
-        let _ = idxs;
-    }
 
     /// An owned, cheaply-cloneable snapshot of the scannable state (see
     /// [`ScanSnapshot`]).
@@ -249,10 +226,6 @@ impl ScanSource for ScanSnapshot {
         cold_slot_may_match(&self.cold[idx], self.store.as_ref(), restrictions, options)
     }
 
-    fn prefetch_cold_blocks(&self, idxs: &[usize]) {
-        prefetch_cold_slots(&self.cold, self.store.as_ref(), idxs);
-    }
-
     fn snapshot(&self) -> ScanSnapshot {
         self.clone()
     }
@@ -282,10 +255,6 @@ impl ScanSource for Relation {
         options: &ScanOptions,
     ) -> bool {
         Relation::cold_block_may_match(self, idx, restrictions, options)
-    }
-
-    fn prefetch_cold_blocks(&self, idxs: &[usize]) {
-        prefetch_cold_slots(&self.cold, self.store.as_ref(), idxs);
     }
 
     fn snapshot(&self) -> ScanSnapshot {

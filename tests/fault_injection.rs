@@ -14,17 +14,16 @@
 //!   both the serial and the parallel streaming scan path, whose workers
 //!   cancel and join cleanly) instead of a worker panic;
 //! * **transient-error absorption** — short `Interrupted` bursts are retried
-//!   invisibly and counted in [`IoStats::retries`]; a prefetch failure never
-//!   kills the read-ahead worker or the scan.
+//!   invisibly and counted in [`IoStats::retries`].
 //!
-//! The site inventory lives in the `storage::blockstore` module docs; the
-//! discovery test below pins the workload to it so a new failpoint cannot be
-//! added without extending this matrix.
+//! Every site runs on the caller's thread — the store does no background I/O —
+//! so the workload is synchronous. The site inventory lives in the
+//! `storage::blockstore` module docs; the discovery test below pins the workload
+//! to it so a new failpoint cannot be added without extending this matrix.
 
 mod common;
 
 use std::sync::Arc;
-use std::time::{Duration, Instant};
 
 use data_blocks::datablocks::builder::{freeze, int_column};
 use data_blocks::datablocks::{DataBlock, DataType, Value};
@@ -44,7 +43,6 @@ const ALL_SITES: &[&str] = &[
     "manifest.append",
     "manifest.sync",
     "pin.read",
-    "prefetch.read",
     "compact.read",
     "compact.write",
     "compact.sync",
@@ -96,11 +94,11 @@ struct BlockModel {
 }
 
 /// Drive one store through every failpoint site: three appends, a demand pin
-/// after a cache flush, a prefetch, a delete-flag mutation (rewrite), an
+/// after a cache flush, a delete-flag mutation (rewrite), an
 /// explicit compaction and an explicit checkpoint. Returns the acked/attempted
 /// model; each operation's error (the armed fault, or crash-stop after it) is
 /// deliberately swallowed — the disk, not the return values, is under test.
-fn run_workload(store: &Arc<BlockStore>, injector: &FaultInjector) -> Vec<BlockModel> {
+fn run_workload(store: &Arc<BlockStore>) -> Vec<BlockModel> {
     let mut model: Vec<BlockModel> = Vec::new();
     for tag in 0..3 {
         let mut entry = BlockModel {
@@ -115,16 +113,6 @@ fn run_workload(store: &Arc<BlockStore>, injector: &FaultInjector) -> Vec<BlockM
     // demand read of a cache miss
     store.clear_cache();
     let _ = store.pin(0);
-    // read-ahead: wait until the worker either landed the block, failed, or
-    // entered crash-stop (the queue drains asynchronously)
-    store.prefetch(&[1]);
-    let deadline = Instant::now() + Duration::from_secs(10);
-    while Instant::now() < deadline {
-        if injector.crashed() || store.is_cached(1) || store.stats().prefetch_errors > 0 {
-            break;
-        }
-        std::thread::sleep(Duration::from_millis(1));
-    }
     // delete-flag mutation: rewrite block 0 with row 0 tombstoned
     model[0].versions.push((0, true));
     let mutated = store.mutate(0, |block| {
@@ -201,7 +189,7 @@ fn check_fault_at(site: &'static str, action: FaultAction, seed: u64) {
             Some(Arc::clone(&injector)),
         )
         .expect("create store");
-        let model = run_workload(&store, &injector);
+        let model = run_workload(&store);
         assert!(
             injector.sites_hit().contains(&site),
             "workload never reached armed failpoint {site}; hit: {:?}",
@@ -235,7 +223,7 @@ fn workload_visits_every_failpoint() {
         Some(Arc::clone(&injector)),
     )
     .expect("create store");
-    let model = run_workload(&store, &injector);
+    let model = run_workload(&store);
     assert!(!injector.crashed());
     for (id, entry) in model.iter().enumerate() {
         assert!(entry.acked.is_some(), "unfaulted op on block {id} failed");
@@ -272,42 +260,6 @@ fn torn_write_at_every_write_site_reopens_old_or_new() {
             check_fault_at(site, FaultAction::Torn { keep }, 0xBAD5EED);
         }
     }
-}
-
-/// Teardown is deterministic: once the last caller-held handle is gone, the store
-/// is closed — no read-ahead worker keeps it registered live, or runs its
-/// drop-time checkpoint, behind the caller's back. Dropping a store with a
-/// prefetch in flight and reopening the path at once therefore always succeeds.
-/// (The crash matrices above reopen exactly like this; when the worker could
-/// still own the store, one full run in seven failed with "is live".)
-#[test]
-fn reopen_right_after_drop_with_a_prefetch_in_flight() {
-    let dir = unique_dir("inflight");
-    let path = dir.join("store.dbs");
-    let store = BlockStore::create(&path, usize::MAX).expect("create store");
-    // blocks big enough that paging one in takes the worker a while
-    let ids: Vec<_> = (0..4)
-        .map(|tag| {
-            let block = freeze(&[int_column((0..65_536).map(|i| tag + i * 7).collect())]);
-            store.append(Arc::new(block)).expect("append")
-        })
-        .collect();
-    drop(store);
-    for round in 0..50 {
-        let store = BlockStore::reopen(&path, usize::MAX)
-            .unwrap_or_else(|err| panic!("reopen in round {round}: {err}"));
-        // a reopened store's cache is cold, so every id is a real read on the
-        // worker; let go of the store as soon as the first one is under way
-        store.prefetch(&ids);
-        while store.stats().prefetch_reads == 0 {
-            std::thread::yield_now();
-        }
-        drop(store);
-    }
-    let store = BlockStore::reopen(&path, usize::MAX).expect("final reopen");
-    assert_eq!(store.block_count(), ids.len());
-    drop(store);
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// A short transient burst (within the retry budget) is absorbed invisibly
@@ -363,60 +315,6 @@ fn group_commit_syncs_the_manifest_once_per_group() {
         assert_eq!(injector.hits("manifest.append"), APPENDS, "{durability:?}");
         assert_eq!(injector.hits("manifest.sync"), syncs, "{durability:?}");
     }
-}
-
-/// A failing prefetch neither kills the read-ahead worker nor the scan: the
-/// error is counted in `prefetch_errors`, the block simply stays cold, the
-/// demand pin pays the read — and a later prefetch still lands blocks.
-#[test]
-fn prefetch_error_falls_back_to_demand_read() {
-    let injector = FaultInjector::new(11);
-    let store = BlockStore::create_temp_opts(
-        usize::MAX,
-        Durability::Buffered,
-        Some(Arc::clone(&injector)),
-    )
-    .expect("create store");
-    let a = store.append(test_block(1)).expect("append a");
-    let b = store.append(test_block(2)).expect("append b");
-    store.clear_cache();
-    injector.arm("prefetch.read", FaultAction::Transient { times: 4 });
-    store.prefetch(&[a]);
-    let deadline = Instant::now() + Duration::from_secs(10);
-    while store.stats().prefetch_errors == 0 {
-        assert!(
-            Instant::now() < deadline,
-            "prefetch worker never reported the injected failure"
-        );
-        std::thread::sleep(Duration::from_millis(1));
-    }
-    assert!(
-        !store.is_cached(a),
-        "failed prefetch must not admit the block"
-    );
-    // demand read falls back (the 4-hit burst healed the site)
-    let pinned = store.pin(a).expect("demand pin after prefetch failure");
-    assert_eq!(pinned.get(0, 0), Value::Int(1000));
-    drop(pinned);
-    // the worker thread survived: a later prefetch still pages blocks in
-    store.prefetch(&[b]);
-    let deadline = Instant::now() + Duration::from_secs(10);
-    while !store.is_cached(b) {
-        assert!(
-            Instant::now() < deadline,
-            "prefetch worker died after the injected failure"
-        );
-        std::thread::sleep(Duration::from_millis(1));
-    }
-    let stats = store.stats();
-    assert_eq!(stats.prefetch_errors, 1);
-    // prefetch_reads counts read-ahead I/O *issued* (like bytes_read): the
-    // failed attempt and the healthy one
-    assert_eq!(stats.prefetch_reads, 2);
-    assert_eq!(
-        stats.retries, 3,
-        "the failed prefetch burned the retry budget"
-    );
 }
 
 /// A genuinely corrupt on-disk frame surfaces as a *structured* error naming

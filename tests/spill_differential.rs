@@ -191,59 +191,6 @@ fn streaming_scan_byte_identical_across_cache_configs_with_exact_reads() {
     }
 }
 
-/// Cold-scan read-ahead is purely a hint: rows must stay byte-identical to the
-/// in-memory reference for every cache regime × thread count × depth, while the
-/// store's counters split the I/O into demand `block_reads` and
-/// `prefetch_reads`. A demand pin racing an in-flight prefetch may load a block
-/// twice (both counted), so the accounting is bounded from both sides rather
-/// than pinned to an exact sum: every block is loaded at least once by *some*
-/// path, and demand reads never exceed one per block (one pin per morsel).
-#[test]
-fn readahead_scans_byte_identical_with_split_read_accounting() {
-    let db = tpch();
-    let lineitem = db.relation("lineitem");
-    let restrictions = q6_restrictions(lineitem);
-    let reference = scan_rows(lineitem, &restrictions, ScanConfig::default());
-    let blocks = lineitem.cold_block_count() as u64;
-
-    let cold_bytes = lineitem.storage_stats().cold_bytes;
-    for (name, capacity) in cache_configs(cold_bytes) {
-        let mut spilled = lineitem.clone();
-        spilled
-            .enable_spill(&SpillPolicy::with_cache_capacity(capacity))
-            .expect("enable spill");
-        let store = spilled.spill_store().expect("store attached").clone();
-        for &threads in &[1usize, 4] {
-            for &readahead in &[1usize, 4] {
-                // A straggling prefetch from the previous iteration could warm
-                // blocks past the clear and skew the counters below.
-                store.quiesce_prefetch();
-                store.clear_cache();
-                store.reset_stats();
-                let config = ScanConfig::default()
-                    .with_threads(threads)
-                    .with_readahead(readahead);
-                let rows = scan_rows(&spilled, &restrictions, config);
-                assert_eq!(
-                    rows, reference,
-                    "cache {name} threads {threads} readahead {readahead}"
-                );
-                let io = store.stats();
-                assert!(
-                    io.block_reads + io.prefetch_reads >= blocks,
-                    "cache {name} threads {threads} readahead {readahead}: \
-                     every block loaded at least once: {io:?}"
-                );
-                assert!(
-                    io.block_reads <= blocks,
-                    "cache {name} threads {threads} readahead {readahead}: \
-                     at most one demand read per block: {io:?}"
-                );
-            }
-        }
-    }
-}
-
 #[test]
 fn sma_pruning_skips_cold_blocks_without_reading_them() {
     let db = tpch();
