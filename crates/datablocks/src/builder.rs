@@ -51,34 +51,8 @@ pub fn freeze_sorted(columns: &[Column], sort_by: usize) -> DataBlock {
     let key = &columns[sort_by];
     permutation.sort_by(|&a, &b| key.get(a as usize).total_cmp(&key.get(b as usize)));
 
-    let reordered: Vec<Column> = columns
-        .iter()
-        .map(|c| apply_permutation(c, &permutation))
-        .collect();
+    let reordered: Vec<Column> = columns.iter().map(|c| c.take(&permutation)).collect();
     freeze(&reordered)
-}
-
-/// Apply a row permutation to a column (row `i` of the result is row `permutation[i]`
-/// of the input).
-pub fn apply_permutation(column: &Column, permutation: &[u32]) -> Column {
-    let mut data = ColumnData::with_capacity(column.data_type(), permutation.len());
-    match (&column.data, &mut data) {
-        (ColumnData::Int(src), ColumnData::Int(dst)) => {
-            dst.extend(permutation.iter().map(|&i| src[i as usize]));
-        }
-        (ColumnData::Double(src), ColumnData::Double(dst)) => {
-            dst.extend(permutation.iter().map(|&i| src[i as usize]));
-        }
-        (ColumnData::Str(src), ColumnData::Str(dst)) => {
-            dst.extend(permutation.iter().map(|&i| src[i as usize].clone()));
-        }
-        _ => unreachable!("ColumnData::with_capacity preserves the type"),
-    }
-    let validity = column
-        .validity
-        .as_ref()
-        .map(|v| permutation.iter().map(|&i| v[i as usize]).collect());
-    Column { data, validity }
 }
 
 fn freeze_column(column: &Column) -> BlockColumn {
@@ -137,6 +111,10 @@ pub fn slice_column(column: &Column, from: usize, to: usize) -> Column {
         ColumnData::Int(v) => ColumnData::Int(v[from..to].to_vec()),
         ColumnData::Double(v) => ColumnData::Double(v[from..to].to_vec()),
         ColumnData::Str(v) => ColumnData::Str(v[from..to].to_vec()),
+        ColumnData::Dict { dict, codes } => ColumnData::Dict {
+            dict: dict.clone(),
+            codes: codes[from..to].to_vec(),
+        },
     };
     let validity = column.validity.as_ref().map(|v| v[from..to].to_vec());
     Column { data, validity }
@@ -227,6 +205,29 @@ mod tests {
         // The payload column is permuted consistently.
         assert_eq!(block.get(0, 1), Value::Str("a".into()));
         assert_eq!(block.get(4, 1), Value::Str("i".into()));
+    }
+
+    #[test]
+    fn a_coded_column_freezes_like_its_plain_twin() {
+        // A shuffled dictionary with an unused entry, and a NULL row: freezing reads
+        // the strings, not the codes, so the blocks are identical.
+        let mut plain = Column::new(DataType::Str);
+        for value in ["pear", "apple", "", "pear"] {
+            plain.push(Value::from(value));
+        }
+        plain.push(Value::Null);
+        let coded = Column {
+            data: ColumnData::Dict {
+                dict: ["fig", "pear", "", "apple"].map(String::from).into(),
+                codes: vec![1, 3, 2, 1, 0],
+            },
+            validity: plain.validity.clone(),
+        };
+        assert_eq!(
+            freeze(std::slice::from_ref(&coded)),
+            freeze(std::slice::from_ref(&plain))
+        );
+        assert_eq!(freeze_sorted(&[coded], 0), freeze_sorted(&[plain], 0));
     }
 
     #[test]

@@ -17,6 +17,8 @@
 //!
 //! The scheme is chosen *per attribute, per block*, purely by resulting size.
 
+use std::sync::Arc;
+
 use crate::column::Column;
 use crate::value::{DataType, Value};
 use dbsimd::{IsaLevel, RangePredicate};
@@ -86,6 +88,17 @@ impl CodeVec {
             CodeVec::U16(v) => v[row] as u64,
             CodeVec::U32(v) => v[row] as u64,
             CodeVec::U64(v) => v[row],
+        }
+    }
+
+    /// The code words at `positions` as `u32` — dictionary codes, which always fit
+    /// (one width dispatch for all of them, not one per row).
+    pub fn gather_u32(&self, positions: &[u32]) -> Vec<u32> {
+        match self {
+            CodeVec::U8(v) => positions.iter().map(|&p| v[p as usize] as u32).collect(),
+            CodeVec::U16(v) => positions.iter().map(|&p| v[p as usize] as u32).collect(),
+            CodeVec::U32(v) => positions.iter().map(|&p| v[p as usize]).collect(),
+            CodeVec::U64(v) => positions.iter().map(|&p| v[p as usize] as u32).collect(),
         }
     }
 
@@ -196,8 +209,9 @@ pub enum ColumnCompression {
     },
     /// Ordered dictionary over strings: `value = dict[code]`.
     DictStr {
-        /// Sorted distinct values.
-        dict: Vec<String>,
+        /// Sorted distinct values, shared by `Arc` with every column unpacked from
+        /// this block in coded form ([`crate::ColumnData::Dict`]).
+        dict: Arc<[String]>,
         /// The per-row codes.
         codes: CodeVec,
     },
@@ -282,16 +296,17 @@ impl ColumnCompression {
     }
 
     fn compress_str(column: &Column, n: usize, null_count: usize) -> ColumnCompression {
-        let data = column.data.as_str().expect("string column");
-        let mut distinct: Vec<String> = (0..n)
+        // Plain or coded alike: a column of any form can be frozen.
+        let data = column.data.strings().expect("string column");
+        let mut distinct: Vec<&str> = (0..n)
             .filter(|&row| !column.is_null(row))
-            .map(|row| data[row].clone())
+            .map(|row| data.get(row))
             .collect();
         distinct.sort_unstable();
         distinct.dedup();
 
         if distinct.len() == 1 && null_count == 0 {
-            return ColumnCompression::SingleValue(Value::Str(distinct.pop().expect("one value")));
+            return ColumnCompression::SingleValue(Value::Str(distinct[0].to_string()));
         }
 
         let codes: Vec<u64> = (0..n)
@@ -299,13 +314,15 @@ impl ColumnCompression {
                 if column.is_null(row) {
                     0
                 } else {
-                    distinct.binary_search(&data[row]).expect("value in dict") as u64
+                    distinct
+                        .binary_search(&data.get(row))
+                        .expect("value in dict") as u64
                 }
             })
             .collect();
         let codes = CodeVec::encode(&codes, distinct.len().saturating_sub(1) as u64);
         ColumnCompression::DictStr {
-            dict: distinct,
+            dict: distinct.into_iter().map(String::from).collect(),
             codes,
         }
     }
@@ -612,7 +629,7 @@ mod tests {
         let c = ColumnCompression::compress(&str_col(&["pear", "apple", "pear", "fig"]));
         match &c {
             ColumnCompression::DictStr { dict, .. } => {
-                assert_eq!(dict.as_slice(), &["apple", "fig", "pear"]);
+                assert_eq!(&dict[..], ["apple", "fig", "pear"]);
             }
             other => panic!("expected string dictionary, got {other:?}"),
         }

@@ -196,7 +196,7 @@ fn write_column(w: &mut Writer, column: &BlockColumn, rows: usize) {
         }
         ColumnCompression::DictStr { dict, codes } => {
             w.u32(dict.len() as u32);
-            for s in dict {
+            for s in dict.iter() {
                 w.str(s);
             }
             write_codes(w, codes);
@@ -363,7 +363,10 @@ fn read_column(r: &mut Reader<'_>, rows: usize) -> Result<BlockColumn, LayoutErr
                 dict.push(r.str()?);
             }
             let codes = read_codes(r)?;
-            ColumnCompression::DictStr { dict, codes }
+            ColumnCompression::DictStr {
+                dict: dict.into(),
+                codes,
+            }
         }
         TAG_DOUBLE => {
             let n = r.u32()? as usize;

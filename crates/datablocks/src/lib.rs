@@ -60,7 +60,7 @@ pub mod unpack;
 pub mod value;
 
 pub use block::{BlockColumn, DataBlock, DEFAULT_BLOCK_CAPACITY};
-pub use column::{Column, ColumnData};
+pub use column::{Column, ColumnData, Strings};
 pub use compression::{CodeVec, ColumnCompression, SchemeKind};
 pub use frame::{BlockSummary, ColumnSummary, FrameError, FrameHeader, ManifestRecord};
 pub use psma::{Psma, ScanRange};

@@ -78,14 +78,14 @@ impl Sma {
                 }
             }
             DataType::Str => {
-                let data = column.data.as_str().expect("string column");
+                let data = column.data.strings().expect("string column");
                 let mut min: Option<&str> = None;
                 let mut max: Option<&str> = None;
-                for (row, value) in data.iter().enumerate().take(n) {
+                for row in 0..n {
                     if column.is_null(row) {
                         continue;
                     }
-                    let s = value.as_str();
+                    let s = data.get(row);
                     min = Some(match min {
                         Some(m) if m <= s => m,
                         _ => s,

@@ -6,6 +6,8 @@
 //! cheap — this is the property Section 5.4 contrasts against bit-packed storage,
 //! where sparse decompression dominates the scan cost.
 
+use std::sync::Arc;
+
 use crate::block::DataBlock;
 use crate::column::{Column, ColumnData};
 use crate::compression::ColumnCompression;
@@ -14,7 +16,10 @@ use crate::value::Value;
 /// Append the values of attribute `col` at the given positions to `out`.
 ///
 /// `out` must have the attribute's logical type; NULL rows append `Value::Null`
-/// (tracked in the output column's validity bitmap).
+/// (tracked in the output column's validity bitmap). A dictionary-compressed string
+/// attribute is appended in coded form ([`ColumnData::Dict`], sharing the block's
+/// dictionary), which an empty `out` takes as it is; see [`crate::column`] for what
+/// appending it to a non-empty one does.
 pub fn unpack_column(block: &DataBlock, col: usize, positions: &[u32], out: &mut Column) {
     let column = block.column(col);
     match &column.compression {
@@ -39,15 +44,23 @@ pub fn unpack_column(block: &DataBlock, col: usize, positions: &[u32], out: &mut
                 return;
             }
         }
+        // Strings stay coded: the rows get the block's codes and share its
+        // dictionary, so no string is copied (nullable or not).
         ColumnCompression::DictStr { dict, codes } => {
-            if let (ColumnData::Str(dst), None) = (&mut out.data, &column.validity) {
-                dst.reserve(positions.len());
-                for &pos in positions {
-                    dst.push(dict[codes.get(pos as usize) as usize].clone());
-                }
-                sync_validity(out, positions.len());
-                return;
-            }
+            let validity = column.validity.as_ref().map(|valid| {
+                positions
+                    .iter()
+                    .map(|&pos| valid[pos as usize])
+                    .collect::<Vec<_>>()
+            });
+            out.append(Column {
+                data: ColumnData::Dict {
+                    dict: Arc::clone(dict),
+                    codes: codes.gather_u32(positions),
+                },
+                validity: validity.filter(|valid| valid.contains(&false)),
+            });
+            return;
         }
         ColumnCompression::Double(values) => {
             if let (ColumnData::Double(dst), None) = (&mut out.data, &column.validity) {
@@ -120,19 +133,52 @@ mod tests {
     #[test]
     fn unpack_str_and_double() {
         let block = block();
-        let mut s = Column::new(DataType::Str);
-        let mut d = Column::new(DataType::Double);
-        unpack_columns(&block, &[1, 2], &[0, 7, 13], &mut [s.clone(), d.clone()]);
-        // unpack_columns works on a slice; redo with proper borrows to inspect
         let mut out = [Column::new(DataType::Str), Column::new(DataType::Double)];
         unpack_columns(&block, &[1, 2], &[0, 7, 13], &mut out);
-        s = out[0].clone();
-        d = out[1].clone();
-        assert_eq!(
-            s.data.as_str().unwrap(),
-            &["g0".to_string(), "g0".to_string(), "g6".to_string()]
-        );
-        assert_eq!(d.data.as_double().unwrap(), &[0.0, 1.75, 3.25]);
+        let ColumnCompression::DictStr { dict, .. } = &block.column(1).compression else {
+            panic!("strings are dictionary-compressed");
+        };
+        match &out[0].data {
+            ColumnData::Dict {
+                dict: shared,
+                codes,
+            } => {
+                assert!(
+                    Arc::ptr_eq(shared, dict),
+                    "the block's dictionary is shared"
+                );
+                assert_eq!(codes, &[0, 0, 6]);
+            }
+            other => panic!("expected the coded form, got {other:?}"),
+        }
+        assert_eq!(out[0].get(2), Value::Str("g6".into()));
+        assert_eq!(out[1].data.as_double().unwrap(), &[0.0, 1.75, 3.25]);
+    }
+
+    #[test]
+    fn unpack_nullable_strings_keeps_codes_and_nulls() {
+        let mut col = Column::new(DataType::Str);
+        for i in 0..20 {
+            col.push(if i % 4 == 0 {
+                Value::Null
+            } else {
+                Value::Str(format!("s{}", i % 3))
+            });
+        }
+        let block = freeze(&[col.clone()]);
+        let mut out = Column::new(DataType::Str);
+        unpack_column(&block, 0, &[1, 4, 5, 8], &mut out);
+        assert!(matches!(out.data, ColumnData::Dict { .. }));
+        let expected: Vec<Value> = [1, 4, 5, 8].iter().map(|&r| col.get(r)).collect();
+        assert_eq!((0..4).map(|r| out.get(r)).collect::<Vec<_>>(), expected);
+        // rows without a NULL carry no bitmap; a second unpack extends the codes
+        let mut valid = Column::new(DataType::Str);
+        unpack_column(&block, 0, &[1, 2], &mut valid);
+        assert!(valid.validity.is_none());
+        unpack_column(&block, 0, &[3, 4], &mut valid);
+        assert!(matches!(valid.data, ColumnData::Dict { .. }));
+        assert_eq!(valid.null_count(), 1);
+        assert_eq!(valid.get(2), col.get(3));
     }
 
     #[test]

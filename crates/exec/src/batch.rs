@@ -9,9 +9,21 @@
 //! row-wise accessors ([`Batch::row`], [`Batch::value`], [`Batch::push_row`]) are for
 //! tests, result rendering and row-oriented callers outside the query path.
 //!
-//! The per-column primitives live here too (`gather`, `append_column`, `cmp_rows`,
-//! `sorted_rows`): they are what `take`/`append`/sorting are made of, and the hash
-//! operators use them directly on their build-side and group-key columns.
+//! # Strings
+//!
+//! A string column is plain or coded ([`datablocks::column`]): a batch scanned from
+//! a frozen block carries the block's dictionary and one `u32` code per row, and
+//! keeps that form through [`Batch::take`] (codes are gathered, the dictionary is
+//! shared) and [`Batch::append`] (same dictionary: codes extend; another one: the
+//! rows are re-coded, or both sides go plain where a dictionary stops paying). A
+//! string becomes bytes only where something needs them: an expression reads it in
+//! place, a new group key or a `CASE` result copies it, the wire encoder writes it.
+//!
+//! The per-column primitives `take`/`append` are made of are [`Column`]'s own
+//! ([`Column::take`], [`Column::extend_from`], [`Column::append`],
+//! [`Column::push_row_of`]); the ordering ones live here (`cmp_rows`,
+//! `sorted_rows`), and the hash operators use both directly on their build-side and
+//! group-key columns.
 
 use std::cmp::Ordering;
 
@@ -99,28 +111,30 @@ impl Batch {
     }
 
     /// Append every tuple of `other` (schemas must match positionally), column by
-    /// column.
+    /// column ([`Column::extend_from`]: coded strings stay coded where that is
+    /// cheap).
     pub fn append(&mut self, other: &Batch) {
         assert_eq!(self.column_count(), other.column_count());
         for (column, more) in self.columns.iter_mut().zip(&other.columns) {
-            extend_column(column, more);
+            column.extend_from(more);
         }
     }
 
     /// [`Batch::append`] for a batch the caller is done with: payloads move, so no
-    /// string is cloned — and an empty `self` simply becomes `other`.
+    /// plain string is cloned — and an empty `self` simply becomes `other`.
     pub fn append_owned(&mut self, other: Batch) {
         assert_eq!(self.column_count(), other.column_count());
         for (column, more) in self.columns.iter_mut().zip(other.columns) {
-            append_column(column, more);
+            column.append(more);
         }
     }
 
     /// Keep only the rows at the given indexes (in the given order): one gather per
-    /// column.
+    /// column ([`Column::take`]; coded strings gather codes and share the
+    /// dictionary).
     pub fn take(&self, rows: &[u32]) -> Batch {
         Batch {
-            columns: self.columns.iter().map(|c| gather(c, rows)).collect(),
+            columns: self.columns.iter().map(|c| c.take(rows)).collect(),
         }
     }
 
@@ -149,86 +163,9 @@ pub(crate) fn pick<T: Clone>(values: &[T], rows: &[u32]) -> Vec<T> {
     rows.iter().map(|&r| values[r as usize].clone()).collect()
 }
 
-/// Rows `rows` of `column`, in that order.
-pub(crate) fn gather(column: &Column, rows: &[u32]) -> Column {
-    Column {
-        data: match &column.data {
-            ColumnData::Int(v) => ColumnData::Int(pick(v, rows)),
-            ColumnData::Double(v) => ColumnData::Double(pick(v, rows)),
-            ColumnData::Str(v) => ColumnData::Str(pick(v, rows)),
-        },
-        validity: column.validity.as_ref().map(|v| pick(v, rows)),
-    }
-}
-
-/// Make room in `dst`'s validity for `more` rows coming from a column with validity
-/// `src`: a bitmap appears only once one side has NULLs.
-fn extend_validity(dst: &mut Column, src: Option<&[bool]>, more: usize) {
-    if dst.validity.is_none() && src.is_none() {
-        return;
-    }
-    let len = dst.len();
-    let validity = dst.validity.get_or_insert_with(|| vec![true; len]);
-    match src {
-        Some(src) => validity.extend_from_slice(src),
-        None => validity.resize(len + more, true),
-    }
-}
-
-/// Append a copy of every row of `src` to `dst` (same type; a mismatch is a
-/// planning bug).
-pub(crate) fn extend_column(dst: &mut Column, src: &Column) {
-    extend_validity(dst, src.validity.as_deref(), src.len());
-    match (&mut dst.data, &src.data) {
-        (ColumnData::Int(d), ColumnData::Int(s)) => d.extend_from_slice(s),
-        (ColumnData::Double(d), ColumnData::Double(s)) => d.extend_from_slice(s),
-        (ColumnData::Str(d), ColumnData::Str(s)) => d.extend_from_slice(s),
-        (d, s) => panic!(
-            "type mismatch: cannot append a {} column to a {} column",
-            s.data_type(),
-            d.data_type()
-        ),
-    }
-}
-
-/// Append every row of `src` to `dst`, moving the payload (an empty `dst` takes
-/// `src`'s buffers as they are).
-pub(crate) fn append_column(dst: &mut Column, src: Column) {
-    if dst.is_empty() && dst.data_type() == src.data_type() {
-        *dst = src;
-        return;
-    }
-    extend_validity(dst, src.validity.as_deref(), src.len());
-    match (&mut dst.data, src.data) {
-        (ColumnData::Int(d), ColumnData::Int(s)) => d.extend(s),
-        (ColumnData::Double(d), ColumnData::Double(s)) => d.extend(s),
-        (ColumnData::Str(d), ColumnData::Str(s)) => d.extend(s),
-        (d, s) => panic!(
-            "type mismatch: cannot append a {} column to a {} column",
-            s.data_type(),
-            d.data_type()
-        ),
-    }
-}
-
-/// Append row `row` of `src` to `dst` (same type).
-pub(crate) fn push_row_of(dst: &mut Column, src: &Column, row: usize) {
-    let valid = !src.is_null(row);
-    extend_validity(dst, (!valid).then_some(&[false][..]), 1);
-    match (&mut dst.data, &src.data) {
-        (ColumnData::Int(d), ColumnData::Int(s)) => d.push(s[row]),
-        (ColumnData::Double(d), ColumnData::Double(s)) => d.push(s[row]),
-        (ColumnData::Str(d), ColumnData::Str(s)) => d.push(s[row].clone()),
-        (d, s) => panic!(
-            "type mismatch: cannot append a {} value to a {} column",
-            s.data_type(),
-            d.data_type()
-        ),
-    }
-}
-
 /// Total order of two rows of one column, the order [`Value::total_cmp`] gives their
 /// values: NULLs first, integers and strings by value, doubles by IEEE total order.
+/// Coded strings compare by their strings — a dictionary's order is not assumed.
 pub(crate) fn cmp_rows(column: &Column, a: usize, b: usize) -> Ordering {
     match (column.is_null(a), column.is_null(b)) {
         (true, true) => Ordering::Equal,
@@ -237,7 +174,10 @@ pub(crate) fn cmp_rows(column: &Column, a: usize, b: usize) -> Ordering {
         (false, false) => match &column.data {
             ColumnData::Int(v) => v[a].cmp(&v[b]),
             ColumnData::Double(v) => v[a].total_cmp(&v[b]),
-            ColumnData::Str(v) => v[a].cmp(&v[b]),
+            data => {
+                let strings = data.strings().expect("a string column");
+                strings.get(a).cmp(strings.get(b))
+            }
         },
     }
 }
@@ -269,6 +209,8 @@ pub(crate) fn sorted_rows(keys: &[(&Column, bool)], rows: usize, limit: Option<u
 
 #[cfg(test)]
 mod tests {
+    use std::sync::Arc;
+
     use super::*;
 
     fn batch() -> Batch {
@@ -382,6 +324,116 @@ mod tests {
             );
         }
         assert_eq!(sorted_rows(&[], 3, None), [0, 1, 2], "no keys: input order");
+    }
+
+    /// An Int column and a string column — plain, or coded over `dict` — holding
+    /// `words` (None = NULL).
+    fn strings_batch(words: &[Option<&str>], dict: Option<&Arc<[String]>>) -> Batch {
+        let ints = Column::from_data(ColumnData::Int((0..words.len() as i64).collect()));
+        let validity = (words.contains(&None)).then(|| words.iter().map(Option::is_some).collect());
+        let data = match dict {
+            None => ColumnData::Str(words.iter().map(|w| w.unwrap_or("").to_string()).collect()),
+            Some(dict) => ColumnData::Dict {
+                dict: dict.clone(),
+                codes: (words.iter())
+                    .map(|w| w.map_or(0, |w| dict.iter().position(|d| d == w).unwrap()) as u32)
+                    .collect(),
+            },
+        };
+        Batch::from_columns(vec![ints, Column { data, validity }])
+    }
+
+    /// A test's name for a batch, its words and its dictionary (None = plain).
+    type Side<'a> = (&'a str, &'a [Option<&'a str>], Option<&'a Arc<[String]>>);
+
+    fn rows_of(batch: &Batch) -> Vec<Vec<Value>> {
+        (0..batch.len()).map(|row| batch.row(row)).collect()
+    }
+
+    #[test]
+    fn coded_strings_take_append_and_sort_like_plain_ones() {
+        let dict =
+            |words: &[&str]| -> Arc<[String]> { words.iter().map(|w| w.to_string()).collect() };
+        let fruit = dict(&["pear", "fig", "apple", "kiwi", "unused"]);
+        let shuffled = dict(&["kiwi", "apple", "unused", "fig", "pear"]);
+        let other = dict(&["x", "y"]);
+        let words = [
+            Some("pear"),
+            Some("fig"),
+            None,
+            Some("apple"),
+            Some("fig"),
+            Some("kiwi"),
+        ];
+        let xy = [Some("y"), Some("x"), Some("y")];
+        // (name, words, dictionary): plain, the same dictionary twice, an
+        // overlapping one, a disjoint one
+        let sides: [Side; 5] = [
+            ("plain", &words, None),
+            ("fruit", &words, Some(&fruit)),
+            ("fruit again", &words[1..], Some(&fruit)),
+            ("shuffled", &words[2..], Some(&shuffled)),
+            ("disjoint", &xy, Some(&other)),
+        ];
+        for (left, left_words, left_dict) in sides {
+            for (right, right_words, right_dict) in sides {
+                let mut expected = rows_of(&strings_batch(left_words, None));
+                expected.extend(rows_of(&strings_batch(right_words, None)));
+                let (a, b) = (
+                    strings_batch(left_words, left_dict),
+                    strings_batch(right_words, right_dict),
+                );
+                let mut appended = a.clone();
+                appended.append(&b);
+                let mut owned = a.clone();
+                owned.append_owned(b.clone());
+                for got in [&appended, &owned] {
+                    assert_eq!(rows_of(got), expected, "{left} + {right}");
+                }
+                if left_dict.is_some_and(|l| right_dict.is_some_and(|r| Arc::ptr_eq(l, r))) {
+                    assert!(
+                        matches!(appended.column(1).data, ColumnData::Dict { .. }),
+                        "{left} + {right}: one dictionary, codes extended"
+                    );
+                }
+            }
+        }
+        // take gathers codes and shares the dictionary
+        let coded = strings_batch(&words, Some(&fruit));
+        let taken = coded.take(&[5, 2, 0, 2]);
+        assert_eq!(
+            rows_of(&taken),
+            rows_of(&strings_batch(&words, None).take(&[5, 2, 0, 2]))
+        );
+        assert!(
+            matches!(&taken.column(1).data, ColumnData::Dict { dict, .. } if Arc::ptr_eq(dict, &fruit))
+        );
+        // sorting compares strings, not codes (the dictionary is not in order here)
+        for (coded, plain) in [
+            (
+                strings_batch(&words, Some(&fruit)),
+                strings_batch(&words, None),
+            ),
+            (
+                strings_batch(&words, Some(&shuffled)),
+                strings_batch(&words, None),
+            ),
+        ] {
+            for descending in [false, true] {
+                for limit in [None, Some(2)] {
+                    assert_eq!(
+                        sorted_rows(&[(coded.column(1), descending)], words.len(), limit),
+                        sorted_rows(&[(plain.column(1), descending)], words.len(), limit),
+                    );
+                }
+            }
+            for (a, b) in (0..words.len()).flat_map(|a| (0..words.len()).map(move |b| (a, b))) {
+                assert_eq!(
+                    cmp_rows(coded.column(1), a, b),
+                    cmp_rows(plain.column(1), a, b)
+                );
+            }
+        }
     }
 
     #[test]

@@ -18,6 +18,13 @@
 //! spine and narrows the selection one conjunct at a time, so a later conjunct is
 //! evaluated only on the rows the earlier ones kept.
 //!
+//! A string column is read in place in either of its forms, plain or
+//! dictionary-coded ([`datablocks::column`]). A coded column compared with a
+//! constant — or tested for truth — is evaluated once per dictionary entry, and each
+//! row looks its result up by its code. That assumes no order of the dictionary,
+//! so a re-coded, merged one works too. A `CASE` whose rows take both arms writes
+//! plain strings.
+//!
 //! # The selection-vector contract
 //!
 //! A selection `sel` lists rows of the batch (any order, usually ascending); `None`
@@ -54,9 +61,9 @@ use std::borrow::Cow;
 use std::cmp::Ordering;
 
 use datablocks::scan::CmpOpOrderingExt;
-use datablocks::{CmpOp, Column, ColumnData, DataType, Value};
+use datablocks::{CmpOp, Column, ColumnData, DataType, Strings, Value};
 
-use crate::batch::{gather, pick, zeroed, Batch};
+use crate::batch::{pick, zeroed, Batch};
 
 /// An arithmetic operator.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -176,7 +183,7 @@ impl Expr {
         match self.vector(batch, &types, sel) {
             Vector::View(column) => match sel {
                 None => Cow::Borrowed(column),
-                Some(sel) => Cow::Owned(gather(column, sel)),
+                Some(sel) => Cow::Owned(column.take(sel)),
             },
             Vector::Dense(column) => Cow::Owned(column),
             Vector::Const(scalar) => Cow::Owned(Column::from_data(match scalar {
@@ -340,18 +347,37 @@ enum Nums<'a, T: Copy> {
     Rows(Cow<'a, [T]>),
 }
 
-/// A string operand, read in place.
+/// A string operand, read in place: a constant, or a column of either form seen
+/// through a selection.
 enum Strs<'a> {
     Const(&'a str),
-    Rows(&'a [String], Option<&'a [u32]>),
+    Rows(Strings<'a>, Option<&'a [u32]>),
 }
 
 impl<'a> Strs<'a> {
     fn get(&self, k: usize) -> &'a str {
         match *self {
             Strs::Const(s) => s,
-            Strs::Rows(values, None) => &values[k],
-            Strs::Rows(values, Some(sel)) => &values[sel[k] as usize],
+            Strs::Rows(strings, None) => strings.get(k),
+            Strs::Rows(strings, Some(sel)) => strings.get(sel[k] as usize),
+        }
+    }
+
+    /// `f` of each of the `rows` rows. A coded column with no more dictionary
+    /// entries than rows runs `f` once per entry and looks each row's result up by
+    /// its code — which needs no order, or even distinctness, of the dictionary.
+    fn map<R: Copy>(&self, rows: usize, f: impl Fn(&str) -> R) -> Vec<R> {
+        match *self {
+            Strs::Rows(Strings::Coded(dict, codes), sel) if dict.len() <= rows => {
+                let per_entry: Vec<R> = dict.iter().map(|entry| f(entry)).collect();
+                match sel {
+                    None => codes.iter().map(|&c| per_entry[c as usize]).collect(),
+                    Some(sel) => (sel.iter())
+                        .map(|&row| per_entry[codes[row as usize] as usize])
+                        .collect(),
+                }
+            }
+            _ => (0..rows).map(|k| f(self.get(k))).collect(),
         }
     }
 }
@@ -432,8 +458,8 @@ impl<'a> Vector<'a> {
     fn strs<'b>(&'b self, sel: Option<&'b [u32]>) -> Strs<'b> {
         match self {
             Vector::Const(Scalar::Str(s)) => Strs::Const(s),
-            Vector::View(column) => Strs::Rows(column.data.as_str().expect("str"), sel),
-            Vector::Dense(column) => Strs::Rows(column.data.as_str().expect("str"), None),
+            Vector::View(column) => Strs::Rows(column.data.strings().expect("str"), sel),
+            Vector::Dense(column) => Strs::Rows(column.data.strings().expect("str"), None),
             _ => unreachable!("not a string vector"),
         }
     }
@@ -449,10 +475,7 @@ impl<'a> Vector<'a> {
             _ => match self.data_type().expect("typed") {
                 DataType::Int => unary(&self.ints(sel), rows, |v| v != 0),
                 DataType::Double => unary(&self.doubles(sel), rows, |v| v != 0.0),
-                DataType::Str => {
-                    let strs = self.strs(sel);
-                    (0..rows).map(|k| !strs.get(k).is_empty()).collect()
-                }
+                DataType::Str => self.strs(sel).map(rows, |s| !s.is_empty()),
             },
         };
         Truth::Rows(match self.validity(sel) {
@@ -703,8 +726,12 @@ fn compare<'a>(
     let mut valid = both_valid(lhs.validity(sel), rhs.validity(sel));
     let verdict = |ord: Ordering| i64::from(op.eval_ordering(ord));
     let data = if lt == Str {
-        let (a, b) = (lhs.strs(sel), rhs.strs(sel));
-        (0..rows).map(|k| verdict(a.get(k).cmp(b.get(k)))).collect()
+        // Against a constant, a coded column is compared once per dictionary entry.
+        match (lhs.strs(sel), rhs.strs(sel)) {
+            (a, Strs::Const(b)) => a.map(rows, |a| verdict(a.cmp(b))),
+            (Strs::Const(a), b) => b.map(rows, |b| verdict(a.cmp(b))),
+            (a, b) => (0..rows).map(|k| verdict(a.get(k).cmp(b.get(k)))).collect(),
+        }
     } else if (lt, rt) == (Int, Int) {
         binary(&lhs.ints(sel), &rhs.ints(sel), rows, |_, a, b| {
             verdict(a.cmp(&b))

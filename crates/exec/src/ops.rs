@@ -15,10 +15,15 @@
 //! * **Hash aggregation** evaluates the group and aggregate-input expressions once
 //!   per batch, hashes the typed key columns row by row into a group id
 //!   (`Groups`: keys stored once per group, as columns), and folds each
-//!   aggregate's input column into typed per-group arrays.
+//!   aggregate's input column into typed per-group arrays. When every key column
+//!   is dictionary-coded ([`datablocks::column`]), a batch resolves each distinct
+//!   tuple of codes once — hashed on the bytes of its first row — and every row
+//!   looks its group id up by its codes: the key hash, the radix partitions and
+//!   the group numbering are exactly those of the row-by-row path.
 //! * **Hash join** keeps the build side as one columnar batch; the table maps a key
 //!   to build *row numbers*, and matches are emitted by gathering build and probe
-//!   columns.
+//!   columns (coded strings gather codes). Coded key columns are hashed once per
+//!   distinct code tuple of a batch.
 //! * **Sort** sorts a permutation of row numbers over the typed key columns and
 //!   gathers once.
 //!
@@ -80,10 +85,10 @@
 use std::collections::hash_map::{DefaultHasher, RandomState};
 use std::hash::{BuildHasher, Hasher};
 
-use datablocks::{Column, ColumnData, DataType, Value};
+use datablocks::{Column, ColumnData, DataType, Strings, Value};
 use storage::Relation;
 
-use crate::batch::{gather, pick, push_row_of, sorted_rows, zeroed, Batch};
+use crate::batch::{pick, sorted_rows, zeroed, Batch};
 use crate::expr::Expr;
 use crate::morsel::{self, MorselSink, PipelineSpec, RADIX_BITS, RADIX_PARTITIONS};
 use crate::scan::{RelationScanner, ScanStats};
@@ -352,6 +357,7 @@ fn cell(column: &Column, row: usize) -> Cell<'_> {
         ColumnData::Int(v) => Cell::Int(v[row]),
         ColumnData::Double(v) => Cell::Double(v[row]),
         ColumnData::Str(v) => Cell::Str(&v[row]),
+        ColumnData::Dict { dict, codes } => Cell::Str(&dict[codes[row] as usize]),
     }
 }
 
@@ -368,15 +374,70 @@ fn key_hash<'a>(cells: impl Iterator<Item = Cell<'a>>, key: &mut Vec<u8>) -> u64
     hasher.finish()
 }
 
-/// [`key_hash`] of every row of the key columns.
+/// [`key_hash`] of every row of the key columns. Coded key columns are hashed once
+/// per distinct code tuple ([`code_tuples`]), on the bytes of its first row — the
+/// same hash every row of the tuple would get.
 fn hash_rows(keys: &[&Column], rows: usize) -> Vec<u64> {
     let mut key = Vec::new();
     if keys.is_empty() {
         return vec![key_hash(std::iter::empty(), &mut key); rows];
     }
-    (0..rows)
-        .map(|row| key_hash(keys.iter().map(|column| cell(column, row)), &mut key))
-        .collect()
+    let mut hash = |row| key_hash(keys.iter().map(|column| cell(column, row)), &mut key);
+    per_code_tuple(keys, rows, &mut hash).unwrap_or_else(|| (0..rows).map(hash).collect())
+}
+
+/// `f(row)` for every row, run once per distinct code tuple (on its first row) and
+/// looked up by the others — when every key column is coded ([`code_tuples`]).
+fn per_code_tuple<T: Copy>(
+    keys: &[&Column],
+    rows: usize,
+    mut f: impl FnMut(usize) -> T,
+) -> Option<Vec<T>> {
+    let (tuples, space) = code_tuples(keys, rows)?;
+    let mut memo = vec![None; space];
+    let per_row = (tuples.iter().enumerate())
+        .map(|(row, &tuple)| *memo[tuple as usize].get_or_insert_with(|| f(row)));
+    Some(per_row.collect())
+}
+
+/// When every key column is coded: each row's index into the space of code tuples
+/// (NULL counts as one more code of its column), and the size of that space. `None`
+/// when a key column is plain or the space has more tuples than there are rows, where
+/// a table per tuple would not pay. Rows with one tuple hold one key; one key may
+/// have several tuples (a dictionary need not be free of duplicates), so a tuple can
+/// stand in for its key but never tell two keys apart.
+fn code_tuples(keys: &[&Column], rows: usize) -> Option<(Vec<u32>, usize)> {
+    let mut space = 1usize;
+    for key in keys {
+        let ColumnData::Dict { dict, .. } = &key.data else {
+            return None;
+        };
+        space = space
+            .checked_mul(dict.len() + 1)
+            .filter(|&space| space <= rows)?;
+    }
+    let mut tuples = vec![0u32; rows];
+    let mut stride = 1u32;
+    for key in keys {
+        let ColumnData::Dict { dict, codes } = &key.data else {
+            unreachable!("checked above");
+        };
+        let null = dict.len() as u32;
+        match &key.validity {
+            None => {
+                for (tuple, &code) in tuples.iter_mut().zip(codes) {
+                    *tuple += code * stride;
+                }
+            }
+            Some(valid) => {
+                for ((tuple, &code), &valid) in tuples.iter_mut().zip(codes).zip(valid) {
+                    *tuple += (if valid { code } else { null }) * stride;
+                }
+            }
+        }
+        stride *= null + 1;
+    }
+    Some((tuples, space))
 }
 
 /// Radix partition of a key hash: its leading [`RADIX_BITS`] bits.
@@ -408,8 +469,10 @@ fn same_cell(a: &Column, i: usize, b: &Column, j: usize) -> bool {
         (false, false) => match (&a.data, &b.data) {
             (ColumnData::Int(a), ColumnData::Int(b)) => a[i] == b[j],
             (ColumnData::Double(a), ColumnData::Double(b)) => a[i].to_bits() == b[j].to_bits(),
-            (ColumnData::Str(a), ColumnData::Str(b)) => a[i] == b[j],
-            _ => false,
+            (a, b) => match (a.strings(), b.strings()) {
+                (Some(a), Some(b)) => a.get(i) == b.get(j),
+                _ => false,
+            },
         },
         _ => false,
     }
@@ -480,7 +543,7 @@ impl Groups {
         self.slots[slot] = group + 1;
         self.hashes.push(hash);
         for (key, column) in self.keys.iter_mut().zip(columns) {
-            push_row_of(key, column, row);
+            key.push_row_of(column, row);
         }
         if self.len() * 2 > self.slots.len() {
             self.reindex(self.slots.len() * 2);
@@ -504,7 +567,7 @@ impl Groups {
     /// The groups `rows` of this table, renumbered in that order.
     fn take(&self, rows: &[u32]) -> Groups {
         let mut taken = Groups {
-            keys: self.keys.iter().map(|key| gather(key, rows)).collect(),
+            keys: self.keys.iter().map(|key| key.take(rows)).collect(),
             hashes: pick(&self.hashes, rows),
             slots: Vec::new(),
             seed: self.seed,
@@ -579,21 +642,21 @@ struct AggState {
 enum Values<'a> {
     Int(&'a [i64]),
     Double(&'a [f64]),
-    Str(&'a [String]),
+    Str(Strings<'a>),
 }
 
 /// Fold `values` into the groups `groups` names, value by value in order:
 /// `weight(r)` is how many inputs value `r` stands for (0 skips it), and
 /// `step(acc, value, first)` takes it into its group's accumulator.
-fn fold<T>(
+fn fold<A, V>(
     count: &mut [i64],
-    acc: &mut [T],
-    values: &[T],
+    acc: &mut [A],
+    values: impl Iterator<Item = V>,
     groups: &[u32],
     weight: impl Fn(usize) -> i64,
-    step: impl Fn(&mut T, &T, bool),
+    step: impl Fn(&mut A, V, bool),
 ) {
-    for (row, value) in values.iter().enumerate() {
+    for (row, value) in values.enumerate() {
         let (weight, group) = (weight(row), groups[row] as usize);
         if weight != 0 {
             step(&mut acc[group], value, count[group] == 0);
@@ -612,6 +675,7 @@ fn fold_as<T: PartialOrd + Clone>(
     weight: impl Fn(usize) -> i64,
     add: impl Fn(&mut T, &T),
 ) {
+    let values = values.iter();
     match func {
         AggFunc::Count | AggFunc::CountStar => {
             fold(count, acc, values, groups, weight, |_, _, _| {})
@@ -632,8 +696,39 @@ fn fold_as<T: PartialOrd + Clone>(
     }
 }
 
-fn no_string_sums(_: &mut String, _: &String) {
-    panic!("sum and avg are not defined over strings");
+/// [`fold_as`] over strings of either form, read in place: a string is copied only
+/// when it becomes its group's minimum or maximum.
+fn fold_strs(
+    func: AggFunc,
+    count: &mut [i64],
+    acc: &mut [String],
+    values: Strings<'_>,
+    groups: &[u32],
+    weight: impl Fn(usize) -> i64,
+) {
+    let values = (0..values.len()).map(|row| values.get(row));
+    let keep = |acc: &mut String, v: &str| {
+        acc.clear();
+        acc.push_str(v);
+    };
+    match func {
+        AggFunc::Count | AggFunc::CountStar => {
+            fold(count, acc, values, groups, weight, |_, _, _| {})
+        }
+        AggFunc::Sum | AggFunc::Avg => fold(count, acc, values, groups, weight, |_, _, _| {
+            panic!("sum and avg are not defined over strings")
+        }),
+        AggFunc::Min => fold(count, acc, values, groups, weight, |acc, v, first| {
+            if first || v < acc.as_str() {
+                keep(acc, v);
+            }
+        }),
+        AggFunc::Max => fold(count, acc, values, groups, weight, |acc, v, first| {
+            if first || v > acc.as_str() {
+                keep(acc, v);
+            }
+        }),
+    }
 }
 
 impl AggState {
@@ -680,7 +775,7 @@ impl AggState {
                 fold_as(func, count, acc, values, groups, weight, |a, v| *a += *v)
             }
             (Acc::Str(acc), Values::Str(values)) => {
-                fold_as(func, count, acc, values, groups, weight, no_string_sums)
+                fold_strs(func, count, acc, values, groups, weight)
             }
             _ => panic!("the input of an aggregate changed type"),
         }
@@ -692,7 +787,7 @@ impl AggState {
         let values = match &input.data {
             ColumnData::Int(values) => Values::Int(values),
             ColumnData::Double(values) => Values::Double(values),
-            ColumnData::Str(values) => Values::Str(values),
+            data => Values::Str(data.strings().expect("a string column")),
         };
         match &input.validity {
             None => self.fold(values, groups, |_| 1),
@@ -710,7 +805,7 @@ impl AggState {
         let values = match &other.acc {
             Acc::Int(acc) => Values::Int(acc),
             Acc::Double(acc) => Values::Double(acc),
-            Acc::Str(acc) => Values::Str(acc),
+            Acc::Str(acc) => Values::Str(Strings::Plain(acc)),
         };
         self.fold(values, groups, |group| other.count[group]);
     }
@@ -896,11 +991,19 @@ impl MorselSink for AggBuildSink<'_> {
             .map(|expr| expr.evaluate(&batch, None))
             .collect();
         let keys: Vec<&Column> = keys.iter().map(|key| &**key).collect();
-        // … every row resolved to its group id …
-        let hashes = hash_rows(&keys, batch.len());
-        let groups: Vec<u32> = (0..batch.len())
-            .map(|row| self.table.groups.resolve(&keys, row, hashes[row]))
-            .collect();
+        // … every row resolved to its group id — coded keys once per distinct code
+        // tuple, on its first row, so groups are numbered as row by row …
+        let (table, mut key) = (&mut self.table.groups, Vec::new());
+        let group_of = |row| {
+            let hash = key_hash(keys.iter().map(|column| cell(column, row)), &mut key);
+            table.resolve(&keys, row, hash)
+        };
+        let groups = per_code_tuple(&keys, batch.len(), group_of).unwrap_or_else(|| {
+            let hashes = hash_rows(&keys, batch.len());
+            (0..batch.len())
+                .map(|row| self.table.groups.resolve(&keys, row, hashes[row]))
+                .collect()
+        });
         // … and every aggregate's input column folded into its typed arrays.
         for (state, spec) in self.table.states.iter_mut().zip(self.aggregates) {
             state.resize(self.table.groups.len());
@@ -2103,6 +2206,214 @@ mod tests {
             let columns: Vec<&Column> = batch.columns().iter().collect();
             assert_eq!(hash_rows(&columns, 1), [hasher.finish()], "{key:?}");
         }
+    }
+
+    #[test]
+    fn a_coded_key_column_hashes_like_its_plain_twin() {
+        // A dictionary out of order, with an unused entry, a duplicate and a NULL
+        // row whose code points at a real entry: the hashes are those of the
+        // strings, row for row — through the per-tuple table (one coded key, or two
+        // over enough rows) and through the row-by-row path (a mixed key).
+        let words = ["b", "a", "", "b", "a", "b", "", "a"];
+        let plain = Column {
+            data: ColumnData::Str(
+                words
+                    .iter()
+                    .cycle()
+                    .take(40)
+                    .map(|w| w.to_string())
+                    .collect(),
+            ),
+            validity: Some((0..40).map(|row| row % 7 != 3).collect()),
+        };
+        let dict: std::sync::Arc<[String]> = ["a", "unused", "", "b", "a"].map(String::from).into();
+        let coded = Column {
+            data: ColumnData::Dict {
+                codes: (0..40)
+                    .map(|row| match words[row % words.len()] {
+                        "a" if row % 2 == 0 => 4,
+                        "a" => 0,
+                        "" => 2,
+                        _ => 3,
+                    })
+                    .collect(),
+                dict,
+            },
+            validity: plain.validity.clone(),
+        };
+        let ints = Column::from_data(ColumnData::Int((0..40).map(|i| i % 3).collect()));
+        assert!(code_tuples(&[&coded], 40).is_some());
+        assert!(code_tuples(&[&coded, &coded], 40).is_some());
+        assert!(code_tuples(&[&coded, &ints], 40).is_none());
+        for (coded_keys, plain_keys) in [
+            (vec![&coded], vec![&plain]),
+            (vec![&coded, &coded], vec![&plain, &plain]),
+            (vec![&ints, &coded], vec![&ints, &plain]),
+        ] {
+            assert_eq!(hash_rows(&coded_keys, 40), hash_rows(&plain_keys, 40));
+            // … and the row-by-row hash of the same values
+            let mut key = Vec::new();
+            let row_by_row: Vec<u64> = (0..40)
+                .map(|row| key_hash(plain_keys.iter().map(|c| cell(c, row)), &mut key))
+                .collect();
+            assert_eq!(hash_rows(&coded_keys, 40), row_by_row);
+        }
+    }
+
+    // ------------------------------------------------------------- coded strings
+
+    /// [`rows`] with a NULL in the string column on every 13th row.
+    fn string_rows(n: i64) -> Vec<Vec<Value>> {
+        let mut rows = rows(n);
+        for row in rows.iter_mut().step_by(13) {
+            row[2] = Value::Null;
+        }
+        rows
+    }
+
+    /// `batches` with the string column (2) coded, each batch over a dictionary of
+    /// its own (so no two share an `Arc` and appending them re-codes): the column's
+    /// values in reverse order plus one no row uses; NULL rows get code 0.
+    fn coded(batches: &[Batch]) -> Vec<Batch> {
+        (batches.iter())
+            .map(|batch| {
+                let mut columns = batch.columns().to_vec();
+                let strings = columns[2].data.strings().unwrap();
+                let dict: Vec<String> = ["unused", "g2", "g1", "g0"].map(String::from).into();
+                let codes = (0..batch.len())
+                    .map(|row| match columns[2].is_null(row) {
+                        true => 0,
+                        false => dict.iter().position(|d| d == strings.get(row)).unwrap() as u32,
+                    })
+                    .collect();
+                columns[2].data = ColumnData::Dict {
+                    dict: dict.into(),
+                    codes,
+                };
+                Batch::from_columns(columns)
+            })
+            .collect()
+    }
+
+    /// Min, max and count of the string column, then [`all_aggs`] (whose double sum
+    /// stays last).
+    fn string_and_all_aggs() -> Vec<AggSpec> {
+        let mut aggs = vec![
+            AggSpec::new(AggFunc::Min, Expr::col(2), DataType::Str),
+            AggSpec::new(AggFunc::Max, Expr::col(2), DataType::Str),
+            AggSpec::new(AggFunc::Count, Expr::col(2), DataType::Int),
+        ];
+        aggs.extend(all_aggs());
+        aggs
+    }
+
+    #[test]
+    fn coded_keys_aggregate_like_plain_ones_at_every_worker_count() {
+        let plain = batches_of(&string_rows(300), 23);
+        let coded = coded(&plain);
+        assert!(matches!(coded[0].column(2).data, ColumnData::Dict { .. }));
+        let aggregates = string_and_all_aggs();
+        // the per-tuple path (a coded key alone) and the row-by-row one (mixed)
+        for group_exprs in [vec![Expr::col(2)], vec![Expr::col(2), Expr::col(1)]] {
+            let key_types = vec![DataType::Str; 1]
+                .into_iter()
+                .chain((group_exprs.len() > 1).then_some(DataType::Int));
+            let types = agg_output_types(&key_types.collect::<Vec<_>>(), &aggregates);
+            let make_sink = || AggBuildSink {
+                group_exprs: &group_exprs,
+                aggregates: &aggregates,
+                table: AggTable::new(&group_exprs, &aggregates, &TYPES),
+            };
+            // One sink, the same batches: the same groups, numbered alike, with the
+            // same hashes and the same states.
+            let table = |batches: &[Batch]| {
+                let mut sink = make_sink();
+                for (idx, batch) in batches.iter().enumerate() {
+                    sink.consume(idx, batch.clone());
+                }
+                sink.table
+            };
+            let (from_plain, from_coded) = (table(&plain), table(&coded));
+            assert_eq!(from_coded.groups.hashes, from_plain.groups.hashes);
+            assert_eq!(from_coded.groups.keys, from_plain.groups.keys);
+            assert_rows_identical(
+                &from_coded.into_batch(&types),
+                &rows_of(&from_plain.into_batch(&types)),
+                &format!("{} keys, one sink", group_exprs.len()),
+            );
+            // the operator at 1, 2 and 4 workers
+            let run = |batches: &[Batch], threads: usize| {
+                let batches = batches.iter().cloned().map(Ok);
+                let sinks = morsel::drive_batches(batches, threads, make_sink).unwrap();
+                let tables = sinks.into_iter().map(|sink| sink.table).collect();
+                merge_and_emit(tables, threads, group_exprs.len(), &types)
+            };
+            let reference = run(&plain, 1);
+            assert!(reference.len() >= 4, "three strings and NULL");
+            assert_rows_identical(&run(&coded, 1), &rows_of(&reference), "1 worker");
+            for threads in [2, 4] {
+                assert_rows_equal_up_to_double_sums(
+                    &run(&coded, threads),
+                    &reference,
+                    &format!("{} keys, {threads} workers", group_exprs.len()),
+                );
+            }
+        }
+    }
+
+    fn rows_of(batch: &Batch) -> Vec<Vec<Value>> {
+        (0..batch.len()).map(|row| batch.row(row)).collect()
+    }
+
+    #[test]
+    fn coded_keys_join_like_plain_ones_at_every_worker_count() {
+        let (build, probe) = (
+            batches_of(&string_rows(120), 7),
+            batches_of(&string_rows(50), 9),
+        );
+        let (coded_build, coded_probe) = (coded(&build), coded(&probe));
+        let join = |build: &[Batch], probe: &[Batch], join_type, threads| {
+            HashJoinOp::new(
+                batches_op(build),
+                batches_op(probe),
+                vec![2],
+                vec![2],
+                join_type,
+            )
+            .with_parallel_build(threads)
+        };
+        for join_type in [JoinType::Inner, JoinType::ProbeSemi] {
+            let expected = rows_of(&join(&build, &probe, join_type, 1).collect_all_helper());
+            assert!(!expected.is_empty());
+            for threads in [1usize, 2, 4] {
+                for (name, build, probe) in [
+                    ("coded", &coded_build, &coded_probe),
+                    ("coded build", &coded_build, &probe),
+                    ("coded probe", &build, &coded_probe),
+                ] {
+                    let got = join(build, probe, join_type, threads).collect_all_helper();
+                    assert_rows_identical(
+                        &got,
+                        &expected,
+                        &format!("{join_type:?} {name} threads {threads}"),
+                    );
+                }
+            }
+        }
+        // The build side numbers its keys and lists their rows alike.
+        let table = |build: &[Batch]| {
+            join(build, &probe, JoinType::Inner, 2)
+                .build_table()
+                .unwrap()
+        };
+        let (plain, coded) = (table(&build), table(&coded_build));
+        assert!(
+            matches!(coded.rows.column(2).data, ColumnData::Dict { .. }),
+            "re-coded"
+        );
+        assert_eq!(coded.keys.keys, plain.keys.keys);
+        assert_eq!(coded.keys.hashes, plain.keys.hashes);
+        assert_eq!((coded.starts, coded.matches), (plain.starts, plain.matches));
     }
 
     /// The join's reference: a nested loop in probe-stream order, build rows of a

@@ -17,7 +17,7 @@
 use std::io::{self, Read, Write};
 
 use datablocks::frame::fnv1a64;
-use datablocks::{DataType, Value};
+use datablocks::{Column, ColumnData, DataType};
 use exec::Batch;
 
 /// Frame magic: `DBWP` ("Data Blocks Wire Protocol").
@@ -362,6 +362,9 @@ pub fn decode_schema(payload: &[u8]) -> Result<Vec<DataType>, FrameError> {
 /// Encode a `RESULT_BATCH` payload: row count, column count, then each column
 /// as `[type u8][null bitmap][values]` (values of every row; NULL rows carry
 /// the type's default so decode needs no branching on lengths).
+///
+/// Each column is written from its typed slice; a coded string column writes
+/// every row's dictionary entry, so the bytes do not depend on the column's form.
 pub fn encode_batch(batch: &Batch) -> Vec<u8> {
     let rows = batch.len();
     let mut buf = Vec::with_capacity(16 + rows * 8 * batch.column_count().max(1));
@@ -370,25 +373,33 @@ pub fn encode_batch(batch: &Batch) -> Vec<u8> {
     for column in batch.columns() {
         buf.push(type_code(column.data_type()));
         let mut bitmap = vec![0u8; rows.div_ceil(8)];
-        for row in 0..rows {
-            if column.is_null(row) {
+        if let Some(validity) = &column.validity {
+            for (row, _) in validity.iter().enumerate().filter(|(_, &valid)| !valid) {
                 bitmap[row / 8] |= 1 << (row % 8);
             }
         }
         buf.extend_from_slice(&bitmap);
-        for row in 0..rows {
-            match column.get(row) {
-                Value::Int(v) => buf.extend_from_slice(&v.to_le_bytes()),
-                Value::Double(v) => buf.extend_from_slice(&v.to_bits().to_le_bytes()),
-                Value::Str(v) => {
+        let valid = |row: usize| !column.is_null(row);
+        match &column.data {
+            ColumnData::Int(values) => {
+                for (row, &v) in values.iter().enumerate() {
+                    let v = if valid(row) { v } else { 0 };
+                    buf.extend_from_slice(&v.to_le_bytes());
+                }
+            }
+            ColumnData::Double(values) => {
+                for (row, &v) in values.iter().enumerate() {
+                    let bits = if valid(row) { v.to_bits() } else { 0 };
+                    buf.extend_from_slice(&bits.to_le_bytes());
+                }
+            }
+            data => {
+                let strings = data.strings().expect("a string column");
+                for row in 0..rows {
+                    let v = if valid(row) { strings.get(row) } else { "" };
                     buf.extend_from_slice(&(v.len() as u32).to_le_bytes());
                     buf.extend_from_slice(v.as_bytes());
                 }
-                Value::Null => match column.data_type() {
-                    DataType::Int => buf.extend_from_slice(&0i64.to_le_bytes()),
-                    DataType::Double => buf.extend_from_slice(&0f64.to_bits().to_le_bytes()),
-                    DataType::Str => buf.extend_from_slice(&0u32.to_le_bytes()),
-                },
             }
         }
     }
@@ -398,6 +409,11 @@ pub fn encode_batch(batch: &Batch) -> Vec<u8> {
 /// Decode a `RESULT_BATCH` payload. `types` is the schema announced by the
 /// query's `RESULT_SCHEMA` frame; a column-count or type mismatch is a
 /// protocol error.
+///
+/// Each column is read into its typed vector (strings plain); NULL rows hold the
+/// type's default whatever the frame carried under them. Nothing is reserved
+/// before the bytes it stands for have been bounds-checked, so a row count the
+/// payload cannot hold is an error, not an allocation.
 pub fn decode_batch(payload: &[u8], types: &[DataType]) -> Result<Batch, FrameError> {
     let mut c = Cursor::new(payload);
     let rows = c.u32()? as usize;
@@ -410,21 +426,44 @@ pub fn decode_batch(payload: &[u8], types: &[DataType]) -> Result<Batch, FrameEr
         if code_type(c.u8()?)? != ty {
             return Err(FrameError::BadPayload("batch column type"));
         }
-        let bitmap = c.bytes(rows.div_ceil(8))?.to_vec();
-        let mut column = datablocks::Column::new(ty);
-        for row in 0..rows {
-            let null = bitmap[row / 8] & (1 << (row % 8)) != 0;
-            let value = match ty {
-                DataType::Int => Value::Int(c.u64()? as i64),
-                DataType::Double => Value::Double(f64::from_bits(c.u64()?)),
-                DataType::Str => {
-                    let len = c.u32()? as usize;
-                    Value::Str(c.str(len)?)
+        let bitmap = c.bytes(rows.div_ceil(8))?;
+        let null = |row: usize| bitmap[row / 8] & (1 << (row % 8)) != 0;
+        let data = match ty {
+            DataType::Int | DataType::Double => {
+                let width = rows
+                    .checked_mul(8)
+                    .ok_or(FrameError::BadPayload("truncated"))?;
+                let words = c
+                    .bytes(width)?
+                    .chunks_exact(8)
+                    .enumerate()
+                    .map(|(row, word)| {
+                        let word = u64::from_le_bytes(word.try_into().expect("8 bytes"));
+                        if null(row) {
+                            0
+                        } else {
+                            word
+                        }
+                    });
+                match ty {
+                    DataType::Int => ColumnData::Int(words.map(|w| w as i64).collect()),
+                    _ => ColumnData::Double(words.map(f64::from_bits).collect()),
                 }
-            };
-            column.push(if null { Value::Null } else { value });
-        }
-        columns.push(column);
+            }
+            DataType::Str => {
+                let mut values = Vec::new();
+                for row in 0..rows {
+                    let len = c.u32()? as usize;
+                    let value = c.str(len)?;
+                    values.push(if null(row) { String::new() } else { value });
+                }
+                ColumnData::Str(values)
+            }
+        };
+        let validity = (0..rows)
+            .any(null)
+            .then(|| (0..rows).map(|row| !null(row)).collect());
+        columns.push(Column { data, validity });
     }
     c.done()?;
     Ok(Batch::from_columns(columns))
@@ -537,6 +576,7 @@ impl<'a> Cursor<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use datablocks::Value;
 
     #[test]
     fn frame_roundtrip_and_checksum() {
@@ -600,11 +640,92 @@ mod tests {
             ],
         );
         let decoded = decode_batch(&encode_batch(&batch), &types).unwrap();
-        assert_eq!(decoded.len(), batch.len());
+        assert_eq!(decoded.columns(), batch.columns());
         for row in 0..batch.len() {
             assert_eq!(decoded.row(row), batch.row(row));
         }
+        // -0.0 keeps its sign bit
+        assert_eq!(
+            decoded.value(2, 1).as_double().unwrap().to_bits(),
+            (-0.0f64).to_bits()
+        );
         // Schema mismatch is a loud protocol error.
         assert!(decode_batch(&encode_batch(&batch), &[DataType::Int]).is_err());
+    }
+
+    /// A two-row string column: "pear", then NULL — coded (over a shuffled
+    /// dictionary with an unused entry and a non-empty string under the NULL) and
+    /// plain.
+    fn coded_and_plain() -> (Batch, Batch) {
+        let validity = Some(vec![true, false]);
+        let coded = Column {
+            data: ColumnData::Dict {
+                dict: ["fig", "pear", "unused"].map(String::from).into(),
+                codes: vec![1, 0],
+            },
+            validity: validity.clone(),
+        };
+        let plain = Column {
+            data: ColumnData::Str(vec!["pear".into(), String::new()]),
+            validity,
+        };
+        let ints = Column::from_data(ColumnData::Int(vec![1, 2]));
+        (
+            Batch::from_columns(vec![coded, ints.clone()]),
+            Batch::from_columns(vec![plain, ints]),
+        )
+    }
+
+    #[test]
+    fn a_coded_column_encodes_to_the_bytes_of_its_plain_twin() {
+        let (coded, plain) = coded_and_plain();
+        let bytes = encode_batch(&coded);
+        assert_eq!(bytes, encode_batch(&plain));
+        let decoded = decode_batch(&bytes, &[DataType::Str, DataType::Int]).unwrap();
+        assert!(matches!(decoded.column(0).data, ColumnData::Str(_)));
+        assert_eq!(decoded.columns(), plain.columns());
+    }
+
+    #[test]
+    fn malformed_batches_are_errors_not_allocations() {
+        let types = [DataType::Str, DataType::Int];
+        let good = encode_batch(&coded_and_plain().1);
+        assert!(decode_batch(&good, &types).is_ok());
+        let bad_payload = |payload: &[u8], types: &[DataType]| {
+            matches!(decode_batch(payload, types), Err(FrameError::BadPayload(_)))
+        };
+        // every truncation
+        for len in 0..good.len() {
+            assert!(bad_payload(&good[..len], &types), "truncated to {len}");
+        }
+        // a wrong type byte (the first column's, right after the header)
+        let mut wrong_type = good.clone();
+        wrong_type[6] = type_code(DataType::Double);
+        assert!(bad_payload(&wrong_type, &types));
+        wrong_type[6] = 9;
+        assert!(bad_payload(&wrong_type, &types));
+        // bad UTF-8 in the first string ("pear": header 6, type 1, bitmap 1, len 4)
+        let mut bad_utf8 = good.clone();
+        bad_utf8[12] = 0xff;
+        assert!(bad_payload(&bad_utf8, &types));
+        // trailing bytes
+        let mut trailing = good.clone();
+        trailing.push(0);
+        assert!(bad_payload(&trailing, &types));
+        // A 10-byte payload claiming u32::MAX rows: reserving for them first would
+        // ask for tens of GiB and abort the test process.
+        for ty in [DataType::Int, DataType::Double, DataType::Str] {
+            let mut huge = u32::MAX.to_le_bytes().to_vec();
+            huge.extend_from_slice(&1u16.to_le_bytes());
+            huge.push(type_code(ty));
+            huge.extend_from_slice(&[0; 3]);
+            assert_eq!(huge.len(), 10);
+            assert!(bad_payload(&huge, &[ty]), "{ty}");
+            // … and the same with a bitmap that fits, past which the values do not
+            let mut rows = 1_000_000u32.to_le_bytes().to_vec();
+            rows.extend_from_slice(&huge[4..]);
+            rows.extend(std::iter::repeat_n(0u8, 1_000_000 / 8));
+            assert!(bad_payload(&rows, &[ty]), "{ty}");
+        }
     }
 }

@@ -440,10 +440,8 @@ mod tests {
         assert_eq!(out.data.as_int().unwrap(), &[1, 3, 5]);
         let mut names = Column::new(DataType::Str);
         chunk.gather(1, &[0, 19], &mut names);
-        assert_eq!(
-            names.data.as_str().unwrap(),
-            &["n0".to_string(), "n9".to_string()]
-        );
+        // hot strings are plain
+        assert!(matches!(&names.data, datablocks::ColumnData::Str(v) if v == &["n0", "n9"]));
     }
 
     #[test]

@@ -352,7 +352,7 @@ fn agg_invariant_under_merge_and_batch_order() {
 /// interpreter, which shares no evaluation code with it.
 mod expression_differential {
     use super::case_rng;
-    use data_blocks::datablocks::{CmpOp, DataType, Value};
+    use data_blocks::datablocks::{CmpOp, Column, ColumnData, DataType, Value};
     use data_blocks::exec::{ArithOp, Batch, Expr};
     use data_blocks::query::fuzz::reference_eval;
     use data_blocks::query::ir::{ExprKind, IrExpr};
@@ -650,6 +650,59 @@ mod expression_differential {
         }
     }
 
+    /// How [`coded`] presents a string column.
+    #[derive(Debug, Clone, Copy)]
+    enum Coding {
+        /// Over its distinct strings in order — a Data Block's dictionary.
+        Ordered,
+        /// Over its distinct strings shuffled — a re-coded, merged dictionary.
+        Shuffled,
+        /// Shuffled among entries no row uses, one of them a duplicate.
+        Unused,
+    }
+
+    /// `batch` with every string column in coded form. A NULL row gets a random
+    /// code: what lies under a NULL must never show.
+    fn coded(batch: &Batch, coding: Coding, rng: &mut StdRng) -> Batch {
+        let columns = batch.columns().iter().map(|column| {
+            let Some(strings) = column.data.strings() else {
+                return column.clone();
+            };
+            let mut dict: Vec<String> = (0..column.len())
+                .filter(|&row| !column.is_null(row))
+                .map(|row| strings.get(row).to_string())
+                .collect();
+            dict.sort();
+            dict.dedup();
+            if let Coding::Unused = coding {
+                let duplicate = dict.first().cloned().unwrap_or_default();
+                dict.extend(["unused".into(), "MAILBOX".into(), "~".into(), duplicate]);
+            }
+            if !matches!(coding, Coding::Ordered) {
+                for i in (1..dict.len()).rev() {
+                    dict.swap(i, rng.gen_range(0..=i));
+                }
+            }
+            if dict.is_empty() && !column.is_empty() {
+                dict.push("under every NULL".into());
+            }
+            let codes = (0..column.len())
+                .map(|row| match column.is_null(row) {
+                    true => rng.gen_range(0..dict.len()) as u32,
+                    false => dict.iter().position(|d| d == strings.get(row)).unwrap() as u32,
+                })
+                .collect();
+            Column {
+                data: ColumnData::Dict {
+                    dict: dict.into(),
+                    codes,
+                },
+                validity: column.validity.clone(),
+            }
+        });
+        Batch::from_columns(columns.collect())
+    }
+
     /// Names the case a panic came from — an overflow inside the engine has no
     /// assertion message to carry it.
     struct Running(u64);
@@ -680,6 +733,26 @@ mod expression_differential {
             let widened = widens(&expr, &types);
             let column = expr.evaluate(batch, sel.as_deref());
             assert_eq!(column.len(), rows.len(), "case {case}: {expr:?}");
+            // The same strings coded (a stream of its own, so the cases above do not
+            // move): the same column, hence also the oracle's.
+            let mut coding_rng = case_rng("expression_differential_coded", case);
+            let presentations: Vec<(Coding, Batch)> =
+                [Coding::Ordered, Coding::Shuffled, Coding::Unused]
+                    .into_iter()
+                    .map(|coding| (coding, coded(batch, coding, &mut coding_rng)))
+                    .collect();
+            for (coding, coded) in &presentations {
+                let got = expr.evaluate(coded, sel.as_deref());
+                assert_eq!(got.len(), column.len(), "case {case} {coding:?}: {expr:?}");
+                for k in 0..column.len() {
+                    assert!(
+                        agree(&got.get(k), &column.get(k), false),
+                        "case {case} {coding:?}, row {k}: coded {:?}, plain {:?} for {expr:?}",
+                        got.get(k),
+                        column.get(k),
+                    );
+                }
+            }
             if let Some(ty) = expr.static_type(&types) {
                 assert_eq!(column.data_type(), ty, "case {case}: {expr:?}");
             }
@@ -725,14 +798,23 @@ mod expression_differential {
                 expected,
                 "case {case} (selection {sel:?}): {predicate:?}"
             );
+            for (coding, coded) in &presentations {
+                assert_eq!(
+                    predicate.select(coded, sel.as_deref()),
+                    expected,
+                    "case {case} {coding:?} (selection {sel:?}): {predicate:?}"
+                );
+            }
         }
     }
 }
 
 /// Column-at-a-time expression evaluation equals the reference interpreter's
-/// row-wise value on every selected row (doubles by `to_bits()`), and rows outside
-/// the selection — or outside a `CASE` arm, or dropped by an earlier conjunct — are
-/// never evaluated: in this (debug) build, evaluating one would overflow and panic.
+/// row-wise value on every selected row (doubles by `to_bits()`), with string
+/// columns plain and coded (ordered, shuffled and padded dictionaries, random codes
+/// under NULLs), and rows outside the selection — or outside a `CASE` arm, or
+/// dropped by an earlier conjunct — are never evaluated: in this (debug) build,
+/// evaluating one would overflow and panic.
 #[test]
 fn expression_columns_match_the_reference_interpreter() {
     expression_differential::run(0..CASES * 8);

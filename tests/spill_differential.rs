@@ -5,8 +5,8 @@
 //! SMA pruning answering from the in-memory block directory so that pruned cold
 //! blocks are never read from disk (asserted on the store's I/O counters).
 
-use data_blocks::datablocks::{date_to_days, CmpOp, Restriction, Value};
-use data_blocks::exec::{drive_streaming, RelationScanner, ScanConfig};
+use data_blocks::datablocks::{date_to_days, CmpOp, ColumnData, Restriction, Value};
+use data_blocks::exec::{drive_streaming, Batch, RelationScanner, ScanConfig};
 use data_blocks::storage::{Relation, SpillPolicy};
 use data_blocks::workloads::tpch::{run_query, TpchDb};
 
@@ -188,6 +188,50 @@ fn streaming_scan_byte_identical_across_cache_configs_with_exact_reads() {
             );
             assert_eq!(store.pinned_count(), 0, "cache {name} threads {threads}");
         }
+    }
+}
+
+/// A batch scanned from a spilled block holds its strings coded against the block's
+/// dictionary, and the dictionary outlives the block: with a one-byte cache every
+/// block is evicted while the scan goes on, and the kept batches — read after the
+/// cache is cleared — still hold the in-memory scan's strings. No pin is left.
+#[test]
+fn coded_string_batches_outlive_their_evicted_blocks() {
+    let db = tpch();
+    let lineitem = db.relation("lineitem");
+    let s = lineitem.schema();
+    let projection: Vec<usize> = ["l_returnflag", "l_linestatus", "l_shipmode", "l_orderkey"]
+        .map(|name| s.idx(name))
+        .to_vec();
+    let scan = |rel: &Relation, threads: usize| -> Vec<Batch> {
+        let config = ScanConfig::default().with_threads(threads);
+        let mut scanner = RelationScanner::new(rel, projection.clone(), vec![], config);
+        std::iter::from_fn(|| scanner.next_batch()).collect()
+    };
+    let rows_of = |batches: &[Batch]| -> Vec<Vec<Value>> {
+        (batches.iter())
+            .flat_map(|batch| (0..batch.len()).map(|row| batch.row(row)))
+            .collect()
+    };
+    let reference = rows_of(&scan(lineitem, 1));
+
+    let mut spilled = lineitem.clone();
+    spilled
+        .enable_spill(&SpillPolicy::with_cache_capacity(1))
+        .expect("enable spill");
+    let store = spilled.spill_store().expect("store attached").clone();
+    for threads in [1usize, 2] {
+        store.clear_cache();
+        let batches = scan(&spilled, threads);
+        assert!(
+            (batches.iter())
+                .all(|batch| (0..3)
+                    .all(|col| matches!(batch.column(col).data, ColumnData::Dict { .. }))),
+            "threads {threads}: every string column coded"
+        );
+        store.clear_cache();
+        assert_eq!(store.pinned_count(), 0, "threads {threads}");
+        assert_eq!(rows_of(&batches), reference, "threads {threads}");
     }
 }
 
