@@ -1,22 +1,19 @@
-//! The on-disk *frame* around a serialized Data Block: checksum, section offsets and
-//! a summary section readable without touching the payload.
+//! The on-disk *frame* around a serialized Data Block, and the block-store
+//! *manifest* records that say where frames live.
 //!
-//! [`crate::layout`] defines the flat in-memory byte representation of a block; this
-//! module wraps it for secondary storage. A frame prepends a fixed
-//! [`FRAME_HEADER_LEN`]-byte header (magic, version, checksums, section offsets)
-//! and a small **summary section**
-//! holding exactly the metadata a block *directory* wants to keep hot in memory —
-//! tuple/deleted counts and the per-attribute SMAs — so a store can
+//! [`crate::layout`] defines the flat in-memory byte representation of a block; a
+//! frame wraps it for secondary storage behind a fixed 20-byte header (magic,
+//! version, FNV-1a 64 checksum of the payload, payload length). The checksum
+//! turns a torn write or bit rot into [`FrameError::ChecksumMismatch`] instead of
+//! a block decoded from garbage.
 //!
-//! * rebuild its directory from a file by reading headers and summaries only
-//!   ([`read_header`] / [`read_summary`] never look at payload bytes), and
-//! * evaluate SMA block-skipping for **cold** blocks without any payload I/O
-//!   ([`BlockSummary::may_match`]), preserving the paper's scan-skipping behaviour
-//!   even for blocks that have been evicted to disk.
-//!
-//! The payload is protected by an FNV-1a 64 checksum so a torn write or bit rot is
-//! reported as [`FrameError::ChecksumMismatch`] instead of being decoded into
-//! garbage. The byte-exact format is specified in `crates/datablocks/README.md`.
+//! A frame is not self-describing: the store's manifest is the only record of
+//! where a frame lives and what it holds. Each [`ManifestRecord::Put`] carries
+//! the block's [`BlockSummary`] — tuple/deleted counts and per-attribute SMAs —
+//! so a store rebuilds its directory, and decides SMA block-skipping for
+//! **cold** blocks ([`BlockSummary::may_match`]), without any payload I/O: the
+//! paper's scan-skipping survives a block's eviction to disk. The byte-exact
+//! formats are specified in `crates/datablocks/README.md`.
 
 use crate::block::DataBlock;
 use crate::layout::{self, LayoutError, Reader, Writer};
@@ -27,9 +24,10 @@ use dbsimd::CmpOp;
 /// Magic bytes identifying a Data Block frame.
 pub const FRAME_MAGIC: &[u8; 4] = b"DBFM";
 /// Current version of the frame format.
-pub const FRAME_VERSION: u32 = 1;
-/// Size of the fixed frame header in bytes.
-pub const FRAME_HEADER_LEN: usize = 40;
+pub const FRAME_VERSION: u32 = 2;
+/// Size of the fixed frame header (magic, version, checksum, payload length) in
+/// bytes.
+const FRAME_HEADER_LEN: usize = 20;
 
 /// Magic bytes identifying a block-store *manifest* record.
 pub const MANIFEST_MAGIC: &[u8; 4] = b"DBMF";
@@ -52,10 +50,10 @@ pub enum FrameError {
     ChecksumMismatch {
         /// Checksum recorded in the header.
         stored: u64,
-        /// Checksum recomputed over the frame body.
+        /// Checksum recomputed over the frame payload or manifest record body.
         actual: u64,
     },
-    /// A header or summary field holds an invalid value.
+    /// A manifest record or summary field holds an invalid value.
     Corrupt(&'static str),
     /// The payload failed to decode as a Data Block.
     Layout(LayoutError),
@@ -88,8 +86,8 @@ impl std::error::Error for FrameError {
 
 impl From<LayoutError> for FrameError {
     fn from(err: LayoutError) -> FrameError {
-        // A short buffer surfaces identically whether the reader stopped in the
-        // summary or the payload.
+        // A short buffer surfaces identically whether the reader stopped in a
+        // header, a summary or the payload.
         match err {
             LayoutError::Truncated => FrameError::Truncated,
             other => FrameError::Layout(other),
@@ -97,7 +95,7 @@ impl From<LayoutError> for FrameError {
     }
 }
 
-/// FNV-1a 64-bit, the checksum protecting the frame body (summary + payload). Not
+/// FNV-1a 64-bit, the checksum protecting frame payloads and manifest records. Not
 /// cryptographic — it detects torn writes and bit rot, which is all a local block
 /// store needs, and it is dependency-free.
 pub fn fnv1a64(bytes: &[u8]) -> u64 {
@@ -109,35 +107,6 @@ pub fn fnv1a64(bytes: &[u8]) -> u64 {
         hash = hash.wrapping_mul(PRIME);
     }
     hash
-}
-
-/// The decoded fixed-size frame header.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct FrameHeader {
-    /// Frame format version.
-    pub version: u32,
-    /// FNV-1a 64 checksum over the frame body (summary section + payload section).
-    pub checksum: u64,
-    /// FNV-1a 64 checksum over the summary section alone, so a directory rebuild
-    /// ([`read_summary`]) can verify its input without reading the payload — a
-    /// bit-flipped SMA must not silently prune blocks that contain matches.
-    pub summary_checksum: u64,
-    /// Byte offset of the summary section from the frame start.
-    pub summary_off: u32,
-    /// Length of the summary section in bytes.
-    pub summary_len: u32,
-    /// Byte offset of the payload section from the frame start.
-    pub payload_off: u32,
-    /// Length of the payload section in bytes.
-    pub payload_len: u32,
-}
-
-impl FrameHeader {
-    /// Total size of the frame (header + summary + payload) in bytes. This is what a
-    /// store walking a file of concatenated frames advances by.
-    pub fn frame_len(&self) -> usize {
-        self.payload_off as usize + self.payload_len as usize
-    }
 }
 
 /// Per-attribute slice of a [`BlockSummary`].
@@ -154,7 +123,8 @@ pub struct ColumnSummary {
 }
 
 /// The directory-resident summary of one frozen block: everything SMA pruning and
-/// size accounting need, extracted without deserializing the payload.
+/// size accounting need without deserializing the payload. On disk it lives only
+/// in the block's manifest [`ManifestRecord::Put`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct BlockSummary {
     /// Records in the block (including deleted).
@@ -226,38 +196,21 @@ impl BlockSummary {
     }
 }
 
-/// Serialize a block into a complete frame: header, summary section, payload.
+/// Serialize a block into a complete frame: header, then the block layout.
 pub fn to_frame(block: &DataBlock) -> Vec<u8> {
-    let summary = write_summary(&BlockSummary::of(block));
     let payload = layout::to_bytes(block);
-
-    let summary_off = FRAME_HEADER_LEN as u32;
-    let payload_off = summary_off + summary.len() as u32;
-
-    let mut body = Vec::with_capacity(summary.len() + payload.len());
-    body.extend_from_slice(&summary);
-    body.extend_from_slice(&payload);
-    let checksum = fnv1a64(&body);
-    let summary_checksum = fnv1a64(&summary);
-
     let mut w = Writer::new();
     w.bytes(FRAME_MAGIC);
     w.u32(FRAME_VERSION);
-    w.u64(checksum);
-    w.u64(summary_checksum);
-    w.u32(summary_off);
-    w.u32(summary.len() as u32);
-    w.u32(payload_off);
+    w.u64(fnv1a64(&payload));
     w.u32(payload.len() as u32);
     debug_assert_eq!(w.buf.len(), FRAME_HEADER_LEN);
-    w.bytes(&body);
+    w.bytes(&payload);
     w.buf
 }
 
-/// Decode and validate the fixed header of a frame. Only the first
-/// [`FRAME_HEADER_LEN`] bytes are examined — the checksum is **not** verified (that
-/// requires the body; see [`from_frame`]).
-pub fn read_header(bytes: &[u8]) -> Result<FrameHeader, FrameError> {
+/// Decode a whole frame back into a [`DataBlock`], verifying the checksum first.
+pub fn from_frame(bytes: &[u8]) -> Result<DataBlock, FrameError> {
     let mut r = Reader::new(bytes);
     if r.take(4)? != FRAME_MAGIC {
         return Err(FrameError::BadMagic);
@@ -266,67 +219,16 @@ pub fn read_header(bytes: &[u8]) -> Result<FrameHeader, FrameError> {
     if version != FRAME_VERSION {
         return Err(FrameError::UnsupportedVersion(version));
     }
-    let header = FrameHeader {
-        version,
-        checksum: r.u64()?,
-        summary_checksum: r.u64()?,
-        summary_off: r.u32()?,
-        summary_len: r.u32()?,
-        payload_off: r.u32()?,
-        payload_len: r.u32()?,
-    };
-    // checked_add: a crafted/corrupt header must come back as a FrameError, never
-    // as an arithmetic panic inside a scan worker.
-    let summary_end = header.summary_off.checked_add(header.summary_len);
-    if (header.summary_off as usize) < FRAME_HEADER_LEN
-        || summary_end != Some(header.payload_off)
-        || header.payload_off.checked_add(header.payload_len).is_none()
-    {
-        return Err(FrameError::Corrupt("inconsistent section offsets"));
-    }
-    Ok(header)
-}
-
-/// Decode the summary section of a frame without reading the payload, verifying
-/// the summary checksum. `bytes` only needs to cover the header and summary
-/// sections — a store reopening a file reads exactly `FRAME_HEADER_LEN +
-/// summary_len` bytes per block. The *body* checksum is not verified here (it
-/// covers the payload, which is deliberately not read); payload integrity is
-/// checked when the block itself is loaded.
-pub fn read_summary(bytes: &[u8]) -> Result<BlockSummary, FrameError> {
-    let header = read_header(bytes)?;
-    let start = header.summary_off as usize;
-    let end = start + header.summary_len as usize;
-    if bytes.len() < end {
-        return Err(FrameError::Truncated);
-    }
-    let section = &bytes[start..end];
-    let actual = fnv1a64(section);
-    if actual != header.summary_checksum {
+    let checksum = r.u64()?;
+    let payload_len = r.u32()? as usize;
+    let payload = r.take(payload_len)?;
+    let actual = fnv1a64(payload);
+    if actual != checksum {
         return Err(FrameError::ChecksumMismatch {
-            stored: header.summary_checksum,
+            stored: checksum,
             actual,
         });
     }
-    parse_summary(section)
-}
-
-/// Decode a whole frame back into a [`DataBlock`], verifying the checksum first.
-pub fn from_frame(bytes: &[u8]) -> Result<DataBlock, FrameError> {
-    let header = read_header(bytes)?;
-    let body_start = header.summary_off as usize;
-    let end = header.frame_len();
-    if bytes.len() < end {
-        return Err(FrameError::Truncated);
-    }
-    let actual = fnv1a64(&bytes[body_start..end]);
-    if actual != header.checksum {
-        return Err(FrameError::ChecksumMismatch {
-            stored: header.checksum,
-            actual,
-        });
-    }
-    let payload = &bytes[header.payload_off as usize..end];
     Ok(layout::from_bytes(payload)?)
 }
 
@@ -534,6 +436,22 @@ mod tests {
         freeze(&[ids, grp, amount])
     }
 
+    /// `summary` as a store reads it back: encoded into a manifest `Put`, the
+    /// summary's only copy on disk, and decoded again.
+    fn through_manifest(summary: BlockSummary) -> BlockSummary {
+        let put = ManifestRecord::Put {
+            block_id: 0,
+            generation: 0,
+            offset: 0,
+            len: 0,
+            summary,
+        };
+        match read_manifest_record(&manifest_record_to_bytes(&put)).unwrap() {
+            (ManifestRecord::Put { summary, .. }, _) => summary,
+            (other, _) => panic!("a Put decoded as {other:?}"),
+        }
+    }
+
     #[test]
     fn frame_roundtrip_preserves_block() {
         let original = block();
@@ -548,26 +466,11 @@ mod tests {
     }
 
     #[test]
-    fn summary_readable_without_payload() {
-        let original = block();
-        let frame = to_frame(&original);
-        let header = read_header(&frame).unwrap();
-        // A store reopening a file reads only this prefix per block.
-        let prefix = &frame[..header.payload_off as usize];
-        let summary = read_summary(prefix).unwrap();
-        assert_eq!(summary, BlockSummary::of(&original));
-        assert_eq!(summary.tuple_count, 3000);
-        assert_eq!(summary.live_tuple_count(), 3000);
-        assert_eq!(summary.columns.len(), 3);
-        assert_eq!(summary.columns[0].sma, original.column(0).sma);
-    }
-
-    #[test]
     fn summary_records_deletions() {
         let mut b = block();
         b.delete(0);
         b.delete(17);
-        let summary = read_summary(&to_frame(&b)).unwrap();
+        let summary = through_manifest(BlockSummary::of(&b));
         assert_eq!(summary.deleted_count, 2);
         assert_eq!(summary.live_tuple_count(), 2998);
     }
@@ -627,29 +530,12 @@ mod tests {
     }
 
     #[test]
-    fn corrupted_summary_is_rejected_without_payload() {
-        let mut frame = to_frame(&block());
-        frame[FRAME_HEADER_LEN] ^= 0xff; // flip a summary byte (tuple_count)
-        assert!(matches!(
-            read_summary(&frame),
-            Err(FrameError::ChecksumMismatch { .. })
-        ));
-        // the body checksum covers the summary too, so full decode also rejects it
-        assert!(matches!(
-            from_frame(&frame),
-            Err(FrameError::ChecksumMismatch { .. })
-        ));
-    }
-
-    #[test]
     fn overflowing_header_offsets_are_rejected_not_panicking() {
+        // a corrupt payload length must come back as an error, never as a
+        // panic or a 4 GiB allocation inside a scan worker
         let mut frame = to_frame(&block());
-        frame[24..28].copy_from_slice(&u32::MAX.to_le_bytes()); // summary_off
-        frame[28..32].copy_from_slice(&1u32.to_le_bytes()); // summary_len
-        assert_eq!(
-            read_header(&frame),
-            Err(FrameError::Corrupt("inconsistent section offsets"))
-        );
+        frame[16..20].copy_from_slice(&u32::MAX.to_le_bytes()); // payload_len
+        assert_eq!(from_frame(&frame), Err(FrameError::Truncated));
     }
 
     #[test]
@@ -675,27 +561,16 @@ mod tests {
         let mut frame = to_frame(&block());
         frame[4..8].copy_from_slice(&42u32.to_le_bytes());
         assert_eq!(from_frame(&frame), Err(FrameError::UnsupportedVersion(42)));
-        assert_eq!(
-            read_summary(&frame),
-            Err(FrameError::UnsupportedVersion(42))
-        );
+        // a frame of the previous format is refused, not misparsed
+        frame[4..8].copy_from_slice(&1u32.to_le_bytes());
+        assert_eq!(from_frame(&frame), Err(FrameError::UnsupportedVersion(1)));
     }
 
     #[test]
     fn bad_magic_is_rejected() {
         assert_eq!(
-            read_header(b"NOPEnopeNOPEnopeNOPEnopeNOPEnope"),
+            from_frame(b"NOPEnopeNOPEnopeNOPEnopeNOPEnope"),
             Err(FrameError::BadMagic)
-        );
-    }
-
-    #[test]
-    fn inconsistent_offsets_are_rejected() {
-        let mut frame = to_frame(&block());
-        frame[24..28].copy_from_slice(&7u32.to_le_bytes()); // payload_off != summary end
-        assert_eq!(
-            read_header(&frame),
-            Err(FrameError::Corrupt("inconsistent section offsets"))
         );
     }
 
@@ -707,7 +582,7 @@ mod tests {
             nullable.push(Value::Null);
         }
         let b = freeze(&[constant, nullable]);
-        let summary = read_summary(&to_frame(&b)).unwrap();
+        let summary = through_manifest(BlockSummary::of(&b));
         assert_eq!(summary.columns[1].sma, Sma::AllNull);
         // an all-NULL attribute prunes every value restriction
         assert!(!summary.may_match(&[Restriction::eq(1, 9i64)], &ScanOptions::default()));

@@ -62,7 +62,7 @@ pub mod value;
 pub use block::{BlockColumn, DataBlock, DEFAULT_BLOCK_CAPACITY};
 pub use column::{Column, ColumnData, Strings};
 pub use compression::{CodeVec, ColumnCompression, SchemeKind};
-pub use frame::{BlockSummary, ColumnSummary, FrameError, FrameHeader, ManifestRecord};
+pub use frame::{BlockSummary, ColumnSummary, FrameError, ManifestRecord};
 pub use psma::{Psma, ScanRange};
 pub use scan::{
     plan_scan, scan_collect, scan_collect_into, BlockScan, Restriction, ScanOptions, ScanPlan,

@@ -34,6 +34,13 @@
 //! holding both the original append and a later rewrite of the same block
 //! resolves to the rewrite.
 //!
+//! The manifest is the store's **only** on-disk directory. A frame carries no
+//! summary, and generation files hold superseded frames beside live ones, so
+//! the frames alone cannot say which blocks exist. [`BlockStore::create`]
+//! therefore creates the manifest before the store path, and a store without
+//! one does not reopen: [`BlockStore::reopen`] fails with `NotFound`, naming
+//! the manifest, before it removes, truncates or creates any file.
+//!
 //! # Durability modes
 //!
 //! How hard those writes are pushed toward the platter is the store's
@@ -131,14 +138,11 @@ use std::collections::{HashMap, HashSet};
 use std::fs::{File, OpenOptions};
 use std::io;
 use std::ops::Deref;
-use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
-use datablocks::frame::{
-    self, manifest_record_to_bytes, replay_manifest, ManifestRecord, FRAME_HEADER_LEN,
-};
+use datablocks::frame::{self, manifest_record_to_bytes, replay_manifest, ManifestRecord};
 use datablocks::{BlockSummary, DataBlock, FrameError};
 
 use crate::faults::{self, FaultInjector, StoreFile};
@@ -430,8 +434,9 @@ pub struct BlockStore {
     retries: AtomicU64,
     capacity: usize,
     path: PathBuf,
-    /// Key under which this store is registered live (absolute form of `path`).
-    registered: PathBuf,
+    /// This store's entry in the live registry, released after the close
+    /// checkpoint when the store drops.
+    _claim: LiveClaim,
     delete_on_drop: bool,
     /// Power-loss durability mode (fsync barrier placement); see [`Durability`].
     durability: Durability,
@@ -474,27 +479,37 @@ fn absolute_path(path: &Path) -> PathBuf {
     }
 }
 
-fn register_live(path: &Path) -> io::Result<PathBuf> {
-    let key = absolute_path(path);
-    let mut live = live_registry().lock().expect("live registry lock");
-    if !live.insert(key.clone()) {
-        return Err(io::Error::new(
-            io::ErrorKind::AlreadyExists,
-            format!(
-                "block store {} is live (already open in this process); \
-                 close it before reopening",
-                path.display()
-            ),
-        ));
+/// A store path's entry in the [`live_registry`]. Taken first by every
+/// constructor and released when dropped, so a constructor that fails partway
+/// releases it on its own; an open store holds it until the store drops.
+#[derive(Debug)]
+struct LiveClaim(PathBuf);
+
+impl LiveClaim {
+    fn acquire(path: &Path) -> io::Result<LiveClaim> {
+        let key = absolute_path(path);
+        let mut live = live_registry().lock().expect("live registry lock");
+        if !live.insert(key.clone()) {
+            return Err(io::Error::new(
+                io::ErrorKind::AlreadyExists,
+                format!(
+                    "block store {} is live (already open in this process); \
+                     close it before reopening",
+                    path.display()
+                ),
+            ));
+        }
+        Ok(LiveClaim(key))
     }
-    Ok(key)
 }
 
-fn unregister_live(key: &Path) {
-    live_registry()
-        .lock()
-        .expect("live registry lock")
-        .remove(key);
+impl Drop for LiveClaim {
+    fn drop(&mut self) {
+        live_registry()
+            .lock()
+            .expect("live registry lock")
+            .remove(&self.0);
+    }
 }
 
 /// Path of generation `g`'s data file (generation 0 is the store path itself).
@@ -529,18 +544,16 @@ fn sibling_generation(base: &Path, candidate: &Path) -> Option<u32> {
     rest.parse().ok()
 }
 
-/// Delete sibling files of a previous store at `base` (generation files, the
-/// manifest and its temp), keeping generations in `keep`.
-fn remove_stale_siblings(base: &Path, keep: &HashSet<u32>) -> io::Result<()> {
+/// Best-effort delete of the sibling files of a store at `base` that hold no
+/// directory state: the checkpoint temp file, and every `<base>.g<N>`
+/// generation file whose `N` is not in `keep`.
+fn remove_stale_siblings(base: &Path, keep: &HashSet<u32>) {
     let _ = std::fs::remove_file(manifest_tmp_path(base));
-    if keep.is_empty() {
-        let _ = std::fs::remove_file(manifest_path(base));
-    }
     let Some(parent) = base.parent().filter(|p| !p.as_os_str().is_empty()) else {
-        return Ok(());
+        return;
     };
     let Ok(entries) = std::fs::read_dir(parent) else {
-        return Ok(());
+        return;
     };
     for entry in entries.flatten() {
         let candidate = entry.path();
@@ -550,7 +563,26 @@ fn remove_stale_siblings(base: &Path, keep: &HashSet<u32>) -> io::Result<()> {
             }
         }
     }
-    Ok(())
+}
+
+/// How [`BlockStore::open_at`] comes by a store's files.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum OpenMode {
+    /// Fresh, empty files; a `temp` store owns a new temporary path and deletes
+    /// its files when it drops.
+    Create { temp: bool },
+    /// The files of a closed store, found through its manifest.
+    Reopen,
+}
+
+/// A store's opened files and the directory they hold, as
+/// [`BlockStore::create_files`] and [`BlockStore::replay_files`] hand them to
+/// [`BlockStore::open_at`].
+struct OpenedFiles {
+    generations: HashMap<u32, File>,
+    manifest: File,
+    manifest_len: u64,
+    inner: Inner,
 }
 
 impl BlockStore {
@@ -569,12 +601,13 @@ impl BlockStore {
         let n = TEMP_COUNTER.fetch_add(1, Ordering::Relaxed);
         let path =
             std::env::temp_dir().join(format!("datablocks-spill-{}-{n}.dbs", std::process::id()));
-        BlockStore::create_at(path, capacity, true, true, durability, faults)
+        let mode = OpenMode::Create { temp: true };
+        BlockStore::open_at(path, capacity, durability, faults, mode).map_err(io::Error::from)
     }
 
-    /// Create a store over `path`, truncating any existing file (and removing any
-    /// stale manifest or generation files of a previous store at the same path).
-    /// The files are kept when the store drops.
+    /// Create a store over `path`, truncating any existing file (and its
+    /// manifest) and removing the generation files of a previous store at the
+    /// same path. The files are kept when the store drops.
     pub fn create(path: impl AsRef<Path>, capacity: usize) -> io::Result<Arc<BlockStore>> {
         BlockStore::create_opts(path, capacity, Durability::Buffered, None)
     }
@@ -588,81 +621,35 @@ impl BlockStore {
         durability: Durability,
         faults: Option<Arc<FaultInjector>>,
     ) -> io::Result<Arc<BlockStore>> {
-        BlockStore::create_at(
-            path.as_ref().to_path_buf(),
-            capacity,
-            false,
-            false,
-            durability,
-            faults,
-        )
+        let path = path.as_ref().to_path_buf();
+        let mode = OpenMode::Create { temp: false };
+        BlockStore::open_at(path, capacity, durability, faults, mode).map_err(io::Error::from)
     }
 
-    fn create_at(
-        path: PathBuf,
-        capacity: usize,
-        delete_on_drop: bool,
-        create_new: bool,
-        durability: Durability,
-        faults: Option<Arc<FaultInjector>>,
-    ) -> io::Result<Arc<BlockStore>> {
-        let registered = register_live(&path)?;
-        let result = (|| {
-            remove_stale_siblings(&path, &HashSet::new())?;
-            let mut open = OpenOptions::new();
-            open.read(true).write(true);
-            if create_new {
-                open.create_new(true);
-            } else {
-                open.create(true).truncate(true);
-            }
-            let file = open.open(&path)?;
-            let manifest = OpenOptions::new()
-                .read(true)
-                .write(true)
-                .create(true)
-                .truncate(true)
-                .open(manifest_path(&path))?;
-            let files = HashMap::from([(0u32, StoreFile::new(file, faults.clone()))]);
-            Ok::<_, io::Error>(Arc::new(BlockStore {
-                files: Mutex::new(files),
-                inner: Mutex::new(Inner::new()),
-                retries: AtomicU64::new(0),
-                capacity,
-                path,
-                registered: registered.clone(),
-                delete_on_drop,
-                durability,
-                faults: faults.clone(),
-                manifest: Mutex::new(ManifestFile {
-                    file: StoreFile::new(manifest, faults.clone()),
-                    len: 0,
-                    pending: 0,
-                }),
-                mutation: Mutex::new(()),
-            }))
-        })();
-        if result.is_err() {
-            unregister_live(&registered);
-        }
-        result
-    }
-
-    /// Reopen a store from its **persisted manifest**, rebuilding the exact
-    /// directory — generations, offsets, summaries and therefore per-block
-    /// tombstone counts — **without reading any block payloads**. A torn final
-    /// manifest record (simulated crash mid-append) is detected by its checksum
-    /// or length, discarded, and the manifest is truncated back to its valid
-    /// prefix. Generation files no longer referenced by any directory entry
-    /// (orphans of a crashed compaction) are removed.
+    /// Reopen a closed store from its **manifest**, the store's only on-disk
+    /// directory. Replay rebuilds the exact directory — generations, offsets,
+    /// summaries and therefore per-block tombstone counts — **without reading
+    /// any block payloads**. A torn final manifest record (a crash mid-append)
+    /// is detected by its checksum or length, discarded, and the manifest is
+    /// truncated back to its valid prefix. Generation files no longer
+    /// referenced by any directory entry (orphans of a crashed compaction) are
+    /// removed.
     ///
-    /// Files without a manifest (produced by a pre-manifest store, or by hand)
-    /// fall back to the frame walk of [`BlockStore::open`] and gain a manifest
-    /// checkpoint immediately.
+    /// # Errors
     ///
-    /// Fails with [`std::io::ErrorKind::AlreadyExists`] when `path` backs a
-    /// store that is still live in this process — reopening a live store would
-    /// split its cache and corrupt the file on the next rewrite.
+    /// Every error is returned before any file of the store is removed,
+    /// truncated or created:
+    ///
+    /// * [`StoreError::Io`] of kind [`std::io::ErrorKind::NotFound`], naming
+    ///   `<path>.manifest`, when the manifest is missing: the frames alone do
+    ///   not say which of them are live.
+    /// * [`StoreError::Io`] of kind [`std::io::ErrorKind::AlreadyExists`] when
+    ///   `path` backs a store that is still live in this process — reopening a
+    ///   live store would split its cache and corrupt the file on the next
+    ///   rewrite.
+    /// * [`StoreError::Frame`] when the manifest is damaged beyond a torn final
+    ///   record, and [`StoreError::Io`] when a generation file it references
+    ///   cannot be opened.
     pub fn reopen(path: impl AsRef<Path>, capacity: usize) -> Result<Arc<BlockStore>, StoreError> {
         BlockStore::reopen_opts(path, capacity, Durability::Buffered, None)
     }
@@ -676,70 +663,102 @@ impl BlockStore {
         faults: Option<Arc<FaultInjector>>,
     ) -> Result<Arc<BlockStore>, StoreError> {
         let path = path.as_ref().to_path_buf();
-        let registered = register_live(&path)?;
-        match BlockStore::reopen_inner(path, registered.clone(), capacity, durability, faults) {
-            Ok(store) => Ok(store),
-            Err(err) => {
-                unregister_live(&registered);
-                Err(err)
-            }
-        }
+        BlockStore::open_at(path, capacity, durability, faults, OpenMode::Reopen)
     }
 
-    fn reopen_inner(
+    /// The one way a store is put together: claim `path` in the live registry,
+    /// come by the files as `mode` says, wrap them. A failure at any step
+    /// drops the claim, releasing the path.
+    fn open_at(
         path: PathBuf,
-        registered: PathBuf,
         capacity: usize,
         durability: Durability,
         faults: Option<Arc<FaultInjector>>,
+        mode: OpenMode,
     ) -> Result<Arc<BlockStore>, StoreError> {
-        let mpath = manifest_path(&path);
-        let (directory, current_gen, manifest, fresh_checkpoint) = if mpath.exists() {
-            let bytes = std::fs::read(&mpath)?;
-            let (records, valid_len, _torn) = replay_manifest(&bytes);
-            let (directory, current_gen) = BlockStore::directory_from_records(records)?;
-            let file = OpenOptions::new().read(true).write(true).open(&mpath)?;
-            if (valid_len as u64) < bytes.len() as u64 {
-                // Torn tail: drop the partial record so later appends extend a
-                // clean log.
-                file.set_len(valid_len as u64)?;
-            }
-            let manifest = ManifestFile {
-                file: StoreFile::new(file, faults.clone()),
-                len: valid_len as u64,
-                pending: 0,
-            };
-            (directory, current_gen, manifest, false)
-        } else {
-            // Pre-manifest file: rebuild by walking the appended frames, then
-            // checkpoint below so the store is manifest-backed from here on.
-            let directory = BlockStore::walk_frames(&path)?;
-            let file = OpenOptions::new()
-                .read(true)
-                .write(true)
-                .create(true)
-                .truncate(true)
-                .open(&mpath)?;
-            let manifest = ManifestFile {
-                file: StoreFile::new(file, faults.clone()),
-                len: 0,
-                pending: 0,
-            };
-            (directory, 0, manifest, true)
+        let claim = LiveClaim::acquire(&path)?;
+        let opened = match mode {
+            OpenMode::Create { temp } => BlockStore::create_files(&path, temp)?,
+            OpenMode::Reopen => BlockStore::replay_files(&path)?,
         };
+        let wrap = |file| StoreFile::new(file, faults.clone());
+        let files = opened
+            .generations
+            .into_iter()
+            .map(|(generation, file)| (generation, wrap(file)))
+            .collect();
+        let manifest = ManifestFile {
+            file: wrap(opened.manifest),
+            len: opened.manifest_len,
+            pending: 0,
+        };
+        Ok(Arc::new(BlockStore {
+            files: Mutex::new(files),
+            inner: Mutex::new(opened.inner),
+            retries: AtomicU64::new(0),
+            capacity,
+            path,
+            _claim: claim,
+            delete_on_drop: mode == OpenMode::Create { temp: true },
+            durability,
+            faults,
+            manifest: Mutex::new(manifest),
+            mutation: Mutex::new(()),
+        }))
+    }
+
+    /// Fresh, empty files for a store at `path`. The manifest is created (or
+    /// truncated) before the base file, so "the store path exists ⇒ its
+    /// manifest exists" holds even after a crash inside this function.
+    fn create_files(path: &Path, temp: bool) -> io::Result<OpenedFiles> {
+        let manifest = OpenOptions::new()
+            .read(true)
+            .write(true)
+            .create(true)
+            .truncate(true)
+            .open(manifest_path(path))?;
+        remove_stale_siblings(path, &HashSet::new());
+        let mut base = OpenOptions::new();
+        base.read(true).write(true);
+        if temp {
+            base.create_new(true);
+        } else {
+            base.create(true).truncate(true);
+        }
+        Ok(OpenedFiles {
+            generations: HashMap::from([(0, base.open(path)?)]),
+            manifest,
+            manifest_len: 0,
+            inner: Inner::new(),
+        })
+    }
+
+    /// The files of the closed store at `path` and the directory its manifest
+    /// replays to. Every check runs before any file is changed, so each error
+    /// leaves the store's files exactly as they were.
+    fn replay_files(path: &Path) -> Result<OpenedFiles, StoreError> {
+        let mpath = manifest_path(path);
+        let bytes = std::fs::read(&mpath).map_err(|err| {
+            io::Error::new(
+                err.kind(),
+                format!("block store manifest {}: {err}", mpath.display()),
+            )
+        })?;
+        let (records, valid_len, _torn) = replay_manifest(&bytes);
+        let (directory, current_gen) = BlockStore::directory_from_records(records)?;
+        let manifest = OpenOptions::new().read(true).write(true).open(&mpath)?;
 
         // Open every generation the directory references, plus the append
         // generation.
         let mut referenced: HashSet<u32> = directory.iter().map(|e| e.generation).collect();
         referenced.insert(current_gen);
-        let mut files = HashMap::new();
+        let mut generations = HashMap::new();
         let mut on_disk = 0u64;
         for &generation in &referenced {
-            let gpath = gen_path(&path, generation);
+            let gpath = gen_path(path, generation);
             let file = OpenOptions::new()
                 .read(true)
                 .write(true)
-                .create(generation == current_gen) // append gen may be empty/new
                 .open(&gpath)
                 .map_err(|err| {
                     io::Error::new(
@@ -751,38 +770,31 @@ impl BlockStore {
                     )
                 })?;
             on_disk += file.metadata()?.len();
-            files.insert(generation, StoreFile::new(file, faults.clone()));
+            generations.insert(generation, file);
         }
-        // Orphans of a crashed compaction (a generation file the manifest never
-        // came to reference) are garbage: remove them.
-        remove_stale_siblings(&path, &referenced)?;
+        let end_offset = generations[&current_gen].metadata()?.len();
+
+        // Every check passed: only now change files. A torn tail is cut so
+        // later appends extend a clean log, and orphans of a crashed compaction
+        // (generation files the manifest never came to reference) are removed.
+        if valid_len < bytes.len() {
+            manifest.set_len(valid_len as u64)?;
+        }
+        remove_stale_siblings(path, &referenced);
 
         let live_bytes: u64 = directory.iter().map(|e| e.len as u64).sum();
-        let end_offset = files[&current_gen].metadata()?.len();
         let mut inner = Inner::new();
         inner.directory = directory;
         inner.current_gen = current_gen;
         inner.end_offset = end_offset;
         inner.live_bytes = live_bytes;
         inner.dead_bytes = on_disk.saturating_sub(live_bytes);
-
-        let store = Arc::new(BlockStore {
-            files: Mutex::new(files),
-            inner: Mutex::new(inner),
-            retries: AtomicU64::new(0),
-            capacity,
-            path,
-            registered,
-            delete_on_drop: false,
-            durability,
-            faults,
-            manifest: Mutex::new(manifest),
-            mutation: Mutex::new(()),
-        });
-        if fresh_checkpoint {
-            store.checkpoint()?;
-        }
-        Ok(store)
+        Ok(OpenedFiles {
+            generations,
+            manifest,
+            manifest_len: valid_len as u64,
+            inner,
+        })
     }
 
     /// Fold replayed manifest records into a directory. `Snapshot` resets the
@@ -848,87 +860,6 @@ impl BlockStore {
         Ok((directory, current_gen))
     }
 
-    /// Rebuild a directory by walking a file of appended frames, reading only
-    /// each frame's header and summary section.
-    fn walk_frames(path: &Path) -> Result<Vec<DirEntry>, StoreError> {
-        let file = OpenOptions::new().read(true).open(path)?;
-        let file_len = file.metadata()?.len();
-        let mut directory = Vec::new();
-        let mut offset = 0u64;
-        while offset < file_len {
-            let mut header_buf = [0u8; FRAME_HEADER_LEN];
-            file.read_exact_at(&mut header_buf, offset)?;
-            let header = frame::read_header(&header_buf)?;
-            let mut prefix = vec![0u8; header.payload_off as usize];
-            file.read_exact_at(&mut prefix, offset)?;
-            let summary = frame::read_summary(&prefix)?;
-            let len = header.frame_len() as u32;
-            directory.push(DirEntry {
-                generation: 0,
-                offset,
-                len,
-                summary,
-            });
-            offset += len as u64;
-        }
-        Ok(directory)
-    }
-
-    /// Reopen a store from an existing file of appended frames, rebuilding the
-    /// directory by reading **only** each frame's header and summary section — block
-    /// payloads are not touched (and not checksummed) until first pinned.
-    ///
-    /// Only valid for files produced by appends: a store that performed
-    /// [`BlockStore::rewrite`]s or compactions leaves superseded frames and
-    /// generation files this walk cannot interpret — use [`BlockStore::reopen`],
-    /// which replays the persisted manifest instead (and which this method now
-    /// merely predates; it is kept for frame files produced without a store).
-    pub fn open(path: impl AsRef<Path>, capacity: usize) -> Result<Arc<BlockStore>, StoreError> {
-        let path = path.as_ref().to_path_buf();
-        let registered = register_live(&path)?;
-        let result = (|| {
-            let directory = BlockStore::walk_frames(&path)?;
-            let file = OpenOptions::new().read(true).write(true).open(&path)?;
-            let end_offset = file.metadata()?.len();
-            let manifest = OpenOptions::new()
-                .read(true)
-                .write(true)
-                .create(true)
-                .truncate(true)
-                .open(manifest_path(&path))?;
-            let live_bytes: u64 = directory.iter().map(|e| e.len as u64).sum();
-            let mut inner = Inner::new();
-            inner.directory = directory;
-            inner.end_offset = end_offset;
-            inner.live_bytes = live_bytes;
-            inner.dead_bytes = end_offset.saturating_sub(live_bytes);
-            let files = HashMap::from([(0u32, StoreFile::new(file, None))]);
-            let store = Arc::new(BlockStore {
-                files: Mutex::new(files),
-                inner: Mutex::new(inner),
-                retries: AtomicU64::new(0),
-                capacity,
-                path,
-                registered: registered.clone(),
-                delete_on_drop: false,
-                durability: Durability::Buffered,
-                faults: None,
-                manifest: Mutex::new(ManifestFile {
-                    file: StoreFile::new(manifest, None),
-                    len: 0,
-                    pending: 0,
-                }),
-                mutation: Mutex::new(()),
-            });
-            store.checkpoint()?;
-            Ok::<_, StoreError>(store)
-        })();
-        if result.is_err() {
-            unregister_live(&registered);
-        }
-        result
-    }
-
     /// The spill file location (generation 0; later generations live at
     /// `<path>.g<n>`, the manifest at `<path>.manifest`).
     pub fn path(&self) -> &Path {
@@ -942,7 +873,8 @@ impl BlockStore {
     /// must not invoke it on a path that is still live.
     pub fn remove_files(path: impl AsRef<Path>) -> io::Result<()> {
         let path = path.as_ref();
-        remove_stale_siblings(path, &HashSet::new())?;
+        remove_stale_siblings(path, &HashSet::new());
+        let _ = std::fs::remove_file(manifest_path(path));
         let _ = std::fs::remove_file(path);
         Ok(())
     }
@@ -1713,7 +1645,6 @@ impl Drop for BlockStore {
             // still valid if this fails).
             let _ = self.checkpoint();
         }
-        unregister_live(&self.registered);
     }
 }
 
@@ -1785,6 +1716,7 @@ mod tests {
     use super::*;
     use datablocks::builder::{freeze, int_column, str_column};
     use datablocks::Value;
+    use std::os::unix::fs::FileExt;
 
     fn block(tag: i64, rows: i64) -> Arc<DataBlock> {
         let ids = int_column((0..rows).map(|i| tag * 10_000 + i).collect());
@@ -1944,33 +1876,10 @@ mod tests {
     }
 
     #[test]
-    fn open_rebuilds_directory_from_summaries_only() {
-        let path = temp_path("open");
-        {
-            let store = BlockStore::create(&path, usize::MAX).unwrap();
-            store.append(block(0, 800)).unwrap();
-            store.append(block(1, 900)).unwrap();
-        }
-        // `open` ignores the manifest and walks the frames — remove the manifest
-        // to prove it.
-        std::fs::remove_file(manifest_path(&path)).unwrap();
-        let reopened = BlockStore::open(&path, usize::MAX).unwrap();
-        assert_eq!(reopened.block_count(), 2);
-        assert_eq!(reopened.with_summary(1, |s| s.tuple_count), 900);
-        // rebuilding the directory touched no payloads
-        assert_eq!(reopened.stats().block_reads, 0);
-        let pinned = reopened.pin(0).unwrap();
-        assert_eq!(pinned.get(7, 0), Value::Int(7));
-        drop(pinned);
-        drop(reopened);
-        remove_store_files(&path);
-    }
-
-    #[test]
     fn open_of_empty_file_is_an_empty_store() {
         let path = temp_path("empty");
         drop(BlockStore::create(&path, 1024).unwrap());
-        let reopened = BlockStore::open(&path, 1024).unwrap();
+        let reopened = BlockStore::reopen(&path, 1024).unwrap();
         assert_eq!(reopened.block_count(), 0);
         assert_eq!(reopened.cached_bytes(), 0);
         drop(reopened);
@@ -1986,7 +1895,7 @@ mod tests {
             let original = block(1, 900);
             let id = store.append(Arc::clone(&original)).unwrap();
             // a rewrite leaves a superseded frame — the manifest must resolve to
-            // the new version (the frame walk of `open` could not)
+            // the new version
             let mut updated = (*original).clone();
             updated.delete(3);
             store.rewrite(id, Arc::new(updated)).unwrap();
@@ -2293,6 +2202,24 @@ mod tests {
             Err(StoreError::Frame(FrameError::ChecksumMismatch { .. })) => {}
             other => panic!("expected checksum mismatch, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn frame_of_an_older_format_is_a_loud_cold_read_error() {
+        let store = BlockStore::create_temp(usize::MAX).unwrap();
+        let id = store.append(block(0, 300)).unwrap();
+        store.clear_cache();
+        // stamp the on-disk frame with version 1, the format before the
+        // summary section went
+        let file = store.gen_file(0).expect("generation 0 open");
+        file.raw().write_all_at(&1u32.to_le_bytes(), 4).unwrap();
+        let err = store.pin_described(id).unwrap_err();
+        assert_eq!((err.block_id, err.generation, err.offset), (id, 0, 0));
+        assert!(
+            err.detail.contains("unsupported frame version 1"),
+            "{}",
+            err.detail
+        );
     }
 
     #[test]

@@ -63,9 +63,19 @@ impl Database {
     /// frames and the directory, not catalog metadata.
     ///
     /// `policy.path` must be `Some(dir)`. Hot (unfrozen) rows are not recovered;
-    /// see [`crate::Relation::reopen_spilled`] for the exact contract and error
-    /// conditions (including the loud [`std::io::ErrorKind::AlreadyExists`] when
-    /// a store is still live in this process).
+    /// see [`crate::Relation::reopen_spilled`] for the exact contract.
+    ///
+    /// # Errors
+    ///
+    /// * [`std::io::ErrorKind::InvalidInput`] when `policy.path` is `None`.
+    /// * Any error of [`crate::Relation::reopen_spilled`] for a relation whose
+    ///   spill file exists — among them [`std::io::ErrorKind::NotFound`],
+    ///   naming the manifest, when `<dir>/<name>.dbs` exists without
+    ///   `<dir>/<name>.dbs.manifest`, and the loud
+    ///   [`std::io::ErrorKind::AlreadyExists`] when a store is still live in
+    ///   this process.
+    /// * Any error of [`crate::Relation::enable_spill`] for a relation created
+    ///   fresh.
     pub fn open_spilled(
         policy: SpillPolicy,
         schemas: impl IntoIterator<Item = (String, Schema)>,

@@ -394,8 +394,14 @@ impl Relation {
     ///   [`Relation::enable_spill`], because both would split one file across
     ///   two caches.
     /// * [`std::io::ErrorKind::InvalidInput`] when `policy.path` is `None`.
+    /// * [`std::io::ErrorKind::NotFound`], naming `<path>.manifest`, when the
+    ///   store's manifest is missing: it is the store's only directory, so the
+    ///   spill file alone is not reopened.
     /// * [`std::io::ErrorKind::InvalidData`] for a corrupt manifest (beyond a
     ///   torn final record, which is discarded silently).
+    ///
+    /// On every error the store's files are left as they were (see
+    /// [`BlockStore::reopen`]).
     pub fn reopen_spilled(
         name: impl Into<String>,
         schema: Schema,

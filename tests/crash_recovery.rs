@@ -558,3 +558,160 @@ fn crash_image_without_checkpoint_replays_incremental_log() {
     drop(lineitem);
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// Every file of `dir` with its bytes.
+fn dir_contents(dir: &std::path::Path) -> std::collections::BTreeMap<String, Vec<u8>> {
+    std::fs::read_dir(dir)
+        .expect("list test dir")
+        .map(|entry| {
+            let entry = entry.expect("dir entry");
+            let name = entry.file_name().to_string_lossy().into_owned();
+            (name, std::fs::read(entry.path()).expect("read file"))
+        })
+        .collect()
+}
+
+/// A closed store at `<dir>/store.dbs` with two 1 000-row blocks, block 0
+/// rewritten with row 0 deleted (and, with `compact`, every live frame
+/// compacted into `store.dbs.g1`), whose manifest was then removed.
+fn store_without_manifest(dir: &std::path::Path, compact: bool) -> std::path::PathBuf {
+    use data_blocks::datablocks::builder::{freeze, int_column};
+    use data_blocks::storage::BlockStore;
+    use std::sync::Arc;
+
+    let path = dir.join("store.dbs");
+    {
+        let store = BlockStore::create(&path, usize::MAX).expect("create store");
+        store.set_garbage_threshold(1.0);
+        for tag in 0..2 {
+            let ids = int_column((0..1000).map(|i| tag * 1000 + i).collect());
+            store.append(Arc::new(freeze(&[ids]))).expect("append");
+        }
+        store
+            .mutate(0, |b| {
+                let mut updated = b.clone();
+                updated.delete(0);
+                (Some(updated), ())
+            })
+            .expect("delete a row");
+        if compact {
+            store.compact().expect("compact");
+        }
+    }
+    std::fs::remove_file(dir.join("store.dbs.manifest")).expect("remove manifest");
+    path
+}
+
+/// `BlockStore::reopen` of a store without its manifest is a `NotFound` that
+/// names the manifest, and it leaves every file of the directory as it was.
+fn assert_reopen_refused(dir: &std::path::Path, path: &std::path::Path) {
+    use data_blocks::storage::{BlockStore, StoreError};
+
+    let before = dir_contents(dir);
+    match BlockStore::reopen(path, usize::MAX) {
+        Err(StoreError::Io(err)) => {
+            assert_eq!(err.kind(), std::io::ErrorKind::NotFound, "{err}");
+            assert!(err.to_string().contains("store.dbs.manifest"), "{err}");
+        }
+        Err(err) => panic!("expected NotFound naming the manifest, got {err}"),
+        Ok(store) => {
+            let live: u32 = (0..store.block_count())
+                .map(|id| store.with_summary(id, |s| s.live_tuple_count()))
+                .sum();
+            panic!(
+                "reopened without a manifest: {} blocks, {live} live rows",
+                store.block_count()
+            );
+        }
+    }
+    assert_eq!(
+        dir_contents(dir),
+        before,
+        "a refused reopen removes, truncates and creates no file"
+    );
+}
+
+/// The manifest is the store's only directory. After a delete's rewrite,
+/// generation 0 holds the superseded frame of block 0 beside the live one, so
+/// the frames alone would bring the deleted row back as a third block.
+#[test]
+fn reopen_without_manifest_after_a_rewrite_fails_loudly() {
+    let dir = unique_dir("nomanifest-rewrite");
+    let path = store_without_manifest(&dir, false);
+    assert_reopen_refused(&dir, &path);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// After a compaction, generation 0 is empty and `store.dbs.g1` holds every
+/// live block. A reopen without the manifest must fail without unlinking it.
+#[test]
+fn reopen_without_manifest_after_a_compaction_keeps_every_file() {
+    let dir = unique_dir("nomanifest-compact");
+    let path = store_without_manifest(&dir, true);
+    let g1 = dir.join("store.dbs.g1");
+    let live_frames = std::fs::read(&g1).expect("compaction wrote generation 1");
+    assert_reopen_refused(&dir, &path);
+    assert_eq!(
+        std::fs::read(&g1).expect("generation 1 survives the refused reopen"),
+        live_frames
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+fn t_schema() -> data_blocks::storage::Schema {
+    use data_blocks::datablocks::DataType;
+    use data_blocks::storage::{ColumnDef, Schema};
+
+    Schema::new(vec![
+        ColumnDef::new("id", DataType::Int),
+        ColumnDef::new("v", DataType::Int),
+    ])
+}
+
+/// Insert `t(id, v = 3 id)` rows `0..rows` into `rel` and freeze them.
+fn fill(rel: &mut Relation, rows: i64) {
+    for i in 0..rows {
+        rel.insert(vec![Value::Int(i), Value::Int(i * 3)]);
+    }
+    rel.freeze_all();
+}
+
+/// `Database::open_spilled` picks reopen over a fresh relation when the spill
+/// file exists; without its manifest that reopen is an error naming the
+/// manifest, not a relation rebuilt from the frames.
+#[test]
+fn open_spilled_without_a_manifest_names_it() {
+    let dir = unique_dir("db-nomanifest");
+    {
+        let mut rel = Relation::with_chunk_capacity("t", t_schema(), 512);
+        fill(&mut rel, 1024);
+        let mut db = Database::new();
+        db.add_relation(rel);
+        db.enable_spill(dir_policy(&dir)).expect("enable spill");
+    }
+    std::fs::remove_file(dir.join("t.dbs.manifest")).expect("remove manifest");
+    let err = Database::open_spilled(dir_policy(&dir), [("t".to_string(), t_schema())])
+        .expect_err("a spill file without its manifest must not reopen");
+    assert_eq!(err.kind(), std::io::ErrorKind::NotFound, "{err}");
+    assert!(err.to_string().contains("t.dbs.manifest"), "{err}");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A crash inside store creation can leave the manifest without the spill
+/// file (the manifest is created first). `Database::open_spilled` sees no
+/// spill file and starts the relation afresh, spilling as usual.
+#[test]
+fn open_spilled_over_a_lone_manifest_is_an_empty_spilling_relation() {
+    let dir = unique_dir("db-lonemanifest");
+    std::fs::write(dir.join("t.dbs.manifest"), b"").expect("write lone manifest");
+    let mut db = Database::open_spilled(dir_policy(&dir), [("t".to_string(), t_schema())])
+        .expect("open over a lone manifest");
+    let rel = db.relation_mut("t");
+    assert_eq!(rel.live_row_count(), 0);
+    assert_eq!(rel.spill_store().expect("spilling").block_count(), 0);
+    fill(rel, 512);
+    assert_eq!(rel.spill_store().expect("spilling").block_count(), 1);
+    assert!(dir.join("t.dbs").exists());
+    drop(db);
+    let _ = std::fs::remove_dir_all(&dir);
+}
