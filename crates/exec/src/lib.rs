@@ -57,8 +57,8 @@ pub use batch::Batch;
 pub use cancel::CancelToken;
 pub use expr::{ArithOp, Expr};
 pub use morsel::{
-    drive_batches, drive_pipeline, drive_streaming, merge_partitionwise, Morsel, MorselSink,
-    PipelineSpec, PipelineStep, ScanStream, RADIX_BITS, RADIX_PARTITIONS,
+    drive_pipeline, drive_streaming, merge_partitionwise, Morsel, MorselSink, PipelineSpec,
+    PipelineStep, ScanStream, RADIX_BITS, RADIX_PARTITIONS,
 };
 pub use ops::{
     collect_operator, radix_partition, AggFunc, AggSpec, BoxedOperator, FilterOp, HashAggregateOp,

@@ -1,9 +1,13 @@
 //! Morsel-driven execution (the paper's evaluation setting: 64-thread scans of
 //! compressed Data Blocks, after Leis et al., "Morsel-Driven Parallelism"). This
-//! module is the **only** way a scan's work is split up and the only way a pipeline
-//! breaker is fed: a thread count is a number of workers running the code below,
-//! never a choice between this code and some serial other — one worker is the same
-//! loop run inline on the calling thread.
+//! module is the **only** way a scan's work is split up: a thread count is a number
+//! of workers running the code below, never a choice between this code and some
+//! serial other — one worker is the same loop run inline on the calling thread.
+//!
+//! The rule, stated once: **morsel workers run a streaming scan
+//! ([`drive_streaming`]) or a scan-fed aggregate ([`drive_pipeline`]). Every other
+//! operator runs on the thread that pulls it, the hash-join build included** — a
+//! scan below such an operator still runs its own [`ScanConfig::threads`] workers.
 //!
 //! # The morsel protocol
 //!
@@ -60,28 +64,21 @@
 //! to hand batches to its own caller. `tests/parallel_scan.rs` pins both against
 //! each other.
 //!
-//! # Pipeline breakers: [`drive_pipeline`], [`drive_batches`], [`merge_partitionwise`]
+//! # Pipeline breakers: [`drive_pipeline`], [`merge_partitionwise`]
 //!
-//! Pipeline breakers (hash aggregation, the hash-join build) have one
-//! implementation each, a [`MorselSink`]: every worker runs the whole non-breaking
+//! The one pipeline breaker fed by morsel workers is hash aggregation over a scan
+//! chain ([`crate::ops::HashAggregateOp::over_relation`]), and it has one
+//! implementation, a [`MorselSink`]: every worker runs the whole non-breaking
 //! operator chain of a [`PipelineSpec`] over its morsels and hands each batch —
-//! owned, columns and all — to its private sink. [`drive_batches`] is the same for
-//! an input that is an operator's output rather than a relation: each batch is one
-//! morsel. What happens at the barrier is the breaker's business:
+//! owned, columns and all — to its private sink. At the barrier it splits every
+//! worker's group table into [`RADIX_PARTITIONS`] radix partitions and combines
+//! them **partition-wise** with [`merge_partitionwise`] — partition `p` of every
+//! worker merges into one final partition `p`, independently of all others, so the
+//! merge itself spreads over the workers. The partition of a key is a pure function
+//! of its value (leading bits of its hash, see [`crate::ops::radix_partition`]),
+//! never of the thread count or the morsel schedule. Output is sorted by group key.
 //!
-//! * **Aggregation** splits every worker's group table into [`RADIX_PARTITIONS`]
-//!   radix partitions and combines them **partition-wise** with
-//!   [`merge_partitionwise`] — partition `p` of every worker merges into one final
-//!   partition `p`, independently of all others, so the merge itself spreads over
-//!   the workers. The partition of a key is a pure function of its value (leading
-//!   bits of its hash, see [`crate::ops::radix_partition`]), never of the thread
-//!   count or the morsel schedule. Output is sorted by group key.
-//! * **The join build** has the workers hash the build keys; the barrier puts the
-//!   build batches back into stream order (a batch's morsel index is its position)
-//!   and fills one table from key to build row numbers, so a key's rows are listed
-//!   in stream order whatever worker hashed them.
-//!
-//! The probe/emit tail then runs single-threaded on the merged state.
+//! The emit tail then runs single-threaded on the merged state.
 //!
 //! # Determinism
 //!
@@ -95,14 +92,14 @@
 //! # Adding a pipeline breaker
 //!
 //! 1. **A sink** implementing [`MorselSink`] — own the per-worker state and fold
-//!    each incoming batch, column-wise, in `consume(morsel_idx, batch)`. If the
-//!    result depends on input *order* (like join build rows), keep `morsel_idx`
-//!    with what you store so the barrier can restore it; if not (like
-//!    aggregation), ignore it.
-//! 2. **A barrier** — either order the workers' pieces by morsel index, or split
-//!    the state by [`crate::ops::radix_partition`] of whatever key the operator
-//!    groups on and fold one partition from every worker (worker order is
-//!    deterministic) into the final partition with [`merge_partitionwise`].
+//!    each incoming batch, column-wise, in `consume(batch)`. A sink is never told
+//!    which morsel a batch came from: a breaker whose result depends on input
+//!    *order* (like the join build, whose rows stay in stream order) is not a sink —
+//!    it runs on the thread that pulls it, over its input operator.
+//! 2. **A barrier** — split the state by [`crate::ops::radix_partition`] of
+//!    whatever key the operator groups on and fold one partition from every worker
+//!    (worker order is deterministic) into the final partition with
+//!    [`merge_partitionwise`].
 //! 3. **A tail** — emit from the merged state in a deterministic order.
 //!
 //! Then drive it: `let (sinks, stats) = drive_pipeline(relation, &spec, make_sink)?`
@@ -115,9 +112,7 @@
 //!
 //! # Invariants to keep
 //!
-//! * Pipeline workers only ever share `&Relation` and the atomic cursor
-//!   ([`drive_batches`] workers: a locked queue of the drained batches, which hands
-//!   each batch over with its position); streaming
+//! * Pipeline workers only ever share `&Relation` and the atomic cursor; streaming
 //!   workers share one `Arc` holding the owned snapshot, the cursor and the reorder
 //!   channel — all per-worker state lives in the sink or the worker's scanner (the
 //!   compile-time `Send + Sync` assertions below enforce the sharing part). Spilled
@@ -761,16 +756,15 @@ impl PipelineSpec {
 }
 
 /// Per-worker pipeline-breaker state fed by the morsel workers (a partitioned hash
-/// aggregate, a partitioned join build, ...). One sink is created per worker, lives
-/// on that worker's thread for the whole pipeline, and is handed back to the caller
-/// at the barrier.
+/// aggregate). One sink is created per worker, lives on that worker's thread for
+/// the whole pipeline, and is handed back to the caller at the barrier.
 pub trait MorselSink: Send {
-    /// Consume one batch produced by morsel `morsel_idx` — the sink owns it from
-    /// here, so a sink that keeps rows keeps the columns, not copies. Batches of one
-    /// morsel arrive in order on a single worker; `morsel_idx` values are unique per
-    /// pipeline run, so `(morsel_idx, arrival order)` reconstructs the serial scan
-    /// order when a sink needs it.
-    fn consume(&mut self, morsel_idx: usize, batch: Batch);
+    /// Consume one batch — the sink owns it from here, so a sink that keeps rows
+    /// keeps the columns, not copies. Batches of one morsel arrive in order on a
+    /// single worker, but which worker gets which morsel is a race, so a sink must
+    /// not rely on the order its batches arrive in (see the module's determinism
+    /// contract).
+    fn consume(&mut self, batch: Batch);
 }
 
 /// Run a morsel pipeline over `relation` with `spec.config.threads` workers (one
@@ -810,8 +804,8 @@ where
             &cursor,
             spec,
             || abort.load(Ordering::Relaxed) || cancelled(),
-            |morsel_idx, batch| {
-                sink.consume(morsel_idx, batch);
+            |_, batch| {
+                sink.consume(batch);
                 true
             },
             |_, outcome| match outcome {
@@ -839,52 +833,6 @@ where
         sinks.push(sink);
     }
     Ok((sinks, stats))
-}
-
-/// Run a build over a stream of batches with `threads` workers: each batch is one
-/// morsel (its position in the stream is the `morsel_idx` passed to the sink). This
-/// is how pipeline breakers consume *intermediate* results — e.g. a join whose
-/// build side is itself the output of another operator. A single worker consumes
-/// the stream as it arrives, on the calling thread, so the input is never held in
-/// full; several workers have to share it, so it is drained first. The first `Err`
-/// of the input ends the run and is returned.
-pub fn drive_batches<S, F>(
-    batches: impl Iterator<Item = Result<Batch, Error>>,
-    threads: usize,
-    make_sink: F,
-) -> Result<Vec<S>, Error>
-where
-    S: MorselSink,
-    F: Fn() -> S + Sync,
-{
-    let feed = |sink: &mut S, idx: usize, batch: Batch| {
-        if !batch.is_empty() {
-            sink.consume(idx, batch);
-        }
-    };
-    let threads = effective_threads(threads);
-    if threads == 1 {
-        let mut sink = make_sink();
-        for (idx, batch) in batches.enumerate() {
-            feed(&mut sink, idx, batch?);
-        }
-        return Ok(vec![sink]);
-    }
-    let batches: Vec<Batch> = batches.collect::<Result<_, _>>()?;
-    let workers = threads.min(batches.len()).max(1);
-    // The claim hands the batch itself over, so the queue is the cursor.
-    let queue = Mutex::new(batches.into_iter().enumerate());
-    let sinks: Vec<S> = (0..workers).map(|_| make_sink()).collect();
-    Ok(run_workers(sinks, |mut sink| {
-        loop {
-            let claimed = queue.lock().expect("a worker panicked mid-claim").next();
-            let Some((idx, batch)) = claimed else {
-                break;
-            };
-            feed(&mut sink, idx, batch);
-        }
-        sink
-    }))
 }
 
 /// The barrier phase of a pipeline breaker: combine the partitioned state of every
@@ -1108,16 +1056,16 @@ mod tests {
         assert_eq!(stats.rows_matched, 0);
     }
 
-    /// A sink that counts rows and records which morsels fed it.
-    struct CountSink {
-        rows: usize,
-        morsels: Vec<usize>,
+    /// A sink that keeps the first column of every row that reached it.
+    #[derive(Default)]
+    struct IdSink {
+        ids: Vec<i64>,
     }
 
-    impl MorselSink for CountSink {
-        fn consume(&mut self, morsel_idx: usize, batch: Batch) {
-            self.rows += batch.len();
-            self.morsels.push(morsel_idx);
+    impl MorselSink for IdSink {
+        fn consume(&mut self, batch: Batch) {
+            let ids = (0..batch.len()).map(|row| batch.value(row, 0).as_int().unwrap());
+            self.ids.extend(ids);
         }
     }
 
@@ -1132,19 +1080,13 @@ mod tests {
                     .with_threads(threads)
                     .with_morsel_rows(100),
             );
-            let (sinks, stats) = drive_pipeline(&rel, &spec, || CountSink {
-                rows: 0,
-                morsels: Vec::new(),
-            })
-            .expect("pipeline scan");
-            let total: usize = sinks.iter().map(|s| s.rows).sum();
-            assert_eq!(total, 3_210, "threads {threads}");
+            let (sinks, stats) =
+                drive_pipeline(&rel, &spec, IdSink::default).expect("pipeline scan");
             assert_eq!(stats.rows_matched, 3_210);
-            // every morsel index was claimed by exactly one worker
-            let mut all: Vec<usize> = sinks.iter().flat_map(|s| s.morsels.clone()).collect();
+            // the scanned ids are 0..3210, each exactly once, whichever worker got it
+            let mut all: Vec<i64> = sinks.into_iter().flat_map(|s| s.ids).collect();
             all.sort_unstable();
-            all.dedup();
-            assert_eq!(all.len(), decompose(&rel, 100).len());
+            assert_eq!(all, (0..3_210).collect::<Vec<_>>(), "threads {threads}");
         }
     }
 
@@ -1155,40 +1097,10 @@ mod tests {
             .then_filter(Expr::col(1).cmp(datablocks::CmpOp::Eq, Expr::lit(3i64)))
             .then_project(vec![Expr::col(0).mul(Expr::lit(2i64))], vec![DataType::Int]);
         assert_eq!(spec.output_types(&rel), vec![DataType::Int]);
-        let (sinks, _) = drive_pipeline(&rel, &spec, || CountSink {
-            rows: 0,
-            morsels: Vec::new(),
-        })
-        .expect("pipeline scan");
-        let total: usize = sinks.iter().map(|s| s.rows).sum();
+        let (sinks, _) = drive_pipeline(&rel, &spec, IdSink::default).expect("pipeline scan");
+        let total: usize = sinks.iter().map(|s| s.ids.len()).sum();
         // val = i % 7 == 3 → ceil: rows 3, 10, 17, ... in 0..2000
         assert_eq!(total, (0..2_000).filter(|i| i % 7 == 3).count());
-    }
-
-    #[test]
-    fn drive_batches_hands_each_batch_to_one_worker() {
-        let types = [DataType::Int];
-        let batches: Vec<Batch> = (0..10)
-            .map(|i| {
-                Batch::from_rows(
-                    &types,
-                    &(0..=i).map(|v| vec![Value::Int(v)]).collect::<Vec<_>>(),
-                )
-            })
-            .collect();
-        let expected_rows: usize = batches.iter().map(|b| b.len()).sum();
-        for threads in [1usize, 4] {
-            let sinks = drive_batches(batches.iter().cloned().map(Ok), threads, || CountSink {
-                rows: 0,
-                morsels: Vec::new(),
-            })
-            .expect("no input batch is an error");
-            let total: usize = sinks.iter().map(|s| s.rows).sum();
-            assert_eq!(total, expected_rows);
-            let mut all: Vec<usize> = sinks.iter().flat_map(|s| s.morsels.clone()).collect();
-            all.sort_unstable();
-            assert_eq!(all, (0..10).collect::<Vec<_>>());
-        }
     }
 
     #[test]

@@ -27,15 +27,16 @@
 //! * **Sort** sorts a permutation of row numbers over the typed key columns and
 //!   gathers once.
 //!
-//! The hash pipeline breakers ([`HashAggregateOp`], the [`HashJoinOp`] build) follow
-//! the morsel-driven design of the paper's execution engine, and have no other
-//! implementation: every worker accumulates private state over its morsels and the
-//! barrier combines it — the aggregate's group tables
-//! [`crate::morsel::RADIX_PARTITIONS`]-way radix-partitioned and merged
-//! partition-wise (each partition independently), the join's hashed build chunks
-//! concatenated back into stream order — before the single-threaded probe/output
-//! tail runs. The worker count only says how many threads share that work — one
-//! worker runs it inline on the calling thread. See [`crate::morsel`] for the driver.
+//! [`HashAggregateOp::over_relation`] follows the morsel-driven design of the
+//! paper's execution engine: every worker accumulates a private group table over
+//! its morsels, and the barrier radix-partitions the tables
+//! ([`crate::morsel::RADIX_PARTITIONS`] ways) and merges them partition-wise (each
+//! partition independently) before the single-threaded output tail runs. The worker
+//! count only says how many threads share that work — one worker runs it inline on
+//! the calling thread. Every other operator, the [`HashJoinOp`] build and
+//! [`HashAggregateOp::new`] included, runs on the thread that pulls it, in one pass
+//! over its input in stream order; a scan below it runs its own
+//! [`crate::ScanConfig::threads`] workers. See [`crate::morsel`] for the driver.
 //!
 //! # Errors
 //!
@@ -68,10 +69,11 @@
 //!   determined by its constructor arguments; nothing is renegotiated at run
 //!   time, so equal trees produce equal results (and equal `Display` dumps in
 //!   the plan goldens).
-//! * **Thread-count semantics** — `threads` parameters pass through
+//! * **Thread-count semantics** — the one `threads` parameter,
+//!   [`crate::ScanConfig::threads`], passes through
 //!   [`crate::morsel::effective_threads`] (`0` = auto-detect, anything else
-//!   verbatim) and choose a worker count, never an implementation: the join
-//!   build is byte-identical at every worker count, and aggregation is
+//!   verbatim) and chooses a worker count, never an implementation: scans and
+//!   joins are byte-identical at every worker count, and aggregation is
 //!   byte-identical except for floating-point sums, which are equal up to
 //!   reassociation.
 //! * **Output schemas** — [`Operator::output_types`] is fixed at construction;
@@ -985,7 +987,7 @@ struct AggBuildSink<'x> {
 }
 
 impl MorselSink for AggBuildSink<'_> {
-    fn consume(&mut self, _morsel_idx: usize, batch: Batch) {
+    fn consume(&mut self, batch: Batch) {
         // Every expression is evaluated once, over the whole batch …
         let keys: Vec<_> = (self.group_exprs.iter())
             .map(|expr| expr.evaluate(&batch, None))
@@ -1117,8 +1119,13 @@ impl Operator for HashAggregateOp<'_> {
         };
         let (sinks, threads) = match &mut self.input {
             AggInput::Operator(input) => {
-                let batches = std::iter::from_fn(|| input.next_batch().transpose());
-                (morsel::drive_batches(batches, 1, make_sink)?, 1)
+                let mut sink = make_sink();
+                while let Some(batch) = input.next_batch()? {
+                    if !batch.is_empty() {
+                        sink.consume(batch);
+                    }
+                }
+                (vec![sink], 1)
             }
             AggInput::Pipeline { relation, spec } => {
                 let (sinks, stats) = morsel::drive_pipeline(relation, spec, make_sink)?;
@@ -1168,11 +1175,12 @@ struct JoinTable {
 
 /// Hash equi-join. The build side is materialised (the pipeline breaker) as one
 /// columnar batch plus a table from key to build row numbers; the probe side
-/// streams through and matches are emitted by gathering columns. The build runs on
-/// [`HashJoinOp::with_parallel_build`] morsel workers (one by default): each
-/// hashes the keys of the build batches it claims, and the barrier puts the batches
-/// back into stream order before the table is filled — so join output is
-/// byte-identical for every worker count. A key's values — build or probe — are
+/// streams through and matches are emitted by gathering columns. The first pull
+/// builds on the calling thread: it pulls the build side once, hashing each batch's
+/// keys as the batch arrives, so build rows — and a key's matches — are in
+/// build-stream order. A scan on the build side still runs its own
+/// [`crate::ScanConfig::threads`] workers, and its stream is the same at every worker
+/// count, so join output is too. A key's values — build or probe — are
 /// hashed exactly once. Optionally an *early-probe* filter — a compact tag bitmap derived
 /// from the key hashes, standing in for the tagged hash-table pointers of
 /// Appendix E — rejects probe tuples before the hash lookup.
@@ -1183,7 +1191,6 @@ pub struct HashJoinOp<'a> {
     probe_keys: Vec<usize>,
     join_type: JoinType,
     early_probe: bool,
-    build_threads: usize,
     table: Option<JoinTable>,
     output_types: Vec<DataType>,
 }
@@ -1213,7 +1220,6 @@ impl<'a> HashJoinOp<'a> {
             probe_keys,
             join_type,
             early_probe: false,
-            build_threads: 1,
             table: None,
             output_types,
         }
@@ -1226,40 +1232,22 @@ impl<'a> HashJoinOp<'a> {
         self
     }
 
-    /// Build the hash table with `threads` morsel workers (same contract as
-    /// [`crate::ScanConfig::threads`]: `1`, the default, builds on the calling
-    /// thread, `0` uses every hardware thread). The probe/output tail stays
-    /// streaming and single-threaded; results are byte-identical for every worker
-    /// count. The query planner applies this to every join it lowers, at the
-    /// session's configured thread count.
-    pub fn with_parallel_build(mut self, threads: usize) -> Self {
-        self.build_threads = threads;
-        self
-    }
-
     fn build_table(&mut self) -> Result<JoinTable, Error> {
-        // The workers hash the build side's batches (an upstream scan parallelises
-        // itself through its own ScanConfig) …
-        let build = &mut self.build;
-        let build_keys = &self.build_keys;
-        let batches = std::iter::from_fn(|| build.next_batch().transpose());
-        let sinks = morsel::drive_batches(batches, self.build_threads, || JoinBuildSink {
-            keys: build_keys,
-            chunks: Vec::new(),
-        })?;
-        // … and the barrier restores stream order: a chunk's morsel index is its
-        // batch's position in the build stream.
-        let mut chunks: Vec<BuildChunk> = sinks.into_iter().flat_map(|sink| sink.chunks).collect();
-        chunks.sort_unstable_by_key(|chunk| chunk.position);
-        let mut rows = Batch::new(&build.output_types());
+        // Pull the build side in stream order (an upstream scan runs its own
+        // ScanConfig::threads workers), hashing each batch's keys as it arrives …
+        let mut rows = Batch::new(&self.build.output_types());
         let mut hashes = Vec::new();
-        for chunk in chunks {
-            rows.append_owned(chunk.batch);
-            hashes.extend(chunk.hashes);
+        while let Some(batch) = self.build.next_batch()? {
+            if batch.is_empty() {
+                continue;
+            }
+            let keys: Vec<&Column> = self.build_keys.iter().map(|&k| batch.column(k)).collect();
+            hashes.extend(hash_rows(&keys, batch.len()));
+            rows.append_owned(batch);
         }
-        // Number the distinct keys, then list every key's rows in row order
+        // … then number the distinct keys and list every key's rows in row order
         // (a counting sort by key number). NULL keys never join: they get no key.
-        let key_columns: Vec<&Column> = build_keys.iter().map(|&k| rows.column(k)).collect();
+        let key_columns: Vec<&Column> = self.build_keys.iter().map(|&k| rows.column(k)).collect();
         let key_types: Vec<DataType> = key_columns.iter().map(|c| c.data_type()).collect();
         let mut keys = Groups::new(&key_types);
         let key_of_row: Vec<Option<u32>> = (0..rows.len())
@@ -1297,34 +1285,6 @@ impl<'a> HashJoinOp<'a> {
             matches,
             tags,
         })
-    }
-}
-
-/// One build batch with the hashes of its keys, and its position in the build
-/// stream.
-struct BuildChunk {
-    position: usize,
-    batch: Batch,
-    hashes: Vec<u64>,
-}
-
-/// Per-worker sink of the join build. Only fed by [`morsel::drive_batches`], where
-/// each morsel is exactly one batch — so the morsel index is the batch's unique
-/// position in the build stream.
-struct JoinBuildSink<'x> {
-    keys: &'x [usize],
-    chunks: Vec<BuildChunk>,
-}
-
-impl MorselSink for JoinBuildSink<'_> {
-    fn consume(&mut self, morsel_idx: usize, batch: Batch) {
-        let keys: Vec<&Column> = self.keys.iter().map(|&k| batch.column(k)).collect();
-        let hashes = hash_rows(&keys, batch.len());
-        self.chunks.push(BuildChunk {
-            position: morsel_idx,
-            batch,
-            hashes,
-        });
     }
 }
 
@@ -1921,7 +1881,7 @@ mod tests {
         let schema = Schema::new(vec![
             ColumnDef::new("v", DataType::Int),
             ColumnDef::nullable("k", DataType::Int),
-            ColumnDef::new("g", DataType::Str),
+            ColumnDef::nullable("g", DataType::Str),
             ColumnDef::new("d", DataType::Double),
         ]);
         let mut rel = Relation::with_chunk_capacity("r", schema, 64);
@@ -1930,6 +1890,15 @@ mod tests {
         }
         rel.freeze_full_chunks();
         rel
+    }
+
+    /// Every column of `rel`, scanned by `threads` workers over 16-row morsels.
+    fn scan_op(rel: &Relation, threads: usize) -> BoxedOperator<'_> {
+        let config = crate::ScanConfig::default()
+            .with_threads(threads)
+            .with_morsel_rows(16);
+        let scanner = RelationScanner::new(rel, vec![0, 1, 2, 3], vec![], config);
+        Box::new(ScanOp::new(scanner))
     }
 
     /// count(*), count/sum/min/max/avg of the int payload, sum of the double.
@@ -2134,7 +2103,7 @@ mod tests {
                         aggregates: &aggregates,
                         table: AggTable::new(&group_exprs, &aggregates, &TYPES),
                     };
-                    sink.consume(w, Batch::from_rows(&TYPES, &third));
+                    sink.consume(Batch::from_rows(&TYPES, &third));
                     sink.table
                 })
                 .collect();
@@ -2328,8 +2297,8 @@ mod tests {
             // same hashes and the same states.
             let table = |batches: &[Batch]| {
                 let mut sink = make_sink();
-                for (idx, batch) in batches.iter().enumerate() {
-                    sink.consume(idx, batch.clone());
+                for batch in batches {
+                    sink.consume(batch.clone());
                 }
                 sink.table
             };
@@ -2341,10 +2310,12 @@ mod tests {
                 &rows_of(&from_plain.into_batch(&types)),
                 &format!("{} keys, one sink", group_exprs.len()),
             );
-            // the operator at 1, 2 and 4 workers
+            // the batches spread over 1, 2 and 4 sinks, then the barrier and tail
             let run = |batches: &[Batch], threads: usize| {
-                let batches = batches.iter().cloned().map(Ok);
-                let sinks = morsel::drive_batches(batches, threads, make_sink).unwrap();
+                let mut sinks: Vec<_> = (0..threads).map(|_| make_sink()).collect();
+                for (idx, batch) in batches.iter().enumerate() {
+                    sinks[idx % threads].consume(batch.clone());
+                }
                 let tables = sinks.into_iter().map(|sink| sink.table).collect();
                 merge_and_emit(tables, threads, group_exprs.len(), &types)
             };
@@ -2367,57 +2338,65 @@ mod tests {
 
     #[test]
     fn coded_keys_join_like_plain_ones_at_every_worker_count() {
-        let (build, probe) = (
-            batches_of(&string_rows(120), 7),
-            batches_of(&string_rows(50), 9),
-        );
+        let build_rows = string_rows(300);
+        let (build, probe) = (batches_of(&build_rows, 7), batches_of(&string_rows(50), 9));
         let (coded_build, coded_probe) = (coded(&build), coded(&probe));
-        let join = |build: &[Batch], probe: &[Batch], join_type, threads| {
-            HashJoinOp::new(
-                batches_op(build),
-                batches_op(probe),
-                vec![2],
-                vec![2],
-                join_type,
-            )
-            .with_parallel_build(threads)
-        };
+        // The same rows scanned from five frozen blocks: every block's strings come
+        // out coded against a dictionary of its own.
+        let mut build_rel = relation_of(&build_rows);
+        build_rel.freeze_all();
+        fn join<'a>(
+            build: BoxedOperator<'a>,
+            probe: &[Batch],
+            join_type: JoinType,
+        ) -> HashJoinOp<'a> {
+            HashJoinOp::new(build, batches_op(probe), vec![2], vec![2], join_type)
+        }
         for join_type in [JoinType::Inner, JoinType::ProbeSemi] {
-            let expected = rows_of(&join(&build, &probe, join_type, 1).collect_all_helper());
+            let expected =
+                rows_of(&join(batches_op(&build), &probe, join_type).collect_all_helper());
             assert!(!expected.is_empty());
-            for threads in [1usize, 2, 4] {
-                for (name, build, probe) in [
-                    ("coded", &coded_build, &coded_probe),
-                    ("coded build", &coded_build, &probe),
-                    ("coded probe", &build, &coded_probe),
-                ] {
-                    let got = join(build, probe, join_type, threads).collect_all_helper();
+            for (name, build, probe) in [
+                ("coded", &coded_build, &coded_probe),
+                ("coded build", &coded_build, &probe),
+                ("coded probe", &build, &coded_probe),
+            ] {
+                let got = join(batches_op(build), probe, join_type).collect_all_helper();
+                assert_rows_identical(&got, &expected, &format!("{join_type:?} {name}"));
+            }
+            for threads in [1usize, 2, 4, 8] {
+                for (name, probe) in [("plain", &probe), ("coded", &coded_probe)] {
+                    let got = join(scan_op(&build_rel, threads), probe, join_type);
                     assert_rows_identical(
-                        &got,
+                        &got.collect_all_helper(),
                         &expected,
-                        &format!("{join_type:?} {name} threads {threads}"),
+                        &format!("{join_type:?} scanned build, {name} probe, threads {threads}"),
                     );
                 }
             }
         }
         // The build side numbers its keys and lists their rows alike.
-        let table = |build: &[Batch]| {
-            join(build, &probe, JoinType::Inner, 2)
-                .build_table()
-                .unwrap()
+        let table = |build| join(build, &probe, JoinType::Inner).build_table().unwrap();
+        let plain = table(batches_op(&build));
+        let same_as_plain = |got: JoinTable, context: &str| {
+            assert!(
+                matches!(got.rows.column(2).data, ColumnData::Dict { .. }),
+                "{context}: re-coded"
+            );
+            assert_eq!(got.keys.keys, plain.keys.keys, "{context}");
+            assert_eq!(got.keys.hashes, plain.keys.hashes, "{context}");
+            assert_eq!(got.starts, plain.starts, "{context}");
+            assert_eq!(got.matches, plain.matches, "{context}");
         };
-        let (plain, coded) = (table(&build), table(&coded_build));
-        assert!(
-            matches!(coded.rows.column(2).data, ColumnData::Dict { .. }),
-            "re-coded"
-        );
-        assert_eq!(coded.keys.keys, plain.keys.keys);
-        assert_eq!(coded.keys.hashes, plain.keys.hashes);
-        assert_eq!((coded.starts, coded.matches), (plain.starts, plain.matches));
+        same_as_plain(table(batches_op(&coded_build)), "coded");
+        for threads in [1usize, 2, 4, 8] {
+            let context = format!("scanned, threads {threads}");
+            same_as_plain(table(scan_op(&build_rel, threads)), &context);
+        }
     }
 
     /// The join's reference: a nested loop in probe-stream order, build rows of a
-    /// key in build-stream order — the per-key order the tagged merge restores.
+    /// key in build-stream order.
     fn nested_loop_join(
         build: &[Vec<Value>],
         probe: &Batch,
@@ -2442,9 +2421,10 @@ mod tests {
 
     #[test]
     fn join_build_keeps_stream_order_per_key_for_every_worker_count() {
-        // build: skewed duplicate keys plus NULL keys, cut into many batches so
-        // several build workers get work; probe: col1 of `numbers` in 0..10
+        // build: skewed duplicate keys plus NULL keys, scanned in many morsels so
+        // several scan workers get work; probe: col1 of `numbers` in 0..10
         let build_rows = rows(200);
+        let build_rel = relation_of(&build_rows);
         let probe = numbers(100);
         for join_type in [JoinType::Inner, JoinType::ProbeSemi] {
             let expected = nested_loop_join(&build_rows, &probe, 1, join_type);
@@ -2452,13 +2432,12 @@ mod tests {
             for threads in [1usize, 2, 4, 8] {
                 for early_probe in [false, true] {
                     let got = HashJoinOp::new(
-                        batches_op(&batches_of(&build_rows, 7)),
+                        scan_op(&build_rel, threads),
                         values_op(100),
                         vec![1],
                         vec![1],
                         join_type,
                     )
-                    .with_parallel_build(threads)
                     .with_early_probe(early_probe)
                     .collect_all_helper();
                     assert_rows_identical(

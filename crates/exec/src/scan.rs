@@ -87,9 +87,10 @@ pub struct ScanConfig {
     pub mode: ScanMode,
     /// Block-level options (ISA level, vector size, SMA/PSMA usage).
     pub options: ScanOptions,
-    /// How many morsel workers run whatever this configuration drives — a scan, an
-    /// aggregate's build, a join build: `1` (the default) is one worker inline on
-    /// the calling thread, `0` is one per hardware thread, any other value spawns
+    /// How many morsel workers run whatever this configuration drives — a scan or
+    /// a scan-fed aggregate (every other operator, the join build included, runs on
+    /// the thread that pulls it): `1` (the default) is one worker inline on the
+    /// calling thread, `0` is one per hardware thread, any other value spawns
     /// exactly that many. It is a worker count, never a code path: every count
     /// runs the same morsel loop, sinks and merge ([`crate::morsel`]), and results
     /// are equal across counts up to the reassociation of sums over doubles.

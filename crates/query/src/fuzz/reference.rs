@@ -426,7 +426,7 @@ fn eval_join(
     }
 
     // Hash table over the build side, match lists in build insertion order —
-    // the order the engine restores even after a parallel build.
+    // the order the engine's build keeps at every scan worker count.
     let mut table: HashMap<Vec<BitValue>, Vec<usize>> = HashMap::new();
     for (i, row) in build.rows.iter().enumerate() {
         let keys: Vec<Value> = build_keys.iter().map(|&k| row[k].clone()).collect();

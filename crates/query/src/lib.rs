@@ -5,9 +5,8 @@
 //! `sort` over named relations, with typed literals and the scalar expression
 //! vocabulary of [`exec::expr`]), plus the **logical → physical planner** that
 //! lowers a parsed plan onto [`exec::ops`] operator trees — choosing serial vs.
-//! morsel-parallel operators from the [`exec::ScanConfig`], wiring parallel
-//! join builds, and pushing SARGable predicates into the SMA/PSMA-pruned scan
-//! path.
+//! morsel-parallel operators from the [`exec::ScanConfig`] and pushing SARGable
+//! predicates into the SMA/PSMA-pruned scan path.
 //!
 //! The IR's byte-level contract (every node's JSON schema, the typing rules,
 //! versioning policy and error taxonomy) lives in `crates/query/README.md`; the

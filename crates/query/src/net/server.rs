@@ -231,13 +231,16 @@ enum Command {
 
 /// State shared between a connection's reader and executor threads.
 struct ConnShared {
+    /// The credit window granted at the handshake.
+    window: u32,
     state: Mutex<ConnState>,
     cond: Condvar,
 }
 
 struct ConnState {
     queue: VecDeque<Command>,
-    /// Remaining flow-control credits of the current query's result stream.
+    /// Remaining flow-control credits of the current query's result stream;
+    /// never above the window.
     credits: u32,
     /// A query is executing (idle-timeout accounting ignores this time).
     running: bool,
@@ -248,6 +251,7 @@ struct ConnState {
 impl ConnShared {
     fn new(window: u32) -> Arc<ConnShared> {
         Arc::new(ConnShared {
+            window,
             state: Mutex::new(ConnState {
                 queue: VecDeque::new(),
                 credits: window,
@@ -338,7 +342,7 @@ fn connection_loop(server: &Arc<ServerShared>, mut stream: TcpStream) -> io::Res
             .spawn(move || reader_loop(&server, &conn, stream, &writer, &cancel))?
     };
 
-    executor_loop(server, &session, &conn, &writer, window);
+    executor_loop(server, &session, &conn, &writer);
 
     // Whatever ended the loop: return the budget now, stop the reader, join.
     session.close();
@@ -368,7 +372,6 @@ fn executor_loop(
     session: &Session<'_>,
     conn: &ConnShared,
     writer: &Mutex<TcpStream>,
-    window: u32,
 ) {
     loop {
         let command = {
@@ -392,16 +395,7 @@ fn executor_loop(
                 pre_cancelled,
             } => {
                 server.queries.fetch_add(1, Ordering::Relaxed);
-                run_query(
-                    server,
-                    session,
-                    conn,
-                    writer,
-                    window,
-                    kind,
-                    &text,
-                    pre_cancelled,
-                )
+                run_query(server, session, conn, writer, kind, &text, pre_cancelled)
             }
         };
         {
@@ -421,20 +415,18 @@ fn executor_loop(
 /// Run one query and stream its result frames. Returns whether the connection
 /// is still usable (query-level errors are answered and keep it alive;
 /// transport failures and disconnects do not).
-#[allow(clippy::too_many_arguments)]
 fn run_query(
     server: &ServerShared,
     session: &Session<'_>,
     conn: &ConnShared,
     writer: &Mutex<TcpStream>,
-    window: u32,
     kind: QueryKind,
     text: &str,
     pre_cancelled: bool,
 ) -> bool {
     // Each query starts with a full window; CREDIT frames replenish it as the
     // client consumes batches.
-    conn.lock().credits = window;
+    conn.lock().credits = conn.window;
     let result = match kind {
         QueryKind::Sql => session.sql(text),
         QueryKind::Ir => session.query_ir(text),
@@ -475,7 +467,7 @@ fn run_query(
                 {
                     let mut state = conn.lock();
                     state.credits = state.credits.saturating_sub(1);
-                    let unacked = window - state.credits;
+                    let unacked = conn.window.saturating_sub(state.credits);
                     server.peak_unacked.fetch_max(unacked, Ordering::Relaxed);
                 }
                 batches += 1;
@@ -572,7 +564,21 @@ fn reader_loop(
                     FrameType::Credit => match decode_credit(&payload) {
                         Ok(n) => {
                             let mut state = conn.lock();
-                            state.credits = state.credits.saturating_add(n);
+                            // Credits return batches that were sent: more than
+                            // the window can hold is an out-of-order frame.
+                            let Some(credits) = (state.credits.checked_add(n))
+                                .filter(|&credits| credits <= conn.window)
+                            else {
+                                drop(state);
+                                let msg = format!(
+                                    "CREDIT {n} would lift the credits above the window of {}",
+                                    conn.window
+                                );
+                                send_protocol_error(server, writer, &msg);
+                                conn.kill(cancel);
+                                return;
+                            };
+                            state.credits = credits;
                             drop(state);
                             conn.cond.notify_all();
                         }

@@ -13,7 +13,8 @@
 //!   output, say) the same operator pulls batches on the calling thread
 //!   ([`exec::ops::HashAggregateOp::new`]). The choice reads the plan's shape
 //!   only — never the thread count, which is just the worker count the plan's
-//!   [`ScanConfig`] hands to scans, aggregates and join builds alike.
+//!   [`ScanConfig`] hands to its scans and fused aggregates; every other
+//!   operator, the join build included, runs on the thread that pulls it.
 //! - **SARGable push-down** — conjuncts of a `filter` directly above a `scan` of
 //!   the form `column <cmp> constant` (with exactly matching types) move into the
 //!   scan's [`Restriction`] list, where they are evaluated on compressed Data
@@ -368,7 +369,6 @@ fn build_operator<'a>(node: &PhysNode, db: &'a Database, config: ScanConfig) -> 
                 probe_keys.clone(),
                 *join_type,
             )
-            .with_parallel_build(config.threads)
             .with_early_probe(*early_probe),
         ),
         PhysNode::Sort { input, keys, limit } => Box::new(SortOp::new(

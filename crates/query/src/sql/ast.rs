@@ -28,7 +28,7 @@ use dbsimd::CmpOp;
 use exec::ops::AggFunc;
 use exec::ArithOp;
 
-use super::lexer::{tok_name, tokenize, Keyword, Tok, Token};
+use super::lexer::{int_literal, tok_name, tokenize, Keyword, Tok, Token};
 use crate::error::{IrError, IrErrorKind};
 use crate::json::Pos;
 
@@ -333,7 +333,7 @@ impl Parser {
         if self.eat_keyword(Keyword::Limit) {
             let token = self.next();
             match token.tok {
-                Tok::Int(v) if v >= 0 => limit = Some(v as usize),
+                Tok::Int(v) => limit = Some(int_literal(v, false, token.pos)? as usize),
                 other => {
                     return Err(syntax(
                         token.pos,
@@ -511,14 +511,14 @@ impl Parser {
     fn literal(&mut self) -> Result<Value, IrError> {
         let token = self.next();
         match token.tok {
-            Tok::Int(v) => Ok(Value::Int(v)),
+            Tok::Int(v) => Ok(Value::Int(int_literal(v, false, token.pos)?)),
             Tok::Double(v) => Ok(Value::Double(v)),
             Tok::Str(s) => Ok(Value::Str(s)),
             Tok::Keyword(Keyword::Null) => Ok(Value::Null),
             Tok::Minus => {
                 let inner = self.next();
                 match inner.tok {
-                    Tok::Int(v) => Ok(Value::Int(-v)),
+                    Tok::Int(v) => Ok(Value::Int(int_literal(v, true, inner.pos)?)),
                     Tok::Double(v) => Ok(Value::Double(-v)),
                     other => Err(syntax(
                         inner.pos,
@@ -644,7 +644,7 @@ impl Parser {
             self.idx += 1;
             let inner = self.next();
             let value = match inner.tok {
-                Tok::Int(v) => Value::Int(-v),
+                Tok::Int(v) => Value::Int(int_literal(v, true, inner.pos)?),
                 Tok::Double(v) => Value::Double(-v),
                 other => {
                     return Err(syntax(
@@ -667,7 +667,7 @@ impl Parser {
     fn primary_expr(&mut self) -> Result<AstExpr, IrError> {
         let token = self.next();
         let kind = match token.tok {
-            Tok::Int(v) => AstExprKind::Lit(Value::Int(v)),
+            Tok::Int(v) => AstExprKind::Lit(Value::Int(int_literal(v, false, token.pos)?)),
             Tok::Double(v) => AstExprKind::Lit(Value::Double(v)),
             Tok::Str(s) => AstExprKind::Lit(Value::Str(s)),
             Tok::Keyword(Keyword::Null) => AstExprKind::Lit(Value::Null),

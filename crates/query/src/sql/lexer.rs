@@ -17,8 +17,9 @@ pub(crate) enum Tok {
     Ident(String),
     /// Case-normalised keyword (SELECT, FROM, ...).
     Keyword(Keyword),
-    /// Integer literal (always non-negative; unary minus is a separate token).
-    Int(i64),
+    /// Integer literal's magnitude (unary minus is a separate token, so the parser
+    /// range-checks it: `9223372036854775808` is only valid negated).
+    Int(u64),
     /// Double literal (contains `.` or an exponent).
     Double(f64),
     /// Single-quoted string literal (unescaped).
@@ -161,6 +162,22 @@ fn syntax(pos: Pos, message: impl Into<String>) -> IrError {
         message: message.into(),
         pos,
     }
+}
+
+/// The error for an integer literal (written as `digits` at `pos`) that no `i64`
+/// holds.
+fn out_of_range(pos: Pos, digits: &str) -> IrError {
+    syntax(pos, format!("integer literal `{digits}` is out of range"))
+}
+
+/// The `i64` an integer literal of magnitude `magnitude` at `pos` stands for,
+/// negated when a `-` precedes it.
+pub(crate) fn int_literal(magnitude: u64, negated: bool, pos: Pos) -> Result<i64, IrError> {
+    let value = match negated {
+        true => 0i64.checked_sub_unsigned(magnitude),
+        false => i64::try_from(magnitude).ok(),
+    };
+    value.ok_or_else(|| out_of_range(pos, &magnitude.to_string()))
 }
 
 /// Tokenize the whole input (appending a final [`Tok::Eof`]).
@@ -311,9 +328,7 @@ pub(crate) fn tokenize(text: &str) -> Result<Vec<Token>, IrError> {
                         .map_err(|_| syntax(pos, format!("invalid number literal `{digits}`")))?;
                     Tok::Double(v)
                 } else {
-                    let v: i64 = digits.parse().map_err(|_| {
-                        syntax(pos, format!("integer literal `{digits}` is out of range"))
-                    })?;
+                    let v: u64 = digits.parse().map_err(|_| out_of_range(pos, &digits))?;
                     Tok::Int(v)
                 };
                 tokens.push(Token { pos, tok });

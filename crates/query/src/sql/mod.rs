@@ -201,8 +201,35 @@ mod tests {
             "SELECT t.a, u.v FROM t JOIN EARLY u ON t.a = u.k",
             "SELECT a, b FROM t ORDER BY b DESC, a LIMIT 10",
             "SELECT sum(a * 2), avg(b), min(s), count(*) FROM t WHERE a <> 0 OR b >= 1.5",
+            "SELECT a FROM t PREWHERE a > -9223372036854775808",
+            "SELECT a * -9223372036854775808 AS m FROM t",
         ] {
             roundtrip(sql);
+        }
+    }
+
+    #[test]
+    fn i64_min_survives_ir_to_sql_and_back() {
+        let doc = r#"{"version": 1, "plan": {"op": "scan", "relation": "t", "columns": ["a"],
+            "predicates": [{"column": "a", "cmp": "gt", "value": {"int": -9223372036854775808}}]}}"#;
+        let ir = crate::parse_ir(doc).unwrap();
+        let sql = to_sql(&ir);
+        assert!(sql.contains("-9223372036854775808"), "{sql}");
+        let reparsed = parse_sql(&catalog(), &sql).unwrap_or_else(|err| panic!("{sql}: {err}"));
+        assert_eq!(reparsed.to_pretty(), ir.to_pretty());
+        // Only negated does that magnitude fit: unnegated, one past it, or as a
+        // LIMIT, it is the out-of-range error, positioned at its digits.
+        for (sql, col) in [
+            ("SELECT a FROM t PREWHERE a > 9223372036854775808", 30),
+            ("SELECT a - 9223372036854775808 AS m FROM t", 12),
+            ("SELECT a FROM t PREWHERE a > -9223372036854775809", 31),
+            ("SELECT a FROM t ORDER BY a LIMIT 9223372036854775808", 34),
+        ] {
+            let err = parse_sql(&catalog(), sql).unwrap_err();
+            let digits = sql[col as usize - 1..].split(' ').next().unwrap();
+            let message = format!("integer literal `{digits}` is out of range");
+            let expected = (crate::IrErrorKind::Syntax, message, col);
+            assert_eq!((err.kind, err.message, err.pos.col), expected, "{sql}");
         }
     }
 

@@ -533,16 +533,15 @@ pub fn q3(db: &TpchDb, config: ScanConfig) -> QueryResult {
         vec![Restriction::cmp(os.idx("o_orderdate"), CmpOp::Lt, cutoff)],
         config,
     );
-    // join customers with orders (semi: keep order columns); the build side
-    // partitions over as many workers as the scan configuration asks for
+    // join customers with orders (semi: keep order columns); the customer scan
+    // runs as many workers as the scan configuration asks for
     let cust_orders = HashJoinOp::new(
         Box::new(ScanOp::new(cust_scan)),
         Box::new(ScanOp::new(orders_scan)),
         vec![0],
         vec![1], // o_custkey
         JoinType::ProbeSemi,
-    )
-    .with_parallel_build(config.threads);
+    );
     // lineitem after the cutoff — the driving scan
     let lineitem = db.relation("lineitem");
     let ls = lineitem.schema();
@@ -557,16 +556,15 @@ pub fn q3(db: &TpchDb, config: ScanConfig) -> QueryResult {
         config,
     );
     let mut lineitem_op = ScanOp::new(lineitem_scan);
-    // join: build on qualified orders (an intermediate result — its batches become
-    // the build morsels), probe with lineitem
+    // join: build on qualified orders (an intermediate result, pulled on this
+    // thread), probe with lineitem
     let join = HashJoinOp::new(
         Box::new(cust_orders),
         Box::new(TakeStats::new(&mut lineitem_op)),
         vec![0], // o_orderkey
         vec![0], // l_orderkey
         JoinType::Inner,
-    )
-    .with_parallel_build(config.threads);
+    );
     // output of inner join: [o_orderkey, o_custkey, o_orderdate, o_shippriority,
     //                        l_orderkey, l_extendedprice, l_discount]
     let revenue = Expr::col(5).mul(Expr::lit(1.0).sub(Expr::col(6).div(Expr::lit(100i64))));
@@ -636,8 +634,7 @@ pub fn q12(db: &TpchDb, config: ScanConfig) -> QueryResult {
         vec![0],
         vec![0],
         JoinType::Inner,
-    )
-    .with_parallel_build(config.threads);
+    );
     // join output: [o_orderkey, o_orderpriority, l_orderkey, l_shipmode, ...]
     let high = Expr::col(1)
         .cmp(CmpOp::Eq, Expr::lit("1-URGENT"))
@@ -705,8 +702,7 @@ pub fn q14(db: &TpchDb, config: ScanConfig) -> QueryResult {
         vec![0],
         vec![0],
         JoinType::Inner,
-    )
-    .with_parallel_build(config.threads);
+    );
     // join output: [p_partkey, p_type, l_partkey, l_extendedprice, l_discount]
     let disc_price = Expr::col(3).mul(Expr::lit(1.0).sub(Expr::col(4).div(Expr::lit(100i64))));
     let is_promo = Expr::col(1)

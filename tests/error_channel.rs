@@ -116,24 +116,22 @@ const SHAPES: &[Shape] = &[
         ))
     }),
     ("join, scan on the build side", |rel, threads| {
-        let join = HashJoinOp::new(
+        Box::new(HashJoinOp::new(
             scan(rel, threads),
             ten_keys(),
             vec![0],
             vec![0],
             JoinType::Inner,
-        );
-        Box::new(join.with_parallel_build(threads))
+        ))
     }),
     ("join, scan on the probe side", |rel, threads| {
-        let join = HashJoinOp::new(
+        Box::new(HashJoinOp::new(
             ten_keys(),
             scan(rel, threads),
             vec![0],
             vec![0],
             JoinType::Inner,
-        );
-        Box::new(join.with_parallel_build(threads))
+        ))
     }),
     ("sort", |rel, threads| {
         Box::new(SortOp::new(

@@ -491,8 +491,7 @@ fn join_build_matches_nested_loop_for_every_worker_count() {
                     vec![1],
                     join_type,
                 )
-                .with_early_probe(early_probe)
-                .with_parallel_build(threads);
+                .with_early_probe(early_probe);
                 let got = collect_operator(&mut join);
                 assert_matches_fold(
                     &got,
@@ -504,23 +503,28 @@ fn join_build_matches_nested_loop_for_every_worker_count() {
     }
 }
 
-/// An empty build side produces an empty join for every thread count.
+/// A scan of an empty relation on the build side produces an empty join for every
+/// scan worker count.
 #[test]
 fn join_with_empty_build_side() {
     let probe = Batch::from_rows(
         &[DataType::Int],
         &(0..50).map(|i| vec![Value::Int(i)]).collect::<Vec<_>>(),
     );
+    let empty = Relation::new(
+        "empty",
+        Schema::new(vec![ColumnDef::new("k", DataType::Int)]),
+    );
     for &threads in THREAD_COUNTS {
-        let empty_build = Batch::new(&[DataType::Int]);
+        let config = ScanConfig::default().with_threads(threads);
+        let build = RelationScanner::new(&empty, vec![0], vec![], config);
         let mut join = HashJoinOp::new(
-            Box::new(ValuesOp::new(empty_build)),
+            Box::new(ScanOp::new(build)),
             Box::new(ValuesOp::new(probe.clone())),
             vec![0],
             vec![0],
             JoinType::Inner,
-        )
-        .with_parallel_build(threads);
+        );
         assert_eq!(collect_operator(&mut join).len(), 0, "threads {threads}");
     }
 }

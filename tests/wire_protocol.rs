@@ -400,6 +400,79 @@ fn slow_client_bounds_server_side_buffering() {
     });
 }
 
+/// A raw client that returns more credits than the window holds — `CREDIT 100`
+/// right after `RESULT_SCHEMA`, on a window of 4 — gets a `PROTOCOL` error frame
+/// and a closed connection. The server counts the violation, never runs more than
+/// the window ahead, gives the budget and the connection slot back, and answers
+/// the next client.
+#[test]
+fn over_crediting_is_a_protocol_error() {
+    use data_blocks::query::net::frame::{
+        decode_error, encode_credit, encode_hello, read_frame, Hello, WIRE_VERSION,
+    };
+    use std::net::TcpStream;
+
+    with_watchdog(|| {
+        let (service, server) = serve_tpch(1, false);
+        let mut raw = TcpStream::connect(server.local_addr()).expect("connect");
+        let hello = Hello {
+            version: WIRE_VERSION,
+            budget_bytes: BUDGET,
+            window: 4,
+            auth_token: AUTH.into(),
+        };
+        write_frame(&mut raw, FrameType::Hello, &encode_hello(&hello)).expect("HELLO");
+        assert_eq!(
+            read_frame(&mut raw).expect("HELLO_OK").0,
+            FrameType::HelloOk
+        );
+        let query = encode_query(QueryKind::Sql, "SELECT l_quantity FROM lineitem");
+        write_frame(&mut raw, FrameType::Query, &query).expect("QUERY");
+        let schema = read_frame(&mut raw).expect("RESULT_SCHEMA").0;
+        assert_eq!(schema, FrameType::ResultSchema);
+        write_frame(&mut raw, FrameType::Credit, &encode_credit(100)).expect("CREDIT");
+        let error = loop {
+            match read_frame(&mut raw).expect("a frame before the server hangs up") {
+                (FrameType::ResultBatch, _) => continue, // sent inside the window
+                (FrameType::Error, payload) => break decode_error(&payload).expect("error"),
+                (other, _) => panic!("expected a PROTOCOL error frame, got {other:?}"),
+            }
+        };
+        assert_eq!(error.0, ErrorCode::Protocol, "{}", error.1);
+        // The executor may have had a batch on its way; then the server hangs up.
+        while let Ok((ty, _)) = read_frame(&mut raw) {
+            assert_eq!(
+                ty,
+                FrameType::ResultBatch,
+                "nothing but EOF after the error"
+            );
+        }
+
+        let deadline = Instant::now() + WATCHDOG;
+        loop {
+            let (wire, service) = (server.stats(), service.stats());
+            if wire.active_connections == 0 && service.granted_bytes == 0 && service.running == 0 {
+                break;
+            }
+            assert!(Instant::now() < deadline, "{wire:?} {service:?}");
+            std::thread::sleep(Duration::from_millis(10));
+        }
+        let stats = server.stats();
+        assert_eq!(stats.protocol_errors, 1);
+        assert!(stats.peak_unacked_batches <= 4, "{stats:?}");
+
+        let mut client =
+            WireClient::connect(server.local_addr(), &client_config()).expect("handshake");
+        let batch = client
+            .query_sql(query_sql("Q6"))
+            .and_then(|stream| stream.collect())
+            .expect("the next client is served");
+        assert_eq!(batch.len(), 1);
+        drop(client);
+        server.shutdown();
+    });
+}
+
 /// Idle connections are reaped after the configured timeout, and graceful
 /// shutdown drains: both observable as the active-connection count returning
 /// to zero while the server (then) still answers statistics.
