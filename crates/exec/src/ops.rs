@@ -1877,11 +1877,21 @@ mod tests {
 
     /// A relation holding `rows` in order: frozen blocks of 64 rows plus a hot tail.
     fn relation_of(rows: &[Vec<Value>]) -> Relation {
+        relation_with_g(rows, false)
+    }
+
+    /// [`relation_of`], with the string column `g` nullable when `nullable_g`.
+    fn relation_with_g(rows: &[Vec<Value>], nullable_g: bool) -> Relation {
         use storage::{ColumnDef, Schema};
+        let g = if nullable_g {
+            ColumnDef::nullable("g", DataType::Str)
+        } else {
+            ColumnDef::new("g", DataType::Str)
+        };
         let schema = Schema::new(vec![
             ColumnDef::new("v", DataType::Int),
             ColumnDef::nullable("k", DataType::Int),
-            ColumnDef::nullable("g", DataType::Str),
+            g,
             ColumnDef::new("d", DataType::Double),
         ]);
         let mut rel = Relation::with_chunk_capacity("r", schema, 64);
@@ -2342,8 +2352,8 @@ mod tests {
         let (build, probe) = (batches_of(&build_rows, 7), batches_of(&string_rows(50), 9));
         let (coded_build, coded_probe) = (coded(&build), coded(&probe));
         // The same rows scanned from five frozen blocks: every block's strings come
-        // out coded against a dictionary of its own.
-        let mut build_rel = relation_of(&build_rows);
+        // out coded against a dictionary of its own. Some of the strings are NULL.
+        let mut build_rel = relation_with_g(&build_rows, true);
         build_rel.freeze_all();
         fn join<'a>(
             build: BoxedOperator<'a>,

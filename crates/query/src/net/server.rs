@@ -564,21 +564,10 @@ fn reader_loop(
                     FrameType::Credit => match decode_credit(&payload) {
                         Ok(n) => {
                             let mut state = conn.lock();
-                            // Credits return batches that were sent: more than
-                            // the window can hold is an out-of-order frame.
-                            let Some(credits) = (state.credits.checked_add(n))
-                                .filter(|&credits| credits <= conn.window)
-                            else {
-                                drop(state);
-                                let msg = format!(
-                                    "CREDIT {n} would lift the credits above the window of {}",
-                                    conn.window
-                                );
-                                send_protocol_error(server, writer, &msg);
-                                conn.kill(cancel);
-                                return;
-                            };
-                            state.credits = credits;
+                            // Capped at the window: a pipelining client's credits
+                            // for a finished query's batches may land after the
+                            // next query refilled it.
+                            state.credits = state.credits.saturating_add(n).min(conn.window);
                             drop(state);
                             conn.cond.notify_all();
                         }

@@ -10,7 +10,8 @@
 //!   engine's own parallel-merge reassociation at four;
 //! * results are **streamed**: server-side buffering never exceeds the
 //!   connection's credit window (asserted via `peak_unacked_batches`), even
-//!   against a deliberately slow client;
+//!   against a deliberately slow client, a client returning more credits than
+//!   the window, or one pipelining its queries;
 //! * malformed, truncated and oversized frames are answered with a loud
 //!   `PROTOCOL` error frame and kill only their own connection — the server
 //!   and its other connections keep working;
@@ -26,12 +27,17 @@
 
 mod common;
 
+use std::io::ErrorKind;
+use std::net::TcpStream;
 use std::sync::{mpsc, Arc};
 use std::time::{Duration, Instant};
 
 use common::assert_batches_agree;
 use data_blocks::exec::ScanConfig;
-use data_blocks::query::net::frame::{encode_query, write_frame, FrameType, QueryKind, WIRE_MAGIC};
+use data_blocks::query::net::frame::{
+    decode_done, decode_error, decode_hello_ok, encode_credit, encode_hello, encode_query,
+    read_frame, write_frame, FrameError, FrameType, Hello, QueryKind, WIRE_MAGIC, WIRE_VERSION,
+};
 use data_blocks::query::net::{
     ClientConfig, ClientError, ErrorCode, WireClient, WireConfig, WireServer,
 };
@@ -42,6 +48,8 @@ use data_blocks::workloads::tpch::{query_sql, TpchDb, QUERY_SUBSET};
 const AUTH: &str = "tpch-wire-secret";
 const WATCHDOG: Duration = Duration::from_secs(300);
 const BUDGET: u64 = 32 << 20;
+/// A result spanning many more batches than any window used here.
+const SCAN: &str = "SELECT l_quantity FROM lineitem";
 
 /// Run `body` on a helper thread under a watchdog: a hang fails loudly.
 fn with_watchdog(body: impl FnOnce() + Send + 'static) {
@@ -400,75 +408,157 @@ fn slow_client_bounds_server_side_buffering() {
     });
 }
 
-/// A raw client that returns more credits than the window holds — `CREDIT 100`
-/// right after `RESULT_SCHEMA`, on a window of 4 — gets a `PROTOCOL` error frame
-/// and a closed connection. The server counts the violation, never runs more than
-/// the window ahead, gives the budget and the connection slot back, and answers
-/// the next client.
-#[test]
-fn over_crediting_is_a_protocol_error() {
-    use data_blocks::query::net::frame::{
-        decode_error, encode_credit, encode_hello, read_frame, Hello, WIRE_VERSION,
+/// A raw connection to `server` after a HELLO asking for `window` credits.
+fn raw_connect(server: &WireServer, window: u32) -> TcpStream {
+    let mut raw = TcpStream::connect(server.local_addr()).expect("connect");
+    let hello = Hello {
+        version: WIRE_VERSION,
+        budget_bytes: BUDGET,
+        window,
+        auth_token: AUTH.into(),
     };
-    use std::net::TcpStream;
+    write_frame(&mut raw, FrameType::Hello, &encode_hello(&hello)).expect("HELLO");
+    let (ty, payload) = read_frame(&mut raw).expect("HELLO_OK");
+    assert_eq!(ty, FrameType::HelloOk);
+    assert_eq!(decode_hello_ok(&payload).expect("HELLO_OK").1, window);
+    raw
+}
 
+/// Read the rest of one query's result from `raw`, crediting every
+/// `RESULT_BATCH` as it is read, up to its `RESULT_DONE`. `batches` were read
+/// before; returns the rows the server reports, after checking its batch count.
+fn finish_query(raw: &mut TcpStream, mut batches: u32) -> u64 {
+    loop {
+        match read_frame(raw).expect("a result frame") {
+            (FrameType::ResultBatch, _) => {
+                batches += 1;
+                write_frame(raw, FrameType::Credit, &encode_credit(1)).expect("CREDIT");
+            }
+            (FrameType::ResultDone, payload) => {
+                let (rows, sent) = decode_done(&payload).expect("RESULT_DONE");
+                assert_eq!(sent, batches, "batches read");
+                return rows;
+            }
+            (FrameType::Error, payload) => panic!("{:?}", decode_error(&payload)),
+            (other, _) => panic!("unexpected {other:?} frame"),
+        }
+    }
+}
+
+/// Poll until the server holds no connection and the service no grant or
+/// running query.
+fn wait_until_released(service: &QueryService, server: &WireServer) {
+    let deadline = Instant::now() + WATCHDOG;
+    loop {
+        let (wire, stats) = (server.stats(), service.stats());
+        if wire.active_connections == 0 && stats.granted_bytes == 0 && stats.running == 0 {
+            return;
+        }
+        assert!(Instant::now() < deadline, "{wire:?} {stats:?}");
+        std::thread::sleep(Duration::from_millis(10));
+    }
+}
+
+/// A raw client that returns more credits than the window holds — `CREDIT 100`
+/// right after `RESULT_SCHEMA`, on a window of 4 — does not widen the window.
+/// Until the client credits what it read, the server sends at most the 4
+/// batches it may have sent before the credit landed plus 4 more, and it
+/// reports at most 4 unacked. The query then answers in full and the
+/// connection serves the next one.
+#[test]
+fn over_crediting_cannot_widen_the_window() {
     with_watchdog(|| {
         let (service, server) = serve_tpch(1, false);
-        let mut raw = TcpStream::connect(server.local_addr()).expect("connect");
-        let hello = Hello {
-            version: WIRE_VERSION,
-            budget_bytes: BUDGET,
-            window: 4,
-            auth_token: AUTH.into(),
-        };
-        write_frame(&mut raw, FrameType::Hello, &encode_hello(&hello)).expect("HELLO");
-        assert_eq!(
-            read_frame(&mut raw).expect("HELLO_OK").0,
-            FrameType::HelloOk
-        );
-        let query = encode_query(QueryKind::Sql, "SELECT l_quantity FROM lineitem");
-        write_frame(&mut raw, FrameType::Query, &query).expect("QUERY");
+        let expected = service
+            .session(BUDGET as usize)
+            .sql(SCAN)
+            .and_then(|stream| stream.collect())
+            .expect("in-process reference")
+            .len() as u64;
+        let mut raw = raw_connect(&server, 4);
+        write_frame(
+            &mut raw,
+            FrameType::Query,
+            &encode_query(QueryKind::Sql, SCAN),
+        )
+        .expect("QUERY");
         let schema = read_frame(&mut raw).expect("RESULT_SCHEMA").0;
         assert_eq!(schema, FrameType::ResultSchema);
         write_frame(&mut raw, FrameType::Credit, &encode_credit(100)).expect("CREDIT");
-        let error = loop {
-            match read_frame(&mut raw).expect("a frame before the server hangs up") {
-                (FrameType::ResultBatch, _) => continue, // sent inside the window
-                (FrameType::Error, payload) => break decode_error(&payload).expect("error"),
-                (other, _) => panic!("expected a PROTOCOL error frame, got {other:?}"),
-            }
-        };
-        assert_eq!(error.0, ErrorCode::Protocol, "{}", error.1);
-        // The executor may have had a batch on its way; then the server hangs up.
-        while let Ok((ty, _)) = read_frame(&mut raw) {
-            assert_eq!(
-                ty,
-                FrameType::ResultBatch,
-                "nothing but EOF after the error"
-            );
-        }
 
-        let deadline = Instant::now() + WATCHDOG;
+        // Read without crediting until the server goes quiet.
+        raw.set_read_timeout(Some(Duration::from_millis(500)))
+            .expect("read timeout");
+        let mut early = 0u32;
         loop {
-            let (wire, service) = (server.stats(), service.stats());
-            if wire.active_connections == 0 && service.granted_bytes == 0 && service.running == 0 {
-                break;
+            match read_frame(&mut raw) {
+                Ok((FrameType::ResultBatch, _)) => early += 1,
+                Ok((other, _)) => panic!("{other:?} after {early} batches: the window widened"),
+                Err(FrameError::Io(err))
+                    if matches!(err.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) =>
+                {
+                    break
+                }
+                Err(err) => panic!("after {early} batches: {err}"),
             }
-            assert!(Instant::now() < deadline, "{wire:?} {service:?}");
-            std::thread::sleep(Duration::from_millis(10));
         }
-        let stats = server.stats();
-        assert_eq!(stats.protocol_errors, 1);
-        assert!(stats.peak_unacked_batches <= 4, "{stats:?}");
+        assert!(early <= 8, "{early} batches sent on a window of 4");
+        raw.set_read_timeout(None).expect("read timeout");
+        write_frame(&mut raw, FrameType::Credit, &encode_credit(early)).expect("CREDIT");
+        assert_eq!(finish_query(&mut raw, early), expected);
 
-        let mut client =
-            WireClient::connect(server.local_addr(), &client_config()).expect("handshake");
-        let batch = client
-            .query_sql(query_sql("Q6"))
-            .and_then(|stream| stream.collect())
-            .expect("the next client is served");
-        assert_eq!(batch.len(), 1);
-        drop(client);
+        let q6 = encode_query(QueryKind::Sql, query_sql("Q6"));
+        write_frame(&mut raw, FrameType::Query, &q6).expect("QUERY");
+        assert_eq!(
+            read_frame(&mut raw).expect("RESULT_SCHEMA").0,
+            FrameType::ResultSchema
+        );
+        assert_eq!(finish_query(&mut raw, 0), 1);
+        write_frame(&mut raw, FrameType::Goodbye, &[]).expect("GOODBYE");
+        wait_until_released(&service, &server);
+        let stats = server.stats();
+        assert_eq!(stats.protocol_errors, 0);
+        assert!(stats.peak_unacked_batches <= 4, "{stats:?}");
+        server.shutdown();
+    });
+}
+
+/// Pipelining: a raw client sends three QUERYs back to back on a window of 2,
+/// then credits every batch as it reads it. Credits for one query's last
+/// batches reach the server after the next query started with a full window;
+/// every query still answers in full, in order, on the one connection.
+#[test]
+fn pipelined_queries_all_answer() {
+    with_watchdog(|| {
+        let (service, server) = serve_tpch(1, false);
+        let queries = [SCAN, SCAN, query_sql("Q6")];
+        let expected: Vec<u64> = queries
+            .iter()
+            .map(|sql| {
+                let session = service.session(BUDGET as usize);
+                let rows = session.sql(sql).and_then(|stream| stream.collect());
+                rows.expect("in-process reference").len() as u64
+            })
+            .collect();
+        let mut raw = raw_connect(&server, 2);
+        for sql in queries {
+            write_frame(
+                &mut raw,
+                FrameType::Query,
+                &encode_query(QueryKind::Sql, sql),
+            )
+            .expect("QUERY");
+        }
+        for (sql, expected) in queries.iter().zip(expected) {
+            let schema = read_frame(&mut raw).expect("RESULT_SCHEMA").0;
+            assert_eq!(schema, FrameType::ResultSchema, "{sql}");
+            assert_eq!(finish_query(&mut raw, 0), expected, "{sql}");
+        }
+        write_frame(&mut raw, FrameType::Goodbye, &[]).expect("GOODBYE");
+        wait_until_released(&service, &server);
+        let stats = server.stats();
+        assert_eq!(stats.protocol_errors, 0);
+        assert!(stats.peak_unacked_batches <= 2, "{stats:?}");
         server.shutdown();
     });
 }
