@@ -13,6 +13,18 @@
 //!   blocked on credits) is stopped at its next morsel boundary even while
 //!   the executor is busy.
 //!
+//! The executor runs on a **connection thread**, which outlives its
+//! connection: when the connection ends the thread waits, idle, for the next
+//! accepted one, and the accept loop starts a new connection thread only when
+//! none is idle. Connection threads are joined at shutdown; there are never
+//! more of them than connections were open at once
+//! ([`WireServerStats::connection_threads`]). Reuse keeps the memory a
+//! connection's queries freed with the thread that serves the next one: a
+//! thread that exits leaves its heap behind (glibc keeps a malloc arena per
+//! thread, resident until some later thread takes it over), and which later
+//! thread takes over which arena is a race, so resident memory would vary from
+//! run to run.
+//!
 //! Flow control bounds the server's memory: a query's results may be at most
 //! `window` un-credited batches ahead of the client. A slow client therefore
 //! backpressures the executor, which backpressures the parallel scan's bounded
@@ -95,6 +107,10 @@ pub struct WireServerStats {
     /// any one connection — the observable server-side buffering bound
     /// (never exceeds the largest granted window).
     pub peak_unacked_batches: u32,
+    /// Connection threads started since the server started. Each serves one
+    /// connection after another, so this never exceeds the largest number of
+    /// connections that were open at once.
+    pub connection_threads: usize,
 }
 
 /// A running TCP front end over a [`QueryService`]. Dropping the handle shuts
@@ -114,7 +130,24 @@ struct ServerShared {
     queries: AtomicU64,
     protocol_errors: AtomicU64,
     peak_unacked: AtomicU32,
+    handoff: Mutex<Handoff>,
+    /// Wakes an idle connection thread: a connection was queued, or the server
+    /// drains.
+    wake: Condvar,
     conns: Mutex<Vec<JoinHandle<()>>>,
+}
+
+/// Accepted connections waiting for a connection thread, and how many
+/// connection threads wait for one.
+struct Handoff {
+    streams: VecDeque<TcpStream>,
+    idle: usize,
+}
+
+impl ServerShared {
+    fn handoff(&self) -> std::sync::MutexGuard<'_, Handoff> {
+        self.handoff.lock().expect("wire connection handoff")
+    }
 }
 
 impl WireServer {
@@ -137,6 +170,11 @@ impl WireServer {
             queries: AtomicU64::new(0),
             protocol_errors: AtomicU64::new(0),
             peak_unacked: AtomicU32::new(0),
+            handoff: Mutex::new(Handoff {
+                streams: VecDeque::new(),
+                idle: 0,
+            }),
+            wake: Condvar::new(),
             conns: Mutex::new(Vec::new()),
         });
         let accept_shared = Arc::clone(&shared);
@@ -163,6 +201,7 @@ impl WireServer {
             queries: self.shared.queries.load(Ordering::Relaxed),
             protocol_errors: self.shared.protocol_errors.load(Ordering::Relaxed),
             peak_unacked_batches: self.shared.peak_unacked.load(Ordering::Relaxed),
+            connection_threads: self.shared.conns.lock().expect("wire conn registry").len(),
         }
     }
 
@@ -180,6 +219,10 @@ impl WireServer {
         if let Some(accept) = self.accept.take() {
             let _ = accept.join();
         }
+        // Idle connection threads see the drain flag and exit. Taking the lock
+        // first orders this after any thread's check of the flag before it waits.
+        drop(self.shared.handoff());
+        self.shared.wake.notify_all();
         let conns = std::mem::take(&mut *self.shared.conns.lock().expect("wire conn registry"));
         for conn in conns {
             let _ = conn.join();
@@ -199,10 +242,20 @@ fn accept_loop(server: &Arc<ServerShared>, listener: &TcpListener) {
             return;
         }
         let Ok(stream) = stream else { continue };
+        {
+            let mut handoff = server.handoff();
+            handoff.streams.push_back(stream);
+            if handoff.idle >= handoff.streams.len() {
+                server.wake.notify_one();
+                continue;
+            }
+        }
+        // No thread is idle: start one. (Should that fail, the connection waits
+        // for the next thread to turn idle.)
         let conn_server = Arc::clone(server);
         let handle = std::thread::Builder::new()
             .name("wire-conn".into())
-            .spawn(move || serve_connection(&conn_server, stream));
+            .spawn(move || connection_thread(&conn_server));
         if let Ok(handle) = handle {
             server
                 .conns
@@ -274,11 +327,28 @@ impl ConnShared {
     }
 }
 
-fn serve_connection(server: &Arc<ServerShared>, stream: TcpStream) {
-    server.connections.fetch_add(1, Ordering::Relaxed);
-    server.active.fetch_add(1, Ordering::Relaxed);
-    let _ = connection_loop(server, stream);
-    server.active.fetch_sub(1, Ordering::Relaxed);
+/// A connection thread: serve queued connections one after another, waiting
+/// idle in between, until the server drains.
+fn connection_thread(server: &Arc<ServerShared>) {
+    let mut handoff = server.handoff();
+    loop {
+        if let Some(stream) = handoff.streams.pop_front() {
+            drop(handoff);
+            server.connections.fetch_add(1, Ordering::Relaxed);
+            server.active.fetch_add(1, Ordering::Relaxed);
+            let _ = connection_loop(server, stream);
+            // Under the lock, so that once a connection no longer counts as
+            // active the accept loop sees its thread as idle.
+            handoff = server.handoff();
+            server.active.fetch_sub(1, Ordering::Relaxed);
+        } else if server.draining.load(Ordering::Acquire) {
+            return;
+        } else {
+            handoff.idle += 1;
+            handoff = server.wake.wait(handoff).expect("wire connection handoff");
+            handoff.idle -= 1;
+        }
+    }
 }
 
 /// Handshake, then serve queries until the connection ends (any way it can).

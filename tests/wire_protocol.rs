@@ -21,6 +21,8 @@
 //!   the pool deterministically (polled via `QueryService::stats`);
 //! * `CANCEL` stops a query mid-scan with the typed `CANCELLED` error frame
 //!   and the **same connection** then runs the next query successfully;
+//! * a connection thread serves one connection after another: a new one
+//!   starts only while more connections are open than threads exist;
 //! * idle connections are reaped, graceful shutdown drains, and every test
 //!   runs under a watchdog so a protocol deadlock fails loudly instead of
 //!   hanging CI.
@@ -600,5 +602,41 @@ fn idle_connections_are_reaped_and_shutdown_drains() {
         let client = WireClient::connect(server.local_addr(), &client_config()).expect("handshake");
         server.shutdown();
         drop(client);
+    });
+}
+
+/// A connection thread outlives its connection: connections opened one after
+/// another are all served by the first thread, a second starts only while two
+/// connections are open at once, and shutdown joins both.
+#[test]
+fn connection_threads_serve_one_connection_after_another() {
+    with_watchdog(|| {
+        let (service, server) = serve_tpch(1, false);
+        let q6 = |client: &mut WireClient| {
+            let batch = client
+                .query_sql(query_sql("Q6"))
+                .and_then(|stream| stream.collect())
+                .expect("Q6 over the wire");
+            assert_eq!(batch.len(), 1);
+        };
+        for _ in 0..3 {
+            let mut client =
+                WireClient::connect(server.local_addr(), &client_config()).expect("handshake");
+            q6(&mut client);
+            drop(client);
+            wait_until_released(&service, &server);
+        }
+        assert_eq!(server.stats().connection_threads, 1);
+        assert_eq!(server.stats().connections, 3);
+
+        let mut first = WireClient::connect(server.local_addr(), &client_config()).expect("first");
+        let mut second =
+            WireClient::connect(server.local_addr(), &client_config()).expect("second");
+        q6(&mut first);
+        q6(&mut second);
+        assert_eq!(server.stats().connection_threads, 2);
+        drop((first, second));
+        wait_until_released(&service, &server);
+        server.shutdown();
     });
 }
