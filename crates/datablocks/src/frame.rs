@@ -19,7 +19,6 @@ use crate::block::DataBlock;
 use crate::layout::{self, LayoutError, Reader, Writer};
 use crate::scan::{Restriction, ScanOptions};
 use crate::sma::Sma;
-use dbsimd::CmpOp;
 
 /// Magic bytes identifying a Data Block frame.
 pub const FRAME_MAGIC: &[u8; 4] = b"DBFM";
@@ -159,9 +158,8 @@ impl BlockSummary {
 
     /// Can any record of the summarised block match all `restrictions`?
     ///
-    /// This replicates exactly the **SMA** block-skipping gate of
-    /// [`crate::scan::plan_scan`] — same [`Sma::may_match_cmp`] /
-    /// [`Sma::may_match_between`] calls on the same SMA values, gated on
+    /// This is the **SMA** block-skipping gate of [`crate::scan::plan_scan`] — the
+    /// same [`Sma::may_match`] call on the same SMA values, gated on
     /// [`ScanOptions::use_sma`] — so a scan that prunes a cold block from its summary
     /// reports byte-identical results *and counters* to one that loads the block and
     /// lets the scan planner rule it out. `false` means the block is guaranteed
@@ -174,25 +172,12 @@ impl BlockSummary {
     /// counted as skipped. Skip *counters* agree with an all-in-memory scan either
     /// way; only the zero-I/O guarantee is scoped to SMA-prunable restrictions.
     pub fn may_match(&self, restrictions: &[Restriction], options: &ScanOptions) -> bool {
-        if !options.use_sma {
-            return true;
-        }
-        for restriction in restrictions {
-            let Some(column) = self.columns.get(restriction.column()) else {
-                continue;
-            };
-            let skip = match restriction {
-                Restriction::Cmp { op, value, .. } if *op != CmpOp::Ne => {
-                    !column.sma.may_match_cmp(*op, value)
-                }
-                Restriction::Between { lo, hi, .. } => !column.sma.may_match_between(lo, hi),
-                _ => false,
-            };
-            if skip {
-                return false;
-            }
-        }
-        true
+        !options.use_sma
+            || restrictions.iter().all(|restriction| {
+                self.columns
+                    .get(restriction.column())
+                    .is_none_or(|column| column.sma.may_match(restriction))
+            })
     }
 }
 
@@ -428,6 +413,7 @@ mod tests {
     use crate::builder::{double_column, freeze, int_column, str_column};
     use crate::scan::plan_scan;
     use crate::value::Value;
+    use dbsimd::CmpOp;
 
     fn block() -> DataBlock {
         let ids = int_column((0..3000).collect());
@@ -490,6 +476,13 @@ mod tests {
                 Restriction::between(0, 0i64, 10i64),
                 Restriction::eq(1, "zzz"), // second restriction prunes
             ],
+            vec![Restriction::cmp(0, CmpOp::Ne, 5i64)], // `<>` never prunes on the SMA
+            vec![
+                Restriction::cmp(1, CmpOp::Ne, "g3"),
+                Restriction::cmp(0, CmpOp::Gt, 2999i64), // prunes past the `<>`
+            ],
+            vec![Restriction::between(2, 100.0, 200.0)], // double inside
+            vec![Restriction::cmp(2, CmpOp::Gt, 1499.5)], // double outside: prune
         ];
         for restrictions in cases {
             let plan = plan_scan(&b, &restrictions, &options);

@@ -252,18 +252,9 @@ fn translate_restriction(
     let column = block.column(column_idx);
 
     // SMA block skipping for value restrictions.
-    if options.use_sma {
-        let skip = match restriction {
-            Restriction::Cmp { op, value, .. } if *op != CmpOp::Ne => {
-                !column.sma.may_match_cmp(*op, value)
-            }
-            Restriction::Between { lo, hi, .. } => !column.sma.may_match_between(lo, hi),
-            _ => false,
-        };
-        if skip {
-            plan.ruled_out = true;
-            return;
-        }
+    if options.use_sma && !column.sma.may_match(restriction) {
+        plan.ruled_out = true;
+        return;
     }
 
     match restriction {

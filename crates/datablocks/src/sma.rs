@@ -2,6 +2,7 @@
 //! out whole Data Blocks during a scan (Section 3.2, after Moerkotte's SMAs).
 
 use crate::column::Column;
+use crate::scan::Restriction;
 use crate::value::{DataType, Value};
 use dbsimd::CmpOp;
 
@@ -156,6 +157,24 @@ impl Sma {
     /// Can a `BETWEEN lo AND hi` restriction possibly be satisfied?
     pub fn may_match_between(&self, lo: &Value, hi: &Value) -> bool {
         self.may_match_cmp(CmpOp::Ge, lo) && self.may_match_cmp(CmpOp::Le, hi)
+    }
+
+    /// The SMA block-skipping gate: can any record of the block satisfy
+    /// `restriction`? `false` rules the whole block out. Only comparisons other
+    /// than `<>` and `BETWEEN` are decided here; every other restriction passes.
+    ///
+    /// Both rule-out sites call this one function — the scan planner
+    /// ([`crate::scan::plan_scan`]) on a loaded block, and
+    /// [`crate::frame::BlockSummary::may_match`] on a cold block's summary — so
+    /// the two agree by construction.
+    pub fn may_match(&self, restriction: &Restriction) -> bool {
+        match restriction {
+            Restriction::Cmp { op, value, .. } if *op != CmpOp::Ne => {
+                self.may_match_cmp(*op, value)
+            }
+            Restriction::Between { lo, hi, .. } => self.may_match_between(lo, hi),
+            _ => true,
+        }
     }
 
     /// Serialized size of the SMA in bytes (min + max), used by the layout module.

@@ -9,8 +9,9 @@
 //! can be evaluated on compressed Data Blocks with SIMD.
 //!
 //! The scale factor is continuous: `sf = 1.0` corresponds to 6 M lineitem rows. The
-//! evaluation of the paper uses SF 100; this reproduction defaults to much smaller
-//! factors and reports relative behaviour (`TPCH_SF`; ARCHITECTURE.md, "Benchmarks").
+//! evaluation of the paper uses SF 100; this reproduction runs much smaller factors
+//! (the `paper` bin's experiments use SF 0.01; ARCHITECTURE.md, "Benchmarks") and
+//! reports relative behaviour.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
