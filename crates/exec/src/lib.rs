@@ -57,14 +57,14 @@ pub use batch::Batch;
 pub use cancel::CancelToken;
 pub use expr::{ArithOp, Expr};
 pub use morsel::{
-    drive_pipeline, drive_streaming, merge_partitionwise, Morsel, MorselSink, PipelineSpec,
-    PipelineStep, ScanStream, RADIX_BITS, RADIX_PARTITIONS,
+    drive_pipeline, drive_streaming, merge_partitionwise, MorselSink, PipelineSpec, PipelineStep,
+    ScanStream, RADIX_BITS, RADIX_PARTITIONS,
 };
 pub use ops::{
     collect_operator, radix_partition, AggFunc, AggSpec, BoxedOperator, FilterOp, HashAggregateOp,
     HashJoinOp, JoinType, Operator, ProjectOp, ScanOp, SortKey, SortOp, ValuesOp,
 };
-pub use scan::{RelationScanner, ScanConfig, ScanMode, ScanStats, DEFAULT_MORSEL_ROWS};
+pub use scan::{RelationScanner, ScanConfig, ScanMode, ScanStats};
 
 /// Why an execution path stopped before its input was exhausted: the one error
 /// every [`Operator::next_batch`] and morsel driver returns. Producers are the

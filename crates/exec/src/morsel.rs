@@ -11,19 +11,23 @@
 //!
 //! # The morsel protocol
 //!
-//! A relation scan decomposes ([`decompose`]) into an ordered list of [`Morsel`]s:
+//! A morsel is a storage segment ([`storage::Segment`]), the unit the relation
+//! already stores and freezes in:
 //!
 //! * one morsel per **frozen Data Block** — blocks are immutable, carry their own
 //!   SMAs/PSMAs and are the natural unit of SMA skipping, so they are never split;
-//! * the **hot tail chunks** are split into fixed-size row ranges of
-//!   [`ScanConfig::morsel_rows`] records each.
+//! * one morsel per **hot chunk** — the chunk that freezing turns into one Data
+//!   Block, scanned whole in `vector_size` windows.
 //!
-//! Work distribution is a single `fetch_add` on an [`AtomicUsize`] cursor over that
-//! list. A worker's life is one private loop, written once and run by every
-//! worker there is — check for cancellation or a failed sibling, claim the next
-//! unclaimed morsel, scan it to completion through the non-breaking
-//! [`PipelineStep`]s (a cold morsel pins its block when it is claimed, never
-//! ahead), report the outcome — so the rules for cancellation and cold read
+//! Morsel `i` of a source (`segment`) is cold block `i` while `i` is below the
+//! cold block count and hot chunk `i - cold_block_count()` after it, so the serial
+//! scan order is every block, then every chunk, and there is no list to build and
+//! no knob that splits a segment. Work distribution is a single `fetch_add` on an
+//! [`AtomicUsize`] cursor over those indices. A worker's life is one private loop,
+//! written once and run by every worker there is — check for cancellation or a
+//! failed sibling, claim the next unclaimed morsel, scan it to completion through
+//! the non-breaking [`PipelineStep`]s (a cold morsel pins its block when it is
+//! claimed, never ahead), report the outcome — so the rules for cancellation and cold read
 //! errors live in one place, and a run ends early in one way: the first worker to
 //! meet an unreadable cold block or a raised [`CancelToken`] records that
 //! [`Error`] as the run's outcome, every worker stops at its next claim or push,
@@ -48,7 +52,8 @@
 //!   is `O(channel_cap × batch)` plus the batch each worker is producing.
 //! * **Ordering.** Batches are released in (morsel index, emission order) — the
 //!   order one worker visits them — so the stream is **byte-identical for every
-//!   thread count, morsel size and channel capacity**.
+//!   thread count and channel capacity** (the morsels are the source's segments,
+//!   which no configuration changes).
 //! * **Deadlock freedom.** One channel slot is reserved for the *head-of-line*
 //!   morsel (the one the consumer must receive next): its owner may push one batch
 //!   past the shared budget whenever the consumer is starved. The in-flight count
@@ -59,7 +64,7 @@
 //!   worker is suspended on backpressure.
 //!
 //! [`RelationScanner`] is the stream's one consumer. It starts the stream when the
-//! resolved worker count is above one; at one worker it scans the same morsel list
+//! resolved worker count is above one; at one worker it scans the same segments
 //! itself, a morsel per pull, because a pull iterator needs no thread and no channel
 //! to hand batches to its own caller. `tests/parallel_scan.rs` pins both against
 //! each other.
@@ -135,7 +140,7 @@ use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 
 use datablocks::scan::Restriction;
 use datablocks::{DataBlock, DataType};
-use storage::{ColdReadError, Relation, ScanSnapshot, ScanSource};
+use storage::{ColdReadError, Relation, ScanSnapshot, ScanSource, Segment};
 
 use crate::batch::Batch;
 use crate::cancel::{self, CancelToken};
@@ -143,24 +148,6 @@ use crate::expr::Expr;
 use crate::ops::{filter_batch, project_batch};
 use crate::scan::{RelationScanner, ScanConfig, ScanStats};
 use crate::Error;
-
-/// One unit of scan work handed out by the morsel cursor.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Morsel {
-    /// One whole frozen Data Block (resolved through [`Relation::cold_block`],
-    /// which pins spilled blocks for the duration of the morsel).
-    ColdBlock(usize),
-    /// A row range `[from, to)` of one hot chunk (index into
-    /// [`Relation::hot_chunks`]).
-    HotRange {
-        /// Hot chunk index.
-        chunk: usize,
-        /// First row of the range.
-        from: usize,
-        /// One past the last row of the range.
-        to: usize,
-    },
-}
 
 // The scan path shares `&Relation` (and through it `&DataBlock` / hot chunks) across
 // worker threads. All payloads are plain owned data (`Vec`, `String`, `HashMap`), so
@@ -178,33 +165,21 @@ const _: () = {
     assert_shareable::<PipelineSpec>();
 };
 
-/// Decompose a scan source into morsels, in serial scan order: every cold block
-/// first (whole blocks), then every hot chunk split into `morsel_rows`-sized ranges.
-/// `morsel_rows == 0` falls back to [`crate::DEFAULT_MORSEL_ROWS`], matching the
-/// [`ScanConfig::morsel_rows`] contract.
-pub fn decompose<S: ScanSource>(source: &S, morsel_rows: usize) -> Vec<Morsel> {
-    let morsel_rows = if morsel_rows == 0 {
-        crate::DEFAULT_MORSEL_ROWS
-    } else {
-        morsel_rows
-    };
-    let mut morsels = Vec::with_capacity(source.cold_block_count() + source.hot_chunks().len());
-    for block_idx in 0..source.cold_block_count() {
-        morsels.push(Morsel::ColdBlock(block_idx));
+/// How many morsels `source` has: one per frozen block and one per hot chunk.
+fn morsel_count<S: ScanSource>(source: &S) -> usize {
+    source.cold_block_count() + source.hot_chunks().len()
+}
+
+/// Morsel `idx` of `source` in serial scan order — cold block `idx`, or hot chunk
+/// `idx - cold_block_count()` — or `None` past the last one. The claim loop of
+/// every worker and of the one-worker pull reads its morsel here.
+pub(crate) fn segment<S: ScanSource>(source: &S, idx: usize) -> Option<Segment> {
+    let cold = source.cold_block_count();
+    match idx.checked_sub(cold) {
+        None => Some(Segment::Cold(idx)),
+        Some(hot) if hot < source.hot_chunks().len() => Some(Segment::Hot(hot)),
+        Some(_) => None,
     }
-    for (chunk_idx, chunk) in source.hot_chunks().iter().enumerate() {
-        let mut from = 0;
-        while from < chunk.len() {
-            let to = (from + morsel_rows).min(chunk.len());
-            morsels.push(Morsel::HotRange {
-                chunk: chunk_idx,
-                from,
-                to,
-            });
-            from = to;
-        }
-    }
-    morsels
 }
 
 /// Resolve a [`ScanConfig::threads`] request to an actual worker count: `0` means
@@ -226,7 +201,6 @@ pub fn effective_threads(requested: usize) -> usize {
 /// in here borrows from the caller.
 struct StreamShared {
     snapshot: ScanSnapshot,
-    morsels: Vec<Morsel>,
     /// The scan every worker runs (no in-worker steps: batches stream out as scanned).
     spec: PipelineSpec,
     /// The morsel cursor: each worker claims the next unclaimed index.
@@ -252,7 +226,8 @@ struct StreamShared {
 
 /// The reorder stage: per-morsel batch queues released in morsel order.
 struct StreamState {
-    /// Batches buffered per morsel, in emission order.
+    /// Batches buffered per morsel, in emission order (one queue per morsel of
+    /// the snapshot).
     queues: Vec<VecDeque<Batch>>,
     /// Has the owning worker finished scanning this morsel?
     finished: Vec<bool>,
@@ -357,8 +332,8 @@ impl StreamShared {
     /// when every morsel is finished and drained, or the [`Error`] that ended the
     /// stream early — on every call from then on.
     fn pop(&self) -> Result<Option<Batch>, Error> {
-        let total = self.morsels.len();
         let mut state = self.lock_state();
+        let total = state.queues.len();
         loop {
             self.stopped(&mut state);
             if let Some(err) = &state.error {
@@ -416,11 +391,11 @@ impl Drop for WorkerGuard {
 
 /// One morsel worker's life — the only copy of the claim loop, run by the streaming
 /// workers ([`drive_streaming`]) and the pipeline workers ([`drive_pipeline`]) alike.
-/// Until `stop()` reports a cancelled or failed run, or the cursor runs off the
-/// list: claim the next morsel, scan it with the worker's one reused scanner (a
-/// cold morsel is paged in by its own pin when it is claimed, not before), pass
-/// every batch through the steps of `spec` to `emit(morsel_idx, batch)`, and hand
-/// the morsel's outcome — `Ok(false)` if `emit` asked to stop, `Err` for an
+/// Until `stop()` reports a cancelled or failed run, or the cursor runs past the
+/// source's last morsel: claim the next morsel, scan it with the worker's one
+/// reused scanner (a cold morsel is paged in by its own pin when it is claimed, not
+/// before), pass every batch through the steps of `spec` to `emit(morsel_idx,
+/// batch)`, and hand the morsel's outcome — `Ok(false)` if `emit` asked to stop, `Err` for an
 /// unreadable cold block — to `done(morsel_idx, outcome)`, which says whether to
 /// claim again.
 ///
@@ -430,7 +405,6 @@ impl Drop for WorkerGuard {
 /// relation.
 fn run_worker<S: ScanSource>(
     source: &S,
-    morsels: &[Morsel],
     cursor: &AtomicUsize,
     spec: &PipelineSpec,
     stop: impl Fn() -> bool,
@@ -441,7 +415,7 @@ fn run_worker<S: ScanSource>(
         RelationScanner::for_worker(source, &spec.projection, &spec.restrictions, spec.config);
     while !stop() {
         let morsel_idx = cursor.fetch_add(1, Ordering::Relaxed);
-        let Some(&morsel) = morsels.get(morsel_idx) else {
+        let Some(morsel) = segment(source, morsel_idx) else {
             break;
         };
         // Batches flow scan → steps → `emit` one at a time — a cold morsel is never
@@ -572,17 +546,15 @@ pub fn drive_streaming(
     restrictions: Vec<Restriction>,
     config: ScanConfig,
 ) -> ScanStream {
-    let morsels = decompose(&snapshot, config.morsel_rows);
-    let workers = effective_threads(config.threads).min(morsels.len());
+    let total = morsel_count(&snapshot);
+    let workers = effective_threads(config.threads).min(total);
     let cap = if config.channel_cap == 0 {
         workers * 2 + 2
     } else {
         config.channel_cap.max(1)
     };
-    let total = morsels.len();
     let shared = Arc::new(StreamShared {
         snapshot,
-        morsels,
         spec: PipelineSpec::scan(projection, restrictions, config),
         cursor: AtomicUsize::new(0),
         cap,
@@ -612,7 +584,6 @@ pub fn drive_streaming(
                 let shared = &*guard.shared;
                 let stats = run_worker(
                     &shared.snapshot,
-                    &shared.morsels,
                     &shared.cursor,
                     &shared.spec,
                     || shared.stopped(&mut shared.lock_state()),
@@ -697,7 +668,7 @@ pub struct PipelineSpec {
     pub projection: Vec<usize>,
     /// SARGable restrictions pushed into the scan.
     pub restrictions: Vec<Restriction>,
-    /// Scan flavour, worker count and morsel size.
+    /// Scan flavour, worker count and channel capacity.
     pub config: ScanConfig,
     /// Non-breaking steps applied to every scanned batch, in order.
     pub steps: Vec<PipelineStep>,
@@ -787,9 +758,8 @@ where
     S: MorselSink,
     F: Fn() -> S + Sync,
 {
-    let morsels = decompose(relation, spec.config.morsel_rows);
     let workers = effective_threads(spec.config.threads)
-        .min(morsels.len())
+        .min(morsel_count(relation))
         .max(1);
     let cursor = AtomicUsize::new(0);
     let abort = AtomicBool::new(false);
@@ -800,7 +770,6 @@ where
         let mut error = None;
         let stats = run_worker(
             relation,
-            &morsels,
             &cursor,
             spec,
             || abort.load(Ordering::Relaxed) || cancelled(),
@@ -894,62 +863,25 @@ mod tests {
     use datablocks::{DataType, Value};
     use storage::{ColumnDef, Schema};
 
-    fn relation(rows: i64, chunk_capacity: usize, freeze_full: bool) -> Relation {
+    /// Ids `0..rows` frozen into full blocks of `chunk_capacity` (the remainder
+    /// stays hot), then ids `rows..rows + tail` inserted after the freeze — a hot
+    /// tail that spans several chunks, so workers race over hot morsels as well as
+    /// cold ones.
+    fn relation(rows: i64, tail: i64, chunk_capacity: usize) -> Relation {
         let schema = Schema::new(vec![
             ColumnDef::new("id", DataType::Int),
             ColumnDef::new("val", DataType::Int),
         ]);
         let mut rel = Relation::with_chunk_capacity("m", schema, chunk_capacity);
-        for i in 0..rows {
-            rel.insert(vec![Value::Int(i), Value::Int(i % 7)]);
-        }
-        if freeze_full {
-            rel.freeze_full_chunks();
-        }
+        let insert = |rel: &mut Relation, ids: std::ops::Range<i64>| {
+            for i in ids {
+                rel.insert(vec![Value::Int(i), Value::Int(i % 7)]);
+            }
+        };
+        insert(&mut rel, 0..rows);
+        rel.freeze_full_chunks();
+        insert(&mut rel, rows..rows + tail);
         rel
-    }
-
-    #[test]
-    fn decompose_covers_every_row_exactly_once() {
-        let rel = relation(2_500, 1000, true); // 2 cold blocks, 1 hot chunk of 500
-        let morsels = decompose(&rel, 128);
-        let cold = morsels
-            .iter()
-            .filter(|m| matches!(m, Morsel::ColdBlock(_)))
-            .count();
-        assert_eq!(cold, 2);
-        let hot_rows: usize = morsels
-            .iter()
-            .filter_map(|m| match m {
-                Morsel::HotRange { from, to, .. } => Some(to - from),
-                _ => None,
-            })
-            .sum();
-        assert_eq!(hot_rows, 500);
-        // Hot ranges are contiguous, ordered and non-overlapping.
-        let mut expected_from = 0;
-        for m in &morsels {
-            if let Morsel::HotRange { from, to, .. } = m {
-                assert_eq!(*from, expected_from);
-                assert!(to > from);
-                expected_from = *to;
-            }
-        }
-    }
-
-    #[test]
-    fn decompose_zero_morsel_rows_falls_back_to_default() {
-        let rel = relation(10, 100, false);
-        let morsels = decompose(&rel, 0); // 0 = DEFAULT_MORSEL_ROWS, not 1-row morsels
-        assert_eq!(morsels.len(), 1);
-        assert_eq!(
-            morsels[0],
-            Morsel::HotRange {
-                chunk: 0,
-                from: 0,
-                to: 10
-            }
-        );
     }
 
     #[test]
@@ -969,7 +901,7 @@ mod tests {
 
     #[test]
     fn streamed_scan_matches_calling_thread_scan_on_mixed_storage() {
-        let rel = relation(3_210, 1000, true);
+        let rel = relation(3_210, 2_500, 1000); // 3 cold blocks + 3 hot chunks
         let restrictions = vec![Restriction::between(1, 2i64, 4i64)];
         let serial = RelationScanner::new(
             &rel,
@@ -979,9 +911,7 @@ mod tests {
         )
         .collect_all();
         for threads in [1usize, 2, 5] {
-            let config = ScanConfig::default()
-                .with_threads(threads)
-                .with_morsel_rows(100);
+            let config = ScanConfig::default().with_threads(threads);
             let stream = drive_streaming(
                 rel.scan_snapshot(),
                 vec![0, 1],
@@ -1006,13 +936,12 @@ mod tests {
         // The tightest legal channel: only the head-of-line morsel's starvation
         // slot ever admits a batch, so the stream degenerates to a rendezvous —
         // order and content must still match the serial scan exactly.
-        let rel = relation(3_210, 1000, true);
+        let rel = relation(3_210, 2_500, 1000);
         let serial =
             RelationScanner::new(&rel, vec![0, 1], vec![], ScanConfig::default()).collect_all();
         for threads in [1usize, 4] {
             let config = ScanConfig::default()
                 .with_threads(threads)
-                .with_morsel_rows(100)
                 .with_channel_cap(1);
             let mut stream = drive_streaming(rel.scan_snapshot(), vec![0, 1], vec![], config);
             let mut merged = Batch::new(&[DataType::Int, DataType::Int]);
@@ -1030,7 +959,7 @@ mod tests {
 
     #[test]
     fn drive_streaming_stats_match_before_and_after_completion() {
-        let rel = relation(2_000, 500, true);
+        let rel = relation(2_000, 0, 500);
         let config = ScanConfig::default().with_threads(2);
         let mut stream = drive_streaming(rel.scan_snapshot(), vec![0], vec![], config);
         // Partial stats are a snapshot (just don't panic); final stats are exact.
@@ -1048,7 +977,7 @@ mod tests {
 
     #[test]
     fn empty_relation_yields_no_batches() {
-        let rel = relation(0, 100, false);
+        let rel = relation(0, 0, 100);
         let config = ScanConfig::default().with_threads(4);
         let stream = drive_streaming(rel.scan_snapshot(), vec![0], vec![], config);
         let (merged, stats) = drain(stream, &[DataType::Int]);
@@ -1070,29 +999,35 @@ mod tests {
     }
 
     #[test]
-    fn drive_pipeline_covers_every_row_exactly_once() {
-        let rel = relation(3_210, 1000, true); // 3 cold blocks + 1 hot tail
+    fn every_block_and_every_hot_chunk_is_one_morsel() {
+        use Segment::{Cold, Hot};
+        let rel = relation(3_210, 2_500, 1000); // 3 cold blocks + 3 hot chunks
+        let morsels: Vec<Segment> = (0..).map_while(|idx| segment(&rel, idx)).collect();
+        assert_eq!(morsels, [Cold(0), Cold(1), Cold(2), Hot(0), Hot(1), Hot(2)]);
+        let ids: Vec<i64> = (0..5_710).collect();
         for threads in [1usize, 2, 5] {
-            let spec = PipelineSpec::scan(
-                vec![0, 1],
-                vec![],
-                ScanConfig::default()
-                    .with_threads(threads)
-                    .with_morsel_rows(100),
-            );
+            let config = ScanConfig::default().with_threads(threads);
+            // The pipeline sees every row exactly once, whichever worker got it …
+            let spec = PipelineSpec::scan(vec![0, 1], vec![], config);
             let (sinks, stats) =
                 drive_pipeline(&rel, &spec, IdSink::default).expect("pipeline scan");
-            assert_eq!(stats.rows_matched, 3_210);
-            // the scanned ids are 0..3210, each exactly once, whichever worker got it
-            let mut all: Vec<i64> = sinks.into_iter().flat_map(|s| s.ids).collect();
-            all.sort_unstable();
-            assert_eq!(all, (0..3_210).collect::<Vec<_>>(), "threads {threads}");
+            assert_eq!(stats.rows_matched, ids.len());
+            let mut seen: Vec<i64> = sinks.into_iter().flat_map(|s| s.ids).collect();
+            seen.sort_unstable();
+            assert_eq!(seen, ids, "pipeline, threads {threads}");
+            // … and the stream yields them in serial scan order.
+            let stream = drive_streaming(rel.scan_snapshot(), vec![0], vec![], config);
+            let (merged, _) = drain(stream, &[DataType::Int]);
+            let streamed: Vec<i64> = (0..merged.len())
+                .map(|row| merged.value(row, 0).as_int().unwrap())
+                .collect();
+            assert_eq!(streamed, ids, "stream, threads {threads}");
         }
     }
 
     #[test]
     fn pipeline_steps_filter_and_project_inside_workers() {
-        let rel = relation(2_000, 1000, true);
+        let rel = relation(2_000, 0, 1000);
         let spec = PipelineSpec::scan(vec![0, 1], vec![], ScanConfig::default().with_threads(3))
             .then_filter(Expr::col(1).cmp(datablocks::CmpOp::Eq, Expr::lit(3i64)))
             .then_project(vec![Expr::col(0).mul(Expr::lit(2i64))], vec![DataType::Int]);

@@ -452,7 +452,7 @@ fn partition_of(hash: u64) -> usize {
 
 /// The radix partition (`0..`[`RADIX_PARTITIONS`]) a group-by or join key is
 /// assigned to by the parallel pipeline breakers: within a process a pure function of
-/// the key values, whatever the thread count, morsel size or scan schedule, which makes
+/// the key values, whatever the thread count or the morsel schedule, which makes
 /// the partition-wise merge of per-worker tables deterministic. It differs between
 /// processes (the key hash starts from a random value); no output depends on it.
 pub fn radix_partition(values: &[Value]) -> usize {
@@ -1875,7 +1875,9 @@ mod tests {
         Box::new(BatchesOp(batches.iter().cloned().collect()))
     }
 
-    /// A relation holding `rows` in order: frozen blocks of 64 rows plus a hot tail.
+    /// A relation holding `rows` in order: the first half frozen into blocks of 32
+    /// rows, the rest a hot tail over several 32-row chunks — so scan workers race
+    /// over cold and hot morsels alike.
     fn relation_of(rows: &[Vec<Value>]) -> Relation {
         relation_with_g(rows, false)
     }
@@ -1894,19 +1896,22 @@ mod tests {
             g,
             ColumnDef::new("d", DataType::Double),
         ]);
-        let mut rel = Relation::with_chunk_capacity("r", schema, 64);
-        for row in rows {
+        let mut rel = Relation::with_chunk_capacity("r", schema, 32);
+        let (frozen, tail) = rows.split_at(rows.len() / 2);
+        for row in frozen {
             rel.insert(row.clone());
         }
         rel.freeze_full_chunks();
+        for row in tail {
+            rel.insert(row.clone());
+        }
         rel
     }
 
-    /// Every column of `rel`, scanned by `threads` workers over 16-row morsels.
+    /// Every column of `rel`, scanned by `threads` workers (a morsel per block and
+    /// per hot chunk).
     fn scan_op(rel: &Relation, threads: usize) -> BoxedOperator<'_> {
-        let config = crate::ScanConfig::default()
-            .with_threads(threads)
-            .with_morsel_rows(16);
+        let config = crate::ScanConfig::default().with_threads(threads);
         let scanner = RelationScanner::new(rel, vec![0, 1, 2, 3], vec![], config);
         Box::new(ScanOp::new(scanner))
     }
@@ -2043,13 +2048,10 @@ mod tests {
             let got = group_by_g_and_k(batches_op(&batches_of(&input, size))).collect_all();
             assert_rows_identical(&got, &expected, &format!("new, batches of {size}"));
         }
-        // … `over_relation`: one morsel worker, whatever the morsel size.
+        // … `over_relation`: one morsel worker over cold blocks and hot chunks.
         let rel = relation_of(&input);
-        for morsel_rows in [16usize, 1_000] {
-            let config = crate::ScanConfig::default().with_morsel_rows(morsel_rows);
-            let got = group_by_g_and_k_over(&rel, config).collect_all();
-            assert_rows_identical(&got, &expected, &format!("over_relation, {morsel_rows}"));
-        }
+        let got = group_by_g_and_k_over(&rel, crate::ScanConfig::default()).collect_all();
+        assert_rows_identical(&got, &expected, "over_relation");
     }
 
     #[test]
@@ -2058,9 +2060,7 @@ mod tests {
         let rel = relation_of(&input);
         let one = group_by_g_and_k_over(&rel, crate::ScanConfig::default()).collect_all();
         for threads in [2usize, 4, 8] {
-            let config = crate::ScanConfig::default()
-                .with_threads(threads)
-                .with_morsel_rows(16);
+            let config = crate::ScanConfig::default().with_threads(threads);
             let got = group_by_g_and_k_over(&rel, config).collect_all();
             assert_rows_equal_up_to_double_sums(&got, &one, &format!("threads {threads}"));
         }
@@ -2082,9 +2082,7 @@ mod tests {
             assert_rows_equal_up_to_double_sums(&got, &reference, &format!("new, {name}"));
             let rel = relation_of(&order);
             for threads in [1usize, 3] {
-                let config = crate::ScanConfig::default()
-                    .with_threads(threads)
-                    .with_morsel_rows(16);
+                let config = crate::ScanConfig::default().with_threads(threads);
                 let got = group_by_g_and_k_over(&rel, config).collect_all();
                 assert_rows_equal_up_to_double_sums(
                     &got,
@@ -2497,7 +2495,7 @@ mod tests {
         let build_rows = string_rows(300);
         let (build, probe) = (batches_of(&build_rows, 7), batches_of(&string_rows(50), 9));
         let (coded_build, coded_probe) = (coded(&build), coded(&probe));
-        // The same rows scanned from five frozen blocks: every block's strings come
+        // The same rows scanned from ten frozen blocks: every block's strings come
         // out coded against a dictionary of its own. Some of the strings are NULL.
         let mut build_rel = relation_with_g(&build_rows, true);
         build_rel.freeze_all();

@@ -18,9 +18,10 @@
 //! records that satisfy all restrictions, so the pipeline above is oblivious to the
 //! storage layout and to the scan flavour.
 //!
-//! Internally the scanner walks a list of [`Morsel`]s — one frozen block, or a row
-//! range of a hot chunk — and every morsel is scanned by the one routine the morsel
-//! workers run, `RelationScanner::stream_morsel`. With one worker
+//! Internally the scanner walks the source's morsels — the storage layer's own
+//! [`Segment`]s, every frozen block and then every hot chunk, each scanned whole
+//! (a hot chunk in `vector_size` windows) — and every morsel is scanned by the one
+//! routine the morsel workers run, `RelationScanner::stream_morsel`. With one worker
 //! ([`ScanConfig::threads`] resolving to 1) the pull is an adapter over it on the
 //! calling thread — the next morsel's batches go into a queue the pull pops, so it
 //! needs neither a thread nor a channel and buffers at most one morsel; any other
@@ -58,11 +59,11 @@ use std::collections::VecDeque;
 
 use datablocks::scan::Restriction;
 use datablocks::unpack::unpack_column;
-use datablocks::{Column, DataType, ScanOptions};
-use storage::{ColdReadError, HotChunk, Relation, ScanSource};
+use datablocks::{Column, DataType, ScanOptions, Value};
+use storage::{ColdReadError, HotChunk, Relation, ScanSource, Segment};
 
 use crate::batch::Batch;
-use crate::morsel::{self, Morsel, ScanStream};
+use crate::morsel::{self, ScanStream};
 use crate::Error;
 
 /// How the scan executes (see module docs).
@@ -80,7 +81,8 @@ pub enum ScanMode {
     },
 }
 
-/// Complete scan configuration.
+/// Complete scan configuration. There is no morsel size: a morsel is one frozen
+/// block or one hot chunk, whatever the configuration (see [`crate::morsel`]).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ScanConfig {
     /// Execution flavour.
@@ -95,9 +97,6 @@ pub struct ScanConfig {
     /// runs the same morsel loop, sinks and merge ([`crate::morsel`]), and results
     /// are equal across counts up to the reassociation of sums over doubles.
     pub threads: usize,
-    /// Rows of a hot chunk per morsel (frozen blocks are always one morsel each;
-    /// their size is fixed at freeze time). `0` falls back to the default.
-    pub morsel_rows: usize,
     /// Capacity, in batches, of the streaming scan's reorder channel (the bound on
     /// batches buffered between the morsel workers and the consumer). One slot is
     /// reserved for the head-of-line morsel so the reorder stage can never
@@ -106,17 +105,12 @@ pub struct ScanConfig {
     pub channel_cap: usize,
 }
 
-/// Default number of hot-chunk rows handed out per morsel (matches the Data Block
-/// capacity, so hot and cold morsels describe similar amounts of work).
-pub const DEFAULT_MORSEL_ROWS: usize = datablocks::DEFAULT_BLOCK_CAPACITY;
-
 impl Default for ScanConfig {
     fn default() -> Self {
         ScanConfig {
             mode: ScanMode::Vectorized { sarg: true },
             options: ScanOptions::default(),
             threads: 1,
-            morsel_rows: DEFAULT_MORSEL_ROWS,
             channel_cap: 0,
         }
     }
@@ -148,12 +142,6 @@ impl ScanConfig {
     /// [`ScanConfig::threads`]).
     pub fn with_threads(mut self, threads: usize) -> ScanConfig {
         self.threads = threads;
-        self
-    }
-
-    /// The same configuration with a specific hot-chunk morsel size.
-    pub fn with_morsel_rows(mut self, morsel_rows: usize) -> ScanConfig {
-        self.morsel_rows = morsel_rows;
         self
     }
 
@@ -208,8 +196,8 @@ pub struct RelationScanner<'a, S: ScanSource = Relation> {
     restrictions: Vec<Restriction>,
     config: ScanConfig,
     stats: ScanStats,
-    /// The units of work this scanner walks, in emission order.
-    morsels: Vec<Morsel>,
+    /// The next morsel the one-worker pull claims (an index into the source's
+    /// segments, cold blocks first).
     morsel_idx: usize,
     /// Batches of the morsel the one-worker pull scanned last, not yet handed out
     /// (a cold block's pin is released before they are). The morsel workers bypass
@@ -236,47 +224,6 @@ impl<'a, S: ScanSource> RelationScanner<'a, S> {
         // paying the streaming pipeline's thread and channel overhead for no
         // parallelism.
         config.threads = morsel::effective_threads(config.threads);
-        // The streaming path never reads this list — the pipeline decomposes for
-        // itself — so only the serial scan pays for it.
-        let morsels = if config.threads == 1 {
-            morsel::decompose(source, config.morsel_rows)
-        } else {
-            Vec::new()
-        };
-        Self::from_parts(source, projection, restrictions, config, morsels)
-    }
-
-    /// A scanner for a morsel worker: identical configuration but an initially empty
-    /// work list (the worker feeds claimed morsels in via [`Self::stream_morsel`])
-    /// and serial execution, whatever `config.threads` says. The worker's scratch
-    /// buffers (match vector and its growth) live in this scanner and are reused
-    /// across every morsel the worker processes.
-    pub(crate) fn for_worker(
-        source: &'a S,
-        projection: &[usize],
-        restrictions: &[Restriction],
-        config: ScanConfig,
-    ) -> Self {
-        Self::from_parts(
-            source,
-            projection.to_vec(),
-            restrictions.to_vec(),
-            ScanConfig {
-                threads: 1,
-                ..config
-            },
-            Vec::new(),
-        )
-    }
-
-    /// Shared field initialiser for [`Self::new`] and [`Self::for_worker`].
-    fn from_parts(
-        source: &'a S,
-        projection: Vec<usize>,
-        restrictions: Vec<Restriction>,
-        config: ScanConfig,
-        morsels: Vec<Morsel>,
-    ) -> Self {
         RelationScanner {
             source,
             output_types: projection_types(source, &projection),
@@ -284,12 +231,29 @@ impl<'a, S: ScanSource> RelationScanner<'a, S> {
             restrictions,
             config,
             stats: ScanStats::default(),
-            morsels,
             morsel_idx: 0,
             pending: VecDeque::new(),
             match_buf: Vec::new(),
             stream: None,
         }
+    }
+
+    /// A scanner for a morsel worker: identical configuration but serial execution,
+    /// whatever `config.threads` says (the worker feeds the morsels it claims in
+    /// via [`Self::stream_morsel`]). The worker's scratch buffers (match vector and
+    /// its growth) live in this scanner and are reused across every morsel the
+    /// worker processes.
+    pub(crate) fn for_worker(
+        source: &'a S,
+        projection: &[usize],
+        restrictions: &[Restriction],
+        config: ScanConfig,
+    ) -> Self {
+        let config = ScanConfig {
+            threads: 1,
+            ..config
+        };
+        Self::new(source, projection.to_vec(), restrictions.to_vec(), config)
     }
 
     /// Scan statistics accumulated so far (complete once the scan returned `None`).
@@ -332,12 +296,12 @@ impl<'a, S: ScanSource> RelationScanner<'a, S> {
             if crate::cancel::current_is_cancelled() {
                 return Ok(None);
             }
-            let Some(&morsel) = self.morsels.get(self.morsel_idx) else {
+            let Some(segment) = morsel::segment(self.source, self.morsel_idx) else {
                 return Ok(None);
             };
             self.morsel_idx += 1;
             let mut pending = std::mem::take(&mut self.pending);
-            let scanned = self.stream_morsel(morsel, &mut |batch| {
+            let scanned = self.stream_morsel(segment, &mut |batch| {
                 pending.push_back(batch);
                 true
             });
@@ -369,11 +333,12 @@ impl<'a, S: ScanSource> RelationScanner<'a, S> {
         }
     }
 
-    /// Scan one morsel to completion, handing every non-empty batch to `emit` as it
-    /// is produced — no per-morsel materialisation. For a cold morsel the block
-    /// reference (the pin, when the block is spilled) is held across the `emit`
-    /// calls and released as soon as the last batch has been handed off, so a
-    /// backpressured worker holds at most one pin while it waits. Returns
+    /// Scan one morsel, a whole frozen block or a whole hot chunk, to completion,
+    /// handing every non-empty batch to `emit` as it is produced — no per-morsel
+    /// materialisation. For a cold morsel the block reference (the pin, when the
+    /// block is spilled) is held across the `emit` calls and released as soon as
+    /// the last batch has been handed off, so a backpressured worker holds at most
+    /// one pin while it waits. Returns
     /// `Ok(false)` if `emit` asked to stop (a cancelled stream), and a
     /// [`ColdReadError`] when a cold block cannot be paged in.
     ///
@@ -382,11 +347,11 @@ impl<'a, S: ScanSource> RelationScanner<'a, S> {
     /// so the block counters below are bumped in one place.
     pub(crate) fn stream_morsel(
         &mut self,
-        morsel: Morsel,
+        segment: Segment,
         emit: &mut dyn FnMut(Batch) -> bool,
     ) -> Result<bool, ColdReadError> {
-        match morsel {
-            Morsel::ColdBlock(block_idx) => {
+        match segment {
+            Segment::Cold(block_idx) => {
                 self.stats.blocks_total += 1;
                 if self.prune_cold_block(block_idx) {
                     self.stats.blocks_skipped += 1;
@@ -406,15 +371,15 @@ impl<'a, S: ScanSource> RelationScanner<'a, S> {
                 // `block` dropped here: the pin is released the moment the morsel's
                 // batches have been handed off.
             }
-            Morsel::HotRange { chunk, from, to } => {
+            Segment::Hot(chunk_idx) => {
                 let source = self.source;
-                let chunk = &source.hot_chunks()[chunk];
-                let to = to.min(chunk.len());
-                self.stats.rows_scanned += to.saturating_sub(from);
+                let chunk = &source.hot_chunks()[chunk_idx];
+                let rows = chunk.len();
+                self.stats.rows_scanned += rows;
                 let vector_size = self.config.options.vector_size;
-                let mut cursor = from;
-                while cursor < to {
-                    let end = (cursor + vector_size).min(to);
+                let mut cursor = 0;
+                while cursor < rows {
+                    let end = (cursor + vector_size).min(rows);
                     let batch = self.scan_hot_rows(chunk, cursor, end);
                     cursor = end;
                     if !batch.is_empty() {
@@ -496,9 +461,10 @@ impl<'a, S: ScanSource> RelationScanner<'a, S> {
                 }
                 Batch::from_columns(columns)
             } else {
-                // No push-down: unpack projection and restriction columns, then
-                // evaluate the restrictions tuple at a time on the copied vectors.
-                self.filter_positions_tuple_at_a_time(block, &matches)
+                // No push-down: evaluate the restrictions tuple at a time on the
+                // matched positions, copying the projection of the qualifying ones.
+                let positions = matches.iter().map(|&pos| pos as usize);
+                self.copy_qualifying(positions, |row, col| block.get(row, col))
             };
             if !batch.is_empty() && !emit(batch) {
                 self.match_buf = matches;
@@ -507,27 +473,6 @@ impl<'a, S: ScanSource> RelationScanner<'a, S> {
         }
         self.match_buf = matches;
         true
-    }
-
-    fn filter_positions_tuple_at_a_time(
-        &self,
-        block: &datablocks::DataBlock,
-        positions: &[u32],
-    ) -> Batch {
-        let mut columns: Vec<Column> = self.output_types.iter().map(|&t| Column::new(t)).collect();
-        for &pos in positions {
-            let row = pos as usize;
-            let qualifies = self
-                .restrictions
-                .iter()
-                .all(|r| r.matches_value(&block.get(row, r.column())));
-            if qualifies {
-                for (slot, &col) in self.projection.iter().enumerate() {
-                    columns[slot].push(block.get(row, col));
-                }
-            }
-        }
-        Batch::from_columns(columns)
     }
 
     fn collect_cold_tuple_at_a_time(
@@ -541,23 +486,8 @@ impl<'a, S: ScanSource> RelationScanner<'a, S> {
         let mut cursor = 0;
         while cursor < total {
             let end = (cursor + vector_size).min(total);
-            let mut columns: Vec<Column> =
-                self.output_types.iter().map(|&t| Column::new(t)).collect();
-            for row in cursor..end {
-                if block.is_deleted(row) {
-                    continue;
-                }
-                let qualifies = self
-                    .restrictions
-                    .iter()
-                    .all(|r| r.matches_value(&block.get(row, r.column())));
-                if qualifies {
-                    for (slot, &col) in self.projection.iter().enumerate() {
-                        columns[slot].push(block.get(row, col));
-                    }
-                }
-            }
-            let batch = Batch::from_columns(columns);
+            let live = (cursor..end).filter(|&row| !block.is_deleted(row));
+            let batch = self.copy_qualifying(live, |row, col| block.get(row, col));
             if !batch.is_empty() && !emit(batch) {
                 return false;
             }
@@ -570,53 +500,51 @@ impl<'a, S: ScanSource> RelationScanner<'a, S> {
 
     /// The qualifying records among rows `[from, to)` of a hot chunk (one vector).
     fn scan_hot_rows(&mut self, chunk: &HotChunk, from: usize, to: usize) -> Batch {
+        let get = |row, col| chunk.get(row, col);
         match self.config.mode {
             ScanMode::Jit => {
-                let mut columns: Vec<Column> =
-                    self.output_types.iter().map(|&t| Column::new(t)).collect();
-                for row in from..to {
-                    if chunk.is_deleted(row) {
-                        continue;
-                    }
-                    let qualifies = self
-                        .restrictions
-                        .iter()
-                        .all(|r| r.matches_value(&chunk.get(row, r.column())));
-                    if qualifies {
-                        for (slot, &col) in self.projection.iter().enumerate() {
-                            columns[slot].push(chunk.get(row, col));
-                        }
-                    }
-                }
-                Batch::from_columns(columns)
+                self.copy_qualifying((from..to).filter(|&row| !chunk.is_deleted(row)), get)
             }
             ScanMode::Vectorized { sarg } => {
                 self.match_buf.clear();
                 let pushed: &[Restriction] = if sarg { &self.restrictions } else { &[] };
                 chunk.find_matches(pushed, from, to, &mut self.match_buf);
+                if !sarg {
+                    return self
+                        .copy_qualifying(self.match_buf.iter().map(|&pos| pos as usize), get);
+                }
                 let mut columns: Vec<Column> =
                     self.output_types.iter().map(|&t| Column::new(t)).collect();
-                if sarg {
-                    for (slot, &col) in self.projection.iter().enumerate() {
-                        chunk.gather(col, &self.match_buf, &mut columns[slot]);
-                    }
-                } else {
-                    for &pos in &self.match_buf {
-                        let row = pos as usize;
-                        let qualifies = self
-                            .restrictions
-                            .iter()
-                            .all(|r| r.matches_value(&chunk.get(row, r.column())));
-                        if qualifies {
-                            for (slot, &col) in self.projection.iter().enumerate() {
-                                columns[slot].push(chunk.get(row, col));
-                            }
-                        }
-                    }
+                for (slot, &col) in self.projection.iter().enumerate() {
+                    chunk.gather(col, &self.match_buf, &mut columns[slot]);
                 }
                 Batch::from_columns(columns)
             }
         }
+    }
+
+    // ------------------------------------------------------------ tuple at a time
+
+    /// The one tuple-at-a-time copy loop, shared by the JIT-style scan and the
+    /// vectorized scan without push-down, hot and cold: for each of `rows`, keep
+    /// the record if every restriction holds on `get(row, col)`, then push its
+    /// projection.
+    fn copy_qualifying(
+        &self,
+        rows: impl Iterator<Item = usize>,
+        get: impl Fn(usize, usize) -> Value,
+    ) -> Batch {
+        let mut columns: Vec<Column> = self.output_types.iter().map(|&t| Column::new(t)).collect();
+        for row in rows {
+            let qualifies =
+                (self.restrictions.iter()).all(|r| r.matches_value(&get(row, r.column())));
+            if qualifies {
+                for (slot, &col) in self.projection.iter().enumerate() {
+                    columns[slot].push(get(row, col));
+                }
+            }
+        }
+        Batch::from_columns(columns)
     }
 }
 
@@ -634,17 +562,21 @@ mod tests {
         ])
         .with_primary_key("id");
         let mut rel = Relation::with_chunk_capacity("t", schema, 1000);
-        for i in 0..rows {
+        insert_rows(&mut rel, 0..rows);
+        if frozen {
+            rel.freeze_all();
+        }
+        rel
+    }
+
+    fn insert_rows(rel: &mut Relation, ids: std::ops::Range<i64>) {
+        for i in ids {
             rel.insert(vec![
                 Value::Int(i),
                 Value::Int(i % 100),
                 Value::Str(format!("g{}", i % 5)),
             ]);
         }
-        if frozen {
-            rel.freeze_all();
-        }
-        rel
     }
 
     fn all_configs() -> Vec<ScanConfig> {
@@ -767,25 +699,25 @@ mod tests {
     #[test]
     fn parallel_scan_agrees_with_serial_in_every_mode() {
         let mut rel = test_relation(3_500, false);
-        rel.freeze_full_chunks(); // 3 cold blocks + 1 hot tail chunk
+        rel.freeze_full_chunks();
+        insert_rows(&mut rel, 3_500..6_000); // 3 cold blocks + 3 hot chunks
+        assert_eq!((rel.cold_block_count(), rel.hot_chunks().len()), (3, 3));
         let restrictions = vec![Restriction::between(1, 5i64, 60i64)];
         for base in all_configs() {
             let serial =
                 RelationScanner::new(&rel, vec![0, 2], restrictions.clone(), base).collect_all();
             for threads in [0usize, 2, 3, 8] {
-                for morsel_rows in [256usize, 1000, DEFAULT_MORSEL_ROWS] {
-                    let config = base.with_threads(threads).with_morsel_rows(morsel_rows);
-                    let mut scanner =
-                        RelationScanner::new(&rel, vec![0, 2], restrictions.clone(), config);
-                    let parallel = scanner.collect_all();
-                    assert_eq!(parallel.len(), serial.len());
-                    for row in 0..serial.len() {
-                        assert_eq!(
-                            parallel.row(row),
-                            serial.row(row),
-                            "threads {threads} morsel_rows {morsel_rows} row {row}"
-                        );
-                    }
+                let config = base.with_threads(threads);
+                let mut scanner =
+                    RelationScanner::new(&rel, vec![0, 2], restrictions.clone(), config);
+                let parallel = scanner.collect_all();
+                assert_eq!(parallel.len(), serial.len());
+                for row in 0..serial.len() {
+                    assert_eq!(
+                        parallel.row(row),
+                        serial.row(row),
+                        "threads {threads} row {row}"
+                    );
                 }
             }
         }

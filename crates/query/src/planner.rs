@@ -264,15 +264,6 @@ impl PhysicalPlan {
         self.config
     }
 
-    /// Override the reorder-channel capacity the plan executes with (used by the
-    /// query service to derive back-pressure from a session's memory budget).
-    /// Planning decisions are unaffected — the channel cap only bounds how many
-    /// morsel batches may be in flight per scan.
-    pub fn with_channel_cap(mut self, channel_cap: usize) -> PhysicalPlan {
-        self.config.channel_cap = channel_cap;
-        self
-    }
-
     /// Build the operator tree and drain it to a single output batch — for
     /// callers with nothing to recover ([`exec::collect_operator`]); a query
     /// that may meet an unreadable spilled block or be cancelled runs through
@@ -288,12 +279,15 @@ impl PhysicalPlan {
         collect_operator(op.as_mut())
     }
 
-    /// Instantiate the plan's operator tree against `db` without draining it —
-    /// the entry point for pull-based execution ([`crate::QueryStream`] pulls
-    /// one batch at a time). The returned tree borrows only the database; the
-    /// plan itself can be dropped afterwards.
-    pub(crate) fn build_tree<'a>(&self, db: &'a Database) -> BoxedOperator<'a> {
-        build_operator(&self.root, db, self.config)
+    /// Instantiate the plan's operator tree against `db`, executing with
+    /// `config`, without draining it — the entry point for pull-based execution
+    /// ([`crate::QueryStream`] pulls one batch at a time). A session passes the
+    /// plan's own [`PhysicalPlan::config`] with its budget-derived channel
+    /// capacity: the cap only bounds how many morsel batches may be in flight
+    /// per scan, so no planning decision depends on it. The returned tree
+    /// borrows only the database; the plan itself can be dropped afterwards.
+    pub(crate) fn build_tree<'a>(&self, db: &'a Database, config: ScanConfig) -> BoxedOperator<'a> {
+        build_operator(&self.root, db, config)
     }
 }
 
@@ -390,7 +384,7 @@ pub struct Planner<'a> {
 
 impl<'a> Planner<'a> {
     /// A planner resolving names against `db`; its plans execute with `config`
-    /// (scan flavour, worker threads, morsel size).
+    /// (scan flavour, worker threads, channel capacity).
     pub fn new(db: &'a Database, config: ScanConfig) -> Planner<'a> {
         Planner { db, config }
     }

@@ -203,8 +203,8 @@ impl Connect for Database {
 }
 
 impl<'db> Session<'db> {
-    /// The same session with a different scan configuration (threads, scan
-    /// mode, morsel size, ...).
+    /// The same session with a different scan configuration (scan mode,
+    /// worker threads, channel capacity).
     pub fn with_config(mut self, config: ScanConfig) -> Session<'db> {
         self.config = config;
         self
@@ -266,13 +266,7 @@ impl<'db> Session<'db> {
     /// derivation; every other planning decision (thread count, operator
     /// choice) is the plan's own.
     pub fn execute_plan(&self, plan: &PhysicalPlan) -> Result<QueryStream<'_>, Error> {
-        let cap = self.effective_config().channel_cap;
-        if plan.config().channel_cap != cap {
-            let adjusted = plan.clone().with_channel_cap(cap);
-            self.start(&adjusted)
-        } else {
-            self.start(plan)
-        }
+        self.start(plan)
     }
 
     /// The session's cooperative cancel token. Raising it (from any thread —
@@ -309,8 +303,9 @@ impl<'db> Session<'db> {
 
     /// Start a plan under admission control (waits for a grant when the
     /// session belongs to a service) and hand it to a pull-based
-    /// [`QueryStream`]. Execution errors surface from the stream's pulls, not
-    /// from here.
+    /// [`QueryStream`], its tree built with the session's reorder-channel
+    /// capacity. Execution errors surface from the stream's pulls, not from
+    /// here.
     fn start(&self, plan: &PhysicalPlan) -> Result<QueryStream<'_>, Error> {
         if self.is_closed() {
             return Err(Error::Cancelled);
@@ -337,9 +332,12 @@ impl<'db> Session<'db> {
             }
             return Err(Error::Cancelled);
         }
-        let db = self.db.get();
+        let config = ScanConfig {
+            channel_cap: self.effective_config().channel_cap,
+            ..plan.config()
+        };
         Ok(QueryStream::new(
-            plan.build_tree(db),
+            plan.build_tree(self.db.get(), config),
             plan.output_types().to_vec(),
             grant,
             self.shared.cancel.clone(),

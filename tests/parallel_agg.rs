@@ -19,12 +19,13 @@ use data_blocks::exec::{
 use data_blocks::storage::{ColumnDef, Relation, Schema};
 
 const THREAD_COUNTS: &[usize] = &[1, 2, 4, 8];
-const MORSEL_SIZES: &[usize] = &[128, 1_000];
 
 /// A relation with a heavily skewed string group column (~80 % of rows fall into
 /// one group, the rest spread over a long tail), a nullable int group column
 /// (NULL groups must aggregate like any other key), and int/double payloads.
-/// `freeze_full_chunks` leaves mixed cold blocks + a hot tail.
+/// The full chunks of the first half are frozen before the second half is
+/// inserted: cold blocks plus a hot tail that spans several chunks, so workers race
+/// over hot morsels as well as cold ones.
 fn skewed_relation(rows: usize, chunk: usize) -> Relation {
     let schema = Schema::new(vec![
         ColumnDef::new("id", DataType::Int),
@@ -35,6 +36,9 @@ fn skewed_relation(rows: usize, chunk: usize) -> Relation {
     ]);
     let mut rel = Relation::with_chunk_capacity("skewed", schema, chunk);
     for i in 0..rows {
+        if i == rows / 2 {
+            rel.freeze_full_chunks();
+        }
         // deterministic skew: 4 of 5 rows hit the hot group
         let grp = if i % 5 != 0 {
             "hot".to_string()
@@ -54,7 +58,6 @@ fn skewed_relation(rows: usize, chunk: usize) -> Relation {
             Value::Double((i % 997) as f64 * 0.25),
         ]);
     }
-    rel.freeze_full_chunks();
     rel
 }
 
@@ -207,8 +210,8 @@ fn pulled_agg(
 }
 
 /// Aggregation reproduces the row-order fold byte for byte on skewed and
-/// NULL-bearing group keys — through both constructors, for every thread count and
-/// morsel size (every aggregate here is order-insensitive).
+/// NULL-bearing group keys — through both constructors, for every thread count
+/// (every aggregate here is order-insensitive).
 #[test]
 fn aggregation_matches_row_order_fold_on_skewed_and_null_groups() {
     let rel = skewed_relation(6_400, 1_000);
@@ -231,25 +234,17 @@ fn aggregation_matches_row_order_fold_on_skewed_and_null_groups() {
     );
     assert_matches_fold(&pulled, &expected, "new over a scan");
     for &threads in THREAD_COUNTS {
-        for &morsel_rows in MORSEL_SIZES {
-            let config = ScanConfig::default()
-                .with_threads(threads)
-                .with_morsel_rows(morsel_rows);
-            let spec = PipelineSpec::scan(projection.clone(), vec![], config);
-            let mut agg = HashAggregateOp::over_relation(
-                &rel,
-                spec,
-                group_exprs.clone(),
-                group_types.clone(),
-                specs(INT_AGGREGATES, &types),
-            );
-            let got = collect_operator(&mut agg);
-            assert_matches_fold(
-                &got,
-                &expected,
-                &format!("threads {threads} morsel_rows {morsel_rows}"),
-            );
-        }
+        let config = ScanConfig::default().with_threads(threads);
+        let spec = PipelineSpec::scan(projection.clone(), vec![], config);
+        let mut agg = HashAggregateOp::over_relation(
+            &rel,
+            spec,
+            group_exprs.clone(),
+            group_types.clone(),
+            specs(INT_AGGREGATES, &types),
+        );
+        let got = collect_operator(&mut agg);
+        assert_matches_fold(&got, &expected, &format!("threads {threads}"));
     }
 }
 
@@ -332,9 +327,7 @@ fn double_sums_are_exact_at_one_worker_and_reassociated_above() {
     );
     assert_matches_fold(&pulled, &expected, "new over a scan");
     for &threads in THREAD_COUNTS {
-        let config = ScanConfig::default()
-            .with_threads(threads)
-            .with_morsel_rows(500);
+        let config = ScanConfig::default().with_threads(threads);
         let spec = PipelineSpec::scan(projection.clone(), vec![], config);
         let mut agg = HashAggregateOp::over_relation(
             &rel,
@@ -441,8 +434,12 @@ fn join_build_matches_nested_loop_for_every_worker_count() {
         ColumnDef::nullable("k", DataType::Int),
         ColumnDef::new("payload", DataType::Str),
     ]);
+    // The full chunks of the first half frozen, the rest a hot tail of 3 chunks.
     let mut build_rel = Relation::with_chunk_capacity("build", build_schema, 300);
     for i in 0..1_500usize {
+        if i == 750 {
+            build_rel.freeze_full_chunks();
+        }
         let key = match i % 10 {
             0 => Value::Null,
             1..=6 => Value::Int(1), // skew
@@ -450,7 +447,6 @@ fn join_build_matches_nested_loop_for_every_worker_count() {
         };
         build_rel.insert(vec![key, Value::Str(format!("p{i}"))]);
     }
-    build_rel.freeze_full_chunks();
 
     // probe: ids with a key column overlapping the build keys (and NULLs)
     let probe_schema = Schema::new(vec![
@@ -478,9 +474,7 @@ fn join_build_matches_nested_loop_for_every_worker_count() {
         );
         for early_probe in [false, true] {
             for &threads in THREAD_COUNTS {
-                let config = ScanConfig::default()
-                    .with_threads(threads)
-                    .with_morsel_rows(256);
+                let config = ScanConfig::default().with_threads(threads);
                 let build = RelationScanner::new(&build_rel, vec![0, 1], vec![], config);
                 let probe =
                     RelationScanner::new(&probe_rel, vec![0, 1], vec![], ScanConfig::default());

@@ -1,7 +1,8 @@
 //! Differential test: the morsel-driven parallel scan must produce **byte-identical**
 //! results to the single-threaded `scan_collect` reference — for random blocks,
-//! random restriction sets, every tested thread count (1, 2, 8) and morsel size,
-//! including NULLs, deleted rows and PSMA-narrowed ranges. The parallel path is the
+//! random restriction sets and every tested thread count (1, 2, 8), over cold blocks
+//! and a hot tail of several chunks, including NULLs, deleted rows and PSMA-narrowed
+//! ranges. The parallel path is the
 //! bounded streaming pipeline, so the same cases also pin down that tight channel
 //! capacities change neither results nor statistics and that the in-flight bound
 //! holds.
@@ -13,12 +14,17 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 const THREAD_COUNTS: &[usize] = &[1, 2, 8];
-const MORSEL_SIZES: &[usize] = &[128, 1_000, 65_536];
 
 /// Build a random relation: column 0 is a dense row id (so scan output maps back to
 /// positions), plus a clustered int column (PSMA-friendly), a small-domain string
-/// column, a double column and a nullable int column.
-fn random_relation(rng: &mut StdRng, rows: usize, chunk_capacity: usize) -> Relation {
+/// column, a double column and a nullable int column. With `freeze_at: Some(n)` the
+/// full chunks of the first `n` rows are frozen before the rest is inserted.
+fn random_relation(
+    rng: &mut StdRng,
+    rows: usize,
+    chunk_capacity: usize,
+    freeze_at: Option<usize>,
+) -> Relation {
     let schema = Schema::new(vec![
         ColumnDef::new("id", DataType::Int),
         ColumnDef::new("clustered", DataType::Int),
@@ -30,6 +36,9 @@ fn random_relation(rng: &mut StdRng, rows: usize, chunk_capacity: usize) -> Rela
     let cluster_width = rng.gen_range(50..400usize);
     let groups = rng.gen_range(2..8usize);
     for i in 0..rows {
+        if freeze_at == Some(i) {
+            rel.freeze_full_chunks();
+        }
         let maybe = if rng.gen_bool(0.2) {
             Value::Null
         } else {
@@ -45,6 +54,17 @@ fn random_relation(rng: &mut StdRng, rows: usize, chunk_capacity: usize) -> Rela
         ]);
     }
     rel
+}
+
+/// A random relation of `rows` rows with chunks of `chunk` rows: the full chunks
+/// of the first part frozen into cold blocks, then 2–4 chunks' worth of rows
+/// inserted after the freeze, a hot tail that spans several chunks — so the
+/// workers race over hot morsels as well as cold ones.
+fn mixed_relation(rng: &mut StdRng, rows: usize, chunk: usize) -> (Relation, usize) {
+    let tail = rng.gen_range(2 * chunk..4 * chunk);
+    let rel = random_relation(rng, rows + tail, chunk, Some(rows));
+    assert!(rel.cold_block_count() >= 1 && rel.hot_chunks().len() >= 2);
+    (rel, rows + tail)
 }
 
 /// A random conjunction of 1–3 restrictions over the relation's columns.
@@ -91,14 +111,14 @@ fn collect_ids(mut scanner: RelationScanner<'_>) -> Vec<i64> {
 }
 
 /// Parallel scans of a single frozen block reproduce `scan_collect`'s match
-/// positions exactly, for every thread count and morsel size.
+/// positions exactly, for every thread count.
 #[test]
 fn parallel_block_scan_matches_scan_collect_reference() {
     for case in 0..12u64 {
         let mut rng = StdRng::seed_from_u64(0xB10C_5CA9 ^ case);
         let rows = rng.gen_range(500..6_000usize);
         // one chunk; random deletions applied before freezing on some cases, after on others
-        let mut rel = random_relation(&mut rng, rows, rows);
+        let mut rel = random_relation(&mut rng, rows, rows, None);
         let delete_after_freeze = rng.gen_bool(0.5);
         let victims: Vec<usize> = (0..rows).filter(|_| rng.gen_bool(0.05)).collect();
         if !delete_after_freeze {
@@ -132,18 +152,13 @@ fn parallel_block_scan_matches_scan_collect_reference() {
         .collect();
 
         for &threads in THREAD_COUNTS {
-            for &morsel_rows in MORSEL_SIZES {
-                let config = ScanConfig::default()
-                    .with_threads(threads)
-                    .with_morsel_rows(morsel_rows);
-                let scanner = RelationScanner::new(&rel, vec![0], restrictions.clone(), config);
-                let got = collect_ids(scanner);
-                assert_eq!(
-                    got, expected,
-                    "case {case}: threads {threads}, morsel_rows {morsel_rows}, \
-                     restrictions {restrictions:?}"
-                );
-            }
+            let config = ScanConfig::default().with_threads(threads);
+            let scanner = RelationScanner::new(&rel, vec![0], restrictions.clone(), config);
+            let got = collect_ids(scanner);
+            assert_eq!(
+                got, expected,
+                "case {case}: threads {threads}, restrictions {restrictions:?}"
+            );
         }
     }
 }
@@ -156,8 +171,7 @@ fn parallel_scan_matches_serial_on_mixed_relations() {
         let mut rng = StdRng::seed_from_u64(0x0D15_C0DE ^ case);
         let rows = rng.gen_range(1_500..8_000usize);
         let chunk = rng.gen_range(400..1_500usize);
-        let mut rel = random_relation(&mut rng, rows, chunk);
-        rel.freeze_full_chunks(); // cold blocks + hot tail
+        let (rel, rows) = mixed_relation(&mut rng, rows, chunk);
         let restrictions = random_restrictions(&mut rng, rows);
 
         for mode in [
@@ -176,20 +190,18 @@ fn parallel_scan_matches_serial_on_mixed_relations() {
                 base,
             ));
             for &threads in THREAD_COUNTS {
-                for &morsel_rows in MORSEL_SIZES {
-                    let config = base.with_threads(threads).with_morsel_rows(morsel_rows);
-                    let got = collect_ids(RelationScanner::new(
-                        &rel,
-                        vec![0],
-                        restrictions.clone(),
-                        config,
-                    ));
-                    assert_eq!(
-                        got, expected,
-                        "case {case}: mode {mode:?}, threads {threads}, \
-                         morsel_rows {morsel_rows}, restrictions {restrictions:?}"
-                    );
-                }
+                let config = base.with_threads(threads);
+                let got = collect_ids(RelationScanner::new(
+                    &rel,
+                    vec![0],
+                    restrictions.clone(),
+                    config,
+                ));
+                assert_eq!(
+                    got, expected,
+                    "case {case}: mode {mode:?}, threads {threads}, \
+                     restrictions {restrictions:?}"
+                );
             }
         }
     }
@@ -204,8 +216,7 @@ fn streaming_scan_matches_serial_under_tight_channel_caps() {
         let mut rng = StdRng::seed_from_u64(0x057A_EA11 ^ case);
         let rows = rng.gen_range(1_500..6_000usize);
         let chunk = rng.gen_range(400..1_200usize);
-        let mut rel = random_relation(&mut rng, rows, chunk);
-        rel.freeze_full_chunks();
+        let (rel, rows) = mixed_relation(&mut rng, rows, chunk);
         let restrictions = random_restrictions(&mut rng, rows);
         let expected = collect_ids(RelationScanner::new(
             &rel,
@@ -217,7 +228,6 @@ fn streaming_scan_matches_serial_under_tight_channel_caps() {
             for cap in [1usize, 3] {
                 let config = ScanConfig::default()
                     .with_threads(threads)
-                    .with_morsel_rows(256)
                     .with_channel_cap(cap);
                 let mut stream =
                     drive_streaming(rel.scan_snapshot(), vec![0], restrictions.clone(), config);

@@ -298,21 +298,25 @@ fn agg_invariant_under_merge_and_batch_order() {
             AggSpec::new(AggFunc::Min, Expr::col(1), DataType::Int),
             AggSpec::new(AggFunc::Max, Expr::col(1), DataType::Int),
         ];
-        // Load the batches in `order` (cold blocks of 64 rows plus a hot tail) and
-        // aggregate with `threads` workers over 32-row hot morsels.
+        // Load the batches in `order` (the first half of the rows frozen into cold
+        // blocks of 64, the rest a hot tail over several 64-row chunks) and
+        // aggregate with `threads` workers, a morsel per block and per hot chunk.
         let run = |order: &[usize], threads: usize| -> Batch {
             let schema = Schema::new(vec![
                 ColumnDef::nullable("g", DataType::Int),
                 ColumnDef::new("v", DataType::Int),
             ]);
             let mut rel = Relation::with_chunk_capacity("shuffled", schema, 64);
-            for row in order.iter().flat_map(|&i| &batches[i]) {
-                rel.insert(row.clone());
+            let rows: Vec<&Vec<Value>> = order.iter().flat_map(|&i| &batches[i]).collect();
+            let (frozen, tail) = rows.split_at(rows.len() / 2);
+            for row in frozen {
+                rel.insert((*row).clone());
             }
             rel.freeze_full_chunks();
-            let config = ScanConfig::default()
-                .with_threads(threads)
-                .with_morsel_rows(32);
+            for row in tail {
+                rel.insert((*row).clone());
+            }
+            let config = ScanConfig::default().with_threads(threads);
             let mut agg = HashAggregateOp::over_relation(
                 &rel,
                 PipelineSpec::scan(vec![0, 1], vec![], config),

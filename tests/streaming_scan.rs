@@ -38,23 +38,31 @@ fn with_timeout<T: Send + 'static>(secs: u64, body: impl FnOnce() -> T + Send + 
     }
 }
 
-/// A mixed hot/cold relation with many morsels: `rows` records across
-/// `chunk_capacity`-sized chunks, full chunks frozen, tail left hot.
-fn mixed_relation(rows: i64, chunk_capacity: usize) -> Relation {
+/// A mixed hot/cold relation with many morsels: ids `0..rows` across
+/// `chunk_capacity`-sized chunks with the full chunks frozen, then ids
+/// `rows..rows + tail` inserted after the freeze — a hot tail that spans several
+/// chunks, so workers race over hot morsels as well as cold ones.
+fn mixed_relation(rows: i64, tail: i64, chunk_capacity: usize) -> Relation {
     let schema = Schema::new(vec![
         ColumnDef::new("id", DataType::Int),
         ColumnDef::new("val", DataType::Int),
         ColumnDef::new("grp", DataType::Str),
     ]);
     let mut rel = Relation::with_chunk_capacity("stream", schema, chunk_capacity);
-    for i in 0..rows {
-        rel.insert(vec![
+    let row = |i: i64| {
+        vec![
             Value::Int(i),
             Value::Int(i % 97),
             Value::Str(format!("g{}", i % 5)),
-        ]);
+        ]
+    };
+    for i in 0..rows {
+        rel.insert(row(i));
     }
     rel.freeze_full_chunks();
+    for i in rows..rows + tail {
+        rel.insert(row(i));
+    }
     rel
 }
 
@@ -77,7 +85,7 @@ fn serial_rows(rel: &Relation, restrictions: &[Restriction]) -> Vec<Vec<Value>> 
 #[test]
 fn slow_consumer_is_backpressured_within_the_channel_bound() {
     with_timeout(300, || {
-        let rel = mixed_relation(20_500, 1_000);
+        let rel = mixed_relation(10_250, 10_250, 1_000);
         let restrictions = vec![Restriction::cmp(
             1,
             data_blocks::datablocks::CmpOp::Ge,
@@ -90,7 +98,6 @@ fn slow_consumer_is_backpressured_within_the_channel_bound() {
             for cap in [1usize, 2, 4] {
                 let config = ScanConfig::default()
                     .with_threads(threads)
-                    .with_morsel_rows(250)
                     .with_channel_cap(cap);
                 let mut stream = drive_streaming(
                     rel.scan_snapshot(),
@@ -134,12 +141,11 @@ fn slow_consumer_is_backpressured_within_the_channel_bound() {
 #[test]
 fn streaming_scan_never_buffers_more_than_the_channel_cap() {
     with_timeout(300, || {
-        let rel = mixed_relation(40_000, 1_000);
+        let rel = mixed_relation(20_000, 20_000, 1_000);
         for &threads in THREAD_COUNTS {
             let cap = 3usize;
             let config = ScanConfig::default()
                 .with_threads(threads)
-                .with_morsel_rows(200)
                 .with_channel_cap(cap);
             let mut stream = drive_streaming(rel.scan_snapshot(), vec![0], Vec::new(), config);
             let mut total_batches = 0usize;
@@ -150,7 +156,7 @@ fn streaming_scan_never_buffers_more_than_the_channel_cap() {
             }
             assert_eq!(total_rows, 40_000, "threads {threads}");
             assert!(
-                total_batches >= 40, // one per cold block at minimum
+                total_batches >= 40, // one per morsel (block or hot chunk) at minimum
                 "threads {threads}: expected many batches, got {total_batches}"
             );
             assert!(
@@ -173,7 +179,7 @@ fn streaming_scan_never_buffers_more_than_the_channel_cap() {
 #[test]
 fn streaming_scan_holds_at_most_one_pin_per_worker() {
     with_timeout(300, || {
-        let mut rel = mixed_relation(16_000, 1_000);
+        let mut rel = mixed_relation(12_000, 4_000, 1_000);
         rel.enable_spill(&SpillPolicy::with_cache_capacity(1)) // thrash: real paging
             .expect("enable spill");
         let store = rel.spill_store().expect("store attached").clone();
@@ -210,11 +216,10 @@ fn streaming_scan_holds_at_most_one_pin_per_worker() {
 #[test]
 fn dropping_the_stream_early_cancels_the_workers() {
     with_timeout(120, || {
-        let rel = mixed_relation(30_000, 1_000);
+        let rel = mixed_relation(15_000, 15_000, 1_000);
         for &threads in THREAD_COUNTS {
             let config = ScanConfig::default()
                 .with_threads(threads)
-                .with_morsel_rows(200)
                 .with_channel_cap(1);
             let mut stream = drive_streaming(rel.scan_snapshot(), vec![0], Vec::new(), config);
             let first = stream.try_next_batch().unwrap();
@@ -252,7 +257,7 @@ fn empty_and_fully_pruned_streams_terminate() {
 
         // Every block ruled out by its SMA: the stream yields nothing but still
         // counts the examined blocks.
-        let mut rel = mixed_relation(4_000, 1_000);
+        let mut rel = mixed_relation(4_000, 0, 1_000);
         rel.enable_spill(&SpillPolicy::default()).expect("spill");
         let restrictions = vec![Restriction::between(0, 1_000_000i64, 2_000_000i64)];
         let mut stream = drive_streaming(
