@@ -1,8 +1,10 @@
 //! The Data Block container: a self-contained, immutable, compressed columnar
 //! representation of one chunk of a relation (Section 3).
 
+use std::sync::OnceLock;
+
 use crate::compression::{ColumnCompression, SchemeKind};
-use crate::psma::Psma;
+use crate::psma::{psma_slots_for, Psma};
 use crate::sma::Sma;
 use crate::value::Value;
 
@@ -12,20 +14,72 @@ pub const DEFAULT_BLOCK_CAPACITY: usize = 1 << 16;
 
 /// One attribute of a Data Block: the chosen compression, its Small Materialized
 /// Aggregate, its Positional SMA and (if the attribute is nullable) a validity bitmap.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone)]
 pub struct BlockColumn {
     /// The compressed payload.
     pub compression: ColumnCompression,
     /// Min/max of the attribute in this block.
     pub sma: Sma,
-    /// Positional SMA over the compressed code words (absent for single-value and
-    /// floating-point attributes, which have no code vector to index).
-    pub psma: Option<Psma>,
+    /// Positional SMA over the compressed code words, read through
+    /// [`BlockColumn::psma`]. Freezing builds it; a block decoded from its flat
+    /// layout leaves it empty until a scan first probes it, so a page-in costs a
+    /// copy and not a table build per attribute. Set to `None` when the
+    /// attribute has no PSMA (single-value and floating-point attributes have
+    /// no code vector to index).
+    psma: OnceLock<Option<Psma>>,
     /// Validity bitmap (`false` = NULL); absent when the attribute has no NULLs.
     pub validity: Option<Vec<bool>>,
 }
 
 impl BlockColumn {
+    /// A freshly frozen attribute, its PSMA built now.
+    pub(crate) fn frozen(
+        compression: ColumnCompression,
+        sma: Sma,
+        validity: Option<Vec<bool>>,
+    ) -> BlockColumn {
+        let psma = compression.codes().and_then(Psma::of_codes);
+        BlockColumn {
+            compression,
+            sma,
+            psma: OnceLock::from(psma),
+            validity,
+        }
+    }
+
+    /// A decoded attribute whose PSMA, if `has_psma`, waits for its first probe.
+    pub(crate) fn decoded(
+        compression: ColumnCompression,
+        sma: Sma,
+        has_psma: bool,
+        validity: Option<Vec<bool>>,
+    ) -> BlockColumn {
+        let pending = has_psma && compression.codes().is_some_and(|codes| !codes.is_empty());
+        let psma = if pending {
+            OnceLock::new()
+        } else {
+            OnceLock::from(None)
+        };
+        BlockColumn {
+            compression,
+            sma,
+            psma,
+            validity,
+        }
+    }
+
+    /// The attribute's PSMA, built on the first call if the block was decoded.
+    pub fn psma(&self) -> Option<&Psma> {
+        self.psma
+            .get_or_init(|| self.compression.codes().and_then(Psma::of_codes))
+            .as_ref()
+    }
+
+    /// Does the attribute carry a PSMA? Answered without building it.
+    pub fn has_psma(&self) -> bool {
+        self.psma.get().is_none_or(Option::is_some)
+    }
+
     /// Is the value at `row` NULL?
     #[inline]
     pub fn is_null(&self, row: usize) -> bool {
@@ -46,15 +100,43 @@ impl BlockColumn {
 
     /// In-memory size of the column's compressed data, SMA and PSMA in bytes.
     pub fn byte_size(&self) -> usize {
-        self.compression.byte_size()
-            + self.sma.serialized_size()
-            + self.psma.as_ref().map(|p| p.byte_size()).unwrap_or(0)
-            + self.validity.as_ref().map(|v| v.len() / 8 + 1).unwrap_or(0)
+        self.byte_size_without_psma() + self.psma_byte_size()
     }
 
     /// Size without the PSMA index (used to quantify the PSMA overhead).
     pub fn byte_size_without_psma(&self) -> usize {
-        self.byte_size() - self.psma.as_ref().map(|p| p.byte_size()).unwrap_or(0)
+        self.compression.byte_size()
+            + self.sma.serialized_size()
+            + self.validity.as_ref().map(|v| v.len() / 8 + 1).unwrap_or(0)
+    }
+
+    /// Size of the PSMA table, built or not: `psma_slots_for(max code)` slots of
+    /// 8 bytes, the max code read off the scheme (every code from 0 to it
+    /// occurs), so a decoded block accounts exactly like the frozen one.
+    fn psma_byte_size(&self) -> usize {
+        if !self.has_psma() {
+            return 0;
+        }
+        let max_code = match (&self.compression, &self.sma) {
+            (ColumnCompression::Truncated { .. }, Sma::Int { min, max }) => {
+                max.wrapping_sub(*min) as u64
+            }
+            (ColumnCompression::DictInt { dict, .. }, _) => dict.len().saturating_sub(1) as u64,
+            (ColumnCompression::DictStr { dict, .. }, _) => dict.len().saturating_sub(1) as u64,
+            _ => 0,
+        };
+        psma_slots_for(max_code) * 8
+    }
+}
+
+/// Two attributes are equal when their data is: the PSMA is derived from the
+/// codes, so only whether one exists is compared, and nothing is built.
+impl PartialEq for BlockColumn {
+    fn eq(&self, other: &BlockColumn) -> bool {
+        self.compression == other.compression
+            && self.sma == other.sma
+            && self.has_psma() == other.has_psma()
+            && self.validity == other.validity
     }
 }
 
@@ -182,6 +264,7 @@ mod tests {
     use super::*;
     use crate::builder::freeze;
     use crate::column::{Column, ColumnData};
+    use crate::layout::tests::rich_block;
 
     fn sample_block() -> DataBlock {
         let a = Column::from_data(ColumnData::Int((0..100).collect()));
@@ -232,5 +315,72 @@ mod tests {
     fn byte_size_includes_psma_overhead() {
         let block = sample_block();
         assert!(block.byte_size() > block.byte_size_without_psma());
+    }
+
+    /// Columns of `block` whose PSMA has been built.
+    fn built_psmas(block: &DataBlock) -> usize {
+        block
+            .columns()
+            .iter()
+            .filter(|c| c.psma.get().is_some())
+            .count()
+    }
+
+    #[test]
+    fn decoding_and_accounting_build_no_psma() {
+        let block = rich_block();
+        let frozen_psmas = built_psmas(&block);
+        assert_eq!(
+            frozen_psmas,
+            block.column_count(),
+            "freeze fills every PSMA slot"
+        );
+        let bytes = crate::layout::to_bytes(&block);
+        let restored = crate::layout::from_bytes(&bytes).unwrap();
+        // single-value and double columns are settled at decode: they have none
+        let settled = restored.columns().iter().filter(|c| !c.has_psma()).count();
+        assert_eq!(built_psmas(&restored), settled);
+        assert_eq!(crate::layout::to_bytes(&restored), bytes);
+        let _ = crate::frame::BlockSummary::of(&restored);
+        assert_eq!(restored.byte_size(), block.byte_size());
+        assert_eq!(
+            restored.byte_size_without_psma(),
+            block.byte_size_without_psma()
+        );
+        assert_eq!(restored, block);
+        assert_eq!(
+            built_psmas(&restored),
+            settled,
+            "no accessor but psma() builds"
+        );
+        assert!(restored.column(0).psma().is_some());
+        assert_eq!(
+            built_psmas(&restored),
+            settled + 1,
+            "a probe builds one column"
+        );
+    }
+
+    #[test]
+    fn concurrent_first_probes_build_one_table() {
+        let block = rich_block();
+        let restored = std::sync::Arc::new(
+            crate::layout::from_bytes(&crate::layout::to_bytes(&block)).unwrap(),
+        );
+        let tables: Vec<Psma> = std::thread::scope(|scope| {
+            let probes: Vec<_> = (0..8)
+                .map(|_| scope.spawn(|| restored.column(2).psma().cloned().unwrap()))
+                .collect();
+            probes
+                .into_iter()
+                .map(|probe| probe.join().unwrap())
+                .collect()
+        });
+        let expected = block.column(2).psma().unwrap();
+        assert!(tables.iter().all(|table| table == expected));
+        assert!(std::ptr::eq(
+            restored.column(2).psma().unwrap(),
+            restored.column(2).psma().unwrap()
+        ));
     }
 }

@@ -10,7 +10,6 @@
 use crate::block::{BlockColumn, DataBlock};
 use crate::column::{Column, ColumnData};
 use crate::compression::ColumnCompression;
-use crate::psma::Psma;
 use crate::sma::Sma;
 use crate::value::DataType;
 
@@ -58,16 +57,6 @@ pub fn freeze_sorted(columns: &[Column], sort_by: usize) -> DataBlock {
 fn freeze_column(column: &Column) -> BlockColumn {
     let sma = Sma::compute(column);
     let compression = ColumnCompression::compress(column);
-    // The PSMA indexes the compressed code words: for truncation the code *is* the
-    // delta to the SMA minimum (exactly the paper's Δ(v)), for dictionaries the code
-    // order mirrors the value order because the dictionaries are order-preserving.
-    let psma = compression.codes().and_then(|codes| {
-        Psma::build(
-            &(0..codes.len())
-                .map(|i| codes.get(i) as i64)
-                .collect::<Vec<_>>(),
-        )
-    });
     // Keep the validity bitmap only if the column actually contains NULLs (and is not
     // the degenerate all-NULL single value, which needs no bitmap).
     let has_nulls = column.null_count() > 0;
@@ -77,12 +66,10 @@ fn freeze_column(column: &Column) -> BlockColumn {
     } else {
         None
     };
-    BlockColumn {
-        compression,
-        sma,
-        psma,
-        validity,
-    }
+    // The PSMA indexes the compressed code words: for truncation the code *is* the
+    // delta to the SMA minimum (exactly the paper's Δ(v)), for dictionaries the code
+    // order mirrors the value order because the dictionaries are order-preserving.
+    BlockColumn::frozen(compression, sma, validity)
 }
 
 /// Split a large chunk column-set into consecutive sub-chunks of at most

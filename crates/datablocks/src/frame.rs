@@ -3,7 +3,7 @@
 //!
 //! [`crate::layout`] defines the flat in-memory byte representation of a block; a
 //! frame wraps it for secondary storage behind a fixed 20-byte header (magic,
-//! version, FNV-1a 64 checksum of the payload, payload length). The checksum
+//! version, XXH64 checksum of the payload, payload length). The checksum
 //! turns a torn write or bit rot into [`FrameError::ChecksumMismatch`] instead of
 //! a block decoded from garbage.
 //!
@@ -23,7 +23,7 @@ use crate::sma::Sma;
 /// Magic bytes identifying a Data Block frame.
 pub const FRAME_MAGIC: &[u8; 4] = b"DBFM";
 /// Current version of the frame format.
-pub const FRAME_VERSION: u32 = 2;
+pub const FRAME_VERSION: u32 = 3;
 /// Size of the fixed frame header (magic, version, checksum, payload length) in
 /// bytes.
 const FRAME_HEADER_LEN: usize = 20;
@@ -31,7 +31,7 @@ const FRAME_HEADER_LEN: usize = 20;
 /// Magic bytes identifying a block-store *manifest* record.
 pub const MANIFEST_MAGIC: &[u8; 4] = b"DBMF";
 /// Current version of the manifest record format.
-pub const MANIFEST_VERSION: u32 = 1;
+pub const MANIFEST_VERSION: u32 = 2;
 /// Size of the fixed manifest record header (magic, version, checksum, body
 /// length) in bytes.
 pub const MANIFEST_HEADER_LEN: usize = 20;
@@ -94,18 +94,76 @@ impl From<LayoutError> for FrameError {
     }
 }
 
-/// FNV-1a 64-bit, the checksum protecting frame payloads and manifest records. Not
-/// cryptographic — it detects torn writes and bit rot, which is all a local block
-/// store needs, and it is dependency-free.
-pub fn fnv1a64(bytes: &[u8]) -> u64 {
-    const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-    const PRIME: u64 = 0x0000_0100_0000_01b3;
-    let mut hash = OFFSET;
-    for &b in bytes {
-        hash ^= b as u64;
-        hash = hash.wrapping_mul(PRIME);
+/// XXH64 with seed 0, the one checksum of this code base: it protects frame
+/// payloads, manifest records and wire frames. Not cryptographic — it detects
+/// torn writes and bit rot, which is all a local block store needs. It is the
+/// published XXH64 (four 64-bit lanes over 32-byte stripes, then the 8-, 4- and
+/// 1-byte tails and an avalanche), written out here so that it stays
+/// dependency-free, and it hashes eight bytes per multiply where a byte-wise
+/// hash does one.
+pub fn xxh64(bytes: &[u8]) -> u64 {
+    const P1: u64 = 0x9E37_79B1_85EB_CA87;
+    const P2: u64 = 0xC2B2_AE3D_27D4_EB4F;
+    const P3: u64 = 0x1656_67B1_9E37_79F9;
+    const P4: u64 = 0x85EB_CA77_C2B2_AE63;
+    const P5: u64 = 0x27D4_EB2F_1656_67C5;
+    fn round(acc: u64, lane: u64) -> u64 {
+        acc.wrapping_add(lane.wrapping_mul(P2))
+            .rotate_left(31)
+            .wrapping_mul(P1)
     }
-    hash
+    fn merge(acc: u64, lane: u64) -> u64 {
+        (acc ^ round(0, lane)).wrapping_mul(P1).wrapping_add(P4)
+    }
+    fn u64_at(bytes: &[u8]) -> u64 {
+        u64::from_le_bytes(bytes[..8].try_into().expect("8 bytes"))
+    }
+
+    let stripes = bytes.chunks_exact(32);
+    let mut rest = stripes.remainder();
+    let mut hash = if bytes.len() >= 32 {
+        let [mut v1, mut v2, mut v3, mut v4] = [P1.wrapping_add(P2), P2, 0, P1.wrapping_neg()];
+        for stripe in stripes {
+            v1 = round(v1, u64_at(&stripe[0..]));
+            v2 = round(v2, u64_at(&stripe[8..]));
+            v3 = round(v3, u64_at(&stripe[16..]));
+            v4 = round(v4, u64_at(&stripe[24..]));
+        }
+        let hash = v1
+            .rotate_left(1)
+            .wrapping_add(v2.rotate_left(7))
+            .wrapping_add(v3.rotate_left(12))
+            .wrapping_add(v4.rotate_left(18));
+        [v1, v2, v3, v4].into_iter().fold(hash, merge)
+    } else {
+        P5
+    };
+    hash = hash.wrapping_add(bytes.len() as u64);
+    while rest.len() >= 8 {
+        hash = (hash ^ round(0, u64_at(rest)))
+            .rotate_left(27)
+            .wrapping_mul(P1)
+            .wrapping_add(P4);
+        rest = &rest[8..];
+    }
+    if rest.len() >= 4 {
+        let word = u32::from_le_bytes(rest[..4].try_into().expect("4 bytes")) as u64;
+        hash = (hash ^ word.wrapping_mul(P1))
+            .rotate_left(23)
+            .wrapping_mul(P2)
+            .wrapping_add(P3);
+        rest = &rest[4..];
+    }
+    for &byte in rest {
+        hash = (hash ^ (byte as u64).wrapping_mul(P5))
+            .rotate_left(11)
+            .wrapping_mul(P1);
+    }
+    hash ^= hash >> 33;
+    hash = hash.wrapping_mul(P2);
+    hash ^= hash >> 29;
+    hash = hash.wrapping_mul(P3);
+    hash ^ (hash >> 32)
 }
 
 /// Per-attribute slice of a [`BlockSummary`].
@@ -116,8 +174,9 @@ pub struct ColumnSummary {
     /// Did the attribute carry a Positional SMA? Purely informational for
     /// directory introspection (e.g. size accounting, deciding whether a scan of
     /// this block can narrow ranges): PSMAs are derived data, and it is the
-    /// *payload's* `had_psma` flag ([`crate::layout`]) that drives the rebuild on
-    /// load — a reloaded block is feature-identical regardless of this field.
+    /// *payload's* `had_psma` flag ([`crate::layout`]) that lets a loaded block
+    /// build the table on its first probe — a reloaded block is feature-identical
+    /// regardless of this field. Summarising a block builds no PSMA.
     pub has_psma: bool,
 }
 
@@ -145,7 +204,7 @@ impl BlockSummary {
                 .iter()
                 .map(|c| ColumnSummary {
                     sma: c.sma.clone(),
-                    has_psma: c.psma.is_some(),
+                    has_psma: c.has_psma(),
                 })
                 .collect(),
         }
@@ -187,7 +246,7 @@ pub fn to_frame(block: &DataBlock) -> Vec<u8> {
     let mut w = Writer::new();
     w.bytes(FRAME_MAGIC);
     w.u32(FRAME_VERSION);
-    w.u64(fnv1a64(&payload));
+    w.u64(xxh64(&payload));
     w.u32(payload.len() as u32);
     debug_assert_eq!(w.buf.len(), FRAME_HEADER_LEN);
     w.bytes(&payload);
@@ -207,7 +266,7 @@ pub fn from_frame(bytes: &[u8]) -> Result<DataBlock, FrameError> {
     let checksum = r.u64()?;
     let payload_len = r.u32()? as usize;
     let payload = r.take(payload_len)?;
-    let actual = fnv1a64(payload);
+    let actual = xxh64(payload);
     if actual != checksum {
         return Err(FrameError::ChecksumMismatch {
             stored: checksum,
@@ -224,10 +283,10 @@ pub fn from_frame(bytes: &[u8]) -> Result<DataBlock, FrameError> {
 /// scanning block payloads.
 ///
 /// A manifest file is a plain concatenation of records, each wrapped in a
-/// fixed [`MANIFEST_HEADER_LEN`]-byte header (magic, version, FNV-1a 64 body
+/// fixed [`MANIFEST_HEADER_LEN`]-byte header (magic, version, XXH64 body
 /// checksum, body length). The checksum makes a torn final record — the bytes a
-/// crash leaves behind mid-append — detectable: replay stops at the first record
-/// that is truncated or fails validation and discards the tail.
+/// crash leaves behind mid-append — detectable: replay discards it, and fails
+/// on any other damage ([`replay_manifest`]).
 #[derive(Debug, Clone, PartialEq)]
 pub enum ManifestRecord {
     /// Set directory entry `block_id`: the block's frame lives at `offset`/`len`
@@ -292,7 +351,7 @@ pub fn manifest_record_to_bytes(record: &ManifestRecord) -> Vec<u8> {
     let mut w = Writer::new();
     w.bytes(MANIFEST_MAGIC);
     w.u32(MANIFEST_VERSION);
-    w.u64(fnv1a64(&body.buf));
+    w.u64(xxh64(&body.buf));
     w.u32(body.buf.len() as u32);
     debug_assert_eq!(w.buf.len(), MANIFEST_HEADER_LEN);
     w.bytes(&body.buf);
@@ -302,8 +361,8 @@ pub fn manifest_record_to_bytes(record: &ManifestRecord) -> Vec<u8> {
 /// Decode the manifest record at the start of `bytes`, returning it together with
 /// the total number of bytes it occupies (header + body) so a caller can walk a
 /// concatenated record log. A record that is cut short, carries a wrong checksum
-/// or fails structural validation is an error — replay treats the first such
-/// record as the torn tail of the log.
+/// or fails structural validation is an error; [`replay_manifest`] decides
+/// whether it is the torn tail of the log.
 pub fn read_manifest_record(bytes: &[u8]) -> Result<(ManifestRecord, usize), FrameError> {
     let mut r = Reader::new(bytes);
     if r.take(4)? != MANIFEST_MAGIC {
@@ -322,7 +381,7 @@ pub fn read_manifest_record(bytes: &[u8]) -> Result<(ManifestRecord, usize), Fra
         return Err(FrameError::Truncated);
     }
     let body = &bytes[MANIFEST_HEADER_LEN..total];
-    let actual = fnv1a64(body);
+    let actual = xxh64(body);
     if actual != checksum {
         return Err(FrameError::ChecksumMismatch {
             stored: checksum,
@@ -355,23 +414,48 @@ pub fn read_manifest_record(bytes: &[u8]) -> Result<(ManifestRecord, usize), Fra
 }
 
 /// Walk a manifest byte log from the front, collecting every valid record, and
-/// report the length of the **valid prefix**. Replay stops at the first record
-/// that fails to decode — a torn final record from a crashed append, or
-/// trailing corruption — whose error is returned alongside so callers can
-/// distinguish a clean log (`None`) from a truncated one.
-pub fn replay_manifest(bytes: &[u8]) -> (Vec<ManifestRecord>, usize, Option<FrameError>) {
+/// report the length of the **valid prefix**.
+///
+/// Only the log's *final* record may fail, and only as the tear a crashed
+/// append leaves: cut short by the end of the log, or failing its checksum
+/// while ending exactly where the log ends. That record is dropped and the
+/// valid prefix ends before it. Any other failure — a record of another
+/// [`MANIFEST_VERSION`], a bad magic, a structurally invalid body, or a failing
+/// record that further bytes follow — is damage no crash can leave, and is
+/// returned as the error: replaying past it would silently shrink the store.
+pub fn replay_manifest(bytes: &[u8]) -> Result<(Vec<ManifestRecord>, usize), FrameError> {
     let mut records = Vec::new();
     let mut offset = 0usize;
     while offset < bytes.len() {
-        match read_manifest_record(&bytes[offset..]) {
+        let rest = &bytes[offset..];
+        match read_manifest_record(rest) {
             Ok((record, consumed)) => {
                 records.push(record);
                 offset += consumed;
             }
-            Err(err) => return (records, offset, Some(err)),
+            Err(err) => {
+                // The record's extent as its header declares it (`body_len`
+                // is the header's last field), if the header is whole.
+                let declared = rest
+                    .get(MANIFEST_HEADER_LEN - 4..MANIFEST_HEADER_LEN)
+                    .map(|len| {
+                        let body_len = u32::from_le_bytes(len.try_into().expect("4 bytes"));
+                        MANIFEST_HEADER_LEN + body_len as usize
+                    });
+                let torn_tail = match err {
+                    FrameError::Truncated => declared.is_none_or(|total| total > rest.len()),
+                    FrameError::ChecksumMismatch { .. } => declared == Some(rest.len()),
+                    _ => false,
+                };
+                return if torn_tail {
+                    Ok((records, offset))
+                } else {
+                    Err(err)
+                };
+            }
         }
     }
-    (records, offset, None)
+    Ok((records, offset))
 }
 
 fn write_summary(summary: &BlockSummary) -> Vec<u8> {
@@ -554,9 +638,11 @@ mod tests {
         let mut frame = to_frame(&block());
         frame[4..8].copy_from_slice(&42u32.to_le_bytes());
         assert_eq!(from_frame(&frame), Err(FrameError::UnsupportedVersion(42)));
-        // a frame of the previous format is refused, not misparsed
-        frame[4..8].copy_from_slice(&1u32.to_le_bytes());
-        assert_eq!(from_frame(&frame), Err(FrameError::UnsupportedVersion(1)));
+        // frames of the previous formats are refused, not misparsed
+        for old in [1u32, 2] {
+            frame[4..8].copy_from_slice(&old.to_le_bytes());
+            assert_eq!(from_frame(&frame), Err(FrameError::UnsupportedVersion(old)));
+        }
     }
 
     #[test]
@@ -633,10 +719,9 @@ mod tests {
         for record in &records {
             log.extend_from_slice(&manifest_record_to_bytes(record));
         }
-        let (replayed, valid_len, err) = replay_manifest(&log);
+        let (replayed, valid_len) = replay_manifest(&log).unwrap();
         assert_eq!(replayed, records);
         assert_eq!(valid_len, log.len());
-        assert!(err.is_none());
     }
 
     #[test]
@@ -661,13 +746,85 @@ mod tests {
         for cut in [1, 4, MANIFEST_HEADER_LEN - 1, MANIFEST_HEADER_LEN + 3] {
             let mut log = full.clone();
             log.extend_from_slice(&torn[..cut]);
-            let (records, valid_len, err) = replay_manifest(&log);
+            let (records, valid_len) = replay_manifest(&log).unwrap();
             assert_eq!(records.len(), 1, "cut {cut}");
             assert_eq!(valid_len, full.len(), "cut {cut}");
-            assert!(
-                matches!(err, Some(FrameError::Truncated | FrameError::BadMagic)),
-                "cut {cut}: {err:?}"
+        }
+        // a final record whose checksum fails is a tear too
+        let mut log = full.clone();
+        log.extend_from_slice(&torn);
+        *log.last_mut().unwrap() ^= 0x01;
+        let (records, valid_len) = replay_manifest(&log).unwrap();
+        assert_eq!((records.len(), valid_len), (1, full.len()));
+    }
+
+    #[test]
+    fn manifest_damage_before_the_final_record_fails_replay() {
+        let snapshot = |generation| {
+            manifest_record_to_bytes(&ManifestRecord::Snapshot {
+                generation,
+                entries: 0,
+            })
+        };
+        // a bit flip in a record that another record follows
+        let mut log = snapshot(0);
+        log[MANIFEST_HEADER_LEN + 2] ^= 0x04;
+        log.extend_from_slice(&snapshot(1));
+        assert!(matches!(
+            replay_manifest(&log),
+            Err(FrameError::ChecksumMismatch { .. })
+        ));
+        // a record of the previous format, first or final, whole or cut short
+        let mut old = snapshot(0);
+        old[4..8].copy_from_slice(&1u32.to_le_bytes());
+        for log in [
+            [old.clone(), snapshot(1)].concat(),
+            [snapshot(1), old.clone()].concat(),
+            [snapshot(1), old[..MANIFEST_HEADER_LEN - 2].to_vec()].concat(),
+        ] {
+            assert_eq!(
+                replay_manifest(&log),
+                Err(FrameError::UnsupportedVersion(1))
             );
+        }
+        // garbage after the log is not a tear: no append writes a bad magic
+        let log = [snapshot(0), b"garbage!".to_vec()].concat();
+        assert_eq!(replay_manifest(&log), Err(FrameError::BadMagic));
+    }
+
+    #[test]
+    fn xxh64_matches_the_published_vectors() {
+        assert_eq!(xxh64(b""), 0xEF46_DB37_51D8_E999);
+        assert_eq!(xxh64(b"a"), 0xD24E_C4F1_A98C_6E5B);
+        assert_eq!(xxh64(b"abc"), 0x44BC_2CF5_AD77_0999);
+        // 39 bytes: one 32-byte stripe, then a 4-byte and three 1-byte tails
+        assert_eq!(
+            xxh64(b"Nobody inspects the spammish repetition"),
+            0xFBCE_A83C_8A37_8BF1
+        );
+    }
+
+    #[test]
+    fn every_single_bit_flip_of_a_frame_or_manifest_record_is_rejected() {
+        let small = freeze(&[int_column((0..480).map(|i| i * 7 % 300).collect())]);
+        let frame = to_frame(&small);
+        assert!((900..1300).contains(&frame.len()), "{}", frame.len());
+        for bit in 0..frame.len() * 8 {
+            let mut flipped = frame.clone();
+            flipped[bit / 8] ^= 1 << (bit % 8);
+            assert!(from_frame(&flipped).is_err(), "frame bit {bit}");
+        }
+        let record = manifest_record_to_bytes(&ManifestRecord::Put {
+            block_id: 3,
+            generation: 1,
+            offset: 4096,
+            len: frame.len() as u32,
+            summary: BlockSummary::of(&block()),
+        });
+        for bit in 0..record.len() * 8 {
+            let mut flipped = record.clone();
+            flipped[bit / 8] ^= 1 << (bit % 8);
+            assert!(read_manifest_record(&flipped).is_err(), "record bit {bit}");
         }
     }
 
@@ -705,11 +862,13 @@ mod tests {
             generation: 0,
             entries: 0,
         });
-        bytes[4..8].copy_from_slice(&9u32.to_le_bytes());
-        assert_eq!(
-            read_manifest_record(&bytes).unwrap_err(),
-            FrameError::UnsupportedVersion(9)
-        );
+        for old in [1u32, 9] {
+            bytes[4..8].copy_from_slice(&old.to_le_bytes());
+            assert_eq!(
+                read_manifest_record(&bytes).unwrap_err(),
+                FrameError::UnsupportedVersion(old)
+            );
+        }
         // an unknown record kind is corrupt, not silently skipped — but the
         // checksum covers the body, so the kind byte must be re-signed to reach
         // the structural check
@@ -718,7 +877,7 @@ mod tests {
         let mut forged = Vec::new();
         forged.extend_from_slice(MANIFEST_MAGIC);
         forged.extend_from_slice(&MANIFEST_VERSION.to_le_bytes());
-        forged.extend_from_slice(&fnv1a64(&body).to_le_bytes());
+        forged.extend_from_slice(&xxh64(&body).to_le_bytes());
         forged.extend_from_slice(&(body.len() as u32).to_le_bytes());
         forged.extend_from_slice(&body);
         assert_eq!(

@@ -13,7 +13,6 @@
 
 use crate::block::{BlockColumn, DataBlock};
 use crate::compression::{CodeVec, ColumnCompression};
-use crate::psma::Psma;
 use crate::sma::Sma;
 use crate::value::Value;
 
@@ -208,9 +207,9 @@ fn write_column(w: &mut Writer, column: &BlockColumn, rows: usize) {
             }
         }
     }
-    // PSMA: rebuilt on load (it is derived data); we only record whether one existed
-    // so the loaded block is identical feature-wise.
-    w.u8(column.psma.is_some() as u8);
+    // PSMA: built on first probe after load (it is derived data); we only record
+    // whether one existed so the loaded block is identical feature-wise.
+    w.u8(column.has_psma() as u8);
     // validity bitmap
     match &column.validity {
         Some(validity) => {
@@ -379,17 +378,6 @@ fn read_column(r: &mut Reader<'_>, rows: usize) -> Result<BlockColumn, LayoutErr
         _ => return Err(LayoutError::Corrupt("unknown compression tag")),
     };
     let had_psma = r.u8()? == 1;
-    let psma = if had_psma {
-        compression.codes().and_then(|codes| {
-            Psma::build(
-                &(0..codes.len())
-                    .map(|i| codes.get(i) as i64)
-                    .collect::<Vec<_>>(),
-            )
-        })
-    } else {
-        None
-    };
     let validity = if r.u8()? == 1 {
         let bits = read_bitmap(r)?;
         if bits.len() != rows {
@@ -399,12 +387,7 @@ fn read_column(r: &mut Reader<'_>, rows: usize) -> Result<BlockColumn, LayoutErr
     } else {
         None
     };
-    Ok(BlockColumn {
-        compression,
-        sma,
-        psma,
-        validity,
-    })
+    Ok(BlockColumn::decoded(compression, sma, had_psma, validity))
 }
 
 pub(crate) fn read_sma(r: &mut Reader<'_>) -> Result<Sma, LayoutError> {
@@ -478,13 +461,13 @@ fn read_bitmap(r: &mut Reader<'_>) -> Result<Vec<bool>, LayoutError> {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::builder::{double_column, freeze, int_column, str_column};
     use crate::column::Column;
     use crate::value::DataType;
 
-    fn rich_block() -> DataBlock {
+    pub(crate) fn rich_block() -> DataBlock {
         let ints = int_column((0..5000).map(|i| 100 + i % 700).collect());
         let sparse = int_column(
             (0..5000)
@@ -542,13 +525,15 @@ mod tests {
         let restored = from_bytes(&to_bytes(&block)).unwrap();
         for col in 0..block.column_count() {
             assert_eq!(
-                restored.column(col).psma.is_some(),
-                block.column(col).psma.is_some(),
+                restored.column(col).has_psma(),
+                block.column(col).has_psma(),
                 "col {col}"
             );
-            if let (Some(a), Some(b)) = (&restored.column(col).psma, &block.column(col).psma) {
-                assert_eq!(a, b, "col {col}");
-            }
+            assert_eq!(
+                restored.column(col).psma(),
+                block.column(col).psma(),
+                "col {col}"
+            );
         }
     }
 

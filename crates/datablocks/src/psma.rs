@@ -16,6 +16,8 @@
 //! block minimum. Each slot stores a half-open position range `[begin, end)` that is
 //! widened as colliding values are inserted during the build scan.
 
+use crate::compression::CodeVec;
+
 /// A half-open range of record positions `[begin, end)` within a Data Block.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ScanRange {
@@ -115,13 +117,29 @@ impl Psma {
     /// `keys[i]` is the key of the record at position `i`; the build is a single O(n)
     /// scan (Appendix B).
     pub fn build(keys: &[i64]) -> Option<Psma> {
-        let min = *keys.iter().min()?;
-        let max = *keys.iter().max()?;
-        let max_delta = (max - min) as u64;
-        let mut slots = vec![ScanRange::EMPTY; psma_slots_for(max_delta)];
-        for (tid, &key) in keys.iter().enumerate() {
-            let slot = psma_slot((key - min) as u64);
-            let entry = &mut slots[slot];
+        Psma::build_keyed(keys, |key| key)
+    }
+
+    /// Build the PSMA of a block attribute over its code vector, the key space a
+    /// Data Block indexes: for truncation the code *is* the delta to the block
+    /// minimum, and dictionary codes order like the values they stand for. One
+    /// width dispatch for the whole vector; the table equals [`Psma::build`] over
+    /// the codes read as `i64`. `None` for an empty vector.
+    pub fn of_codes(codes: &CodeVec) -> Option<Psma> {
+        match codes {
+            CodeVec::U8(v) => Psma::build_keyed(v, |code| code as i64),
+            CodeVec::U16(v) => Psma::build_keyed(v, |code| code as i64),
+            CodeVec::U32(v) => Psma::build_keyed(v, |code| code as i64),
+            CodeVec::U64(v) => Psma::build_keyed(v, |code| code as i64),
+        }
+    }
+
+    fn build_keyed<T: Copy>(keys: &[T], key: impl Fn(T) -> i64) -> Option<Psma> {
+        let min = keys.iter().map(|&k| key(k)).min()?;
+        let max = keys.iter().map(|&k| key(k)).max()?;
+        let mut slots = vec![ScanRange::EMPTY; psma_slots_for(max.wrapping_sub(min) as u64)];
+        for (tid, &k) in keys.iter().enumerate() {
+            let entry = &mut slots[psma_slot(key(k).wrapping_sub(min) as u64)];
             if entry.is_empty() {
                 *entry = ScanRange {
                     begin: tid as u32,
@@ -306,6 +324,67 @@ mod tests {
     #[test]
     fn build_on_empty_input_returns_none() {
         assert!(Psma::build(&[]).is_none());
+        assert!(Psma::of_codes(&CodeVec::U8(Vec::new())).is_none());
+    }
+
+    /// The eager build over `i64` keys that decoding used to run on every
+    /// column, kept as the reference.
+    fn reference_build(keys: &[i64]) -> Option<Psma> {
+        let min = *keys.iter().min()?;
+        let max = *keys.iter().max()?;
+        let mut slots = vec![ScanRange::EMPTY; psma_slots_for((max - min) as u64)];
+        for (tid, &key) in keys.iter().enumerate() {
+            let entry = &mut slots[psma_slot((key - min) as u64)];
+            if entry.is_empty() {
+                *entry = ScanRange {
+                    begin: tid as u32,
+                    end: tid as u32 + 1,
+                };
+            } else {
+                entry.end = tid as u32 + 1;
+            }
+        }
+        Some(Psma { slots, min, max })
+    }
+
+    #[test]
+    fn of_codes_equals_the_build_over_codes_as_i64_at_every_width() {
+        let mut x = 99u64;
+        let mut next = |bound: u64| {
+            x = x
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            (x >> 17) % bound
+        };
+        let vectors: Vec<Vec<u64>> = vec![
+            vec![0],
+            vec![41],
+            vec![7; 300],
+            (0..5000).map(|_| next(200)).collect(),
+            (0..5000).map(|_| next(60_000)).collect(),
+            (0..5000).map(|_| next(3_000_000_000)).collect(),
+            (0..5000).map(|_| next(1 << 40)).collect(),
+            (0..1000).map(|row| row / 10).collect(),
+        ];
+        for raw in vectors {
+            let keys: Vec<i64> = raw.iter().map(|&c| c as i64).collect();
+            let reference = reference_build(&keys);
+            assert_eq!(Psma::build(&keys), reference);
+            let max = raw.iter().copied().max().unwrap();
+            let encoded = [
+                CodeVec::U8(raw.iter().map(|&c| c as u8).collect()),
+                CodeVec::U16(raw.iter().map(|&c| c as u16).collect()),
+                CodeVec::U32(raw.iter().map(|&c| c as u32).collect()),
+                CodeVec::U64(raw.clone()),
+            ];
+            for codes in encoded {
+                // every width that holds the codes, not just the narrowest
+                if max >> (codes.byte_width() * 8).min(63) != 0 {
+                    continue;
+                }
+                assert_eq!(Psma::of_codes(&codes), reference, "{codes:?}");
+            }
+        }
     }
 
     #[test]

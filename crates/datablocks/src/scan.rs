@@ -506,7 +506,7 @@ fn narrow_with_psma(
     if !options.use_psma {
         return;
     }
-    if let Some(psma) = &column.psma {
+    if let Some(psma) = column.psma() {
         let lo = code_lo.min(i64::MAX as u64) as i64;
         let hi = code_hi.min(i64::MAX as u64) as i64;
         let narrowed = psma.probe_range(lo, hi);

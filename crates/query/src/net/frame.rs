@@ -9,14 +9,14 @@
 //! [magic "DBWP": 4][type: u8][len: u32 LE][payload: len bytes][checksum: u64 LE]
 //! ```
 //!
-//! with the checksum an FNV-1a 64 ([`datablocks::frame::fnv1a64`], the same
-//! function protecting the on-disk block frames and manifest records) over
+//! with the checksum an XXH64 with seed 0 ([`datablocks::frame::xxh64`], the
+//! same function protecting the on-disk block frames and manifest records) over
 //! `type || len || payload`. All multi-byte integers are little-endian,
 //! matching the on-disk formats.
 
 use std::io::{self, Read, Write};
 
-use datablocks::frame::fnv1a64;
+use datablocks::frame::xxh64;
 use datablocks::{Column, ColumnData, DataType};
 use exec::Batch;
 
@@ -24,8 +24,9 @@ use exec::Batch;
 pub const WIRE_MAGIC: [u8; 4] = *b"DBWP";
 
 /// Protocol version carried in the handshake. A server speaking a different
-/// version rejects the hello with [`ErrorCode::Protocol`].
-pub const WIRE_VERSION: u16 = 1;
+/// version rejects the hello with [`ErrorCode::Protocol`]. Version 2 changed
+/// the frame checksum to XXH64.
+pub const WIRE_VERSION: u16 = 2;
 
 /// Hard cap on a frame's payload length. A `len` beyond this is rejected
 /// *before* any allocation — a corrupt or hostile length prefix must not make
@@ -153,6 +154,8 @@ pub enum FrameError {
     },
     /// The payload did not decode as the frame type's message.
     BadPayload(&'static str),
+    /// A `HELLO` of another protocol version.
+    UnsupportedVersion(u16),
 }
 
 impl std::fmt::Display for FrameError {
@@ -170,6 +173,10 @@ impl std::fmt::Display for FrameError {
                 "frame checksum mismatch: header says {expected:#018x}, body hashes to {actual:#018x}"
             ),
             FrameError::BadPayload(what) => write!(f, "malformed {what} payload"),
+            FrameError::UnsupportedVersion(version) => write!(
+                f,
+                "unsupported protocol version {version} (server speaks {WIRE_VERSION})"
+            ),
         }
     }
 }
@@ -190,7 +197,7 @@ pub fn write_frame(w: &mut impl Write, ty: FrameType, payload: &[u8]) -> io::Res
     buf.push(ty as u8);
     buf.extend_from_slice(&(payload.len() as u32).to_le_bytes());
     buf.extend_from_slice(payload);
-    let checksum = fnv1a64(&buf[4..]);
+    let checksum = xxh64(&buf[4..]);
     buf.extend_from_slice(&checksum.to_le_bytes());
     w.write_all(&buf)?;
     w.flush()
@@ -218,8 +225,18 @@ pub fn read_frame(r: &mut impl Read) -> Result<(FrameType, Vec<u8>), FrameError>
     body.push(head[4]);
     body.extend_from_slice(&head[5..9]);
     body.extend_from_slice(&payload);
-    let actual = fnv1a64(&body);
+    let actual = xxh64(&body);
     if actual != expected {
+        // A HELLO's version leads its payload in every protocol version, so a
+        // client of another version, whose frames carry another checksum, is
+        // still told which version is refused.
+        if ty == FrameType::Hello {
+            if let Ok(hello) = decode_hello(&payload) {
+                if hello.version != WIRE_VERSION {
+                    return Err(FrameError::UnsupportedVersion(hello.version));
+                }
+            }
+        }
         return Err(FrameError::BadChecksum { expected, actual });
     }
     Ok((ty, payload))
@@ -603,6 +620,18 @@ mod tests {
             read_frame(&mut bad_magic.as_slice()),
             Err(FrameError::BadMagic(_))
         ));
+    }
+
+    #[test]
+    fn every_single_bit_flip_of_a_frame_is_rejected() {
+        let payload = encode_query(QueryKind::Sql, "SELECT l_orderkey FROM lineitem");
+        let mut wire = Vec::new();
+        write_frame(&mut wire, FrameType::Query, &payload).unwrap();
+        for bit in 0..wire.len() * 8 {
+            let mut flipped = wire.clone();
+            flipped[bit / 8] ^= 1 << (bit % 8);
+            assert!(read_frame(&mut flipped.as_slice()).is_err(), "bit {bit}");
+        }
     }
 
     #[test]

@@ -24,7 +24,7 @@
 //!    connection-level failures) and the error's pinned `Display` message —
 //!    a wire client sees byte-identical error text to an in-process caller.
 //! 4. **Robustness.** Every frame is length-prefixed (with a hard 16 MiB
-//!    cap checked before allocation) and FNV-1a-checksummed. Malformed input
+//!    cap checked before allocation) and XXH64-checksummed. Malformed input
 //!    kills one connection with a loud `PROTOCOL` error frame, never the
 //!    server. Disconnects — mid-stream or idle — close the session, which
 //!    deterministically returns its admission budget to the pool.

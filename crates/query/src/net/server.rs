@@ -370,10 +370,7 @@ fn connection_loop(server: &Arc<ServerShared>, mut stream: TcpStream) -> io::Res
         Err(err) => return refuse(server, &stream, ErrorCode::Protocol, &err.to_string()),
     };
     if hello.version != WIRE_VERSION {
-        let msg = format!(
-            "unsupported protocol version {} (server speaks {WIRE_VERSION})",
-            hello.version
-        );
+        let msg = FrameError::UnsupportedVersion(hello.version).to_string();
         return refuse(server, &stream, ErrorCode::Protocol, &msg);
     }
     if hello.auth_token != server.config.auth_token {

@@ -19,8 +19,8 @@
 //! # Durability: the manifest
 //!
 //! The directory itself is persisted in a sidecar **manifest** at
-//! `<path>.manifest`: a log of checksummed [`ManifestRecord`]s (FNV-1a 64, same
-//! scheme as the block frames). Every directory mutation — an append or a
+//! `<path>.manifest`: a log of checksummed [`ManifestRecord`]s (XXH64, the same
+//! checksum as the block frames). Every directory mutation — an append or a
 //! rewrite — appends one `Put` record *after* the frame bytes are written, so the
 //! manifest never references unwritten data; on close (store drop) and after
 //! every compaction the manifest is **checkpointed**: rewritten from scratch as
@@ -30,7 +30,9 @@
 //! counts, which travel in the summaries — **without reading any block
 //! payloads**; a torn final record (the bytes a crash leaves mid-append) fails
 //! its checksum or length check, is discarded, and the manifest is truncated
-//! back to its valid prefix. Replay is last-writer-wins per block id, so a log
+//! back to its valid prefix. Damage anywhere else — a failing record that more
+//! records follow, or a record of an older manifest version — fails the reopen
+//! and changes no file. Replay is last-writer-wins per block id, so a log
 //! holding both the original append and a later rewrite of the same block
 //! resolves to the rewrite.
 //!
@@ -648,8 +650,9 @@ impl BlockStore {
     ///   live store would split its cache and corrupt the file on the next
     ///   rewrite.
     /// * [`StoreError::Frame`] when the manifest is damaged beyond a torn final
-    ///   record, and [`StoreError::Io`] when a generation file it references
-    ///   cannot be opened.
+    ///   record — among them [`FrameError::UnsupportedVersion`] for a record of
+    ///   another manifest version, wherever it sits — and [`StoreError::Io`]
+    ///   when a generation file it references cannot be opened.
     pub fn reopen(path: impl AsRef<Path>, capacity: usize) -> Result<Arc<BlockStore>, StoreError> {
         BlockStore::reopen_opts(path, capacity, Durability::Buffered, None)
     }
@@ -744,7 +747,7 @@ impl BlockStore {
                 format!("block store manifest {}: {err}", mpath.display()),
             )
         })?;
-        let (records, valid_len, _torn) = replay_manifest(&bytes);
+        let (records, valid_len) = replay_manifest(&bytes)?;
         let (directory, current_gen) = BlockStore::directory_from_records(records)?;
         let manifest = OpenOptions::new().read(true).write(true).open(&mpath)?;
 
@@ -1990,6 +1993,109 @@ mod tests {
         remove_store_files(&path);
     }
 
+    /// Every file of the store at `path` (generations, manifest) and its bytes.
+    fn store_image(path: &Path) -> Vec<(PathBuf, Vec<u8>)> {
+        let name = path.file_name().unwrap().to_str().unwrap().to_string();
+        let mut files: Vec<_> = std::fs::read_dir(path.parent().unwrap())
+            .unwrap()
+            .flatten()
+            .map(|entry| entry.path())
+            .filter(|p| p.file_name().unwrap().to_str().unwrap().starts_with(&name))
+            .map(|p| {
+                let bytes = std::fs::read(&p).unwrap();
+                (p, bytes)
+            })
+            .collect();
+        files.sort();
+        files
+    }
+
+    /// A compacted store with two generation files and a checkpointed
+    /// manifest of several records.
+    fn store_with_two_generations(tag: &str) -> PathBuf {
+        let path = temp_path(tag);
+        {
+            let store = BlockStore::create(&path, usize::MAX).unwrap();
+            store.set_garbage_threshold(1.0);
+            for tag in 0..3 {
+                store.append(block(tag, 400)).unwrap();
+            }
+            store
+                .mutate(1, |b| {
+                    let mut updated = b.clone();
+                    updated.delete(5);
+                    (Some(updated), ())
+                })
+                .unwrap();
+            store.compact().unwrap();
+        }
+        assert!(
+            gen_path(&path, 1).exists(),
+            "compaction rolled a generation"
+        );
+        path
+    }
+
+    #[test]
+    fn reopen_refuses_an_older_manifest_version_and_changes_no_file() {
+        let path = store_with_two_generations("oldmanifest");
+        let mpath = manifest_path(&path);
+        let bytes = std::fs::read(&mpath).unwrap();
+        // the first record, then the final one, stamped with the version before
+        for at in [0, bytes.len() - record_len_at_end(&bytes)] {
+            let mut old = bytes.clone();
+            old[at + 4..at + 8].copy_from_slice(&1u32.to_le_bytes());
+            std::fs::write(&mpath, &old).unwrap();
+            let before = store_image(&path);
+            match BlockStore::reopen(&path, usize::MAX) {
+                Err(StoreError::Frame(FrameError::UnsupportedVersion(1))) => {}
+                other => panic!("record at {at}: expected UnsupportedVersion(1), got {other:?}"),
+            }
+            assert_eq!(store_image(&path), before, "record at {at}: files changed");
+        }
+        std::fs::write(&mpath, &bytes).unwrap();
+        assert_eq!(
+            BlockStore::reopen(&path, usize::MAX).unwrap().block_count(),
+            3
+        );
+        remove_store_files(&path);
+    }
+
+    #[test]
+    fn reopen_refuses_damage_before_the_final_manifest_record_and_changes_no_file() {
+        let path = store_with_two_generations("midflip");
+        let mpath = manifest_path(&path);
+        let bytes = std::fs::read(&mpath).unwrap();
+        // a body byte of the first record (the checkpoint's Snapshot)
+        let mut flipped = bytes.clone();
+        flipped[frame::MANIFEST_HEADER_LEN + 1] ^= 0x10;
+        std::fs::write(&mpath, &flipped).unwrap();
+        let before = store_image(&path);
+        match BlockStore::reopen(&path, usize::MAX) {
+            Err(StoreError::Frame(FrameError::ChecksumMismatch { .. })) => {}
+            other => panic!("expected a checksum mismatch, got {other:?}"),
+        }
+        assert_eq!(store_image(&path), before, "a refused reopen changed files");
+        std::fs::write(&mpath, &bytes).unwrap();
+        assert_eq!(
+            BlockStore::reopen(&path, usize::MAX).unwrap().block_count(),
+            3
+        );
+        remove_store_files(&path);
+    }
+
+    /// Length of the final record of a well-formed manifest log.
+    fn record_len_at_end(log: &[u8]) -> usize {
+        let mut at = 0;
+        loop {
+            let (_, len) = frame::read_manifest_record(&log[at..]).unwrap();
+            if at + len == log.len() {
+                return len;
+            }
+            at += len;
+        }
+    }
+
     #[test]
     fn reopen_rejects_bit_flipped_manifest_tail() {
         let path = temp_path("flip");
@@ -2208,18 +2314,22 @@ mod tests {
     fn frame_of_an_older_format_is_a_loud_cold_read_error() {
         let store = BlockStore::create_temp(usize::MAX).unwrap();
         let id = store.append(block(0, 300)).unwrap();
-        store.clear_cache();
         // stamp the on-disk frame with version 1, the format before the
-        // summary section went
-        let file = store.gen_file(0).expect("generation 0 open");
-        file.raw().write_all_at(&1u32.to_le_bytes(), 4).unwrap();
-        let err = store.pin_described(id).unwrap_err();
-        assert_eq!((err.block_id, err.generation, err.offset), (id, 0, 0));
-        assert!(
-            err.detail.contains("unsupported frame version 1"),
-            "{}",
-            err.detail
-        );
+        // summary section went, then with version 2, which differs from 3
+        // only in its checksum
+        for old in [1u32, 2] {
+            store.clear_cache();
+            let file = store.gen_file(0).expect("generation 0 open");
+            file.raw().write_all_at(&old.to_le_bytes(), 4).unwrap();
+            let err = store.pin_described(id).unwrap_err();
+            assert_eq!((err.block_id, err.generation, err.offset), (id, 0, 0));
+            assert!(
+                err.detail
+                    .contains(&format!("unsupported frame version {old}")),
+                "{}",
+                err.detail
+            );
+        }
     }
 
     #[test]

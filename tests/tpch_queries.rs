@@ -103,6 +103,50 @@ fn compression_shrinks_tpch_and_layouts_are_diverse() {
     assert!(layouts >= tpch::RELATIONS.len());
 }
 
+/// A block read back from its frame builds a column's PSMA only when a scan
+/// first probes it, yet accounts for every table from the start: each lineitem
+/// and orders block decodes to the frozen block's `byte_size`, before and after
+/// all its PSMAs are built, and each built table is the one freezing built and
+/// is as large as the accounting said.
+#[test]
+fn decoded_blocks_account_for_psmas_exactly_before_and_after_they_are_built() {
+    use data_blocks::datablocks::frame::{from_frame, to_frame};
+    let db = db();
+    for name in ["lineitem", "orders"] {
+        let relation = db.relation(name);
+        assert!(relation.cold_block_count() > 1, "{name}");
+        for idx in 0..relation.cold_block_count() {
+            let frozen = relation.cold_block(idx);
+            let decoded = from_frame(&to_frame(&frozen)).expect("frame decodes");
+            assert_eq!(
+                decoded.byte_size(),
+                frozen.byte_size(),
+                "{name} block {idx}"
+            );
+            for (col, column) in decoded.columns().iter().enumerate() {
+                let accounted = column.byte_size() - column.byte_size_without_psma();
+                let built = column.psma();
+                assert_eq!(
+                    built,
+                    frozen.column(col).psma(),
+                    "{name} block {idx} col {col}"
+                );
+                assert_eq!(
+                    built.map_or(0, |psma| psma.byte_size()),
+                    accounted,
+                    "{name} block {idx} col {col}"
+                );
+            }
+            assert_eq!(
+                decoded.byte_size(),
+                frozen.byte_size(),
+                "{name} block {idx}"
+            );
+            assert!(decoded == *frozen, "{name} block {idx}");
+        }
+    }
+}
+
 // ------------------------------------------------------- cross-commit answer pin
 
 /// The rendering of `crates/workloads/queries/answers/*.txt`: a `types:` line, then

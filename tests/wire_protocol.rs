@@ -243,6 +243,52 @@ fn bad_auth_token_is_refused() {
     });
 }
 
+/// A HELLO of protocol version 1, the version before the frame checksum became
+/// XXH64, is refused with a `PROTOCOL` error naming both versions, and the
+/// server keeps serving current clients.
+#[test]
+fn a_version_1_hello_is_refused_and_the_server_stays_up() {
+    with_watchdog(|| {
+        let (_service, server) = serve_tpch(1, false);
+        let hello = Hello {
+            version: 1,
+            budget_bytes: BUDGET,
+            window: 4,
+            auth_token: AUTH.into(),
+        };
+        let mut frame = Vec::new();
+        write_frame(&mut frame, FrameType::Hello, &encode_hello(&hello)).expect("encode");
+        // A version 1 client checksums its frames with another function: its
+        // HELLO is refused by version all the same.
+        let mut other_checksum = frame.clone();
+        let last = other_checksum.len() - 1;
+        other_checksum[last] ^= 0x5a;
+        for bytes in [frame, other_checksum] {
+            let mut raw = TcpStream::connect(server.local_addr()).expect("connect");
+            std::io::Write::write_all(&mut raw, &bytes).expect("HELLO");
+            let (ty, payload) = read_frame(&mut raw).expect("an ERROR frame");
+            assert_eq!(ty, FrameType::Error);
+            assert_eq!(
+                decode_error(&payload).expect("ERROR payload"),
+                (
+                    ErrorCode::Protocol,
+                    "unsupported protocol version 1 (server speaks 2)".to_string()
+                )
+            );
+        }
+
+        let mut client =
+            WireClient::connect(server.local_addr(), &client_config()).expect("handshake");
+        let batch = client
+            .query_sql(query_sql("Q6"))
+            .and_then(|stream| stream.collect())
+            .expect("query after the refusal");
+        assert_eq!(batch.len(), 1);
+        assert_eq!(server.stats().protocol_errors, 2, "{:?}", server.stats());
+        server.shutdown();
+    });
+}
+
 /// A handshake budget larger than the service pool is refused with the same
 /// typed admission error (and pinned message) the in-process API raises.
 #[test]
