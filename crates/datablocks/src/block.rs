@@ -23,7 +23,9 @@ pub struct BlockColumn {
     /// Positional SMA over the compressed code words, read through
     /// [`BlockColumn::psma`]. Freezing builds it; a block decoded from its flat
     /// layout leaves it empty until a scan first probes it, so a page-in costs a
-    /// copy and not a table build per attribute. Set to `None` when the
+    /// copy and not a table build per attribute. Either build takes the code
+    /// domain from the scheme (`max_code`) and stops scanning once every slot
+    /// it can reach is settled. Set to `None` when the
     /// attribute has no PSMA (single-value and floating-point attributes have
     /// no code vector to index).
     psma: OnceLock<Option<Psma>>,
@@ -38,13 +40,14 @@ impl BlockColumn {
         sma: Sma,
         validity: Option<Vec<bool>>,
     ) -> BlockColumn {
-        let psma = compression.codes().and_then(Psma::of_codes);
-        BlockColumn {
+        let column = BlockColumn {
             compression,
             sma,
-            psma: OnceLock::from(psma),
+            psma: OnceLock::new(),
             validity,
-        }
+        };
+        column.psma();
+        column
     }
 
     /// A decoded attribute whose PSMA, if `has_psma`, waits for its first probe.
@@ -71,8 +74,23 @@ impl BlockColumn {
     /// The attribute's PSMA, built on the first call if the block was decoded.
     pub fn psma(&self) -> Option<&Psma> {
         self.psma
-            .get_or_init(|| self.compression.codes().and_then(Psma::of_codes))
+            .get_or_init(|| Psma::of_codes(self.compression.codes()?, self.max_code()?))
             .as_ref()
+    }
+
+    /// The largest code of the attribute's code vector, read off the scheme:
+    /// for truncation the SMA's max less its min, for a dictionary its last
+    /// index. Codes run from 0 to it and both ends occur (a NULL row holds
+    /// code 0). `None` without a code vector.
+    fn max_code(&self) -> Option<u64> {
+        Some(match (&self.compression, &self.sma) {
+            (ColumnCompression::Truncated { .. }, Sma::Int { min, max }) => {
+                max.wrapping_sub(*min) as u64
+            }
+            (ColumnCompression::DictInt { dict, .. }, _) => dict.len().saturating_sub(1) as u64,
+            (ColumnCompression::DictStr { dict, .. }, _) => dict.len().saturating_sub(1) as u64,
+            _ => return None,
+        })
     }
 
     /// Does the attribute carry a PSMA? Answered without building it.
@@ -110,22 +128,14 @@ impl BlockColumn {
             + self.validity.as_ref().map(|v| v.len() / 8 + 1).unwrap_or(0)
     }
 
-    /// Size of the PSMA table, built or not: `psma_slots_for(max code)` slots of
-    /// 8 bytes, the max code read off the scheme (every code from 0 to it
-    /// occurs), so a decoded block accounts exactly like the frozen one.
+    /// Size of the PSMA table, built or not: `psma_slots_for(max_code)` slots of
+    /// 8 bytes, the domain the build takes, so a decoded block accounts
+    /// exactly like the frozen one.
     fn psma_byte_size(&self) -> usize {
-        if !self.has_psma() {
-            return 0;
-        }
-        let max_code = match (&self.compression, &self.sma) {
-            (ColumnCompression::Truncated { .. }, Sma::Int { min, max }) => {
-                max.wrapping_sub(*min) as u64
-            }
-            (ColumnCompression::DictInt { dict, .. }, _) => dict.len().saturating_sub(1) as u64,
-            (ColumnCompression::DictStr { dict, .. }, _) => dict.len().saturating_sub(1) as u64,
+        match self.max_code() {
+            Some(max_code) if self.has_psma() => psma_slots_for(max_code) * 8,
             _ => 0,
-        };
-        psma_slots_for(max_code) * 8
+        }
     }
 }
 
@@ -264,6 +274,7 @@ mod tests {
     use super::*;
     use crate::builder::freeze;
     use crate::column::{Column, ColumnData};
+    use crate::compression::CodeVec;
     use crate::layout::tests::rich_block;
 
     fn sample_block() -> DataBlock {
@@ -359,6 +370,205 @@ mod tests {
             settled + 1,
             "a probe builds one column"
         );
+    }
+
+    /// A named code vector and its validity bitmap.
+    type Case = (&'static str, Vec<u64>, Option<Vec<bool>>);
+
+    /// Seeded code vectors, each running from 0 to its max code, in the
+    /// shapes that decide where the bounded build stops.
+    fn code_vectors(max: u64, seed: u64) -> Vec<Case> {
+        let mut x = seed;
+        let mut next = move |bound: u64| {
+            x = x
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            (x >> 11) % bound
+        };
+        let uniform = |next: &mut dyn FnMut(u64) -> u64, n: usize| -> Vec<u64> {
+            let mut codes: Vec<u64> = (0..n).map(|_| next(max.saturating_add(1))).collect();
+            let (a, b) = (next(n as u64) as usize, next(n as u64) as usize);
+            codes[a] = 0;
+            codes[if a == b { (b + 1) % n } else { b }] = max;
+            codes
+        };
+        let shuffle = |next: &mut dyn FnMut(u64) -> u64, mut codes: Vec<u64>| {
+            for i in (1..codes.len()).rev() {
+                codes.swap(i, next(i as u64 + 1) as usize);
+            }
+            codes
+        };
+        // one code per slot the domain reaches: every delta below 256, then
+        // the top byte of each wider delta
+        let mut reps: Vec<u64> = (0..=max.min(255)).collect();
+        for r in 1..8 {
+            reps.extend((1..256u64).map(|m| m << (8 * r)).take_while(|&d| d <= max));
+        }
+        reps.push(max);
+        reps.dedup();
+        let mut cases = vec![
+            (
+                "low cardinality",
+                {
+                    let mid = max / 2;
+                    (0..5000).map(|_| [0, mid, max][next(3) as usize]).collect()
+                },
+                None,
+            ),
+            ("uniform", uniform(&mut next, 5000), None),
+            ("every slot", shuffle(&mut next, reps.repeat(3)), None),
+            (
+                "sorted runs",
+                {
+                    let mut codes = uniform(&mut next, 5000);
+                    codes.sort_unstable();
+                    codes
+                },
+                None,
+            ),
+            (
+                "max in the first row only",
+                {
+                    let mut codes = shuffle(&mut next, reps.repeat(2));
+                    codes.retain(|&c| c != max);
+                    codes.insert(0, max);
+                    codes
+                },
+                None,
+            ),
+            (
+                "max in the last row only",
+                {
+                    let mut codes = shuffle(&mut next, reps.repeat(2));
+                    codes.retain(|&c| c != max);
+                    codes.push(max);
+                    codes
+                },
+                None,
+            ),
+        ];
+        if max == 0 {
+            cases.push(("single row", vec![0], None));
+        }
+        let gone = crate::psma::psma_slot(reps[reps.len() / 2]);
+        if gone != 0 && gone != crate::psma::psma_slot(max) {
+            let mut codes = shuffle(&mut next, reps.repeat(3));
+            codes.retain(|&c| crate::psma::psma_slot(c) != gone);
+            cases.push(("one slot missing", codes, None));
+        }
+        // a NULL row holds code 0; rows 0 and 1 are valid and hold the ends
+        let mut codes = uniform(&mut next, 5000);
+        let validity: Vec<bool> = (0..codes.len()).map(|row| row % 7 != 3).collect();
+        for (code, valid) in codes.iter_mut().zip(&validity) {
+            if !valid {
+                *code = 0;
+            }
+        }
+        codes[0] = max;
+        codes[1] = 0;
+        cases.push(("nullable", codes, Some(validity)));
+        cases
+    }
+
+    /// `codes` stored at every width that holds `max`.
+    fn at_every_width(codes: &[u64], max: u64) -> Vec<CodeVec> {
+        let mut widths = vec![CodeVec::U64(codes.to_vec())];
+        if max <= u32::MAX as u64 {
+            widths.push(CodeVec::U32(codes.iter().map(|&c| c as u32).collect()));
+        }
+        if max <= u16::MAX as u64 {
+            widths.push(CodeVec::U16(codes.iter().map(|&c| c as u16).collect()));
+        }
+        if max <= u8::MAX as u64 {
+            widths.push(CodeVec::U8(codes.iter().map(|&c| c as u8).collect()));
+        }
+        widths
+    }
+
+    #[test]
+    fn psma_equals_the_reference_build_frozen_and_decoded() {
+        let domains = [
+            0,
+            1,
+            2,
+            10,
+            255,
+            256,
+            1000,
+            65_535,
+            70_000,
+            3_000_000_000,
+            1 << 40,
+        ];
+        let mut checked = 0;
+        for (seed, &max) in domains.iter().enumerate() {
+            for (case, codes, validity) in code_vectors(max, seed as u64 + 1) {
+                let keys: Vec<i64> = codes.iter().map(|&c| c as i64).collect();
+                let reference = crate::psma::reference_build(&keys).unwrap();
+                assert_eq!(
+                    (reference.min(), reference.max()),
+                    (0, max as i64),
+                    "{case}"
+                );
+                for codes in at_every_width(&codes, max) {
+                    let base = -1_000;
+                    let mut schemes = vec![(
+                        ColumnCompression::Truncated {
+                            min: base,
+                            codes: codes.clone(),
+                        },
+                        Sma::Int {
+                            min: base,
+                            max: base + max as i64,
+                        },
+                    )];
+                    if max <= 70_000 {
+                        let dict: Vec<i64> = (0..=max as i64).map(|c| c * 3 - 7).collect();
+                        let sma = Sma::Int {
+                            min: dict[0],
+                            max: dict[max as usize],
+                        };
+                        schemes.push((
+                            ColumnCompression::DictInt {
+                                dict,
+                                codes: codes.clone(),
+                            },
+                            sma,
+                        ));
+                        let dict: Vec<String> = (0..=max).map(|c| format!("v{c:06}")).collect();
+                        let sma = Sma::Str {
+                            min: dict[0].clone(),
+                            max: dict[max as usize].clone(),
+                        };
+                        let dict = dict.into();
+                        schemes.push((
+                            ColumnCompression::DictStr {
+                                dict,
+                                codes: codes.clone(),
+                            },
+                            sma,
+                        ));
+                    }
+                    for (compression, sma) in schemes {
+                        let column = BlockColumn::frozen(compression, sma, validity.clone());
+                        let block = DataBlock::from_parts(keys.len() as u32, vec![column]);
+                        let decoded =
+                            crate::layout::from_bytes(&crate::layout::to_bytes(&block)).unwrap();
+                        for (form, block) in [("frozen", &block), ("decoded", &decoded)] {
+                            let column = block.column(0);
+                            let what = format!(
+                                "{case}, max {max}, {:?} {form}",
+                                column.compression.kind()
+                            );
+                            assert_eq!(column.psma_byte_size(), reference.byte_size(), "{what}");
+                            assert_eq!(column.psma(), Some(&reference), "{what}");
+                            checked += 1;
+                        }
+                    }
+                }
+            }
+        }
+        assert!(checked > 400, "{checked}");
     }
 
     #[test]

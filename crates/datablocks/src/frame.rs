@@ -240,16 +240,19 @@ impl BlockSummary {
     }
 }
 
-/// Serialize a block into a complete frame: header, then the block layout.
+/// Serialize a block into a complete frame: header, then the block layout,
+/// written into one buffer. The checksum and payload length are filled in
+/// once the payload is there.
 pub fn to_frame(block: &DataBlock) -> Vec<u8> {
-    let payload = layout::to_bytes(block);
     let mut w = Writer::new();
     w.bytes(FRAME_MAGIC);
     w.u32(FRAME_VERSION);
-    w.u64(xxh64(&payload));
-    w.u32(payload.len() as u32);
+    w.bytes(&[0; 12]);
     debug_assert_eq!(w.buf.len(), FRAME_HEADER_LEN);
-    w.bytes(&payload);
+    layout::write_block(&mut w, block);
+    let (header, payload) = w.buf.split_at_mut(FRAME_HEADER_LEN);
+    header[8..16].copy_from_slice(&xxh64(payload).to_le_bytes());
+    header[16..20].copy_from_slice(&(payload.len() as u32).to_le_bytes());
     w.buf
 }
 
@@ -533,6 +536,67 @@ mod tests {
                 assert_eq!(restored.get(row, col), original.get(row, col));
             }
         }
+    }
+
+    /// One block holding every scheme the layout writes: a single value,
+    /// truncation at each code width, an integer and a string dictionary,
+    /// doubles, a nullable column and deleted rows. 1003 rows, so each bitmap
+    /// ends in a padded byte.
+    fn every_scheme_block() -> DataBlock {
+        use crate::column::Column;
+        use crate::compression::SchemeKind;
+        use crate::value::DataType;
+        let rows = 0..1003i64;
+        let mut nullable = Column::new(DataType::Int);
+        for i in rows.clone() {
+            nullable.push(if i % 7 == 0 {
+                Value::Null
+            } else {
+                Value::Int(i % 300)
+            });
+        }
+        let mut block = freeze(&[
+            int_column(vec![77; 1003]),
+            int_column(rows.clone().map(|i| i % 200).collect()),
+            int_column(rows.clone().map(|i| i * 50).collect()),
+            int_column(rows.clone().map(|i| -i * 1_000_000).collect()),
+            int_column(rows.clone().map(|i| i * 10_000_000_000).collect()),
+            int_column(rows.clone().map(|i| i % 3 * 1_000_000_007).collect()),
+            str_column(rows.clone().map(|i| format!("s{}", i % 5)).collect()),
+            double_column(rows.clone().map(|i| (i - 500) as f64 * 0.25).collect()),
+            nullable,
+        ]);
+        assert_eq!(
+            block.layout_combination(),
+            [
+                SchemeKind::SingleValue,
+                SchemeKind::Truncated(1),
+                SchemeKind::Truncated(2),
+                SchemeKind::Truncated(4),
+                SchemeKind::Truncated(8),
+                SchemeKind::DictInt(1),
+                SchemeKind::DictStr(1),
+                SchemeKind::Double,
+                SchemeKind::Truncated(2),
+            ]
+        );
+        assert!(block.column(8).validity.is_some());
+        for row in [0, 3, 511, 1002] {
+            block.delete(row);
+        }
+        block
+    }
+
+    #[test]
+    fn the_frame_of_a_fixed_block_is_pinned() {
+        let block = every_scheme_block();
+        let frame = to_frame(&block);
+        assert_eq!(
+            (frame.len(), xxh64(&frame)),
+            (27_704, 0xB33B_4985_692C_ADC2),
+            "the frame format changed: bump FRAME_VERSION"
+        );
+        assert_eq!(from_frame(&frame).unwrap(), block);
     }
 
     #[test]

@@ -75,12 +75,19 @@ impl Writer {
     pub(crate) fn bytes(&mut self, v: &[u8]) {
         self.buf.extend_from_slice(v);
     }
+    /// Append `values` little-endian, `N` bytes each, in one pass over a
+    /// buffer sized up front.
+    fn le_slice<T: Copy, const N: usize>(&mut self, values: &[T], to_le: impl Fn(T) -> [u8; N]) {
+        let start = self.buf.len();
+        self.buf.resize(start + values.len() * N, 0);
+        let (out, _) = self.buf[start..].as_chunks_mut::<N>();
+        for (out, &v) in out.iter_mut().zip(values) {
+            *out = to_le(v);
+        }
+    }
     pub(crate) fn str(&mut self, s: &str) {
         self.u32(s.len() as u32);
         self.bytes(s.as_bytes());
-    }
-    fn pos(&self) -> u32 {
-        self.buf.len() as u32
     }
 }
 
@@ -122,6 +129,15 @@ impl<'a> Reader<'a> {
     pub(crate) fn f64(&mut self) -> Result<f64, LayoutError> {
         Ok(f64::from_bits(self.u64()?))
     }
+    /// Read `len` little-endian values of `N` bytes each, as one slice copy.
+    fn le_vec<T, const N: usize>(
+        &mut self,
+        len: usize,
+        from_le: impl Fn([u8; N]) -> T,
+    ) -> Result<Vec<T>, LayoutError> {
+        let raw = self.take(len.checked_mul(N).ok_or(LayoutError::Truncated)?)?;
+        Ok(raw.as_chunks::<N>().0.iter().map(|&c| from_le(c)).collect())
+    }
     pub(crate) fn str(&mut self) -> Result<String, LayoutError> {
         let len = self.u32()? as usize;
         let bytes = self.take(len)?;
@@ -145,24 +161,29 @@ const VALUE_STR: u8 = 3;
 /// Serialize a Data Block into its flat, self-contained byte representation.
 pub fn to_bytes(block: &DataBlock) -> Vec<u8> {
     let mut w = Writer::new();
+    write_block(&mut w, block);
+    w.buf
+}
+
+/// Append the flat representation of `block` to `w`.
+pub(crate) fn write_block(w: &mut Writer, block: &DataBlock) {
     w.bytes(MAGIC);
     w.u32(VERSION);
     w.u32(block.tuple_count());
     w.u32(block.column_count() as u32);
 
     for column in block.columns() {
-        write_column(&mut w, column, block.tuple_count() as usize);
+        write_column(w, column, block.tuple_count() as usize);
     }
 
     // delete flags (bit-packed), written last so the common no-deletes case costs one byte
     match block.deleted_flags() {
         Some(flags) => {
             w.u8(1);
-            write_bitmap(&mut w, flags);
+            write_bitmap(w, flags);
         }
         None => w.u8(0),
     }
-    w.buf
 }
 
 /// Size in bytes of the serialized representation without materialising it is not
@@ -188,9 +209,7 @@ fn write_column(w: &mut Writer, column: &BlockColumn, rows: usize) {
         }
         ColumnCompression::DictInt { dict, codes } => {
             w.u32(dict.len() as u32);
-            for &v in dict {
-                w.i64(v);
-            }
+            w.le_slice(dict, i64::to_le_bytes);
             write_codes(w, codes);
         }
         ColumnCompression::DictStr { dict, codes } => {
@@ -202,9 +221,7 @@ fn write_column(w: &mut Writer, column: &BlockColumn, rows: usize) {
         }
         ColumnCompression::Double(values) => {
             w.u32(values.len() as u32);
-            for &v in values {
-                w.f64(v);
-            }
+            w.le_slice(values, f64::to_le_bytes);
         }
     }
     // PSMA: built on first probe after load (it is derived data); we only record
@@ -219,7 +236,6 @@ fn write_column(w: &mut Writer, column: &BlockColumn, rows: usize) {
         }
         None => w.u8(0),
     }
-    let _ = w.pos();
 }
 
 pub(crate) fn write_sma(w: &mut Writer, sma: &Sma) {
@@ -266,39 +282,21 @@ fn write_codes(w: &mut Writer, codes: &CodeVec) {
     w.u32(codes.len() as u32);
     match codes {
         CodeVec::U8(v) => w.bytes(v),
-        CodeVec::U16(v) => {
-            for &c in v {
-                w.bytes(&c.to_le_bytes());
-            }
-        }
-        CodeVec::U32(v) => {
-            for &c in v {
-                w.bytes(&c.to_le_bytes());
-            }
-        }
-        CodeVec::U64(v) => {
-            for &c in v {
-                w.bytes(&c.to_le_bytes());
-            }
-        }
+        CodeVec::U16(v) => w.le_slice(v, u16::to_le_bytes),
+        CodeVec::U32(v) => w.le_slice(v, u32::to_le_bytes),
+        CodeVec::U64(v) => w.le_slice(v, u64::to_le_bytes),
     }
 }
 
+/// Bit `i` of the bitmap is bit `i % 8` of byte `i / 8`; the last byte is
+/// zero-padded.
 fn write_bitmap(w: &mut Writer, bits: &[bool]) {
     w.u32(bits.len() as u32);
-    let mut byte = 0u8;
-    for (i, &bit) in bits.iter().enumerate() {
-        if bit {
-            byte |= 1 << (i % 8);
-        }
-        if i % 8 == 7 {
-            w.u8(byte);
-            byte = 0;
-        }
-    }
-    if !bits.len().is_multiple_of(8) {
-        w.u8(byte);
-    }
+    w.buf.extend(bits.chunks(8).map(|byte| {
+        byte.iter()
+            .enumerate()
+            .fold(0u8, |packed, (i, &bit)| packed | (bit as u8) << i)
+    }));
 }
 
 // --- deserialization ---------------------------------------------------------------
@@ -348,10 +346,7 @@ fn read_column(r: &mut Reader<'_>, rows: usize) -> Result<BlockColumn, LayoutErr
         }
         TAG_DICT_INT => {
             let n = r.u32()? as usize;
-            let mut dict = Vec::with_capacity(n);
-            for _ in 0..n {
-                dict.push(r.i64()?);
-            }
+            let dict = r.le_vec(n, i64::from_le_bytes)?;
             let codes = read_codes(r)?;
             ColumnCompression::DictInt { dict, codes }
         }
@@ -369,11 +364,7 @@ fn read_column(r: &mut Reader<'_>, rows: usize) -> Result<BlockColumn, LayoutErr
         }
         TAG_DOUBLE => {
             let n = r.u32()? as usize;
-            let mut values = Vec::with_capacity(n);
-            for _ in 0..n {
-                values.push(r.f64()?);
-            }
-            ColumnCompression::Double(values)
+            ColumnCompression::Double(r.le_vec(n, f64::from_le_bytes)?)
         }
         _ => return Err(LayoutError::Corrupt("unknown compression tag")),
     };
@@ -424,30 +415,9 @@ fn read_codes(r: &mut Reader<'_>) -> Result<CodeVec, LayoutError> {
     let len = r.u32()? as usize;
     Ok(match width {
         1 => CodeVec::U8(r.take(len)?.to_vec()),
-        2 => {
-            let raw = r.take(len * 2)?;
-            CodeVec::U16(
-                raw.chunks_exact(2)
-                    .map(|c| u16::from_le_bytes([c[0], c[1]]))
-                    .collect(),
-            )
-        }
-        4 => {
-            let raw = r.take(len * 4)?;
-            CodeVec::U32(
-                raw.chunks_exact(4)
-                    .map(|c| u32::from_le_bytes([c[0], c[1], c[2], c[3]]))
-                    .collect(),
-            )
-        }
-        8 => {
-            let raw = r.take(len * 8)?;
-            CodeVec::U64(
-                raw.chunks_exact(8)
-                    .map(|c| u64::from_le_bytes(c.try_into().expect("8 bytes")))
-                    .collect(),
-            )
-        }
+        2 => CodeVec::U16(r.le_vec(len, u16::from_le_bytes)?),
+        4 => CodeVec::U32(r.le_vec(len, u32::from_le_bytes)?),
+        8 => CodeVec::U64(r.le_vec(len, u64::from_le_bytes)?),
         _ => return Err(LayoutError::Corrupt("unknown code width")),
     })
 }
@@ -455,9 +425,12 @@ fn read_codes(r: &mut Reader<'_>) -> Result<CodeVec, LayoutError> {
 fn read_bitmap(r: &mut Reader<'_>) -> Result<Vec<bool>, LayoutError> {
     let len = r.u32()? as usize;
     let bytes = r.take(len.div_ceil(8))?;
-    Ok((0..len)
-        .map(|i| bytes[i / 8] & (1 << (i % 8)) != 0)
-        .collect())
+    let mut bits = Vec::with_capacity(bytes.len() * 8);
+    for &byte in bytes {
+        bits.extend((0..8).map(|i| byte >> i & 1 != 0));
+    }
+    bits.truncate(len);
+    Ok(bits)
 }
 
 #[cfg(test)]

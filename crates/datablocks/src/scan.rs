@@ -400,8 +400,9 @@ fn int_bounds(op: CmpOp, lo: &Value, hi: &Value, is_between: bool) -> Option<(i6
     })
 }
 
-/// Inclusive double bounds (doubles only support the closed-range approximation; the
-/// strict inequalities keep the bound and rely on the scalar step for exactness).
+/// Inclusive double bounds. A strict bound steps to the adjacent double,
+/// which is a subnormal of the right sign at either zero, so `< 0.0` excludes
+/// −0.0 too. `None` when no double passes (`< −∞`, `> +∞`).
 fn double_bounds(op: CmpOp, lo: &Value, hi: &Value, is_between: bool) -> Option<(f64, f64)> {
     if is_between {
         return Some((lo.as_double()?, hi.as_double()?));
@@ -409,28 +410,14 @@ fn double_bounds(op: CmpOp, lo: &Value, hi: &Value, is_between: bool) -> Option<
     let v = lo.as_double()?;
     Some(match op {
         CmpOp::Eq => (v, v),
-        CmpOp::Lt => (f64::NEG_INFINITY, prev_double(v)),
+        CmpOp::Lt if v == f64::NEG_INFINITY => return None,
+        CmpOp::Lt => (f64::NEG_INFINITY, v.next_down()),
         CmpOp::Le => (f64::NEG_INFINITY, v),
-        CmpOp::Gt => (next_double(v), f64::INFINITY),
+        CmpOp::Gt if v == f64::INFINITY => return None,
+        CmpOp::Gt => (v.next_up(), f64::INFINITY),
         CmpOp::Ge => (v, f64::INFINITY),
         CmpOp::Ne => return None,
     })
-}
-
-fn next_double(v: f64) -> f64 {
-    if v.is_infinite() {
-        v
-    } else {
-        f64::from_bits(if v >= 0.0 {
-            v.to_bits() + 1
-        } else {
-            v.to_bits() - 1
-        })
-    }
-}
-
-fn prev_double(v: f64) -> f64 {
-    -next_double(-v)
 }
 
 /// Code bounds for a string comparison against an ordered dictionary.
@@ -793,6 +780,34 @@ mod tests {
             &[Restriction::cmp(2, CmpOp::Lt, 3.0)],
             ScanOptions::default(),
         );
+    }
+
+    #[test]
+    fn strict_double_bounds_at_a_signed_zero_exclude_both_zeros() {
+        let block = freeze(&[crate::builder::double_column(vec![-1.0, -0.0, 0.0, 1.0])]);
+        assert_eq!(block.layout_combination(), [crate::SchemeKind::Double]);
+        let scan = |op, c: f64| {
+            scan_collect(
+                &block,
+                &[Restriction::cmp(0, op, c)],
+                ScanOptions::default(),
+            )
+        };
+        for c in [0.0, -0.0] {
+            assert_eq!(scan(CmpOp::Lt, c), [0], "< {c:?}");
+            assert_eq!(scan(CmpOp::Gt, c), [3], "> {c:?}");
+            assert_eq!(scan(CmpOp::Le, c), [0, 1, 2], "<= {c:?}");
+            assert_eq!(scan(CmpOp::Ge, c), [1, 2, 3], ">= {c:?}");
+            for op in [CmpOp::Lt, CmpOp::Le, CmpOp::Gt, CmpOp::Ge, CmpOp::Eq] {
+                check_against_reference(
+                    &block,
+                    &[Restriction::cmp(0, op, c)],
+                    ScanOptions::plain(),
+                );
+            }
+        }
+        assert!(scan(CmpOp::Lt, f64::NEG_INFINITY).is_empty());
+        assert!(scan(CmpOp::Gt, f64::INFINITY).is_empty());
     }
 
     #[test]

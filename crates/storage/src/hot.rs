@@ -282,25 +282,21 @@ fn int_range(restriction: &Restriction) -> Option<(i64, i64)> {
     }
 }
 
-/// Inclusive double bounds of a restriction, when expressible (strict bounds handled
-/// by nudging to the adjacent representable value).
+/// Inclusive double bounds of a restriction, when expressible. A strict bound
+/// steps to the adjacent double, a subnormal of the right sign at either zero;
+/// `< −∞` and `> +∞` have none and take the generic path.
 fn double_range(restriction: &Restriction) -> Option<(f64, f64)> {
     use dbsimd::CmpOp;
-    fn next(v: f64) -> f64 {
-        f64::from_bits(if v >= 0.0 {
-            v.to_bits() + 1
-        } else {
-            v.to_bits() - 1
-        })
-    }
     match restriction {
         Restriction::Cmp { op, value, .. } => {
             let v = value.as_double()?;
             Some(match op {
                 CmpOp::Eq => (v, v),
-                CmpOp::Lt => (f64::NEG_INFINITY, -next(-v)),
+                CmpOp::Lt if v == f64::NEG_INFINITY => return None,
+                CmpOp::Lt => (f64::NEG_INFINITY, v.next_down()),
                 CmpOp::Le => (f64::NEG_INFINITY, v),
-                CmpOp::Gt => (next(v), f64::INFINITY),
+                CmpOp::Gt if v == f64::INFINITY => return None,
+                CmpOp::Gt => (v.next_up(), f64::INFINITY),
                 CmpOp::Ge => (v, f64::INFINITY),
                 CmpOp::Ne => return None,
             })
@@ -396,6 +392,38 @@ mod tests {
         );
         assert_eq!(matches.len(), 10);
         assert!(matches.iter().all(|&m| m % 10 == 5));
+    }
+
+    #[test]
+    fn strict_double_bounds_at_a_signed_zero_exclude_both_zeros() {
+        let mut chunk = HotChunk::new(&schema(), DEFAULT_CHUNK_CAPACITY);
+        for (k, d) in [-1.0, -0.0, 0.0, 1.0].into_iter().enumerate() {
+            chunk.insert(vec![
+                Value::Int(k as i64),
+                Value::Str("n".into()),
+                Value::Double(d),
+            ]);
+        }
+        let find = |op, c: f64| {
+            let mut matches = Vec::new();
+            chunk.find_matches(&[Restriction::cmp(2, op, c)], 0, 4, &mut matches);
+            let generic: Vec<u32> = (0..4)
+                .filter(|&row| {
+                    Restriction::cmp(2, op, c).matches_value(&chunk.get(row as usize, 2))
+                })
+                .collect();
+            assert_eq!(matches, generic, "{op:?} {c:?}");
+            matches
+        };
+        for c in [0.0, -0.0] {
+            assert_eq!(find(CmpOp::Lt, c), [0], "< {c:?}");
+            assert_eq!(find(CmpOp::Gt, c), [3], "> {c:?}");
+            assert_eq!(find(CmpOp::Le, c), [0, 1, 2], "<= {c:?}");
+            assert_eq!(find(CmpOp::Ge, c), [1, 2, 3], ">= {c:?}");
+            assert_eq!(find(CmpOp::Eq, c), [1, 2], "= {c:?}");
+        }
+        assert!(find(CmpOp::Lt, f64::NEG_INFINITY).is_empty());
+        assert!(find(CmpOp::Gt, f64::INFINITY).is_empty());
     }
 
     #[test]

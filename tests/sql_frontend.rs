@@ -114,3 +114,46 @@ fn sql_errors_are_positioned_through_the_session() {
         "unexpected rendering: {err}"
     );
 }
+
+/// A strict bound at a signed zero excludes both zeros: `d < 0.0` and
+/// `d < -0.0` match only −1.0 and `d > ±0.0` only 1.0, in a hot chunk and in a
+/// frozen block alike. The restriction is pushed into the scan; `d + 0.0 op c`
+/// is not, and the filter that evaluates it is the reference.
+#[test]
+fn strict_bounds_at_a_signed_zero_match_the_unpushed_filter() {
+    use data_blocks::datablocks::{DataType, Value};
+    use data_blocks::storage::{ColumnDef, Database, Relation, Schema};
+    for frozen in [false, true] {
+        let schema = Schema::new(vec![ColumnDef::new("d", DataType::Double)]);
+        let mut rel = Relation::with_chunk_capacity("t", schema, 1024);
+        for d in [-1.0, -0.0, 0.0, 1.0] {
+            rel.insert(vec![Value::Double(d)]);
+        }
+        if frozen {
+            rel.freeze_all();
+        }
+        let mut db = Database::new();
+        db.add_relation(rel);
+        let session = db.connect();
+        let bits = |sql: &str| -> Vec<u64> {
+            let batch = session.sql(sql).and_then(|s| s.collect()).unwrap();
+            let mut bits: Vec<u64> = (0..batch.len())
+                .map(|row| match batch.value(row, 0) {
+                    Value::Double(d) => d.to_bits(),
+                    other => panic!("{sql}: {other:?}"),
+                })
+                .collect();
+            bits.sort_unstable();
+            bits
+        };
+        for op in ["<", "<=", ">", ">=", "="] {
+            for c in ["0.0", "-0.0"] {
+                let pushed = bits(&format!("SELECT d FROM t WHERE d {op} {c}"));
+                let filtered = bits(&format!("SELECT d FROM t WHERE d + 0.0 {op} {c}"));
+                assert_eq!(pushed, filtered, "frozen {frozen}: d {op} {c}");
+            }
+        }
+        assert_eq!(bits("SELECT d FROM t WHERE d < 0.0"), [(-1.0f64).to_bits()]);
+        assert_eq!(bits("SELECT d FROM t WHERE d > -0.0"), [1.0f64.to_bits()]);
+    }
+}
