@@ -42,7 +42,7 @@ fn main() -> ExitCode {
             .unwrap_or_else(|err| panic!("reading repro {path}: {err}"));
         let case = fuzz::parse_repro(&text).unwrap_or_else(|err| panic!("parsing repro: {err}"));
         return match fuzz::check_case(&case) {
-            Ok(()) => {
+            Ok(_) => {
                 println!("repro {path} (seed {}) passes", case.seed);
                 ExitCode::SUCCESS
             }
@@ -53,14 +53,18 @@ fn main() -> ExitCode {
         };
     }
 
+    let mut probe_side_builds = 0;
     for s in seed..seed.saturating_add(count) {
-        if let Err(failure) = fuzz::run_seed(s) {
-            report_failure(s, &failure);
-            return ExitCode::FAILURE;
+        match fuzz::run_seed(s) {
+            Ok(builds) => probe_side_builds += builds,
+            Err(failure) => {
+                report_failure(s, &failure);
+                return ExitCode::FAILURE;
+            }
         }
     }
     println!(
-        "fuzz_ir: {count} seeds ok (seeds {seed}..={})",
+        "fuzz_ir: {count} seeds ok (seeds {seed}..={}); {probe_side_builds} planned joins hash their probe side",
         seed + count - 1
     );
     ExitCode::SUCCESS

@@ -667,32 +667,62 @@ fn fold<A, V>(
     }
 }
 
-/// [`fold`] for the aggregate function `func`; `add` is the type's addition.
-fn fold_as<T: PartialOrd + Clone>(
+/// A numeric accumulator: its addition, and the strict order `min`/`max` fold
+/// by, which must be total on the values they meet so that neither depends on
+/// the order the values arrive in.
+trait Numeric: Copy {
+    fn add(&mut self, value: Self);
+    fn less(self, other: Self) -> bool;
+}
+
+impl Numeric for i64 {
+    fn add(&mut self, value: i64) {
+        *self += value;
+    }
+
+    fn less(self, other: i64) -> bool {
+        self < other
+    }
+}
+
+impl Numeric for f64 {
+    fn add(&mut self, value: f64) {
+        *self += value;
+    }
+
+    /// `<`, with the one tie `==` leaves between distinct bit patterns,
+    /// `-0.0 == 0.0`, broken as [`f64::total_cmp`] breaks it — so `min` keeps
+    /// −0.0 and `max` keeps +0.0 in any input order.
+    fn less(self, other: f64) -> bool {
+        self < other || (self == other && self.total_cmp(&other).is_lt())
+    }
+}
+
+/// [`fold`] for the aggregate function `func` over a [`Numeric`] type.
+fn fold_as<T: Numeric>(
     func: AggFunc,
     count: &mut [i64],
     acc: &mut [T],
     values: &[T],
     groups: &[u32],
     weight: impl Fn(usize) -> i64,
-    add: impl Fn(&mut T, &T),
 ) {
-    let values = values.iter();
+    let values = values.iter().copied();
     match func {
         AggFunc::Count | AggFunc::CountStar => {
             fold(count, acc, values, groups, weight, |_, _, _| {})
         }
         AggFunc::Sum | AggFunc::Avg => {
-            fold(count, acc, values, groups, weight, |acc, v, _| add(acc, v))
+            fold(count, acc, values, groups, weight, |acc, v, _| acc.add(v))
         }
         AggFunc::Min => fold(count, acc, values, groups, weight, |acc, v, first| {
-            if first || v < acc {
-                acc.clone_from(v);
+            if first || v.less(*acc) {
+                *acc = v;
             }
         }),
         AggFunc::Max => fold(count, acc, values, groups, weight, |acc, v, first| {
-            if first || v > acc {
-                acc.clone_from(v);
+            if first || acc.less(v) {
+                *acc = v;
             }
         }),
     }
@@ -771,10 +801,10 @@ impl AggState {
         let (func, count) = (self.func, &mut self.count[..]);
         match (&mut self.acc, values) {
             (Acc::Int(acc), Values::Int(values)) => {
-                fold_as(func, count, acc, values, groups, weight, |a, v| *a += *v)
+                fold_as(func, count, acc, values, groups, weight)
             }
             (Acc::Double(acc), Values::Double(values)) => {
-                fold_as(func, count, acc, values, groups, weight, |a, v| *a += *v)
+                fold_as(func, count, acc, values, groups, weight)
             }
             (Acc::Str(acc), Values::Str(values)) => {
                 fold_strs(func, count, acc, values, groups, weight)
@@ -1153,7 +1183,8 @@ impl Operator for HashAggregateOp<'_> {
 /// Join variant.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum JoinType {
-    /// Inner equi-join; output = build columns ++ probe columns.
+    /// Inner equi-join; output = build columns ++ probe columns (probe ++ build
+    /// under [`HashJoinOp::with_probe_columns_first`]).
     Inner,
     /// Left-semi join on the probe side: emit probe tuples that have at least one
     /// build match (used for EXISTS-style subqueries); output = probe columns.
@@ -1191,6 +1222,7 @@ pub struct HashJoinOp<'a> {
     probe_keys: Vec<usize>,
     join_type: JoinType,
     early_probe: bool,
+    probe_first: bool,
     table: Option<JoinTable>,
     output_types: Vec<DataType>,
 }
@@ -1220,6 +1252,7 @@ impl<'a> HashJoinOp<'a> {
             probe_keys,
             join_type,
             early_probe: false,
+            probe_first: false,
             table: None,
             output_types,
         }
@@ -1229,6 +1262,26 @@ impl<'a> HashJoinOp<'a> {
     /// table lookup).
     pub fn with_early_probe(mut self, enabled: bool) -> Self {
         self.early_probe = enabled;
+        self
+    }
+
+    /// Emit an inner join's probe columns before its build columns: the join
+    /// the query planner hashes on its logical probe side keeps its logical
+    /// `build ++ probe` output row. The columns are reordered as vectors, with
+    /// no row copied.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a [`JoinType::ProbeSemi`] join, which emits no build columns.
+    pub fn with_probe_columns_first(mut self) -> Self {
+        assert_eq!(
+            self.join_type,
+            JoinType::Inner,
+            "a semi join emits probe columns only"
+        );
+        self.probe_first = true;
+        self.output_types
+            .rotate_left(self.build.output_types().len());
         self
     }
 
@@ -1330,7 +1383,12 @@ impl<'a> Operator for HashJoinOp<'a> {
         Ok(Some(match self.join_type {
             JoinType::Inner => {
                 let mut columns = table.rows.take(&build_rows).into_columns();
-                columns.extend(batch.take(&probe_rows).into_columns());
+                let probe_columns = batch.take(&probe_rows).into_columns();
+                if self.probe_first {
+                    columns.splice(0..0, probe_columns);
+                } else {
+                    columns.extend(probe_columns);
+                }
                 Batch::from_columns(columns)
             }
             JoinType::ProbeSemi if probe_rows.len() == batch.len() => batch,

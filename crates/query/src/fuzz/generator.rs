@@ -473,7 +473,14 @@ fn gen_project(rng: &mut Rng, catalog: &Catalog, depth: u32) -> Typed {
 }
 
 fn gen_aggregate(rng: &mut Rng, catalog: &Catalog, depth: u32) -> Typed {
-    let input = gen_node(rng, catalog, depth - 1);
+    // An aggregate reading a join of two scan chains is the one place the
+    // planner may turn a join around (it hashes the side its block metadata
+    // estimates smaller), so draw that shape on purpose.
+    let input = if depth >= 2 && rng.chance(1, 2) {
+        gen_join(rng, catalog, 1)
+    } else {
+        gen_node(rng, catalog, depth - 1)
+    };
     let in_rows = input.rows.max(1);
 
     let mut groups = Vec::new();

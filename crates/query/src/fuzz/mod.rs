@@ -160,15 +160,19 @@ impl fmt::Display for Failure {
     }
 }
 
-/// Generate the case for `seed` and run the full differential check.
-pub fn run_seed(seed: u64) -> Result<(), Failure> {
+/// Generate the case for `seed` and run the full differential check; see
+/// [`check_case`] for what a pass returns.
+pub fn run_seed(seed: u64) -> Result<usize, Failure> {
     check_case(&generate_case(seed))
 }
 
 /// Run the full differential check on one case: serializer round-trip,
 /// reference execution, then planner-lowered execution across threads {1, 4} ×
-/// {memory, thrash-cache spill}, compared value-by-value.
-pub fn check_case(case: &FuzzCase) -> Result<(), Failure> {
+/// {memory, thrash-cache spill}, compared value-by-value. A pass returns how
+/// many of the plan's joins hash their logical probe side
+/// ([`crate::PhysicalPlan::probe_side_builds`]), so a sweep can show that the
+/// differential covered turned-around joins.
+pub fn check_case(case: &FuzzCase) -> Result<usize, Failure> {
     check_case_with(case, None)
 }
 
@@ -191,7 +195,7 @@ pub fn reference_eval(expr: &crate::ir::IrExpr, row: &[Value]) -> Result<Value, 
 /// plan as `engine_ir` simulates a planner mis-compilation — the harness's
 /// self-test injects a flipped comparison this way and checks the differential
 /// catches and shrinks it.
-pub fn check_case_with(case: &FuzzCase, engine_ir: Option<&QueryIr>) -> Result<(), Failure> {
+pub fn check_case_with(case: &FuzzCase, engine_ir: Option<&QueryIr>) -> Result<usize, Failure> {
     // Stage 1: the serializer must be a fixed point of parse → print.
     let text = case.ir.to_pretty();
     let reparsed = crate::parse_ir(&text).map_err(|err| Failure {
@@ -255,6 +259,7 @@ pub fn check_case_with(case: &FuzzCase, engine_ir: Option<&QueryIr>) -> Result<(
         })?;
     let target = engine_ir.unwrap_or(&case.ir);
 
+    let mut probe_side_builds = 0;
     for threads in [1usize, 4] {
         let config = ScanConfig::default().with_threads(threads);
         let planner = Planner::new(&memory, config);
@@ -298,8 +303,9 @@ pub fn check_case_with(case: &FuzzCase, engine_ir: Option<&QueryIr>) -> Result<(
                 })?;
             compare(&label, &expected.rows, &batch, threads == 1)?;
         }
+        probe_side_builds = plan.probe_side_builds();
     }
-    Ok(())
+    Ok(probe_side_builds)
 }
 
 /// Compare engine output against reference rows. `exact` demands equality for

@@ -296,6 +296,17 @@ struct RefAgg {
     max: Value,
 }
 
+/// `a < b` in the order `min`/`max` keep: SQL order, with the tie it leaves
+/// between `-0.0` and `0.0` broken as [`Value::total_cmp`] breaks it, so the
+/// result does not depend on input order.
+fn agg_less(a: &Value, b: &Value) -> bool {
+    match a.sql_cmp(b) {
+        Some(std::cmp::Ordering::Less) => true,
+        Some(std::cmp::Ordering::Equal) => a.total_cmp(b).is_lt(),
+        _ => false,
+    }
+}
+
 impl RefAgg {
     fn new() -> RefAgg {
         RefAgg {
@@ -320,13 +331,10 @@ impl RefAgg {
         } else {
             arith(ArithOp::Add, &self.sum, value)
         };
-        if self.min.is_null() || matches!(value.sql_cmp(&self.min), Some(std::cmp::Ordering::Less))
-        {
+        if self.min.is_null() || agg_less(value, &self.min) {
             self.min = value.clone();
         }
-        if self.max.is_null()
-            || matches!(value.sql_cmp(&self.max), Some(std::cmp::Ordering::Greater))
-        {
+        if self.max.is_null() || agg_less(&self.max, value) {
             self.max = value.clone();
         }
     }

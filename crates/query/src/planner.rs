@@ -20,6 +20,13 @@
 //!   scan's [`Restriction`] list, where they are evaluated on compressed Data
 //!   Blocks under SMA/PSMA pruning; a `>=`/`<=` pair on the same column merges
 //!   into one `between`. Residual conjuncts stay behind as a filter operator.
+//! - **The smaller side hashed** — an inner join whose rows reach an aggregate
+//!   that cannot see their order (counts, min/max, integer sums and averages;
+//!   through filters and projections only) hashes its logical probe side when
+//!   that side's estimated rows are less than half the build side's. The
+//!   estimates come from block metadata ([`storage::Relation::estimate_rows`]),
+//!   so planning reads no block. The output row stays `build ++ probe`
+//!   ([`exec::ops::HashJoinOp::with_probe_columns_first`]).
 //!
 //! The resulting [`PhysicalPlan`] is self-contained (it borrows nothing): it can
 //! be pretty-printed for golden-file review (`plan_dump`) and executed repeatedly
@@ -36,7 +43,7 @@ use exec::ops::{
     ScanOp, SortKey, SortOp,
 };
 use exec::{collect_operator, Batch, Expr, PipelineSpec, RelationScanner, ScanConfig, ScanMode};
-use storage::Database;
+use storage::{Database, DEFAULT_SELECTIVITY};
 
 use crate::error::IrError;
 use crate::ir::{AggItem, ExprKind, IrExpr, Node, PredicateKind, QueryIr, TypedExpr};
@@ -225,6 +232,9 @@ enum PhysNode {
         aggregates: Vec<AggSpec>,
         agg_labels: Vec<String>,
     },
+    /// `build`/`probe` are the IR's logical sides, and the output row is always
+    /// `build ++ probe`. `hash_probe` says the join hashes its logical probe
+    /// side instead (see [`Planner::hash_smaller_side`]).
     HashJoin {
         join_type: JoinType,
         build: Box<PhysNode>,
@@ -232,6 +242,7 @@ enum PhysNode {
         build_keys: Vec<usize>,
         probe_keys: Vec<usize>,
         early_probe: bool,
+        hash_probe: bool,
     },
     Sort {
         input: Box<PhysNode>,
@@ -262,6 +273,28 @@ impl PhysicalPlan {
     /// The scan configuration the plan executes with.
     pub fn config(&self) -> ScanConfig {
         self.config
+    }
+
+    /// How many of the plan's inner joins hash their logical probe side — the
+    /// joins the planner turned around because that side is estimated to be the
+    /// smaller one (see [`Planner`]).
+    pub fn probe_side_builds(&self) -> usize {
+        fn count(node: &PhysNode) -> usize {
+            match node {
+                PhysNode::Scan(_) | PhysNode::MorselAggregate { .. } => 0,
+                PhysNode::Filter { input, .. }
+                | PhysNode::Project { input, .. }
+                | PhysNode::HashAggregate { input, .. }
+                | PhysNode::Sort { input, .. } => count(input),
+                PhysNode::HashJoin {
+                    build,
+                    probe,
+                    hash_probe,
+                    ..
+                } => usize::from(*hash_probe) + count(build) + count(probe),
+            }
+        }
+        count(&self.root)
     }
 
     /// Build the operator tree and drain it to a single output batch — for
@@ -355,16 +388,32 @@ fn build_operator<'a>(node: &PhysNode, db: &'a Database, config: ScanConfig) -> 
             build_keys,
             probe_keys,
             early_probe,
-        } => Box::new(
-            HashJoinOp::new(
+            hash_probe,
+        } => {
+            let (build, probe) = (
                 build_operator(build, db, config),
                 build_operator(probe, db, config),
-                build_keys.clone(),
-                probe_keys.clone(),
-                *join_type,
-            )
-            .with_early_probe(*early_probe),
-        ),
+            );
+            let join = if *hash_probe {
+                HashJoinOp::new(
+                    probe,
+                    build,
+                    probe_keys.clone(),
+                    build_keys.clone(),
+                    *join_type,
+                )
+                .with_probe_columns_first()
+            } else {
+                HashJoinOp::new(
+                    build,
+                    probe,
+                    build_keys.clone(),
+                    probe_keys.clone(),
+                    *join_type,
+                )
+            };
+            Box::new(join.with_early_probe(*early_probe))
+        }
         PhysNode::Sort { input, keys, limit } => Box::new(SortOp::new(
             build_operator(input, db, config),
             keys.clone(),
@@ -506,6 +555,7 @@ impl<'a> Planner<'a> {
                         build_keys: build_keys.clone(),
                         probe_keys: probe_keys.clone(),
                         early_probe: *early_probe,
+                        hash_probe: false,
                     },
                     output_types,
                 ))
@@ -693,7 +743,7 @@ impl<'a> Planner<'a> {
         groups: &[TypedExpr],
         aggregates: &[AggItem],
     ) -> Result<(PhysNode, Vec<DataType>), IrError> {
-        let (phys, in_types) = self.plan_node(input)?;
+        let (mut phys, in_types) = self.plan_node(input)?;
         let (group_exprs, group_types) =
             self.check_typed_exprs(groups, &in_types, "a group key")?;
         let mut specs = Vec::with_capacity(aggregates.len());
@@ -704,6 +754,12 @@ impl<'a> Planner<'a> {
             agg_labels.push(aggregate_label(agg));
             specs.push(spec);
             output_types.push(agg.ty);
+        }
+        if aggregates
+            .iter()
+            .all(|agg| order_insensitive(agg, &in_types))
+        {
+            self.hash_smaller_side(&mut phys);
         }
         // A scan-chain input fuses into the morsel workers; anything else (e.g. a
         // join output) is pulled on the calling thread.
@@ -725,6 +781,52 @@ impl<'a> Planner<'a> {
             },
         };
         Ok((node, output_types))
+    }
+
+    /// Let the inner join an aggregate reads — directly or through row-wise
+    /// filters and projections — hash its smaller side. The caller has checked
+    /// that the aggregate cannot see row order, which is all a swap changes.
+    /// The join hashes its logical probe side when that side's estimated rows
+    /// are less than half the build side's; a side that is not a scan chain has
+    /// no estimate, and its join keeps its sides.
+    fn hash_smaller_side(&self, mut node: &mut PhysNode) {
+        loop {
+            match node {
+                PhysNode::Filter { input, .. } | PhysNode::Project { input, .. } => node = input,
+                PhysNode::HashJoin {
+                    join_type: JoinType::Inner,
+                    build,
+                    probe,
+                    hash_probe,
+                    ..
+                } => {
+                    if let (Some(b), Some(p)) =
+                        (self.estimate_rows(build), self.estimate_rows(probe))
+                    {
+                        *hash_probe = b > 2.0 * p;
+                    }
+                    return;
+                }
+                _ => return,
+            }
+        }
+    }
+
+    /// Estimated output rows of a scan chain, from block metadata
+    /// ([`storage::Relation::estimate_rows`] prices the scan's restrictions; a
+    /// residual filter keeps [`DEFAULT_SELECTIVITY`] of its input). `None` for
+    /// anything else. Reads no block.
+    fn estimate_rows(&self, node: &PhysNode) -> Option<f64> {
+        match node {
+            PhysNode::Scan(scan) => {
+                Some((self.db.relation(&scan.relation)).estimate_rows(&scan.restrictions))
+            }
+            PhysNode::Filter { input, .. } => {
+                Some(self.estimate_rows(input)? * DEFAULT_SELECTIVITY)
+            }
+            PhysNode::Project { input, .. } => self.estimate_rows(input),
+            _ => None,
+        }
     }
 
     fn check_typed_exprs(
@@ -786,6 +888,17 @@ fn lower_aggregate(agg: &AggItem, input: &[DataType]) -> Result<AggSpec, IrError
         None => Expr::lit(0i64),
     };
     Ok(AggSpec::new(agg.func, expr, agg.ty))
+}
+
+/// Is an aggregate's result independent of the order its input rows arrive in?
+/// Counts, min/max (whose double ties break by bit pattern) and integer sums
+/// and averages are; a double sum adds in arrival order, so its last bits are not.
+fn order_insensitive(agg: &AggItem, input: &[DataType]) -> bool {
+    match agg.func {
+        AggFunc::CountStar | AggFunc::Count | AggFunc::Min | AggFunc::Max => true,
+        AggFunc::Sum | AggFunc::Avg => !(agg.expr.as_ref())
+            .is_some_and(|expr| matches!(infer_type(expr, input), Ok(Ty::Known(DataType::Double)))),
+    }
 }
 
 /// Flatten the left-folded `and` spine of a predicate into its conjuncts.
@@ -1137,6 +1250,7 @@ fn display_tree(node: &PhysNode) -> DisplayNode {
             build_keys,
             probe_keys,
             early_probe,
+            hash_probe,
         } => {
             let kind = match join_type {
                 JoinType::Inner => "inner",
@@ -1146,6 +1260,9 @@ fn display_tree(node: &PhysNode) -> DisplayNode {
                 format!("hash-join {kind} build_keys={build_keys:?} probe_keys={probe_keys:?}");
             if *early_probe {
                 label.push_str(" early_probe");
+            }
+            if *hash_probe {
+                label.push_str(" builds_on=probe");
             }
             let mut build_child = display_tree(build);
             build_child.label = format!("build: {}", build_child.label);

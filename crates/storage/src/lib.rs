@@ -54,5 +54,7 @@ pub use blockstore::{
 pub use database::Database;
 pub use faults::{FaultAction, FaultInjector, StoreFile};
 pub use hot::{HotChunk, DEFAULT_CHUNK_CAPACITY};
-pub use relation::{Relation, RowId, ScanSnapshot, ScanSource, Segment, StorageStats};
+pub use relation::{
+    Relation, RowId, ScanSnapshot, ScanSource, Segment, StorageStats, DEFAULT_SELECTIVITY,
+};
 pub use schema::{ColumnDef, Schema};
