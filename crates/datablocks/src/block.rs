@@ -1,7 +1,7 @@
 //! The Data Block container: a self-contained, immutable, compressed columnar
 //! representation of one chunk of a relation (Section 3).
 
-use std::sync::OnceLock;
+use std::sync::{Arc, OnceLock};
 
 use crate::compression::{ColumnCompression, SchemeKind};
 use crate::psma::{psma_slots_for, Psma};
@@ -156,13 +156,55 @@ impl PartialEq for BlockColumn {
 /// format (PAX-style). Once frozen the contained data never changes; the only
 /// permitted mutation is marking a record as deleted, which sets a flag — updates are
 /// handled by the storage layer as delete-plus-reinsert into a hot chunk.
+///
+/// A block paged in from a frame may hold only some of its attributes: a
+/// projected page-in ([`crate::frame::decode_header`] plus
+/// [`crate::frame::SectionTable::decode_attribute`]) decodes the header and the
+/// attributes a reader asked for, and the others stay on disk. Reading an
+/// attribute that was not paged in panics, naming it; it never yields a value.
 #[derive(Debug, Clone, PartialEq)]
 pub struct DataBlock {
     tuple_count: u32,
-    columns: Vec<BlockColumn>,
+    columns: Attributes,
     /// Lazily allocated delete flags (`true` = record deleted).
     deleted: Option<Vec<bool>>,
     deleted_count: u32,
+}
+
+/// The attributes of a block: held in place when the block has all of them,
+/// which keeps a scan of a frozen block one load from its attribute; shared
+/// one by one when it was paged in by attribute, so a block that gains
+/// attributes shares the ones it had with every earlier view of it.
+#[derive(Debug, Clone)]
+enum Attributes {
+    /// Every attribute: a frozen block, or one decoded whole.
+    All(Vec<BlockColumn>),
+    /// One slot per attribute, `None` for an attribute left on disk.
+    Paged(Vec<Option<Arc<BlockColumn>>>),
+}
+
+impl Attributes {
+    fn len(&self) -> usize {
+        match self {
+            Attributes::All(columns) => columns.len(),
+            Attributes::Paged(slots) => slots.len(),
+        }
+    }
+
+    fn get(&self, col: usize) -> Option<&BlockColumn> {
+        match self {
+            Attributes::All(columns) => Some(&columns[col]),
+            Attributes::Paged(slots) => slots[col].as_deref(),
+        }
+    }
+}
+
+/// Equal when the same attributes are held and hold the same data, whichever
+/// way they are held.
+impl PartialEq for Attributes {
+    fn eq(&self, other: &Attributes) -> bool {
+        self.len() == other.len() && (0..self.len()).all(|col| self.get(col) == other.get(col))
+    }
 }
 
 impl DataBlock {
@@ -171,10 +213,49 @@ impl DataBlock {
     pub(crate) fn from_parts(tuple_count: u32, columns: Vec<BlockColumn>) -> DataBlock {
         DataBlock {
             tuple_count,
-            columns,
+            columns: Attributes::All(columns),
             deleted: None,
             deleted_count: 0,
         }
+    }
+
+    /// A block of `column_count` attributes of which none is paged in yet: what
+    /// a frame's header section decodes to.
+    pub(crate) fn header_only(tuple_count: u32, column_count: usize) -> DataBlock {
+        DataBlock {
+            tuple_count,
+            columns: Attributes::Paged(vec![None; column_count]),
+            deleted: None,
+            deleted_count: 0,
+        }
+    }
+
+    /// This header-only block with every attribute, `columns` in attribute
+    /// order: a block decoded whole.
+    pub(crate) fn with_all_columns(mut self, columns: Vec<BlockColumn>) -> DataBlock {
+        assert_eq!(
+            columns.len(),
+            self.column_count(),
+            "one column per attribute"
+        );
+        self.columns = Attributes::All(columns);
+        self
+    }
+
+    /// This block with `columns` filled into the attribute slots it lacks. An
+    /// attribute the block already holds keeps its own copy (and its PSMA, if
+    /// built).
+    pub fn with_columns(
+        &self,
+        columns: impl IntoIterator<Item = (usize, Arc<BlockColumn>)>,
+    ) -> DataBlock {
+        let mut block = self.clone();
+        if let Attributes::Paged(slots) = &mut block.columns {
+            for (col, column) in columns {
+                slots[col].get_or_insert(column);
+            }
+        }
+        block
     }
 
     /// Number of records stored in the block (including deleted ones).
@@ -187,25 +268,42 @@ impl DataBlock {
         self.tuple_count - self.deleted_count
     }
 
-    /// Number of attributes.
+    /// Number of attributes, paged in or not.
     pub fn column_count(&self) -> usize {
         self.columns.len()
     }
 
-    /// Access one attribute's block-level metadata and compressed payload.
-    pub fn column(&self, col: usize) -> &BlockColumn {
-        &self.columns[col]
+    /// Is attribute `col` paged in? Always `true` for a block that was frozen
+    /// or decoded whole.
+    pub fn has_column(&self, col: usize) -> bool {
+        self.columns.get(col).is_some()
     }
 
-    /// All attributes.
-    pub fn columns(&self) -> &[BlockColumn] {
-        &self.columns
+    /// Access one attribute's block-level metadata and compressed payload.
+    ///
+    /// # Panics
+    ///
+    /// If attribute `col` was not paged in.
+    pub fn column(&self, col: usize) -> &BlockColumn {
+        match self.columns.get(col) {
+            Some(column) => column,
+            None => panic!("attribute {col} of this Data Block was not paged in"),
+        }
+    }
+
+    /// All attributes, in attribute order.
+    ///
+    /// # Panics
+    ///
+    /// On reaching an attribute that was not paged in.
+    pub fn columns(&self) -> impl ExactSizeIterator<Item = &BlockColumn> {
+        (0..self.columns.len()).map(|col| self.column(col))
     }
 
     /// Point access: decompress attribute `col` of record `row` (Section 3.4 —
     /// point accesses skip all scan machinery and unpack a single position).
     pub fn get(&self, row: usize, col: usize) -> Value {
-        self.columns[col].get(row)
+        self.column(col).get(row)
     }
 
     /// Has record `row` been marked deleted?
@@ -243,29 +341,35 @@ impl DataBlock {
     /// attribute. A tuple-at-a-time JIT engine would need one generated code path per
     /// distinct combination (Section 4, Figure 5).
     pub fn layout_combination(&self) -> Vec<SchemeKind> {
-        self.columns.iter().map(|c| c.compression.kind()).collect()
+        self.columns().map(|c| c.compression.kind()).collect()
     }
 
     /// Total in-memory size of the block in bytes, including SMAs, PSMAs, validity
     /// and delete bitmaps, plus a fixed per-attribute header (tuple count, scheme tag
-    /// and the four offsets of Figure 3).
+    /// and the four offsets of Figure 3). An attribute that is not paged in
+    /// counts only its header entry: this is the size a block cache accounts.
     pub fn byte_size(&self) -> usize {
-        let header = 4 + self.columns.len() * 20;
-        header
-            + self.columns.iter().map(|c| c.byte_size()).sum::<usize>()
-            + self.deleted.as_ref().map(|d| d.len() / 8 + 1).unwrap_or(0)
+        self.header_byte_size() + self.loaded().map(|c| c.byte_size()).sum::<usize>()
     }
 
     /// Block size excluding the PSMA lookup tables (quantifies index overhead).
     pub fn byte_size_without_psma(&self) -> usize {
-        let header = 4 + self.columns.len() * 20;
-        header
+        self.header_byte_size()
             + self
-                .columns
-                .iter()
+                .loaded()
                 .map(|c| c.byte_size_without_psma())
                 .sum::<usize>()
-            + self.deleted.as_ref().map(|d| d.len() / 8 + 1).unwrap_or(0)
+    }
+
+    /// The accounted size of the header: the tuple count, a fixed entry per
+    /// attribute and the delete bitmap.
+    pub fn header_byte_size(&self) -> usize {
+        4 + self.columns.len() * 20 + self.deleted.as_ref().map(|d| d.len() / 8 + 1).unwrap_or(0)
+    }
+
+    /// The attributes that are paged in.
+    fn loaded(&self) -> impl Iterator<Item = &BlockColumn> {
+        (0..self.columns.len()).filter_map(|col| self.columns.get(col))
     }
 }
 
@@ -330,11 +434,7 @@ mod tests {
 
     /// Columns of `block` whose PSMA has been built.
     fn built_psmas(block: &DataBlock) -> usize {
-        block
-            .columns()
-            .iter()
-            .filter(|c| c.psma.get().is_some())
-            .count()
+        block.columns().filter(|c| c.psma.get().is_some()).count()
     }
 
     #[test]
@@ -349,7 +449,7 @@ mod tests {
         let bytes = crate::layout::to_bytes(&block);
         let restored = crate::layout::from_bytes(&bytes).unwrap();
         // single-value and double columns are settled at decode: they have none
-        let settled = restored.columns().iter().filter(|c| !c.has_psma()).count();
+        let settled = restored.columns().filter(|c| !c.has_psma()).count();
         assert_eq!(built_psmas(&restored), settled);
         assert_eq!(crate::layout::to_bytes(&restored), bytes);
         let _ = crate::frame::BlockSummary::of(&restored);

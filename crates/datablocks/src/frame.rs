@@ -1,11 +1,24 @@
 //! The on-disk *frame* around a serialized Data Block, and the block-store
 //! *manifest* records that say where frames live.
 //!
-//! [`crate::layout`] defines the flat in-memory byte representation of a block; a
-//! frame wraps it for secondary storage behind a fixed 20-byte header (magic,
-//! version, XXH64 checksum of the payload, payload length). The checksum
+//! [`crate::layout`] defines the flat byte representation of a block: a header
+//! with a per-attribute offset table, then one area per attribute. A frame wraps
+//! it for secondary storage and checksums it in **sections**, so a reader can
+//! page in one attribute without reading or hashing the others:
+//!
+//! * the **header section** — frame bytes `[0, header_len)`: the magic, the
+//!   version, the section's own XXH64, `header_len`, the attribute count, one
+//!   XXH64 per attribute section, and the layout header (tuple count, offset
+//!   table, delete flags);
+//! * one **attribute section** per attribute — its layout area, in attribute
+//!   order, back to back after the header section.
+//!
+//! [`decode_header`] verifies and decodes the header section into a
+//! [`SectionTable`] and a block with no attribute paged in;
+//! [`SectionTable::decode_attribute`] verifies and decodes one attribute
+//! section. [`from_frame`] is the two together over a whole frame. The checksum
 //! turns a torn write or bit rot into [`FrameError::ChecksumMismatch`] instead of
-//! a block decoded from garbage.
+//! a block decoded from garbage — for every section a reader decodes.
 //!
 //! A frame is not self-describing: the store's manifest is the only record of
 //! where a frame lives and what it holds. Each [`ManifestRecord::Put`] carries
@@ -15,7 +28,9 @@
 //! paper's scan-skipping survives a block's eviction to disk. The byte-exact
 //! formats are specified in `crates/datablocks/README.md`.
 
-use crate::block::DataBlock;
+use std::ops::Range;
+
+use crate::block::{BlockColumn, DataBlock};
 use crate::layout::{self, LayoutError, Reader, Writer};
 use crate::scan::{Restriction, ScanOptions};
 use crate::sma::Sma;
@@ -23,10 +38,13 @@ use crate::sma::Sma;
 /// Magic bytes identifying a Data Block frame.
 pub const FRAME_MAGIC: &[u8; 4] = b"DBFM";
 /// Current version of the frame format.
-pub const FRAME_VERSION: u32 = 3;
-/// Size of the fixed frame header (magic, version, checksum, payload length) in
-/// bytes.
-const FRAME_HEADER_LEN: usize = 20;
+pub const FRAME_VERSION: u32 = 4;
+/// Size of the frame's fixed prefix (magic, version, header checksum, header
+/// length) in bytes: what a reader needs to learn how long the header section
+/// is ([`header_len`]).
+pub const FRAME_PREFIX_LEN: usize = 20;
+/// Bytes before the per-attribute checksums: the prefix and the attribute count.
+const SECTION_SUMS_AT: usize = FRAME_PREFIX_LEN + 4;
 
 /// Magic bytes identifying a block-store *manifest* record.
 pub const MANIFEST_MAGIC: &[u8; 4] = b"DBMF";
@@ -201,7 +219,6 @@ impl BlockSummary {
             deleted_count: block.tuple_count() - block.live_tuple_count(),
             columns: block
                 .columns()
-                .iter()
                 .map(|c| ColumnSummary {
                     sma: c.sma.clone(),
                     has_psma: c.has_psma(),
@@ -240,25 +257,99 @@ impl BlockSummary {
     }
 }
 
-/// Serialize a block into a complete frame: header, then the block layout,
-/// written into one buffer. The checksum and payload length are filled in
-/// once the payload is there.
+/// One attribute section of a frame: where it lies and what it hashes to.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Section {
+    /// Byte offset of the section within the frame.
+    pub offset: u32,
+    /// Length of the section in bytes.
+    pub len: u32,
+    /// XXH64 of the section's bytes.
+    pub checksum: u64,
+}
+
+impl Section {
+    /// The section's bytes as a range of the frame.
+    pub fn range(&self) -> Range<usize> {
+        self.offset as usize..self.offset as usize + self.len as usize
+    }
+}
+
+/// Where the sections of a frame lie: the header section, frame bytes
+/// `[0, header_len)`, then one [`Section`] per attribute, back to back. Read
+/// off a verified header section by [`decode_header`]; a block store keeps it
+/// in its directory so a later page-in can read exactly the sections it needs.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct SectionTable {
+    /// Length of the header section in bytes.
+    pub header_len: u32,
+    /// One section per attribute, in attribute order.
+    pub attributes: Vec<Section>,
+}
+
+impl SectionTable {
+    /// Length of the whole frame: the end of its last section.
+    pub fn frame_len(&self) -> usize {
+        self.attributes
+            .last()
+            .map_or(self.header_len as usize, |last| last.range().end)
+    }
+
+    /// Verify and decode attribute `col` from `section`, the bytes of its
+    /// section; `rows` is the block's tuple count. The bytes are checksummed
+    /// before anything is decoded.
+    pub fn decode_attribute(
+        &self,
+        col: usize,
+        section: &[u8],
+        rows: u32,
+    ) -> Result<BlockColumn, FrameError> {
+        let expected = &self.attributes[col];
+        if section.len() != expected.len as usize {
+            return Err(FrameError::Truncated);
+        }
+        verify(section, expected.checksum)?;
+        Ok(layout::read_attribute(section, rows)?)
+    }
+}
+
+fn verify(bytes: &[u8], stored: u64) -> Result<(), FrameError> {
+    let actual = xxh64(bytes);
+    if actual == stored {
+        Ok(())
+    } else {
+        Err(FrameError::ChecksumMismatch { stored, actual })
+    }
+}
+
+/// Serialize a block into a complete frame: the header section, then one
+/// section per attribute, written into one buffer. The checksums and the
+/// header length are filled in once the sections are there.
 pub fn to_frame(block: &DataBlock) -> Vec<u8> {
     let mut w = Writer::new();
     w.bytes(FRAME_MAGIC);
     w.u32(FRAME_VERSION);
     w.bytes(&[0; 12]);
-    debug_assert_eq!(w.buf.len(), FRAME_HEADER_LEN);
-    layout::write_block(&mut w, block);
-    let (header, payload) = w.buf.split_at_mut(FRAME_HEADER_LEN);
-    header[8..16].copy_from_slice(&xxh64(payload).to_le_bytes());
-    header[16..20].copy_from_slice(&(payload.len() as u32).to_le_bytes());
+    w.u32(block.column_count() as u32);
+    w.bytes(&vec![0; block.column_count() * 8]);
+    let extents = layout::write_block(&mut w, block);
+    for (col, area) in extents.attributes.iter().enumerate() {
+        let at = SECTION_SUMS_AT + col * 8;
+        let sum = xxh64(&w.buf[area.clone()]);
+        w.buf[at..at + 8].copy_from_slice(&sum.to_le_bytes());
+    }
+    let header_len = extents.header_end;
+    w.buf[16..20].copy_from_slice(&(header_len as u32).to_le_bytes());
+    let sum = xxh64(&w.buf[16..header_len]);
+    w.buf[8..16].copy_from_slice(&sum.to_le_bytes());
     w.buf
 }
 
-/// Decode a whole frame back into a [`DataBlock`], verifying the checksum first.
-pub fn from_frame(bytes: &[u8]) -> Result<DataBlock, FrameError> {
-    let mut r = Reader::new(bytes);
+/// Length of a frame's header section, read off the frame's first
+/// [`FRAME_PREFIX_LEN`] bytes after checking their magic and version. The
+/// length itself is verified only by [`decode_header`]'s checksum.
+pub fn header_len(prefix: &[u8]) -> Result<usize, FrameError> {
+    let mut r = Reader::new(prefix);
     if r.take(4)? != FRAME_MAGIC {
         return Err(FrameError::BadMagic);
     }
@@ -266,17 +357,75 @@ pub fn from_frame(bytes: &[u8]) -> Result<DataBlock, FrameError> {
     if version != FRAME_VERSION {
         return Err(FrameError::UnsupportedVersion(version));
     }
-    let checksum = r.u64()?;
-    let payload_len = r.u32()? as usize;
-    let payload = r.take(payload_len)?;
-    let actual = xxh64(payload);
-    if actual != checksum {
-        return Err(FrameError::ChecksumMismatch {
-            stored: checksum,
-            actual,
-        });
+    r.u64()?;
+    Ok(r.u32()? as usize)
+}
+
+/// Verify and decode a frame's header section, the first
+/// [`header_len`] bytes of `bytes` (which may hold more of the frame), into
+/// the frame's [`SectionTable`] and its block with no attribute paged in:
+/// tuple count and delete flags only.
+pub fn decode_header(bytes: &[u8]) -> Result<(SectionTable, DataBlock), FrameError> {
+    let header_len = header_len(bytes)?;
+    if header_len < SECTION_SUMS_AT {
+        return Err(FrameError::Corrupt(
+            "header section shorter than its prefix",
+        ));
     }
-    Ok(layout::from_bytes(payload)?)
+    let header = bytes.get(..header_len).ok_or(FrameError::Truncated)?;
+    let stored = u64::from_le_bytes(header[8..16].try_into().expect("8 bytes"));
+    verify(&header[16..], stored)?;
+    let mut r = Reader::new(&header[FRAME_PREFIX_LEN..]);
+    let count = r.u32()? as usize;
+    let sums_len = count.checked_mul(8).ok_or(FrameError::Truncated)?;
+    let sums = r.take(sums_len)?;
+    let layout_at = SECTION_SUMS_AT + sums_len;
+    let decoded = layout::read_header(&header[layout_at..])?;
+    if decoded.block.column_count() != count {
+        return Err(FrameError::Corrupt(
+            "attribute count disagrees with the layout",
+        ));
+    }
+    if layout_at + decoded.len != header_len {
+        return Err(FrameError::Corrupt(
+            "header length disagrees with the layout",
+        ));
+    }
+    let attributes = (decoded.areas.iter().zip(sums.as_chunks::<8>().0))
+        .map(|(&(offset, len), sum)| {
+            let offset = u32::try_from(layout_at + offset)
+                .map_err(|_| FrameError::Corrupt("attribute section past 4 GiB"))?;
+            Ok(Section {
+                offset,
+                len: len as u32,
+                checksum: u64::from_le_bytes(*sum),
+            })
+        })
+        .collect::<Result<_, FrameError>>()?;
+    let table = SectionTable {
+        header_len: header_len as u32,
+        attributes,
+    };
+    Ok((table, decoded.block))
+}
+
+/// Decode a whole frame back into a [`DataBlock`], verifying every section's
+/// checksum before decoding it.
+pub fn from_frame(bytes: &[u8]) -> Result<DataBlock, FrameError> {
+    let (table, header) = decode_header(bytes)?;
+    match bytes.len().cmp(&table.frame_len()) {
+        std::cmp::Ordering::Less => return Err(FrameError::Truncated),
+        std::cmp::Ordering::Greater => {
+            return Err(FrameError::Corrupt("bytes after the last section"))
+        }
+        std::cmp::Ordering::Equal => {}
+    }
+    let rows = header.tuple_count();
+    let mut columns = Vec::with_capacity(table.attributes.len());
+    for (col, section) in table.attributes.iter().enumerate() {
+        columns.push(table.decode_attribute(col, &bytes[section.range()], rows)?);
+    }
+    Ok(header.with_all_columns(columns))
 }
 
 // ------------------------------------------------------------- manifest records
@@ -501,6 +650,7 @@ mod tests {
     use crate::scan::plan_scan;
     use crate::value::Value;
     use dbsimd::CmpOp;
+    use std::sync::Arc;
 
     fn block() -> DataBlock {
         let ids = int_column((0..3000).collect());
@@ -593,10 +743,68 @@ mod tests {
         let frame = to_frame(&block);
         assert_eq!(
             (frame.len(), xxh64(&frame)),
-            (27_704, 0xB33B_4985_692C_ADC2),
+            (27_852, 0xE875_8E25_A7C5_3EAE),
             "the frame format changed: bump FRAME_VERSION"
         );
         assert_eq!(from_frame(&frame).unwrap(), block);
+    }
+
+    /// The same block framed by version 3, the last format with one checksum
+    /// over one payload.
+    pub(crate) const EVERY_SCHEME_BLOCK_V3: &[u8] =
+        include_bytes!("../testdata/every_scheme_block.v3.frame");
+
+    #[test]
+    fn a_version_3_frame_is_refused() {
+        assert_eq!(EVERY_SCHEME_BLOCK_V3.len(), 27_704);
+        assert_eq!(xxh64(EVERY_SCHEME_BLOCK_V3), 0xB33B_4985_692C_ADC2);
+        assert_eq!(
+            from_frame(EVERY_SCHEME_BLOCK_V3),
+            Err(FrameError::UnsupportedVersion(3))
+        );
+        assert_eq!(
+            header_len(EVERY_SCHEME_BLOCK_V3),
+            Err(FrameError::UnsupportedVersion(3))
+        );
+    }
+
+    #[test]
+    fn sections_tile_the_frame_and_decode_one_attribute_each() {
+        let block = every_scheme_block();
+        let frame = to_frame(&block);
+        let (table, header) = decode_header(&frame).unwrap();
+        assert_eq!(table.attributes.len(), block.column_count());
+        assert_eq!(table.frame_len(), frame.len());
+        let mut next = table.header_len as usize;
+        for section in &table.attributes {
+            assert_eq!(section.range().start, next, "sections are back to back");
+            next = section.range().end;
+        }
+        assert_eq!(
+            (header.tuple_count(), header.live_tuple_count()),
+            (1003, 999)
+        );
+        assert!((0..block.column_count()).all(|col| !header.has_column(col)));
+        for (col, section) in table.attributes.iter().enumerate() {
+            let column = table
+                .decode_attribute(col, &frame[section.range()], header.tuple_count())
+                .unwrap();
+            assert_eq!(&column, block.column(col), "attribute {col}");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "attribute 2 of this Data Block was not paged in")]
+    fn reading_an_attribute_that_was_not_paged_in_panics_naming_it() {
+        let frame = to_frame(&block());
+        let (table, header) = decode_header(&frame).unwrap();
+        let section = table.attributes[0];
+        let ids = table
+            .decode_attribute(0, &frame[section.range()], 3000)
+            .unwrap();
+        let block = header.with_columns([(0, Arc::new(ids))]);
+        assert_eq!(block.get(7, 0), Value::Int(7));
+        block.get(7, 2);
     }
 
     #[test]
@@ -685,8 +893,8 @@ mod tests {
         for cut in [
             0,
             3,
-            FRAME_HEADER_LEN - 1,
-            FRAME_HEADER_LEN + 2,
+            FRAME_PREFIX_LEN - 1,
+            FRAME_PREFIX_LEN + 2,
             frame.len() - 1,
         ] {
             let err = from_frame(&frame[..cut]).unwrap_err();
@@ -703,7 +911,7 @@ mod tests {
         frame[4..8].copy_from_slice(&42u32.to_le_bytes());
         assert_eq!(from_frame(&frame), Err(FrameError::UnsupportedVersion(42)));
         // frames of the previous formats are refused, not misparsed
-        for old in [1u32, 2] {
+        for old in [1u32, 2, 3] {
             frame[4..8].copy_from_slice(&old.to_le_bytes());
             assert_eq!(from_frame(&frame), Err(FrameError::UnsupportedVersion(old)));
         }
@@ -868,6 +1076,27 @@ mod tests {
         );
     }
 
+    /// Page in attributes `cols` of `frame` as a block store does: the header
+    /// section, then each named attribute section, each from its own bytes.
+    /// `table` is the section table the store learned when it wrote the frame.
+    fn projected(
+        table: &SectionTable,
+        frame: &[u8],
+        cols: &[usize],
+    ) -> Result<DataBlock, FrameError> {
+        let (read, header) = decode_header(&frame[..table.header_len as usize])?;
+        if read != *table {
+            return Err(FrameError::Corrupt("section table changed"));
+        }
+        let mut columns = Vec::new();
+        for &col in cols {
+            let section = &frame[table.attributes[col].range()];
+            let column = table.decode_attribute(col, section, header.tuple_count())?;
+            columns.push((col, Arc::new(column)));
+        }
+        Ok(header.with_columns(columns))
+    }
+
     #[test]
     fn every_single_bit_flip_of_a_frame_or_manifest_record_is_rejected() {
         let small = freeze(&[int_column((0..480).map(|i| i * 7 % 300).collect())]);
@@ -877,6 +1106,36 @@ mod tests {
             let mut flipped = frame.clone();
             flipped[bit / 8] ^= 1 << (bit % 8);
             assert!(from_frame(&flipped).is_err(), "frame bit {bit}");
+        }
+        // A projected page-in of attribute 1 of three rejects exactly the flips
+        // in the header section and in attribute 1's section; a flip in a
+        // section it does not read leaves what it does read intact.
+        let mut three = freeze(&[
+            int_column((0..300).map(|i| i * 7 % 300).collect()),
+            str_column((0..300).map(|i| format!("s{}", i % 9)).collect()),
+            double_column((0..300).map(|i| i as f64 * 0.5).collect()),
+        ]);
+        three.delete(17);
+        let frame = to_frame(&three);
+        let (table, _) = decode_header(&frame).unwrap();
+        let read = table.attributes[1].range();
+        let expected = projected(&table, &frame, &[1]).unwrap();
+        assert_eq!(expected.column(1), three.column(1));
+        for bit in 0..frame.len() * 8 {
+            let mut flipped = frame.clone();
+            flipped[bit / 8] ^= 1 << (bit % 8);
+            assert!(from_frame(&flipped).is_err(), "frame bit {bit}");
+            let byte = bit / 8;
+            let got = projected(&table, &flipped, &[1]);
+            if byte < table.header_len as usize || read.contains(&byte) {
+                assert!(got.is_err(), "projected page-in, frame bit {bit}");
+            } else {
+                assert_eq!(
+                    got.as_ref(),
+                    Ok(&expected),
+                    "projected page-in, frame bit {bit}"
+                );
+            }
         }
         let record = manifest_record_to_bytes(&ManifestRecord::Put {
             block_id: 3,

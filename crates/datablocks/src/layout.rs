@@ -2,10 +2,24 @@
 //!
 //! A Data Block is self-contained and pointer-free so it can be evicted to secondary
 //! storage (or NVRAM) and read back — or even accessed in place — without any fix-up.
-//! This module implements that flat layout: a small header holding the tuple count
-//! and, per attribute, the compression tag and byte offsets of the attribute's SMA,
-//! PSMA, dictionary, code vector, string payload and validity bitmap, followed by the
-//! data areas themselves.
+//! This module implements that flat layout, version [`VERSION`]:
+//!
+//! * a **header**: the magic `DBLK`, the version, the tuple count, the attribute
+//!   count, then per attribute the byte offset and the length of its area
+//!   (offsets count from the first byte of the layout), then the delete flags (a
+//!   presence byte and, if set, a bitmap);
+//! * one **area per attribute**, back to back in attribute order, each at the
+//!   offset the header names: the compression tag, the SMA, the compressed
+//!   payload (single value; frame-of-reference base and code vector; dictionary
+//!   and code vector; or plain doubles), whether the attribute had a PSMA, and the
+//!   validity bitmap if the attribute holds NULLs.
+//!
+//! The offset table makes the layout byte-addressable per attribute: a reader
+//! that has the header can decode any one attribute from its area alone,
+//! which is what lets a spilled block be paged in one attribute at a time
+//! ([`crate::frame::SectionTable::decode_attribute`]). PSMAs are derived data
+//! and are not stored; a decoded attribute rebuilds its table on the first
+//! probe.
 //!
 //! The in-memory [`DataBlock`] remains the primary working representation; the
 //! serialized form is used for persistence, eviction and the size accounting of the
@@ -19,7 +33,7 @@ use crate::value::Value;
 /// Magic bytes identifying a serialized Data Block.
 pub const MAGIC: &[u8; 4] = b"DBLK";
 /// Current version of the serialized layout.
-pub const VERSION: u32 = 1;
+pub const VERSION: u32 = 2;
 
 /// Errors produced when decoding a serialized Data Block.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -165,18 +179,25 @@ pub fn to_bytes(block: &DataBlock) -> Vec<u8> {
     w.buf
 }
 
-/// Append the flat representation of `block` to `w`.
-pub(crate) fn write_block(w: &mut Writer, block: &DataBlock) {
+/// Where [`write_block`] put the parts of a layout, as ranges of the writer's
+/// buffer.
+pub(crate) struct Extents {
+    /// End of the header (the first attribute area starts here).
+    pub(crate) header_end: usize,
+    /// One area per attribute, in attribute order.
+    pub(crate) attributes: Vec<std::ops::Range<usize>>,
+}
+
+/// Append the flat representation of `block` to `w`, reporting where its header
+/// and attribute areas landed.
+pub(crate) fn write_block(w: &mut Writer, block: &DataBlock) -> Extents {
+    let start = w.buf.len();
     w.bytes(MAGIC);
     w.u32(VERSION);
     w.u32(block.tuple_count());
     w.u32(block.column_count() as u32);
-
-    for column in block.columns() {
-        write_column(w, column, block.tuple_count() as usize);
-    }
-
-    // delete flags (bit-packed), written last so the common no-deletes case costs one byte
+    let table = w.buf.len();
+    w.bytes(&vec![0; block.column_count() * 8]);
     match block.deleted_flags() {
         Some(flags) => {
             w.u8(1);
@@ -184,11 +205,24 @@ pub(crate) fn write_block(w: &mut Writer, block: &DataBlock) {
         }
         None => w.u8(0),
     }
+    let header_end = w.buf.len();
+    let mut attributes = Vec::with_capacity(block.column_count());
+    for (col, column) in block.columns().enumerate() {
+        let area_start = w.buf.len();
+        write_column(w, column, block.tuple_count() as usize);
+        let (offset, len) = (area_start - start, w.buf.len() - area_start);
+        let entry = table + col * 8;
+        w.buf[entry..entry + 4].copy_from_slice(&(offset as u32).to_le_bytes());
+        w.buf[entry + 4..entry + 8].copy_from_slice(&(len as u32).to_le_bytes());
+        attributes.push(area_start..w.buf.len());
+    }
+    Extents {
+        header_end,
+        attributes,
+    }
 }
 
-/// Size in bytes of the serialized representation without materialising it is not
-/// provided; callers that only need the size can use [`DataBlock::byte_size`], which
-/// reports an equivalent figure without copying.
+/// Append one attribute's area: tag, SMA, payload, PSMA flag, validity.
 fn write_column(w: &mut Writer, column: &BlockColumn, rows: usize) {
     // compression tag
     match &column.compression {
@@ -303,6 +337,39 @@ fn write_bitmap(w: &mut Writer, bits: &[bool]) {
 
 /// Reconstruct a Data Block from its serialized representation.
 pub fn from_bytes(bytes: &[u8]) -> Result<DataBlock, LayoutError> {
+    let header = read_header(bytes)?;
+    let end = header
+        .areas
+        .last()
+        .map_or(header.len, |&(offset, len)| offset + len);
+    if bytes.len() < end {
+        return Err(LayoutError::Truncated);
+    }
+    if bytes.len() > end {
+        return Err(LayoutError::Corrupt("bytes after the last attribute"));
+    }
+    let rows = header.block.tuple_count();
+    let mut columns = Vec::with_capacity(header.areas.len());
+    for &(offset, len) in &header.areas {
+        columns.push(read_attribute(&bytes[offset..offset + len], rows)?);
+    }
+    Ok(header.block.with_all_columns(columns))
+}
+
+/// A decoded layout header.
+pub(crate) struct Header {
+    /// The block with its tuple count and delete flags and no attribute paged in.
+    pub(crate) block: DataBlock,
+    /// Offset (from the first byte of the layout) and length of each attribute's
+    /// area, in attribute order. The areas follow the header back to back.
+    pub(crate) areas: Vec<(usize, usize)>,
+    /// Length of the header: the first area starts here.
+    pub(crate) len: usize,
+}
+
+/// Decode the header at the start of `bytes`. Only the header's own bytes
+/// are read; the areas it points at may lie beyond the end of `bytes`.
+pub(crate) fn read_header(bytes: &[u8]) -> Result<Header, LayoutError> {
     let mut r = Reader::new(bytes);
     if r.take(4)? != MAGIC {
         return Err(LayoutError::BadMagic);
@@ -313,13 +380,11 @@ pub fn from_bytes(bytes: &[u8]) -> Result<DataBlock, LayoutError> {
     }
     let tuple_count = r.u32()?;
     let column_count = r.u32()? as usize;
-
-    let mut columns = Vec::with_capacity(column_count);
+    let mut areas = Vec::with_capacity(column_count.min(bytes.len() / 8));
     for _ in 0..column_count {
-        columns.push(read_column(&mut r, tuple_count as usize)?);
+        areas.push((r.u32()? as usize, r.u32()? as usize));
     }
-
-    let mut block = DataBlock::from_parts(tuple_count, columns);
+    let mut block = DataBlock::header_only(tuple_count, column_count);
     if r.u8()? == 1 {
         let flags = read_bitmap(&mut r)?;
         if flags.len() != tuple_count as usize {
@@ -331,7 +396,28 @@ pub fn from_bytes(bytes: &[u8]) -> Result<DataBlock, LayoutError> {
             }
         }
     }
-    Ok(block)
+    let len = r.pos;
+    let mut next = len;
+    for &(offset, len) in &areas {
+        if offset != next {
+            return Err(LayoutError::Corrupt("attribute areas are not back to back"));
+        }
+        next = offset
+            .checked_add(len)
+            .ok_or(LayoutError::Corrupt("attribute area overflows"))?;
+    }
+    Ok(Header { block, areas, len })
+}
+
+/// Decode one attribute from its area, which must hold exactly the attribute;
+/// `rows` is the block's tuple count.
+pub(crate) fn read_attribute(area: &[u8], rows: u32) -> Result<BlockColumn, LayoutError> {
+    let mut r = Reader::new(area);
+    let column = read_column(&mut r, rows as usize)?;
+    if r.pos != area.len() {
+        return Err(LayoutError::Corrupt("attribute area length mismatch"));
+    }
+    Ok(column)
 }
 
 fn read_column(r: &mut Reader<'_>, rows: usize) -> Result<BlockColumn, LayoutError> {

@@ -49,9 +49,12 @@
 //! ([`ScanSource::cold_block_may_match`]): an SMA-pruned cold block is counted as
 //! skipped **without any disk I/O**, preserving the paper's scan-skipping for
 //! evicted blocks. A block that cannot be pruned is resolved through
-//! [`ScanSource::cold_block`], and the returned (possibly pinned) reference is held
-//! exactly for the duration of the morsel — released as soon as the morsel's
-//! batches have been handed off, so at most one pin per scan worker is ever live.
+//! [`ScanSource::cold_block_columns`] with the attributes the scan reads — its
+//! projection and every restricted attribute, in every [`ScanMode`] — so a
+//! spilled block pages in only those. The returned (possibly pinned) reference
+//! is held exactly for the duration of the morsel — released as soon as the
+//! morsel's batches have been handed off, so at most one pin per scan worker is
+//! ever live.
 //! Scan results are byte-identical whatever tier a block occupies; only I/O
 //! counters change.
 
@@ -194,6 +197,9 @@ pub struct RelationScanner<'a, S: ScanSource = Relation> {
     /// computed once so the per-window paths never walk the schema or allocate.
     output_types: Vec<DataType>,
     restrictions: Vec<Restriction>,
+    /// The attributes a cold morsel pages in: the projection and every
+    /// restricted attribute, in attribute order.
+    read_columns: Vec<usize>,
     config: ScanConfig,
     stats: ScanStats,
     /// The next morsel the one-worker pull claims (an index into the source's
@@ -224,11 +230,17 @@ impl<'a, S: ScanSource> RelationScanner<'a, S> {
         // paying the streaming pipeline's thread and channel overhead for no
         // parallelism.
         config.threads = morsel::effective_threads(config.threads);
+        let mut read_columns: Vec<usize> = (projection.iter().copied())
+            .chain(restrictions.iter().map(Restriction::column))
+            .collect();
+        read_columns.sort_unstable();
+        read_columns.dedup();
         RelationScanner {
             source,
             output_types: projection_types(source, &projection),
             projection,
             restrictions,
+            read_columns,
             config,
             stats: ScanStats::default(),
             morsel_idx: 0,
@@ -357,7 +369,7 @@ impl<'a, S: ScanSource> RelationScanner<'a, S> {
                     self.stats.blocks_skipped += 1;
                     return Ok(true);
                 }
-                let block = self.source.cold_block(block_idx)?;
+                let block = (self.source).cold_block_columns(block_idx, &self.read_columns)?;
                 let mut matched = 0usize;
                 let keep_going = {
                     let mut counted = |batch: Batch| {

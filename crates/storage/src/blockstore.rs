@@ -10,11 +10,31 @@
 //! generation at a time) plus, in memory:
 //!
 //! * a **block directory** — for every block id the generation/offset/length of
-//!   its frame and its [`BlockSummary`] (tuple counts and per-attribute SMAs),
-//!   kept hot so SMA block-skipping and size accounting never touch the disk;
-//! * a **block cache** — decoded [`DataBlock`]s up to a configured byte capacity,
-//!   with **pin counts** (a pinned block is never evicted; scans pin for the
-//!   duration of a morsel) and CLOCK second-chance eviction for the rest.
+//!   its frame, its [`BlockSummary`] (tuple counts and per-attribute SMAs),
+//!   kept hot so SMA block-skipping and size accounting never touch the disk,
+//!   and once known the frame's [`SectionTable`]: where its header section and
+//!   each attribute section lie and what they hash to;
+//! * a **block cache** — per block, the decoded header (tuple count, delete
+//!   flags) and the attributes paged in so far, up to a configured byte
+//!   capacity that accounts exactly what is decoded, with **pin counts** (a
+//!   pinned block is never evicted; scans pin for the duration of a morsel)
+//!   and CLOCK second-chance eviction of whole blocks for the rest.
+//!
+//! # Page-in by attribute
+//!
+//! A frame is checksummed per section ([`datablocks::frame`]), so a reader
+//! pages in only what it reads. [`BlockStore::pin_columns`] names the
+//! attributes; a miss reads and verifies the sections the cached entry lacks
+//! — the header section if the block is not cached, then each named attribute
+//! the entry does not hold — with adjacent sections read in one call, and
+//! merges them into the entry. [`BlockStore::pin`] is the all-attributes case
+//! of the same path. A pinned block holds at least the named attributes;
+//! reading one it does not hold panics, naming it. The directory learns a
+//! section table when the store writes the frame; after a reopen, the block's
+//! first page-in reads the frame's 20-byte prefix to learn the header
+//! section's length, then the header section itself. Compaction copies frames
+//! byte for byte, so section offsets stay valid, and the manifest does not
+//! carry them.
 //!
 //! # Durability: the manifest
 //!
@@ -82,7 +102,7 @@
 //! | `gen.sync`           | `sync_data` of a generation file (Sync mode)        |
 //! | `manifest.append`    | manifest record write                               |
 //! | `manifest.sync`      | group-commit `fsync` of the manifest (Sync mode)    |
-//! | `pin.read`           | demand frame read of a cache miss                   |
+//! | `pin.read`           | demand section read of a cache miss                 |
 //! | `compact.read`       | live-frame read during compaction                   |
 //! | `compact.write`      | live-frame copy into the new generation             |
 //! | `compact.sync`       | new generation `sync_data` before the checkpoint    |
@@ -116,16 +136,18 @@
 //! # Concurrency
 //!
 //! The store starts no thread of its own: every read and write runs on the
-//! calling thread, and [`BlockStore::pin`] is the one path that pages a block
-//! into the cache — a scan reads a spilled block when it claims that morsel,
-//! never ahead of it. All I/O is positional (`read_at`/`write_at` via [`std::os::unix::fs::FileExt`]),
-//! so concurrent scan workers loading different blocks never contend on a shared
-//! file cursor. The cache index is behind one [`Mutex`], but the lock is **not**
-//! held across disk reads or frame decoding: a miss records the directory entry
-//! under the lock, performs the read/decode unlocked, and re-takes the lock to
-//! publish the block (two workers racing on the same block both pay the read, one
-//! insert wins — a deliberate trade of occasional duplicate I/O for an uncontended
-//! hot path). Mutations ([`BlockStore::mutate`], [`BlockStore::rewrite`],
+//! calling thread, and [`BlockStore::pin_columns`] is the one path that pages a
+//! block into the cache — a scan reads a spilled block when it claims that
+//! morsel, never ahead of it. All I/O is positional (`read_at`/`write_at` via
+//! [`std::os::unix::fs::FileExt`]), so concurrent scan workers loading different
+//! blocks never contend on a shared file cursor. The cache index is behind one
+//! [`Mutex`], but the lock is **not** held across disk reads or frame decoding:
+//! a miss records the directory entry under the lock, performs the read/decode
+//! unlocked, and re-takes the lock to merge what it read into the cached entry
+//! (two workers racing on the same block both pay their reads, and the entry
+//! ends up holding the union of their attributes, the first copy of each kept —
+//! a deliberate trade of occasional duplicate I/O for an uncontended hot path).
+//! Mutations ([`BlockStore::mutate`], [`BlockStore::rewrite`],
 //! [`BlockStore::compact`]) serialise on a dedicated mutation lock that is never
 //! held while ordinary pins wait, so reads proceed concurrently with a mutation's
 //! I/O.
@@ -144,8 +166,10 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
-use datablocks::frame::{self, manifest_record_to_bytes, replay_manifest, ManifestRecord};
-use datablocks::{BlockSummary, DataBlock, FrameError};
+use datablocks::frame::{
+    self, manifest_record_to_bytes, replay_manifest, ManifestRecord, SectionTable,
+};
+use datablocks::{BlockColumn, BlockSummary, DataBlock, FrameError};
 
 use crate::faults::{self, FaultInjector, StoreFile};
 
@@ -312,9 +336,12 @@ impl From<ColdReadError> for io::Error {
 /// what the scan-skipping assertions in the differential tests pin down.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct IoStats {
-    /// Block payloads read from disk (cache misses on a pin).
+    /// Pins that read from disk (cache misses), however many sections each
+    /// read.
     pub block_reads: u64,
-    /// Bytes read from disk by those block reads.
+    /// Bytes read from disk by those block reads: the lengths of the frame
+    /// sections they read (the header section and the attribute sections a
+    /// pin lacked), not whole frames.
     pub bytes_read: u64,
     /// Block frames written to disk (appends and rewrites; compaction copies are
     /// counted in [`IoStats::compacted_frames`] instead).
@@ -323,7 +350,8 @@ pub struct IoStats {
     pub bytes_written: u64,
     /// Pins served from the cache.
     pub cache_hits: u64,
-    /// Pins that had to load from disk.
+    /// Pins that had to load from disk: the block was not cached, or its
+    /// entry lacked an attribute the pin named.
     pub cache_misses: u64,
     /// Cached blocks evicted to stay within capacity.
     pub evictions: u64,
@@ -346,21 +374,27 @@ pub struct IoStats {
 }
 
 /// One directory entry: which generation file holds the block's frame, where,
-/// plus its hot summary.
+/// plus its hot summary and, once known, where the frame's sections lie.
 #[derive(Debug, Clone)]
 struct DirEntry {
     generation: u32,
     offset: u64,
     len: u32,
     summary: BlockSummary,
+    /// The frame's section table: learned when the store writes the frame, or
+    /// after a reopen from the frame's header section on the block's first
+    /// page-in. Compaction copies frames byte for byte, so it stays valid.
+    sections: Option<Arc<SectionTable>>,
 }
 
 #[derive(Debug)]
 struct CacheEntry {
+    /// The block's header and the attributes paged in so far.
     block: Arc<DataBlock>,
     pins: u32,
     /// CLOCK reference bit: set on every pin, cleared on the hand's first pass.
     referenced: bool,
+    /// `block.byte_size()`: the accounted size of the sections paged in.
     bytes: usize,
 }
 
@@ -565,6 +599,36 @@ fn remove_stale_siblings(base: &Path, keep: &HashSet<u32>) {
             }
         }
     }
+}
+
+/// The attributes a pin names: `columns`, or with `None` all `count` of them.
+fn named(columns: Option<&[usize]>, count: usize) -> impl Iterator<Item = usize> + '_ {
+    let all = columns.is_none().then_some(0..count);
+    (columns.into_iter().flatten().copied()).chain(all.into_iter().flatten())
+}
+
+/// The section table of a frame this process just encoded.
+fn section_table(frame: &[u8]) -> Arc<SectionTable> {
+    let (table, _) = frame::decode_header(frame).expect("a frame just encoded decodes");
+    Arc::new(table)
+}
+
+/// Where one frame lies: its generation file, byte offset and length.
+struct FrameAt<'a> {
+    file: &'a StoreFile,
+    offset: u64,
+    len: u32,
+}
+
+/// What one page-in read off disk.
+struct PageIn {
+    /// The frame's section table (read off the header section when the
+    /// directory did not know it yet).
+    sections: Arc<SectionTable>,
+    /// The block's header section, with no attribute, if the page-in read it.
+    header: Option<DataBlock>,
+    /// The attributes the page-in decoded.
+    columns: Vec<(usize, Arc<BlockColumn>)>,
 }
 
 /// How [`BlockStore::open_at`] comes by a store's files.
@@ -841,6 +905,7 @@ impl BlockStore {
                         offset,
                         len,
                         summary,
+                        sections: None,
                     });
                     current_gen = current_gen.max(generation);
                     puts_since_snapshot += 1;
@@ -944,6 +1009,14 @@ impl BlockStore {
     /// Serialized size of block `id` on disk, in bytes.
     pub fn entry_len(&self, id: BlockId) -> usize {
         self.inner.lock().expect("store lock").directory[id].len as usize
+    }
+
+    /// Where the sections of block `id`'s frame lie, once the store knows it:
+    /// from the write, or after a reopen from the block's first page-in.
+    pub fn sections(&self, id: BlockId) -> Option<Arc<SectionTable>> {
+        self.inner.lock().expect("store lock").directory[id]
+            .sections
+            .clone()
     }
 
     /// Consult the hot, in-memory summary of block `id` without any I/O.
@@ -1074,6 +1147,7 @@ impl BlockStore {
     pub fn append(&self, block: Arc<DataBlock>) -> io::Result<BlockId> {
         let _mutation = self.mutation.lock().expect("store mutation lock");
         let bytes = frame::to_frame(&block);
+        let sections = section_table(&bytes);
         let summary = BlockSummary::of(&block);
         // Reserve the file range and directory slot under the inner lock, then
         // write without it, so cache-hit pins never stall behind spill I/O.
@@ -1095,6 +1169,7 @@ impl BlockStore {
                 offset,
                 len: bytes.len() as u32,
                 summary: summary.clone(),
+                sections: Some(sections),
             });
             (generation, offset, id)
         };
@@ -1140,6 +1215,7 @@ impl BlockStore {
     /// The rewrite body; caller holds the mutation lock.
     fn rewrite_locked(&self, id: BlockId, block: Arc<DataBlock>) -> io::Result<()> {
         let bytes = frame::to_frame(&block);
+        let sections = section_table(&bytes);
         let summary = BlockSummary::of(&block);
         // Reserve the file range under the lock, write without it (same reasoning
         // as in `append`). The directory is repointed only after the write
@@ -1178,6 +1254,7 @@ impl BlockStore {
             offset,
             len: bytes.len() as u32,
             summary,
+            sections: Some(sections),
         };
         if let Some(entry) = inner.cache.get_mut(&id) {
             // Readers still holding the old Arc keep reading the old version; new
@@ -1294,14 +1371,9 @@ impl BlockStore {
             for &(id, offset) in &moves {
                 // The mutation lock bars rewrites, so the snapshot positions are
                 // still current; only repointing is left.
-                let len = inner.directory[id].len;
-                let summary = inner.directory[id].summary.clone();
-                inner.directory[id] = DirEntry {
-                    generation: new_gen,
-                    offset,
-                    len,
-                    summary,
-                };
+                let entry = &mut inner.directory[id];
+                entry.generation = new_gen;
+                entry.offset = offset;
             }
             inner.current_gen = new_gen;
             inner.end_offset = write_off;
@@ -1440,30 +1512,61 @@ impl BlockStore {
         }
     }
 
-    /// Pin block `id` into memory and return a guard that keeps it cached (and the
-    /// underlying `Arc` alive) until dropped. Scans hold one pin per morsel, so a
-    /// worker never observes eviction mid-scan.
+    /// Pin block `id` whole — every attribute paged in — and return a guard
+    /// that keeps it cached (and the underlying `Arc` alive) until dropped.
+    /// The all-attributes case of [`BlockStore::pin_columns`].
     pub fn pin(self: &Arc<Self>, id: BlockId) -> Result<PinnedBlock, StoreError> {
+        self.pin_where(id, None)
+    }
+
+    /// Pin block `id` with attributes `columns` paged in (an empty list pages
+    /// in the header section alone: tuple count and delete flags) and return a
+    /// guard that keeps the block cached until dropped. Scans hold one pin per
+    /// morsel, so a worker never observes eviction mid-scan.
+    ///
+    /// A miss reads and verifies only the sections the cached entry lacks:
+    /// the header section when the block is not cached at all, and each named
+    /// attribute the entry does not hold yet. The entry then holds the union,
+    /// and the returned block may hold more attributes than were named. An
+    /// attribute the returned block does not hold panics when read.
+    pub fn pin_columns(
+        self: &Arc<Self>,
+        id: BlockId,
+        columns: &[usize],
+    ) -> Result<PinnedBlock, StoreError> {
+        self.pin_where(id, Some(columns))
+    }
+
+    /// The one page-in path: [`BlockStore::pin`] with `columns: None` (every
+    /// attribute), [`BlockStore::pin_columns`] with a list.
+    fn pin_where(
+        self: &Arc<Self>,
+        id: BlockId,
+        columns: Option<&[usize]>,
+    ) -> Result<PinnedBlock, StoreError> {
         loop {
-            let (generation, offset, len) = {
+            let (generation, offset, len, sections, cached) = {
                 let mut inner = self.inner.lock().expect("store lock");
                 if let Some(entry) = inner.cache.get_mut(&id) {
-                    entry.pins += 1;
-                    entry.referenced = true;
-                    let block = Arc::clone(&entry.block);
-                    inner.stats.cache_hits += 1;
-                    return Ok(PinnedBlock {
-                        store: Arc::clone(self),
-                        id,
-                        block,
-                    });
+                    let block = &entry.block;
+                    if named(columns, block.column_count()).all(|col| block.has_column(col)) {
+                        entry.pins += 1;
+                        entry.referenced = true;
+                        let block = Arc::clone(&entry.block);
+                        inner.stats.cache_hits += 1;
+                        return Ok(PinnedBlock {
+                            store: Arc::clone(self),
+                            id,
+                            block,
+                        });
+                    }
                 }
+                let cached = inner.cache.get(&id).map(|entry| Arc::clone(&entry.block));
                 inner.stats.cache_misses += 1;
                 inner.stats.block_reads += 1;
                 let entry = &inner.directory[id];
-                let position = (entry.generation, entry.offset, entry.len as usize);
-                inner.stats.bytes_read += entry.len as u64;
-                position
+                let sections = entry.sections.clone();
+                (entry.generation, entry.offset, entry.len, sections, cached)
             };
             // Read and decode without holding the lock: misses on different blocks
             // proceed in parallel. Failures are judged *after* re-checking the
@@ -1472,16 +1575,21 @@ impl BlockStore {
             // generation-0 file mid-read, or repointed the entry, all of which
             // surface as I/O or checksum errors here but simply mean "retry
             // against the fresh directory entry".
-            let loaded: Result<Arc<DataBlock>, StoreError> = match self.gen_file(generation) {
+            let mut bytes_read = 0u64;
+            let loaded = match self.gen_file(generation) {
                 Some(file) => {
-                    let mut bytes = vec![0u8; len];
-                    self.retry_io(|| file.read_exact_at(&mut bytes, offset, "pin.read"))
-                        .map_err(StoreError::from)
-                        .and_then(|()| {
-                            frame::from_frame(&bytes)
-                                .map(Arc::new)
-                                .map_err(StoreError::from)
-                        })
+                    let frame = FrameAt {
+                        file: &file,
+                        offset,
+                        len,
+                    };
+                    self.page_in(
+                        &frame,
+                        sections,
+                        cached.as_deref(),
+                        columns,
+                        &mut bytes_read,
+                    )
                 }
                 None => Err(StoreError::Io(io::Error::new(
                     io::ErrorKind::NotFound,
@@ -1490,19 +1598,7 @@ impl BlockStore {
             };
 
             let mut inner = self.inner.lock().expect("store lock");
-            if let Some(entry) = inner.cache.get_mut(&id) {
-                // Another worker published the block while we were reading. Any
-                // cached entry passed the directory check below (or came straight
-                // from an append/rewrite), so it is at least as new as our read.
-                entry.pins += 1;
-                entry.referenced = true;
-                let block = Arc::clone(&entry.block);
-                return Ok(PinnedBlock {
-                    store: Arc::clone(self),
-                    id,
-                    block,
-                });
-            }
+            inner.stats.bytes_read += bytes_read;
             let current = &inner.directory[id];
             if current.offset != offset || current.generation != generation {
                 // A rewrite (or compaction) repointed the block while we were
@@ -1514,8 +1610,36 @@ impl BlockStore {
                 continue;
             }
             // Entry unmoved: a failure here is real (disk error, bit rot).
-            let block = loaded?;
-            self.admit(&mut inner, id, Arc::clone(&block), 1);
+            let loaded = loaded?;
+            inner.directory[id].sections.get_or_insert(loaded.sections);
+            // Merge into whatever is cached now: another worker may have
+            // published attributes while we read (the entry is then at least
+            // as new as our read — the directory did not move), or the entry
+            // may have been evicted (our own snapshot of it is still current).
+            let inner = &mut *inner;
+            if let Some(entry) = inner.cache.get_mut(&id) {
+                if (loaded.columns.iter()).any(|&(col, _)| !entry.block.has_column(col)) {
+                    entry.block = Arc::new(entry.block.with_columns(loaded.columns));
+                    let old_bytes = std::mem::replace(&mut entry.bytes, entry.block.byte_size());
+                    inner.cached_bytes = inner.cached_bytes - old_bytes + entry.bytes;
+                    inner.cache_high_water = inner.cache_high_water.max(inner.cached_bytes);
+                }
+                entry.pins += 1;
+                entry.referenced = true;
+                let block = Arc::clone(&entry.block);
+                self.evict_to_capacity(inner);
+                return Ok(PinnedBlock {
+                    store: Arc::clone(self),
+                    id,
+                    block,
+                });
+            }
+            let base = loaded
+                .header
+                .or_else(|| cached.as_deref().cloned())
+                .expect("a page-in without a cached entry reads the header section");
+            let block = Arc::new(base.with_columns(loaded.columns));
+            self.admit(inner, id, Arc::clone(&block), 1);
             return Ok(PinnedBlock {
                 store: Arc::clone(self),
                 id,
@@ -1524,29 +1648,154 @@ impl BlockStore {
         }
     }
 
+    /// Read and verify the sections of one frame that a pin needs: the header
+    /// section unless `cached` holds it (or the section table is not known
+    /// yet), and each attribute of `columns` (`None`: all) that `cached`
+    /// lacks. Adjacent sections are read together; `bytes_read` counts every
+    /// section read.
+    fn page_in(
+        &self,
+        frame: &FrameAt<'_>,
+        sections: Option<Arc<SectionTable>>,
+        cached: Option<&DataBlock>,
+        columns: Option<&[usize]>,
+        bytes_read: &mut u64,
+    ) -> Result<PageIn, StoreError> {
+        let mut header = None;
+        let sections = match sections {
+            Some(sections) => sections,
+            None => {
+                // After a reopen: the prefix says how long the header section
+                // is, then the rest of it is read, verified and decoded.
+                let prefix_len = frame::FRAME_PREFIX_LEN.min(frame.len as usize);
+                let mut bytes = self.read_frame_range(frame, 0..prefix_len, bytes_read)?;
+                let header_len = frame::header_len(&bytes)?.min(frame.len as usize);
+                let rest = self.read_frame_range(frame, bytes.len()..header_len, bytes_read)?;
+                bytes.extend_from_slice(&rest);
+                let (table, block) = frame::decode_header(&bytes)?;
+                header = Some(block);
+                Arc::new(table)
+            }
+        };
+        if sections.frame_len() != frame.len as usize {
+            return Err(
+                FrameError::Corrupt("section table disagrees with the frame length").into(),
+            );
+        }
+        let read_header = header.is_none() && cached.is_none();
+        let mut missing: Vec<usize> = named(columns, sections.attributes.len())
+            .filter(|&col| !cached.is_some_and(|block| block.has_column(col)))
+            .collect();
+        missing.sort_unstable();
+        missing.dedup();
+        // The byte ranges to read, in frame order, adjacent ones joined.
+        let mut parts: Vec<std::ops::Range<usize>> = missing
+            .iter()
+            .map(|&col| sections.attributes[col].range())
+            .collect();
+        if read_header {
+            parts.push(0..sections.header_len as usize);
+        }
+        parts.sort_by_key(|range| range.start);
+        parts.dedup();
+        let mut runs: Vec<(usize, Vec<u8>)> = Vec::new();
+        let mut start = 0;
+        while start < parts.len() {
+            let mut end = start + 1;
+            while end < parts.len() && parts[end].start == parts[end - 1].end {
+                end += 1;
+            }
+            let range = parts[start].start..parts[end - 1].end;
+            runs.push((
+                range.start,
+                self.read_frame_range(frame, range, bytes_read)?,
+            ));
+            start = end;
+        }
+        let bytes_of = |range: std::ops::Range<usize>| -> &[u8] {
+            let (at, run) = (runs.iter())
+                .rfind(|(at, _)| *at <= range.start)
+                .expect("every part lies in a run");
+            &run[range.start - at..range.end - at]
+        };
+        if read_header {
+            let (table, block) = frame::decode_header(bytes_of(0..sections.header_len as usize))?;
+            if table != *sections {
+                return Err(
+                    FrameError::Corrupt("frame header disagrees with the store directory").into(),
+                );
+            }
+            header = Some(block);
+        }
+        let rows = header
+            .as_ref()
+            .or(cached)
+            .expect("the header section is cached or read")
+            .tuple_count();
+        let mut columns = Vec::with_capacity(missing.len());
+        for col in missing {
+            let section = bytes_of(sections.attributes[col].range());
+            columns.push((
+                col,
+                Arc::new(sections.decode_attribute(col, section, rows)?),
+            ));
+        }
+        Ok(PageIn {
+            sections,
+            header,
+            columns,
+        })
+    }
+
+    /// Read bytes `range` of a frame, counting them in `bytes_read`.
+    fn read_frame_range(
+        &self,
+        frame: &FrameAt<'_>,
+        range: std::ops::Range<usize>,
+        bytes_read: &mut u64,
+    ) -> Result<Vec<u8>, StoreError> {
+        let mut bytes = vec![0u8; range.len()];
+        *bytes_read += range.len() as u64;
+        let at = frame.offset + range.start as u64;
+        self.retry_io(|| frame.file.read_exact_at(&mut bytes, at, "pin.read"))?;
+        Ok(bytes)
+    }
+
     /// [`BlockStore::pin`] with the typed scan error: a failure comes back as a
     /// [`ColdReadError`] naming the block id, generation file and byte offset
     /// of the frame that could not be loaded. This is the error the scan paths
     /// carry out of worker threads instead of panicking.
     pub fn pin_described(self: &Arc<Self>, id: BlockId) -> Result<PinnedBlock, ColdReadError> {
-        self.pin(id).map_err(|err| {
-            // `pin` fails only when the directory entry was *unmoved* across
-            // the read, so the position it reports now is the one that failed.
-            let (generation, offset) = {
-                let inner = self.inner.lock().expect("store lock");
-                inner
-                    .directory
-                    .get(id)
-                    .map(|e| (e.generation, e.offset))
-                    .unwrap_or((0, 0))
-            };
-            ColdReadError {
-                block_id: id,
-                generation,
-                offset,
-                detail: err.to_string(),
-            }
-        })
+        self.pin(id).map_err(|err| self.cold_read_error(id, err))
+    }
+
+    /// [`BlockStore::pin_columns`] with the typed scan error of
+    /// [`BlockStore::pin_described`].
+    pub fn pin_columns_described(
+        self: &Arc<Self>,
+        id: BlockId,
+        columns: &[usize],
+    ) -> Result<PinnedBlock, ColdReadError> {
+        (self.pin_columns(id, columns)).map_err(|err| self.cold_read_error(id, err))
+    }
+
+    fn cold_read_error(&self, id: BlockId, err: StoreError) -> ColdReadError {
+        // A pin fails only when the directory entry was *unmoved* across the
+        // read, so the position it reports now is the one that failed.
+        let (generation, offset) = {
+            let inner = self.inner.lock().expect("store lock");
+            inner
+                .directory
+                .get(id)
+                .map(|e| (e.generation, e.offset))
+                .unwrap_or((0, 0))
+        };
+        ColdReadError {
+            block_id: id,
+            generation,
+            offset,
+            detail: err.to_string(),
+        }
     }
 
     /// Atomically read-modify-write block `id`: `f` receives the current version
@@ -2316,8 +2565,8 @@ mod tests {
         let id = store.append(block(0, 300)).unwrap();
         // stamp the on-disk frame with version 1, the format before the
         // summary section went, then with version 2, which differs from 3
-        // only in its checksum
-        for old in [1u32, 2] {
+        // only in its checksum, then with 3, one checksum over one payload
+        for old in [1u32, 2, 3] {
             store.clear_cache();
             let file = store.gen_file(0).expect("generation 0 open");
             file.raw().write_all_at(&old.to_le_bytes(), 4).unwrap();
@@ -2329,6 +2578,174 @@ mod tests {
                 "{}",
                 err.detail
             );
+        }
+    }
+
+    /// A block of `columns` integer attributes, attribute `c` holding `c * 1000 + row`.
+    fn wide_block(columns: usize, rows: i64) -> Arc<DataBlock> {
+        let columns: Vec<_> = (0..columns as i64)
+            .map(|c| int_column((0..rows).map(|r| c * 1000 + r).collect()))
+            .collect();
+        Arc::new(freeze(&columns))
+    }
+
+    /// Bytes of the sections of block `id`: the header section if `header`,
+    /// and each attribute of `columns`.
+    fn section_bytes(store: &BlockStore, id: BlockId, header: bool, columns: &[usize]) -> u64 {
+        let table = store.sections(id).expect("section table known");
+        let attributes: u64 = columns
+            .iter()
+            .map(|&c| table.attributes[c].len as u64)
+            .sum();
+        attributes + if header { table.header_len as u64 } else { 0 }
+    }
+
+    #[test]
+    fn a_projected_pin_reads_the_header_and_the_named_sections_only() {
+        let store = BlockStore::create_temp(usize::MAX).unwrap();
+        let original = wide_block(4, 700);
+        let id = store.append(Arc::clone(&original)).unwrap();
+        store.clear_cache();
+        store.reset_stats();
+        let pinned = store.pin_columns(id, &[2]).unwrap();
+        assert_eq!(pinned.get(5, 2), Value::Int(2005));
+        assert!(!pinned.has_column(0) && !pinned.has_column(3));
+        let stats = store.stats();
+        assert_eq!((stats.block_reads, stats.cache_misses), (1, 1));
+        assert_eq!(stats.bytes_read, section_bytes(&store, id, true, &[2]));
+        assert_eq!(store.cached_bytes(), pinned.byte_size());
+        drop(pinned);
+        // the same attributes again: a hit
+        drop(store.pin_columns(id, &[2]).unwrap());
+        assert_eq!(store.stats().cache_hits, 1);
+        // the whole block: the three missing sections, not the header again
+        store.reset_stats();
+        let whole = store.pin(id).unwrap();
+        let stats = store.stats();
+        assert_eq!(stats.block_reads, 1);
+        assert_eq!(
+            stats.bytes_read,
+            section_bytes(&store, id, false, &[0, 1, 3])
+        );
+        assert_eq!(*whole, *original);
+        assert_eq!(store.cached_bytes(), original.byte_size());
+        // the header alone is a pin of no attribute
+        store.clear_cache();
+        drop(whole);
+        store.clear_cache();
+        store.reset_stats();
+        let header = store.pin_columns(id, &[]).unwrap();
+        assert_eq!(header.tuple_count(), 700);
+        assert_eq!(
+            store.stats().bytes_read,
+            section_bytes(&store, id, true, &[])
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "attribute 1 of this Data Block was not paged in")]
+    fn reading_an_attribute_a_pin_did_not_name_panics() {
+        let store = BlockStore::create_temp(usize::MAX).unwrap();
+        let id = store.append(wide_block(3, 100)).unwrap();
+        store.clear_cache();
+        let pinned = store.pin_columns(id, &[0, 2]).unwrap();
+        pinned.get(0, 1);
+    }
+
+    #[test]
+    fn after_a_reopen_the_first_page_in_learns_the_sections_from_the_header() {
+        let path = temp_path("sections");
+        let table = {
+            let store = BlockStore::create(&path, usize::MAX).unwrap();
+            let id = store.append(wide_block(3, 500)).unwrap();
+            store.sections(id).unwrap()
+        };
+        let reopened = BlockStore::reopen(&path, usize::MAX).unwrap();
+        assert_eq!(reopened.sections(0), None);
+        let pinned = reopened.pin_columns(0, &[1]).unwrap();
+        assert_eq!(pinned.get(499, 1), Value::Int(1499));
+        assert_eq!(reopened.sections(0).as_deref(), Some(&*table));
+        let stats = reopened.stats();
+        assert_eq!(stats.block_reads, 1);
+        assert_eq!(stats.bytes_read, section_bytes(&reopened, 0, true, &[1]));
+        drop(pinned);
+        drop(reopened);
+        remove_store_files(&path);
+    }
+
+    #[test]
+    fn a_version_3_frame_surfaces_as_a_cold_read_error() {
+        const V3: &[u8] = include_bytes!("../../datablocks/testdata/every_scheme_block.v3.frame");
+        let store = BlockStore::create_temp(usize::MAX).unwrap();
+        let id = store.append(block(0, 300)).unwrap();
+        store.clear_cache();
+        let file = store.gen_file(0).expect("generation 0 open");
+        file.raw().write_all_at(V3, 0).unwrap();
+        for columns in [None, Some(&[1][..])] {
+            let err = match columns {
+                None => store.pin_described(id),
+                Some(columns) => store.pin_columns_described(id, columns),
+            }
+            .unwrap_err();
+            assert_eq!((err.block_id, err.generation, err.offset), (id, 0, 0));
+            assert!(
+                err.detail.contains("unsupported frame version 3"),
+                "{}",
+                err.detail
+            );
+        }
+    }
+
+    #[test]
+    fn concurrent_projected_pins_merge_into_one_entry() {
+        let store = BlockStore::create_temp(usize::MAX).unwrap();
+        let original = wide_block(10, 2000);
+        let id = store.append(Arc::clone(&original)).unwrap();
+        let whole = frame::from_frame(&frame::to_frame(&original)).unwrap();
+        for round in 0..4 {
+            store.clear_cache();
+            store.reset_stats();
+            let start = std::sync::Barrier::new(8);
+            std::thread::scope(|scope| {
+                for t in 0..8usize {
+                    let (store, start) = (Arc::clone(&store), &start);
+                    scope.spawn(move || {
+                        // overlapping sets over attributes 0..8; 8 and 9 stay on disk
+                        let columns = [t, (t + 1) % 8, (t + round) % 8];
+                        start.wait();
+                        let pinned = store.pin_columns(id, &columns).unwrap();
+                        for col in columns {
+                            assert_eq!(pinned.get(7, col), Value::Int(col as i64 * 1000 + 7));
+                        }
+                    });
+                }
+            });
+            let entry = store.pin_columns(id, &[]).unwrap();
+            let loaded: Vec<usize> = (0..10).filter(|&c| entry.has_column(c)).collect();
+            assert_eq!(loaded, (0..8).collect::<Vec<_>>(), "round {round}");
+            for &col in &loaded {
+                assert_eq!(
+                    entry.column(col),
+                    whole.column(col),
+                    "round {round} col {col}"
+                );
+            }
+            let accounted = entry.header_byte_size()
+                + loaded
+                    .iter()
+                    .map(|&c| whole.column(c).byte_size())
+                    .sum::<usize>();
+            assert_eq!(store.cached_bytes(), accounted, "round {round}");
+            drop(entry);
+            // a later whole pin reads the two sections no thread named
+            store.reset_stats();
+            let full = store.pin(id).unwrap();
+            assert_eq!(
+                store.stats().bytes_read,
+                section_bytes(&store, id, false, &[8, 9])
+            );
+            assert_eq!(*full, *original);
+            assert_eq!(store.cached_bytes(), original.byte_size(), "round {round}");
         }
     }
 

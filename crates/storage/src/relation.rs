@@ -101,13 +101,16 @@ enum ColdSlot {
     Spilled(BlockId),
 }
 
-/// Resolve one cold slot to a borrowable block, pinning spilled blocks. A
-/// spilled block that cannot be paged in (disk error, corrupt frame) comes back
-/// as a typed [`ColdReadError`] naming the block's exact on-disk position, so
-/// scan workers can carry it out instead of panicking.
+/// Resolve one cold slot to a borrowable block, pinning spilled blocks with
+/// attributes `columns` paged in (`None`: every attribute). A heap-resident
+/// block holds every attribute either way. A spilled block that cannot be paged
+/// in (disk error, corrupt frame) comes back as a typed [`ColdReadError`]
+/// naming the block's exact on-disk position, so scan workers can carry it out
+/// instead of panicking.
 fn resolve_cold_slot(
     slot: &ColdSlot,
     store: Option<&Arc<BlockStore>>,
+    columns: Option<&[usize]>,
 ) -> Result<BlockRef, ColdReadError> {
     match slot {
         ColdSlot::Resident(block) => Ok(BlockRef::resident(Arc::clone(block))),
@@ -115,7 +118,11 @@ fn resolve_cold_slot(
             // A spilled slot without a store is a construction bug, not an I/O
             // condition — keep it a loud invariant.
             let store = store.expect("spilled slot without store");
-            store.pin_described(*block_id).map(BlockRef::pinned)
+            match columns {
+                Some(columns) => store.pin_columns_described(*block_id, columns),
+                None => store.pin_described(*block_id),
+            }
+            .map(BlockRef::pinned)
         }
     }
 }
@@ -256,18 +263,25 @@ pub trait ScanSource: Send + Sync {
     /// Number of frozen Data Blocks.
     fn cold_block_count(&self) -> usize;
 
-    /// Borrow cold block `idx`, pinning it when it lives on secondary storage
-    /// ([`BlockStore::pin`], the store's only page-in path: a scan reads a
-    /// spilled block when it reaches it, never ahead). The returned
-    /// [`BlockRef`] *is* the per-morsel pin guard: holding it keeps a spilled
-    /// block cached, dropping it releases the pin — so a streaming scan
-    /// acquires and releases pins one morsel at a time.
+    /// Borrow cold block `idx` with every attribute, pinning it when it lives
+    /// on secondary storage: the all-attributes case of
+    /// [`ScanSource::cold_block_columns`].
+    fn cold_block(&self, idx: usize) -> Result<BlockRef, ColdReadError>;
+
+    /// Borrow cold block `idx` with attributes `columns` paged in, pinning it
+    /// when it lives on secondary storage ([`BlockStore::pin_columns`], the
+    /// store's only page-in path: a scan reads a spilled block when it reaches
+    /// it, never ahead, and reads only the attributes it names). Reading any
+    /// other attribute of a spilled block panics. The returned [`BlockRef`]
+    /// *is* the per-morsel pin guard: holding it keeps a spilled block cached,
+    /// dropping it releases the pin — so a streaming scan acquires and releases
+    /// pins one morsel at a time.
     ///
     /// A spilled block that cannot be paged in surfaces as a [`ColdReadError`]
     /// (block id, generation, offset, cause) — the structured error scan
     /// workers propagate instead of panicking, so a corrupt frame cancels the
     /// scan loudly and the worker pool joins cleanly.
-    fn cold_block(&self, idx: usize) -> Result<BlockRef, ColdReadError>;
+    fn cold_block_columns(&self, idx: usize, columns: &[usize]) -> Result<BlockRef, ColdReadError>;
 
     /// Can any record of cold block `idx` match all `restrictions`? Zero I/O for
     /// spilled blocks (answered from the directory summary).
@@ -317,7 +331,11 @@ impl ScanSource for ScanSnapshot {
     }
 
     fn cold_block(&self, idx: usize) -> Result<BlockRef, ColdReadError> {
-        resolve_cold_slot(&self.cold[idx], self.store.as_ref())
+        resolve_cold_slot(&self.cold[idx], self.store.as_ref(), None)
+    }
+
+    fn cold_block_columns(&self, idx: usize, columns: &[usize]) -> Result<BlockRef, ColdReadError> {
+        resolve_cold_slot(&self.cold[idx], self.store.as_ref(), Some(columns))
     }
 
     fn cold_block_may_match(
@@ -349,6 +367,10 @@ impl ScanSource for Relation {
 
     fn cold_block(&self, idx: usize) -> Result<BlockRef, ColdReadError> {
         Relation::try_cold_block(self, idx)
+    }
+
+    fn cold_block_columns(&self, idx: usize, columns: &[usize]) -> Result<BlockRef, ColdReadError> {
+        resolve_cold_slot(&self.cold[idx], self.store.as_ref(), Some(columns))
     }
 
     fn cold_block_may_match(
@@ -577,7 +599,7 @@ impl Relation {
         };
         let mut index = HashMap::new();
         for block_idx in 0..self.cold.len() {
-            let block = self.cold_block(block_idx);
+            let block = self.cold_block_with(block_idx, &[pk_col]);
             for row in 0..block.tuple_count() as usize {
                 if block.is_deleted(row) {
                     continue;
@@ -643,25 +665,34 @@ impl Relation {
         row_id
     }
 
-    /// Read one attribute of a record (paging the block in if it is spilled).
+    /// Read one attribute of a record (paging in that attribute of the block if
+    /// it is spilled).
     pub fn get(&self, id: RowId, col: usize) -> Value {
         match id.segment {
-            Segment::Cold(b) => self.cold_block(b).get(id.row as usize, col),
+            Segment::Cold(b) => self.cold_block_with(b, &[col]).get(id.row as usize, col),
             Segment::Hot(c) => self.hot[c].get(id.row as usize, col),
         }
     }
 
-    /// Read a whole record.
+    /// Read a whole record (one page-in of the whole block if it is spilled).
     pub fn get_row(&self, id: RowId) -> Vec<Value> {
-        (0..self.schema.column_count())
-            .map(|col| self.get(id, col))
-            .collect()
+        let columns = 0..self.schema.column_count();
+        match id.segment {
+            Segment::Cold(b) => {
+                let block = self.cold_block(b);
+                columns.map(|col| block.get(id.row as usize, col)).collect()
+            }
+            Segment::Hot(c) => columns
+                .map(|col| self.hot[c].get(id.row as usize, col))
+                .collect(),
+        }
     }
 
-    /// Is the record marked deleted?
+    /// Is the record marked deleted? (Pages in only the header section of a
+    /// spilled block, which holds its delete flags.)
     pub fn is_deleted(&self, id: RowId) -> bool {
         match id.segment {
-            Segment::Cold(b) => self.cold_block(b).is_deleted(id.row as usize),
+            Segment::Cold(b) => self.cold_block_with(b, &[]).is_deleted(id.row as usize),
             Segment::Hot(c) => self.hot[c].is_deleted(id.row as usize),
         }
     }
@@ -805,7 +836,7 @@ impl Relation {
             if !self.cold_block_may_match(block_idx, &restriction, &options) {
                 continue;
             }
-            let block = self.cold_block(block_idx);
+            let block = self.cold_block_with(block_idx, &[pk_col]);
             matches.clear();
             datablocks::scan::scan_collect_into(
                 &block,
@@ -1004,7 +1035,19 @@ impl Relation {
     /// panicking. Still panics if `idx` is out of range (a caller bug, not an
     /// I/O condition).
     pub fn try_cold_block(&self, idx: usize) -> Result<BlockRef, ColdReadError> {
-        resolve_cold_slot(&self.cold[idx], self.store.as_ref())
+        resolve_cold_slot(&self.cold[idx], self.store.as_ref(), None)
+    }
+
+    /// Cold block `idx` with attributes `columns` paged in (see
+    /// [`ScanSource::cold_block_columns`]): what the point paths read.
+    ///
+    /// # Panics
+    ///
+    /// Like [`Relation::cold_block`], if the spill store fails to load the
+    /// block.
+    fn cold_block_with(&self, idx: usize, columns: &[usize]) -> BlockRef {
+        resolve_cold_slot(&self.cold[idx], self.store.as_ref(), Some(columns))
+            .unwrap_or_else(|err| panic!("{err}"))
     }
 
     /// Can any record of cold block `idx` match all `restrictions`?
@@ -1083,7 +1126,7 @@ impl Relation {
             .map(|slot| match slot {
                 ColdSlot::Resident(block) => block_estimate(
                     block.live_tuple_count(),
-                    |c| block.columns().get(c).map(|column| &column.sma),
+                    |c| (c < block.column_count()).then(|| &block.column(c).sma),
                     restrictions,
                 ),
                 ColdSlot::Spilled(block_id) => {
@@ -1505,6 +1548,67 @@ mod tests {
         assert_eq!(rel.live_row_count(), 3_000);
         // counts and sizes came from the directory, not the payloads
         assert_eq!(store.stats().block_reads, 0);
+    }
+
+    /// The spilled relation of the point-path tests — three blocks of 1000 rows
+    /// behind a one-byte cache — with its cache cleared and counters reset.
+    fn spilled_points() -> (Relation, Arc<BlockStore>) {
+        let mut rel = filled_relation(3_000, 1000);
+        rel.freeze_all();
+        rel.enable_spill(&SpillPolicy::with_cache_capacity(1))
+            .unwrap();
+        let store = rel.spill_store().unwrap().clone();
+        store.clear_cache();
+        store.reset_stats();
+        (rel, store)
+    }
+
+    #[test]
+    fn a_cold_get_reads_the_header_section_and_one_attribute() {
+        let (rel, store) = spilled_points();
+        let id = RowId {
+            segment: Segment::Cold(1),
+            row: 17,
+        };
+        let table = store.sections(1).unwrap();
+        assert_eq!(rel.get(id, 2), Value::Int(10_170));
+        let io = store.stats();
+        assert_eq!(io.block_reads, 1);
+        // the header section (89 bytes for three attributes and no deletes)
+        // and `amount`'s section (1 000 two-byte codes, 2 033 bytes)
+        assert_eq!(io.bytes_read, 2_122);
+        assert_eq!(
+            io.bytes_read,
+            u64::from(table.header_len) + u64::from(table.attributes[2].len)
+        );
+        // a delete flag is in the header section
+        store.clear_cache();
+        store.reset_stats();
+        assert!(!rel.is_deleted(id));
+        assert_eq!(store.stats().bytes_read, u64::from(table.header_len));
+    }
+
+    #[test]
+    fn key_paths_read_the_key_attribute_only() {
+        let (mut rel, store) = spilled_points();
+        let key_and_header: u64 = (0..3)
+            .map(|b| {
+                let table = store.sections(b).unwrap();
+                u64::from(table.header_len) + u64::from(table.attributes[0].len)
+            })
+            .sum();
+        rel.build_pk_index();
+        assert_eq!(store.stats().bytes_read, key_and_header);
+        store.clear_cache();
+        store.reset_stats();
+        let id = rel.lookup_pk_scan(2_500, ScanOptions::default()).unwrap();
+        assert_eq!(id.segment, Segment::Cold(2));
+        // the summary prunes blocks 0 and 1: only block 2's key is read
+        let table = store.sections(2).unwrap();
+        assert_eq!(
+            store.stats().bytes_read,
+            u64::from(table.header_len) + u64::from(table.attributes[0].len)
+        );
     }
 
     #[test]

@@ -25,7 +25,7 @@ fn main() {
         block.tuple_count(),
         block.byte_size()
     );
-    for (idx, column) in block.columns().iter().enumerate() {
+    for (idx, column) in block.columns().enumerate() {
         println!("  attribute {idx}: {:?}", column.compression.kind());
     }
 

@@ -123,7 +123,7 @@ fn decoded_blocks_account_for_psmas_exactly_before_and_after_they_are_built() {
                 frozen.byte_size(),
                 "{name} block {idx}"
             );
-            for (col, column) in decoded.columns().iter().enumerate() {
+            for (col, column) in decoded.columns().enumerate() {
                 let accounted = column.byte_size() - column.byte_size_without_psma();
                 let built = column.psma();
                 assert_eq!(
