@@ -103,7 +103,7 @@ mod tests {
     }
 
     #[test]
-    fn geometric_mean_is_between_min_and_max() {
+    fn geometric_mean_lies_between_min_and_max() {
         let d = vec![Duration::from_millis(10), Duration::from_millis(1000)];
         let gm = geometric_mean(&d);
         assert!(gm > d[0] && gm < d[1]);

@@ -279,6 +279,15 @@ impl DataBlock {
         self.columns.get(col).is_some()
     }
 
+    /// Is every attribute paged in? Answered without a walk for a block that
+    /// was frozen or decoded whole.
+    pub fn has_all_columns(&self) -> bool {
+        match &self.columns {
+            Attributes::All(_) => true,
+            Attributes::Paged(slots) => slots.iter().all(Option::is_some),
+        }
+    }
+
     /// Access one attribute's block-level metadata and compressed payload.
     ///
     /// # Panics

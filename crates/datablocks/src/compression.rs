@@ -17,6 +17,7 @@
 //!
 //! The scheme is chosen *per attribute, per block*, purely by resulting size.
 
+use std::ops::Bound;
 use std::sync::Arc;
 
 use crate::column::Column;
@@ -286,7 +287,7 @@ impl ColumnCompression {
                     if column.is_null(row) {
                         0
                     } else {
-                        (data[row] - min) as u64
+                        data[row].wrapping_sub(min) as u64
                     }
                 })
                 .collect();
@@ -362,7 +363,9 @@ impl ColumnCompression {
     pub fn get(&self, row: usize) -> Value {
         match self {
             ColumnCompression::SingleValue(v) => v.clone(),
-            ColumnCompression::Truncated { min, codes } => Value::Int(min + codes.get(row) as i64),
+            ColumnCompression::Truncated { min, codes } => {
+                Value::Int(min.wrapping_add(codes.get(row) as i64))
+            }
             ColumnCompression::DictInt { dict, codes } => Value::Int(dict[codes.get(row) as usize]),
             ColumnCompression::DictStr { dict, codes } => {
                 Value::Str(dict[codes.get(row) as usize].clone())
@@ -377,7 +380,9 @@ impl ColumnCompression {
     pub fn get_int(&self, row: usize) -> Option<i64> {
         match self {
             ColumnCompression::SingleValue(Value::Int(v)) => Some(*v),
-            ColumnCompression::Truncated { min, codes } => Some(min + codes.get(row) as i64),
+            ColumnCompression::Truncated { min, codes } => {
+                Some(min.wrapping_add(codes.get(row) as i64))
+            }
             ColumnCompression::DictInt { dict, codes } => Some(dict[codes.get(row) as usize]),
             _ => None,
         }
@@ -404,18 +409,18 @@ impl ColumnCompression {
         }
         match self {
             ColumnCompression::Truncated { min, codes } => {
-                // Open-ended comparisons arrive as `i64::MIN`/`i64::MAX` bounds, so
-                // the value→code shift must saturate rather than overflow (the code
-                // width clamp below makes the saturated value exact anyway).
+                // A code is `value − min` modulo 2^64: for a value at or above
+                // `min` that is exact as a `u64`, even where the difference
+                // exceeds `i64::MAX` (a domain spanning most of `i64`).
                 let lo_code = if lo <= *min {
                     0
                 } else {
-                    lo.saturating_sub(*min) as u64
+                    lo.wrapping_sub(*min) as u64
                 };
                 if hi < *min {
                     return None;
                 }
-                let hi_code = hi.saturating_sub(*min) as u64;
+                let hi_code = hi.wrapping_sub(*min) as u64;
                 // Clamp to the code width; anything above the width's max cannot occur.
                 let width_max = match codes.byte_width() {
                     1 => u8::MAX as u64,
@@ -441,35 +446,28 @@ impl ColumnCompression {
         }
     }
 
-    /// Translate a string-space inclusive range into dictionary-code space.
-    pub fn translate_str_range(&self, lo: &str, hi: &str) -> Option<(u64, u64)> {
-        match self {
-            ColumnCompression::DictStr { dict, .. } => {
-                if lo > hi {
-                    return None;
-                }
-                let lo_code = dict.partition_point(|v| v.as_str() < lo) as u64;
-                let hi_code = dict.partition_point(|v| v.as_str() <= hi) as u64;
-                if lo_code >= hi_code {
-                    None
-                } else {
-                    Some((lo_code, hi_code - 1))
-                }
-            }
-            _ => None,
-        }
-    }
-
-    /// Exact-match dictionary probe for string equality: `None` when the string is not
-    /// in this block's dictionary (the block can be ruled out).
-    pub fn translate_str_eq(&self, value: &str) -> Option<u64> {
-        match self {
-            ColumnCompression::DictStr { dict, .. } => dict
-                .binary_search_by(|d| d.as_str().cmp(value))
-                .ok()
-                .map(|c| c as u64),
-            _ => None,
-        }
+    /// Translate value-space bounds ([`crate::scan::Restriction::bounds`])
+    /// into dictionary-code space for a string attribute. Returns `None` when no
+    /// code can satisfy them — no dictionary entry lies within, or a bound is
+    /// not a string (strings compare with no other type).
+    pub fn translate_str_bounds(&self, lo: Bound<&Value>, hi: Bound<&Value>) -> Option<(u64, u64)> {
+        let ColumnCompression::DictStr { dict, .. } = self else {
+            return None;
+        };
+        // The first code at or above `s`, and the first above it.
+        let at = |s: &str| dict.partition_point(|d| d.as_str() < s);
+        let above = |s: &str| dict.partition_point(|d| d.as_str() <= s);
+        let lo_code = match lo {
+            Bound::Unbounded => 0,
+            Bound::Included(v) => at(v.as_str()?),
+            Bound::Excluded(v) => above(v.as_str()?),
+        };
+        let hi_end = match hi {
+            Bound::Unbounded => dict.len(),
+            Bound::Included(v) => above(v.as_str()?),
+            Bound::Excluded(v) => at(v.as_str()?),
+        };
+        (lo_code < hi_end).then(|| (lo_code as u64, hi_end as u64 - 1))
     }
 
     /// The per-row code vector (if the scheme stores one).
@@ -683,10 +681,23 @@ mod tests {
     fn translate_str_predicates() {
         let c =
             ColumnCompression::compress(&str_col(&["BRASS", "COPPER", "NICKEL", "STEEL", "TIN"]));
-        assert_eq!(c.translate_str_eq("NICKEL"), Some(2));
-        assert_eq!(c.translate_str_eq("GOLD"), None);
-        assert_eq!(c.translate_str_range("COPPER", "STEEL"), Some((1, 3)));
-        assert_eq!(c.translate_str_range("U", "Z"), None);
+        let range = |lo: &str, hi: &str| {
+            let (lo, hi) = (Value::from(lo), Value::from(hi));
+            c.translate_str_bounds(Bound::Included(&lo), Bound::Included(&hi))
+        };
+        assert_eq!(range("NICKEL", "NICKEL"), Some((2, 2)));
+        assert_eq!(range("GOLD", "GOLD"), None);
+        assert_eq!(range("COPPER", "STEEL"), Some((1, 3)));
+        assert_eq!(range("U", "Z"), None);
+        assert_eq!(range("STEEL", "COPPER"), None);
+        let nickel = Value::from("NICKEL");
+        let above = c.translate_str_bounds(Bound::Excluded(&nickel), Bound::Unbounded);
+        assert_eq!(above, Some((3, 4)));
+        let below = c.translate_str_bounds(Bound::Unbounded, Bound::Excluded(&nickel));
+        assert_eq!(below, Some((0, 1)));
+        let number = Value::Int(1);
+        let any = c.translate_str_bounds(Bound::Included(&number), Bound::Unbounded);
+        assert_eq!(any, None);
     }
 
     #[test]

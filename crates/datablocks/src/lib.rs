@@ -65,7 +65,8 @@ pub use compression::{CodeVec, ColumnCompression, SchemeKind};
 pub use frame::{BlockSummary, ColumnSummary, FrameError, ManifestRecord};
 pub use psma::{Psma, ScanRange};
 pub use scan::{
-    plan_scan, scan_collect, scan_collect_into, BlockScan, Restriction, ScanOptions, ScanPlan,
+    plan_scan, scan_collect, scan_collect_into, BlockScan, Inclusive, Restriction, ScanOptions,
+    ScanPlan,
 };
 pub use sma::Sma;
 pub use value::{date_to_days, days_to_date, DataType, Value};

@@ -20,8 +20,25 @@ use crate::compression::ColumnCompression;
 use crate::psma::ScanRange;
 use crate::value::Value;
 use dbsimd::{CmpOp, IsaLevel};
+use std::ops::Bound;
 
 /// A SARGable scan restriction as produced by the query layer.
+///
+/// Its semantics hold on every tier and are stated here once: a hot chunk's
+/// find, a frozen block's scan plan, the SMA rule-out gate and the planner's
+/// row estimate all take their bounds from [`Restriction::bounds`] and the typed
+/// views built on it ([`Restriction::int_bounds`],
+/// [`Restriction::double_bounds`]), and [`Restriction::matches_value`] is the
+/// row-at-a-time definition they must agree with:
+///
+/// * NULL never matches a comparison, on either side of it;
+/// * NaN matches no comparison, not even `<>`;
+/// * −0.0 equals +0.0;
+/// * `Int` and `Double` compare numerically (the integer widened to `f64`);
+/// * strings never compare with numbers: such a comparison matches nothing;
+/// * a strict bound steps to the adjacent value of the type (`< 5` is `<= 4`
+///   over integers, `<= 5.0.next_down()` over doubles), and `< −∞` / `> +∞`
+///   match nothing.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Restriction {
     /// `attribute <op> constant`
@@ -52,6 +69,18 @@ pub enum Restriction {
         /// Attribute index within the block/relation.
         column: usize,
     },
+}
+
+/// The values of one type that pass a restriction, as an inclusive range.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum Inclusive<T> {
+    /// No value of the type passes.
+    Empty,
+    /// Exactly the values in `[lo, hi]` pass (`lo <= hi`).
+    Range(T, T),
+    /// The restriction is no range over this type: `<>`, a NULL test, or a
+    /// constant that compares in another type. Evaluate it value by value.
+    Inexpressible,
 }
 
 impl Restriction {
@@ -111,6 +140,89 @@ impl Restriction {
             }
             Restriction::IsNull { .. } => value.is_null(),
             Restriction::IsNotNull { .. } => !value.is_null(),
+        }
+    }
+
+    /// The value-space bounds of a range restriction — every comparison but
+    /// `<>`, and `BETWEEN` — as `(lower, upper)`; `None` for `<>` and the NULL
+    /// tests, which are no range.
+    pub fn bounds(&self) -> Option<(Bound<&Value>, Bound<&Value>)> {
+        use Bound::{Excluded, Included, Unbounded};
+        match self {
+            Restriction::Cmp { op, value, .. } => Some(match op {
+                CmpOp::Eq => (Included(value), Included(value)),
+                CmpOp::Lt => (Unbounded, Excluded(value)),
+                CmpOp::Le => (Unbounded, Included(value)),
+                CmpOp::Gt => (Excluded(value), Unbounded),
+                CmpOp::Ge => (Included(value), Unbounded),
+                CmpOp::Ne => return None,
+            }),
+            Restriction::Between { lo, hi, .. } => Some((Included(lo), Included(hi))),
+            Restriction::IsNull { .. } | Restriction::IsNotNull { .. } => None,
+        }
+    }
+
+    /// The `i64` values that pass. A `Double` constant is
+    /// [`Inclusive::Inexpressible`]: an integer widened to `f64` rounds above
+    /// 2^53, so no exact integer bound is derived from it.
+    pub fn int_bounds(&self) -> Inclusive<i64> {
+        self.inclusive(
+            |v| match v {
+                Value::Int(v) => Ok(*v),
+                Value::Double(_) => Err(Inclusive::Inexpressible),
+                Value::Null | Value::Str(_) => Err(Inclusive::Empty),
+            },
+            |v| v.checked_add(1),
+            |v| v.checked_sub(1),
+            (i64::MIN, i64::MAX),
+        )
+    }
+
+    /// The `f64` values that pass, an `Int` constant widened. A strict bound
+    /// steps to the adjacent double, a subnormal of the right sign at either
+    /// zero, so `< 0.0` excludes −0.0 too.
+    pub fn double_bounds(&self) -> Inclusive<f64> {
+        self.inclusive(
+            |v| match v {
+                Value::Int(v) => Ok(*v as f64),
+                Value::Double(v) if !v.is_nan() => Ok(*v),
+                Value::Double(_) | Value::Null | Value::Str(_) => Err(Inclusive::Empty),
+            },
+            |v| (v != f64::INFINITY).then(|| v.next_up()),
+            |v| (v != f64::NEG_INFINITY).then(|| v.next_down()),
+            (f64::NEG_INFINITY, f64::INFINITY),
+        )
+    }
+
+    /// [`Restriction::bounds`] read in one type: `read` converts a constant
+    /// (or says what its comparisons come to), `up`/`down` step a strict bound
+    /// to the adjacent value (`None` past the end of the type), and `full` is
+    /// the type's whole range.
+    fn inclusive<T: PartialOrd + Copy>(
+        &self,
+        read: impl Fn(&Value) -> Result<T, Inclusive<T>>,
+        up: impl Fn(T) -> Option<T>,
+        down: impl Fn(T) -> Option<T>,
+        full: (T, T),
+    ) -> Inclusive<T> {
+        let range = || -> Result<(T, T), Inclusive<T>> {
+            let (lo, hi) = self.bounds().ok_or(Inclusive::Inexpressible)?;
+            let lo = match lo {
+                Bound::Unbounded => full.0,
+                Bound::Included(v) => read(v)?,
+                Bound::Excluded(v) => up(read(v)?).ok_or(Inclusive::Empty)?,
+            };
+            let hi = match hi {
+                Bound::Unbounded => full.1,
+                Bound::Included(v) => read(v)?,
+                Bound::Excluded(v) => down(read(v)?).ok_or(Inclusive::Empty)?,
+            };
+            Ok((lo, hi))
+        };
+        match range() {
+            Ok((lo, hi)) if lo <= hi => Inclusive::Range(lo, hi),
+            Ok(_) => Inclusive::Empty,
+            Err(outcome) => outcome,
         }
     }
 }
@@ -183,12 +295,9 @@ enum Step {
     CodeRange { column: usize, lo: u64, hi: u64 },
     /// Scalar inclusive range over an uncompressed double attribute.
     DoubleRange { column: usize, lo: f64, hi: f64 },
-    /// Scalar fallback: decompress the value and compare (`<>`, cross-type, …).
-    ScalarCmp {
-        column: usize,
-        op: CmpOp,
-        value: Value,
-    },
+    /// Scalar fallback: decompress each value and evaluate the restriction on
+    /// it (`<>`, a constant of another type).
+    Scalar(Restriction),
     /// Keep only NULL rows of the attribute.
     KeepNull { column: usize },
     /// Keep only non-NULL rows of the attribute.
@@ -268,218 +377,77 @@ fn translate_restriction(
             _ if column.validity.is_none() => {}
             _ => plan.steps.push(Step::KeepNotNull { column: column_idx }),
         },
-        Restriction::Cmp { .. } | Restriction::Between { .. }
-            if matches!(&column.compression, ColumnCompression::SingleValue(_)) =>
-        {
-            // A single-value column either satisfies the restriction for every record
-            // or for none; evaluate once.
-            let constant = match &column.compression {
-                ColumnCompression::SingleValue(v) => v.clone(),
-                _ => unreachable!(),
-            };
-            if !restriction.matches_value(&constant) {
-                plan.ruled_out = true;
-            }
-        }
-        Restriction::Cmp {
-            op: CmpOp::Ne,
-            value,
-            ..
-        } => {
-            plan.steps.push(Step::ScalarCmp {
-                column: column_idx,
-                op: CmpOp::Ne,
-                value: value.clone(),
-            });
-            push_not_null_guard(block, column_idx, plan);
-        }
-        Restriction::Cmp { op, value, .. } => {
-            translate_range_restriction(block, column_idx, *op, value, value, false, options, plan);
-        }
-        Restriction::Between { lo, hi, .. } => {
-            translate_range_restriction(block, column_idx, CmpOp::Eq, lo, hi, true, options, plan);
+        Restriction::Cmp { .. } | Restriction::Between { .. } => {
+            translate_range_restriction(block, restriction, options, plan);
         }
     }
 }
 
-/// Translate a comparison (`op` + single constant) or a between (`lo`/`hi` with
-/// `op == Eq` as the marker) into a code-space step, narrowing with the PSMA.
-#[allow(clippy::too_many_arguments)]
+/// Translate a comparison or a between into a code-space step narrowed with
+/// the PSMA, a double range, or — where the restriction is no range in the
+/// attribute's type — a scalar step. A single-value attribute satisfies it for
+/// every record or for none, so it is evaluated once.
 fn translate_range_restriction(
     block: &DataBlock,
-    column_idx: usize,
-    op: CmpOp,
-    lo: &Value,
-    hi: &Value,
-    is_between: bool,
+    restriction: &Restriction,
     options: &ScanOptions,
     plan: &mut ScanPlan,
 ) {
+    let column_idx = restriction.column();
     let column = block.column(column_idx);
-
-    match &column.compression {
+    let scalar = || Step::Scalar(restriction.clone());
+    let codes = match &column.compression {
         ColumnCompression::Truncated { .. } | ColumnCompression::DictInt { .. } => {
-            let (lo_i, hi_i) = match int_bounds(op, lo, hi, is_between) {
-                Some(bounds) => bounds,
-                None => {
-                    plan.steps.push(Step::ScalarCmp {
-                        column: column_idx,
-                        op,
-                        value: lo.clone(),
-                    });
-                    push_not_null_guard(block, column_idx, plan);
-                    return;
-                }
-            };
-            match column.compression.translate_int_range(lo_i, hi_i) {
-                Some((code_lo, code_hi)) => {
-                    narrow_with_psma(column, code_lo, code_hi, options, plan);
-                    plan.steps.push(Step::CodeRange {
-                        column: column_idx,
-                        lo: code_lo,
-                        hi: code_hi,
-                    });
-                    push_not_null_guard(block, column_idx, plan);
-                }
-                None => plan.ruled_out = true,
+            match restriction.int_bounds() {
+                Inclusive::Range(lo, hi) => column.compression.translate_int_range(lo, hi),
+                Inclusive::Empty => None,
+                Inclusive::Inexpressible => return push_step(block, column_idx, scalar(), plan),
             }
         }
-        ColumnCompression::DictStr { dict, .. } => {
-            let bounds = str_code_bounds(dict, op, lo, hi, is_between);
-            match bounds {
-                Some((code_lo, code_hi)) => {
-                    narrow_with_psma(column, code_lo, code_hi, options, plan);
-                    plan.steps.push(Step::CodeRange {
-                        column: column_idx,
-                        lo: code_lo,
-                        hi: code_hi,
-                    });
-                    push_not_null_guard(block, column_idx, plan);
-                }
-                None => plan.ruled_out = true,
-            }
-        }
+        ColumnCompression::DictStr { .. } => match restriction.bounds() {
+            Some((lo, hi)) => column.compression.translate_str_bounds(lo, hi),
+            None => return push_step(block, column_idx, scalar(), plan),
+        },
         ColumnCompression::Double(_) => {
-            let (lo_f, hi_f) = match double_bounds(op, lo, hi, is_between) {
-                Some(bounds) => bounds,
-                None => {
+            let step = match restriction.double_bounds() {
+                Inclusive::Range(lo, hi) => Step::DoubleRange {
+                    column: column_idx,
+                    lo,
+                    hi,
+                },
+                Inclusive::Empty => {
                     plan.ruled_out = true;
                     return;
                 }
+                Inclusive::Inexpressible => scalar(),
             };
-            plan.steps.push(Step::DoubleRange {
+            return push_step(block, column_idx, step, plan);
+        }
+        ColumnCompression::SingleValue(constant) => {
+            plan.ruled_out |= !restriction.matches_value(constant);
+            return;
+        }
+    };
+    match codes {
+        Some((lo, hi)) => {
+            narrow_with_psma(column, lo, hi, options, plan);
+            let step = Step::CodeRange {
                 column: column_idx,
-                lo: lo_f,
-                hi: hi_f,
-            });
-            push_not_null_guard(block, column_idx, plan);
+                lo,
+                hi,
+            };
+            push_step(block, column_idx, step, plan);
         }
-        ColumnCompression::SingleValue(_) => unreachable!("handled by the caller"),
+        None => plan.ruled_out = true,
     }
 }
 
-fn push_not_null_guard(block: &DataBlock, column_idx: usize, plan: &mut ScanPlan) {
-    if block.column(column_idx).validity.is_some() {
-        plan.steps.push(Step::KeepNotNull { column: column_idx });
-    }
-}
-
-/// Inclusive integer bounds for `op constant` (or a between when `is_between`).
-fn int_bounds(op: CmpOp, lo: &Value, hi: &Value, is_between: bool) -> Option<(i64, i64)> {
-    if is_between {
-        return Some((lo.as_int()?, hi.as_int()?));
-    }
-    let v = lo.as_int()?;
-    Some(match op {
-        CmpOp::Eq => (v, v),
-        CmpOp::Lt => (i64::MIN, v.checked_sub(1)?),
-        CmpOp::Le => (i64::MIN, v),
-        CmpOp::Gt => (v.checked_add(1)?, i64::MAX),
-        CmpOp::Ge => (v, i64::MAX),
-        CmpOp::Ne => return None,
-    })
-}
-
-/// Inclusive double bounds. A strict bound steps to the adjacent double,
-/// which is a subnormal of the right sign at either zero, so `< 0.0` excludes
-/// −0.0 too. `None` when no double passes (`< −∞`, `> +∞`).
-fn double_bounds(op: CmpOp, lo: &Value, hi: &Value, is_between: bool) -> Option<(f64, f64)> {
-    if is_between {
-        return Some((lo.as_double()?, hi.as_double()?));
-    }
-    let v = lo.as_double()?;
-    Some(match op {
-        CmpOp::Eq => (v, v),
-        CmpOp::Lt if v == f64::NEG_INFINITY => return None,
-        CmpOp::Lt => (f64::NEG_INFINITY, v.next_down()),
-        CmpOp::Le => (f64::NEG_INFINITY, v),
-        CmpOp::Gt if v == f64::INFINITY => return None,
-        CmpOp::Gt => (v.next_up(), f64::INFINITY),
-        CmpOp::Ge => (v, f64::INFINITY),
-        CmpOp::Ne => return None,
-    })
-}
-
-/// Code bounds for a string comparison against an ordered dictionary.
-fn str_code_bounds(
-    dict: &[String],
-    op: CmpOp,
-    lo: &Value,
-    hi: &Value,
-    is_between: bool,
-) -> Option<(u64, u64)> {
-    let last = dict.len().checked_sub(1)? as u64;
-    if is_between {
-        let lo_s = lo.as_str()?;
-        let hi_s = hi.as_str()?;
-        let lo_code = dict.partition_point(|d| d.as_str() < lo_s) as u64;
-        let hi_code = dict.partition_point(|d| d.as_str() <= hi_s) as u64;
-        return if lo_code >= hi_code {
-            None
-        } else {
-            Some((lo_code, hi_code - 1))
-        };
-    }
-    let v = lo.as_str()?;
-    let lt = dict.partition_point(|d| d.as_str() < v) as u64;
-    let le = dict.partition_point(|d| d.as_str() <= v) as u64;
-    match op {
-        CmpOp::Eq => {
-            if lt == le {
-                None
-            } else {
-                Some((lt, le - 1))
-            }
-        }
-        CmpOp::Lt => {
-            if lt == 0 {
-                None
-            } else {
-                Some((0, lt - 1))
-            }
-        }
-        CmpOp::Le => {
-            if le == 0 {
-                None
-            } else {
-                Some((0, le - 1))
-            }
-        }
-        CmpOp::Gt => {
-            if le > last {
-                None
-            } else {
-                Some((le, last))
-            }
-        }
-        CmpOp::Ge => {
-            if lt > last {
-                None
-            } else {
-                Some((lt, last))
-            }
-        }
-        CmpOp::Ne => None,
+/// Append `step` on attribute `column` and, when it is nullable, the step that
+/// drops the NULL rows (a code or double range reads a NULL row's placeholder).
+fn push_step(block: &DataBlock, column: usize, step: Step, plan: &mut ScanPlan) {
+    plan.steps.push(step);
+    if block.column(column).validity.is_some() {
+        plan.steps.push(Step::KeepNotNull { column });
     }
 }
 
@@ -603,31 +571,18 @@ impl<'a> BlockScan<'a> {
                 codes.reduce_matches(self.options.isa, *lo, *hi, matches);
             }
             Step::DoubleRange { column, lo, hi } => {
-                let column = self.block.column(*column);
-                if let ColumnCompression::Double(values) = &column.compression {
-                    matches.retain(|&pos| {
-                        let v = values[pos as usize];
-                        v >= *lo && v <= *hi
-                    });
-                } else {
-                    matches.retain(|&pos| {
-                        column
-                            .get(pos as usize)
-                            .as_double()
-                            .map(|v| v >= *lo && v <= *hi)
-                            .unwrap_or(false)
-                    });
-                }
-            }
-            Step::ScalarCmp { column, op, value } => {
-                let block_column = self.block.column(*column);
+                let ColumnCompression::Double(values) = &self.block.column(*column).compression
+                else {
+                    unreachable!("DoubleRange step only planned for double columns");
+                };
                 matches.retain(|&pos| {
-                    block_column
-                        .get(pos as usize)
-                        .sql_cmp(value)
-                        .map(|ord| op.eval_ordering(ord))
-                        .unwrap_or(false)
+                    let v = values[pos as usize];
+                    v >= *lo && v <= *hi
                 });
+            }
+            Step::Scalar(restriction) => {
+                let block_column = self.block.column(restriction.column());
+                matches.retain(|&pos| restriction.matches_value(&block_column.get(pos as usize)));
             }
             Step::KeepNull { column } => {
                 let block_column = self.block.column(*column);
@@ -808,6 +763,72 @@ mod tests {
         }
         assert!(scan(CmpOp::Lt, f64::NEG_INFINITY).is_empty());
         assert!(scan(CmpOp::Gt, f64::INFINITY).is_empty());
+    }
+
+    #[test]
+    fn a_between_with_a_double_bound_on_an_int_column_is_not_an_equality() {
+        let block = freeze(&[int_column((0..5).collect())]);
+        let between = [Restriction::between(0, 1i64, 2.5f64)];
+        for options in [ScanOptions::default(), ScanOptions::plain()] {
+            assert_eq!(scan_collect(&block, &between, options), [1, 2]);
+            check_against_reference(&block, &between, options);
+        }
+    }
+
+    #[test]
+    fn typed_bounds_step_strict_bounds_and_read_constants_across_types() {
+        let int = |r: Restriction| r.int_bounds();
+        let double = |r: Restriction| r.double_bounds();
+        assert_eq!(
+            int(Restriction::cmp(0, CmpOp::Lt, 5i64)),
+            Inclusive::Range(i64::MIN, 4)
+        );
+        assert_eq!(
+            int(Restriction::cmp(0, CmpOp::Gt, i64::MAX)),
+            Inclusive::Empty
+        );
+        assert_eq!(
+            int(Restriction::cmp(0, CmpOp::Lt, i64::MIN)),
+            Inclusive::Empty
+        );
+        assert_eq!(int(Restriction::between(0, 3i64, 2i64)), Inclusive::Empty);
+        assert_eq!(
+            int(Restriction::between(0, 1i64, 2.5)),
+            Inclusive::Inexpressible
+        );
+        assert_eq!(
+            int(Restriction::cmp(0, CmpOp::Ne, 1i64)),
+            Inclusive::Inexpressible
+        );
+        assert_eq!(
+            int(Restriction::IsNull { column: 0 }),
+            Inclusive::Inexpressible
+        );
+        assert_eq!(int(Restriction::eq(0, "1")), Inclusive::Empty);
+        assert_eq!(int(Restriction::eq(0, Value::Null)), Inclusive::Empty);
+        let subnormal = f64::from_bits(1);
+        assert_eq!(
+            double(Restriction::cmp(0, CmpOp::Lt, 0.0)),
+            Inclusive::Range(f64::NEG_INFINITY, -subnormal)
+        );
+        assert_eq!(
+            double(Restriction::cmp(0, CmpOp::Gt, -0.0)),
+            Inclusive::Range(subnormal, f64::INFINITY)
+        );
+        assert_eq!(
+            double(Restriction::cmp(0, CmpOp::Gt, f64::INFINITY)),
+            Inclusive::Empty
+        );
+        assert_eq!(
+            double(Restriction::cmp(0, CmpOp::Lt, f64::NEG_INFINITY)),
+            Inclusive::Empty
+        );
+        assert_eq!(double(Restriction::eq(0, f64::NAN)), Inclusive::Empty);
+        assert_eq!(
+            double(Restriction::between(0, 1i64, 2.5)),
+            Inclusive::Range(1.0, 2.5)
+        );
+        assert_eq!(double(Restriction::eq(0, "x")), Inclusive::Empty);
     }
 
     #[test]

@@ -4,7 +4,7 @@
 use crate::column::Column;
 use crate::scan::Restriction;
 use crate::value::{DataType, Value};
-use dbsimd::CmpOp;
+use std::ops::Bound;
 
 /// Min/max aggregate for one attribute of one Data Block.
 ///
@@ -127,54 +127,40 @@ impl Sma {
         }
     }
 
-    /// Can a comparison `attribute op constant` possibly be satisfied by any value in
-    /// this block? `false` means the whole block can be skipped for this restriction.
-    pub fn may_match_cmp(&self, op: CmpOp, constant: &Value) -> bool {
-        let (min, max) = match self {
-            Sma::AllNull => return false,
-            _ => (self.min_value(), self.max_value()),
-        };
-        let cmp_min = min.sql_cmp(constant);
-        let cmp_max = max.sql_cmp(constant);
-        let (cmp_min, cmp_max) = match (cmp_min, cmp_max) {
-            (Some(a), Some(b)) => (a, b),
-            // Incomparable constant (type mismatch or NULL) can never match.
-            _ => return false,
-        };
-        use std::cmp::Ordering::*;
-        match op {
-            CmpOp::Eq => cmp_min != Greater && cmp_max != Less,
-            // `<>` can only be ruled out when every value equals the constant, which
-            // requires min == max == constant.
-            CmpOp::Ne => !(cmp_min == Equal && cmp_max == Equal),
-            CmpOp::Lt => cmp_min == Less,
-            CmpOp::Le => cmp_min != Greater,
-            CmpOp::Gt => cmp_max == Greater,
-            CmpOp::Ge => cmp_max != Less,
-        }
-    }
-
-    /// Can a `BETWEEN lo AND hi` restriction possibly be satisfied?
-    pub fn may_match_between(&self, lo: &Value, hi: &Value) -> bool {
-        self.may_match_cmp(CmpOp::Ge, lo) && self.may_match_cmp(CmpOp::Le, hi)
-    }
-
     /// The SMA block-skipping gate: can any record of the block satisfy
-    /// `restriction`? `false` rules the whole block out. Only comparisons other
-    /// than `<>` and `BETWEEN` are decided here; every other restriction passes.
+    /// `restriction`? `false` rules the whole block out. A range restriction
+    /// compares its [`Restriction::bounds`] with `[min, max]`; `<>` is ruled
+    /// out only when every value equals the constant; the NULL tests always
+    /// pass. A constant that compares with no value of the block (NULL, NaN,
+    /// another type) rules it out, as does an all-NULL block for every
+    /// comparison.
     ///
     /// Both rule-out sites call this one function — the scan planner
     /// ([`crate::scan::plan_scan`]) on a loaded block, and
     /// [`crate::frame::BlockSummary::may_match`] on a cold block's summary — so
     /// the two agree by construction.
     pub fn may_match(&self, restriction: &Restriction) -> bool {
-        match restriction {
-            Restriction::Cmp { op, value, .. } if *op != CmpOp::Ne => {
-                self.may_match_cmp(*op, value)
-            }
-            Restriction::Between { lo, hi, .. } => self.may_match_between(lo, hi),
-            _ => true,
-        }
+        use std::cmp::Ordering::{Equal, Greater, Less};
+        let Some((lo, hi)) = restriction.bounds() else {
+            return match restriction {
+                Restriction::Cmp { value, .. } => matches!(
+                    (self.min_value().sql_cmp(value), self.max_value().sql_cmp(value)),
+                    (Some(at_min), Some(at_max)) if (at_min, at_max) != (Equal, Equal)
+                ),
+                _ => true,
+            };
+        };
+        let max_reaches = match lo {
+            Bound::Unbounded => true,
+            Bound::Included(v) => matches!(self.max_value().sql_cmp(v), Some(Greater | Equal)),
+            Bound::Excluded(v) => self.max_value().sql_cmp(v) == Some(Greater),
+        };
+        let min_reaches = match hi {
+            Bound::Unbounded => true,
+            Bound::Included(v) => matches!(self.min_value().sql_cmp(v), Some(Less | Equal)),
+            Bound::Excluded(v) => self.min_value().sql_cmp(v) == Some(Less),
+        };
+        max_reaches && min_reaches
     }
 
     /// Serialized size of the SMA in bytes (min + max), used by the layout module.
@@ -192,6 +178,11 @@ impl Sma {
 mod tests {
     use super::*;
     use crate::column::ColumnData;
+    use dbsimd::CmpOp;
+
+    fn gate(sma: &Sma, op: CmpOp, constant: &Value) -> bool {
+        sma.may_match(&Restriction::cmp(0, op, constant.clone()))
+    }
 
     fn int_column(values: &[i64]) -> Column {
         Column::from_data(ColumnData::Int(values.to_vec()))
@@ -219,7 +210,7 @@ mod tests {
         col.push(Value::Null);
         col.push(Value::Null);
         assert_eq!(Sma::compute(&col), Sma::AllNull);
-        assert!(!Sma::AllNull.may_match_cmp(CmpOp::Eq, &Value::Int(0)));
+        assert!(!gate(&Sma::AllNull, CmpOp::Eq, &Value::Int(0)));
     }
 
     #[test]
@@ -253,46 +244,46 @@ mod tests {
     #[test]
     fn may_match_eq_inside_and_outside() {
         let sma = Sma::Int { min: 10, max: 20 };
-        assert!(sma.may_match_cmp(CmpOp::Eq, &Value::Int(10)));
-        assert!(sma.may_match_cmp(CmpOp::Eq, &Value::Int(15)));
-        assert!(!sma.may_match_cmp(CmpOp::Eq, &Value::Int(9)));
-        assert!(!sma.may_match_cmp(CmpOp::Eq, &Value::Int(21)));
+        assert!(gate(&sma, CmpOp::Eq, &Value::Int(10)));
+        assert!(gate(&sma, CmpOp::Eq, &Value::Int(15)));
+        assert!(!gate(&sma, CmpOp::Eq, &Value::Int(9)));
+        assert!(!gate(&sma, CmpOp::Eq, &Value::Int(21)));
     }
 
     #[test]
     fn may_match_inequalities() {
         let sma = Sma::Int { min: 10, max: 20 };
-        assert!(!sma.may_match_cmp(CmpOp::Lt, &Value::Int(10)));
-        assert!(sma.may_match_cmp(CmpOp::Lt, &Value::Int(11)));
-        assert!(sma.may_match_cmp(CmpOp::Le, &Value::Int(10)));
-        assert!(!sma.may_match_cmp(CmpOp::Gt, &Value::Int(20)));
-        assert!(sma.may_match_cmp(CmpOp::Ge, &Value::Int(20)));
-        assert!(!sma.may_match_cmp(CmpOp::Ge, &Value::Int(21)));
+        assert!(!gate(&sma, CmpOp::Lt, &Value::Int(10)));
+        assert!(gate(&sma, CmpOp::Lt, &Value::Int(11)));
+        assert!(gate(&sma, CmpOp::Le, &Value::Int(10)));
+        assert!(!gate(&sma, CmpOp::Gt, &Value::Int(20)));
+        assert!(gate(&sma, CmpOp::Ge, &Value::Int(20)));
+        assert!(!gate(&sma, CmpOp::Ge, &Value::Int(21)));
     }
 
     #[test]
     fn may_match_ne_only_ruled_out_for_constant_block() {
         let constant = Sma::Int { min: 5, max: 5 };
-        assert!(!constant.may_match_cmp(CmpOp::Ne, &Value::Int(5)));
-        assert!(constant.may_match_cmp(CmpOp::Ne, &Value::Int(6)));
+        assert!(!gate(&constant, CmpOp::Ne, &Value::Int(5)));
+        assert!(gate(&constant, CmpOp::Ne, &Value::Int(6)));
         let varied = Sma::Int { min: 5, max: 9 };
-        assert!(varied.may_match_cmp(CmpOp::Ne, &Value::Int(5)));
+        assert!(gate(&varied, CmpOp::Ne, &Value::Int(5)));
     }
 
     #[test]
     fn may_match_between() {
         let sma = Sma::Int { min: 100, max: 200 };
-        assert!(sma.may_match_between(&Value::Int(150), &Value::Int(300)));
-        assert!(sma.may_match_between(&Value::Int(0), &Value::Int(100)));
-        assert!(!sma.may_match_between(&Value::Int(201), &Value::Int(300)));
-        assert!(!sma.may_match_between(&Value::Int(0), &Value::Int(99)));
+        assert!(sma.may_match(&Restriction::between(0, 150i64, 300i64)));
+        assert!(sma.may_match(&Restriction::between(0, 0i64, 100i64)));
+        assert!(!sma.may_match(&Restriction::between(0, 201i64, 300i64)));
+        assert!(!sma.may_match(&Restriction::between(0, 0i64, 99i64)));
     }
 
     #[test]
     fn incomparable_constant_never_matches() {
         let sma = Sma::Int { min: 1, max: 2 };
-        assert!(!sma.may_match_cmp(CmpOp::Eq, &Value::from("one")));
-        assert!(!sma.may_match_cmp(CmpOp::Eq, &Value::Null));
+        assert!(!gate(&sma, CmpOp::Eq, &Value::from("one")));
+        assert!(!gate(&sma, CmpOp::Eq, &Value::Null));
     }
 
     #[test]
@@ -301,7 +292,7 @@ mod tests {
             min: "HOUSEHOLD".into(),
             max: "MACHINERY".into(),
         };
-        assert!(sma.may_match_cmp(CmpOp::Eq, &Value::from("MACHINERY")));
-        assert!(!sma.may_match_cmp(CmpOp::Eq, &Value::from("AUTOMOBILE")));
+        assert!(gate(&sma, CmpOp::Eq, &Value::from("MACHINERY")));
+        assert!(!gate(&sma, CmpOp::Eq, &Value::from("AUTOMOBILE")));
     }
 }

@@ -28,7 +28,7 @@ pub fn unpack_column(block: &DataBlock, col: usize, positions: &[u32], out: &mut
             if let (ColumnData::Int(dst), None) = (&mut out.data, &column.validity) {
                 dst.reserve(positions.len());
                 for &pos in positions {
-                    dst.push(min + codes.get(pos as usize) as i64);
+                    dst.push(min.wrapping_add(codes.get(pos as usize) as i64));
                 }
                 sync_validity(out, positions.len());
                 return;

@@ -1549,7 +1549,11 @@ impl BlockStore {
                 let mut inner = self.inner.lock().expect("store lock");
                 if let Some(entry) = inner.cache.get_mut(&id) {
                     let block = &entry.block;
-                    if named(columns, block.column_count()).all(|col| block.has_column(col)) {
+                    let held = match columns {
+                        None => block.has_all_columns(),
+                        Some(columns) => columns.iter().all(|&col| block.has_column(col)),
+                    };
+                    if held {
                         entry.pins += 1;
                         entry.referenced = true;
                         let block = Arc::clone(&entry.block);

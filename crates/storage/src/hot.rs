@@ -7,7 +7,7 @@
 //! vectors, exactly like the "interpreted vectorized scan on uncompressed chunk" box
 //! of Figure 6.
 
-use datablocks::scan::Restriction;
+use datablocks::scan::{Inclusive, Restriction};
 use datablocks::{Column, Value};
 
 use crate::schema::Schema;
@@ -181,32 +181,20 @@ impl HotChunk {
 
     fn find_initial(&self, restriction: &Restriction, from: usize, to: usize, out: &mut Vec<u32>) {
         let column = &self.columns[restriction.column()];
-        // Branch-free find over the typed payload where the restriction permits it.
-        match (&column.data, restriction) {
-            (datablocks::ColumnData::Int(values), _) if column.validity.is_none() => {
-                if let Some((lo, hi)) = int_range(restriction) {
-                    out.reserve(to - from);
-                    for (i, &v) in values[from..to].iter().enumerate() {
-                        if v >= lo && v <= hi {
-                            out.push((from + i) as u32);
-                        }
-                    }
-                    return;
+        // Branch-free find over the typed payload where the restriction is a
+        // range of the attribute's type.
+        let found = column.validity.is_none()
+            && match &column.data {
+                datablocks::ColumnData::Int(values) => {
+                    find_within(&values[from..to], restriction.int_bounds(), from, out)
                 }
-                self.find_generic(restriction, from, to, out);
-            }
-            (datablocks::ColumnData::Double(values), _) if column.validity.is_none() => {
-                if let Some((lo, hi)) = double_range(restriction) {
-                    for (i, &v) in values[from..to].iter().enumerate() {
-                        if v >= lo && v <= hi {
-                            out.push((from + i) as u32);
-                        }
-                    }
-                    return;
+                datablocks::ColumnData::Double(values) => {
+                    find_within(&values[from..to], restriction.double_bounds(), from, out)
                 }
-                self.find_generic(restriction, from, to, out);
-            }
-            _ => self.find_generic(restriction, from, to, out),
+                _ => false,
+            };
+        if !found {
+            self.find_generic(restriction, from, to, out);
         }
     }
 
@@ -262,47 +250,26 @@ impl HotChunk {
     }
 }
 
-/// Inclusive integer bounds of a restriction, when expressible.
-fn int_range(restriction: &Restriction) -> Option<(i64, i64)> {
-    use dbsimd::CmpOp;
-    match restriction {
-        Restriction::Cmp { op, value, .. } => {
-            let v = value.as_int()?;
-            Some(match op {
-                CmpOp::Eq => (v, v),
-                CmpOp::Lt => (i64::MIN, v.checked_sub(1)?),
-                CmpOp::Le => (i64::MIN, v),
-                CmpOp::Gt => (v.checked_add(1)?, i64::MAX),
-                CmpOp::Ge => (v, i64::MAX),
-                CmpOp::Ne => return None,
-            })
+/// Append the positions (counted from `from`) of the `values` that lie within
+/// `bounds`. `false`, appending nothing, when the bounds are inexpressible.
+fn find_within<T: PartialOrd + Copy>(
+    values: &[T],
+    bounds: Inclusive<T>,
+    from: usize,
+    out: &mut Vec<u32>,
+) -> bool {
+    match bounds {
+        Inclusive::Range(lo, hi) => {
+            out.reserve(values.len());
+            for (i, &v) in values.iter().enumerate() {
+                if v >= lo && v <= hi {
+                    out.push((from + i) as u32);
+                }
+            }
+            true
         }
-        Restriction::Between { lo, hi, .. } => Some((lo.as_int()?, hi.as_int()?)),
-        _ => None,
-    }
-}
-
-/// Inclusive double bounds of a restriction, when expressible. A strict bound
-/// steps to the adjacent double, a subnormal of the right sign at either zero;
-/// `< −∞` and `> +∞` have none and take the generic path.
-fn double_range(restriction: &Restriction) -> Option<(f64, f64)> {
-    use dbsimd::CmpOp;
-    match restriction {
-        Restriction::Cmp { op, value, .. } => {
-            let v = value.as_double()?;
-            Some(match op {
-                CmpOp::Eq => (v, v),
-                CmpOp::Lt if v == f64::NEG_INFINITY => return None,
-                CmpOp::Lt => (f64::NEG_INFINITY, v.next_down()),
-                CmpOp::Le => (f64::NEG_INFINITY, v),
-                CmpOp::Gt if v == f64::INFINITY => return None,
-                CmpOp::Gt => (v.next_up(), f64::INFINITY),
-                CmpOp::Ge => (v, f64::INFINITY),
-                CmpOp::Ne => return None,
-            })
-        }
-        Restriction::Between { lo, hi, .. } => Some((lo.as_double()?, hi.as_double()?)),
-        _ => None,
+        Inclusive::Empty => true,
+        Inclusive::Inexpressible => false,
     }
 }
 
@@ -424,6 +391,18 @@ mod tests {
         }
         assert!(find(CmpOp::Lt, f64::NEG_INFINITY).is_empty());
         assert!(find(CmpOp::Gt, f64::INFINITY).is_empty());
+    }
+
+    #[test]
+    fn a_between_with_a_double_bound_on_an_int_column_is_not_an_equality() {
+        let chunk = filled_chunk(5);
+        let between = Restriction::between(0, 1i64, 2.5f64);
+        let mut matches = Vec::new();
+        chunk.find_matches(std::slice::from_ref(&between), 0, 5, &mut matches);
+        assert_eq!(matches, [1, 2]);
+        assert!(
+            (0..5).all(|row| between.matches_value(&chunk.get(row, 0)) == (1..=2).contains(&row))
+        );
     }
 
     #[test]

@@ -25,7 +25,7 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 use datablocks::builder::{freeze, freeze_sorted};
-use datablocks::scan::Restriction;
+use datablocks::scan::{Inclusive, Restriction};
 use datablocks::{DataBlock, DataType, ScanOptions, Sma, Value};
 use dbsimd::CmpOp;
 
@@ -173,59 +173,47 @@ fn sma_selectivity(sma: &Sma, restriction: &Restriction) -> f64 {
         _ => {}
     }
     let share = match restriction {
-        Restriction::Cmp { op, value, .. } => {
-            let point = Some((value, false));
-            match op {
-                CmpOp::Eq => range_share(sma, point, point),
-                CmpOp::Ne => range_share(sma, point, point).map(|share| 1.0 - share),
-                CmpOp::Lt | CmpOp::Le => range_share(sma, None, Some((value, *op == CmpOp::Lt))),
-                CmpOp::Gt | CmpOp::Ge => range_share(sma, Some((value, *op == CmpOp::Gt)), None),
-            }
-        }
-        Restriction::Between { lo, hi, .. } => {
-            range_share(sma, Some((lo, false)), Some((hi, false)))
-        }
-        Restriction::IsNull { .. } | Restriction::IsNotNull { .. } => None,
+        Restriction::Cmp {
+            op: CmpOp::Ne,
+            column,
+            value,
+        } => range_share(sma, &Restriction::eq(*column, value.clone())).map(|share| 1.0 - share),
+        _ => range_share(sma, restriction),
     };
     share.unwrap_or_else(|| default_selectivity(restriction))
 }
 
-/// The share of an SMA's `[min, max]` that lies between `lo` and `hi` (`None`:
-/// unbounded; `true`: strict) — integers counted as values, doubles measured as
-/// a length. `None` where the SMA cannot measure it: a string domain, a constant
-/// of another type, or a single point of a double domain wider than one value.
-fn range_share(sma: &Sma, lo: Option<(&Value, bool)>, hi: Option<(&Value, bool)>) -> Option<f64> {
+/// The share of an SMA's `[min, max]` that the restriction's inclusive bounds
+/// cover — integers counted as values, doubles measured as a length. `None`
+/// where the SMA cannot measure it: a string domain, a restriction that is no
+/// range in the SMA's type (`<>`, a NULL test, a constant of another type),
+/// or a single point of a double domain wider than one value.
+fn range_share(sma: &Sma, restriction: &Restriction) -> Option<f64> {
     match *sma {
-        Sma::Int { min, max } => {
-            // Inclusive integer bounds: a strict bound moves one value in.
-            let bound = |b: Option<(&Value, bool)>, step: i64, open: i64| match b {
-                None => Some(open),
-                Some((Value::Int(v), strict)) => {
-                    Some(if strict { v.saturating_add(step) } else { *v })
-                }
-                Some(_) => None,
-            };
-            let (lo, hi) = (bound(lo, 1, min)?, bound(hi, -1, max)?);
-            let covered = hi.min(max) as f64 - lo.max(min) as f64 + 1.0;
-            Some((covered / (max as f64 - min as f64 + 1.0)).clamp(0.0, 1.0))
-        }
-        Sma::Double { min, max } => {
-            let bound = |b: Option<(&Value, bool)>, open: f64| match b {
-                None => Some(open),
-                Some((Value::Double(v), _)) => Some(*v),
-                Some(_) => None,
-            };
-            let (lo, hi) = (bound(lo, min)?.max(min), bound(hi, max)?.min(max));
-            if lo > hi {
-                Some(0.0)
-            } else if min == max {
-                Some(1.0)
-            } else if lo == hi {
-                None
-            } else {
-                Some((hi - lo) / (max - min))
+        Sma::Int { min, max } => match restriction.int_bounds() {
+            Inclusive::Range(lo, hi) => {
+                let covered = hi.min(max) as f64 - lo.max(min) as f64 + 1.0;
+                Some((covered / (max as f64 - min as f64 + 1.0)).clamp(0.0, 1.0))
             }
-        }
+            Inclusive::Empty => Some(0.0),
+            Inclusive::Inexpressible => None,
+        },
+        Sma::Double { min, max } => match restriction.double_bounds() {
+            Inclusive::Range(lo, hi) => {
+                let (lo, hi) = (lo.max(min), hi.min(max));
+                if lo > hi {
+                    Some(0.0)
+                } else if min == max {
+                    Some(1.0)
+                } else if lo == hi {
+                    None
+                } else {
+                    Some((hi - lo) / (max - min))
+                }
+            }
+            Inclusive::Empty => Some(0.0),
+            Inclusive::Inexpressible => None,
+        },
         _ => None,
     }
 }

@@ -55,19 +55,31 @@ pub fn assert_batches_agree(label: &str, expected: &Batch, actual: &Batch, exact
     }
 }
 
-/// Flip one byte in the middle of block `target`'s frame, behind the store's back,
-/// and drop the cached copies: the frame checksum fails the block's next page-in.
-/// Returns the frame's byte offset in its generation file — the store must be
-/// append-only so far, so block `n` starts where blocks `0..n` end.
+/// Flip one byte of block `target`'s header section, behind the store's back,
+/// and drop the cached copies: every page-in reads and verifies the header
+/// section, so the next one fails its checksum whichever attributes it names.
+/// The byte lies past the frame prefix, inside the section's checksummed range
+/// `[16, header_len)`. Returns the frame's byte offset in its generation file —
+/// the store must be append-only so far, so block `n` starts where blocks
+/// `0..n` end.
 pub fn corrupt_frame(store: &BlockStore, target: BlockId) -> u64 {
+    use data_blocks::datablocks::frame::{header_len, FRAME_PREFIX_LEN};
     use std::os::unix::fs::FileExt as _;
     let offset: u64 = (0..target).map(|id| store.entry_len(id) as u64).sum();
-    let poke = offset + store.entry_len(target) as u64 / 2;
     let file = std::fs::OpenOptions::new()
         .read(true)
         .write(true)
         .open(store.path())
         .expect("open spill file raw");
+    let mut prefix = [0u8; FRAME_PREFIX_LEN];
+    file.read_exact_at(&mut prefix, offset)
+        .expect("read frame prefix");
+    let header_len = header_len(&prefix).expect("an intact frame prefix") as u64;
+    assert!(
+        header_len > FRAME_PREFIX_LEN as u64,
+        "a header section past the prefix"
+    );
+    let poke = offset + (FRAME_PREFIX_LEN as u64 + header_len) / 2;
     let mut byte = [0u8];
     file.read_exact_at(&mut byte, poke).expect("read byte");
     byte[0] ^= 0xFF;

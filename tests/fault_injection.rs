@@ -345,7 +345,7 @@ fn corrupt_frame_surfaces_structured_scan_error() {
     let store = Arc::clone(rel.spill_store().expect("spill store"));
     assert!(store.block_count() >= 4, "need several spilled blocks");
 
-    // flip one byte in the middle of block 2's frame, behind the store's back
+    // flip one byte of block 2's header section, behind the store's back
     let target = 2;
     let offset = common::corrupt_frame(&store, target);
 
@@ -359,10 +359,10 @@ fn corrupt_frame_surfaces_structured_scan_error() {
     assert!(!err.detail.is_empty());
 
     // serial scan: structured error, not a panic
-    let scan_error = |threads: usize| {
+    let scan_error = |projection: Vec<usize>, threads: usize| {
         let mut scanner = RelationScanner::new(
             &rel,
-            vec![0, 1],
+            projection,
             vec![],
             ScanConfig::default().with_threads(threads),
         );
@@ -385,10 +385,16 @@ fn corrupt_frame_surfaces_structured_scan_error() {
         }
     };
     for threads in [1, 4] {
-        let err = scan_error(threads);
+        let err = scan_error(vec![0, 1], threads);
         assert_eq!(err.block_id, target, "threads {threads}");
         assert_eq!(err.generation, 0, "threads {threads}");
         assert_eq!(err.offset, offset, "threads {threads}");
+    }
+    // A scan that pages in one attribute still verifies the header section.
+    for col in [0, 1] {
+        let err = scan_error(vec![col], 1);
+        assert_eq!(err.block_id, target, "attribute {col}");
+        assert_eq!(err.offset, offset, "attribute {col}");
     }
     drop(rel);
     drop(store);
