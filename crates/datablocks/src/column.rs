@@ -229,7 +229,7 @@ impl ColumnData {
     }
 
     /// The plain strings of a string column, decoding a coded one in place.
-    fn plain_mut(&mut self) -> &mut Vec<String> {
+    pub(crate) fn plain_mut(&mut self) -> &mut Vec<String> {
         if let ColumnData::Dict { dict, codes } = self {
             *self = ColumnData::Str(codes.iter().map(|&c| dict[c as usize].clone()).collect());
         }

@@ -21,6 +21,7 @@ use std::ops::Bound;
 use std::sync::Arc;
 
 use crate::column::Column;
+use crate::unpack::Rows;
 use crate::value::{DataType, Value};
 use dbsimd::{IsaLevel, RangePredicate};
 
@@ -81,7 +82,8 @@ impl CodeVec {
         self.len() * self.byte_width()
     }
 
-    /// Read the code word at `row`.
+    /// Read the code word at `row`: point access, one width dispatch per call. A
+    /// loop over many rows goes through [`CodeVec::gather`], which dispatches once.
     #[inline]
     pub fn get(&self, row: usize) -> u64 {
         match self {
@@ -92,14 +94,15 @@ impl CodeVec {
         }
     }
 
-    /// The code words at `positions` as `u32` — dictionary codes, which always fit
-    /// (one width dispatch for all of them, not one per row).
-    pub fn gather_u32(&self, positions: &[u32]) -> Vec<u32> {
+    /// Append `f(code)` for the code word at each of `rows` to `dst`, in order:
+    /// one width dispatch, then one loop over the typed codes (see [`Rows`]).
+    #[inline]
+    pub fn gather<U>(&self, rows: Rows<'_>, dst: &mut Vec<U>, f: impl Fn(u64) -> U) {
         match self {
-            CodeVec::U8(v) => positions.iter().map(|&p| v[p as usize] as u32).collect(),
-            CodeVec::U16(v) => positions.iter().map(|&p| v[p as usize] as u32).collect(),
-            CodeVec::U32(v) => positions.iter().map(|&p| v[p as usize]).collect(),
-            CodeVec::U64(v) => positions.iter().map(|&p| v[p as usize] as u32).collect(),
+            CodeVec::U8(v) => rows.map_into(v, dst, |&c| f(c as u64)),
+            CodeVec::U16(v) => rows.map_into(v, dst, |&c| f(c as u64)),
+            CodeVec::U32(v) => rows.map_into(v, dst, |&c| f(c as u64)),
+            CodeVec::U64(v) => rows.map_into(v, dst, |&c| f(c)),
         }
     }
 

@@ -5,13 +5,84 @@
 //! Because Data Blocks are byte-addressable, unpacking a *sparse* set of positions is
 //! cheap — this is the property Section 5.4 contrasts against bit-packed storage,
 //! where sparse decompression dominates the scan cost.
+//!
+//! An attribute is unpacked by one loop over its typed payload: the scheme and the
+//! code width are matched once per call ([`CodeVec::gather`]), never per value. The
+//! loop takes one of two shapes ([`Rows`]):
+//!
+//! * **run** — the positions are `first, first + 1, …, first + n − 1`, as when a
+//!   window has no restriction or every row meets it: the loop maps the slice
+//!   `[first, first + n)`, which the compiler vectorises;
+//! * **gather** — any other positions: the loop maps the value at each one.
+//!
+//! The run test is exact for any input, not a guess from the first and last
+//! position (`[1, 1, 3]` spans three rows but is no run): it compares every
+//! position with `first` plus its index. Both shapes produce the same output.
 
 use std::sync::Arc;
 
-use crate::block::DataBlock;
+use crate::block::{BlockColumn, DataBlock};
 use crate::column::{Column, ColumnData};
-use crate::compression::ColumnCompression;
-use crate::value::Value;
+use crate::compression::{CodeVec, ColumnCompression};
+use crate::value::{DataType, Value};
+
+/// Match positions in the shape an unpack loop takes them: one contiguous run of
+/// rows, or a list to gather from (see the module docs).
+#[derive(Debug, Clone, Copy)]
+pub struct Rows<'a> {
+    positions: &'a [u32],
+    run: bool,
+}
+
+impl<'a> Rows<'a> {
+    /// The positions `positions`, in order; classified as a run or not, exactly.
+    pub fn new(positions: &'a [u32]) -> Rows<'a> {
+        Rows {
+            positions,
+            run: is_run(positions),
+        }
+    }
+
+    /// Append `f(&src[p])` for each position `p` to `dst`, in order: a map over a
+    /// slice for a run, a gather otherwise.
+    #[inline]
+    pub fn map_into<T, U>(self, src: &[T], dst: &mut Vec<U>, mut f: impl FnMut(&T) -> U) {
+        match (self.run, self.positions.first()) {
+            (true, Some(&first)) => {
+                let first = first as usize;
+                dst.extend(src[first..first + self.positions.len()].iter().map(f));
+            }
+            _ => dst.extend(self.positions.iter().map(|&p| f(&src[p as usize]))),
+        }
+    }
+}
+
+/// Positions checked per step of [`is_run`]: a step folds its mismatches without
+/// branching, so the compiler vectorises it; a list that is no run stops at the
+/// first step that shows it.
+const RUN_STEP: usize = 64;
+
+/// Is every position `positions[0] + i`, its index `i` counted from 0? Exact for
+/// any input; an empty list is no run.
+fn is_run(positions: &[u32]) -> bool {
+    let Some(&first) = positions.first() else {
+        return false;
+    };
+    // The last position of a run, `first + len − 1`, must be a `u32`; then
+    // `first + i` never wraps below.
+    let last = u32::try_from(positions.len() - 1)
+        .ok()
+        .and_then(|span| first.checked_add(span));
+    last.is_some()
+        && positions.chunks(RUN_STEP).enumerate().all(|(step, chunk)| {
+            let base = first.wrapping_add((step * RUN_STEP) as u32);
+            let miss = chunk
+                .iter()
+                .enumerate()
+                .fold(0, |miss, (i, &p)| miss | (p ^ base.wrapping_add(i as u32)));
+            miss == 0
+        })
+}
 
 /// Append the values of attribute `col` at the given positions to `out`.
 ///
@@ -21,72 +92,7 @@ use crate::value::Value;
 /// dictionary), which an empty `out` takes as it is; see [`crate::column`] for what
 /// appending it to a non-empty one does.
 pub fn unpack_column(block: &DataBlock, col: usize, positions: &[u32], out: &mut Column) {
-    let column = block.column(col);
-    match &column.compression {
-        // Fast paths that avoid per-row Value boxing.
-        ColumnCompression::Truncated { min, codes } => {
-            if let (ColumnData::Int(dst), None) = (&mut out.data, &column.validity) {
-                dst.reserve(positions.len());
-                for &pos in positions {
-                    dst.push(min.wrapping_add(codes.get(pos as usize) as i64));
-                }
-                sync_validity(out, positions.len());
-                return;
-            }
-        }
-        ColumnCompression::DictInt { dict, codes } => {
-            if let (ColumnData::Int(dst), None) = (&mut out.data, &column.validity) {
-                dst.reserve(positions.len());
-                for &pos in positions {
-                    dst.push(dict[codes.get(pos as usize) as usize]);
-                }
-                sync_validity(out, positions.len());
-                return;
-            }
-        }
-        // Strings stay coded: the rows get the block's codes and share its
-        // dictionary, so no string is copied (nullable or not).
-        ColumnCompression::DictStr { dict, codes } => {
-            let validity = column.validity.as_ref().map(|valid| {
-                positions
-                    .iter()
-                    .map(|&pos| valid[pos as usize])
-                    .collect::<Vec<_>>()
-            });
-            out.append(Column {
-                data: ColumnData::Dict {
-                    dict: Arc::clone(dict),
-                    codes: codes.gather_u32(positions),
-                },
-                validity: validity.filter(|valid| valid.contains(&false)),
-            });
-            return;
-        }
-        ColumnCompression::Double(values) => {
-            if let (ColumnData::Double(dst), None) = (&mut out.data, &column.validity) {
-                dst.reserve(positions.len());
-                for &pos in positions {
-                    dst.push(values[pos as usize]);
-                }
-                sync_validity(out, positions.len());
-                return;
-            }
-        }
-        ColumnCompression::SingleValue(_) => {}
-    }
-    // General path: per-row Value extraction (nullable columns, single-value columns,
-    // or a type-widening output column).
-    for &pos in positions {
-        out.push(column.get(pos as usize));
-    }
-}
-
-/// Keep a pre-existing validity bitmap consistent when a fast path appended
-/// `appended` definitely-valid rows directly to the data vector.
-fn sync_validity(out: &mut Column, appended: usize) {
-    if let Some(validity) = &mut out.validity {
-        validity.extend(std::iter::repeat_n(true, appended));
-    }
+    unpack_rows(block.column(col), Rows::new(positions), out);
 }
 
 /// Unpack several attributes at once, appending to one output column per requested
@@ -98,8 +104,129 @@ pub fn unpack_columns(block: &DataBlock, cols: &[usize], positions: &[u32], out:
         out.len(),
         "one output column per requested attribute"
     );
+    let rows = Rows::new(positions);
     for (slot, &col) in cols.iter().enumerate() {
-        unpack_column(block, col, positions, &mut out[slot]);
+        unpack_rows(block.column(col), rows, &mut out[slot]);
+    }
+}
+
+/// [`unpack_column`] for positions already classified.
+fn unpack_rows(column: &BlockColumn, rows: Rows<'_>, out: &mut Column) {
+    if rows.positions.is_empty() {
+        return;
+    }
+    let start = out.len();
+    match (&column.compression, &mut out.data) {
+        (ColumnCompression::Truncated { min, codes }, ColumnData::Int(dst)) => {
+            codes.gather(rows, dst, |c| min.wrapping_add(c as i64));
+        }
+        (ColumnCompression::DictInt { dict, codes }, ColumnData::Int(dst)) => {
+            codes.gather(rows, dst, |c| dict[c as usize]);
+        }
+        (ColumnCompression::Double(values), ColumnData::Double(dst)) => {
+            rows.map_into(values, dst, |&v| v);
+        }
+        // Strings stay coded: the rows get the block's codes and share its
+        // dictionary, so no string is copied (nullable or not).
+        (ColumnCompression::DictStr { dict, codes }, _) => {
+            unpack_coded(dict, codes, column.validity.as_deref(), rows, out);
+            return;
+        }
+        (ColumnCompression::SingleValue(value), data) => {
+            if !fill(data, value, rows.positions.len()) {
+                push_each(column, rows, out);
+                return;
+            }
+        }
+        _ => {
+            push_each(column, rows, out);
+            return;
+        }
+    }
+    append_validity(out, start, column.validity.as_deref(), rows);
+}
+
+/// Append the rows one [`Value`] at a time: the path for an output column of
+/// another type than the attribute's (an integer widened into a double column).
+fn push_each(column: &BlockColumn, rows: Rows<'_>, out: &mut Column) {
+    for &pos in rows.positions {
+        out.push(column.get(pos as usize));
+    }
+}
+
+/// Append the rows of a dictionary-compressed string attribute in coded form.
+fn unpack_coded(
+    dict: &Arc<[String]>,
+    codes: &CodeVec,
+    valid: Option<&[bool]>,
+    rows: Rows<'_>,
+    out: &mut Column,
+) {
+    let mut picked = Vec::with_capacity(rows.positions.len());
+    codes.gather(rows, &mut picked, |c| c as u32);
+    let validity = valid.map(|valid| {
+        let mut bits = Vec::with_capacity(rows.positions.len());
+        rows.map_into(valid, &mut bits, |&b| b);
+        bits
+    });
+    out.append(Column {
+        data: ColumnData::Dict {
+            dict: Arc::clone(dict),
+            codes: picked,
+        },
+        validity: validity.filter(|valid| valid.contains(&false)),
+    });
+}
+
+/// Append `n` copies of `value` to `data`; `false`, appending nothing, when the
+/// value does not have the column's type.
+fn fill(data: &mut ColumnData, value: &Value, n: usize) -> bool {
+    match (data, value) {
+        (ColumnData::Int(dst), Value::Int(v)) => dst.resize(dst.len() + n, *v),
+        (ColumnData::Double(dst), Value::Double(v)) => dst.resize(dst.len() + n, *v),
+        (data, Value::Str(v)) if data.data_type() == DataType::Str => {
+            let dst = data.plain_mut();
+            dst.resize(dst.len() + n, v.clone());
+        }
+        _ => return false,
+    }
+    true
+}
+
+/// Bring `out`'s validity up to date after a fast path appended the payload of
+/// `rows` from `start` on: the attribute's validity `valid` at `rows`, with the
+/// type's default written under each NULL. A bitmap appears only once a NULL does.
+fn append_validity(out: &mut Column, start: usize, valid: Option<&[bool]>, rows: Rows<'_>) {
+    let Some(valid) = valid else {
+        if let Some(validity) = &mut out.validity {
+            validity.resize(start + rows.positions.len(), true);
+        }
+        return;
+    };
+    let mut bits = Vec::with_capacity(rows.positions.len());
+    rows.map_into(valid, &mut bits, |&b| b);
+    if bits.contains(&false) {
+        match &mut out.data {
+            ColumnData::Int(dst) => clear_nulls(&mut dst[start..], &bits),
+            ColumnData::Double(dst) => clear_nulls(&mut dst[start..], &bits),
+            ColumnData::Str(dst) => clear_nulls(&mut dst[start..], &bits),
+            ColumnData::Dict { .. } => unreachable!("coded rows take their own path"),
+        }
+        out.validity
+            .get_or_insert_with(|| vec![true; start])
+            .extend(bits);
+    } else if let Some(validity) = &mut out.validity {
+        validity.extend(bits);
+    }
+}
+
+/// Overwrite each value whose validity is `false` with the type's default, the
+/// payload [`ColumnData::push_default`] gives a NULL row.
+fn clear_nulls<T: Default>(values: &mut [T], valid: &[bool]) {
+    for (value, &ok) in values.iter_mut().zip(valid) {
+        if !ok {
+            *value = T::default();
+        }
     }
 }
 
@@ -113,13 +240,190 @@ mod tests {
     use super::*;
     use crate::builder::{double_column, freeze, int_column, str_column};
     use crate::column::Column;
-    use crate::value::DataType;
+    use crate::compression::SchemeKind;
 
     fn block() -> DataBlock {
         let a = int_column((0..1000).map(|i| i * 2).collect());
         let b = str_column((0..1000).map(|i| format!("g{}", i % 7)).collect());
         let c = double_column((0..1000).map(|i| i as f64 / 4.0).collect());
         freeze(&[a, b, c])
+    }
+
+    const ROWS: usize = 1000;
+
+    /// One attribute per scheme the unpack loops special-case, each built so that
+    /// `freeze` picks that scheme, with NULLs at every fifth row if `nullable`.
+    fn scheme_columns(nullable: bool) -> Vec<(SchemeKind, Column)> {
+        let null_at = |i: usize| nullable && i % 5 == 2;
+        let column = |ty: DataType, value: &dyn Fn(usize) -> Value| {
+            let mut col = Column::new(ty);
+            (0..ROWS).for_each(|i| col.push(if null_at(i) { Value::Null } else { value(i) }));
+            col
+        };
+        let int =
+            |value: &dyn Fn(i64) -> i64| column(DataType::Int, &|i| Value::Int(value(i as i64)));
+        let mut columns = vec![
+            (SchemeKind::Truncated(1), int(&|i| i64::MAX - (i * 7) % 256)),
+            (
+                SchemeKind::Truncated(2),
+                int(&|i| i64::MIN + (i * 61) % 60_000),
+            ),
+            (SchemeKind::Truncated(4), int(&|i| i64::MAX - i * 4_000_000)),
+            (
+                SchemeKind::Truncated(8),
+                int(&|i| {
+                    if i % 2 == 0 {
+                        i64::MIN + i
+                    } else {
+                        i64::MAX - i
+                    }
+                }),
+            ),
+            (
+                SchemeKind::DictInt(1),
+                int(&|i| [0, 1 << 40, 1 << 50, -5][i as usize % 4]),
+            ),
+            (
+                SchemeKind::DictStr(1),
+                column(DataType::Str, &|i| Value::Str(format!("s{}", i % 9))),
+            ),
+            (
+                SchemeKind::DictStr(2),
+                column(DataType::Str, &|i| Value::Str(format!("t{i}"))),
+            ),
+            (
+                SchemeKind::Double,
+                column(DataType::Double, &|i| Value::Double(i as f64 * -0.25)),
+            ),
+        ];
+        if nullable {
+            // A constant attribute with NULLs is stored as a dictionary or a
+            // double column; the one single value with NULLs is all NULL.
+            for ty in [DataType::Int, DataType::Double, DataType::Str] {
+                let mut col = Column::new(ty);
+                (0..ROWS).for_each(|_| col.push(Value::Null));
+                columns.push((SchemeKind::SingleValue, col));
+            }
+        } else {
+            columns.push((SchemeKind::SingleValue, int(&|_| -3)));
+            columns.push((
+                SchemeKind::SingleValue,
+                column(DataType::Double, &|_| Value::Double(2.5)),
+            ));
+            columns.push((
+                SchemeKind::SingleValue,
+                column(DataType::Str, &|_| Value::from("c")),
+            ));
+        }
+        columns
+    }
+
+    fn position_sets() -> Vec<Vec<u32>> {
+        let n = ROWS as u32;
+        let mut gap: Vec<u32> = (0..200).collect();
+        gap.remove(130); // a run but for one row, past the first check step
+        vec![
+            vec![],
+            vec![7],
+            (0..n).collect(),
+            (100..300).collect(),
+            (0..n).step_by(3).collect(),
+            (n - 50..n).collect(),
+            (1..n).step_by(2).collect(),
+            vec![1, 1, 3],
+            (0..10).rev().collect(),
+            vec![n - 1, n - 2],
+            gap,
+        ]
+    }
+
+    fn start_columns(ty: DataType) -> Vec<Column> {
+        let some = match ty {
+            DataType::Int => Value::Int(42),
+            DataType::Double => Value::Double(4.5),
+            DataType::Str => Value::from("x"),
+        };
+        let mut non_empty = Column::new(ty);
+        non_empty.push(some.clone());
+        let mut with_bitmap = Column::new(ty);
+        with_bitmap.push(Value::Null);
+        with_bitmap.push(some);
+        vec![Column::new(ty), non_empty, with_bitmap]
+    }
+
+    /// The payload as bit patterns, so that `-0.0` and `0.0` differ.
+    fn double_bits(column: &Column) -> Option<Vec<u64>> {
+        Some(
+            column
+                .data
+                .as_double()?
+                .iter()
+                .map(|v| v.to_bits())
+                .collect(),
+        )
+    }
+
+    #[test]
+    fn unpack_matches_a_per_row_push_for_every_scheme_and_shape() {
+        let mut cases = 0;
+        for nullable in [false, true] {
+            for (kind, col) in scheme_columns(nullable) {
+                let block = freeze(std::slice::from_ref(&col));
+                assert_eq!(block.column(0).compression.kind(), kind, "{col:?}");
+                let ty = col.data_type();
+                // An integer attribute is also unpacked into a double column.
+                let out_types: &[DataType] = match ty {
+                    DataType::Int => &[DataType::Int, DataType::Double],
+                    _ => &[ty],
+                };
+                for &out_ty in out_types {
+                    for positions in position_sets() {
+                        for start in start_columns(out_ty) {
+                            let mut expected = start.clone();
+                            for &pos in &positions {
+                                expected.push(block.get(pos as usize, 0));
+                            }
+                            let mut got = start.clone();
+                            unpack_column(&block, 0, &positions, &mut got);
+                            let mut got_many = [start.clone()];
+                            unpack_columns(&block, &[0], &positions, &mut got_many);
+                            let case = format!("{kind:?} nullable={nullable} into {out_ty:?} at {positions:?} after {start:?}");
+                            for got in [got, got_many.into_iter().next().unwrap()] {
+                                if matches!(kind, SchemeKind::DictStr(_)) {
+                                    // Coded rows keep the block's code under a NULL,
+                                    // where a per-row push stores ""; compare values.
+                                    assert_eq!(got.len(), expected.len(), "{case}");
+                                    assert!(
+                                        (0..got.len()).all(|r| got.get(r) == expected.get(r)),
+                                        "{case}"
+                                    );
+                                    assert_eq!(got.validity, expected.validity, "{case}");
+                                } else {
+                                    assert_eq!(got, expected, "{case}");
+                                    assert_eq!(double_bits(&got), double_bits(&expected), "{case}");
+                                }
+                            }
+                            cases += 1;
+                        }
+                    }
+                }
+            }
+        }
+        assert!(cases > 500, "{cases} cases");
+    }
+
+    #[test]
+    fn only_consecutive_positions_are_a_run() {
+        let runs: [&[u32]; 4] = [&[0], &[5, 6, 7], &[u32::MAX], &[u32::MAX - 1, u32::MAX]];
+        for positions in runs {
+            assert!(is_run(positions), "{positions:?}");
+        }
+        let mut long: Vec<u32> = (10..300).collect();
+        long[250] += 1;
+        let others: [&[u32]; 6] = [&[], &[1, 1, 3], &[3, 2, 1], &[1, 3], &[u32::MAX, 0], &long];
+        for positions in others {
+            assert!(!is_run(positions), "{positions:?}");
+        }
     }
 
     #[test]

@@ -61,7 +61,7 @@
 use std::collections::VecDeque;
 
 use datablocks::scan::Restriction;
-use datablocks::unpack::unpack_column;
+use datablocks::unpack::unpack_columns;
 use datablocks::{Column, DataType, ScanOptions, Value};
 use storage::{ColdReadError, HotChunk, Relation, ScanSource, Segment};
 
@@ -468,9 +468,7 @@ impl<'a, S: ScanSource> RelationScanner<'a, S> {
                 // Matches already satisfy every restriction: unpack the projection.
                 let mut columns: Vec<Column> =
                     self.output_types.iter().map(|&t| Column::new(t)).collect();
-                for (slot, &col) in self.projection.iter().enumerate() {
-                    unpack_column(block, col, &matches, &mut columns[slot]);
-                }
+                unpack_columns(block, &self.projection, &matches, &mut columns);
                 Batch::from_columns(columns)
             } else {
                 // No push-down: evaluate the restrictions tuple at a time on the

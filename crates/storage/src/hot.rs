@@ -8,6 +8,7 @@
 //! of Figure 6.
 
 use datablocks::scan::{Inclusive, Restriction};
+use datablocks::unpack::Rows;
 use datablocks::{Column, Value};
 
 use crate::schema::Schema;
@@ -222,30 +223,26 @@ impl HotChunk {
     /// matches" step of the vectorized scan on uncompressed chunks).
     pub fn gather(&self, col: usize, rows: &[u32], out: &mut Column) {
         let column = &self.columns[col];
+        let picked = Rows::new(rows);
         match (&column.data, &mut out.data, &column.validity) {
             (datablocks::ColumnData::Int(src), datablocks::ColumnData::Int(dst), None) => {
-                dst.extend(rows.iter().map(|&r| src[r as usize]));
-                if let Some(validity) = &mut out.validity {
-                    validity.extend(std::iter::repeat_n(true, rows.len()));
-                }
+                picked.map_into(src, dst, |&v| v);
             }
             (datablocks::ColumnData::Double(src), datablocks::ColumnData::Double(dst), None) => {
-                dst.extend(rows.iter().map(|&r| src[r as usize]));
-                if let Some(validity) = &mut out.validity {
-                    validity.extend(std::iter::repeat_n(true, rows.len()));
-                }
+                picked.map_into(src, dst, |&v| v);
             }
             (datablocks::ColumnData::Str(src), datablocks::ColumnData::Str(dst), None) => {
-                dst.extend(rows.iter().map(|&r| src[r as usize].clone()));
-                if let Some(validity) = &mut out.validity {
-                    validity.extend(std::iter::repeat_n(true, rows.len()));
-                }
+                picked.map_into(src, dst, String::clone);
             }
             _ => {
                 for &row in rows {
                     out.push(column.get(row as usize));
                 }
+                return;
             }
+        }
+        if let Some(validity) = &mut out.validity {
+            validity.resize(out.data.len(), true);
         }
     }
 }
