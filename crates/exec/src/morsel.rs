@@ -19,10 +19,10 @@
 //! * one morsel per **hot chunk** — the chunk that freezing turns into one Data
 //!   Block, scanned whole in `vector_size` windows.
 //!
-//! Morsel `i` of a source (`segment`) is cold block `i` while `i` is below the
-//! cold block count and hot chunk `i - cold_block_count()` after it, so the serial
-//! scan order is every block, then every chunk, and there is no list to build and
-//! no knob that splits a segment. Work distribution is a single `fetch_add` on an
+//! Morsel `i` of a source is its segment number `i` ([`ScanSource::segment`],
+//! which states the numbering: every block, then every chunk), so the serial scan
+//! order is the segment order, and there is no list to build and no knob that
+//! splits a segment. Work distribution is a single `fetch_add` on an
 //! [`AtomicUsize`] cursor over those indices. A worker's life is one private loop,
 //! written once and run by every worker there is — check for cancellation or a
 //! failed sibling, claim the next unclaimed morsel, scan it to completion through
@@ -140,7 +140,7 @@ use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 
 use datablocks::scan::Restriction;
 use datablocks::{DataBlock, DataType};
-use storage::{ColdReadError, Relation, ScanSnapshot, ScanSource, Segment};
+use storage::{ColdReadError, Relation, ScanSnapshot, ScanSource};
 
 use crate::batch::Batch;
 use crate::cancel::{self, CancelToken};
@@ -168,18 +168,6 @@ const _: () = {
 /// How many morsels `source` has: one per frozen block and one per hot chunk.
 fn morsel_count<S: ScanSource>(source: &S) -> usize {
     source.cold_block_count() + source.hot_chunks().len()
-}
-
-/// Morsel `idx` of `source` in serial scan order — cold block `idx`, or hot chunk
-/// `idx - cold_block_count()` — or `None` past the last one. The claim loop of
-/// every worker and of the one-worker pull reads its morsel here.
-pub(crate) fn segment<S: ScanSource>(source: &S, idx: usize) -> Option<Segment> {
-    let cold = source.cold_block_count();
-    match idx.checked_sub(cold) {
-        None => Some(Segment::Cold(idx)),
-        Some(hot) if hot < source.hot_chunks().len() => Some(Segment::Hot(hot)),
-        Some(_) => None,
-    }
 }
 
 /// Resolve a [`ScanConfig::threads`] request to an actual worker count: `0` means
@@ -415,7 +403,7 @@ fn run_worker<S: ScanSource>(
         RelationScanner::for_worker(source, &spec.projection, &spec.restrictions, spec.config);
     while !stop() {
         let morsel_idx = cursor.fetch_add(1, Ordering::Relaxed);
-        let Some(morsel) = segment(source, morsel_idx) else {
+        let Some(morsel) = source.segment(morsel_idx) else {
             break;
         };
         // Batches flow scan → steps → `emit` one at a time — a cold morsel is never
@@ -861,7 +849,7 @@ where
 mod tests {
     use super::*;
     use datablocks::{DataType, Value};
-    use storage::{ColumnDef, Schema};
+    use storage::{ColumnDef, Schema, Segment};
 
     /// Ids `0..rows` frozen into full blocks of `chunk_capacity` (the remainder
     /// stays hot), then ids `rows..rows + tail` inserted after the freeze — a hot
@@ -1002,7 +990,7 @@ mod tests {
     fn every_block_and_every_hot_chunk_is_one_morsel() {
         use Segment::{Cold, Hot};
         let rel = relation(3_210, 2_500, 1000); // 3 cold blocks + 3 hot chunks
-        let morsels: Vec<Segment> = (0..).map_while(|idx| segment(&rel, idx)).collect();
+        let morsels: Vec<Segment> = (0..).map_while(|idx| rel.segment(idx)).collect();
         assert_eq!(morsels, [Cold(0), Cold(1), Cold(2), Hot(0), Hot(1), Hot(2)]);
         let ids: Vec<i64> = (0..5_710).collect();
         for threads in [1usize, 2, 5] {

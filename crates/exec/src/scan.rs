@@ -308,7 +308,7 @@ impl<'a, S: ScanSource> RelationScanner<'a, S> {
             if crate::cancel::current_is_cancelled() {
                 return Ok(None);
             }
-            let Some(segment) = morsel::segment(self.source, self.morsel_idx) else {
+            let Some(segment) = self.source.segment(self.morsel_idx) else {
                 return Ok(None);
             };
             self.morsel_idx += 1;

@@ -920,7 +920,7 @@ fn as_sargable(conjunct: &IrExpr, scan: &TableScan) -> Option<Restriction> {
     };
     let (col, value, op) = match (&lhs.kind, &rhs.kind) {
         (ExprKind::Col(col), ExprKind::Lit(value)) => (*col, value, *op),
-        (ExprKind::Lit(value), ExprKind::Col(col)) => (*col, value, flip(*op)),
+        (ExprKind::Lit(value), ExprKind::Col(col)) => (*col, value, op.flip()),
         _ => return None,
     };
     let col_ty = *scan.types.get(col)?;
@@ -932,18 +932,6 @@ fn as_sargable(conjunct: &IrExpr, scan: &TableScan) -> Option<Restriction> {
         op,
         value: value.clone(),
     })
-}
-
-/// Mirror a comparison for swapped operands (`5 <= x` ⇒ `x >= 5`).
-fn flip(op: CmpOp) -> CmpOp {
-    match op {
-        CmpOp::Eq => CmpOp::Eq,
-        CmpOp::Ne => CmpOp::Ne,
-        CmpOp::Lt => CmpOp::Gt,
-        CmpOp::Le => CmpOp::Ge,
-        CmpOp::Gt => CmpOp::Lt,
-        CmpOp::Ge => CmpOp::Le,
-    }
 }
 
 /// Merge a pushed `>= lo` / `<= hi` pair on the same column into one inclusive

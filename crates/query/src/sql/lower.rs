@@ -780,7 +780,7 @@ impl Lowerer<'_> {
                     (col, PredicateKind::Cmp(*op, value.clone()))
                 }
                 (AstExprKind::Lit(value), AstExprKind::Col(col)) => {
-                    (col, PredicateKind::Cmp(flip_cmp(*op), value.clone()))
+                    (col, PredicateKind::Cmp(op.flip(), value.clone()))
                 }
                 _ => return Ok(None),
             },
@@ -1078,15 +1078,5 @@ fn collect_col_refs<'e>(expr: &'e AstExpr, out: &mut Vec<&'e ColRef>) {
                 collect_col_refs(arg, out);
             }
         }
-    }
-}
-
-fn flip_cmp(op: CmpOp) -> CmpOp {
-    match op {
-        CmpOp::Lt => CmpOp::Gt,
-        CmpOp::Le => CmpOp::Ge,
-        CmpOp::Gt => CmpOp::Lt,
-        CmpOp::Ge => CmpOp::Le,
-        CmpOp::Eq | CmpOp::Ne => op,
     }
 }

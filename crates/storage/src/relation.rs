@@ -42,11 +42,12 @@ pub enum Segment {
     Hot(usize),
 }
 
-/// Stable identifier of a record: its segment and row index within that segment.
+/// Location of a record: its segment and row index within that segment.
 ///
-/// Freezing preserves row order, so identifiers remain valid when a hot chunk becomes
-/// a cold block (hot chunk `i` becomes cold block `cold_count + i` only at freeze
-/// time, and the relation rewrites the mapping for its index).
+/// A `RowId` is valid until its relation's next freeze, which turns hot chunks into
+/// cold blocks. The relation's own primary-key index keeps segment serial numbers
+/// instead ([`ScanSource::segment`]), which a freeze does not change, and
+/// [`Relation::lookup_pk`] turns one into the `RowId` of the moment.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct RowId {
     /// The segment holding the record.
@@ -283,6 +284,22 @@ pub trait ScanSource: Send + Sync {
     /// An owned, cheaply-cloneable snapshot of the scannable state (see
     /// [`ScanSnapshot`]).
     fn snapshot(&self) -> ScanSnapshot;
+
+    /// Segment `n` of the source's one serial numbering, or `None` past the last:
+    /// cold block `n` while `n` is below [`ScanSource::cold_block_count`], hot
+    /// chunk `n - cold_block_count()` after it. Scan morsels are numbered this way
+    /// (so the serial scan order is every block, then every chunk), and so are the
+    /// entries of a relation's primary-key index. A freeze moves a prefix of the
+    /// hot chunks to the end of the cold blocks, row for row, so no segment's
+    /// number changes.
+    fn segment(&self, n: usize) -> Option<Segment> {
+        let cold = self.cold_block_count();
+        match n.checked_sub(cold) {
+            None => Some(Segment::Cold(n)),
+            Some(hot) if hot < self.hot_chunks().len() => Some(Segment::Hot(hot)),
+            Some(_) => None,
+        }
+    }
 }
 
 /// An owned point-in-time view of a relation's scannable state, safe to move onto
@@ -380,6 +397,10 @@ impl ScanSource for Relation {
     }
 }
 
+/// One primary-key index entry: a segment's serial number
+/// ([`ScanSource::segment`]) and a row within that segment.
+type PkEntry = (u32, u32);
+
 /// A chunked relation with hot and cold storage.
 ///
 /// # Clone semantics
@@ -402,7 +423,7 @@ pub struct Relation {
     /// it is still alive — the common case (no snapshot) mutates in place.
     hot: Vec<Arc<HotChunk>>,
     chunk_capacity: usize,
-    pk_index: Option<HashMap<i64, RowId>>,
+    pk_index: Option<HashMap<i64, PkEntry>>,
     /// The spill store, once [`Relation::enable_spill`] ran. Shared by clones of the
     /// relation (blocks are immutable, so sharing is safe; the delete path rewrites
     /// through the store, which clones see too).
@@ -593,29 +614,18 @@ impl Relation {
                     continue;
                 }
                 if let Value::Int(key) = block.get(row, pk_col) {
-                    index.insert(
-                        key,
-                        RowId {
-                            segment: Segment::Cold(block_idx),
-                            row: row as u32,
-                        },
-                    );
+                    index.insert(key, (block_idx as u32, row as u32));
                 }
             }
         }
         for (chunk_idx, chunk) in self.hot.iter().enumerate() {
+            let number = (self.cold.len() + chunk_idx) as u32;
             for row in 0..chunk.len() {
                 if chunk.is_deleted(row) {
                     continue;
                 }
                 if let Value::Int(key) = chunk.get(row, pk_col) {
-                    index.insert(
-                        key,
-                        RowId {
-                            segment: Segment::Hot(chunk_idx),
-                            row: row as u32,
-                        },
-                    );
+                    index.insert(key, (number, row as u32));
                 }
             }
         }
@@ -642,15 +652,14 @@ impl Relation {
             self.hot.push(Arc::new(chunk));
         }
         let chunk_idx = self.hot.len() - 1;
-        let row = Arc::make_mut(&mut self.hot[chunk_idx]).insert(values);
-        let row_id = RowId {
-            segment: Segment::Hot(chunk_idx),
-            row: row as u32,
-        };
+        let row = Arc::make_mut(&mut self.hot[chunk_idx]).insert(values) as u32;
         if let (Some(index), Some(Value::Int(key))) = (&mut self.pk_index, pk_value) {
-            index.insert(key, row_id);
+            index.insert(key, ((self.cold.len() + chunk_idx) as u32, row));
         }
-        row_id
+        RowId {
+            segment: Segment::Hot(chunk_idx),
+            row,
+        }
     }
 
     /// Read one attribute of a record (paging in that attribute of the block if
@@ -787,7 +796,7 @@ impl Relation {
                         index.remove(&old);
                     }
                     if let Value::Int(new) = values[col] {
-                        index.insert(new, id);
+                        index.insert(new, ((self.cold.len() + c) as u32, id.row));
                     }
                 }
                 id
@@ -801,7 +810,11 @@ impl Relation {
 
     /// Point lookup via the primary-key index, if one exists.
     pub fn lookup_pk(&self, key: i64) -> Option<RowId> {
-        let id = *self.pk_index.as_ref()?.get(&key)?;
+        let &(number, row) = self.pk_index.as_ref()?.get(&key)?;
+        let segment = self
+            .segment(number as usize)
+            .expect("index entry past the last segment");
+        let id = RowId { segment, row };
         if self.is_deleted(id) {
             None
         } else {
@@ -920,20 +933,19 @@ impl Relation {
         include_partial: bool,
         sort_by: Option<usize>,
     ) -> std::io::Result<()> {
-        let mut remaining = Vec::new();
+        // `insert` opens a chunk only when the last one is full, so every full
+        // chunk is the full prefix of `hot`. Moving that prefix onto the end of
+        // `cold` keeps every segment's number (`ScanSource::segment`), and an
+        // unsorted freeze keeps every row in place: no PK index entry changes.
+        let frozen = (self.hot.iter())
+            .take_while(|chunk| chunk.is_full() || (include_partial && !chunk.is_empty()))
+            .count();
+        debug_assert!(
+            self.hot.len() - frozen <= 1,
+            "only the tail chunk can be partial"
+        );
         let mut first_err: Option<std::io::Error> = None;
-        let hot = std::mem::take(&mut self.hot);
-        // Where each old hot chunk's records end up, in old-chunk order: either the
-        // new cold block (rows preserved by an unsorted freeze) or the chunk's new
-        // hot index. Lets the PK index be remapped in place instead of rebuilt.
-        let mut remap = Vec::with_capacity(hot.len());
-        for chunk in hot {
-            if chunk.is_empty() || (!include_partial && !chunk.is_full()) {
-                remap.push(Segment::Hot(remaining.len()));
-                remaining.push(chunk);
-                continue;
-            }
-            remap.push(Segment::Cold(self.cold.len()));
+        for chunk in self.hot.drain(..frozen) {
             self.cold_uncompressed_bytes += chunk.byte_size();
             let block = match sort_by {
                 Some(col) => freeze_sorted(chunk.columns(), col),
@@ -973,22 +985,9 @@ impl Relation {
             };
             self.cold.push(slot);
         }
-        self.hot = remaining;
-        // Record locations changed (hot chunk index -> cold block index / shifted
-        // hot index). Unsorted freezes preserve row positions, so index entries are
-        // remapped in place — no block is touched, which matters once cold blocks
-        // live on disk (a full rebuild would page the whole cold tier back in on
-        // every freeze). A sorted freeze permutes rows and takes the full rebuild.
-        if sort_by.is_some() {
-            if self.pk_index.is_some() {
-                self.build_pk_index();
-            }
-        } else if let Some(index) = &mut self.pk_index {
-            for row_id in index.values_mut() {
-                if let Segment::Hot(old_idx) = row_id.segment {
-                    row_id.segment = remap[old_idx];
-                }
-            }
+        // A sorted freeze permutes rows: rebuild, paging every cold block's keys in.
+        if sort_by.is_some() && self.pk_index.is_some() {
+            self.build_pk_index();
         }
         match first_err {
             Some(err) => Err(err),

@@ -832,3 +832,133 @@ fn expression_columns_match_the_reference_interpreter() {
 fn expression_columns_match_the_reference_interpreter_long() {
     expression_differential::run(0..200_000);
 }
+
+/// A relation with a primary key and 64-row chunks agrees with a `HashMap` model
+/// of its live rows through random inserts, deletes, updates of hot and of cold
+/// rows (key kept or changed), freezes of the full chunks, of every chunk, and of
+/// every chunk sorted by an attribute (only while no hot chunk holds a deletion),
+/// with a spill store attached at one random step. After every step the indexed
+/// lookup and its row, the scan lookup and the live row count match the model.
+/// Snapshots taken along the way scan to the model as it was when they were
+/// taken; on a spilling relation only until a delete follows, because a delete of
+/// a spilled row shows through to older snapshots.
+#[test]
+fn relation_matches_a_model_through_freezes_and_spill() {
+    use data_blocks::datablocks::DataType;
+    use data_blocks::exec::{RelationScanner, ScanConfig};
+    use data_blocks::storage::{ColumnDef, Relation, ScanSnapshot, Schema, Segment, SpillPolicy};
+    use std::collections::HashMap;
+
+    const STEPS: usize = 200;
+    let row = |key: i64, value: i64| vec![Value::Int(key), Value::Int(value)];
+    for case in 0..16u64 {
+        let mut rng = case_rng("relation_model", case);
+        let schema = Schema::new(vec![
+            ColumnDef::new("k", DataType::Int),
+            ColumnDef::new("v", DataType::Int),
+        ])
+        .with_primary_key("k");
+        let mut rel = Relation::with_chunk_capacity("model", schema, 64);
+        let mut model: HashMap<i64, i64> = HashMap::new();
+        let mut next_key = 0i64;
+        let spill_at = rng.gen_range(0..STEPS);
+        // Each snapshot, the model at its step, and whether it is still checked.
+        let mut snapshots: Vec<(ScanSnapshot, HashMap<i64, i64>, bool)> = Vec::new();
+        for step in 0..STEPS {
+            let at = format!("case {case} step {step}");
+            if step == spill_at {
+                let cache = rng.gen_range(0..16_384usize);
+                rel.enable_spill(&SpillPolicy::with_cache_capacity(cache))
+                    .unwrap();
+            }
+            let mut keys: Vec<i64> = model.keys().copied().collect();
+            keys.sort_unstable();
+            let pick = |rng: &mut StdRng| keys[rng.gen_range(0..keys.len())];
+            let mut deleted = false;
+            match rng.gen_range(0..100u32) {
+                0..=39 => {
+                    for _ in 0..rng.gen_range(1..=40) {
+                        let value = rng.gen_range(-1_000..1_000i64);
+                        rel.insert(row(next_key, value));
+                        model.insert(next_key, value);
+                        next_key += 1;
+                    }
+                }
+                40..=51 if !keys.is_empty() => {
+                    let key = pick(&mut rng);
+                    assert!(rel.delete(rel.lookup_pk(key).unwrap()), "{at}");
+                    model.remove(&key);
+                    deleted = true;
+                }
+                52..=81 if !keys.is_empty() => {
+                    // A few draws for a row in the tier asked for, else the last.
+                    let cold = rng.gen_bool(0.5);
+                    let mut key = pick(&mut rng);
+                    for _ in 0..16 {
+                        if matches!(rel.lookup_pk(key).unwrap().segment, Segment::Cold(_)) == cold {
+                            break;
+                        }
+                        key = pick(&mut rng);
+                    }
+                    // The key kept, a fresh one, or one no live row holds.
+                    let new_key = match rng.gen_range(0..3u32) {
+                        0 => key,
+                        1 => next_key,
+                        _ => Some(rng.gen_range(0..next_key))
+                            .filter(|k| *k == key || !model.contains_key(k))
+                            .unwrap_or(next_key),
+                    };
+                    next_key += i64::from(new_key == next_key);
+                    let value = rng.gen_range(-1_000..1_000i64);
+                    let id = rel.lookup_pk(key).unwrap();
+                    rel.update(id, row(new_key, value));
+                    model.remove(&key);
+                    model.insert(new_key, value);
+                    deleted = matches!(id.segment, Segment::Cold(_));
+                }
+                82..=89 => rel.freeze_full_chunks(),
+                90..=94 => rel.freeze_all(),
+                95..=99 if rel.hot_chunks().iter().all(|c| c.live_len() == c.len()) => {
+                    rel.freeze_all_sorted_by(rng.gen_range(0..2usize))
+                }
+                _ => {}
+            }
+
+            assert_eq!(rel.live_row_count(), model.len(), "{at}");
+            // Keys live before the step, and keys from the whole range ever used.
+            for draw in 0..6 {
+                let key = match draw {
+                    0..=2 if !keys.is_empty() => pick(&mut rng),
+                    _ => rng.gen_range(-1..=next_key),
+                };
+                let found = rel.lookup_pk(key);
+                assert_eq!(
+                    found.map(|id| rel.get_row(id)),
+                    model.get(&key).map(|&value| row(key, value)),
+                    "{at}: key {key}"
+                );
+                let scanned = rel.lookup_pk_scan(key, ScanOptions::default());
+                assert_eq!(scanned, found, "{at}: key {key}");
+            }
+
+            if deleted && rel.has_spill() {
+                snapshots.iter_mut().for_each(|snapshot| snapshot.2 = false);
+            }
+            if rng.gen_bool(0.05) {
+                snapshots.push((rel.scan_snapshot(), model.clone(), true));
+            }
+            if rng.gen_bool(0.1) || step == STEPS - 1 {
+                for (i, (snapshot, then, _)) in snapshots.iter().enumerate().filter(|s| s.1 .2) {
+                    let config = ScanConfig::default().with_threads(rng.gen_range(1..=2));
+                    let batch =
+                        RelationScanner::new(snapshot, vec![0, 1], vec![], config).collect_all();
+                    let int = |r: usize, c: usize| batch.value(r, c).as_int().unwrap();
+                    let scanned: HashMap<i64, i64> =
+                        (0..batch.len()).map(|r| (int(r, 0), int(r, 1))).collect();
+                    assert_eq!(batch.len(), then.len(), "{at}: snapshot {i}");
+                    assert_eq!(&scanned, then, "{at}: snapshot {i}");
+                }
+            }
+        }
+    }
+}
