@@ -18,7 +18,8 @@
 //!   flags) and the attributes paged in so far, up to a configured byte
 //!   capacity that accounts exactly what is decoded, with **pin counts** (a
 //!   pinned block is never evicted; scans pin for the duration of a morsel)
-//!   and CLOCK second-chance eviction of whole blocks for the rest.
+//!   and, for the rest, eviction of whole blocks that a loop over more blocks
+//!   than fit does not thrash: new blocks wait on probation, idle ones age out.
 //!
 //! # Page-in by attribute
 //!
@@ -392,8 +393,12 @@ struct CacheEntry {
     /// The block's header and the attributes paged in so far.
     block: Arc<DataBlock>,
     pins: u32,
-    /// CLOCK reference bit: set on every pin, cleared on the hand's first pass.
+    /// Found resident by a pin since admission or the last reset; clear: on probation.
     referenced: bool,
+    /// [`Inner::page_ins`] at admission and at the last pin that found the entry resident.
+    last_use: u64,
+    /// Admitted whole by the writer (`append`, `rewrite`), not by a pin's page-in.
+    by_writer: bool,
     /// `block.byte_size()`: the accounted size of the sections paged in.
     bytes: usize,
 }
@@ -402,10 +407,8 @@ struct CacheEntry {
 struct Inner {
     directory: Vec<DirEntry>,
     cache: HashMap<BlockId, CacheEntry>,
-    /// Ring of cached block ids the CLOCK hand sweeps (order approximates insertion
-    /// order; eviction uses `swap_remove`, so it is a second-chance clock, not LRU).
-    clock: Vec<BlockId>,
-    hand: usize,
+    /// Pins that read from disk so far (never reset): the clock of `last_use`.
+    page_ins: u64,
     cached_bytes: usize,
     /// Largest `cached_bytes` ever observed (pins can push the resident set
     /// above the capacity transiently; this records how far).
@@ -429,8 +432,7 @@ impl Inner {
         Inner {
             directory: Vec::new(),
             cache: HashMap::new(),
-            clock: Vec::new(),
-            hand: 0,
+            page_ins: 0,
             cached_bytes: 0,
             cache_high_water: 0,
             current_gen: 0,
@@ -1193,7 +1195,7 @@ impl BlockStore {
         let mut inner = self.inner.lock().expect("store lock");
         inner.stats.block_writes += 1;
         inner.stats.bytes_written += bytes.len() as u64;
-        self.admit(&mut inner, id, block, 0);
+        self.admit(&mut inner, id, block, true);
         Ok(id)
     }
 
@@ -1266,7 +1268,7 @@ impl BlockStore {
             inner.cache_high_water = inner.cache_high_water.max(inner.cached_bytes);
             self.evict_to_capacity(&mut inner);
         } else {
-            self.admit(&mut inner, id, block, 0);
+            self.admit(&mut inner, id, block, true);
         }
         Ok(())
     }
@@ -1466,48 +1468,50 @@ impl BlockStore {
         }
     }
 
-    fn admit(&self, inner: &mut Inner, id: BlockId, block: Arc<DataBlock>, pins: u32) {
+    /// Admit `block` on probation, pinned once unless the writer admits it.
+    fn admit(&self, inner: &mut Inner, id: BlockId, block: Arc<DataBlock>, by_writer: bool) {
         let bytes = block.byte_size();
         inner.cache.insert(
             id,
             CacheEntry {
                 block,
-                pins,
-                referenced: true,
+                pins: u32::from(!by_writer),
+                referenced: false,
+                last_use: inner.page_ins,
+                by_writer,
                 bytes,
             },
         );
-        inner.clock.push(id);
         inner.cached_bytes += bytes;
         inner.cache_high_water = inner.cache_high_water.max(inner.cached_bytes);
         self.evict_to_capacity(inner);
     }
 
-    /// CLOCK sweep: evict unpinned, unreferenced blocks until the cache fits the
-    /// capacity. Pinned blocks are skipped; if everything left is pinned the cache
-    /// transiently overshoots (pins are short-lived — one morsel).
+    /// Evict unpinned blocks until the cache fits: (1) stale entries, untouched by pins for
+    /// `block_count()` page-ins, least recently used first; (2) entries on probation, the
+    /// writer's first, then a reader's newest first; (3) else every unpinned entry loses its
+    /// referenced bit and the choice repeats. Pinned blocks stay (the cache overshoots).
     fn evict_to_capacity(&self, inner: &mut Inner) {
-        let mut wraps = 0u32;
-        while inner.cached_bytes > self.capacity && !inner.clock.is_empty() {
-            if inner.hand >= inner.clock.len() {
-                inner.hand = 0;
-                wraps += 1;
-                if wraps > 2 {
-                    break; // everything pinned: give up, pins drain soon
+        let horizon = inner.directory.len() as u64;
+        while inner.cached_bytes > self.capacity {
+            let unpinned = || (inner.cache.iter()).filter(|(_, entry)| entry.pins == 0);
+            let stale = unpinned()
+                .filter(|(_, entry)| entry.last_use + horizon <= inner.page_ins)
+                .min_by_key(|&(&id, entry)| (entry.last_use, id));
+            let victim = stale.or_else(|| {
+                (unpinned().filter(|(_, entry)| !entry.referenced))
+                    .max_by_key(|&(&id, entry)| (entry.by_writer, entry.last_use, id))
+            });
+            match victim.map(|(&id, _)| id) {
+                Some(id) => {
+                    let entry = inner.cache.remove(&id).expect("the victim is cached");
+                    inner.cached_bytes -= entry.bytes;
+                    inner.stats.evictions += 1;
                 }
-            }
-            let id = inner.clock[inner.hand];
-            let entry = inner.cache.get_mut(&id).expect("clock entry is cached");
-            if entry.pins > 0 {
-                inner.hand += 1;
-            } else if entry.referenced {
-                entry.referenced = false;
-                inner.hand += 1;
-            } else {
-                let entry = inner.cache.remove(&id).expect("checked above");
-                inner.cached_bytes -= entry.bytes;
-                inner.stats.evictions += 1;
-                inner.clock.swap_remove(inner.hand);
+                None if unpinned().any(|(_, entry)| entry.referenced) => {
+                    (inner.cache.values_mut()).for_each(|entry| entry.referenced &= entry.pins > 0)
+                }
+                None => break,
             }
         }
     }
@@ -1544,9 +1548,9 @@ impl BlockStore {
         id: BlockId,
         columns: Option<&[usize]>,
     ) -> Result<PinnedBlock, StoreError> {
-        loop {
+        let block = loop {
             let (generation, offset, len, sections, cached) = {
-                let mut inner = self.inner.lock().expect("store lock");
+                let inner = &mut *self.inner.lock().expect("store lock");
                 if let Some(entry) = inner.cache.get_mut(&id) {
                     let block = &entry.block;
                     let held = match columns {
@@ -1556,18 +1560,15 @@ impl BlockStore {
                     if held {
                         entry.pins += 1;
                         entry.referenced = true;
-                        let block = Arc::clone(&entry.block);
+                        entry.last_use = inner.page_ins;
                         inner.stats.cache_hits += 1;
-                        return Ok(PinnedBlock {
-                            store: Arc::clone(self),
-                            id,
-                            block,
-                        });
+                        break Arc::clone(&entry.block);
                     }
                 }
                 let cached = inner.cache.get(&id).map(|entry| Arc::clone(&entry.block));
                 inner.stats.cache_misses += 1;
                 inner.stats.block_reads += 1;
+                inner.page_ins += 1;
                 let entry = &inner.directory[id];
                 let sections = entry.sections.clone();
                 (entry.generation, entry.offset, entry.len, sections, cached)
@@ -1601,7 +1602,7 @@ impl BlockStore {
                 ))),
             };
 
-            let mut inner = self.inner.lock().expect("store lock");
+            let inner = &mut *self.inner.lock().expect("store lock");
             inner.stats.bytes_read += bytes_read;
             let current = &inner.directory[id];
             if current.offset != offset || current.generation != generation {
@@ -1620,7 +1621,6 @@ impl BlockStore {
             // published attributes while we read (the entry is then at least
             // as new as our read — the directory did not move), or the entry
             // may have been evicted (our own snapshot of it is still current).
-            let inner = &mut *inner;
             if let Some(entry) = inner.cache.get_mut(&id) {
                 if (loaded.columns.iter()).any(|&(col, _)| !entry.block.has_column(col)) {
                     entry.block = Arc::new(entry.block.with_columns(loaded.columns));
@@ -1630,26 +1630,24 @@ impl BlockStore {
                 }
                 entry.pins += 1;
                 entry.referenced = true;
+                entry.last_use = inner.page_ins;
                 let block = Arc::clone(&entry.block);
                 self.evict_to_capacity(inner);
-                return Ok(PinnedBlock {
-                    store: Arc::clone(self),
-                    id,
-                    block,
-                });
+                break block;
             }
             let base = loaded
                 .header
                 .or_else(|| cached.as_deref().cloned())
                 .expect("a page-in without a cached entry reads the header section");
             let block = Arc::new(base.with_columns(loaded.columns));
-            self.admit(inner, id, Arc::clone(&block), 1);
-            return Ok(PinnedBlock {
-                store: Arc::clone(self),
-                id,
-                block,
-            });
-        }
+            self.admit(inner, id, Arc::clone(&block), false);
+            break block;
+        };
+        Ok(PinnedBlock {
+            store: Arc::clone(self),
+            id,
+            block,
+        })
     }
 
     /// Read and verify the sections of one frame that a pin needs: the header
@@ -1838,9 +1836,6 @@ impl BlockStore {
             }
         });
         inner.cached_bytes -= freed;
-        let cache = &inner.cache;
-        inner.clock.retain(|id| cache.contains_key(id));
-        inner.hand = 0;
     }
 
     /// Number of cached blocks with at least one live pin. Streaming scans hold one
@@ -1871,11 +1866,15 @@ impl BlockStore {
         self.inner.lock().expect("store lock").directory[id].generation
     }
 
+    /// Drop one pin of block `id`; the last one evicts any overshoot pins left.
     fn unpin(&self, id: BlockId) {
-        let mut inner = self.inner.lock().expect("store lock");
+        let inner = &mut *self.inner.lock().expect("store lock");
         if let Some(entry) = inner.cache.get_mut(&id) {
             debug_assert!(entry.pins > 0, "unpin without pin");
             entry.pins = entry.pins.saturating_sub(1);
+            if entry.pins == 0 {
+                self.evict_to_capacity(inner);
+            }
         }
     }
 }
@@ -2044,11 +2043,100 @@ mod tests {
         assert!(store.is_cached(id0) && store.is_cached(id1));
         drop(p0);
         drop(p1);
-        // next admission sweeps the now-unpinned blocks out
+        // the last unpin evicted the overshoot; an admission evicts again
         let id2 = store.append(block(2, 1000)).unwrap();
         let _p2 = store.pin(id2).unwrap();
         assert!(store.stats().evictions > 0);
         assert!(!store.is_cached(id0));
+    }
+
+    #[test]
+    fn the_last_unpin_evicts_the_overshoot_of_pins() {
+        let store = BlockStore::create_temp(1).unwrap();
+        let id0 = store.append(block(0, 1000)).unwrap();
+        let id1 = store.append(block(1, 1000)).unwrap();
+        let (p0, p1) = (store.pin(id0).unwrap(), store.pin(id1).unwrap());
+        assert!(store.cached_bytes() > store.cache_capacity());
+        drop(p0);
+        drop(p1);
+        assert!(store.cached_bytes() <= store.cache_capacity());
+        assert_eq!(store.pinned_count(), 0);
+    }
+
+    /// A store of `count` blocks of one byte size behind a cache of
+    /// `cache_blocks` of them, with an empty cache.
+    fn store_of_equal_blocks(count: i64, cache_blocks: f64) -> Arc<BlockStore> {
+        let blocks: Vec<_> = (0..count).map(|tag| block(tag % 10, 1000)).collect();
+        let size = blocks[0].byte_size();
+        assert!(blocks.iter().all(|b| b.byte_size() == size));
+        let store = BlockStore::create_temp((size as f64 * cache_blocks) as usize).unwrap();
+        for block in blocks {
+            store.append(block).unwrap();
+        }
+        store.clear_cache();
+        store
+    }
+
+    /// Pin `ids` one after the other, each released before the next, `passes`
+    /// times: the cache hits of each pass.
+    fn hits_per_pass(
+        store: &Arc<BlockStore>,
+        ids: std::ops::Range<BlockId>,
+        passes: usize,
+    ) -> Vec<u64> {
+        (0..passes)
+            .map(|_| {
+                let before = store.stats().cache_hits;
+                for id in ids.clone() {
+                    drop(store.pin(id).unwrap());
+                }
+                store.stats().cache_hits - before
+            })
+            .collect()
+    }
+
+    #[test]
+    fn a_loop_over_more_blocks_than_fit_keeps_a_stable_subset_resident() {
+        let store = store_of_equal_blocks(8, 3.5);
+        let hits = hits_per_pass(&store, 0..8, 5);
+        assert_eq!(hits[0], 0, "the first pass starts from an empty cache");
+        assert!(hits[1..].iter().all(|&h| h >= 2), "hits per pass: {hits:?}");
+        assert!(store.cached_bytes() <= store.cache_capacity());
+    }
+
+    #[test]
+    fn a_new_working_set_turns_the_cache_over_within_a_pass_over_the_store() {
+        let store = store_of_equal_blocks(16, 3.5);
+        let old = hits_per_pass(&store, 0..8, 3);
+        assert!(old[1..].iter().all(|&h| h >= 2), "old set: {old:?}");
+        let new = hits_per_pass(&store, 8..16, 5);
+        assert!(new[2..].iter().all(|&h| h >= 2), "new set: {new:?}");
+        assert!(
+            (0..8).all(|id| !store.is_cached(id)),
+            "the old set aged out"
+        );
+    }
+
+    #[test]
+    fn a_block_pinned_twice_survives_a_pass_over_more_blocks_than_fit() {
+        let store = store_of_equal_blocks(10, 3.5);
+        drop(store.pin(9).unwrap());
+        drop(store.pin(9).unwrap());
+        hits_per_pass(&store, 0..8, 1);
+        assert!(store.is_cached(9));
+        assert_eq!(store.stats().cache_hits, 1);
+    }
+
+    #[test]
+    fn an_appended_block_is_evicted_before_a_block_a_reader_admitted() {
+        let store = store_of_equal_blocks(2, 2.5);
+        let appended = store.append(block(2, 1000)).unwrap();
+        // the reader's block is the newer one: newest-first alone would evict it
+        drop(store.pin(0).unwrap());
+        let _pinned = store.pin(1).unwrap();
+        assert!(store.is_cached(0));
+        assert!(!store.is_cached(appended));
+        assert_eq!(store.stats().evictions, 1);
     }
 
     #[test]

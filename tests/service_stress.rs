@@ -121,7 +121,7 @@ fn concurrent_sessions_match_serial_within_budget() {
 
     // The aggregate cache high-water across every relation's store must stay
     // within the cache share the budget derivation handed out. (Per store the
-    // CLOCK cache can transiently overshoot its capacity while batches hold
+    // block cache can transiently overshoot its capacity while batches hold
     // pins, which is exactly why `derive_spill_policy` only spends half the
     // budget on caches.)
     let mut aggregate_high_water = 0usize;

@@ -191,6 +191,49 @@ fn streaming_scan_byte_identical_across_cache_configs_with_exact_reads() {
     }
 }
 
+/// Under the half-fits cache a serial restricted scan of every attribute, run
+/// twice, answers the same rows both times, and the second run finds part of
+/// what the first paged in: the attributes it reads do not fit, and the cache
+/// keeps a stable subset of the blocks resident instead of evicting each one
+/// just before the next run wants it.
+#[test]
+fn a_repeated_scan_under_the_half_fits_cache_hits_and_reads_less() {
+    let db = tpch();
+    let lineitem = db.relation("lineitem");
+    let restrictions = q6_restrictions(lineitem);
+    let every: Vec<usize> = (0..lineitem.schema().column_count()).collect();
+    let scan = |rel: &Relation| {
+        let config = ScanConfig::default().with_threads(1);
+        let mut scanner = RelationScanner::new(rel, every.clone(), restrictions.clone(), config);
+        let batch = scanner.collect_all();
+        (0..batch.len())
+            .map(|row| batch.row(row))
+            .collect::<Vec<_>>()
+    };
+    let reference = scan(lineitem);
+    let (_, capacity) = cache_configs(lineitem.storage_stats().cold_bytes)[1];
+    let mut spilled = lineitem.clone();
+    spilled
+        .enable_spill(&SpillPolicy::with_cache_capacity(capacity))
+        .expect("enable spill");
+    let store = spilled.spill_store().expect("store attached").clone();
+    store.clear_cache();
+    let mut runs = Vec::new();
+    for _ in 0..2 {
+        store.reset_stats();
+        runs.push((scan(&spilled), store.stats()));
+    }
+    let [(first, io1), (second, io2)] = <[_; 2]>::try_from(runs).unwrap();
+    assert_eq!(first, reference);
+    assert_eq!(second, first, "both runs answer byte-identically");
+    assert_eq!(
+        io1.cache_hits, 0,
+        "the first run starts from an empty cache"
+    );
+    assert!(io2.cache_hits > 0, "second run: {io2:?}");
+    assert!(io2.bytes_read < io1.bytes_read, "{io2:?} vs {io1:?}");
+}
+
 /// A batch scanned from a spilled block holds its strings coded against the block's
 /// dictionary, and the dictionary outlives the block: with a one-byte cache every
 /// block is evicted while the scan goes on, and the kept batches — read after the
