@@ -25,6 +25,7 @@
 //! serialized form is used for persistence, eviction and the size accounting of the
 //! evaluation (the serialized size is what Table 1 and Figure 10 report).
 
+use crate::bitmap::Bitmap;
 use crate::block::{BlockColumn, DataBlock};
 use crate::compression::{CodeVec, ColumnCompression};
 use crate::sma::Sma;
@@ -322,15 +323,10 @@ fn write_codes(w: &mut Writer, codes: &CodeVec) {
     }
 }
 
-/// Bit `i` of the bitmap is bit `i % 8` of byte `i / 8`; the last byte is
-/// zero-padded.
-fn write_bitmap(w: &mut Writer, bits: &[bool]) {
+/// A bitmap: its bit count, then [`Bitmap::to_le_bytes`].
+fn write_bitmap(w: &mut Writer, bits: &Bitmap) {
     w.u32(bits.len() as u32);
-    w.buf.extend(bits.chunks(8).map(|byte| {
-        byte.iter()
-            .enumerate()
-            .fold(0u8, |packed, (i, &bit)| packed | (bit as u8) << i)
-    }));
+    w.bytes(&bits.to_le_bytes());
 }
 
 // --- deserialization ---------------------------------------------------------------
@@ -390,11 +386,7 @@ pub(crate) fn read_header(bytes: &[u8]) -> Result<Header, LayoutError> {
         if flags.len() != tuple_count as usize {
             return Err(LayoutError::Corrupt("delete bitmap length mismatch"));
         }
-        for (row, &deleted) in flags.iter().enumerate() {
-            if deleted {
-                block.delete(row);
-            }
-        }
+        block = block.with_deleted(flags);
     }
     let len = r.pos;
     let mut next = len;
@@ -508,15 +500,10 @@ fn read_codes(r: &mut Reader<'_>) -> Result<CodeVec, LayoutError> {
     })
 }
 
-fn read_bitmap(r: &mut Reader<'_>) -> Result<Vec<bool>, LayoutError> {
+/// The inverse of [`write_bitmap`]; padding bits are dropped.
+fn read_bitmap(r: &mut Reader<'_>) -> Result<Bitmap, LayoutError> {
     let len = r.u32()? as usize;
-    let bytes = r.take(len.div_ceil(8))?;
-    let mut bits = Vec::with_capacity(bytes.len() * 8);
-    for &byte in bytes {
-        bits.extend((0..8).map(|i| byte >> i & 1 != 0));
-    }
-    bits.truncate(len);
-    Ok(bits)
+    Ok(Bitmap::from_le_bytes(r.take(len.div_ceil(8))?, len))
 }
 
 #[cfg(test)]
@@ -576,6 +563,23 @@ pub(crate) mod tests {
         assert!(restored.is_deleted(4999));
         assert!(!restored.is_deleted(5));
         assert_eq!(restored.live_tuple_count(), block.live_tuple_count());
+    }
+
+    /// The padding bits of a delete bitmap's last byte are no records: set on
+    /// disk, they neither count as deletions nor show in the decoded flags.
+    #[test]
+    fn padding_bits_of_the_delete_bitmap_are_no_records() {
+        let mut block = freeze(&[int_column((0..1003).collect())]);
+        block.delete(1002);
+        let mut bytes = to_bytes(&block);
+        // magic, version, tuple count, attribute count, one offset table entry,
+        // the presence byte and the bit count; then the bitmap's 126 bytes
+        let last = 4 + 4 + 4 + 4 + 8 + 1 + 4 + 1003usize.div_ceil(8) - 1;
+        assert_eq!(bytes[last], 1 << (1002 % 8));
+        bytes[last] |= 0xff << (1003 % 8);
+        let restored = from_bytes(&bytes).unwrap();
+        assert_eq!(restored.live_tuple_count(), 1002);
+        assert_eq!(restored, block);
     }
 
     #[test]

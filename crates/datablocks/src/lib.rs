@@ -47,6 +47,7 @@
 
 #![warn(missing_docs)]
 
+pub mod bitmap;
 pub mod block;
 pub mod builder;
 pub mod column;
@@ -59,6 +60,7 @@ pub mod sma;
 pub mod unpack;
 pub mod value;
 
+pub use bitmap::Bitmap;
 pub use block::{BlockColumn, DataBlock, DEFAULT_BLOCK_CAPACITY};
 pub use column::{Column, ColumnData, Strings};
 pub use compression::{CodeVec, ColumnCompression, SchemeKind};

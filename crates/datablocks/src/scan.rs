@@ -550,12 +550,8 @@ impl<'a> BlockScan<'a> {
             self.reduce_with_step(step, matches);
         }
 
-        if self.block.has_deletions() && !matches.is_empty() {
-            let deleted = self
-                .block
-                .deleted_flags()
-                .expect("has_deletions implies flags");
-            matches.retain(|&pos| !deleted[pos as usize]);
+        if let Some(deleted) = self.block.deleted_flags() {
+            matches.retain(|&pos| !deleted.get(pos as usize));
         }
     }
 

@@ -35,20 +35,43 @@ fn q6_restrictions(rel: &Relation) -> Vec<Restriction> {
     ]
 }
 
-fn scan_rows(rel: &Relation, restrictions: &[Restriction], config: ScanConfig) -> Vec<Vec<Value>> {
+/// The attributes [`scan_rows`] returns.
+fn projection(rel: &Relation) -> Vec<usize> {
     let s = rel.schema();
-    let projection = vec![s.idx("l_orderkey"), s.idx("l_extendedprice")];
-    let mut scanner = RelationScanner::new(rel, projection, restrictions.to_vec(), config);
+    vec![s.idx("l_orderkey"), s.idx("l_extendedprice")]
+}
+
+fn scan_rows(rel: &Relation, restrictions: &[Restriction], config: ScanConfig) -> Vec<Vec<Value>> {
+    let mut scanner = RelationScanner::new(rel, projection(rel), restrictions.to_vec(), config);
     let batch = scanner.collect_all();
     (0..batch.len()).map(|row| batch.row(row)).collect()
 }
 
-/// Cache capacities covering the three interesting regimes for a relation with
-/// `cold_bytes` of frozen data: everything resident, half resident, thrashing.
-fn cache_configs(cold_bytes: usize) -> Vec<(&'static str, usize)> {
+/// The bytes a serial [`scan_rows`] pages into a cache that holds everything:
+/// the attributes it reads, as the cache accounts them. A scan reads only some
+/// attributes, so this is less than the relation's cold bytes.
+fn scan_working_set(rel: &Relation, restrictions: &[Restriction]) -> usize {
+    let mut spilled = rel.clone();
+    spilled
+        .enable_spill(&SpillPolicy::with_cache_capacity(usize::MAX))
+        .expect("enable spill");
+    let store = spilled.spill_store().expect("store attached").clone();
+    store.clear_cache();
+    scan_rows(
+        &spilled,
+        restrictions,
+        ScanConfig::default().with_threads(1),
+    );
+    assert_eq!(store.stats().evictions, 0, "everything fits");
+    store.cached_bytes()
+}
+
+/// Cache capacities covering the three interesting regimes for a scan that
+/// pages in `working_set` bytes: everything resident, half resident, thrashing.
+fn cache_configs(working_set: usize) -> Vec<(&'static str, usize)> {
     vec![
         ("all_fits", usize::MAX),
-        ("half_fits", cold_bytes / 2),
+        ("half_fits", working_set / 2),
         ("thrash", 1),
     ]
 }
@@ -72,8 +95,7 @@ fn tpch_scan_byte_identical_across_cache_configs_and_threads() {
         scanner.stats()
     };
 
-    let cold_bytes = lineitem.storage_stats().cold_bytes;
-    for (name, capacity) in cache_configs(cold_bytes) {
+    for (name, capacity) in cache_configs(scan_working_set(lineitem, &restrictions)) {
         // Spilling a clone leaves the original untouched; resident blocks are
         // shared via Arc, so the clone is cheap.
         let mut spilled = lineitem.clone();
@@ -85,12 +107,17 @@ fn tpch_scan_byte_identical_across_cache_configs_and_threads() {
 
         for &threads in THREAD_COUNTS {
             store.clear_cache();
+            store.reset_stats();
             let config = ScanConfig::default().with_threads(threads);
             let rows = scan_rows(&spilled, &restrictions, config);
             assert_eq!(
                 rows, reference,
                 "cache {name} threads {threads}: rows must be byte-identical"
             );
+            if (name, threads) == ("half_fits", 1) {
+                let io = store.stats();
+                assert!(io.evictions > 0, "half of the scan must not fit: {io:?}");
+            }
             // scan statistics (blocks examined/skipped, rows scanned/matched) are
             // independent of the storage tier and the cache capacity
             let mut scanner = RelationScanner::new(&spilled, vec![0], restrictions.clone(), config);
@@ -116,8 +143,7 @@ fn streaming_scan_byte_identical_across_cache_configs_with_exact_reads() {
     let db = tpch();
     let lineitem = db.relation("lineitem");
     let restrictions = q6_restrictions(lineitem);
-    let s = lineitem.schema();
-    let projection = vec![s.idx("l_orderkey"), s.idx("l_extendedprice")];
+    let projection = projection(lineitem);
     let reference = scan_rows(lineitem, &restrictions, ScanConfig::default());
     let blocks = lineitem.cold_block_count();
     let cap = 2usize;
@@ -143,8 +169,7 @@ fn streaming_scan_byte_identical_across_cache_configs_with_exact_reads() {
         assert!(stream.max_in_flight() <= cap, "memory threads {threads}");
     }
 
-    let cold_bytes = lineitem.storage_stats().cold_bytes;
-    for (name, capacity) in cache_configs(cold_bytes) {
+    for (name, capacity) in cache_configs(scan_working_set(lineitem, &restrictions)) {
         let mut spilled = lineitem.clone();
         spilled
             .enable_spill(&SpillPolicy::with_cache_capacity(capacity))
@@ -187,6 +212,9 @@ fn streaming_scan_byte_identical_across_cache_configs_with_exact_reads() {
                 "cache {name} threads {threads}: every block read exactly once: {io:?}"
             );
             assert_eq!(store.pinned_count(), 0, "cache {name} threads {threads}");
+            if (name, threads) == ("half_fits", 1) {
+                assert!(io.evictions > 0, "half of the scan must not fit: {io:?}");
+            }
         }
     }
 }
