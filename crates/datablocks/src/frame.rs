@@ -768,6 +768,80 @@ mod tests {
         );
     }
 
+    /// An SMA as its exact bits: doubles by `to_bits`, so NaN and the sign of
+    /// zero compare.
+    fn sma_bits(sma: &Sma) -> String {
+        match sma {
+            Sma::Int { min, max } => format!("Int {min} {max}"),
+            Sma::Double { min, max } => {
+                format!("Double {:#018x} {:#018x}", min.to_bits(), max.to_bits())
+            }
+            Sma::Str { min, max } => format!("Str {min:?} {max:?}"),
+            Sma::AllNull => "AllNull".to_string(),
+        }
+    }
+
+    #[test]
+    fn the_smas_of_hazard_columns_are_pinned() {
+        use crate::bitmap::Bitmap;
+        use crate::column::{Column, ColumnData};
+        use crate::value::DataType;
+        let (nan, inf) = (f64::NAN, f64::INFINITY);
+        // The payload of a NULL row lies outside the column's domain, so an SMA
+        // that read it would show.
+        let nullable = |data, nulls: &[usize]| Column {
+            data,
+            validity: Some(Bitmap::from_fn(6, |row| !nulls.contains(&row))),
+        };
+        let mut all_null = Column::new(DataType::Int);
+        (0..6).for_each(|_| all_null.push(Value::Null));
+        let block = freeze(&[
+            double_column(vec![1.5, nan, -2.0, nan, 3.0, 0.5]),
+            double_column(vec![nan; 6]),
+            double_column(vec![-0.0, 0.0, -0.0, 0.0, -0.0, 0.0]),
+            double_column(vec![0.0, -0.0, 0.0, -0.0, 0.0, -0.0]),
+            double_column(vec![inf, 1.0, -inf, 0.0, 2.0, -1.0]),
+            nullable(
+                ColumnData::Double(vec![-100.0, 4.0, nan, 4.5, 100.0, 4.25]),
+                &[0, 4],
+            ),
+            int_column(vec![i64::MIN, 0, i64::MAX, -1, 1, 7]),
+            nullable(
+                ColumnData::Dict {
+                    dict: ["fig", "pear", "", "apple", "zebra"]
+                        .map(String::from)
+                        .into(),
+                    codes: vec![1, 3, 2, 1, 3, 4],
+                },
+                &[5],
+            ),
+            nullable(ColumnData::Int(vec![5, 5, -9, 5, 5, 5]), &[2]),
+            all_null,
+        ]);
+        let smas: Vec<String> = (0..block.column_count())
+            .map(|col| sma_bits(&block.column(col).sma))
+            .collect();
+        assert_eq!(
+            smas,
+            [
+                "Double 0xc000000000000000 0x4008000000000000",
+                "Double 0x7ff0000000000000 0xfff0000000000000",
+                "Double 0x8000000000000000 0x8000000000000000",
+                "Double 0x0000000000000000 0x0000000000000000",
+                "Double 0xfff0000000000000 0x7ff0000000000000",
+                "Double 0x4010000000000000 0x4012000000000000",
+                "Int -9223372036854775808 9223372036854775807",
+                "Str \"\" \"pear\"",
+                "Int 5 5",
+                "AllNull",
+            ]
+        );
+        let frame = to_frame(&block);
+        assert_eq!((frame.len(), xxh64(&frame)), (782, 0xD7C4_67E6_1223_CA53));
+        // NaN is not equal to itself, so the roundtrip compares frame bytes.
+        assert_eq!(to_frame(&from_frame(&frame).unwrap()), frame);
+    }
+
     #[test]
     fn sections_tile_the_frame_and_decode_one_attribute_each() {
         let block = every_scheme_block();
