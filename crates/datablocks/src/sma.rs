@@ -1,9 +1,12 @@
 //! Small Materialized Aggregates (SMA) — per-attribute min/max values used to rule
 //! out whole Data Blocks during a scan (Section 3.2, after Moerkotte's SMAs).
+//!
+//! An SMA and a compression scheme are both read off the attribute's value
+//! domain in its block, so freezing produces them in one pass: the SMA comes out of
+//! [`crate::compression::ColumnCompression::compress`].
 
-use crate::column::Column;
 use crate::scan::Restriction;
-use crate::value::{DataType, Value};
+use crate::value::Value;
 use std::ops::Bound;
 
 /// Min/max aggregate for one attribute of one Data Block.
@@ -39,74 +42,6 @@ pub enum Sma {
 }
 
 impl Sma {
-    /// Compute the SMA of a column (hot representation) while freezing it.
-    pub fn compute(column: &Column) -> Sma {
-        let n = column.len();
-        let mut any = false;
-        match column.data_type() {
-            DataType::Int => {
-                let data = column.data.as_int().expect("int column");
-                let (mut min, mut max) = (i64::MAX, i64::MIN);
-                for (row, &v) in data.iter().enumerate().take(n) {
-                    if column.is_null(row) {
-                        continue;
-                    }
-                    any = true;
-                    min = min.min(v);
-                    max = max.max(v);
-                }
-                if any {
-                    Sma::Int { min, max }
-                } else {
-                    Sma::AllNull
-                }
-            }
-            DataType::Double => {
-                let data = column.data.as_double().expect("double column");
-                let (mut min, mut max) = (f64::INFINITY, f64::NEG_INFINITY);
-                for (row, &v) in data.iter().enumerate().take(n) {
-                    if column.is_null(row) {
-                        continue;
-                    }
-                    any = true;
-                    min = min.min(v);
-                    max = max.max(v);
-                }
-                if any {
-                    Sma::Double { min, max }
-                } else {
-                    Sma::AllNull
-                }
-            }
-            DataType::Str => {
-                let data = column.data.strings().expect("string column");
-                let mut min: Option<&str> = None;
-                let mut max: Option<&str> = None;
-                for row in 0..n {
-                    if column.is_null(row) {
-                        continue;
-                    }
-                    let s = data.get(row);
-                    min = Some(match min {
-                        Some(m) if m <= s => m,
-                        _ => s,
-                    });
-                    max = Some(match max {
-                        Some(m) if m >= s => m,
-                        _ => s,
-                    });
-                }
-                match (min, max) {
-                    (Some(mn), Some(mx)) => Sma::Str {
-                        min: mn.to_string(),
-                        max: mx.to_string(),
-                    },
-                    _ => Sma::AllNull,
-                }
-            }
-        }
-    }
-
     /// The minimum value as a [`Value`] (`Null` for an all-NULL column).
     pub fn min_value(&self) -> Value {
         match self {
@@ -177,68 +112,10 @@ impl Sma {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::column::ColumnData;
     use dbsimd::CmpOp;
 
     fn gate(sma: &Sma, op: CmpOp, constant: &Value) -> bool {
         sma.may_match(&Restriction::cmp(0, op, constant.clone()))
-    }
-
-    fn int_column(values: &[i64]) -> Column {
-        Column::from_data(ColumnData::Int(values.to_vec()))
-    }
-
-    #[test]
-    fn compute_int_min_max() {
-        let sma = Sma::compute(&int_column(&[5, -3, 12, 7]));
-        assert_eq!(sma, Sma::Int { min: -3, max: 12 });
-    }
-
-    #[test]
-    fn compute_ignores_nulls() {
-        let mut col = Column::new(DataType::Int);
-        col.push(Value::Null);
-        col.push(Value::Int(10));
-        col.push(Value::Null);
-        col.push(Value::Int(4));
-        assert_eq!(Sma::compute(&col), Sma::Int { min: 4, max: 10 });
-    }
-
-    #[test]
-    fn compute_all_null() {
-        let mut col = Column::new(DataType::Int);
-        col.push(Value::Null);
-        col.push(Value::Null);
-        assert_eq!(Sma::compute(&col), Sma::AllNull);
-        assert!(!gate(&Sma::AllNull, CmpOp::Eq, &Value::Int(0)));
-    }
-
-    #[test]
-    fn compute_string_min_max() {
-        let col = Column::from_data(ColumnData::Str(vec![
-            "pear".into(),
-            "apple".into(),
-            "zebra".into(),
-        ]));
-        assert_eq!(
-            Sma::compute(&col),
-            Sma::Str {
-                min: "apple".into(),
-                max: "zebra".into()
-            }
-        );
-    }
-
-    #[test]
-    fn compute_double_min_max() {
-        let col = Column::from_data(ColumnData::Double(vec![2.5, -1.0, 7.25]));
-        assert_eq!(
-            Sma::compute(&col),
-            Sma::Double {
-                min: -1.0,
-                max: 7.25
-            }
-        );
     }
 
     #[test]
