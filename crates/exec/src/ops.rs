@@ -15,16 +15,19 @@
 //! * **Key hashing** mixes one word per key column (integers and doubles by their
 //!   bits, a string by a SipHash of its bytes) into a secret per-process start, a
 //!   column at a time with one loop per column type. No key is serialised to bytes.
-//! * **Hash aggregation** evaluates the group and aggregate-input expressions once
-//!   per batch, resolves each row's key hash to a group id (`Groups`: keys stored
-//!   once per group, as columns), and folds each aggregate's input column into
-//!   typed per-group arrays. When every key column is dictionary-coded
+//! * **Hash aggregation** evaluates the group and the distinct aggregate-input
+//!   expressions once per batch, resolves each row's key hash to a group id
+//!   (`Groups`: keys stored once per group, as columns), and folds the batch into
+//!   typed per-group arrays — one pass over its rows for the row count and every
+//!   NULL-free sum. When every key column is dictionary-coded
 //!   ([`datablocks::column`]), each distinct code tuple of a batch is resolved
 //!   once, on its first row, and the other rows look its group id up by codes —
 //!   numbered, hashed and partitioned exactly as row by row.
 //! * **Hash join** keeps the build side as one columnar batch; the table maps a key
 //!   to build *row numbers*, and matches are emitted by gathering build and probe
-//!   columns (coded strings gather codes).
+//!   columns (coded strings gather codes). A tag filter over the build keys'
+//!   hashes picks a probe batch's candidate rows, branch-free, before any of
+//!   them touches the table.
 //! * **Sort** sorts a permutation of row numbers over the typed key columns and
 //!   gathers once.
 //!
@@ -85,6 +88,7 @@
 //!   result under a Double declaration widens, an all-NULL result takes any type,
 //!   anything else is a planning bug and panics.
 
+use std::borrow::Cow;
 use std::collections::hash_map::{DefaultHasher, RandomState};
 use std::hash::{BuildHasher, Hasher};
 
@@ -617,9 +621,9 @@ impl AggSpec {
     }
 }
 
-/// The running value of one aggregate for every group: the sum, or the minimum or
+/// The running value of one accumulator for every group: a sum, or the minimum or
 /// maximum so far, typed like the aggregate's input.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 enum Acc {
     Int(Vec<i64>),
     /// Starts at `-0.0`, the one double `x` with `x + v == v` bit for bit for every
@@ -629,22 +633,64 @@ enum Acc {
     Str(Vec<String>),
 }
 
-/// One aggregate's state for every group of a table, as typed arrays indexed by
-/// group id.
-#[derive(Debug)]
-struct AggState {
-    func: AggFunc,
-    /// Rows counted (`count(*)`) or non-NULL inputs folded in (everything else).
-    count: Vec<i64>,
-    acc: Acc,
+impl Acc {
+    fn new(ty: DataType) -> Acc {
+        match ty {
+            DataType::Int => Acc::Int(Vec::new()),
+            DataType::Double => Acc::Double(Vec::new()),
+            DataType::Str => Acc::Str(Vec::new()),
+        }
+    }
+
+    fn resize(&mut self, groups: usize) {
+        match self {
+            Acc::Int(acc) => acc.resize(groups, 0),
+            Acc::Double(acc) => acc.resize(groups, -0.0),
+            Acc::Str(acc) => acc.resize(groups, String::new()),
+        }
+    }
+
+    fn take(&self, rows: &[u32]) -> Acc {
+        match self {
+            Acc::Int(acc) => Acc::Int(pick(acc, rows)),
+            Acc::Double(acc) => Acc::Double(pick(acc, rows)),
+            Acc::Str(acc) => Acc::Str(pick(acc, rows)),
+        }
+    }
+
+    fn values(&self) -> Values<'_> {
+        match self {
+            Acc::Int(acc) => Values::Int(acc),
+            Acc::Double(acc) => Values::Double(acc),
+            Acc::Str(acc) => Values::Str(Strings::Plain(acc)),
+        }
+    }
+
+    fn into_data(self) -> ColumnData {
+        match self {
+            Acc::Int(acc) => ColumnData::Int(acc),
+            Acc::Double(acc) => ColumnData::Double(acc),
+            Acc::Str(acc) => ColumnData::Str(acc),
+        }
+    }
 }
 
-/// Typed values to fold into an aggregate state: the payload of an input column, or
-/// the accumulators of another table's state.
+/// Typed values to fold into accumulators: the payload of an input column, or the
+/// accumulators of another table's state.
 enum Values<'a> {
     Int(&'a [i64]),
     Double(&'a [f64]),
     Str(Strings<'a>),
+}
+
+impl<'a> Values<'a> {
+    fn of(column: &'a Column) -> Values<'a> {
+        match &column.data {
+            ColumnData::Int(values) => Values::Int(values),
+            ColumnData::Double(values) => Values::Double(values),
+            data => Values::Str(data.strings().expect("a string column")),
+        }
+    }
 }
 
 /// Fold `values` into the groups `groups` names, value by value in order:
@@ -698,190 +744,399 @@ impl Numeric for f64 {
     }
 }
 
-/// [`fold`] for the aggregate function `func` over a [`Numeric`] type.
-fn fold_as<T: Numeric>(
-    func: AggFunc,
-    count: &mut [i64],
-    acc: &mut [T],
-    values: &[T],
-    groups: &[u32],
-    weight: impl Fn(usize) -> i64,
-) {
-    let values = values.iter().copied();
-    match func {
-        AggFunc::Count | AggFunc::CountStar => {
-            fold(count, acc, values, groups, weight, |_, _, _| {})
+/// The sums of one input and the values to add to them, of one numeric type.
+enum Addends<'a> {
+    Int(&'a mut [i64], &'a [i64]),
+    Double(&'a mut [f64], &'a [f64]),
+}
+
+impl<'a> Addends<'a> {
+    fn of(sums: &'a mut Acc, values: Values<'a>) -> Addends<'a> {
+        match (sums, values) {
+            (Acc::Int(sums), Values::Int(values)) => Addends::Int(sums, values),
+            (Acc::Double(sums), Values::Double(values)) => Addends::Double(sums, values),
+            _ => panic!("the input of an aggregate changed type"),
         }
-        AggFunc::Sum | AggFunc::Avg => {
-            fold(count, acc, values, groups, weight, |acc, v, _| acc.add(v))
+    }
+
+    /// Add value `r` to the sum of group `groups[r]` where `weight(r) != 0`, in
+    /// order.
+    fn add(self, groups: &[u32], weight: impl Fn(usize) -> i64) {
+        fn add<T: Numeric>(
+            sums: &mut [T],
+            values: &[T],
+            groups: &[u32],
+            weight: impl Fn(usize) -> i64,
+        ) {
+            for (row, &group) in groups.iter().enumerate() {
+                if weight(row) != 0 {
+                    sums[group as usize].add(values[row]);
+                }
+            }
         }
-        AggFunc::Min => fold(count, acc, values, groups, weight, |acc, v, first| {
-            if first || v.less(*acc) {
-                *acc = v;
-            }
-        }),
-        AggFunc::Max => fold(count, acc, values, groups, weight, |acc, v, first| {
-            if first || acc.less(v) {
-                *acc = v;
-            }
-        }),
+        match self {
+            Addends::Int(sums, values) => add(sums, values, groups, weight),
+            Addends::Double(sums, values) => add(sums, values, groups, weight),
+        }
     }
 }
 
-/// [`fold_as`] over strings of either form, read in place: a string is copied only
-/// when it becomes its group's minimum or maximum.
-fn fold_strs(
-    func: AggFunc,
-    count: &mut [i64],
-    acc: &mut [String],
-    values: Strings<'_>,
+/// The one pass over a NULL-free stretch of rows: row `r` counts in group
+/// `groups[r]`, and its value of every input in `ints` and `doubles` adds to that
+/// input's sum of the group. Each accumulator still takes its values in row order;
+/// what the single pass saves is a pass — a read-modify-write chain through the
+/// group's slot — per aggregate.
+fn fold_rows(
+    rows: &mut [i64],
+    ints: &mut [(&mut [i64], &[i64])],
+    doubles: &mut [(&mut [f64], &[f64])],
     groups: &[u32],
-    weight: impl Fn(usize) -> i64,
 ) {
-    let values = (0..values.len()).map(|row| values.get(row));
-    let keep = |acc: &mut String, v: &str| {
-        acc.clear();
-        acc.push_str(v);
-    };
-    match func {
-        AggFunc::Count | AggFunc::CountStar => {
-            fold(count, acc, values, groups, weight, |_, _, _| {})
+    for (row, &group) in groups.iter().enumerate() {
+        let group = group as usize;
+        rows[group] += 1;
+        for (sums, values) in ints.iter_mut() {
+            sums[group] += values[row];
         }
-        AggFunc::Sum | AggFunc::Avg => fold(count, acc, values, groups, weight, |_, _, _| {
-            panic!("sum and avg are not defined over strings")
-        }),
-        AggFunc::Min => fold(count, acc, values, groups, weight, |acc, v, first| {
-            if first || v < acc.as_str() {
-                keep(acc, v);
-            }
-        }),
-        AggFunc::Max => fold(count, acc, values, groups, weight, |acc, v, first| {
-            if first || v > acc.as_str() {
-                keep(acc, v);
-            }
-        }),
+        for (sums, values) in doubles.iter_mut() {
+            sums[group] += values[row];
+        }
     }
+}
+
+/// Are two aggregate inputs the same expression? Like `==`, but constants compare
+/// as [`same_cell`] compares keys — doubles by bit pattern — so two inputs share an
+/// accumulator only when they compute the same bits.
+fn same_expr(a: &Expr, b: &Expr) -> bool {
+    match (a, b) {
+        (Expr::Col(a), Expr::Col(b)) => a == b,
+        (Expr::Const(a), Expr::Const(b)) => match (a, b) {
+            (Value::Double(a), Value::Double(b)) => a.to_bits() == b.to_bits(),
+            (a, b) => a == b,
+        },
+        (Expr::Arith(op, a, b), Expr::Arith(op2, a2, b2)) => {
+            op == op2 && same_expr(a, a2) && same_expr(b, b2)
+        }
+        (Expr::Cmp(op, a, b), Expr::Cmp(op2, a2, b2)) => {
+            op == op2 && same_expr(a, a2) && same_expr(b, b2)
+        }
+        (Expr::And(a, b), Expr::And(a2, b2)) | (Expr::Or(a, b), Expr::Or(a2, b2)) => {
+            same_expr(a, a2) && same_expr(b, b2)
+        }
+        (Expr::Case(c, a, b), Expr::Case(c2, a2, b2)) => {
+            same_expr(c, c2) && same_expr(a, a2) && same_expr(b, b2)
+        }
+        _ => false,
+    }
+}
+
+/// One distinct input expression of a table's aggregates, for every group.
+#[derive(Debug)]
+struct Input {
+    /// The first aggregate reading this input: the one whose expression is
+    /// evaluated.
+    spec: usize,
+    /// NULLs met per group: the group's `count(e)` is its row count minus these.
+    nulls: Vec<i64>,
+    /// The sum of the non-NULL values, when a `sum` or an `avg` reads this input.
+    sum: Option<Acc>,
+}
+
+/// A `min` or a `max` of one input, folded value by value.
+#[derive(Debug)]
+struct Extreme {
+    input: usize,
+    max: bool,
+    /// Values folded in: a group's first value is kept whatever it is.
+    count: Vec<i64>,
+    acc: Acc,
+}
+
+impl Extreme {
+    /// Fold `values` in, value `r` standing for `weight(r)` inputs of group
+    /// `groups[r]`.
+    fn fold(&mut self, values: Values<'_>, groups: &[u32], weight: impl Fn(usize) -> i64) {
+        fn numbers<T: Numeric>(
+            max: bool,
+            count: &mut [i64],
+            acc: &mut [T],
+            values: &[T],
+            groups: &[u32],
+            weight: impl Fn(usize) -> i64,
+        ) {
+            let values = values.iter().copied();
+            fold(count, acc, values, groups, weight, |acc, v, first| {
+                let better = if max { acc.less(v) } else { v.less(*acc) };
+                if first || better {
+                    *acc = v;
+                }
+            })
+        }
+        let (max, count) = (self.max, &mut self.count[..]);
+        match (&mut self.acc, values) {
+            (Acc::Int(acc), Values::Int(values)) => {
+                numbers(max, count, acc, values, groups, weight)
+            }
+            (Acc::Double(acc), Values::Double(values)) => {
+                numbers(max, count, acc, values, groups, weight)
+            }
+            // A string is copied only when it becomes its group's minimum or maximum.
+            (Acc::Str(acc), Values::Str(values)) => {
+                let values = (0..values.len()).map(|row| values.get(row));
+                fold(count, acc, values, groups, weight, |acc, v, first| {
+                    let order = v.cmp(acc.as_str());
+                    let better = if max { order.is_gt() } else { order.is_lt() };
+                    if first || better {
+                        acc.clear();
+                        acc.push_str(v);
+                    }
+                })
+            }
+            _ => panic!("the input of an aggregate changed type"),
+        }
+    }
+}
+
+/// Where an aggregate's value comes from.
+#[derive(Debug, Clone, Copy)]
+enum Output {
+    /// `count(*)`: the row count.
+    Rows,
+    /// `count(e)`, `sum(e)`, `avg(e)` of input `i`: its row count less its NULLs,
+    /// its sum, their quotient.
+    Count(usize),
+    Sum(usize),
+    Avg(usize),
+    /// The next [`Extreme`].
+    Extreme,
+}
+
+/// Every aggregate's state for every group of a table, as typed arrays indexed by
+/// group id, in as few accumulators as the aggregates need: one row count for the
+/// whole table (`count(*)`, and `count(e)` less `e`'s NULLs), one NULL count and at
+/// most one sum per distinct input expression (`sum(x)` and `avg(x)` share one),
+/// and one accumulator per `min` or `max`.
+///
+/// A batch is folded in one pass over its rows that counts them and adds every
+/// NULL-free integer and double input to its sum. An input with NULLs in the batch
+/// takes a pass of its own that skips them, and so does every `min`/`max` — a
+/// fold value by value, weighted. Within a group every sum still adds its values
+/// in row order, so the result is bit for bit that of one fold per aggregate.
+#[derive(Debug)]
+struct AggState {
+    rows: Vec<i64>,
+    inputs: Vec<Input>,
+    extremes: Vec<Extreme>,
+    /// One per aggregate, in declaration order.
+    outputs: Vec<Output>,
 }
 
 impl AggState {
-    /// The state of `func` over an input of type `input` (`None`: all NULL), with
-    /// no groups yet.
-    fn new(func: AggFunc, input: Option<DataType>) -> AggState {
+    /// The state of `aggregates` over an input of the given column types, with no
+    /// groups yet.
+    fn new(aggregates: &[AggSpec], input: &[DataType]) -> AggState {
+        let (mut inputs, mut extremes) = (Vec::<Input>::new(), Vec::new());
+        let mut outputs = Vec::with_capacity(aggregates.len());
+        for (spec_no, spec) in aggregates.iter().enumerate() {
+            if spec.func == AggFunc::CountStar {
+                outputs.push(Output::Rows);
+                continue;
+            }
+            let ty = spec.expr.static_type(input).unwrap_or(DataType::Int);
+            let same = |input: &Input| same_expr(&aggregates[input.spec].expr, &spec.expr);
+            let i = inputs.iter().position(same).unwrap_or_else(|| {
+                inputs.push(Input {
+                    spec: spec_no,
+                    nulls: Vec::new(),
+                    sum: None,
+                });
+                inputs.len() - 1
+            });
+            if matches!(spec.func, AggFunc::Sum | AggFunc::Avg) {
+                assert_ne!(
+                    ty,
+                    DataType::Str,
+                    "sum and avg are not defined over strings"
+                );
+                inputs[i].sum.get_or_insert_with(|| Acc::new(ty));
+            }
+            outputs.push(match spec.func {
+                AggFunc::Count => Output::Count(i),
+                AggFunc::Sum => Output::Sum(i),
+                AggFunc::Avg => Output::Avg(i),
+                AggFunc::Min | AggFunc::Max => {
+                    extremes.push(Extreme {
+                        input: i,
+                        max: spec.func == AggFunc::Max,
+                        count: Vec::new(),
+                        acc: Acc::new(ty),
+                    });
+                    Output::Extreme
+                }
+                AggFunc::CountStar => unreachable!("handled above"),
+            });
+        }
         AggState {
-            func,
-            count: Vec::new(),
-            acc: match input.unwrap_or(DataType::Int) {
-                DataType::Int => Acc::Int(Vec::new()),
-                DataType::Double => Acc::Double(Vec::new()),
-                DataType::Str => Acc::Str(Vec::new()),
-            },
+            rows: Vec::new(),
+            inputs,
+            extremes,
+            outputs,
         }
     }
 
     /// Make room for `groups` groups.
     fn resize(&mut self, groups: usize) {
-        self.count.resize(groups, 0);
-        match &mut self.acc {
-            Acc::Int(acc) => acc.resize(groups, 0),
-            Acc::Double(acc) => acc.resize(groups, -0.0),
-            Acc::Str(acc) => acc.resize(groups, String::new()),
-        }
-    }
-
-    /// `count(*)`: every row counts.
-    fn count_rows(&mut self, groups: &[u32]) {
-        for &group in groups {
-            self.count[group as usize] += 1;
-        }
-    }
-
-    /// Fold `values` in, value `r` standing for `weight(r)` inputs of group
-    /// `groups[r]`.
-    fn fold(&mut self, values: Values<'_>, groups: &[u32], weight: impl Fn(usize) -> i64) {
-        let (func, count) = (self.func, &mut self.count[..]);
-        match (&mut self.acc, values) {
-            (Acc::Int(acc), Values::Int(values)) => {
-                fold_as(func, count, acc, values, groups, weight)
+        self.rows.resize(groups, 0);
+        for input in &mut self.inputs {
+            input.nulls.resize(groups, 0);
+            if let Some(sum) = &mut input.sum {
+                sum.resize(groups);
             }
-            (Acc::Double(acc), Values::Double(values)) => {
-                fold_as(func, count, acc, values, groups, weight)
-            }
-            (Acc::Str(acc), Values::Str(values)) => {
-                fold_strs(func, count, acc, values, groups, weight)
-            }
-            _ => panic!("the input of an aggregate changed type"),
+        }
+        for extreme in &mut self.extremes {
+            extreme.count.resize(groups, 0);
+            extreme.acc.resize(groups);
         }
     }
 
-    /// Fold one batch's input column in, row `r` into group `groups[r]`, in row
-    /// order, skipping NULLs.
-    fn update(&mut self, input: &Column, groups: &[u32]) {
-        let values = match &input.data {
-            ColumnData::Int(values) => Values::Int(values),
-            ColumnData::Double(values) => Values::Double(values),
-            data => Values::Str(data.strings().expect("a string column")),
-        };
-        match &input.validity {
-            None => self.fold(values, groups, |_| 1),
-            Some(valid) => self.fold(values, groups, |row| i64::from(valid.get(row))),
+    /// Fold one batch in, row `r` into group `groups[r]`, in row order:
+    /// `columns[i]` is input `i` evaluated over the batch.
+    fn update(&mut self, columns: &[Cow<'_, Column>], groups: &[u32]) {
+        let (mut ints, mut doubles) = (Vec::new(), Vec::new());
+        for (input, column) in self.inputs.iter_mut().zip(columns) {
+            let nulls = (column.validity.as_ref()).filter(|valid| valid.count_ones() < valid.len());
+            match (nulls, &mut input.sum) {
+                (None, None) => {}
+                (None, Some(sum)) => match Addends::of(sum, Values::of(column)) {
+                    Addends::Int(sums, values) => ints.push((sums, values)),
+                    Addends::Double(sums, values) => doubles.push((sums, values)),
+                },
+                (Some(valid), sum) => {
+                    for (row, &group) in groups.iter().enumerate() {
+                        input.nulls[group as usize] += i64::from(!valid.get(row));
+                    }
+                    if let Some(sum) = sum {
+                        Addends::of(sum, Values::of(column))
+                            .add(groups, |row| i64::from(valid.get(row)));
+                    }
+                }
+            }
+        }
+        fold_rows(&mut self.rows, &mut ints, &mut doubles, groups);
+        for extreme in &mut self.extremes {
+            let column = &*columns[extreme.input];
+            match &column.validity {
+                None => extreme.fold(Values::of(column), groups, |_| 1),
+                Some(valid) => {
+                    extreme.fold(Values::of(column), groups, |row| i64::from(valid.get(row)))
+                }
+            }
         }
     }
 
-    /// Fold another table's state for the same aggregate in: its group `g` into
+    /// Fold another table's state for the same aggregates in: its group `g` into
     /// this table's group `groups[g]` (the merge phase of parallel aggregation) —
-    /// its accumulator is one value standing for as many inputs as it counted.
-    /// Count/min/max and integer sums are exact whatever the merge order; double
+    /// an accumulator is one value standing for as many inputs as it took.
+    /// Counts, min/max and integer sums are exact whatever the merge order; double
     /// sums can differ from the serial scan order in the last ulps, exactly like any
     /// parallel floating-point reduction.
     fn merge(&mut self, other: &AggState, groups: &[u32]) {
-        let values = match &other.acc {
-            Acc::Int(acc) => Values::Int(acc),
-            Acc::Double(acc) => Values::Double(acc),
-            Acc::Str(acc) => Values::Str(Strings::Plain(acc)),
-        };
-        self.fold(values, groups, |group| other.count[group]);
+        for (&group, &rows) in groups.iter().zip(&other.rows) {
+            self.rows[group as usize] += rows;
+        }
+        for (input, theirs) in self.inputs.iter_mut().zip(&other.inputs) {
+            for (&group, &nulls) in groups.iter().zip(&theirs.nulls) {
+                input.nulls[group as usize] += nulls;
+            }
+            if let (Some(sum), Some(their_sum)) = (&mut input.sum, &theirs.sum) {
+                let folded = |group: usize| other.rows[group] - theirs.nulls[group];
+                Addends::of(sum, their_sum.values()).add(groups, folded);
+            }
+        }
+        for (extreme, theirs) in self.extremes.iter_mut().zip(&other.extremes) {
+            extreme.fold(theirs.acc.values(), groups, |group| theirs.count[group]);
+        }
     }
 
     /// The state of the groups `rows`, renumbered in that order.
     fn take(&self, rows: &[u32]) -> AggState {
         AggState {
-            func: self.func,
-            count: pick(&self.count, rows),
-            acc: match &self.acc {
-                Acc::Int(acc) => Acc::Int(pick(acc, rows)),
-                Acc::Double(acc) => Acc::Double(pick(acc, rows)),
-                Acc::Str(acc) => Acc::Str(pick(acc, rows)),
-            },
+            rows: pick(&self.rows, rows),
+            inputs: (self.inputs.iter())
+                .map(|input| Input {
+                    spec: input.spec,
+                    nulls: pick(&input.nulls, rows),
+                    sum: input.sum.as_ref().map(|sum| sum.take(rows)),
+                })
+                .collect(),
+            extremes: (self.extremes.iter())
+                .map(|extreme| Extreme {
+                    input: extreme.input,
+                    max: extreme.max,
+                    count: pick(&extreme.count, rows),
+                    acc: extreme.acc.take(rows),
+                })
+                .collect(),
+            outputs: self.outputs.clone(),
         }
     }
 
-    /// The aggregate's value for every group; NULL where no value was folded in.
-    fn finish(self) -> Column {
-        let AggState { func, count, acc } = self;
-        let validity = count
-            .contains(&0)
-            .then(|| Bitmap::from_fn(count.len(), |group| count[group] > 0));
-        let data = match (func, acc) {
-            (AggFunc::Count | AggFunc::CountStar, _) => {
-                return Column::from_data(ColumnData::Int(count))
-            }
-            (AggFunc::Avg, Acc::Int(sum)) => ColumnData::Double(
-                sum.iter()
-                    .zip(&count)
-                    .map(|(&s, &n)| s as f64 / n as f64)
-                    .collect(),
-            ),
-            (AggFunc::Avg, Acc::Double(sum)) => ColumnData::Double(
-                sum.iter()
-                    .zip(&count)
-                    .map(|(&s, &n)| s / n as f64)
-                    .collect(),
-            ),
-            (_, Acc::Int(acc)) => ColumnData::Int(acc),
-            (_, Acc::Double(acc)) => ColumnData::Double(acc),
-            (_, Acc::Str(acc)) => ColumnData::Str(acc),
+    /// Every aggregate's value for every group, in declaration order; NULL where no
+    /// value was folded in.
+    fn finish(self) -> Vec<Column> {
+        let AggState {
+            rows,
+            inputs,
+            extremes,
+            outputs,
+        } = self;
+        let valid_where = |count: &[i64]| {
+            (count.contains(&0)).then(|| Bitmap::from_fn(count.len(), |group| count[group] > 0))
         };
-        Column { data, validity }
+        let count_of = |input: &Input| -> Vec<i64> {
+            rows.iter()
+                .zip(&input.nulls)
+                .map(|(&rows, &nulls)| rows - nulls)
+                .collect()
+        };
+        fn sum_of(input: &Input) -> &Acc {
+            input.sum.as_ref().expect("a sum over this input")
+        }
+        let mut extremes = extremes.into_iter();
+        (outputs.into_iter())
+            .map(|output| match output {
+                Output::Rows => Column::from_data(ColumnData::Int(rows.clone())),
+                Output::Count(i) => Column::from_data(ColumnData::Int(count_of(&inputs[i]))),
+                Output::Sum(i) => Column {
+                    data: sum_of(&inputs[i]).clone().into_data(),
+                    validity: valid_where(&count_of(&inputs[i])),
+                },
+                Output::Avg(i) => {
+                    let count = count_of(&inputs[i]);
+                    let data = match sum_of(&inputs[i]) {
+                        Acc::Int(sum) => (sum.iter().zip(&count))
+                            .map(|(&s, &n)| s as f64 / n as f64)
+                            .collect(),
+                        Acc::Double(sum) => (sum.iter().zip(&count))
+                            .map(|(&s, &n)| s / n as f64)
+                            .collect(),
+                        Acc::Str(_) => unreachable!("no sum over strings"),
+                    };
+                    let validity = valid_where(&count);
+                    Column {
+                        data: ColumnData::Double(data),
+                        validity,
+                    }
+                }
+                Output::Extreme => {
+                    let Extreme { count, acc, .. } = extremes.next().expect("one per min/max");
+                    Column {
+                        validity: valid_where(&count),
+                        data: acc.into_data(),
+                    }
+                }
+            })
+            .collect()
     }
 }
 
@@ -892,11 +1147,11 @@ fn agg_output_types(group_types: &[DataType], aggregates: &[AggSpec]) -> Vec<Dat
     types
 }
 
-/// A group table with the aggregate states of its groups: what a worker builds over
+/// A group table with the aggregate state of its groups: what a worker builds over
 /// its morsels, what one radix partition of it is, and what partitions merge into.
 struct AggTable {
     groups: Groups,
-    states: Vec<AggState>,
+    state: AggState,
 }
 
 impl AggTable {
@@ -909,13 +1164,7 @@ impl AggTable {
             .collect();
         AggTable {
             groups: Groups::new(&key_types),
-            states: aggregates
-                .iter()
-                .map(|spec| match spec.func {
-                    AggFunc::CountStar => AggState::new(spec.func, None),
-                    _ => AggState::new(spec.func, spec.expr.static_type(input)),
-                })
-                .collect(),
+            state: AggState::new(aggregates, input),
         }
     }
 
@@ -923,7 +1172,7 @@ impl AggTable {
     fn take(&self, rows: &[u32]) -> AggTable {
         AggTable {
             groups: self.groups.take(rows),
-            states: self.states.iter().map(|state| state.take(rows)).collect(),
+            state: self.state.take(rows),
         }
     }
 
@@ -942,17 +1191,15 @@ impl AggTable {
         let groups: Vec<u32> = (0..other.groups.len())
             .map(|row| self.groups.resolve(&keys, row, other.groups.hashes[row]))
             .collect();
-        for (state, other) in self.states.iter_mut().zip(&other.states) {
-            state.resize(self.groups.len());
-            state.merge(other, &groups);
-        }
+        self.state.resize(self.groups.len());
+        self.state.merge(&other.state, &groups);
     }
 
     /// One output row per group — key columns then aggregate values, of the
     /// declared `types` — in group-id order.
     fn into_batch(self, types: &[DataType]) -> Batch {
         let columns = (self.groups.keys.into_iter())
-            .chain(self.states.into_iter().map(AggState::finish))
+            .chain(self.state.finish())
             .zip(types)
             .map(|(column, &ty)| coerce(column, ty))
             .collect();
@@ -1036,14 +1283,14 @@ impl MorselSink for AggBuildSink<'_> {
                 .map(|row| self.table.groups.resolve(&keys, row, hashes[row]))
                 .collect()
         });
-        // … and every aggregate's input column folded into its typed arrays.
-        for (state, spec) in self.table.states.iter_mut().zip(self.aggregates) {
-            state.resize(self.table.groups.len());
-            match spec.func {
-                AggFunc::CountStar => state.count_rows(&groups),
-                _ => state.update(&spec.expr.evaluate(&batch, None), &groups),
-            }
-        }
+        // … and every distinct aggregate input evaluated and folded in, in one pass
+        // over the rows where it has no NULL.
+        let state = &mut self.table.state;
+        let inputs: Vec<_> = (state.inputs.iter())
+            .map(|input| self.aggregates[input.spec].expr.evaluate(&batch, None))
+            .collect();
+        state.resize(self.table.groups.len());
+        state.update(&inputs, &groups);
     }
 }
 
@@ -1052,6 +1299,11 @@ impl MorselSink for AggBuildSink<'_> {
 /// [`crate::morsel::RADIX_PARTITIONS`] radix partitions and merges them
 /// partition-wise, then one tuple per group is emitted — the group-key expressions
 /// followed by the aggregates — sorted by group key.
+///
+/// Aggregates share state: one row count per group serves `count(*)`, and
+/// aggregates over equal input expressions share one evaluation, one NULL count
+/// and one sum (`sum(x)`, `avg(x)`, `count(x)`). A batch's NULL-free sums are
+/// folded in one pass over its rows, each still in row order within its group.
 ///
 /// [`HashAggregateOp::new`] aggregates any operator's output with one worker, the
 /// calling thread. [`HashAggregateOp::over_relation`] aggregates a scan pipeline
@@ -1200,8 +1452,35 @@ struct JoinTable {
     /// matches come out in stream order.
     starts: Vec<u32>,
     matches: Vec<u32>,
-    /// Early-probe tag bits, one per distinct key.
+    /// The tag filter: bit [`tag_bit`] of every distinct key's hash set (every bit,
+    /// when the filter is off); [`TAG_WORDS`] words.
     tags: Vec<u64>,
+}
+
+impl JoinTable {
+    /// The rows whose key hash (`hashes[row]`) has its tag bit set, ascending: one
+    /// pass without a branch per row, which writes every row number and moves
+    /// past it by its bit.
+    fn candidates(&self, hashes: &[u64]) -> Vec<u32> {
+        let mut candidates = vec![0u32; hashes.len()];
+        let mut passed = 0;
+        for (row, &hash) in hashes.iter().enumerate() {
+            let (word, bit) = tag_bit(hash);
+            candidates[passed] = row as u32;
+            passed += (self.tags[word] >> bit & 1) as usize;
+        }
+        candidates.truncate(passed);
+        candidates
+    }
+}
+
+/// Words of a join's tag filter: 2^17 bits, 16 KiB — small enough for L1/L2, large
+/// enough to be selective for the build sizes used here.
+const TAG_WORDS: usize = 2048;
+
+/// The word and the bit in that word of a key hash's tag: its low 17 bits.
+fn tag_bit(hash: u64) -> (usize, u64) {
+    ((hash >> 6) as usize & (TAG_WORDS - 1), hash & 63)
 }
 
 /// Hash equi-join. The build side is materialised (the pipeline breaker) as one
@@ -1212,9 +1491,14 @@ struct JoinTable {
 /// build-stream order. A scan on the build side still runs its own
 /// [`crate::ScanConfig::threads`] workers, and its stream is the same at every worker
 /// count, so join output is too. A key's values — build or probe — are
-/// hashed exactly once. Optionally an *early-probe* filter — a compact tag bitmap derived
-/// from the key hashes, standing in for the tagged hash-table pointers of
-/// Appendix E — rejects probe tuples before the hash lookup.
+/// hashed exactly once.
+///
+/// A probe batch goes through two stages. A tag filter — one bit per distinct build
+/// key in a 16 KiB bitmap, standing in for the tagged hash-table pointers of
+/// Appendix E — first takes every row's key hash in one branch-free pass: each row
+/// number is written into a candidate selection, whose length then grows by the
+/// row's tag bit. Only the candidates are looked up in the hash table. A NULL key may
+/// pass the filter, but finds no key there: the table holds none.
 pub struct HashJoinOp<'a> {
     build: BoxedOperator<'a>,
     probe: BoxedOperator<'a>,
@@ -1251,15 +1535,16 @@ impl<'a> HashJoinOp<'a> {
             build_keys,
             probe_keys,
             join_type,
-            early_probe: false,
+            early_probe: true,
             probe_first: false,
             table: None,
             output_types,
         }
     }
 
-    /// Enable the Appendix-E style early probe (tag bitmap checked before the hash
-    /// table lookup).
+    /// Turn the tag filter off (`false`) or on (`true`, the default). Off, every
+    /// row of a probe batch is a candidate, so the hash table is probed for each:
+    /// the reference the filter's results and speed are measured against.
     pub fn with_early_probe(mut self, enabled: bool) -> Self {
         self.early_probe = enabled;
         self
@@ -1324,11 +1609,10 @@ impl<'a> HashJoinOp<'a> {
                 next[*key as usize] += 1;
             }
         }
-        // 16 KiB of tag bits (2^17 bits): small enough for L1/L2, large enough to be
-        // selective for the build sizes used here. One bit per distinct key.
-        let mut tags = vec![0u64; 2048];
+        // One tag bit per distinct key.
+        let mut tags = vec![if self.early_probe { 0 } else { !0 }; TAG_WORDS];
         for &hash in &keys.hashes {
-            let (word, bit) = tag_slot(hash, tags.len());
+            let (word, bit) = tag_bit(hash);
             tags[word] |= 1 << bit;
         }
         Ok(JoinTable {
@@ -1339,10 +1623,6 @@ impl<'a> HashJoinOp<'a> {
             tags,
         })
     }
-}
-
-fn tag_slot(hash: u64, words: usize) -> (usize, u32) {
-    ((hash as usize) % words, (hash >> 32) as u32 % 64)
 }
 
 impl<'a> Operator for HashJoinOp<'a> {
@@ -1356,28 +1636,20 @@ impl<'a> Operator for HashJoinOp<'a> {
         };
         let keys: Vec<&Column> = self.probe_keys.iter().map(|&k| batch.column(k)).collect();
         let hashes = hash_rows(&keys, batch.len());
-        // Matching (build row, probe row) pairs, in probe order.
+        // Matching (build row, probe row) pairs, in probe order, among the rows the
+        // tag filter lets through.
         let (mut build_rows, mut probe_rows) = (Vec::new(), Vec::new());
-        for (row, &hash) in hashes.iter().enumerate() {
-            if keys.iter().any(|column| column.is_null(row)) {
-                continue; // NULL keys never join
-            }
-            if self.early_probe {
-                let (word, bit) = tag_slot(hash, table.tags.len());
-                if table.tags[word] & (1 << bit) == 0 {
-                    continue;
-                }
-            }
-            let Ok(key) = table.keys.probe(&keys, row, hash) else {
+        for row in table.candidates(&hashes) {
+            let Ok(key) = table.keys.probe(&keys, row as usize, hashes[row as usize]) else {
                 continue;
             };
             match self.join_type {
                 JoinType::Inner => {
                     let (from, to) = (table.starts[key as usize], table.starts[key as usize + 1]);
                     build_rows.extend_from_slice(&table.matches[from as usize..to as usize]);
-                    probe_rows.extend((from..to).map(|_| row as u32));
+                    probe_rows.extend((from..to).map(|_| row));
                 }
-                JoinType::ProbeSemi => probe_rows.push(row as u32),
+                JoinType::ProbeSemi => probe_rows.push(row),
             }
         }
         Ok(Some(match self.join_type {
@@ -1667,30 +1939,91 @@ mod tests {
         assert_eq!(result.column_count(), 3);
     }
 
+    /// The tag filter against the filter turned off, for inner and semi joins, on
+    /// probe batches the filter passes none of, all of, or some of: NULL keys (which
+    /// reach the hash table with the filter off and must still not join), a
+    /// two-column key, and an empty build side. Output must be byte-identical.
     #[test]
     fn early_probe_does_not_change_results() {
-        let build = Batch::from_rows(
-            &[DataType::Int],
-            &(0..3).map(|i| vec![Value::Int(i)]).collect::<Vec<_>>(),
-        );
-        let plain = HashJoinOp::new(
-            Box::new(ValuesOp::new(build.clone())),
-            values_op(50),
-            vec![0],
-            vec![1],
-            JoinType::Inner,
-        )
-        .collect_all_helper();
-        let early = HashJoinOp::new(
-            Box::new(ValuesOp::new(build)),
-            values_op(50),
-            vec![0],
-            vec![1],
-            JoinType::Inner,
-        )
-        .with_early_probe(true)
-        .collect_all_helper();
-        assert_eq!(plain.len(), early.len());
+        let types = [DataType::Int, DataType::Int, DataType::Str];
+        let row = |k1: Option<i64>, k2: i64, tag: &str| {
+            vec![
+                k1.map_or(Value::Null, Value::Int),
+                Value::Int(k2),
+                Value::Str(tag.into()),
+            ]
+        };
+        // build: k1 in 0, 2, …, 38 (each twice, as (k1, 0) and (k1, 1)) and a NULL k1
+        let build: Vec<Vec<Value>> = (0..40)
+            .map(|i| row((i != 7).then_some(i / 2 * 2), i % 2, &format!("b{i}")))
+            .collect();
+        let join = |build: &[Vec<Value>], probe: &[Vec<Value>], keys: &[usize], join_type| {
+            HashJoinOp::new(
+                Box::new(ValuesOp::new(Batch::from_rows(&types, build))),
+                Box::new(ValuesOp::new(Batch::from_rows(&types, probe))),
+                keys.to_vec(),
+                keys.to_vec(),
+                join_type,
+            )
+        };
+        let table = join(&build, &[], &[0], JoinType::Inner)
+            .build_table()
+            .unwrap();
+        let hash_of = |k1: Option<i64>| {
+            let column = Batch::from_rows(&types, &[row(k1, 0, "")]).into_columns();
+            hash_rows(&[&column[0]], 1)[0]
+        };
+        // keys no build key shares a tag bit with, and keys of the build
+        let untagged: Vec<i64> = (1_000..)
+            .filter(|&k| table.candidates(&[hash_of(Some(k))]).is_empty())
+            .take(50)
+            .collect();
+        let none_pass: Vec<_> = untagged.iter().map(|&k| row(Some(k), 0, "miss")).collect();
+        let all_pass: Vec<_> = (0..50)
+            .map(|i| row(Some(i % 20 * 2), i % 3, "hit"))
+            .collect();
+        let hashes = |k1s: &[Vec<Value>]| -> Vec<u64> {
+            (k1s.iter()).map(|r| hash_of(r[0].as_int())).collect()
+        };
+        assert!(table.candidates(&hashes(&none_pass)).is_empty());
+        assert_eq!(table.candidates(&hashes(&all_pass)).len(), all_pass.len());
+        // half NULL keys, the rest hits and misses; with the filter off every row,
+        // NULL keys included, is a candidate
+        let with_nulls: Vec<_> = (0..60)
+            .map(|i| row((i % 2 == 0).then_some(i % 45), i % 2, &format!("p{i}")))
+            .collect();
+        let off = join(&build, &[], &[0], JoinType::Inner)
+            .with_early_probe(false)
+            .build_table()
+            .unwrap();
+        assert_eq!(off.candidates(&hashes(&with_nulls)).len(), with_nulls.len());
+
+        let mixed: Vec<_> = (0..60).map(|i| row(Some(i % 45), i % 3, "mix")).collect();
+        let empty = Vec::new();
+        let cases = [
+            ("no row passes", &build, &none_pass, vec![0]),
+            ("every row passes", &build, &all_pass, vec![0]),
+            ("NULL probe keys", &build, &with_nulls, vec![0]),
+            ("two-column key", &build, &mixed, vec![0, 1]),
+            ("empty build", &empty, &mixed, vec![0]),
+        ];
+        for (name, build, probe, keys) in cases {
+            for join_type in [JoinType::Inner, JoinType::ProbeSemi] {
+                let filtered = join(build, probe, &keys, join_type).collect_all_helper();
+                let plain = join(build, probe, &keys, join_type)
+                    .with_early_probe(false)
+                    .collect_all_helper();
+                let context = format!("{name}, {join_type:?}");
+                assert_rows_identical(&filtered, &rows_of(&plain), &context);
+                let expect_rows = !matches!(name, "no row passes" | "empty build");
+                assert_eq!(!plain.is_empty(), expect_rows, "{context}");
+                let null_keys = (0..plain.len()).filter(|&r| {
+                    let probe_k1 = if join_type == JoinType::Inner { 3 } else { 0 };
+                    plain.value(r, probe_k1).is_null()
+                });
+                assert_eq!(null_keys.count(), 0, "{context}: a NULL key joined");
+            }
+        }
     }
 
     impl<'a> HashJoinOp<'a> {
@@ -2040,6 +2373,102 @@ mod tests {
                 out
             })
             .collect()
+    }
+
+    /// The one-pass fold against a row-order fold, at 1, 2 and 4 workers (each
+    /// taking a run of the batches): batches alternate without and with NULLs in
+    /// the integer input `x` (column 0), read by `sum`, `avg`, `count`, `min` and
+    /// `max`, beside `count(*)`, `sum` and `avg` of `x + 1` written twice (equal
+    /// expressions: one input), and a double `min`/`max`. One group meets only
+    /// NULLs of `x`. Every value is exact at any worker count; doubles by bits.
+    #[test]
+    fn one_pass_folds_equal_the_row_order_fold_at_every_worker_count() {
+        let mut input = rows(300);
+        for (row, values) in input.iter_mut().enumerate() {
+            let (batch, at) = (row / 25, row % 25);
+            if batch % 2 == 1 && at % 4 == 0 {
+                values[0] = Value::Null;
+                if at % 8 == 0 {
+                    values[2] = Value::Str("only NULLs".into());
+                }
+            }
+        }
+        let batches = batches_of(&input, 25);
+        for (idx, batch) in batches.iter().enumerate() {
+            assert_eq!(batch.column(0).validity.is_some(), idx % 2 == 1);
+        }
+        let x_plus_1 = || Expr::col(0).add(Expr::lit(1i64));
+        let aggregates = vec![
+            AggSpec::new(AggFunc::Sum, Expr::col(0), DataType::Int),
+            AggSpec::new(AggFunc::CountStar, Expr::lit(0i64), DataType::Int),
+            AggSpec::new(AggFunc::Avg, Expr::col(0), DataType::Double),
+            AggSpec::new(AggFunc::Count, Expr::col(0), DataType::Int),
+            AggSpec::new(AggFunc::Min, Expr::col(0), DataType::Int),
+            AggSpec::new(AggFunc::Max, Expr::col(0), DataType::Int),
+            AggSpec::new(AggFunc::Sum, x_plus_1(), DataType::Int),
+            AggSpec::new(AggFunc::Avg, x_plus_1(), DataType::Double),
+            AggSpec::new(AggFunc::Min, Expr::col(3), DataType::Double),
+            AggSpec::new(AggFunc::Max, Expr::col(3), DataType::Double),
+        ];
+        let state = AggState::new(&aggregates, &TYPES);
+        assert_eq!((state.inputs.len(), state.extremes.len()), (3, 4));
+
+        // The reference, grouped by column 2, written without the operator's code.
+        let mut groups: Vec<(Value, i64, Vec<i64>, Vec<f64>)> = Vec::new();
+        for row in &input {
+            let idx = (groups.iter().position(|g| g.0 == row[2])).unwrap_or_else(|| {
+                groups.push((row[2].clone(), 0, Vec::new(), Vec::new()));
+                groups.len() - 1
+            });
+            let group = &mut groups[idx];
+            group.1 += 1;
+            group.2.extend(row[0].as_int());
+            group.3.push(row[3].as_double().unwrap());
+        }
+        groups.sort_by(|a, b| a.0.total_cmp(&b.0));
+        assert!(
+            groups.iter().any(|g| g.2.is_empty()),
+            "a group of only NULLs"
+        );
+        let expected: Vec<Vec<Value>> = (groups.into_iter())
+            .map(|(key, rows, xs, ds)| {
+                let (count, sum) = (xs.len() as i64, xs.iter().sum::<i64>());
+                let some = |v: Value| if count == 0 { Value::Null } else { v };
+                let total_min = |a: f64, b: f64| if b.total_cmp(&a).is_lt() { b } else { a };
+                let total_max = |a: f64, b: f64| if b.total_cmp(&a).is_gt() { b } else { a };
+                vec![
+                    key,
+                    some(Value::Int(sum)),
+                    Value::Int(rows),
+                    some(Value::Double(sum as f64 / count as f64)),
+                    Value::Int(count),
+                    some(Value::Int(xs.iter().copied().min().unwrap_or(0))),
+                    some(Value::Int(xs.iter().copied().max().unwrap_or(0))),
+                    some(Value::Int(sum + count)),
+                    some(Value::Double((sum + count) as f64 / count as f64)),
+                    Value::Double(ds.iter().copied().reduce(total_min).unwrap()),
+                    Value::Double(ds.iter().copied().reduce(total_max).unwrap()),
+                ]
+            })
+            .collect();
+
+        let group_exprs = [Expr::col(2)];
+        let types = agg_output_types(&[DataType::Str], &aggregates);
+        for threads in [1usize, 2, 4] {
+            let mut sinks: Vec<_> = (0..threads)
+                .map(|_| AggBuildSink {
+                    group_exprs: &group_exprs,
+                    aggregates: &aggregates,
+                    table: AggTable::new(&group_exprs, &aggregates, &TYPES),
+                })
+                .collect();
+            for (idx, batch) in batches.iter().enumerate() {
+                sinks[idx * threads / batches.len()].consume(batch.clone());
+            }
+            let tables = sinks.into_iter().map(|sink| sink.table).collect();
+            let got = merge_and_emit(tables, threads, 1, &types);
+            assert_rows_identical(&got, &expected, &format!("{threads} workers"));
+        }
     }
 
     fn group_by_g_and_k<'a>(input: BoxedOperator<'a>) -> HashAggregateOp<'a> {

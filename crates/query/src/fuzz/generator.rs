@@ -784,6 +784,9 @@ fn gen_join(rng: &mut Rng, catalog: &Catalog, depth: u32) -> Typed {
         JoinType::Inner => build.rows.saturating_mul(probe.rows),
         JoinType::ProbeSemi => probe.rows,
     };
+    // The draw that chose a join's early-probe flag before every join filtered:
+    // kept, so that every seed still generates the case it always has.
+    let _ = rng.chance(1, 3);
 
     Typed {
         node: Node::Join {
@@ -793,7 +796,6 @@ fn gen_join(rng: &mut Rng, catalog: &Catalog, depth: u32) -> Typed {
             probe: Box::new(probe.node),
             build_keys,
             probe_keys,
-            early_probe: rng.chance(1, 3),
         },
         cols,
         rows,

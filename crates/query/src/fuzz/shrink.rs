@@ -275,22 +275,19 @@ fn node_variants(node: &Node) -> Vec<Node> {
             probe,
             build_keys,
             probe_keys,
-            early_probe,
         } => {
             out.push((**build).clone());
             out.push((**probe).clone());
             let rebuild = |build: Box<Node>,
                            probe: Box<Node>,
                            build_keys: Vec<usize>,
-                           probe_keys: Vec<usize>,
-                           early_probe: bool| Node::Join {
+                           probe_keys: Vec<usize>| Node::Join {
                 pos: *pos,
                 join_type: *join_type,
                 build,
                 probe,
                 build_keys,
                 probe_keys,
-                early_probe,
             };
             if build_keys.len() > 1 {
                 for i in 0..build_keys.len() {
@@ -298,17 +295,8 @@ fn node_variants(node: &Node) -> Vec<Node> {
                     let mut pk = probe_keys.clone();
                     bk.remove(i);
                     pk.remove(i);
-                    out.push(rebuild(build.clone(), probe.clone(), bk, pk, *early_probe));
+                    out.push(rebuild(build.clone(), probe.clone(), bk, pk));
                 }
-            }
-            if *early_probe {
-                out.push(rebuild(
-                    build.clone(),
-                    probe.clone(),
-                    build_keys.clone(),
-                    probe_keys.clone(),
-                    false,
-                ));
             }
             for b in node_variants(build) {
                 out.push(rebuild(
@@ -316,7 +304,6 @@ fn node_variants(node: &Node) -> Vec<Node> {
                     probe.clone(),
                     build_keys.clone(),
                     probe_keys.clone(),
-                    *early_probe,
                 ));
             }
             for p in node_variants(probe) {
@@ -325,7 +312,6 @@ fn node_variants(node: &Node) -> Vec<Node> {
                     Box::new(p),
                     build_keys.clone(),
                     probe_keys.clone(),
-                    *early_probe,
                 ));
             }
         }

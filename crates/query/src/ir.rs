@@ -99,8 +99,6 @@ pub enum Node {
         build_keys: Vec<usize>,
         /// Key column positions in the probe output.
         probe_keys: Vec<usize>,
-        /// Enable the early-probe tag bitmap (Appendix E).
-        early_probe: bool,
     },
     /// Sort the full input, optionally keeping only the first `limit` tuples.
     Sort {
@@ -627,15 +625,7 @@ fn parse_node(json: &Json) -> Result<Node, IrError> {
             })
         }
         "join" => {
-            obj.check_keys(&[
-                "op",
-                "type",
-                "build",
-                "probe",
-                "build_keys",
-                "probe_keys",
-                "early_probe",
-            ])?;
+            obj.check_keys(&["op", "type", "build", "probe", "build_keys", "probe_keys"])?;
             let type_json = obj.require("type")?;
             let join_type = match as_str(type_json, "`type`")? {
                 "inner" => JoinType::Inner,
@@ -653,21 +643,6 @@ fn parse_node(json: &Json) -> Result<Node, IrError> {
                     .map(|k| as_index(k, "a key position"))
                     .collect()
             };
-            let early_probe = match obj.get("early_probe") {
-                None => false,
-                Some(json) => match json.value {
-                    JsonValue::Bool(b) => b,
-                    ref other => {
-                        return Err(IrError::schema(
-                            json.pos,
-                            format!(
-                                "`early_probe` must be a boolean, found {}",
-                                other.kind_name()
-                            ),
-                        ))
-                    }
-                },
-            };
             Ok(Node::Join {
                 pos,
                 join_type,
@@ -675,7 +650,6 @@ fn parse_node(json: &Json) -> Result<Node, IrError> {
                 probe: Box::new(parse_node(obj.require("probe")?)?),
                 build_keys: parse_keys("build_keys")?,
                 probe_keys: parse_keys("probe_keys")?,
-                early_probe,
             })
         }
         "sort" => {
@@ -1021,7 +995,6 @@ fn node_json(node: &Node) -> Json {
             probe,
             build_keys,
             probe_keys,
-            early_probe,
             ..
         } => {
             let keys = |ks: &[usize]| {
@@ -1029,7 +1002,7 @@ fn node_json(node: &Node) -> Json {
                     ks.iter().map(|&k| j(JsonValue::Int(k as i64))).collect(),
                 ))
             };
-            let mut fields = vec![
+            obj(vec![
                 ("op", j(JsonValue::Str("join".into()))),
                 (
                     "type",
@@ -1045,11 +1018,7 @@ fn node_json(node: &Node) -> Json {
                 ("probe", node_json(probe)),
                 ("build_keys", keys(build_keys)),
                 ("probe_keys", keys(probe_keys)),
-            ];
-            if *early_probe {
-                fields.push(("early_probe", j(JsonValue::Bool(true))));
-            }
-            obj(fields)
+            ])
         }
         Node::Sort {
             input, keys, limit, ..

@@ -241,7 +241,6 @@ enum PhysNode {
         probe: Box<PhysNode>,
         build_keys: Vec<usize>,
         probe_keys: Vec<usize>,
-        early_probe: bool,
         hash_probe: bool,
     },
     Sort {
@@ -387,7 +386,6 @@ fn build_operator<'a>(node: &PhysNode, db: &'a Database, config: ScanConfig) -> 
             probe,
             build_keys,
             probe_keys,
-            early_probe,
             hash_probe,
         } => {
             let (build, probe) = (
@@ -412,7 +410,7 @@ fn build_operator<'a>(node: &PhysNode, db: &'a Database, config: ScanConfig) -> 
                     *join_type,
                 )
             };
-            Box::new(join.with_early_probe(*early_probe))
+            Box::new(join)
         }
         PhysNode::Sort { input, keys, limit } => Box::new(SortOp::new(
             build_operator(input, db, config),
@@ -494,7 +492,6 @@ impl<'a> Planner<'a> {
                 probe,
                 build_keys,
                 probe_keys,
-                early_probe,
             } => {
                 let (build_phys, build_types) = self.plan_node(build)?;
                 let (probe_phys, probe_types) = self.plan_node(probe)?;
@@ -554,7 +551,6 @@ impl<'a> Planner<'a> {
                         probe: Box::new(probe_phys),
                         build_keys: build_keys.clone(),
                         probe_keys: probe_keys.clone(),
-                        early_probe: *early_probe,
                         hash_probe: false,
                     },
                     output_types,
@@ -1237,7 +1233,6 @@ fn display_tree(node: &PhysNode) -> DisplayNode {
             probe,
             build_keys,
             probe_keys,
-            early_probe,
             hash_probe,
         } => {
             let kind = match join_type {
@@ -1246,9 +1241,6 @@ fn display_tree(node: &PhysNode) -> DisplayNode {
             };
             let mut label =
                 format!("hash-join {kind} build_keys={build_keys:?} probe_keys={probe_keys:?}");
-            if *early_probe {
-                label.push_str(" early_probe");
-            }
             if *hash_probe {
                 label.push_str(" builds_on=probe");
             }

@@ -10,7 +10,7 @@
 //!                [ORDER BY order_item {, order_item}] [LIMIT int]
 //! select_list := '*' | select_item {, select_item}
 //! select_item := expr ['::' type] [AS ident]
-//! from_clause := table_ref { [SEMI] JOIN [EARLY] table_ref ON join_cond {AND join_cond} }
+//! from_clause := table_ref { [SEMI] JOIN table_ref ON join_cond {AND join_cond} }
 //! table_ref   := ident [AS ident] | '(' select_stmt ')' AS ident
 //! join_cond   := col_ref '=' col_ref
 //! pred        := ident (cmp_op literal | BETWEEN literal AND literal | IS [NOT] NULL)
@@ -107,12 +107,11 @@ pub(crate) struct JoinCond {
     pub right: ColRef,
 }
 
-/// One `[SEMI] JOIN [EARLY] table ON ...` clause.
+/// One `[SEMI] JOIN table ON ...` clause.
 #[derive(Debug, Clone, PartialEq)]
 pub(crate) struct JoinClause {
     pub pos: Pos,
     pub semi: bool,
-    pub early: bool,
     pub table: TableRef,
     pub conds: Vec<JoinCond>,
 }
@@ -286,7 +285,6 @@ impl Parser {
             } else {
                 break;
             };
-            let early = self.eat_keyword(Keyword::Early);
             let table = self.table_ref()?;
             self.expect_keyword(Keyword::On)?;
             let mut conds = vec![self.join_cond()?];
@@ -296,7 +294,6 @@ impl Parser {
             joins.push(JoinClause {
                 pos: join_pos,
                 semi,
-                early,
                 table,
                 conds,
             });
@@ -781,13 +778,11 @@ mod tests {
     }
 
     #[test]
-    fn semi_join_with_early_flag() {
+    fn semi_join_then_inner_join() {
         let stmt =
-            parse_statement("SELECT * FROM a SEMI JOIN b ON a.x = b.y JOIN EARLY c ON c1 = c2")
-                .unwrap();
+            parse_statement("SELECT * FROM a SEMI JOIN b ON a.x = b.y JOIN c ON c1 = c2").unwrap();
         assert_eq!(stmt.joins.len(), 2);
-        assert!(stmt.joins[0].semi && !stmt.joins[0].early);
-        assert!(!stmt.joins[1].semi && stmt.joins[1].early);
+        assert!(stmt.joins[0].semi && !stmt.joins[1].semi);
     }
 
     #[test]

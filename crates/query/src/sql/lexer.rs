@@ -84,7 +84,6 @@ pub(crate) enum Keyword {
     End,
     Join,
     Semi,
-    Early,
     On,
     Asc,
     Desc,
@@ -114,7 +113,6 @@ fn keyword(word: &str) -> Option<Keyword> {
         "END" => Keyword::End,
         "JOIN" => Keyword::Join,
         "SEMI" => Keyword::Semi,
-        "EARLY" => Keyword::Early,
         "ON" => Keyword::On,
         "ASC" => Keyword::Asc,
         "DESC" => Keyword::Desc,

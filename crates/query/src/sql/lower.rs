@@ -288,7 +288,6 @@ fn lower_select(
             probe: Box::new(probe_node),
             build_keys,
             probe_keys,
-            early_probe: join.early,
         };
         if join.semi {
             active = vec![right];

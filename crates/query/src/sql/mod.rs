@@ -198,7 +198,7 @@ mod tests {
             "SELECT a AS x, s FROM t PREWHERE a BETWEEN -3 AND 7 AND s IS NOT NULL",
             "SELECT a + 1 ::int AS y FROM t",
             "SELECT CASE WHEN a > 0 THEN b ELSE 0.0 END::double AS c FROM t",
-            "SELECT t.a, u.v FROM t JOIN EARLY u ON t.a = u.k",
+            "SELECT t.a, u.v FROM t JOIN u ON t.a = u.k",
             "SELECT a, b FROM t ORDER BY b DESC, a LIMIT 10",
             "SELECT sum(a * 2), avg(b), min(s), count(*) FROM t WHERE a <> 0 OR b >= 1.5",
             "SELECT a FROM t PREWHERE a > -9223372036854775808",

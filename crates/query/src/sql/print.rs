@@ -11,7 +11,7 @@
 //! * `project` → `SELECT <expr>::<ty> AS c0, ... FROM (<input>) AS t`;
 //! * `aggregate` → group keys then aggregate calls, each `::typed`, with
 //!   `GROUP BY c0, ...` naming the leading items;
-//! * `join` → `SELECT * FROM (<build>) AS b [SEMI ]JOIN [EARLY ](<probe>) AS p
+//! * `join` → `SELECT * FROM (<build>) AS b [SEMI ]JOIN (<probe>) AS p
 //!   ON b.cI = p.cJ [AND ...]`;
 //! * `sort` → `SELECT * FROM (<input>) AS t ORDER BY cK [DESC], ... [LIMIT n]`.
 //!
@@ -143,18 +143,16 @@ fn print_node(node: &Node) -> String {
             probe,
             build_keys,
             probe_keys,
-            early_probe,
             ..
         } => {
             let mut s = format!(
-                "SELECT * FROM ({}) AS b {}JOIN {}({}) AS p ON ",
+                "SELECT * FROM ({}) AS b {}JOIN ({}) AS p ON ",
                 print_node(build),
                 if *join_type == exec::ops::JoinType::ProbeSemi {
                     "SEMI "
                 } else {
                     ""
                 },
-                if *early_probe { "EARLY " } else { "" },
                 print_node(probe),
             );
             for (idx, (bk, pk)) in build_keys.iter().zip(probe_keys).enumerate() {

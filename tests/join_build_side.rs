@@ -2,9 +2,10 @@
 //!
 //! The planner hashes an inner join's logical probe side when block metadata
 //! estimates it to be less than half the build side, and only under a parent
-//! that cannot see row order. Three pins:
+//! that cannot see row order. Four pins:
 //! * `HashJoinOp` turned around (probe hashed, probe columns emitted first)
 //!   yields the same rows, as a multiset, and the same output types;
+//! * the tag filter every join probes through changes no row and no row order;
 //! * the planner's rule table, over TPC-H and over a small synthetic catalog,
 //!   where each synthetic case also runs the full differential against the
 //!   reference interpreter;
@@ -97,6 +98,95 @@ fn a_join_hashing_its_probe_side_emits_the_same_rows_and_types() {
                 assert!(a.len() > build.len(), "duplicate keys multiply matches");
             } else {
                 assert_eq!(a.len(), 0, "{name}");
+            }
+        }
+    }
+}
+
+/// Rows and types equal, row by row in order, doubles by bit pattern.
+fn assert_identical(got: &Batch, want: &Batch, context: &str) {
+    assert_eq!(got.types(), want.types(), "{context}");
+    assert_eq!(got.len(), want.len(), "{context}");
+    for row in 0..want.len() {
+        let (have, expect) = (got.row(row), want.row(row));
+        assert_eq!(have, expect, "{context} row {row}");
+        for (h, w) in have.iter().zip(&expect) {
+            if let (Value::Double(h), Value::Double(w)) = (h, w) {
+                assert_eq!(h.to_bits(), w.to_bits(), "{context} row {row}");
+            }
+        }
+    }
+}
+
+/// Every join probes through a tag filter of the build keys' hashes; turned off
+/// (`with_early_probe(false)`) it passes every probe row to the hash table. Both
+/// must emit the same rows in the same order, inner and semi, written and turned
+/// around: for probe keys none of which is a build key (the filter passes few or
+/// no rows), all of which are, NULL keys (never joined, whether or not their hash
+/// passes the filter), a two-column key, and an empty build side.
+#[test]
+fn the_tag_filter_emits_what_a_probe_of_every_row_emits() {
+    let types = [DataType::Int, DataType::Int, DataType::Double];
+    let row = |k1: Option<i64>, k2: i64, i: i64| {
+        let k1 = k1.map_or(Value::Null, Value::Int);
+        vec![k1, Value::Int(k2), Value::Double(i as f64 * 0.25 - 1.0)]
+    };
+    // build: k1 in 0, 3, …, 297 (twice each, k2 0 and 1) and every 17th k1 NULL
+    let build: Vec<Vec<Value>> = (0..200)
+        .map(|i| row((i % 17 != 0).then_some(i / 2 * 3), i % 2, i))
+        .collect();
+    let misses: Vec<_> = (0..500).map(|i| row(Some(1_000 + i), 0, i)).collect();
+    let hits: Vec<_> = (0..500).map(|i| row(Some(i % 100 * 3), i % 2, i)).collect();
+    let nulls: Vec<_> = (0..500)
+        .map(|i| row((i % 3 != 0).then_some(i % 100 * 3), i % 2, i))
+        .collect();
+    let pairs: Vec<_> = (0..500).map(|i| row(Some(i % 120 * 3), i % 3, i)).collect();
+    let none = Vec::new();
+    let cases = [
+        ("no probe key in the build", &build, &misses, vec![0]),
+        ("every probe key in the build", &build, &hits, vec![0]),
+        ("NULL probe keys", &build, &nulls, vec![0]),
+        ("a two-column key", &build, &pairs, vec![0, 1]),
+        ("an empty build side", &none, &hits, vec![0]),
+    ];
+    for (name, build, probe, keys) in cases {
+        for join_type in [JoinType::Inner, JoinType::ProbeSemi] {
+            let written = |filter: bool| {
+                let join = HashJoinOp::new(
+                    values(&types, build),
+                    values(&types, probe),
+                    keys.clone(),
+                    keys.clone(),
+                    join_type,
+                );
+                collect_operator(&mut join.with_early_probe(filter))
+            };
+            let context = format!("{name}, {join_type:?}");
+            let want = written(false);
+            assert_identical(&written(true), &want, &context);
+            let matched = !name.starts_with("no probe") && !name.ends_with("empty build side");
+            assert_eq!(want.is_empty(), !matched, "{context}");
+            let probe_k1 = if join_type == JoinType::Inner { 3 } else { 0 };
+            for r in 0..want.len() {
+                assert!(
+                    !want.value(r, probe_k1).is_null(),
+                    "{context}: a NULL key joined"
+                );
+            }
+            if join_type == JoinType::Inner {
+                let turned = |filter: bool| {
+                    let join = HashJoinOp::new(
+                        values(&types, probe),
+                        values(&types, build),
+                        keys.clone(),
+                        keys.clone(),
+                        join_type,
+                    );
+                    collect_operator(&mut join.with_probe_columns_first().with_early_probe(filter))
+                };
+                let context = format!("{context}, turned around");
+                assert_identical(&turned(true), &turned(false), &context);
+                assert_eq!(sorted_rows(&turned(true)), sorted_rows(&want), "{context}");
             }
         }
     }

@@ -9,6 +9,7 @@
 
 mod common;
 
+use std::sync::mpsc::RecvTimeoutError;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -23,7 +24,8 @@ use data_blocks::storage::{BlockStore, ColumnDef, Database, Relation, Schema, Sp
 const THREAD_COUNTS: &[usize] = &[1, 2, 4, 8];
 
 /// Run `body` on a watchdog thread: a deadlock in the streaming machinery fails
-/// the test with a timeout instead of wedging the whole suite.
+/// the test with a timeout instead of wedging the whole suite. A panic in `body`
+/// drops the sender at once; it is re-raised here as it was, not as a timeout.
 fn with_timeout<T: Send + 'static>(secs: u64, body: impl FnOnce() -> T + Send + 'static) -> T {
     let (tx, rx) = std::sync::mpsc::channel();
     let handle = std::thread::spawn(move || {
@@ -34,7 +36,13 @@ fn with_timeout<T: Send + 'static>(secs: u64, body: impl FnOnce() -> T + Send + 
             handle.join().expect("test body panicked");
             value
         }
-        Err(_) => panic!("timed out after {secs}s — streaming scan deadlocked?"),
+        Err(RecvTimeoutError::Disconnected) => match handle.join() {
+            Err(payload) => std::panic::resume_unwind(payload),
+            Ok(()) => unreachable!("the body returned without sending its value"),
+        },
+        Err(RecvTimeoutError::Timeout) => {
+            panic!("timed out after {secs}s — streaming scan deadlocked?")
+        }
     }
 }
 
