@@ -208,7 +208,8 @@ fn fill(data: &mut ColumnData, value: &Value, n: usize) -> bool {
 /// Bring `out`'s validity up to date after a fast path appended the payload of
 /// `rows` from `start` on: the attribute's validity `valid` at `rows`, with the
 /// type's default written under each NULL. A bitmap appears only once a NULL does.
-fn append_validity(out: &mut Column, start: usize, valid: Option<&Bitmap>, rows: Rows<'_>) {
+/// A hot chunk's gather shares it with the unpack loops.
+pub fn append_validity(out: &mut Column, start: usize, valid: Option<&Bitmap>, rows: Rows<'_>) {
     let Some(valid) = valid else {
         if let Some(validity) = &mut out.validity {
             validity.fill_to(start + rows.positions.len(), true);

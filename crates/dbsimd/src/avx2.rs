@@ -13,9 +13,10 @@
 //!   match vector using the table entry as a shuffle control mask
 //!   (`vpermd`), exactly as sketched in Figure 7(b).
 //!
-//! All comparisons are on *unsigned* code words. AVX2 only provides signed compares
-//! for 64-bit lanes, so those are biased by `1 << 63` first; the narrower widths use
-//! the `min/max + compare-equal` idiom which is unsigned by construction.
+//! The 1-, 2- and 4-byte code words compare unsigned, by the `min/max +
+//! compare-equal` idiom which is unsigned by construction. 8-byte words compare by
+//! AVX2's signed 64-bit compare: `i64` words directly, `u64` code words biased by
+//! `1 << 63` first.
 //!
 //! # Safety
 //!
@@ -26,7 +27,7 @@
 #![allow(clippy::missing_safety_doc)] // module-level safety contract documented above
 
 use crate::postable::{COUNTS_4, COUNTS_8, POSITIONS_4_I32, POSITIONS_8_I32};
-use crate::predicate::RangePredicate;
+use crate::predicate::{CodeWord, RangePredicate};
 use crate::scalar;
 
 #[cfg(target_arch = "x86_64")]
@@ -200,10 +201,10 @@ pub unsafe fn find_matches_u32(
 }
 
 // ---------------------------------------------------------------------------------
-// find matches: u64
+// find matches: u64 and i64
 // ---------------------------------------------------------------------------------
 
-/// AVX2 find-matches kernel for 8-byte code words (4 lanes per iteration).
+/// AVX2 find-matches kernel for unsigned 8-byte code words (4 lanes per iteration).
 #[target_feature(enable = "avx2")]
 pub unsafe fn find_matches_u64(
     data: &[u64],
@@ -211,6 +212,31 @@ pub unsafe fn find_matches_u64(
     base: u32,
     out: &mut Vec<u32>,
 ) -> usize {
+    find_matches_64(data, pred, i64::MIN, base, out)
+}
+
+/// AVX2 find-matches kernel for signed 8-byte words (4 lanes per iteration).
+#[target_feature(enable = "avx2")]
+pub unsafe fn find_matches_i64(
+    data: &[i64],
+    pred: &RangePredicate<i64>,
+    base: u32,
+    out: &mut Vec<u32>,
+) -> usize {
+    find_matches_64(data, pred, 0, base, out)
+}
+
+/// The 8-byte find kernel: the words' bits are XORed with `bias` and compared
+/// signed, so `i64::MIN` compares unsigned words and `0` signed ones.
+#[target_feature(enable = "avx2")]
+unsafe fn find_matches_64<T: CodeWord>(
+    data: &[T],
+    pred: &RangePredicate<T>,
+    bias: i64,
+    base: u32,
+    out: &mut Vec<u32>,
+) -> usize {
+    debug_assert_eq!(std::mem::size_of::<T>(), 8);
     if pred.is_empty() {
         return 0;
     }
@@ -218,10 +244,9 @@ pub unsafe fn find_matches_u64(
     let ptr = out.as_mut_ptr().add(start);
     let mut w = 0usize;
 
-    // AVX2 only has signed 64-bit compares: bias by 1 << 63 to compare unsigned.
-    let bias = _mm256_set1_epi64x(i64::MIN);
-    let lo = _mm256_xor_si256(_mm256_set1_epi64x(pred.lo as i64), bias);
-    let hi = _mm256_xor_si256(_mm256_set1_epi64x(pred.hi as i64), bias);
+    let bias = _mm256_set1_epi64x(bias);
+    let lo = _mm256_xor_si256(_mm256_set1_epi64x(pred.lo.as_u64() as i64), bias);
+    let hi = _mm256_xor_si256(_mm256_set1_epi64x(pred.hi.as_u64() as i64), bias);
     let n = data.len();
     let simd_iters = n / 4;
 
@@ -301,7 +326,8 @@ pub unsafe fn reduce_matches_u32(
     w
 }
 
-/// AVX2 reduce-matches kernel for 8-byte code words (4-wide 64-bit gathers).
+/// AVX2 reduce-matches kernel for unsigned 8-byte code words (4-wide 64-bit
+/// gathers).
 #[target_feature(enable = "avx2")]
 pub unsafe fn reduce_matches_u64(
     data: &[u64],
@@ -309,14 +335,38 @@ pub unsafe fn reduce_matches_u64(
     base: u32,
     matches: &mut Vec<u32>,
 ) -> usize {
+    reduce_matches_64(data, pred, i64::MIN, base, matches)
+}
+
+/// AVX2 reduce-matches kernel for signed 8-byte words (4-wide 64-bit gathers).
+#[target_feature(enable = "avx2")]
+pub unsafe fn reduce_matches_i64(
+    data: &[i64],
+    pred: &RangePredicate<i64>,
+    base: u32,
+    matches: &mut Vec<u32>,
+) -> usize {
+    reduce_matches_64(data, pred, 0, base, matches)
+}
+
+/// The 8-byte reduce kernel, comparing as [`find_matches_64`] does.
+#[target_feature(enable = "avx2")]
+unsafe fn reduce_matches_64<T: CodeWord>(
+    data: &[T],
+    pred: &RangePredicate<T>,
+    bias: i64,
+    base: u32,
+    matches: &mut Vec<u32>,
+) -> usize {
+    debug_assert_eq!(std::mem::size_of::<T>(), 8);
     if pred.is_empty() {
         matches.clear();
         return 0;
     }
     let n = matches.len();
-    let bias = _mm256_set1_epi64x(i64::MIN);
-    let lo = _mm256_xor_si256(_mm256_set1_epi64x(pred.lo as i64), bias);
-    let hi = _mm256_xor_si256(_mm256_set1_epi64x(pred.hi as i64), bias);
+    let bias = _mm256_set1_epi64x(bias);
+    let lo = _mm256_xor_si256(_mm256_set1_epi64x(pred.lo.as_u64() as i64), bias);
+    let hi = _mm256_xor_si256(_mm256_set1_epi64x(pred.hi.as_u64() as i64), bias);
     let base_v = _mm_set1_epi32(base as i32);
     let ptr = matches.as_mut_ptr();
 
@@ -332,14 +382,17 @@ pub unsafe fn reduce_matches_u64(
         let out_of_range = _mm256_or_si256(lt_lo, gt_hi);
         let mask = (!(_mm256_movemask_pd(_mm256_castsi256_pd(out_of_range)) as usize)) & 0b1111;
 
-        // Compact the 4 positions scalar-wise: the table tells us which lanes survive.
-        let mut lanes = [0u32; 4];
-        _mm_storeu_si128(lanes.as_mut_ptr() as *mut __m128i, pos);
-        let count = COUNTS_4[mask] as usize;
-        for k in 0..count {
-            *ptr.add(w + k) = lanes[POSITIONS_4_I32[mask][k] as usize];
-        }
-        w += count;
+        // Compact as the 4-byte kernel does: the table entry of the 4-bit mask
+        // moves the surviving positions to the front, a store writes all four
+        // over the write cursor (which never passes the read cursor). A loop over
+        // the survivors instead mispredicts at every change of their count.
+        let control = _mm256_loadu_si256(POSITIONS_8_I32[mask].as_ptr() as *const __m256i);
+        let compacted = _mm256_permutevar8x32_epi32(_mm256_castsi128_si256(pos), control);
+        _mm_storeu_si128(
+            ptr.add(w) as *mut __m128i,
+            _mm256_castsi256_si128(compacted),
+        );
+        w += COUNTS_4[mask] as usize;
     }
 
     for r in simd_iters * 4..n {

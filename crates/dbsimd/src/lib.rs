@@ -20,9 +20,11 @@
 //!
 //! All predicates are normalised to an inclusive [`RangePredicate`] (`lo <= x <= hi`),
 //! which covers every SARGable comparison (`=`, `<`, `<=`, `>`, `>=`, `between`) on
-//! unsigned code words. Data Blocks always store compressed data as unsigned 1-, 2-,
-//! 4- or 8-byte integers, so these four widths are the only ones the kernels support;
-//! everything else falls back to scalar evaluation in the execution layer.
+//! integer words. Data Blocks always store compressed data as unsigned 1-, 2-, 4- or
+//! 8-byte integers, and a hot chunk stores an integer attribute as plain `i64`s, so
+//! the kernels support those five types ([`ScanWord`]), comparing the unsigned ones
+//! unsigned and `i64` signed; everything else (doubles, strings) is evaluated by
+//! scalar loops in the storage layer.
 //!
 //! ```
 //! use dbsimd::{find_matches, reduce_matches, IsaLevel, RangePredicate};

@@ -1,6 +1,6 @@
 //! SARGable predicate representation.
 //!
-//! All SARGable comparisons on integer code words (`=`, `<`, `<=`, `>`, `>=`,
+//! All SARGable comparisons on integer words (`=`, `<`, `<=`, `>`, `>=`,
 //! `between`) are normalised into an inclusive [`RangePredicate`] `lo <= x <= hi`.
 //! This is the only shape the SIMD kernels need to understand: an equality becomes a
 //! degenerate range, a one-sided comparison saturates the other bound at the domain
@@ -50,7 +50,8 @@ impl CmpOp {
     }
 }
 
-/// Marker trait for the unsigned code-word types the kernels operate on.
+/// Marker trait for the integer word types the kernels operate on: the unsigned
+/// code words of Data Blocks and the signed `i64` payload of hot chunks.
 pub trait CodeWord: Copy + Ord + std::fmt::Debug {
     /// Smallest representable value.
     const MIN_VALUE: Self;
@@ -60,7 +61,8 @@ pub trait CodeWord: Copy + Ord + std::fmt::Debug {
     fn saturating_next(self) -> Self;
     /// `self - 1` saturating at the domain minimum.
     fn saturating_prev(self) -> Self;
-    /// Widening conversion to `u64` (used for PSMA deltas and diagnostics).
+    /// Widening conversion to `u64` (used for PSMA deltas and diagnostics); an
+    /// `i64` keeps its bits.
     fn as_u64(self) -> u64;
 }
 
@@ -79,9 +81,9 @@ macro_rules! impl_code_word {
     )*};
 }
 
-impl_code_word!(u8, u16, u32, u64);
+impl_code_word!(u8, u16, u32, u64, i64);
 
-/// An inclusive range predicate `lo <= x <= hi` over integer code words.
+/// An inclusive range predicate `lo <= x <= hi` over integer words.
 ///
 /// Empty ranges (`lo > hi`) are representable and match nothing; they arise naturally
 /// when a scan restriction contradicts a block's SMA or dictionary domain.

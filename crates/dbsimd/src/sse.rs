@@ -2,7 +2,8 @@
 //!
 //! These exist to reproduce the "SSE" series of the paper's Figure 8. They use the
 //! same movemask → positions-table conversion as the AVX2 kernels, with half the lane
-//! count. Reduce-matches has no SSE variant (the paper evaluates reduce only for
+//! count. The 8-byte kernels need SSE4.2's 64-bit compare and check for it at
+//! runtime. Reduce-matches has no SSE variant (the paper evaluates reduce only for
 //! scalar vs AVX2, Figure 9), so SSE callers fall back to the scalar reduce kernel.
 //!
 //! # Safety
@@ -13,7 +14,7 @@
 #![allow(clippy::missing_safety_doc)]
 
 use crate::postable::{COUNTS_4, COUNTS_8, POSITIONS_4_I32, POSITIONS_8_I32};
-use crate::predicate::RangePredicate;
+use crate::predicate::{CodeWord, RangePredicate};
 use crate::scalar;
 
 #[cfg(target_arch = "x86_64")]
@@ -156,18 +157,87 @@ pub unsafe fn find_matches_u32(
     w + tail
 }
 
-/// SSE find-matches for 8-byte code words.
+/// SSE find-matches kernel for unsigned 8-byte code words (2 lanes per iteration).
 ///
-/// With only two lanes per 128-bit register the SIMD benefit disappears (the paper
-/// notes SSE parallelism is "too small to recognize performance benefits" for 64-bit
-/// values), so this simply delegates to the scalar kernel.
-pub fn find_matches_u64(
+/// The compare is SSE4.2's `pcmpgtq`; on a CPU with SSE4.1 only the call runs
+/// the scalar kernel.
+pub unsafe fn find_matches_u64(
     data: &[u64],
     pred: &RangePredicate<u64>,
     base: u32,
     out: &mut Vec<u32>,
 ) -> usize {
-    scalar::find_matches_scalar(data, pred, base, out)
+    find_matches_64(data, pred, i64::MIN, base, out)
+}
+
+/// SSE find-matches kernel for signed 8-byte words (2 lanes per iteration), under
+/// the same SSE4.2 condition as [`find_matches_u64`].
+pub unsafe fn find_matches_i64(
+    data: &[i64],
+    pred: &RangePredicate<i64>,
+    base: u32,
+    out: &mut Vec<u32>,
+) -> usize {
+    find_matches_64(data, pred, 0, base, out)
+}
+
+/// Run [`find_matches_64_sse42`] where the CPU has SSE4.2, else the scalar kernel.
+unsafe fn find_matches_64<T: CodeWord>(
+    data: &[T],
+    pred: &RangePredicate<T>,
+    bias: i64,
+    base: u32,
+    out: &mut Vec<u32>,
+) -> usize {
+    if std::arch::is_x86_feature_detected!("sse4.2") {
+        // SAFETY: the kernel's one target feature was detected just above.
+        find_matches_64_sse42(data, pred, bias, base, out)
+    } else {
+        scalar::find_matches_scalar(data, pred, base, out)
+    }
+}
+
+/// The 8-byte find kernel: the words' bits are XORed with `bias` and compared
+/// signed, so `i64::MIN` compares unsigned words and `0` signed ones.
+#[target_feature(enable = "sse4.2")]
+unsafe fn find_matches_64_sse42<T: CodeWord>(
+    data: &[T],
+    pred: &RangePredicate<T>,
+    bias: i64,
+    base: u32,
+    out: &mut Vec<u32>,
+) -> usize {
+    debug_assert_eq!(std::mem::size_of::<T>(), 8);
+    if pred.is_empty() {
+        return 0;
+    }
+    let start = prepare_out(out, data.len(), 4);
+    let ptr = out.as_mut_ptr().add(start);
+    let mut w = 0usize;
+
+    let bias = _mm_set1_epi64x(bias);
+    let lo = _mm_xor_si128(_mm_set1_epi64x(pred.lo.as_u64() as i64), bias);
+    let hi = _mm_xor_si128(_mm_set1_epi64x(pred.hi.as_u64() as i64), bias);
+    let simd_iters = data.len() / 2;
+
+    for i in 0..simd_iters {
+        let scan_pos = (i * 2) as u32;
+        let raw = _mm_loadu_si128(data.as_ptr().add(i * 2) as *const __m128i);
+        let v = _mm_xor_si128(raw, bias);
+        let out_of_range = _mm_or_si128(_mm_cmpgt_epi64(lo, v), _mm_cmpgt_epi64(v, hi));
+        let mask = (!(_mm_movemask_pd(_mm_castsi128_pd(out_of_range)) as usize)) & 0b11;
+
+        let entry = _mm_loadu_si128(POSITIONS_4_I32[mask].as_ptr() as *const __m128i);
+        let positions = _mm_add_epi32(entry, _mm_set1_epi32((base + scan_pos) as i32));
+        _mm_storeu_si128(ptr.add(w) as *mut __m128i, positions);
+        w += COUNTS_4[mask] as usize;
+    }
+    out.set_len(start + w);
+
+    let tail_start = simd_iters * 2;
+    let tail =
+        scalar::find_matches_scalar(&data[tail_start..], pred, base + tail_start as u32, out);
+    w + tail
 }
 
 #[cfg(test)]
@@ -240,13 +310,31 @@ mod tests {
     }
 
     #[test]
-    fn sse_u64_delegates_to_scalar() {
-        let data: Vec<u64> = (0..100).collect();
-        let pred = RangePredicate::between(10u64, 20);
-        let mut expected = Vec::new();
-        find_matches_scalar(&data, &pred, 0, &mut expected);
-        let mut got = Vec::new();
-        find_matches_u64(&data, &pred, 0, &mut got);
-        assert_eq!(got, expected);
+    fn sse_u64_and_i64_match_scalar_oracle() {
+        if !sse_available() {
+            return;
+        }
+        let mut data: Vec<u64> = data_u32(2_001, u32::MAX)
+            .iter()
+            .map(|&v| (v as u64) << 32 | v as u64)
+            .collect();
+        data.extend_from_slice(&[0, 1, u64::MAX, 1 << 63, (1 << 63) - 1]);
+        for (lo, hi) in [(0u64, u64::MAX), (1 << 62, 1 << 63), (u64::MAX, 0)] {
+            let pred = RangePredicate::between(lo, hi);
+            let mut expected = Vec::new();
+            find_matches_scalar(&data, &pred, 5, &mut expected);
+            let mut got = Vec::new();
+            unsafe { find_matches_u64(&data, &pred, 5, &mut got) };
+            assert_eq!(got, expected, "u64 lo={lo} hi={hi}");
+        }
+        let signed: Vec<i64> = data.iter().map(|&v| v as i64).collect();
+        for (lo, hi) in [(i64::MIN, i64::MAX), (-5, 1 << 40), (i64::MIN, -1), (1, -1)] {
+            let pred = RangePredicate::between(lo, hi);
+            let mut expected = Vec::new();
+            find_matches_scalar(&signed, &pred, 5, &mut expected);
+            let mut got = Vec::new();
+            unsafe { find_matches_i64(&signed, &pred, 5, &mut got) };
+            assert_eq!(got, expected, "i64 lo={lo} hi={hi}");
+        }
     }
 }

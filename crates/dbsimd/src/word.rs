@@ -4,10 +4,11 @@ use crate::predicate::{CodeWord, RangePredicate};
 use crate::scalar;
 use crate::IsaLevel;
 
-/// The code-word widths supported by the SIMD kernels (1-, 2-, 4- and 8-byte unsigned
-/// integers — exactly the widths Data Blocks compress attributes into).
+/// The word types supported by the SIMD kernels: 1-, 2-, 4- and 8-byte unsigned
+/// integers — exactly the widths Data Blocks compress attributes into — and `i64`,
+/// the payload of a hot chunk's integer attribute.
 ///
-/// The trait is sealed: the kernels are hand-written per width and the set of widths
+/// The trait is sealed: the kernels are hand-written per type and the set of types
 /// is fixed by the storage format.
 pub trait ScanWord: CodeWord + sealed::Sealed {
     /// Dispatch a find-matches call to the kernel for the requested ISA level.
@@ -35,6 +36,7 @@ mod sealed {
     impl Sealed for u16 {}
     impl Sealed for u32 {}
     impl Sealed for u64 {}
+    impl Sealed for i64 {}
 }
 
 macro_rules! impl_scan_word {
@@ -104,29 +106,23 @@ impl_scan_word!(
     Some(crate::avx2::reduce_matches_u32)
 );
 
-// SSE u64 find is a plain (safe) scalar delegate, so wrap it to match the unsafe ABI
-// expected by the macro.
-#[cfg(target_arch = "x86_64")]
-unsafe fn sse_find_u64(
-    data: &[u64],
-    pred: &RangePredicate<u64>,
-    base: u32,
-    out: &mut Vec<u32>,
-) -> usize {
-    crate::sse::find_matches_u64(data, pred, base, out)
-}
-
 impl_scan_word!(
     u64,
-    sse_find_u64,
+    crate::sse::find_matches_u64,
     crate::avx2::find_matches_u64,
     Some(crate::avx2::reduce_matches_u64)
+);
+impl_scan_word!(
+    i64,
+    crate::sse::find_matches_i64,
+    crate::avx2::find_matches_i64,
+    Some(crate::avx2::reduce_matches_i64)
 );
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{find_matches, reduce_matches};
+    use crate::{find_matches, reduce_matches, CmpOp};
 
     fn gen_u32(n: usize, modulus: u32) -> Vec<u32> {
         let mut x = 0xACE1u32;
@@ -167,5 +163,47 @@ mod tests {
         check_all_isas::<u32>(&d32, RangePredicate::between(10_000, 200_000));
         let d64: Vec<u64> = d32.iter().map(|&v| v as u64 * 1_000_003).collect();
         check_all_isas::<u64>(&d64, RangePredicate::at_least(50_000_000));
+    }
+
+    #[test]
+    fn i64_compares_signed_at_every_isa() {
+        // Spread over the whole i64 range, both signs, with the extremes and the
+        // values next to zero.
+        let mut data: Vec<i64> = gen_u32(3_001, u32::MAX)
+            .iter()
+            .map(|&v| (v as i64 - (1 << 31)) << 32 | v as i64)
+            .collect();
+        data.extend_from_slice(&[i64::MIN, i64::MIN + 1, -2, -1, 0, 1, 2, i64::MAX - 1]);
+        data.extend_from_slice(&[i64::MAX, 0, -1, 1, i64::MIN]);
+        let lt = |t: i64| RangePredicate::from_cmp(CmpOp::Lt, t).unwrap();
+        let gt = |t: i64| RangePredicate::from_cmp(CmpOp::Gt, t).unwrap();
+        for pred in [
+            RangePredicate::all(),
+            RangePredicate::empty(),
+            RangePredicate::equals(i64::MIN),
+            RangePredicate::equals(i64::MAX),
+            RangePredicate::equals(0),
+            RangePredicate::between(-1, 1),
+            RangePredicate::between(-(1 << 40), 1 << 40),
+            RangePredicate::between(i64::MIN, -1),
+            RangePredicate::between(0, i64::MAX),
+            // `< t` is `[i64::MIN, t - 1]`, `> t` is `[t + 1, i64::MAX]`
+            lt(0),
+            lt(1),
+            lt(i64::MIN + 1),
+            lt(i64::MAX),
+            gt(-1),
+            gt(i64::MIN),
+            gt(i64::MAX - 1),
+        ] {
+            let naive: Vec<u32> = (0..data.len() as u32)
+                .filter(|&i| pred.lo <= data[i as usize] && data[i as usize] <= pred.hi)
+                .collect();
+            let mut scalar = Vec::new();
+            scalar::find_matches_scalar(&data, &pred, 0, &mut scalar);
+            assert_eq!(scalar, naive, "{pred:?}");
+            check_all_isas::<i64>(&data, pred);
+        }
+        assert!(lt(i64::MIN).is_empty() && gt(i64::MAX).is_empty());
     }
 }

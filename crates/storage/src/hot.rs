@@ -2,14 +2,22 @@
 //!
 //! Hot chunks keep plain columnar vectors with no SMAs, PSMAs or compression:
 //! maintaining those under OLTP updates would cost more than it saves (Section 3).
-//! OLTP inserts append here; scans over hot chunks evaluate SARGable predicates with
-//! branch-free vector-at-a-time code and copy matching attributes into temporary
-//! vectors, exactly like the "interpreted vectorized scan on uncompressed chunk" box
-//! of Figure 6.
+//! OLTP inserts append here; scans over hot chunks evaluate SARGable predicates
+//! vector at a time and copy matching attributes into temporary vectors, exactly
+//! like the "interpreted vectorized scan on uncompressed chunk" box of Figure 6.
+//! Both steps of a scan — the first restriction's *find* and every further one's
+//! *reduce* — run on the typed payload wherever the restriction is a range of the
+//! attribute's type: `i64` attributes through the [`dbsimd`] kernels, doubles and
+//! strings by branch-free loops over the slice. Only what is no range in the type
+//! (`<>`, a `Double` bound on an `Int` attribute) is read back row by row as a
+//! [`Value`].
+
+use std::ops::{Bound, RangeBounds};
 
 use datablocks::scan::{Inclusive, Restriction};
-use datablocks::unpack::Rows;
-use datablocks::{Bitmap, Column, Value};
+use datablocks::unpack::{append_validity, Rows};
+use datablocks::{Bitmap, Column, ColumnData, IsaLevel, Value};
+use dbsimd::RangePredicate;
 
 use crate::schema::Schema;
 
@@ -141,8 +149,10 @@ impl HotChunk {
     }
 
     /// Evaluate `restrictions` over the window `[from, to)` and append the matching
-    /// row indexes to `matches`. Branch-free where possible, one restriction at a
-    /// time (find, then reduce), skipping deleted rows.
+    /// row indexes to `matches`, ascending, skipping deleted rows. One restriction
+    /// at a time: the first finds its rows in the window, every further one reduces
+    /// them. Both steps read the typed payload (see the module docs), and every
+    /// answer is, row for row, what [`Restriction::matches_value`] keeps.
     pub fn find_matches(
         &self,
         restrictions: &[Restriction],
@@ -151,85 +161,104 @@ impl HotChunk {
         matches: &mut Vec<u32>,
     ) -> usize {
         debug_assert!(to <= self.len());
-        let start = matches.len();
+        if !matches.is_empty() {
+            // The reduce kernels shrink a whole match vector: start a new one.
+            let mut found = Vec::new();
+            self.find_matches(restrictions, from, to, &mut found);
+            matches.extend_from_slice(&found);
+            return found.len();
+        }
         match restrictions.split_first() {
             None => matches.extend(from as u32..to as u32),
             Some((first, rest)) => {
-                self.find_initial(first, from, to, matches);
+                self.find(first, from, to, matches);
                 for restriction in rest {
-                    if matches.len() == start {
+                    if matches.is_empty() {
                         break;
                     }
-                    self.reduce(restriction, start, matches);
+                    self.reduce(restriction, matches);
                 }
             }
         }
         if self.deleted.count_ones() > 0 {
-            let deleted = &self.deleted;
-            let mut w = start;
-            for r in start..matches.len() {
-                let pos = matches[r];
-                matches[w] = pos;
-                w += !deleted.get(pos as usize) as usize;
+            retain(matches, |row| !self.deleted.get(row));
+        }
+        matches.len()
+    }
+
+    /// Append the rows of `[from, to)` that pass `restriction` to the empty `out`:
+    /// an `i64` range by the dbsimd find kernel, anything else as a reduce of the
+    /// whole window.
+    fn find(&self, restriction: &Restriction, from: usize, to: usize, out: &mut Vec<u32>) {
+        let column = &self.columns[restriction.column()];
+        match (&column.data, restriction.int_bounds()) {
+            (ColumnData::Int(values), Inclusive::Range(lo, hi)) => {
+                let pred = RangePredicate::between(lo, hi);
+                // The ISA level a default `ScanOptions` scans at.
+                let isa = IsaLevel::detect();
+                dbsimd::find_matches(isa, &values[from..to], &pred, from as u32, out);
+                retain_valid(column, out);
             }
-            matches.truncate(w);
-        }
-        matches.len() - start
-    }
-
-    fn find_initial(&self, restriction: &Restriction, from: usize, to: usize, out: &mut Vec<u32>) {
-        let column = &self.columns[restriction.column()];
-        // Branch-free find over the typed payload where the restriction is a
-        // range of the attribute's type.
-        let found = column.validity.is_none()
-            && match &column.data {
-                datablocks::ColumnData::Int(values) => {
-                    find_within(&values[from..to], restriction.int_bounds(), from, out)
-                }
-                datablocks::ColumnData::Double(values) => {
-                    find_within(&values[from..to], restriction.double_bounds(), from, out)
-                }
-                _ => false,
-            };
-        if !found {
-            self.find_generic(restriction, from, to, out);
-        }
-    }
-
-    fn find_generic(&self, restriction: &Restriction, from: usize, to: usize, out: &mut Vec<u32>) {
-        let column = &self.columns[restriction.column()];
-        for row in from..to {
-            if restriction.matches_value(&column.get(row)) {
-                out.push(row as u32);
+            _ => {
+                out.extend(from as u32..to as u32);
+                self.reduce(restriction, out);
             }
         }
     }
 
-    fn reduce(&self, restriction: &Restriction, start: usize, matches: &mut Vec<u32>) {
+    /// Keep the `matches` whose row passes `restriction`. A range of the
+    /// attribute's type compares the payload and ANDs in the validity (NULL
+    /// matches no range), a NULL test reads the validity alone, and only what is
+    /// no range in the type builds a [`Value`] per row.
+    fn reduce(&self, restriction: &Restriction, matches: &mut Vec<u32>) {
         let column = &self.columns[restriction.column()];
-        let mut w = start;
-        for r in start..matches.len() {
-            let pos = matches[r];
-            matches[w] = pos;
-            w += restriction.matches_value(&column.get(pos as usize)) as usize;
+        let outcome = match (restriction, &column.data) {
+            (Restriction::IsNull { .. }, _) => {
+                let validity = column.validity.as_ref();
+                return retain(matches, |row| validity.is_some_and(|v| !v.get(row)));
+            }
+            (Restriction::IsNotNull { .. }, _) => return retain_valid(column, matches),
+            (_, ColumnData::Int(values)) => on_range(restriction.int_bounds(), |lo, hi| {
+                let pred = RangePredicate::between(lo, hi);
+                dbsimd::reduce_matches(IsaLevel::detect(), values, &pred, 0, matches);
+            }),
+            (_, ColumnData::Double(values)) => on_range(restriction.double_bounds(), |lo, hi| {
+                retain(matches, |row| (lo <= values[row]) & (values[row] <= hi));
+            }),
+            (_, ColumnData::Str(values)) => match restriction.bounds() {
+                None => Inclusive::Inexpressible,
+                Some((lo, hi)) => match (str_bound(lo), str_bound(hi)) {
+                    (Some(lo), Some(hi)) => {
+                        retain(matches, |row| (lo, hi).contains(&values[row].as_str()));
+                        Inclusive::Range((), ())
+                    }
+                    // A number or NULL constant compares with no string.
+                    _ => Inclusive::Empty,
+                },
+            },
+            (_, ColumnData::Dict { .. }) => Inclusive::Inexpressible,
+        };
+        match outcome {
+            Inclusive::Range((), ()) => retain_valid(column, matches),
+            Inclusive::Empty => matches.clear(),
+            Inclusive::Inexpressible => {
+                retain(matches, |row| restriction.matches_value(&column.get(row)))
+            }
         }
-        matches.truncate(w);
     }
 
     /// Copy the values of attribute `col` at `rows` into `out` (the "copying of
-    /// matches" step of the vectorized scan on uncompressed chunks).
+    /// matches" step of the vectorized scan on uncompressed chunks): the payload
+    /// typed, the validity gathered beside it.
     pub fn gather(&self, col: usize, rows: &[u32], out: &mut Column) {
         let column = &self.columns[col];
         let picked = Rows::new(rows);
-        match (&column.data, &mut out.data, &column.validity) {
-            (datablocks::ColumnData::Int(src), datablocks::ColumnData::Int(dst), None) => {
-                picked.map_into(src, dst, |&v| v);
-            }
-            (datablocks::ColumnData::Double(src), datablocks::ColumnData::Double(dst), None) => {
-                picked.map_into(src, dst, |&v| v);
-            }
-            (datablocks::ColumnData::Str(src), datablocks::ColumnData::Str(dst), None) => {
-                picked.map_into(src, dst, String::clone);
+        let start = out.len();
+        match (&column.data, &mut out.data) {
+            (ColumnData::Int(src), ColumnData::Int(dst)) => picked.map_into(src, dst, |&v| v),
+            (ColumnData::Double(src), ColumnData::Double(dst)) => picked.map_into(src, dst, |&v| v),
+            (ColumnData::Str(src), ColumnData::Str(dst)) => {
+                picked.map_into(src, dst, String::clone)
             }
             _ => {
                 for &row in rows {
@@ -238,33 +267,50 @@ impl HotChunk {
                 return;
             }
         }
-        if let Some(validity) = &mut out.validity {
-            validity.fill_to(out.data.len(), true);
-        }
+        append_validity(out, start, column.validity.as_ref(), picked);
     }
 }
 
-/// Append the positions (counted from `from`) of the `values` that lie within
-/// `bounds`. `false`, appending nothing, when the bounds are inexpressible.
-fn find_within<T: PartialOrd + Copy>(
-    values: &[T],
-    bounds: Inclusive<T>,
-    from: usize,
-    out: &mut Vec<u32>,
-) -> bool {
+/// Run `reduce` on the bounds of a range; returns what `bounds` came to.
+fn on_range<T>(bounds: Inclusive<T>, reduce: impl FnOnce(T, T)) -> Inclusive<()> {
     match bounds {
         Inclusive::Range(lo, hi) => {
-            out.reserve(values.len());
-            for (i, &v) in values.iter().enumerate() {
-                if v >= lo && v <= hi {
-                    out.push((from + i) as u32);
-                }
-            }
-            true
+            reduce(lo, hi);
+            Inclusive::Range((), ())
         }
-        Inclusive::Empty => true,
-        Inclusive::Inexpressible => false,
+        Inclusive::Empty => Inclusive::Empty,
+        Inclusive::Inexpressible => Inclusive::Inexpressible,
     }
+}
+
+/// A bound of [`Restriction::bounds`] over strings, borrowed; `None` for a
+/// constant that is no string.
+fn str_bound(bound: Bound<&Value>) -> Option<Bound<&str>> {
+    match bound {
+        Bound::Unbounded => Some(Bound::Unbounded),
+        Bound::Included(Value::Str(s)) => Some(Bound::Included(s)),
+        Bound::Excluded(Value::Str(s)) => Some(Bound::Excluded(s)),
+        Bound::Included(_) | Bound::Excluded(_) => None,
+    }
+}
+
+/// Keep the `matches` whose value in `column` is not NULL.
+fn retain_valid(column: &Column, matches: &mut Vec<u32>) {
+    if let Some(validity) = &column.validity {
+        retain(matches, |row| validity.get(row));
+    }
+}
+
+/// Keep the `matches` that pass `keep`, in order. Branch-free: each position is
+/// written and the cursor advances by the outcome.
+fn retain(matches: &mut Vec<u32>, keep: impl Fn(usize) -> bool) {
+    let mut w = 0;
+    for r in 0..matches.len() {
+        let row = matches[r];
+        matches[w] = row;
+        w += keep(row as usize) as usize;
+    }
+    matches.truncate(w);
 }
 
 #[cfg(test)]
@@ -431,6 +477,13 @@ mod tests {
         let mut matches = Vec::new();
         chunk.find_matches(&[], 20, 30, &mut matches);
         assert_eq!(matches, (20u32..30).collect::<Vec<_>>());
+        // A second call appends.
+        let pair = [
+            Restriction::cmp(0, CmpOp::Ge, 40i64),
+            Restriction::cmp(0, CmpOp::Lt, 43i64),
+        ];
+        assert_eq!(chunk.find_matches(&pair, 35, 60, &mut matches), 3);
+        assert_eq!(matches[10..], [40, 41, 42]);
     }
 
     #[test]
@@ -443,6 +496,82 @@ mod tests {
         chunk.gather(1, &[0, 19], &mut names);
         // hot strings are plain
         assert!(matches!(&names.data, datablocks::ColumnData::Str(v) if v == &["n0", "n9"]));
+    }
+
+    #[test]
+    fn gather_keeps_nulls_across_a_word_boundary() {
+        let mut chunk = HotChunk::new(&schema(), DEFAULT_CHUNK_CAPACITY);
+        for i in 0..200i64 {
+            let row = [
+                Value::Int(i),
+                Value::Str(format!("n{i}")),
+                Value::Double(i as f64),
+            ];
+            let null = i % 5 == 2 || (60..70).contains(&i);
+            chunk.insert(row.map(|v| if null { Value::Null } else { v }).to_vec());
+        }
+        // A NULL written over a value leaves that value in the payload.
+        for col in 0..3 {
+            chunk.update_in_place(130, col, Value::Null);
+        }
+        let types = [DataType::Int, DataType::Str, DataType::Double];
+        let picks: [Vec<u32>; 4] = [
+            (0..200).collect(),
+            (58..73).collect(),
+            vec![1, 2, 63, 64, 65, 67, 128, 130, 199],
+            vec![],
+        ];
+        for (col, &ty) in types.iter().enumerate() {
+            let mut got = Column::new(ty);
+            let mut expected = Column::new(ty);
+            for rows in &picks {
+                chunk.gather(col, rows, &mut got);
+                rows.iter()
+                    .for_each(|&row| expected.push(chunk.get(row as usize, col)));
+                assert_eq!(got, expected, "column {col}, rows {rows:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn every_restriction_reduces_nullable_rows_as_matches_value_does() {
+        let mut chunk = HotChunk::new(&schema(), DEFAULT_CHUNK_CAPACITY);
+        for i in 0..150i64 {
+            let null = |v| if i % 7 == 3 { Value::Null } else { v };
+            chunk.insert(vec![
+                null(Value::Int(i - 75)),
+                null(Value::Str(format!("n{}", i % 10))),
+                null(Value::Double(i as f64 * 0.5 - 20.0)),
+            ]);
+        }
+        chunk.delete(77);
+        let restrictions = [
+            Restriction::cmp(0, CmpOp::Lt, 10i64),
+            Restriction::cmp(0, CmpOp::Ne, -3i64),
+            Restriction::between(0, -50i64, 2.5f64),
+            Restriction::cmp(1, CmpOp::Ge, "n3"),
+            Restriction::cmp(1, CmpOp::Lt, 5i64),
+            Restriction::cmp(2, CmpOp::Gt, -0.0),
+            Restriction::IsNull { column: 1 },
+            Restriction::IsNotNull { column: 2 },
+        ];
+        for first in &restrictions {
+            for second in &restrictions {
+                let pair = [first.clone(), second.clone()];
+                let mut found = Vec::new();
+                chunk.find_matches(&pair, 3, 145, &mut found);
+                let expected: Vec<u32> = (3..145)
+                    .filter(|&row| {
+                        !chunk.is_deleted(row)
+                            && pair
+                                .iter()
+                                .all(|r| r.matches_value(&chunk.get(row, r.column())))
+                    })
+                    .map(|row| row as u32)
+                    .collect();
+                assert_eq!(found, expected, "{pair:?}");
+            }
+        }
     }
 
     #[test]

@@ -785,18 +785,26 @@ impl Relation {
         );
         match id.segment {
             Segment::Hot(c) => {
+                let row = id.row as usize;
                 let pk_col = self.schema.primary_key();
-                let old_key = pk_col.map(|col| self.hot[c].get(id.row as usize, col));
+                let old_key = pk_col.map(|col| self.hot[c].get(row, col));
+                let new_key = pk_col.map(|col| values[col].clone());
                 let chunk = Arc::make_mut(&mut self.hot[c]);
-                for (col, value) in values.iter().enumerate() {
-                    chunk.update_in_place(id.row as usize, col, value.clone());
+                for (col, value) in values.into_iter().enumerate() {
+                    chunk.update_in_place(row, col, value);
                 }
-                if let (Some(index), Some(col)) = (&mut self.pk_index, pk_col) {
-                    if let Some(Value::Int(old)) = old_key {
-                        index.remove(&old);
-                    }
-                    if let Value::Int(new) = values[col] {
-                        index.insert(new, ((self.cold.len() + c) as u32, id.row));
+                if let Some(index) = &mut self.pk_index {
+                    match (old_key, new_key) {
+                        // The key stays: so does its entry.
+                        (Some(Value::Int(old)), Some(Value::Int(new))) if old == new => {}
+                        (old, new) => {
+                            if let Some(Value::Int(old)) = old {
+                                index.remove(&old);
+                            }
+                            if let Some(Value::Int(new)) = new {
+                                index.insert(new, ((self.cold.len() + c) as u32, id.row));
+                            }
+                        }
                     }
                 }
                 id
@@ -1271,6 +1279,32 @@ mod tests {
         );
         assert_eq!(id, same);
         assert_eq!(rel.get(id, 2), Value::Int(-1));
+    }
+
+    #[test]
+    fn a_hot_update_moves_the_index_entry_only_with_its_key() {
+        let mut rel = filled_relation(10, 100);
+        let id = rel.lookup_pk(3).unwrap();
+        rel.update(
+            id,
+            vec![Value::Int(3), Value::Str("kept".into()), Value::Int(30)],
+        );
+        assert_eq!(
+            rel.lookup_pk(3),
+            Some(id),
+            "an unchanged key still finds its row"
+        );
+        rel.update(
+            id,
+            vec![Value::Int(42), Value::Str("moved".into()), Value::Int(30)],
+        );
+        assert_eq!(rel.lookup_pk(3), None, "the old key is gone");
+        assert_eq!(rel.lookup_pk(42), Some(id), "the new key finds the row");
+        assert_eq!(rel.get(id, 1), Value::Str("moved".into()));
+        assert_eq!(
+            rel.lookup_pk(4).map(|id| rel.get(id, 0)),
+            Some(Value::Int(4))
+        );
     }
 
     #[test]

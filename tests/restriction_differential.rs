@@ -3,7 +3,10 @@
 //! `f64::MAX`, `i64::MIN`/`MAX`, `""`, strings between dictionary entries) and
 //! across types (Int↔Double, Str↔number, NULL), is evaluated
 //!
-//! * by a hot chunk's find,
+//! * by a hot chunk's find and, behind a restriction that passes every row, its
+//!   reduce — over the whole chunk and over a window that starts and ends off a
+//!   64-row word, alone and paired with a seeded second restriction on the same
+//!   attribute,
 //! * by a frozen block's scan at every compression scheme — single value,
 //!   truncation at each code width, integer and string dictionaries, doubles —
 //!   with SMA and PSMA each on and off,
@@ -220,16 +223,34 @@ fn frozen(case: &Case, values: &[Value]) -> DataBlock {
     block
 }
 
+/// The case's attribute, then one that [`every_row`] passes in full.
 fn hot(case: &Case, values: &[Value]) -> HotChunk {
-    let schema = Schema::new(vec![ColumnDef::new("a", case.data_type)]);
+    let schema = Schema::new(vec![
+        ColumnDef::new("a", case.data_type),
+        ColumnDef::new("row", DataType::Int),
+    ]);
     let mut chunk = HotChunk::new(&schema, values.len());
     for (row, value) in values.iter().enumerate() {
-        chunk.insert(vec![value.clone()]);
+        chunk.insert(vec![value.clone(), Value::Int(row as i64)]);
         if is_deleted(row) {
             chunk.delete(row);
         }
     }
     chunk
+}
+
+/// Passes every row of a [`hot`] chunk: put first, it finds the whole window,
+/// so the restriction after it runs as the reduce step.
+fn every_row() -> Restriction {
+    Restriction::cmp(1, CmpOp::Ge, 0i64)
+}
+
+/// The positions a hot chunk's `find_matches` returns for `restrictions` over
+/// rows `[from, to)`.
+fn hot_find(chunk: &HotChunk, restrictions: &[Restriction], from: usize, to: usize) -> Vec<u32> {
+    let mut found = Vec::new();
+    chunk.find_matches(restrictions, from, to, &mut found);
+    found
 }
 
 fn scan_options() -> [(&'static str, ScanOptions); 4] {
@@ -257,6 +278,14 @@ fn scan_options() -> [(&'static str, ScanOptions); 4] {
 #[test]
 fn every_tier_and_scheme_matches_the_row_at_a_time_definition() {
     let restrictions = restrictions();
+    // xorshift64: picks the second restriction of each hot pair.
+    let mut seed = 0x9E37_79B9_7F4A_7C15u64;
+    let mut pick = || {
+        seed ^= seed << 13;
+        seed ^= seed >> 7;
+        seed ^= seed << 17;
+        &restrictions[seed as usize % restrictions.len()]
+    };
     for case in cases() {
         for nullable in [false, true] {
             let values = match nullable {
@@ -274,14 +303,42 @@ fn every_tier_and_scheme_matches_the_row_at_a_time_definition() {
                     .filter(|&row| !is_deleted(row) && restriction.matches_value(&values[row]))
                     .map(|row| row as u32)
                     .collect();
-                let mut found = Vec::new();
-                chunk.find_matches(
-                    std::slice::from_ref(restriction),
-                    0,
-                    values.len(),
-                    &mut found,
+                let (from, to) = (3, values.len() - 5);
+                let within = |rows: &[u32]| -> Vec<u32> {
+                    let window = from as u32..to as u32;
+                    rows.iter()
+                        .copied()
+                        .filter(|r| window.contains(r))
+                        .collect()
+                };
+                let alone = [restriction.clone()];
+                let reduced = [every_row(), restriction.clone()];
+                for (from, to, expected) in [
+                    (0, values.len(), expected.clone()),
+                    (from, to, within(&expected)),
+                ] {
+                    let label = format!("[{from}, {to}) {label}");
+                    assert_eq!(
+                        hot_find(&chunk, &alone, from, to),
+                        expected,
+                        "hot find: {label}"
+                    );
+                    assert_eq!(
+                        hot_find(&chunk, &reduced, from, to),
+                        expected,
+                        "hot reduce: {label}"
+                    );
+                }
+                let second = pick();
+                let both: Vec<u32> = (expected.iter().copied())
+                    .filter(|&row| second.matches_value(&values[row as usize]))
+                    .collect();
+                let pair = [restriction.clone(), second.clone()];
+                assert_eq!(
+                    hot_find(&chunk, &pair, from, to),
+                    within(&both),
+                    "hot pair with {second:?}: {label}"
                 );
-                assert_eq!(found, expected, "hot: {label}");
                 for (name, options) in scan_options() {
                     let got = scan_collect(&block, std::slice::from_ref(restriction), options);
                     assert_eq!(got, expected, "frozen, {name}: {label}");
